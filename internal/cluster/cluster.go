@@ -29,6 +29,9 @@ type PendingJob struct {
 	FirstSeen time.Time
 	// Deferrals counts how many scheduling rounds have passed it over.
 	Deferrals int
+	// decided marks a job placed by the round being committed, between
+	// apply and the compaction that drops it from the queue.
+	decided bool
 }
 
 // Decision places one job in a region. StartAt lets oracle schedulers
@@ -336,17 +339,18 @@ type Sim struct {
 	cfg    Config
 	sched  Scheduler
 	states map[region.ID]*regionState
-	// pending holds jobs awaiting a placement decision.
+	// pending holds jobs awaiting a placement decision, in submission
+	// order; byID indexes the same jobs by ID (IDs are unique among pending
+	// jobs). The index lives across rounds: entered in Submit and
+	// RestorePending, left when the job is decided, emptied by Abandon.
 	pending []*PendingJob
+	byID    map[int]*PendingJob
 	res     *Result
 	sorted  bool
-	// Per-round scratch, reused across Steps (a Sim is single-owner by
-	// contract): the scheduler context with its free/busy maps, and apply's
-	// pending-by-id / decided sets. The maps handed to the Scheduler are only
-	// valid for the duration of the Schedule call.
-	ctx     Context
-	byID    map[int]*PendingJob
-	decided map[int]bool
+	// ctx is the scheduler context, reused across Steps (a Sim is
+	// single-owner by contract). Its free/busy maps are only valid for the
+	// duration of the Schedule call.
+	ctx Context
 }
 
 // NewSim validates and defaults cfg and returns an empty incremental
@@ -362,9 +366,8 @@ func NewSim(cfg Config, sched Scheduler) (*Sim, error) {
 	}
 	s := &Sim{
 		cfg: cfg, sched: sched, states: states,
-		res:     &Result{Scheduler: sched.Name(), Tolerance: cfg.Tolerance},
-		byID:    make(map[int]*PendingJob),
-		decided: make(map[int]bool),
+		res:  &Result{Scheduler: sched.Name(), Tolerance: cfg.Tolerance},
+		byID: make(map[int]*PendingJob),
 	}
 	s.ctx = Context{
 		Free: make(map[region.ID]int, len(states)),
@@ -384,7 +387,12 @@ func NewSim(cfg Config, sched Scheduler) (*Sim, error) {
 // Submit queues a job for placement; at is the controller-side arrival
 // instant (PendingJob.FirstSeen, the T_start of the Eq. 14 urgency score).
 func (s *Sim) Submit(job *trace.Job, at time.Time) {
-	s.pending = append(s.pending, &PendingJob{Job: job, FirstSeen: at})
+	s.enqueue(&PendingJob{Job: job, FirstSeen: at})
+}
+
+func (s *Sim) enqueue(pj *PendingJob) {
+	s.pending = append(s.pending, pj)
+	s.byID[pj.Job.ID] = pj
 }
 
 // Pending reports the number of jobs awaiting placement.
@@ -403,7 +411,9 @@ func (s *Sim) Free(at time.Time) map[region.ID]int {
 // asks it for decisions, commits them (reserving capacity and accounting
 // footprints), and returns this round's outcomes. Rounds with no pending
 // jobs are no-ops (no tick is recorded, matching Run). The returned slice
-// aliases the accumulated result; callers must not mutate it.
+// aliases the accumulated result; callers must not mutate it. An error
+// from a faulty decision leaves the ones before it committed: the Sim is
+// then inconsistent and must not be stepped again.
 func (s *Sim) Step(now time.Time) ([]JobOutcome, error) {
 	if len(s.pending) == 0 {
 		return nil, nil
@@ -427,12 +437,11 @@ func (s *Sim) Step(now time.Time) ([]JobOutcome, error) {
 		return nil, fmt.Errorf("cluster: scheduler %s at %v: %w", s.sched.Name(), now, err)
 	}
 	firstOut := len(s.res.Outcomes)
-	decided, err := s.apply(now, decisions)
-	if err != nil {
+	if err := s.apply(now, decisions); err != nil {
 		return nil, err
 	}
-	s.res.Ticks = append(s.res.Ticks, TickStat{At: now, Batch: len(s.pending), Decided: len(decided), Overhead: overhead})
-	s.pending = survivors(s.pending, decided)
+	s.res.Ticks = append(s.res.Ticks, TickStat{At: now, Batch: len(s.pending), Decided: len(decisions), Overhead: overhead})
+	s.pending = survivors(s.pending)
 	s.sorted = false
 	return s.res.Outcomes[firstOut:], nil
 }
@@ -447,6 +456,7 @@ func (s *Sim) Abandon() []*trace.Job {
 		out = append(out, pj.Job)
 	}
 	s.pending = nil
+	clear(s.byID)
 	return out
 }
 
@@ -478,8 +488,10 @@ func (s *Sim) RestoreBusy(busy map[region.ID][]time.Time) error {
 	return nil
 }
 
-// PendingSnapshot copies the jobs awaiting placement, with the FirstSeen
-// and Deferrals bookkeeping the slack manager's urgency score depends on.
+// PendingSnapshot copies the jobs awaiting placement, with FirstSeen — the
+// T_start the slack manager's urgency score (Eq. 14) depends on — and the
+// Deferrals counter, which no score reads: it is bookkeeping a durable
+// checkpoint carries so a restored queue equals the one snapshotted.
 func (s *Sim) PendingSnapshot() []PendingJob {
 	out := make([]PendingJob, len(s.pending))
 	for i, pj := range s.pending {
@@ -492,9 +504,10 @@ func (s *Sim) PendingSnapshot() []PendingJob {
 // preserving order (schedulers see jobs in submission order).
 func (s *Sim) RestorePending(jobs []PendingJob) {
 	s.pending = s.pending[:0]
+	clear(s.byID)
 	for i := range jobs {
 		pj := jobs[i]
-		s.pending = append(s.pending, &pj)
+		s.enqueue(&pj)
 	}
 }
 
@@ -553,26 +566,22 @@ func Run(cfg Config, sched Scheduler, jobs []*trace.Job) (*Result, error) {
 	return sim.Result(), nil
 }
 
-// apply commits decisions: reserves capacity, computes footprints, and
-// appends outcomes. It returns the set of decided job IDs (the pooled
-// s.decided map, valid until the next Step).
-func (s *Sim) apply(now time.Time, decisions []Decision) (map[int]bool, error) {
-	cfg, states, pending, res := s.cfg, s.states, s.pending, s.res
-	clear(s.byID)
-	clear(s.decided)
-	byID := s.byID
-	for _, pj := range pending {
-		byID[pj.Job.ID] = pj
-	}
-	decided := s.decided
+// apply commits decisions: reserves capacity, computes footprints, appends
+// outcomes, and takes each decided job out of the pending index, marked for
+// survivors to drop from the queue. O(decisions).
+func (s *Sim) apply(now time.Time, decisions []Decision) error {
+	cfg, states, res := s.cfg, s.states, s.res
 	for _, d := range decisions {
-		pj, ok := byID[d.Job.ID]
-		if !ok || decided[d.Job.ID] {
-			return nil, fmt.Errorf("cluster: scheduler decided job %d which is not pending", d.Job.ID)
+		pj, ok := s.byID[d.Job.ID]
+		if !ok {
+			return fmt.Errorf("cluster: scheduler decided job %d which is not pending", d.Job.ID)
+		}
+		if pj.decided {
+			return fmt.Errorf("cluster: scheduler decided job %d twice in one round", d.Job.ID)
 		}
 		rs, ok := states[d.Region]
 		if !ok {
-			return nil, fmt.Errorf("cluster: scheduler sent job %d to unknown region %q", d.Job.ID, d.Region)
+			return fmt.Errorf("cluster: scheduler sent job %d to unknown region %q", d.Job.ID, d.Region)
 		}
 		job := pj.Job
 
@@ -599,7 +608,7 @@ func (s *Sim) apply(now time.Time, decisions []Decision) (map[int]bool, error) {
 
 		snap, ok := cfg.Env.Snapshot(d.Region, start)
 		if !ok {
-			return nil, fmt.Errorf("cluster: no snapshot for region %q", d.Region)
+			return fmt.Errorf("cluster: no snapshot for region %q", d.Region)
 		}
 		compute := cfg.FP.ForJob(snap, energy, exec)
 
@@ -623,17 +632,20 @@ func (s *Sim) apply(now time.Time, decisions []Decision) (map[int]bool, error) {
 			Violated: finish.Sub(job.Submit) > allowed,
 		}
 		res.Outcomes = append(res.Outcomes, out)
-		decided[job.ID] = true
+		pj.decided = true
 	}
-	return decided, nil
+	for _, d := range decisions {
+		delete(s.byID, d.Job.ID)
+	}
+	return nil
 }
 
-// survivors returns the pending jobs not decided this round, with their
-// deferral counters bumped.
-func survivors(pending []*PendingJob, decided map[int]bool) []*PendingJob {
+// survivors compacts the queue in place to the jobs apply did not mark
+// decided, with their deferral counters bumped.
+func survivors(pending []*PendingJob) []*PendingJob {
 	out := pending[:0]
 	for _, pj := range pending {
-		if !decided[pj.Job.ID] {
+		if !pj.decided {
 			pj.Deferrals++
 			out = append(out, pj)
 		}

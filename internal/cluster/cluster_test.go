@@ -13,7 +13,7 @@ import (
 
 var testStart = time.Date(2023, 7, 1, 0, 0, 0, 0, time.UTC)
 
-func testEnv(t *testing.T) *region.Environment {
+func testEnv(t testing.TB) *region.Environment {
 	t.Helper()
 	env, err := region.NewEnvironment(region.Defaults(), energy.Table, testStart, 24*8, 3)
 	if err != nil {

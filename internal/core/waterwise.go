@@ -24,7 +24,7 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"waterwise/internal/cluster"
@@ -121,14 +121,23 @@ type Scheduler struct {
 	lastObjSet bool
 	// Per-round scratch, reused across Schedule calls (a Scheduler is
 	// single-threaded by the cluster.Scheduler contract, so pooling here is
-	// safe): candidate rows and backing array, capacity counts, urgency
-	// scores, and greedy capacity leftovers. Keeps the serving hot path off
-	// the allocator.
+	// safe): candidate rows and backing array, capacity counts, the slack
+	// manager's kept-set heap and L̄_m memo, and greedy capacity leftovers.
+	// Keeps the serving hot path off the allocator.
 	candRows [][]candidate
 	candBuf  []candidate
 	capsBuf  []int
 	urgBuf   []urgentJob
+	avgLat   map[latKey]time.Duration
 	leftBuf  []int
+}
+
+// latKey identifies the inputs of Eq. 14's L̄_m within one round: the region
+// set and transfer model are fixed for the call, and the package size is a
+// function of the benchmark.
+type latKey struct {
+	home      region.ID
+	benchmark string
 }
 
 type modelKey struct{ m, n int }
@@ -219,6 +228,7 @@ func New(cfg Config) (*Scheduler, error) {
 		histCarbon: make(map[region.ID][]float64),
 		histWater:  make(map[region.ID][]float64),
 		models:     make(map[modelKey]*roundModel),
+		avgLat:     make(map[latKey]time.Duration),
 	}, nil
 }
 
@@ -240,10 +250,42 @@ func (s *Scheduler) SolverStats() milp.Stats { return s.solverStats }
 // nothing).
 func (s *Scheduler) LastRoundObjective() (float64, bool) { return s.lastObj, s.lastObjSet }
 
-// urgentJob pairs a pending job with its Eq. 14 urgency score.
+// urgentJob pairs a pending job with its Eq. 14 urgency score and its
+// position in the round's queue, the tie-break of the selection order.
 type urgentJob struct {
-	pj *cluster.PendingJob
-	u  float64
+	pj  *cluster.PendingJob
+	u   float64
+	pos int
+}
+
+// cmpUrgent is the slack manager's total order: ascending urgency score,
+// ties by queue position — what a stable sort by score alone yields.
+func cmpUrgent(a, b urgentJob) int {
+	switch {
+	case a.u < b.u:
+		return -1
+	case a.u > b.u:
+		return 1
+	}
+	return a.pos - b.pos
+}
+
+// siftDown restores the max-heap property (under cmpUrgent) below h[i].
+func siftDown(h []urgentJob, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && cmpUrgent(h[c+1], h[c]) > 0 {
+			c++
+		}
+		if cmpUrgent(h[c], h[i]) <= 0 {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }
 
 // candidate carries the per-(job, region) scoring inputs for one round.
@@ -576,28 +618,52 @@ func (s *Scheduler) greedyAssign(ctx *cluster.Context, ids []region.ID, caps []i
 //	Urgency_m = TOL%·t_m − L̄_m − (T_now − T_start_m)
 //
 // i.e. allowed extra service time, minus typical migration cost, minus time
-// already spent waiting. Ascending order = most urgent first.
+// already spent waiting. Ascending order = most urgent first, ties in queue
+// order. One pass over the backlog keeps the limit smallest in a max-heap
+// (the root is the least urgent kept job, so a job enters only by beating
+// it), then only the kept jobs are sorted: O(backlog + limit·log limit).
 func (s *Scheduler) mostUrgent(ctx *cluster.Context, jobs []*cluster.PendingJob, limit int) []*cluster.PendingJob {
 	ids := ctx.Env.IDs()
-	if cap(s.urgBuf) < len(jobs) {
-		s.urgBuf = make([]urgentJob, len(jobs))
+	k := min(limit, len(jobs))
+	if k <= 0 {
+		return nil
 	}
-	scoredJobs := s.urgBuf[:len(jobs)]
-	for i, pj := range jobs {
+	if cap(s.urgBuf) < k {
+		s.urgBuf = make([]urgentJob, 0, k)
+	}
+	kept := s.urgBuf[:0]
+	clear(s.avgLat)
+	for pos, pj := range jobs {
 		job := pj.Job
-		avgLat := ctx.Net.AvgLatency(job.Home, ids, jobPackageMB(job))
+		key := latKey{job.Home, job.Benchmark}
+		avgLat, ok := s.avgLat[key]
+		if !ok {
+			avgLat = ctx.Net.AvgLatency(job.Home, ids, jobPackageMB(job))
+			s.avgLat[key] = avgLat
+		}
 		waited := ctx.Now.Sub(pj.FirstSeen)
 		u := ctx.Tolerance*float64(job.EstDuration) - float64(avgLat) - float64(waited)
-		scoredJobs[i] = urgentJob{pj: pj, u: u}
+		switch {
+		case len(kept) < k:
+			kept = append(kept, urgentJob{pj: pj, u: u, pos: pos})
+			if len(kept) == k {
+				for i := k/2 - 1; i >= 0; i-- {
+					siftDown(kept, i)
+				}
+			}
+		case u < kept[0].u: // an equal score loses: its position is later
+			kept[0] = urgentJob{pj: pj, u: u, pos: pos}
+			siftDown(kept, 0)
+		}
 	}
-	sort.SliceStable(scoredJobs, func(i, j int) bool { return scoredJobs[i].u < scoredJobs[j].u })
-	out := make([]*cluster.PendingJob, 0, limit)
-	for i := 0; i < limit && i < len(scoredJobs); i++ {
-		out = append(out, scoredJobs[i].pj)
+	slices.SortFunc(kept, cmpUrgent)
+	out := make([]*cluster.PendingJob, len(kept))
+	for i := range kept {
+		out[i] = kept[i].pj
 	}
 	// Drop the pooled buffer's job pointers: a long-running server must not
-	// pin a past burst's jobs via scratch sized to the largest round seen.
-	clear(scoredJobs)
+	// pin a past burst's jobs via scratch.
+	clear(kept)
 	return out
 }
 

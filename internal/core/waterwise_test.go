@@ -15,7 +15,7 @@ import (
 
 var testStart = time.Date(2023, 7, 1, 0, 0, 0, 0, time.UTC)
 
-func testEnv(t *testing.T) *region.Environment {
+func testEnv(t testing.TB) *region.Environment {
 	t.Helper()
 	env, err := region.NewEnvironment(region.Defaults(), energy.Table, testStart, 24*5, 21)
 	if err != nil {
@@ -36,7 +36,7 @@ func makeJobs(n int, home region.ID) []*trace.Job {
 	return jobs
 }
 
-func testCtx(t *testing.T, env *region.Environment, jobs []*trace.Job, tol float64, free map[region.ID]int) *cluster.Context {
+func testCtx(t testing.TB, env *region.Environment, jobs []*trace.Job, tol float64, free map[region.ID]int) *cluster.Context {
 	t.Helper()
 	if free == nil {
 		free = map[region.ID]int{}

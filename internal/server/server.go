@@ -989,8 +989,10 @@ func (s *Server) roundLocked() {
 	}
 	if s.wlog != nil {
 		// Group-commit the round (decisions included even when the batch
-		// was fully deferred: deferral counters feed the urgency score, so
-		// a zero-decision stepped round still must replay).
+		// was fully deferred: a zero-decision stepped round still must
+		// replay, since it advanced the scheduler's history learner. The
+		// deferral counters it bumped are snapshot-format bookkeeping
+		// only; Eq. 14's urgency reads FirstSeen).
 		var rtp *obs.RoundTrace
 		if ob != nil {
 			rtp = &rt

@@ -6,17 +6,17 @@
 // same strict parser the lint tests use, and emits one sorted table of
 // name, type, labels, exposing surface, and HELP text. Generating from
 // a live exposition rather than a hand-kept list means the doc cannot
-// silently drift: a new family shows up on the next run, and the CI
-// -check mode fails when the committed file no longer matches.
+// silently drift: a new family shows up on the next run, and
+// TestMetricsDocUpToDate fails when the committed file no longer matches.
 //
 // Usage:
 //
 //	metricsdoc -out METRICS.md    # (re)write the reference
-//	metricsdoc -check METRICS.md  # exit 1 if the committed file drifted
 package main
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -50,28 +50,15 @@ type row struct {
 
 func run() error {
 	out := flag.String("out", "", "write the generated reference to this file")
-	check := flag.String("check", "", "compare the generated reference against this file; exit 1 on drift")
 	flag.Parse()
-	if (*out == "") == (*check == "") {
-		return fmt.Errorf("exactly one of -out or -check is required")
+	if *out == "" {
+		return errors.New("-out is required")
 	}
-
 	doc, err := generate()
 	if err != nil {
 		return err
 	}
-	if *out != "" {
-		return os.WriteFile(*out, doc, 0o644)
-	}
-	committed, err := os.ReadFile(*check)
-	if err != nil {
-		return err
-	}
-	if !bytes.Equal(committed, doc) {
-		return fmt.Errorf("%s has drifted from the live expositions; regenerate with: go run ./cmd/metricsdoc -out %s", *check, *check)
-	}
-	fmt.Printf("metricsdoc: %s is up to date\n", *check)
-	return nil
+	return os.WriteFile(*out, doc, 0o644)
 }
 
 // generate boots the two exposition surfaces and renders the table.

@@ -8,7 +8,7 @@ import (
 
 // TestMetricsDocUpToDate regenerates the metrics reference from live
 // expositions and compares it byte-for-byte against the committed
-// METRICS.md — the drift gate behind the CI docs job. A new family, a
+// METRICS.md — the drift gate CI's test job runs. A new family, a
 // reworded HELP string, or a label change all land here first.
 func TestMetricsDocUpToDate(t *testing.T) {
 	want, err := os.ReadFile("../../METRICS.md")

@@ -327,31 +327,33 @@ func run() error {
 
 	// -slo without -record-metrics would have nothing to evaluate burn
 	// rates over, so objectives imply recording.
-	buildRecord := func(fleetMode bool) (waterwise.RecordConfig, error) {
-		slos, err := parseSLOs(*sloCSV, fleetMode)
-		if err != nil {
-			return waterwise.RecordConfig{}, err
-		}
-		return waterwise.RecordConfig{
-			Enable:            *recordTS || len(slos) > 0,
-			MemoryBudgetBytes: *recordMB << 20,
-			MinInterval:       *recordIv,
-			SLOs:              slos,
-			Logf: func(format string, args ...any) {
-				slog.Info(fmt.Sprintf(format, args...))
-			},
-		}, nil
+	slos, err := parseSLOs(*sloCSV, *shards > 1)
+	if err != nil {
+		return err
+	}
+	recCfg := waterwise.RecordConfig{
+		Enable:            *recordTS || len(slos) > 0,
+		MemoryBudgetBytes: *recordMB << 20,
+		MinInterval:       *recordIv,
+		SLOs:              slos,
+		Logf: func(format string, args ...any) {
+			slog.Info(fmt.Sprintf(format, args...))
+		},
 	}
 
+	// Build the backend — sharded fleet or single server — then share one
+	// start → stream → serve → stop tail.
+	var (
+		backend     waterwise.StreamBackend
+		handler     http.Handler
+		start, stop func()
+		logTotals   func()
+	)
 	if *shards > 1 {
 		if *partCSV != "" {
 			return fmt.Errorf("-partition is the standalone-shard mode; use -shard-map with -shards")
 		}
 		shardMap, err := parseShardMap(*shardMapCSV)
-		if err != nil {
-			return err
-		}
-		recCfg, err := buildRecord(true)
 		if err != nil {
 			return err
 		}
@@ -366,85 +368,77 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		if *dataDir != "" {
-			for _, ss := range fl.Status().ShardStatus {
-				logRecovery(log, fmt.Sprintf("shard %d", ss.Shard), ss.WAL)
-			}
+		for _, ss := range fl.Status().ShardStatus {
+			logRecovery(log, fmt.Sprintf("shard %d", ss.Shard), ss.WAL)
 		}
-		fl.Start()
 		log.Info("fleet gateway listening", "addr", *addr, "shards", fl.Shards(),
 			"round", round.String(), "mode", mode, "tolerance", *tolerance)
 		for s, part := range fl.Partitions() {
 			log.Info("shard partition", "shard", s, "regions", fmt.Sprint(part))
 		}
-		stopStream, err := startStream(log, *streamAddr, fl)
+		backend, handler, start, stop = fl, fl.Handler(), fl.Start, fl.Stop
+		logTotals = func() {
+			st := fl.Status()
+			log.Info("fleet stopped", "rounds", st.Rounds, "decisions", st.Decisions,
+				"merged", st.Merged, "lost", st.Lost, "accepted", st.Accepted,
+				"rejected", st.Rejected, "unscheduled", st.Unscheduled)
+			for _, ss := range st.ShardStatus {
+				log.Info("shard totals", "shard", ss.Shard, "rounds", ss.Rounds,
+					"decisions", ss.Decisions, "accepted", ss.Accepted)
+			}
+		}
+	} else {
+		if *shardMapCSV != "" {
+			return fmt.Errorf("-shard-map needs -shards > 1 (got -shards %d)", *shards)
+		}
+		srvCfg := waterwise.ServerConfig{
+			Regions:   splitRegions(*partCSV),
+			Tolerance: *tolerance, Round: *round, TimeScale: *timescale,
+			QueueCap: *queueCap, DecisionLogCap: *decisionLog,
+			DataDir: *dataDir, SnapshotEvery: *snapEvery,
+			Obs:    waterwise.ObsConfig{Disable: *noObs},
+			Record: recCfg,
+		}
+		sched, err := waterwise.NewScheduler(schedCfg)
 		if err != nil {
-			fl.Stop()
 			return err
 		}
-		err = serve(log, *addr, fl.Handler(), func() { stopStream(); fl.Stop() })
-		st := fl.Status()
-		log.Info("fleet stopped", "rounds", st.Rounds, "decisions", st.Decisions,
-			"merged", st.Merged, "lost", st.Lost, "accepted", st.Accepted,
-			"rejected", st.Rejected, "unscheduled", st.Unscheduled)
-		for _, ss := range st.ShardStatus {
-			log.Info("shard totals", "shard", ss.Shard, "rounds", ss.Rounds,
-				"decisions", ss.Decisions, "accepted", ss.Accepted)
+		srv, err := waterwise.NewServer(env, sched, srvCfg)
+		if err != nil {
+			return err
 		}
-		return err
+		logRecovery(log, "server", srv.Status().WAL)
+		served := env.Regions()
+		if len(srvCfg.Regions) > 0 {
+			served = srvCfg.Regions
+			log.Info("standalone shard mode", "partition", fmt.Sprint(served), "environment", fmt.Sprint(env.Regions()))
+		}
+		log.Info("listening", "addr", *addr, "round", round.String(), "mode", mode,
+			"tolerance", *tolerance, "regions", fmt.Sprint(served))
+		backend, handler, start, stop = srv, srv.Handler(), srv.Start, srv.Stop
+		logTotals = func() {
+			st := srv.Status()
+			log.Info("stopped", "rounds", st.Rounds, "decisions", st.Decisions,
+				"accepted", st.Accepted, "rejected", st.Rejected, "unscheduled", st.Unscheduled)
+			if st.Solver != nil {
+				log.Info("solver totals", "nodes", st.Solver.Nodes, "simplex_iters", st.Solver.SimplexIters,
+					"warm_hit_rate", st.Solver.WarmStartHitRate(), "wall", st.Solver.Wall.Round(time.Millisecond).String())
+			}
+			if st.Obs != nil {
+				log.Info("latency", "decision_p50_ms", st.Obs.DecisionP50Ms,
+					"decision_p99_ms", st.Obs.DecisionP99Ms, "solve_p99_ms", st.Obs.SolveP99Ms)
+			}
+		}
 	}
 
-	if *shardMapCSV != "" {
-		return fmt.Errorf("-shard-map needs -shards > 1 (got -shards %d)", *shards)
-	}
-	recCfg, err := buildRecord(false)
+	start()
+	stopStream, err := startStream(log, *streamAddr, backend)
 	if err != nil {
+		stop()
 		return err
 	}
-	srvCfg := waterwise.ServerConfig{
-		Regions:   splitRegions(*partCSV),
-		Tolerance: *tolerance, Round: *round, TimeScale: *timescale,
-		QueueCap: *queueCap, DecisionLogCap: *decisionLog,
-		DataDir: *dataDir, SnapshotEvery: *snapEvery,
-		Obs:    waterwise.ObsConfig{Disable: *noObs},
-		Record: recCfg,
-	}
-	sched, err := waterwise.NewScheduler(schedCfg)
-	if err != nil {
-		return err
-	}
-	srv, err := waterwise.NewServer(env, sched, srvCfg)
-	if err != nil {
-		return err
-	}
-	if *dataDir != "" {
-		logRecovery(log, "server", srv.Status().WAL)
-	}
-	srv.Start()
-	served := env.Regions()
-	if len(srvCfg.Regions) > 0 {
-		served = srvCfg.Regions
-		log.Info("standalone shard mode", "partition", fmt.Sprint(served), "environment", fmt.Sprint(env.Regions()))
-	}
-	log.Info("listening", "addr", *addr, "round", round.String(), "mode", mode,
-		"tolerance", *tolerance, "regions", fmt.Sprint(served))
-	stopStream, err := startStream(log, *streamAddr, srv)
-	if err != nil {
-		srv.Stop()
-		return err
-	}
-	err = serve(log, *addr, srv.Handler(), func() { stopStream(); srv.Stop() })
-	st := srv.Status()
-	log.Info("stopped", "rounds", st.Rounds, "decisions", st.Decisions,
-		"accepted", st.Accepted, "rejected", st.Rejected, "unscheduled", st.Unscheduled)
-	if st.Solver != nil {
-		log.Info("solver totals", "nodes", st.Solver.Nodes, "simplex_iters", st.Solver.SimplexIters,
-			"warm_hit_rate", st.Solver.WarmStartHitRate(), "wall", st.Solver.Wall.Round(time.Millisecond).String())
-	}
-	if st.Obs != nil {
-		log.Info("latency", "decision_p50_ms", st.Obs.DecisionP50Ms,
-			"decision_p99_ms", st.Obs.DecisionP99Ms, "solve_p99_ms", st.Obs.SolveP99Ms)
-	}
+	err = serve(log, *addr, handler, func() { stopStream(); stop() })
+	logTotals()
 	return err
 }
 

@@ -31,6 +31,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
 	"path/filepath"
 	"sync"
 	"time"
@@ -301,19 +302,9 @@ func New(cfg Config) (*Fleet, error) {
 		}
 	}
 	if cfg.Record.Enable {
-		rec, err := tsdb.New(tsdb.Config{
-			Gather:            func() []byte { return f.MetricsText() },
-			MemoryBudgetBytes: cfg.Record.MemoryBudgetBytes,
-			ScrapeEvery:       cfg.Record.ScrapeEvery,
-			MinInterval:       cfg.Record.MinInterval,
-			Sync:              cfg.Record.Sync,
-			Objectives:        cfg.Record.SLOs,
-			Logf:              cfg.Record.Logf,
-		})
-		if err != nil {
+		if f.recorder, err = cfg.Record.NewRecorder(f.MetricsText); err != nil {
 			return nil, fmt.Errorf("fleet: %w", err)
 		}
-		f.recorder = rec
 	}
 	return f, nil
 }
@@ -321,6 +312,28 @@ func New(cfg Config) (*Fleet, error) {
 // Recorder exposes the fleet-level flight recorder; nil when recording is
 // disabled.
 func (f *Fleet) Recorder() *tsdb.Recorder { return f.recorder }
+
+// Handler returns the gateway's HTTP API: the routes a single server
+// exposes (server.NewMux), fleet-wide — submits routed to the shard
+// owning the job's home region, the globally seq-numbered merged decision
+// log, aggregate + per-shard status, shard-labeled metrics, round and job
+// traces from any shard, and the fleet recorder's queries and alerts.
+func (f *Fleet) Handler() http.Handler {
+	return server.NewMux(server.Backend{
+		Submit: f.Submit,
+		Decisions: func(since uint64, limit int) (interface{}, uint64) {
+			ds := f.Decisions(since, limit)
+			return ds, server.NextCursor(since, ds)
+		},
+		Status:        func() interface{} { return f.Status() },
+		MetricsText:   f.MetricsText,
+		SlowestRounds: f.SlowestRounds,
+		RecentRounds:  f.RecentRounds,
+		JobTrace:      f.JobTrace,
+		Recorder:      f.Recorder,
+		Ingest:        f.ingest,
+	})
+}
 
 // onShardRound is every shard's end-of-round hook. Each shard reports its
 // own completed-round count; Observe keeps the maximum, so the recorder's

@@ -2,207 +2,68 @@ package fleet
 
 import (
 	"fmt"
-	"net/http"
-	"sort"
 
-	"waterwise/internal/region"
 	"waterwise/internal/server"
 )
 
-// handleMetrics serves Prometheus text-format metrics for the whole
-// fleet: the per-server series a single waterwised exports, labeled by
-// shard, plus the fleet-level merge counters. Labeling (rather than
-// summing) keeps a hot shard visible — the operator's question for a
-// sharded deployment is "which shard is behind", not just "how many
-// decisions total"; sums are one PromQL aggregation away.
-func (f *Fleet) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_, _ = w.Write(f.MetricsText())
+// fleetFamilies defines the gateway's own families — merge accounting and
+// supervision — in the same table shape as the per-server ones
+// (server.Family), over the fleet Status.
+var fleetFamilies = []server.Family[Status]{
+	{Name: "waterwise_fleet_shards", Type: "gauge", Help: "Scheduler shards behind this gateway.",
+		Samples: func(st *Status, emit func(string, float64)) { emit("", float64(st.Shards)) }},
+	{Name: "waterwise_fleet_merged_decisions_total", Type: "counter", Help: "Decisions emitted into the merged global stream.",
+		Samples: func(st *Status, emit func(string, float64)) { emit("", float64(st.Merged)) }},
+	{Name: "waterwise_fleet_lost_decisions_total", Type: "counter", Help: "Decisions evicted from a shard ring before the merge read them.",
+		Samples: func(st *Status, emit func(string, float64)) { emit("", float64(st.Lost)) }},
+	{Name: "waterwise_fleet_restarts_total", Type: "counter", Help: "Supervisor-driven shard restarts.",
+		Samples: func(st *Status, emit func(string, float64)) {
+			if st.Supervisor != nil {
+				emit("", float64(st.Supervisor.Restarts))
+			}
+		}},
+	{Name: "waterwise_fleet_shard_up", Type: "gauge", Help: "1 while the shard's round loop is serving, 0 while dead or restarting.",
+		Samples: func(st *Status, emit func(string, float64)) {
+			if st.Supervisor == nil {
+				return
+			}
+			for _, ss := range st.Supervisor.Shards {
+				up := 0.0
+				if ss.State == "up" {
+					up = 1
+				}
+				emit(shardLabel(ss.Shard), up)
+			}
+		}},
 }
 
-// MetricsText renders the fleet exposition as bytes. Split from the HTTP
-// handler because the fleet-level flight recorder scrapes the merged
-// exposition in-process on the shards' round clock.
+func shardLabel(shard int) string { return fmt.Sprintf("shard=\"%d\"", shard) }
+
+// MetricsText renders the fleet exposition as bytes — what the gateway's
+// /metrics serves and the fleet-level flight recorder scrapes in-process
+// on the shards' round clock: the gateway's own families, then every
+// family a single waterwised exports, labeled by shard. Labeling (rather
+// than summing) keeps a hot shard visible — the operator's question for
+// a sharded deployment is "which shard is behind", not just "how many
+// decisions total"; sums are one PromQL aggregation away.
 func (f *Fleet) MetricsText() []byte {
 	st := f.Status()
-	var b []byte
-	b = server.AppendBuildInfo(b)
-	head := func(name, typ, help string) {
-		b = append(b, fmt.Sprintf("# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)...)
+	b := server.AppendBuildInfo(nil)
+	b = server.AppendFamilies(b, fleetFamilies, []server.Source[Status]{{Status: &st}})
+	shards := make([]server.Source[server.Status], len(st.ShardStatus))
+	for i := range st.ShardStatus {
+		ss := &st.ShardStatus[i]
+		shards[i] = server.Source[server.Status]{Label: shardLabel(ss.Shard), Status: &ss.Status}
 	}
-	row := func(name string, shard int, v float64) {
-		b = append(b, fmt.Sprintf("%s{shard=\"%d\"} %g\n", name, shard, v)...)
-	}
-
-	head("waterwise_fleet_shards", "gauge", "Scheduler shards behind this gateway.")
-	b = append(b, fmt.Sprintf("waterwise_fleet_shards %d\n", st.Shards)...)
-	head("waterwise_fleet_merged_decisions_total", "counter", "Decisions emitted into the merged global stream.")
-	b = append(b, fmt.Sprintf("waterwise_fleet_merged_decisions_total %d\n", st.Merged)...)
-	head("waterwise_fleet_lost_decisions_total", "counter", "Decisions evicted from a shard ring before the merge read them.")
-	b = append(b, fmt.Sprintf("waterwise_fleet_lost_decisions_total %d\n", st.Lost)...)
-	if st.Supervisor != nil {
-		head("waterwise_fleet_restarts_total", "counter", "Supervisor-driven shard restarts.")
-		b = append(b, fmt.Sprintf("waterwise_fleet_restarts_total %d\n", st.Supervisor.Restarts)...)
-		head("waterwise_fleet_shard_up", "gauge", "1 while the shard's round loop is serving, 0 while dead or restarting.")
-		for _, ss := range st.Supervisor.Shards {
-			up := 1
-			if ss.State != "up" {
-				up = 0
-			}
-			row("waterwise_fleet_shard_up", ss.Shard, float64(up))
-		}
-	}
-
-	perShard := []struct {
-		name, typ, help string
-		v               func(ShardStatus) float64
-	}{
-		{"waterwise_jobs_accepted_total", "counter", "Jobs accepted into the shard's ingest queue.",
-			func(s ShardStatus) float64 { return float64(s.Accepted) }},
-		{"waterwise_jobs_rejected_total", "counter", "Jobs rejected by the shard (backpressure, validation, duplicates).",
-			func(s ShardStatus) float64 { return float64(s.Rejected) }},
-		{"waterwise_rounds_total", "counter", "Scheduling rounds run by the shard.",
-			func(s ShardStatus) float64 { return float64(s.Rounds) }},
-		{"waterwise_decisions_total", "counter", "Placement decisions committed by the shard.",
-			func(s ShardStatus) float64 { return float64(s.Decisions) }},
-		{"waterwise_jobs_unscheduled_total", "counter", "Jobs abandoned without a placement.",
-			func(s ShardStatus) float64 { return float64(s.Unscheduled) }},
-		{"waterwise_queue_pending", "gauge", "Jobs awaiting a placement decision.",
-			func(s ShardStatus) float64 { return float64(s.Pending) }},
-		{"waterwise_queue_future", "gauge", "Accepted jobs not yet due for a round.",
-			func(s ShardStatus) float64 { return float64(s.Future) }},
-		{"waterwise_queue_cap", "gauge", "Ingest queue capacity (backpressure threshold).",
-			func(s ShardStatus) float64 { return float64(s.QueueCap) }},
-	}
-	for _, m := range perShard {
-		head(m.name, m.typ, m.help)
-		for _, ss := range st.ShardStatus {
-			row(m.name, ss.Shard, m.v(ss))
-		}
-	}
-
-	head("waterwise_region_free_servers", "gauge", "Servers free per region at the owning shard's simulated clock.")
-	for _, ss := range st.ShardStatus {
-		ids := make([]string, 0, len(ss.Free))
-		for id := range ss.Free {
-			ids = append(ids, string(id))
-		}
-		sort.Strings(ids)
-		for _, id := range ids {
-			b = append(b, fmt.Sprintf("waterwise_region_free_servers{region=%q,shard=\"%d\"} %d\n",
-				id, ss.Shard, ss.Free[region.ID(id)])...)
-		}
-	}
-
-	solver := []struct {
-		name, help string
-		v          func(ShardStatus) (float64, bool)
-	}{
-		{"waterwise_solver_nodes_total", "Branch-and-bound nodes across the shard's rounds.",
-			func(s ShardStatus) (float64, bool) {
-				if s.Solver == nil {
-					return 0, false
-				}
-				return float64(s.Solver.Nodes), true
-			}},
-		{"waterwise_solver_simplex_iters_total", "Simplex pivots across the shard's rounds.",
-			func(s ShardStatus) (float64, bool) {
-				if s.Solver == nil {
-					return 0, false
-				}
-				return float64(s.Solver.SimplexIters), true
-			}},
-		{"waterwise_solver_warm_starts_total", "LP solves served by a warm start.",
-			func(s ShardStatus) (float64, bool) {
-				if s.Solver == nil {
-					return 0, false
-				}
-				return float64(s.Solver.WarmStarts), true
-			}},
-		{"waterwise_solver_cold_starts_total", "LP solves run from scratch.",
-			func(s ShardStatus) (float64, bool) {
-				if s.Solver == nil {
-					return 0, false
-				}
-				return float64(s.Solver.ColdStarts), true
-			}},
-		{"waterwise_solver_wall_seconds_total", "Aggregate solver wall time.",
-			func(s ShardStatus) (float64, bool) {
-				if s.Solver == nil {
-					return 0, false
-				}
-				return s.Solver.Wall.Seconds(), true
-			}},
-	}
-	for _, m := range solver {
-		wrote := false
-		for _, ss := range st.ShardStatus {
-			v, ok := m.v(ss)
-			if !ok {
-				continue
-			}
-			if !wrote {
-				head(m.name, "counter", m.help)
-				wrote = true
-			}
-			row(m.name, ss.Shard, v)
-		}
-	}
-	// Durability, labeled per shard like the rest: each shard owns its own
-	// log, so fsync stalls and recovery cost are per-shard questions.
-	walRow := func(name, typ, help string, v func(*server.WALStatus) float64) {
-		wrote := false
-		for _, ss := range st.ShardStatus {
-			if ss.WAL == nil {
-				continue
-			}
-			if !wrote {
-				head(name, typ, help)
-				wrote = true
-			}
-			row(name, ss.Shard, v(ss.WAL))
-		}
-	}
-	walRow("waterwise_jobs_deduped_total", "counter", "Idempotent re-submits served from the shard's dedupe index.",
-		func(w *server.WALStatus) float64 { return float64(w.Deduped) })
-	walRow("waterwise_wal_segments", "gauge", "Write-ahead log segment files on disk.",
-		func(w *server.WALStatus) float64 { return float64(w.Segments) })
-	walRow("waterwise_wal_bytes", "gauge", "Write-ahead log size on disk (snapshots excluded).",
-		func(w *server.WALStatus) float64 { return float64(w.Bytes) })
-	walRow("waterwise_wal_records_appended_total", "counter", "Records appended to the shard's write-ahead log.",
-		func(w *server.WALStatus) float64 { return float64(w.Appended) })
-	walRow("waterwise_wal_records_synced_total", "counter", "Appended records made durable by an fsync.",
-		func(w *server.WALStatus) float64 { return float64(w.Synced) })
-	walRow("waterwise_wal_fsyncs_total", "counter", "Fsync batches flushed to the shard's log.",
-		func(w *server.WALStatus) float64 { return float64(w.Fsyncs) })
-	walRow("waterwise_wal_fsync_stall_p50_ms", "gauge", "Median fsync stall over the recent window.",
-		func(w *server.WALStatus) float64 { return float64(w.FsyncP50) / 1e6 })
-	walRow("waterwise_wal_fsync_stall_p99_ms", "gauge", "99th-percentile fsync stall over the recent window.",
-		func(w *server.WALStatus) float64 { return float64(w.FsyncP99) / 1e6 })
-	walRow("waterwise_wal_snapshots_total", "counter", "State snapshots written by the shard.",
-		func(w *server.WALStatus) float64 { return float64(w.Snapshots) })
-	walRow("waterwise_wal_recovery_ms", "gauge", "Wall time of the shard's last restart (snapshot restore + replay).",
-		func(w *server.WALStatus) float64 { return w.RecoveryMs })
-	walRow("waterwise_wal_recovered_records_total", "counter", "Log records the shard replayed at its last restart.",
-		func(w *server.WALStatus) float64 { return float64(w.RecoveredRecords) })
+	b = server.AppendStatusMetrics(b, shards)
 	// Latency histograms twice over: the per-server families labeled by
 	// shard (which shard's solve is slow), then the shard-merged
 	// fleet-level distributions (what a client of the gateway sees) —
 	// exact sums, since every histogram shares one bucket scheme.
-	if shardSnaps := f.ShardObsSnapshots(); len(shardSnaps) > 0 {
-		first := true
-		for shard, snaps := range shardSnaps {
-			if snaps == nil {
-				continue
-			}
-			b = server.AppendObsMetrics(b, snaps, "waterwise_", fmt.Sprintf("shard=\"%d\"", shard), first)
-			first = false
-		}
+	// Observability is on for every shard or none, so shard 0 carries the
+	// headers.
+	for i, s := range f.shardList() {
+		b = server.AppendObsMetrics(b, s.ObsSnapshots(), "waterwise_", shardLabel(i), i == 0)
 	}
 	b = server.AppendObsMetrics(b, f.ObsSnapshots(), "waterwise_fleet_", "", true)
 	// One feed block, not one per shard: every shard reads the same

@@ -1,26 +1,11 @@
 package fleet
 
 import (
-	"net/http"
 	"sort"
-	"time"
 
+	"waterwise/internal/obs"
 	"waterwise/internal/server"
 )
-
-// timedIngest wraps the gateway jobs handler to record its wall time
-// into the fleet's ingest histogram.
-func (f *Fleet) timedIngest(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if f.ingest == nil || r.Method != http.MethodPost {
-			h(w, r)
-			return
-		}
-		t0 := time.Now()
-		h(w, r)
-		f.ingest.Record(time.Since(t0).Seconds())
-	}
-}
 
 // ObsSnapshots returns the fleet-merged histogram counters: every
 // shard's snapshots summed bucket-by-bucket (the merge the bucketing
@@ -47,80 +32,43 @@ func (f *Fleet) ObsSnapshots() *server.ObsSnapshots {
 	return merged
 }
 
-// ShardObsSnapshots returns each shard's own histogram counters,
-// indexed by shard (entries nil when observability is disabled).
-func (f *Fleet) ShardObsSnapshots() []*server.ObsSnapshots {
-	shards := f.shardList()
-	out := make([]*server.ObsSnapshots, len(shards))
-	for i, s := range shards {
-		out[i] = s.ObsSnapshots()
-	}
-	return out
-}
-
 // SlowestRounds returns the slowest scheduling rounds across every
 // shard, slowest first, each stamped with its owning shard — the
-// fleet's /v1/rounds/slowest view. Nil when observability is disabled.
+// fleet's /v1/rounds/slowest view, bounded to the exemplar count each
+// shard retains. Nil when observability is disabled.
 func (f *Fleet) SlowestRounds() []server.RoundTraceWire {
-	var out []server.RoundTraceWire
-	enabled := false
-	for i, s := range f.shardList() {
-		rts := s.SlowestRounds()
-		if s.JobSampleEvery() != 0 || rts != nil {
-			enabled = true
-		}
-		for _, rt := range rts {
-			w := server.WireRoundTrace(rt)
-			shard := i
-			w.Shard = &shard
-			out = append(out, w)
-		}
-	}
-	if !enabled {
-		return nil
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].TotalMs > out[j].TotalMs })
-	if cap := f.slowestCap(); len(out) > cap {
-		out = out[:cap]
-	}
-	return out
+	return f.mergedRounds((*server.Server).SlowestRounds, obs.DefaultSlowestRounds,
+		func(a, b *server.RoundTraceWire) bool { return a.TotalMs > b.TotalMs })
 }
 
 // RecentRounds returns up to n of the fleet's latest rounds, newest
 // first across shards (n <= 0 means every retained round). Nil when
 // observability is disabled.
 func (f *Fleet) RecentRounds(n int) []server.RoundTraceWire {
-	var out []server.RoundTraceWire
-	enabled := false
-	for i, s := range f.shardList() {
-		rts := s.RecentRounds(n)
-		if rts != nil {
-			enabled = true
-		}
-		for _, rt := range rts {
-			w := server.WireRoundTrace(rt)
-			shard := i
-			w.Shard = &shard
-			out = append(out, w)
-		}
-	}
-	if !enabled {
-		return nil
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Wall.After(out[j].Wall) })
-	if n > 0 && len(out) > n {
-		out = out[:n]
-	}
-	return out
+	return f.mergedRounds(func(s *server.Server) []obs.RoundTrace { return s.RecentRounds(n) }, n,
+		func(a, b *server.RoundTraceWire) bool { return a.Wall.After(b.Wall) })
 }
 
-// slowestCap bounds the merged slowest view to the same exemplar count
-// each shard retains.
-func (f *Fleet) slowestCap() int {
-	if f.cfg.Obs.SlowestRounds > 0 {
-		return f.cfg.Obs.SlowestRounds
+// mergedRounds gathers every shard's traces in wire form, orders them by
+// before and keeps the first max (max <= 0 keeps all). Nil only when
+// every shard has observability off, the handler's 404 signal.
+func (f *Fleet) mergedRounds(fetch func(*server.Server) []obs.RoundTrace, max int,
+	before func(a, b *server.RoundTraceWire) bool) []server.RoundTraceWire {
+	var out []server.RoundTraceWire
+	for i, s := range f.shardList() {
+		shard := i
+		rts := server.WireRoundTraces(fetch(s), &shard)
+		if out == nil {
+			out = rts // keeps an obs-on shard's empty list non-nil
+		} else {
+			out = append(out, rts...)
+		}
 	}
-	return 32
+	sort.Slice(out, func(i, j int) bool { return before(&out[i], &out[j]) })
+	if max > 0 && len(out) > max {
+		out = out[:max]
+	}
+	return out
 }
 
 // JobTrace scans the shards for a sampled job's lifecycle trace —

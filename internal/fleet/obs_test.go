@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -27,7 +28,8 @@ func TestFleetMetricsLintAndMergedHistograms(t *testing.T) {
 	fl, err := New(Config{
 		Env: env, NewScheduler: coreFactory(t), Shards: shards,
 		Tolerance: 0.5, Round: time.Minute,
-		Obs: server.ObsConfig{JobSampleEvery: 1},
+		DataDir: t.TempDir(),
+		Obs:     server.ObsConfig{JobSampleEvery: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -76,6 +78,39 @@ func TestFleetMetricsLintAndMergedHistograms(t *testing.T) {
 	}
 	if err := obs.LintProm(metrics); err != nil {
 		t.Fatalf("fleet /metrics fails lint: %v", err)
+	}
+
+	// One definition per family: everything a durable single server
+	// exports is on the gateway too, with the same TYPE and HELP, and —
+	// bar the build identity and the one shared feed — labeled by shard.
+	single, err := server.New(server.Config{
+		Env: env, Scheduler: newCore(t), Tolerance: 0.5, Round: time.Minute, DataDir: t.TempDir(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	singleFams, err := obs.ParseProm(single.MetricsText())
+	single.Stop()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range singleFams {
+		got := fams[name]
+		if got == nil {
+			t.Errorf("gateway does not export %s, a single server does", name)
+			continue
+		}
+		if got.Type != want.Type || got.Help != want.Help {
+			t.Errorf("%s: gateway says %s %q, single server %s %q", name, got.Type, got.Help, want.Type, want.Help)
+		}
+		if name == "waterwise_build_info" || strings.HasPrefix(name, "waterwise_feed_") {
+			continue
+		}
+		for _, smp := range got.Samples {
+			if smp.Labels["shard"] == "" {
+				t.Errorf("%s: gateway sample without a shard label: %v", name, smp.Labels)
+			}
+		}
 	}
 
 	// Per-shard decision latency, labeled; the shard counts must sum to

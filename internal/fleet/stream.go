@@ -14,23 +14,15 @@ import (
 // k-way-merged global stream, so clients see one dense seq space with
 // shard coordinates attached.
 
-// StreamSubmit implements server.StreamBackend: route the job to its
-// home shard exactly like POST /v1/jobs on the gateway.
-func (f *Fleet) StreamSubmit(spec server.JobSpec) (int, error) { return f.Submit(spec) }
-
 // StreamDecisions implements server.StreamBackend over the merged
 // global decision stream.
-func (f *Fleet) StreamDecisions(since uint64, limit int, dst []wire.Decision) ([]wire.Decision, uint64) {
+func (f *Fleet) StreamDecisions(since uint64, limit int, dst []wire.Decision) []wire.Decision {
 	page := f.Decisions(since, limit)
-	next := since
 	for i := range page {
 		d := &page[i]
 		dst = append(dst, server.WireDecision(d.Decision, uint32(d.Shard), d.ShardSeq))
 	}
-	if len(page) > 0 {
-		next = page[len(page)-1].Seq
-	}
-	return dst, next
+	return dst
 }
 
 // StreamInfo implements server.StreamBackend: merged-log bounds plus

@@ -5,6 +5,34 @@ import (
 	"strconv"
 )
 
+// AppendHeader appends a family's # HELP and # TYPE lines. Every family
+// in an exposition gets exactly one, before its first sample.
+func AppendHeader(b []byte, name, typ, help string) []byte {
+	b = append(b, "# HELP "...)
+	b = append(b, name...)
+	b = append(b, ' ')
+	b = append(b, help...)
+	b = append(b, "\n# TYPE "...)
+	b = append(b, name...)
+	b = append(b, ' ')
+	b = append(b, typ...)
+	return append(b, '\n')
+}
+
+// AppendSample appends one counter or gauge sample line. labels is empty
+// or a comma-joined `k="v"` list; the value renders as fmt's %g does.
+func AppendSample(b []byte, name, labels string, v float64) []byte {
+	b = append(b, name...)
+	if labels != "" {
+		b = append(b, '{')
+		b = append(b, labels...)
+		b = append(b, '}')
+	}
+	b = append(b, ' ')
+	b = strconv.AppendFloat(b, v, 'g', -1, 64)
+	return append(b, '\n')
+}
+
 // AppendProm renders the snapshot as a Prometheus histogram family —
 // cumulative `name_bucket{le="..."}` series, `name_sum`, and
 // `name_count` — appended to b. labels is either empty or a
@@ -18,7 +46,7 @@ import (
 // family (per-shard series) emit the header once and pass false after.
 func (s *Snapshot) AppendProm(b []byte, name, help, labels string, withHeader bool) []byte {
 	if withHeader {
-		b = append(b, fmt.Sprintf("# HELP %s %s\n# TYPE %s histogram\n", name, help, name)...)
+		b = AppendHeader(b, name, "histogram", help)
 	}
 	series := func(suffix, extraLabel string, v string) []byte {
 		b := append([]byte(nil), name...)

@@ -96,15 +96,19 @@ type RoundRing struct {
 	slowCap int
 }
 
+// DefaultSlowestRounds is the slowest-round exemplar count a ring keeps
+// unless told otherwise; the fleet bounds its merged view to the same.
+const DefaultSlowestRounds = 32
+
 // NewRoundRing builds a ring retaining the last size rounds and the
-// slowN slowest exemplars (size and slowN default to 1024 and 32 when
-// non-positive).
+// slowN slowest exemplars (size and slowN default to 1024 and
+// DefaultSlowestRounds when non-positive).
 func NewRoundRing(size, slowN int) *RoundRing {
 	if size <= 0 {
 		size = 1024
 	}
 	if slowN <= 0 {
-		slowN = 32
+		slowN = DefaultSlowestRounds
 	}
 	return &RoundRing{cap: size, slowCap: slowN}
 }

@@ -273,7 +273,7 @@ type WALStatus struct {
 // process would have resumed. Called from New before the server is
 // visible to anyone; no locking needed.
 func (s *Server) openDurable() error {
-	l, err := wal.Open(wal.Options{Dir: s.cfg.DataDir, SegmentBytes: s.cfg.WALSegmentBytes, SyncDelay: s.cfg.WALSyncDelay})
+	l, err := wal.Open(wal.Options{Dir: s.cfg.DataDir, SyncDelay: s.cfg.WALSyncDelay})
 	if err != nil {
 		return err
 	}
@@ -417,7 +417,7 @@ func (s *Server) recordDecidedLocked(id int) {
 		s.decidedFIFO = append(s.decidedFIFO, id)
 	}
 	s.decidedIdx[id] = digest
-	for len(s.decidedFIFO) > s.cfg.DedupeCap {
+	for len(s.decidedFIFO) > dedupeCap {
 		victim := s.decidedFIFO[0]
 		s.decidedFIFO = s.decidedFIFO[1:]
 		delete(s.decidedIdx, victim)

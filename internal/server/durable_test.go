@@ -401,7 +401,8 @@ func TestPacedRecoveryResumesClock(t *testing.T) {
 // BenchmarkWALRecovery measures the cold restart path: recover a server
 // from a log holding a full trace of decisions and no snapshot (the
 // worst case — every record replays through the simulator). The trace
-// mirrors scripts/bench.sh's fleet workload (~29k jobs over 24h).
+// mirrors BenchmarkFleetReplay's (~29k jobs over 24h); the repo's
+// benchmark times recovery end to end in durable-replay (bench/README.md).
 func BenchmarkWALRecovery(b *testing.B) {
 	dir := b.TempDir()
 	mk := func() Config {

@@ -8,7 +8,11 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
+	"time"
 	"unicode"
+
+	"waterwise/internal/obs"
+	"waterwise/internal/tsdb"
 )
 
 // isJSONArray reports whether the body's first non-space byte opens an array.
@@ -71,7 +75,28 @@ type DecisionsResponse struct {
 	Next uint64 `json:"next"`
 }
 
-// Handler returns the service's HTTP API:
+// Backend is what the HTTP API needs from a serving surface; a server
+// and the fleet gateway each fill one in from their own methods.
+type Backend struct {
+	Submit func(JobSpec) (int, error)
+	// Decisions returns the log page after since — []Decision from a
+	// server, []fleet.Decision through the gateway — and the cursor to
+	// resume from (NextCursor).
+	Decisions   func(since uint64, limit int) (page interface{}, next uint64)
+	Status      func() interface{}
+	MetricsText func() []byte
+	// SlowestRounds, RecentRounds and JobTrace serve the trace routes; the
+	// first two return nil when observability is off (served as 404).
+	SlowestRounds func() []RoundTraceWire
+	RecentRounds  func(n int) []RoundTraceWire
+	JobTrace      func(id int) (JobTraceResponse, bool)
+	// Recorder returns nil when recording is off (served as 404).
+	Recorder func() *tsdb.Recorder
+	// Ingest records POST /v1/jobs wall time; nil when observability is off.
+	Ingest *obs.Histogram
+}
+
+// NewMux mounts the service's HTTP API over a backend:
 //
 //	POST /v1/jobs             — submit one JobSpec or an array of them
 //	GET  /v1/decisions        — decision log; ?since=<seq>&limit=<n>
@@ -81,30 +106,85 @@ type DecisionsResponse struct {
 //	GET  /v1/jobs/{id}/trace  — sampled job lifecycle trace
 //	GET  /v1/query            — windowed queries over recorded metrics history
 //	GET  /v1/alerts           — burn-rate SLO alert states
-func (s *Server) Handler() http.Handler {
+func NewMux(be Backend) http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc(PathJobs, s.timedIngest(JobsHandler(s.Submit)))
-	mux.HandleFunc(PathRounds, SlowestRoundsHandler(s.wireSlowest, s.wireRecent))
-	mux.HandleFunc(PathJobs+"/", JobTraceHandler(func(id int) (JobTraceResponse, bool) {
-		jt, ok := s.JobTrace(id)
-		if !ok {
-			return JobTraceResponse{}, false
-		}
-		return JobTraceResponse{Trace: jt, SampleEvery: s.JobSampleEvery()}, true
+	mux.HandleFunc(PathJobs, be.serveJobs)
+	mux.HandleFunc(PathDecisions, getOnly(be.serveDecisions))
+	mux.HandleFunc(PathStatus, getOnly(func(w http.ResponseWriter, r *http.Request) {
+		WriteJSON(w, http.StatusOK, be.Status())
 	}))
-	mux.HandleFunc(PathDecisions, DecisionsHandler(func(since uint64, limit int) (interface{}, uint64) {
-		ds := s.Decisions(since, limit)
-		next := since
-		if len(ds) > 0 {
-			next = ds[len(ds)-1].Seq
-		}
-		return ds, next
-	}))
-	mux.HandleFunc(PathStatus, StatusHandler(func() interface{} { return s.Status() }))
-	mux.HandleFunc(PathMetrics, s.handleMetrics)
-	mux.HandleFunc(PathQuery, QueryHandler(s.Recorder))
-	mux.HandleFunc(PathAlerts, AlertsHandler(s.Recorder))
+	mux.HandleFunc(PathMetrics, be.serveMetrics)
+	mux.HandleFunc(PathRounds, getOnly(be.serveRounds))
+	mux.HandleFunc(PathJobs+"/", getOnly(be.serveJobTrace))
+	mux.HandleFunc(PathQuery, be.serveQuery)
+	mux.HandleFunc(PathAlerts, getOnly(be.serveAlerts))
 	return mux
+}
+
+func (be *Backend) serveDecisions(w http.ResponseWriter, r *http.Request) {
+	since, limit, err := ParseDecisionsQuery(r.URL.Query())
+	if err != nil {
+		WriteJSON(w, http.StatusBadRequest, SubmitResponse{Error: err.Error()})
+		return
+	}
+	page, next := be.Decisions(since, limit)
+	WriteJSON(w, http.StatusOK, DecisionsResponse{Decisions: page, Next: next})
+}
+
+func (be *Backend) serveMetrics(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodGet {
+		w.Header().Set("Allow", http.MethodGet)
+		http.Error(w, "GET only", http.StatusMethodNotAllowed)
+		return
+	}
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	_, _ = w.Write(be.MetricsText())
+}
+
+// getOnly answers anything but GET with 405 and an Allow header.
+func getOnly(h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodGet {
+			w.Header().Set("Allow", http.MethodGet)
+			WriteJSON(w, http.StatusMethodNotAllowed, SubmitResponse{Error: "GET only"})
+			return
+		}
+		h(w, r)
+	}
+}
+
+// NextCursor is the cursor rule every decision reader shares: resume
+// behind the last decision of the page, or stay at since when the page
+// is empty.
+func NextCursor[D interface{ LogSeq() uint64 }](since uint64, page []D) uint64 {
+	if n := len(page); n > 0 {
+		return page[n-1].LogSeq()
+	}
+	return since
+}
+
+// Handler returns the server's HTTP API (see NewMux for the routes).
+func (s *Server) Handler() http.Handler {
+	be := Backend{
+		Submit: s.Submit,
+		Decisions: func(since uint64, limit int) (interface{}, uint64) {
+			ds := s.Decisions(since, limit)
+			return ds, NextCursor(since, ds)
+		},
+		Status:        func() interface{} { return s.Status() },
+		MetricsText:   s.MetricsText,
+		SlowestRounds: func() []RoundTraceWire { return WireRoundTraces(s.SlowestRounds(), nil) },
+		RecentRounds:  func(n int) []RoundTraceWire { return WireRoundTraces(s.RecentRounds(n), nil) },
+		JobTrace: func(id int) (JobTraceResponse, bool) {
+			jt, ok := s.JobTrace(id)
+			return JobTraceResponse{Trace: jt, SampleEvery: s.JobSampleEvery()}, ok
+		},
+		Recorder: s.Recorder,
+	}
+	if s.obs != nil {
+		be.Ingest = s.obs.ingest
+	}
+	return NewMux(be)
 }
 
 // WriteJSON writes v as a JSON response with the given status code.
@@ -132,38 +212,38 @@ func ParseDecisionsQuery(q url.Values) (since uint64, limit int, err error) {
 	return since, limit, nil
 }
 
-// JobsHandler builds the POST /v1/jobs handler over any submit function —
-// one ingest skeleton (method check, 16 MiB body cap, single-or-array
-// decode, per-job loop with partial-accept reply, typed status mapping)
-// shared by the single server and the fleet gateway's routed submit.
-func JobsHandler(submit func(JobSpec) (int, error)) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			w.Header().Set("Allow", http.MethodPost)
-			WriteJSON(w, http.StatusMethodNotAllowed, SubmitResponse{Error: "POST only"})
-			return
-		}
-		body, err := io.ReadAll(io.LimitReader(r.Body, 16<<20))
-		if err != nil {
-			WriteJSON(w, http.StatusBadRequest, SubmitResponse{Error: fmt.Sprintf("reading body: %v", err)})
-			return
-		}
-		specs, err := DecodeJobSpecs(body)
-		if err != nil {
-			WriteJSON(w, http.StatusBadRequest, SubmitResponse{Error: err.Error()})
-			return
-		}
-		ids := make([]int, 0, len(specs))
-		for _, spec := range specs {
-			id, err := submit(spec)
-			if err != nil {
-				WriteJSON(w, SubmitErrorStatus(err), SubmitResponse{Accepted: ids, Error: err.Error()})
-				return
-			}
-			ids = append(ids, id)
-		}
-		WriteJSON(w, http.StatusAccepted, SubmitResponse{Accepted: ids})
+// serveJobs is POST /v1/jobs: 16 MiB body cap, single-or-array decode,
+// per-job submit loop with partial-accept reply, typed status mapping.
+// The ingest histogram times the whole request, outside any lock.
+func (be *Backend) serveJobs(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodPost {
+		w.Header().Set("Allow", http.MethodPost)
+		WriteJSON(w, http.StatusMethodNotAllowed, SubmitResponse{Error: "POST only"})
+		return
 	}
+	if be.Ingest != nil {
+		defer func(t0 time.Time) { be.Ingest.Record(time.Since(t0).Seconds()) }(time.Now())
+	}
+	body, err := io.ReadAll(io.LimitReader(r.Body, 16<<20))
+	if err != nil {
+		WriteJSON(w, http.StatusBadRequest, SubmitResponse{Error: fmt.Sprintf("reading body: %v", err)})
+		return
+	}
+	specs, err := DecodeJobSpecs(body)
+	if err != nil {
+		WriteJSON(w, http.StatusBadRequest, SubmitResponse{Error: err.Error()})
+		return
+	}
+	ids := make([]int, 0, len(specs))
+	for _, spec := range specs {
+		id, err := be.Submit(spec)
+		if err != nil {
+			WriteJSON(w, SubmitErrorStatus(err), SubmitResponse{Accepted: ids, Error: err.Error()})
+			return
+		}
+		ids = append(ids, id)
+	}
+	WriteJSON(w, http.StatusAccepted, SubmitResponse{Accepted: ids})
 }
 
 // SubmitErrorStatus maps a Submit rejection to its HTTP status. The typed
@@ -183,38 +263,5 @@ func SubmitErrorStatus(err error) int {
 		return http.StatusNotFound
 	default:
 		return http.StatusBadRequest
-	}
-}
-
-// DecisionsHandler builds the GET /v1/decisions handler over a log
-// fetcher returning the page and the next cursor — shared by the single
-// server's ring and the gateway's merged stream.
-func DecisionsHandler(fetch func(since uint64, limit int) (decisions interface{}, next uint64)) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			w.Header().Set("Allow", http.MethodGet)
-			WriteJSON(w, http.StatusMethodNotAllowed, SubmitResponse{Error: "GET only"})
-			return
-		}
-		since, limit, err := ParseDecisionsQuery(r.URL.Query())
-		if err != nil {
-			WriteJSON(w, http.StatusBadRequest, SubmitResponse{Error: err.Error()})
-			return
-		}
-		ds, next := fetch(since, limit)
-		WriteJSON(w, http.StatusOK, DecisionsResponse{Decisions: ds, Next: next})
-	}
-}
-
-// StatusHandler builds the GET /v1/status handler over a snapshot
-// function.
-func StatusHandler(status func() interface{}) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			w.Header().Set("Allow", http.MethodGet)
-			WriteJSON(w, http.StatusMethodNotAllowed, SubmitResponse{Error: "GET only"})
-			return
-		}
-		WriteJSON(w, http.StatusOK, status())
 	}
 }

@@ -1,81 +1,167 @@
 package server
 
 import (
-	"fmt"
-	"net/http"
 	"sort"
+	"strconv"
 
 	"waterwise/internal/feed"
+	"waterwise/internal/milp"
+	"waterwise/internal/obs"
 	"waterwise/internal/region"
 )
 
-// handleMetrics serves Prometheus text-format gauges and counters for the
-// service: ingest, rounds, decisions, queue depth, and — when the scheduler
-// exposes them — solver instrumentation (nodes, simplex iterations,
-// warm-start hit rate).
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_, _ = w.Write(s.MetricsText())
+// Family is one metric family: its exposition identity (name, TYPE,
+// HELP) and how to read its samples off a status snapshot S. A family is
+// defined in exactly one table row; every surface that serves it renders
+// that row through AppendFamilies.
+type Family[S any] struct {
+	Name, Type, Help string
+	// Samples calls emit once per sample st carries, with the sample's own
+	// labels (empty, or a comma-joined `k="v"` list). A status without the
+	// subsystem behind the family (no solver stats, no WAL) emits nothing,
+	// which keeps the family out of that exposition altogether.
+	Samples func(st *S, emit func(labels string, v float64))
 }
 
-// MetricsText renders the full exposition as bytes. Split from the HTTP
-// handler because the metrics flight recorder scrapes it in-process on
-// the round clock — one renderer, two consumers.
+// Source is one status to render and the label that tells its samples
+// from the other sources': empty for a lone server, `shard="2"` through
+// the fleet gateway.
+type Source[S any] struct {
+	Label  string
+	Status *S
+}
+
+// AppendFamilies renders the table over the sources: each family that
+// any source has samples for gets one # HELP/# TYPE header followed by
+// every source's rows; a family nobody has is skipped.
+func AppendFamilies[S any](b []byte, fams []Family[S], srcs []Source[S]) []byte {
+	for i := range fams {
+		f := &fams[i]
+		wrote := false
+		for _, src := range srcs {
+			f.Samples(src.Status, func(labels string, v float64) {
+				if !wrote {
+					b = obs.AppendHeader(b, f.Name, f.Type, f.Help)
+					wrote = true
+				}
+				if labels != "" && src.Label != "" {
+					labels += ","
+				}
+				b = obs.AppendSample(b, f.Name, labels+src.Label, v)
+			})
+		}
+	}
+	return b
+}
+
+// scalar, solverStat and walStat adapt a one-value getter to a Family's
+// Samples; the latter two emit nothing when the status has no solver
+// stats or no WAL.
+func scalar(v func(*Status) float64) func(*Status, func(string, float64)) {
+	return func(st *Status, emit func(string, float64)) { emit("", v(st)) }
+}
+
+func solverStat(v func(*milp.Stats) float64) func(*Status, func(string, float64)) {
+	return func(st *Status, emit func(string, float64)) {
+		if st.Solver != nil {
+			emit("", v(st.Solver))
+		}
+	}
+}
+
+func walStat(v func(*WALStatus) float64) func(*Status, func(string, float64)) {
+	return func(st *Status, emit func(string, float64)) {
+		if st.WAL != nil {
+			emit("", v(st.WAL))
+		}
+	}
+}
+
+// statusFamilies is the one definition of every family derived from a
+// Status: queue and round counters, per-region free servers, solver
+// instrumentation (when the scheduler exposes it) and durability (when
+// DataDir is set). Adding a family is adding a row.
+var statusFamilies = []Family[Status]{
+	{"waterwise_jobs_accepted_total", "counter", "Jobs accepted into the ingest queue.",
+		scalar(func(st *Status) float64 { return float64(st.Accepted) })},
+	{"waterwise_jobs_rejected_total", "counter", "Jobs rejected (backpressure, validation, duplicates).",
+		scalar(func(st *Status) float64 { return float64(st.Rejected) })},
+	{"waterwise_rounds_total", "counter", "Scheduling rounds run.",
+		scalar(func(st *Status) float64 { return float64(st.Rounds) })},
+	{"waterwise_decisions_total", "counter", "Placement decisions committed.",
+		scalar(func(st *Status) float64 { return float64(st.Decisions) })},
+	{"waterwise_jobs_unscheduled_total", "counter", "Jobs abandoned without a placement.",
+		scalar(func(st *Status) float64 { return float64(st.Unscheduled) })},
+	{"waterwise_queue_pending", "gauge", "Jobs awaiting a placement decision.",
+		scalar(func(st *Status) float64 { return float64(st.Pending) })},
+	{"waterwise_queue_future", "gauge", "Accepted jobs not yet due for a round.",
+		scalar(func(st *Status) float64 { return float64(st.Future) })},
+	{"waterwise_queue_cap", "gauge", "Ingest queue capacity (backpressure threshold).",
+		scalar(func(st *Status) float64 { return float64(st.QueueCap) })},
+	{"waterwise_region_free_servers", "gauge", "Servers free per region at the simulated clock.",
+		func(st *Status, emit func(string, float64)) {
+			ids := make([]string, 0, len(st.Free))
+			for id := range st.Free {
+				ids = append(ids, string(id))
+			}
+			sort.Strings(ids)
+			for _, id := range ids {
+				emit("region="+strconv.Quote(id), float64(st.Free[region.ID(id)]))
+			}
+		}},
+
+	{"waterwise_solver_nodes_total", "counter", "Branch-and-bound nodes across all rounds.",
+		solverStat(func(s *milp.Stats) float64 { return float64(s.Nodes) })},
+	{"waterwise_solver_simplex_iters_total", "counter", "Simplex pivots across all rounds.",
+		solverStat(func(s *milp.Stats) float64 { return float64(s.SimplexIters) })},
+	{"waterwise_solver_warm_starts_total", "counter", "LP solves served by a warm start.",
+		solverStat(func(s *milp.Stats) float64 { return float64(s.WarmStarts) })},
+	{"waterwise_solver_cold_starts_total", "counter", "LP solves run from scratch.",
+		solverStat(func(s *milp.Stats) float64 { return float64(s.ColdStarts) })},
+	{"waterwise_solver_wall_seconds_total", "counter", "Aggregate solver wall time.",
+		solverStat(func(s *milp.Stats) float64 { return s.Wall.Seconds() })},
+
+	{"waterwise_jobs_deduped_total", "counter", "Idempotent re-submits served from the dedupe index.",
+		walStat(func(w *WALStatus) float64 { return float64(w.Deduped) })},
+	{"waterwise_wal_segments", "gauge", "Write-ahead log segment files on disk.",
+		walStat(func(w *WALStatus) float64 { return float64(w.Segments) })},
+	{"waterwise_wal_bytes", "gauge", "Write-ahead log size on disk (snapshots excluded).",
+		walStat(func(w *WALStatus) float64 { return float64(w.Bytes) })},
+	{"waterwise_wal_records_appended_total", "counter", "Records appended to the write-ahead log.",
+		walStat(func(w *WALStatus) float64 { return float64(w.Appended) })},
+	{"waterwise_wal_records_synced_total", "counter", "Appended records made durable by an fsync.",
+		walStat(func(w *WALStatus) float64 { return float64(w.Synced) })},
+	{"waterwise_wal_fsyncs_total", "counter", "Fsync batches flushed to the log.",
+		walStat(func(w *WALStatus) float64 { return float64(w.Fsyncs) })},
+	{"waterwise_wal_fsync_stall_p50_ms", "gauge", "Median fsync stall over the recent window.",
+		walStat(func(w *WALStatus) float64 { return float64(w.FsyncP50) / 1e6 })},
+	{"waterwise_wal_fsync_stall_p99_ms", "gauge", "99th-percentile fsync stall over the recent window.",
+		walStat(func(w *WALStatus) float64 { return float64(w.FsyncP99) / 1e6 })},
+	{"waterwise_wal_snapshots_total", "counter", "State snapshots written.",
+		walStat(func(w *WALStatus) float64 { return float64(w.Snapshots) })},
+	{"waterwise_wal_truncated_bytes_total", "counter", "Torn-tail bytes discarded at the last recovery.",
+		walStat(func(w *WALStatus) float64 { return float64(w.TruncatedBytes) })},
+	{"waterwise_wal_recovery_ms", "gauge", "Wall time of the last restart's snapshot restore + replay.",
+		walStat(func(w *WALStatus) float64 { return w.RecoveryMs })},
+	{"waterwise_wal_recovered_records_total", "counter", "Log records replayed at the last restart.",
+		walStat(func(w *WALStatus) float64 { return float64(w.RecoveredRecords) })},
+}
+
+// AppendStatusMetrics renders the status-derived families for one server
+// (a single unlabeled source) or a fleet's shards (one shard-labeled
+// source each).
+func AppendStatusMetrics(b []byte, srcs []Source[Status]) []byte {
+	return AppendFamilies(b, statusFamilies, srcs)
+}
+
+// MetricsText renders the full exposition as bytes: the HTTP handler
+// serves it and the metrics flight recorder scrapes it in-process on the
+// round clock.
 func (s *Server) MetricsText() []byte {
 	st := s.Status()
-	var b []byte
-	counter := func(name, help string, v float64) {
-		b = append(b, fmt.Sprintf("# HELP %s %s\n# TYPE %s counter\n%s %g\n", name, help, name, name, v)...)
-	}
-	gauge := func(name, help string, v float64) {
-		b = append(b, fmt.Sprintf("# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, v)...)
-	}
-	b = AppendBuildInfo(b)
-	counter("waterwise_jobs_accepted_total", "Jobs accepted into the ingest queue.", float64(st.Accepted))
-	counter("waterwise_jobs_rejected_total", "Jobs rejected (backpressure, validation, duplicates).", float64(st.Rejected))
-	counter("waterwise_rounds_total", "Scheduling rounds run.", float64(st.Rounds))
-	counter("waterwise_decisions_total", "Placement decisions committed.", float64(st.Decisions))
-	counter("waterwise_jobs_unscheduled_total", "Jobs abandoned without a placement.", float64(st.Unscheduled))
-	gauge("waterwise_queue_pending", "Jobs awaiting a placement decision.", float64(st.Pending))
-	gauge("waterwise_queue_future", "Accepted jobs not yet due for a round.", float64(st.Future))
-	gauge("waterwise_queue_cap", "Ingest queue capacity (backpressure threshold).", float64(st.QueueCap))
+	b := AppendBuildInfo(nil)
+	b = AppendStatusMetrics(b, []Source[Status]{{Status: &st}})
 	b = AppendObsMetrics(b, s.ObsSnapshots(), "waterwise_", "", true)
-	// Per-region free servers, in stable region order.
-	ids := make([]string, 0, len(st.Free))
-	for id := range st.Free {
-		ids = append(ids, string(id))
-	}
-	sort.Strings(ids)
-	b = append(b, "# HELP waterwise_region_free_servers Servers free per region at the simulated clock.\n# TYPE waterwise_region_free_servers gauge\n"...)
-	for _, id := range ids {
-		b = append(b, fmt.Sprintf("waterwise_region_free_servers{region=%q} %d\n", id, st.Free[region.ID(id)])...)
-	}
-	if st.Solver != nil {
-		counter("waterwise_solver_nodes_total", "Branch-and-bound nodes across all rounds.", float64(st.Solver.Nodes))
-		counter("waterwise_solver_simplex_iters_total", "Simplex pivots across all rounds.", float64(st.Solver.SimplexIters))
-		counter("waterwise_solver_warm_starts_total", "LP solves served by a warm start.", float64(st.Solver.WarmStarts))
-		counter("waterwise_solver_cold_starts_total", "LP solves run from scratch.", float64(st.Solver.ColdStarts))
-		counter("waterwise_solver_wall_seconds_total", "Aggregate solver wall time.", st.Solver.Wall.Seconds())
-	}
-	if st.WAL != nil {
-		counter("waterwise_jobs_deduped_total", "Idempotent re-submits served from the dedupe index.", float64(st.WAL.Deduped))
-		gauge("waterwise_wal_segments", "Write-ahead log segment files on disk.", float64(st.WAL.Segments))
-		gauge("waterwise_wal_bytes", "Write-ahead log size on disk (snapshots excluded).", float64(st.WAL.Bytes))
-		counter("waterwise_wal_records_appended_total", "Records appended to the write-ahead log.", float64(st.WAL.Appended))
-		counter("waterwise_wal_records_synced_total", "Appended records made durable by an fsync.", float64(st.WAL.Synced))
-		counter("waterwise_wal_fsyncs_total", "Fsync batches flushed to the log.", float64(st.WAL.Fsyncs))
-		gauge("waterwise_wal_fsync_stall_p50_ms", "Median fsync stall over the recent window.", float64(st.WAL.FsyncP50)/1e6)
-		gauge("waterwise_wal_fsync_stall_p99_ms", "99th-percentile fsync stall over the recent window.", float64(st.WAL.FsyncP99)/1e6)
-		counter("waterwise_wal_snapshots_total", "State snapshots written.", float64(st.WAL.Snapshots))
-		counter("waterwise_wal_truncated_bytes_total", "Torn-tail bytes discarded at the last recovery.", float64(st.WAL.TruncatedBytes))
-		gauge("waterwise_wal_recovery_ms", "Wall time of the last restart's snapshot restore + replay.", st.WAL.RecoveryMs)
-		counter("waterwise_wal_recovered_records_total", "Log records replayed at the last restart.", float64(st.WAL.RecoveredRecords))
-	}
 	b = AppendFeedMetrics(b, st.Feed)
 	if s.recorder != nil {
 		b = s.recorder.AppendMetrics(b, "waterwise_")
@@ -92,20 +178,21 @@ func AppendFeedMetrics(b []byte, h *feed.Health) []byte {
 	if h == nil {
 		return b
 	}
-	label := func(name, help, typ string, v float64) {
-		b = append(b, fmt.Sprintf("# HELP %s %s\n# TYPE %s %s\n%s{provider=%q} %g\n",
-			name, help, name, typ, name, h.Provider, v)...)
+	provider := "provider=" + strconv.Quote(h.Provider)
+	row := func(name, help, typ string, v float64) {
+		b = obs.AppendHeader(b, name, typ, help)
+		b = obs.AppendSample(b, name, provider, v)
 	}
 	stale := 0.0
 	if h.Stale {
 		stale = 1
 	}
-	label("waterwise_feed_staleness_seconds", "Age of the oldest region's last good feed reading.", "gauge", h.StalenessSeconds)
-	label("waterwise_feed_stale", "1 when any region's feed reading is older than the freshness target.", "gauge", stale)
-	label("waterwise_feed_fetches_total", "Upstream feed fetches attempted.", "counter", float64(h.Fetches))
-	label("waterwise_feed_fetch_errors_total", "Upstream feed fetches that failed (timeouts, 429s, bad payloads).", "counter", float64(h.FetchErrors))
-	label("waterwise_feed_cache_hits_total", "Feed reads served inside the freshness window.", "counter", float64(h.CacheHits))
-	label("waterwise_feed_cache_misses_total", "Feed reads past the freshness window (served stale or forecast).", "counter", float64(h.CacheMisses))
-	label("waterwise_feed_forecast_served_total", "Feed reads degraded to the forecast fallback.", "counter", float64(h.ForecastServed))
+	row("waterwise_feed_staleness_seconds", "Age of the oldest region's last good feed reading.", "gauge", h.StalenessSeconds)
+	row("waterwise_feed_stale", "1 when any region's feed reading is older than the freshness target.", "gauge", stale)
+	row("waterwise_feed_fetches_total", "Upstream feed fetches attempted.", "counter", float64(h.Fetches))
+	row("waterwise_feed_fetch_errors_total", "Upstream feed fetches that failed (timeouts, 429s, bad payloads).", "counter", float64(h.FetchErrors))
+	row("waterwise_feed_cache_hits_total", "Feed reads served inside the freshness window.", "counter", float64(h.CacheHits))
+	row("waterwise_feed_cache_misses_total", "Feed reads past the freshness window (served stale or forecast).", "counter", float64(h.CacheMisses))
+	row("waterwise_feed_forecast_served_total", "Feed reads degraded to the forecast fallback.", "counter", float64(h.ForecastServed))
 	return b
 }

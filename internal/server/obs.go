@@ -21,15 +21,9 @@ type ObsConfig struct {
 	// ring, no job traces; /v1/rounds/slowest and /v1/jobs/{id}/trace
 	// answer 404 and /metrics omits the histogram families.
 	Disable bool
-	// RoundRingSize bounds the recent-round trace ring (default 1024).
-	RoundRingSize int
-	// SlowestRounds bounds the slowest-round exemplar set (default 32).
-	SlowestRounds int
 	// JobSampleEvery samples one of every N accepted jobs for lifecycle
 	// tracing (default 64; 1 traces every job).
 	JobSampleEvery int
-	// JobTraceCap bounds retained job traces, evicted FIFO (default 4096).
-	JobTraceCap int
 }
 
 // serverObs bundles one server's recorders. acceptedWall and lastSolver
@@ -56,8 +50,8 @@ func newServerObs(cfg ObsConfig) *serverObs {
 		decision:     &obs.Histogram{},
 		ingest:       &obs.Histogram{},
 		round:        &obs.Histogram{},
-		ring:         obs.NewRoundRing(cfg.RoundRingSize, cfg.SlowestRounds),
-		jobs:         obs.NewJobTracer(cfg.JobSampleEvery, cfg.JobTraceCap),
+		ring:         obs.NewRoundRing(0, 0),
+		jobs:         obs.NewJobTracer(cfg.JobSampleEvery, 0),
 		acceptedWall: make(map[int]time.Time),
 	}
 	for i := range o.stages {
@@ -247,24 +241,33 @@ type RoundTraceWire struct {
 	ColdStarts   int                `json:"cold_starts"`
 }
 
-// WireRoundTrace converts a round trace to its wire form. Zero-duration
-// stages are omitted from the map — a stage that did not run would read
-// as "instant" otherwise.
-func WireRoundTrace(rt obs.RoundTrace) RoundTraceWire {
-	stages := make(map[string]float64, obs.NumStages)
-	for st := obs.Stage(0); st < obs.NumStages; st++ {
-		if d := rt.Stages[st]; d > 0 || st == obs.StageSolve {
-			stages[st.String()] = float64(d) / float64(time.Millisecond)
+// WireRoundTraces converts traces to their wire form, stamped with the
+// owning shard when shard is non-nil. Zero-duration stages are omitted —
+// a stage that did not run would read as "instant" otherwise. Nil in
+// (observability off), nil out; an empty ring stays a non-nil empty list.
+func WireRoundTraces(rts []obs.RoundTrace, shard *int) []RoundTraceWire {
+	if rts == nil {
+		return nil
+	}
+	out := make([]RoundTraceWire, len(rts))
+	for i, rt := range rts {
+		stages := make(map[string]float64, obs.NumStages)
+		for st := obs.Stage(0); st < obs.NumStages; st++ {
+			if d := rt.Stages[st]; d > 0 || st == obs.StageSolve {
+				stages[st.String()] = float64(d) / float64(time.Millisecond)
+			}
+		}
+		out[i] = RoundTraceWire{
+			Shard: shard,
+			Index: rt.Index, Sim: rt.Sim, Wall: rt.Wall,
+			TotalMs:  float64(rt.Total) / float64(time.Millisecond),
+			StagesMs: stages,
+			Batch:    rt.Batch, Decided: rt.Decided,
+			Nodes: rt.Nodes, SimplexIters: rt.SimplexIters,
+			WarmStarts: rt.WarmStarts, ColdStarts: rt.ColdStarts,
 		}
 	}
-	return RoundTraceWire{
-		Index: rt.Index, Sim: rt.Sim, Wall: rt.Wall,
-		TotalMs:  float64(rt.Total) / float64(time.Millisecond),
-		StagesMs: stages,
-		Batch:    rt.Batch, Decided: rt.Decided,
-		Nodes: rt.Nodes, SimplexIters: rt.SimplexIters,
-		WarmStarts: rt.WarmStarts, ColdStarts: rt.ColdStarts,
-	}
+	return out
 }
 
 // RoundsResponse is the GET /v1/rounds/slowest reply.
@@ -275,33 +278,23 @@ type RoundsResponse struct {
 	Recent []RoundTraceWire `json:"recent,omitempty"`
 }
 
-// SlowestRoundsHandler builds the GET /v1/rounds/slowest handler over
-// trace fetchers — shared by the single server and the fleet gateway's
-// shard-merged view. fetch returns the slowest exemplars; recent returns
-// the latest n rounds (both may return nil when observability is off,
-// which serves as 404).
-func SlowestRoundsHandler(fetch func() []RoundTraceWire, recent func(n int) []RoundTraceWire) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			w.Header().Set("Allow", http.MethodGet)
-			WriteJSON(w, http.StatusMethodNotAllowed, SubmitResponse{Error: "GET only"})
-			return
-		}
-		resp := RoundsResponse{Slowest: fetch()}
-		if resp.Slowest == nil {
-			WriteJSON(w, http.StatusNotFound, SubmitResponse{Error: "observability disabled"})
-			return
-		}
-		if v := r.URL.Query().Get("recent"); v != "" {
-			n, err := strconv.Atoi(v)
-			if err != nil || n < 0 {
-				WriteJSON(w, http.StatusBadRequest, SubmitResponse{Error: "bad recent"})
-				return
-			}
-			resp.Recent = recent(n)
-		}
-		WriteJSON(w, http.StatusOK, resp)
+// serveRounds is GET /v1/rounds/slowest: the slowest exemplars plus, with
+// ?recent=N, the latest N rounds.
+func (be *Backend) serveRounds(w http.ResponseWriter, r *http.Request) {
+	resp := RoundsResponse{Slowest: be.SlowestRounds()}
+	if resp.Slowest == nil {
+		WriteJSON(w, http.StatusNotFound, SubmitResponse{Error: "observability disabled"})
+		return
 	}
+	if v := r.URL.Query().Get("recent"); v != "" {
+		n, err := strconv.Atoi(v)
+		if err != nil || n < 0 {
+			WriteJSON(w, http.StatusBadRequest, SubmitResponse{Error: "bad recent"})
+			return
+		}
+		resp.Recent = be.RecentRounds(n)
+	}
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // ErrNoTrace reports a job id with no retained lifecycle trace: the job
@@ -318,74 +311,24 @@ type JobTraceResponse struct {
 	SampleEvery int `json:"sample_every"`
 }
 
-// JobTraceHandler builds the GET /v1/jobs/{id}/trace handler over a
-// lookup — the single server's tracer, or the gateway's scan across
-// shard tracers. Unknown or unsampled ids are 404.
-func JobTraceHandler(lookup func(id int) (JobTraceResponse, bool)) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			w.Header().Set("Allow", http.MethodGet)
-			WriteJSON(w, http.StatusMethodNotAllowed, SubmitResponse{Error: "GET only"})
-			return
-		}
-		rest, ok := strings.CutPrefix(r.URL.Path, PathJobs+"/")
-		if !ok {
-			WriteJSON(w, http.StatusNotFound, SubmitResponse{Error: "not found"})
-			return
-		}
-		idStr, tail, _ := strings.Cut(rest, "/")
-		id, err := strconv.Atoi(idStr)
-		if err != nil || tail != "trace" {
-			WriteJSON(w, http.StatusNotFound, SubmitResponse{Error: "want /v1/jobs/{id}/trace"})
-			return
-		}
-		resp, found := lookup(id)
-		if !found {
-			WriteJSON(w, http.StatusNotFound, SubmitResponse{Error: ErrNoTrace.Error() + " " + idStr})
-			return
-		}
-		WriteJSON(w, http.StatusOK, resp)
+// serveJobTrace is GET /v1/jobs/{id}/trace; unknown or unsampled ids are
+// 404.
+func (be *Backend) serveJobTrace(w http.ResponseWriter, r *http.Request) {
+	rest, ok := strings.CutPrefix(r.URL.Path, PathJobs+"/")
+	if !ok {
+		WriteJSON(w, http.StatusNotFound, SubmitResponse{Error: "not found"})
+		return
 	}
-}
-
-// wireSlowest adapts the server's ring to the wire form ([] when the
-// ring is empty but observability is on, nil when off — the handler's
-// 404 signal).
-func (s *Server) wireSlowest() []RoundTraceWire {
-	if s.obs == nil {
-		return nil
+	idStr, tail, _ := strings.Cut(rest, "/")
+	id, err := strconv.Atoi(idStr)
+	if err != nil || tail != "trace" {
+		WriteJSON(w, http.StatusNotFound, SubmitResponse{Error: "want /v1/jobs/{id}/trace"})
+		return
 	}
-	rts := s.obs.ring.Slowest()
-	out := make([]RoundTraceWire, len(rts))
-	for i, rt := range rts {
-		out[i] = WireRoundTrace(rt)
+	resp, found := be.JobTrace(id)
+	if !found {
+		WriteJSON(w, http.StatusNotFound, SubmitResponse{Error: ErrNoTrace.Error() + " " + idStr})
+		return
 	}
-	return out
-}
-
-func (s *Server) wireRecent(n int) []RoundTraceWire {
-	if s.obs == nil {
-		return nil
-	}
-	rts := s.obs.ring.Recent(n)
-	out := make([]RoundTraceWire, len(rts))
-	for i, rt := range rts {
-		out[i] = WireRoundTrace(rt)
-	}
-	return out
-}
-
-// timedIngest wraps the jobs handler to record its wall time into the
-// ingest histogram — measured around the whole request (decode, submit
-// loop, response write), outside the server lock.
-func (s *Server) timedIngest(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if s.obs == nil || r.Method != http.MethodPost {
-			h(w, r)
-			return
-		}
-		t0 := time.Now()
-		h(w, r)
-		s.obs.ingest.Record(time.Since(t0).Seconds())
-	}
+	WriteJSON(w, http.StatusOK, resp)
 }

@@ -8,12 +8,28 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
 	"waterwise/internal/cluster"
 	"waterwise/internal/obs"
+	"waterwise/internal/sched"
 )
+
+// statusDerived filters a parsed exposition down to the families rendered
+// from a Status: everything but build info, the latency histograms and
+// the feed block.
+func statusDerived(fams map[string]*obs.PromFamily) map[string]*obs.PromFamily {
+	out := make(map[string]*obs.PromFamily)
+	for name, fam := range fams {
+		if name == "waterwise_build_info" || fam.Type == "histogram" || strings.HasPrefix(name, "waterwise_feed_") {
+			continue
+		}
+		out[name] = fam
+	}
+	return out
+}
 
 func drainServer(t *testing.T, srv *Server) {
 	t.Helper()
@@ -34,7 +50,8 @@ func TestMetricsLintAndObsEndpoints(t *testing.T) {
 	jobs := genTrace(t, env, 3000, 6)
 	srv, err := New(Config{
 		Env: env, Scheduler: newScheduler(t, false), Tolerance: 0.5, Round: time.Minute,
-		Obs: ObsConfig{JobSampleEvery: 1},
+		DataDir: t.TempDir(),
+		Obs:     ObsConfig{JobSampleEvery: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -91,6 +108,59 @@ func TestMetricsLintAndObsEndpoints(t *testing.T) {
 			t.Fatalf("family %s is %q, want histogram", name, fam.Type)
 		}
 	}
+	// A durable server with a solver-reporting scheduler serves every row
+	// of the status table, documented exactly as the table says — and
+	// nothing status-derived that the table does not define.
+	live := statusDerived(fams)
+	for _, f := range statusFamilies {
+		fam := live[f.Name]
+		if fam == nil {
+			t.Errorf("table family %s missing from /metrics", f.Name)
+			continue
+		}
+		if fam.Type != f.Type || fam.Help != f.Help {
+			t.Errorf("%s served as %s %q, table says %s %q", f.Name, fam.Type, fam.Help, f.Type, f.Help)
+		}
+		delete(live, f.Name)
+	}
+	for name := range live {
+		t.Errorf("/metrics serves %s, which no table row defines", name)
+	}
+	// The optional rows follow the status: no DataDir, no durability rows;
+	// a scheduler without solver stats, no solver rows.
+	for _, tc := range []struct {
+		name    string
+		sched   cluster.Scheduler
+		dataDir string
+		absent  []string // name prefixes that must not be served
+		omitted int
+	}{
+		{"in-memory", newScheduler(t, false), "", []string{"waterwise_wal_", "waterwise_jobs_deduped_"}, 12},
+		{"baseline scheduler", sched.NewBaseline(), t.TempDir(), []string{"waterwise_solver_"}, 5},
+	} {
+		other, err := New(Config{Env: env, Scheduler: tc.sched, Tolerance: 0.5, Round: time.Minute, DataDir: tc.dataDir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		text := other.MetricsText()
+		other.Stop()
+		if err := obs.LintProm(text); err != nil {
+			t.Fatalf("%s: /metrics fails lint: %v", tc.name, err)
+		}
+		parsed, _ := obs.ParseProm(text)
+		got := statusDerived(parsed)
+		for name := range got {
+			for _, prefix := range tc.absent {
+				if strings.HasPrefix(name, prefix) {
+					t.Errorf("%s: serves %s", tc.name, name)
+				}
+			}
+		}
+		if want := len(statusFamilies) - tc.omitted; len(got) != want {
+			t.Errorf("%s: %d status-derived families, want %d", tc.name, len(got), want)
+		}
+	}
+
 	// Every decided job with an accept stamp contributes one decision
 	// latency observation.
 	les, cums := obs.HistogramBuckets(fams["waterwise_decision_latency_seconds"], nil)

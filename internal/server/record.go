@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"time"
 
+	"waterwise/internal/obs"
 	"waterwise/internal/tsdb"
 )
 
@@ -28,8 +29,6 @@ type RecordConfig struct {
 	// oldest windows are evicted beyond it, counted in
 	// waterwise_tsdb_evicted_chunks_total.
 	MemoryBudgetBytes int
-	// ScrapeEvery records once per that many rounds (default every round).
-	ScrapeEvery uint64
 	// MinInterval floors the wall-clock spacing of async scrapes (see
 	// tsdb.Config.MinInterval): an accelerated run's rounds can outpace
 	// any scraper, and the floor keeps recording at a few Hz instead of
@@ -47,22 +46,17 @@ type RecordConfig struct {
 	Logf func(format string, args ...any)
 }
 
-// newRecorder builds the server's recorder over its own exposition.
-func (s *Server) newRecorder() error {
-	rec, err := tsdb.New(tsdb.Config{
-		Gather:            func() []byte { return s.MetricsText() },
-		MemoryBudgetBytes: s.cfg.Record.MemoryBudgetBytes,
-		ScrapeEvery:       s.cfg.Record.ScrapeEvery,
-		MinInterval:       s.cfg.Record.MinInterval,
-		Sync:              s.cfg.Record.Sync,
-		Objectives:        s.cfg.Record.SLOs,
-		Logf:              s.cfg.Record.Logf,
+// NewRecorder builds a flight recorder that scrapes the exposition gather
+// renders — a server's own, or the fleet gateway's merged one.
+func (c RecordConfig) NewRecorder(gather func() []byte) (*tsdb.Recorder, error) {
+	return tsdb.New(tsdb.Config{
+		Gather:            gather,
+		MemoryBudgetBytes: c.MemoryBudgetBytes,
+		MinInterval:       c.MinInterval,
+		Sync:              c.Sync,
+		Objectives:        c.SLOs,
+		Logf:              c.Logf,
 	})
-	if err != nil {
-		return err
-	}
-	s.recorder = rec
-	return nil
 }
 
 // Recorder exposes the flight recorder for queries; nil when recording is
@@ -86,15 +80,12 @@ func (s *Server) notifyRound(rounds uint64) {
 // the build identity as labels, the standard Prometheus idiom for joining
 // version metadata onto any other series.
 func AppendBuildInfo(b []byte) []byte {
-	b = append(b, "# HELP waterwise_build_info Build identity (constant 1; the labels carry the information).\n# TYPE waterwise_build_info gauge\n"...)
-	b = append(b, "waterwise_build_info{version="...)
-	b = strconv.AppendQuote(b, Version)
-	b = append(b, ",goversion="...)
-	b = strconv.AppendQuote(b, runtime.Version())
-	b = append(b, ",gomaxprocs="...)
-	b = strconv.AppendQuote(b, strconv.Itoa(runtime.GOMAXPROCS(0)))
-	b = append(b, "} 1\n"...)
-	return b
+	const name = "waterwise_build_info"
+	b = obs.AppendHeader(b, name, "gauge", "Build identity (constant 1; the labels carry the information).")
+	labels := "version=" + strconv.Quote(Version) +
+		",goversion=" + strconv.Quote(runtime.Version()) +
+		",gomaxprocs=" + strconv.Quote(strconv.Itoa(runtime.GOMAXPROCS(0)))
+	return obs.AppendSample(b, name, labels, 1)
 }
 
 // QueryResponse is the GET /v1/query reply.
@@ -122,8 +113,7 @@ type AlertsResponse struct {
 	Alerts []tsdb.Alert `json:"alerts"`
 }
 
-// QueryHandler builds the GET /v1/query handler over a recorder getter —
-// shared by the single server and the fleet gateway. Parameters:
+// serveQuery is GET /v1/query over the flight recorder. Parameters:
 //
 //	series  — series reference: a family name or name{label="v",...}
 //	fn      — raw (default) | rate | increase | quantile
@@ -131,105 +121,96 @@ type AlertsResponse struct {
 //	q       — quantile in [0,1] (fn=quantile)
 //	end     — window end round (default: latest recorded)
 //	from,to — raw-sample bounds (fn=raw)
-func QueryHandler(rec func() *tsdb.Recorder) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			w.Header().Set("Allow", http.MethodGet)
-			WriteJSON(w, http.StatusMethodNotAllowed, QueryResponse{Error: "GET only"})
-			return
-		}
-		rr := rec()
-		if rr == nil {
-			WriteJSON(w, http.StatusNotFound, QueryResponse{Error: "recording disabled (enable with -record-metrics)"})
-			return
-		}
-		q := r.URL.Query()
-		resp := QueryResponse{Series: q.Get("series"), Fn: q.Get("fn")}
-		if resp.Series == "" {
-			WriteJSON(w, http.StatusBadRequest, QueryResponse{Error: "missing series parameter"})
-			return
-		}
-		if resp.Fn == "" {
-			resp.Fn = "raw"
-		}
-		parseU := func(name string) (uint64, bool) {
-			v := q.Get(name)
-			if v == "" {
-				return 0, true
-			}
-			u, err := strconv.ParseUint(v, 10, 64)
-			if err != nil {
-				WriteJSON(w, http.StatusBadRequest, QueryResponse{Error: "bad " + name})
-				return 0, false
-			}
-			return u, true
-		}
-		var ok bool
-		if resp.Window, ok = parseU("window"); !ok {
-			return
-		}
-		if resp.End, ok = parseU("end"); !ok {
-			return
-		}
-		if resp.Fn != "raw" && resp.Window == 0 {
-			WriteJSON(w, http.StatusBadRequest, QueryResponse{Error: "window is required for " + resp.Fn})
-			return
-		}
-		switch resp.Fn {
-		case "raw":
-			from, ok := parseU("from")
-			if !ok {
-				return
-			}
-			to, ok := parseU("to")
-			if !ok {
-				return
-			}
-			resp.Samples = rr.Query(resp.Series, from, to)
-			resp.Ok = len(resp.Samples) > 0
-		case "rate":
-			resp.Value, resp.Ok = rr.Rate(resp.Series, resp.Window, resp.End)
-		case "increase":
-			resp.Value, resp.Ok = rr.Increase(resp.Series, resp.Window, resp.End)
-		case "quantile":
-			quant := 0.99
-			if v := q.Get("q"); v != "" {
-				f, err := strconv.ParseFloat(v, 64)
-				if err != nil || f < 0 || f > 1 {
-					WriteJSON(w, http.StatusBadRequest, QueryResponse{Error: "bad q"})
-					return
-				}
-				quant = f
-			}
-			resp.Value, resp.Ok = rr.Quantile(resp.Series, quant, resp.Window, resp.End)
-		default:
-			WriteJSON(w, http.StatusBadRequest, QueryResponse{Error: "fn must be raw, rate, increase, or quantile"})
-			return
-		}
-		WriteJSON(w, http.StatusOK, resp)
+func (be *Backend) serveQuery(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodGet {
+		w.Header().Set("Allow", http.MethodGet)
+		WriteJSON(w, http.StatusMethodNotAllowed, QueryResponse{Error: "GET only"})
+		return
 	}
+	rr := be.Recorder()
+	if rr == nil {
+		WriteJSON(w, http.StatusNotFound, QueryResponse{Error: "recording disabled (enable with -record-metrics)"})
+		return
+	}
+	q := r.URL.Query()
+	resp := QueryResponse{Series: q.Get("series"), Fn: q.Get("fn")}
+	if resp.Series == "" {
+		WriteJSON(w, http.StatusBadRequest, QueryResponse{Error: "missing series parameter"})
+		return
+	}
+	if resp.Fn == "" {
+		resp.Fn = "raw"
+	}
+	parseU := func(name string) (uint64, bool) {
+		v := q.Get(name)
+		if v == "" {
+			return 0, true
+		}
+		u, err := strconv.ParseUint(v, 10, 64)
+		if err != nil {
+			WriteJSON(w, http.StatusBadRequest, QueryResponse{Error: "bad " + name})
+			return 0, false
+		}
+		return u, true
+	}
+	var ok bool
+	if resp.Window, ok = parseU("window"); !ok {
+		return
+	}
+	if resp.End, ok = parseU("end"); !ok {
+		return
+	}
+	if resp.Fn != "raw" && resp.Window == 0 {
+		WriteJSON(w, http.StatusBadRequest, QueryResponse{Error: "window is required for " + resp.Fn})
+		return
+	}
+	switch resp.Fn {
+	case "raw":
+		from, ok := parseU("from")
+		if !ok {
+			return
+		}
+		to, ok := parseU("to")
+		if !ok {
+			return
+		}
+		resp.Samples = rr.Query(resp.Series, from, to)
+		resp.Ok = len(resp.Samples) > 0
+	case "rate":
+		resp.Value, resp.Ok = rr.Rate(resp.Series, resp.Window, resp.End)
+	case "increase":
+		resp.Value, resp.Ok = rr.Increase(resp.Series, resp.Window, resp.End)
+	case "quantile":
+		quant := 0.99
+		if v := q.Get("q"); v != "" {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil || f < 0 || f > 1 {
+				WriteJSON(w, http.StatusBadRequest, QueryResponse{Error: "bad q"})
+				return
+			}
+			quant = f
+		}
+		resp.Value, resp.Ok = rr.Quantile(resp.Series, quant, resp.Window, resp.End)
+	default:
+		WriteJSON(w, http.StatusBadRequest, QueryResponse{Error: "fn must be raw, rate, increase, or quantile"})
+		return
+	}
+	WriteJSON(w, http.StatusOK, resp)
 }
 
-// AlertsHandler builds the GET /v1/alerts handler over a recorder getter.
-func AlertsHandler(rec func() *tsdb.Recorder) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			w.Header().Set("Allow", http.MethodGet)
-			WriteJSON(w, http.StatusMethodNotAllowed, SubmitResponse{Error: "GET only"})
-			return
-		}
-		rr := rec()
-		if rr == nil {
-			WriteJSON(w, http.StatusNotFound, SubmitResponse{Error: "recording disabled (enable with -record-metrics)"})
-			return
-		}
-		alerts := rr.Alerts()
-		firing := 0
-		for _, a := range alerts {
-			if a.Firing {
-				firing++
-			}
-		}
-		WriteJSON(w, http.StatusOK, AlertsResponse{Round: rr.LastRound(), Firing: firing, Alerts: alerts})
+// serveAlerts is GET /v1/alerts: the burn-rate SLO alert states.
+func (be *Backend) serveAlerts(w http.ResponseWriter, r *http.Request) {
+	rr := be.Recorder()
+	if rr == nil {
+		WriteJSON(w, http.StatusNotFound, SubmitResponse{Error: "recording disabled (enable with -record-metrics)"})
+		return
 	}
+	alerts := rr.Alerts()
+	firing := 0
+	for _, a := range alerts {
+		if a.Firing {
+			firing++
+		}
+	}
+	WriteJSON(w, http.StatusOK, AlertsResponse{Round: rr.LastRound(), Firing: firing, Alerts: alerts})
 }

@@ -93,6 +93,10 @@ func TestRecorderEndpoints(t *testing.T) {
 		}
 	}
 	drainServer(t, srv)
+	// Drain returns once the queue is empty, which the last round signals
+	// before its end-of-round scrape runs; Stop waits for the loop, so the
+	// history below is complete. The store stays queryable after Stop.
+	srv.Stop()
 
 	getJSON := func(path string, v interface{}) int {
 		t.Helper()

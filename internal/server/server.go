@@ -81,9 +81,6 @@ type Config struct {
 	// SnapshotEvery is the snapshot cadence in scheduling rounds
 	// (default 256). Ignored without DataDir.
 	SnapshotEvery int
-	// WALSegmentBytes overrides the WAL segment rotation threshold
-	// (default 4 MiB). Ignored without DataDir.
-	WALSegmentBytes int64
 	// SyncInterval bounds how long an acknowledged job may sit in the
 	// WAL's user-space buffer before a group commit when no round fires
 	// (default 100ms). Rounds always commit their batch on completion.
@@ -93,10 +90,6 @@ type Config struct {
 	// stalls through it. Nil — the default — is exactly free. Ignored
 	// without DataDir.
 	WALSyncDelay func() time.Duration
-	// DedupeCap bounds the decided-job dedupe index that makes client
-	// re-submits idempotent after a restart (default 262144 entries,
-	// evicted FIFO).
-	DedupeCap int
 	// Obs configures the observability layer — latency histograms, the
 	// per-round trace ring, sampled job lifecycle traces (see ObsConfig).
 	// Measurement only: enabling or disabling it never changes decisions.
@@ -151,11 +144,12 @@ func (c Config) withDefaults() (Config, error) {
 	if c.SyncInterval <= 0 {
 		c.SyncInterval = 100 * time.Millisecond
 	}
-	if c.DedupeCap <= 0 {
-		c.DedupeCap = 262144
-	}
 	return c, nil
 }
+
+// dedupeCap bounds the decided-job dedupe index that makes client
+// re-submits idempotent after a restart (entries evicted FIFO).
+const dedupeCap = 262144
 
 // secondsToDuration converts float seconds to a Duration, rounding to the
 // nearest nanosecond so millisecond-quantized wire values map exactly.
@@ -226,6 +220,10 @@ type Decision struct {
 	// client-side decision-latency measurement.
 	DecidedWall time.Time `json:"decided_wall"`
 }
+
+// LogSeq returns Seq; fleet.Decision embeds Decision, so one NextCursor
+// serves a server's pages and the gateway's merged ones.
+func (d Decision) LogSeq() uint64 { return d.Seq }
 
 // Status is a point-in-time service snapshot.
 type Status struct {
@@ -385,7 +383,7 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 	if cfg.Record.Enable {
-		if err := s.newRecorder(); err != nil {
+		if s.recorder, err = cfg.Record.NewRecorder(s.MetricsText); err != nil {
 			return nil, err
 		}
 	}
@@ -408,7 +406,7 @@ func (s *Server) simAt(wall time.Time) time.Time {
 //
 // Re-submits are idempotent: a client-assigned id whose spec digest
 // matches what this server already accepted (still queued or already
-// decided, up to DedupeCap history) is acknowledged again with the
+// decided, up to dedupeCap history) is acknowledged again with the
 // original id and no new job — the safe-retry contract clients rely on
 // after a connection error or a shard restart. The same id with a
 // different spec stays ErrDuplicateID.

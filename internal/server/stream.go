@@ -17,13 +17,12 @@ import (
 // ingest target. Both *Server and *fleet.Fleet implement it, so one
 // StreamListener serves either a single server or a sharded gateway.
 type StreamBackend interface {
-	// StreamSubmit ingests one job with POST /v1/jobs semantics: same
-	// typed errors, same dedupe index, same queue backpressure.
-	StreamSubmit(spec JobSpec) (int, error)
+	// Submit ingests one job with POST /v1/jobs semantics: same typed
+	// errors, same dedupe index, same queue backpressure.
+	Submit(spec JobSpec) (int, error)
 	// StreamDecisions appends up to limit decisions with Seq > since
-	// into dst and returns the extended slice plus the cursor to
-	// resume from (the last appended Seq, or since when none).
-	StreamDecisions(since uint64, limit int, dst []wire.Decision) ([]wire.Decision, uint64)
+	// into dst, oldest first, and returns the extended slice.
+	StreamDecisions(since uint64, limit int, dst []wire.Decision) []wire.Decision
 	// StreamInfo reports the decision log bounds (newest and oldest
 	// retained seq) and the served regions, for the Welcome frame.
 	StreamInfo() (last, oldest uint64, regions []region.ID)
@@ -35,28 +34,16 @@ type StreamOptions struct {
 	// (default 1ms). When decisions are flowing the pusher loops
 	// without sleeping.
 	PushInterval time.Duration
-	// PushBatch caps decisions per pushed frame (default 2048).
-	PushBatch int
-	// PushWindow caps pushed-but-unacked decisions per connection
-	// (default 65536). When a slow client stops acking, the server
-	// stops pushing instead of buffering unboundedly — the stream
-	// analogue of HTTP 429. Negative disables windowing.
-	PushWindow int
 }
 
-func (o *StreamOptions) withDefaults() StreamOptions {
-	out := *o
-	if out.PushInterval <= 0 {
-		out.PushInterval = time.Millisecond
-	}
-	if out.PushBatch <= 0 {
-		out.PushBatch = 2048
-	}
-	if out.PushWindow == 0 {
-		out.PushWindow = 65536
-	}
-	return out
-}
+const (
+	// pushBatch caps decisions per pushed frame.
+	pushBatch = 2048
+	// pushWindow caps pushed-but-unacked decisions per connection. When a
+	// slow client stops acking, the server stops pushing instead of
+	// buffering unboundedly — the stream analogue of HTTP 429.
+	pushWindow = 65536
+)
 
 // StreamListener accepts persistent binary-protocol connections
 // (internal/wire) alongside the HTTP mux and serves them against a
@@ -78,9 +65,12 @@ type StreamListener struct {
 // backend. It returns immediately; connections are handled on their
 // own goroutines until Close.
 func NewStreamListener(ln net.Listener, backend StreamBackend, opts StreamOptions) *StreamListener {
+	if opts.PushInterval <= 0 {
+		opts.PushInterval = time.Millisecond
+	}
 	l := &StreamListener{
 		backend: backend,
-		opts:    opts.withDefaults(),
+		opts:    opts,
 		ln:      ln,
 		conns:   make(map[net.Conn]struct{}),
 	}
@@ -236,7 +226,7 @@ func (l *StreamListener) readLoop(ss *streamSession) {
 			}
 			results = results[:0]
 			for i := range jobs {
-				id, err := l.backend.StreamSubmit(JobSpecFromWire(&jobs[i]))
+				id, err := l.backend.Submit(JobSpecFromWire(&jobs[i]))
 				res := wire.SubmitResult{Code: SubmitErrorCode(err)}
 				if err == nil {
 					res.ID = int64(id)
@@ -288,31 +278,25 @@ func (l *StreamListener) pushDecisions(ss *streamSession, resume uint64) {
 			return
 		default:
 		}
-		limit := l.opts.PushBatch
-		if l.opts.PushWindow > 0 {
-			inflight := int64(cursor) - int64(ss.lastAck.Load())
-			if inflight < 0 {
-				inflight = 0
-			}
-			room := int64(l.opts.PushWindow) - inflight
-			if room <= 0 {
-				if !wait() {
-					return
-				}
-				continue
-			}
-			if room < int64(limit) {
-				limit = int(room)
-			}
+		inflight := int64(cursor) - int64(ss.lastAck.Load())
+		if inflight < 0 {
+			inflight = 0
 		}
-		var next uint64
-		page, next = l.backend.StreamDecisions(cursor, limit, page[:0])
+		room := pushWindow - inflight
+		if room <= 0 {
+			if !wait() {
+				return
+			}
+			continue
+		}
+		page = l.backend.StreamDecisions(cursor, int(min(room, pushBatch)), page[:0])
 		if len(page) == 0 {
 			if !wait() {
 				return
 			}
 			continue
 		}
+		next := page[len(page)-1].Seq
 		var err error
 		scratch, err = wire.AppendDecisions(scratch[:0], next, page)
 		if err != nil {
@@ -444,21 +428,14 @@ func DecisionFromWire(d *wire.Decision) Decision {
 	}
 }
 
-// StreamSubmit implements StreamBackend for a single server.
-func (s *Server) StreamSubmit(spec JobSpec) (int, error) { return s.Submit(spec) }
-
 // StreamDecisions implements StreamBackend for a single server: shard
 // is always 0 and ShardSeq mirrors the global seq.
-func (s *Server) StreamDecisions(since uint64, limit int, dst []wire.Decision) ([]wire.Decision, uint64) {
+func (s *Server) StreamDecisions(since uint64, limit int, dst []wire.Decision) []wire.Decision {
 	page, _ := s.DecisionsPage(since, limit)
-	next := since
 	for i := range page {
 		dst = append(dst, WireDecision(page[i], 0, page[i].Seq))
 	}
-	if len(page) > 0 {
-		next = page[len(page)-1].Seq
-	}
-	return dst, next
+	return dst
 }
 
 // StreamInfo implements StreamBackend for a single server.

@@ -271,26 +271,22 @@ func (r *Recorder) LastRound() uint64 { return r.store.LastRound() }
 
 // AppendMetrics renders the recorder's own exposition block (tsdb
 // accounting plus the alerts-firing gauge) with the given metric name
-// prefix, in the same hand-rolled style as the rest of the exposition.
+// prefix.
 func (r *Recorder) AppendMetrics(b []byte, prefix string) []byte {
 	st := r.Stats()
-	gauge := func(name, help string, v float64) {
-		b = append(b, fmt.Sprintf("# HELP %s%s %s\n# TYPE %s%s gauge\n%s%s %g\n",
-			prefix, name, help, prefix, name, prefix, name, v)...)
+	row := func(typ, name, help string, v float64) {
+		b = obs.AppendHeader(b, prefix+name, typ, help)
+		b = obs.AppendSample(b, prefix+name, "", v)
 	}
-	counter := func(name, help string, v float64) {
-		b = append(b, fmt.Sprintf("# HELP %s%s %s\n# TYPE %s%s counter\n%s%s %g\n",
-			prefix, name, help, prefix, name, prefix, name, v)...)
-	}
-	gauge("tsdb_series", "Live series in the metrics flight recorder.", float64(st.Series))
-	gauge("tsdb_bytes", "Approximate compressed bytes held by the flight recorder.", float64(st.Bytes))
-	gauge("tsdb_budget_bytes", "Flight recorder memory budget.", float64(st.BudgetBytes))
-	counter("tsdb_samples_total", "Samples appended to the flight recorder.", float64(st.Samples))
-	counter("tsdb_evicted_chunks_total", "Oldest-window chunks evicted to stay under budget.", float64(st.EvictedChunks))
-	counter("tsdb_evicted_samples_total", "Samples lost to chunk eviction.", float64(st.EvictedSamples))
-	counter("tsdb_scrapes_total", "Completed round-clock scrapes.", float64(st.Scrapes))
-	counter("tsdb_coalesced_rounds_total", "Rounds skipped by the async scraper because a newer round was pending.", float64(st.CoalescedRounds))
-	counter("tsdb_parse_errors_total", "Scrapes dropped by the strict exposition parser.", float64(st.ParseErrors))
-	gauge("alerts_firing", "Burn-rate SLO alerts currently firing.", float64(st.AlertsFiring))
+	row("gauge", "tsdb_series", "Live series in the metrics flight recorder.", float64(st.Series))
+	row("gauge", "tsdb_bytes", "Approximate compressed bytes held by the flight recorder.", float64(st.Bytes))
+	row("gauge", "tsdb_budget_bytes", "Flight recorder memory budget.", float64(st.BudgetBytes))
+	row("counter", "tsdb_samples_total", "Samples appended to the flight recorder.", float64(st.Samples))
+	row("counter", "tsdb_evicted_chunks_total", "Oldest-window chunks evicted to stay under budget.", float64(st.EvictedChunks))
+	row("counter", "tsdb_evicted_samples_total", "Samples lost to chunk eviction.", float64(st.EvictedSamples))
+	row("counter", "tsdb_scrapes_total", "Completed round-clock scrapes.", float64(st.Scrapes))
+	row("counter", "tsdb_coalesced_rounds_total", "Rounds skipped by the async scraper because a newer round was pending.", float64(st.CoalescedRounds))
+	row("counter", "tsdb_parse_errors_total", "Scrapes dropped by the strict exposition parser.", float64(st.ParseErrors))
+	row("gauge", "alerts_firing", "Burn-rate SLO alerts currently firing.", float64(st.AlertsFiring))
 	return b
 }

@@ -472,8 +472,8 @@ type (
 	// WALStatus is the durability block of ServerStatus (log sizing,
 	// fsync stalls, recovery cost); nil when DataDir is unset.
 	WALStatus = server.WALStatus
-	// ObsConfig tunes the observability layer (trace-ring bounds, job
-	// sampling stride, or disabling it for overhead measurement).
+	// ObsConfig tunes the observability layer (job sampling stride, or
+	// disabling it for overhead measurement).
 	ObsConfig = server.ObsConfig
 	// ObsSummary is the observability digest in ServerStatus/FleetStatus:
 	// histogram-backed decision latency and round time quantiles.
@@ -508,8 +508,8 @@ type (
 	// batched submits in, batched decision pushes out, cursor-resume
 	// handshake.
 	StreamListener = server.StreamListener
-	// StreamOptions tunes a StreamListener (push cadence, batch size,
-	// ack window); the zero value uses defaults.
+	// StreamOptions tunes a StreamListener (push cadence); the zero
+	// value uses defaults.
 	StreamOptions = server.StreamOptions
 )
 

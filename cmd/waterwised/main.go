@@ -38,8 +38,8 @@
 //	-tolerance     delay tolerance fraction                  (default 0.5)
 //	-lambda-carbon λ_CO2 objective weight (λ_H2O = 1-λ_CO2)  (default 0.5)
 //	-regions       comma-separated region subset             (default: all five)
-//	-shards        scheduler shard count; >1 serves the
-//	               sharded fleet behind one gateway          (default 1)
+//	-shards        scheduler shard count, at least 1; >1 serves
+//	               the sharded fleet behind one gateway      (default 1)
 //	-shard-map     region=shard pins, e.g. "zurich=0,mumbai=1"
 //	               (unpinned regions dealt to emptiest shard)
 //	-partition     standalone-shard mode: serve only these
@@ -243,7 +243,7 @@ func run() error {
 		tolerance   = flag.Float64("tolerance", 0.5, "delay tolerance fraction")
 		lambdaC     = flag.Float64("lambda-carbon", 0.5, "carbon objective weight (water gets 1-x)")
 		regionsCSV  = flag.String("regions", "", "comma-separated region subset")
-		shards      = flag.Int("shards", 1, "scheduler shard count; >1 serves the sharded fleet")
+		shards      = flag.Int("shards", 1, "scheduler shard count (at least 1); >1 serves the sharded fleet")
 		shardMapCSV = flag.String("shard-map", "", "region=shard pins, e.g. zurich=0,mumbai=1")
 		partCSV     = flag.String("partition", "", "standalone-shard mode: serve only these regions of the full environment")
 		feedSpec    = flag.String("feed", "synthetic", `environment feed: "synthetic", "replay:<file>", or "live:<url>"`)
@@ -273,6 +273,9 @@ func run() error {
 		return err
 	}
 	slog.SetDefault(log)
+	if *shards < 1 {
+		return fmt.Errorf("-shards must be at least 1 (got %d)", *shards)
+	}
 
 	if *debugAddr != "" {
 		// pprof on its own listener, never the service address: profiling

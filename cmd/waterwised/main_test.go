@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -149,6 +150,26 @@ func submitJobs(t *testing.T, base string, n int) {
 		}
 		if lastErr != nil {
 			t.Fatalf("submit job %d: %v", id, lastErr)
+		}
+	}
+}
+
+// TestRejectsShardCountBelowOne runs the daemon with a shard count that
+// used to fall through to a single server silently: it must exit non-zero
+// naming the flag, before binding anything.
+func TestRejectsShardCountBelowOne(t *testing.T) {
+	for _, n := range []string{"0", "-2"} {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		cmd := exec.CommandContext(ctx, os.Args[0], "-addr", "127.0.0.1:0", "-timescale", "0", "-shards", n)
+		cmd.Env = append(os.Environ(), "WATERWISED_HELPER=1")
+		out, err := cmd.CombinedOutput()
+		timedOut := ctx.Err() != nil
+		cancel()
+		if _, exited := err.(*exec.ExitError); !exited || timedOut {
+			t.Fatalf("-shards %s: err = %v, want a non-zero exit; output:\n%s", n, err, out)
+		}
+		if !bytes.Contains(out, []byte("-shards")) {
+			t.Errorf("-shards %s: error does not name the flag:\n%s", n, out)
 		}
 	}
 }

@@ -250,10 +250,11 @@ type Config struct {
 	Tick time.Duration
 	// Tolerance is the delay tolerance fraction (e.g. 0.5 for 50%).
 	Tolerance float64
-	// MaxDrain bounds how long past the last arrival the simulator keeps
-	// ticking to flush queues (default 48h).
-	MaxDrain time.Duration
 }
+
+// maxDrain bounds how long past the last arrival Run keeps ticking to
+// flush queues.
+const maxDrain = 48 * time.Hour
 
 func (c Config) withDefaults() (Config, error) {
 	if c.Env == nil {
@@ -270,9 +271,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.Tolerance < 0 {
 		return c, fmt.Errorf("cluster: negative tolerance %g", c.Tolerance)
-	}
-	if c.MaxDrain <= 0 {
-		c.MaxDrain = 48 * time.Hour
 	}
 	return c, nil
 }
@@ -543,7 +541,7 @@ func Run(cfg Config, sched Scheduler, jobs []*trace.Job) (*Result, error) {
 	} else {
 		lastArrival = cfg.Env.Start
 	}
-	deadline := lastArrival.Add(cfg.MaxDrain)
+	deadline := lastArrival.Add(maxDrain)
 
 	for {
 		// Ingest arrivals up to now.

@@ -182,17 +182,6 @@ func (m Mix) EWIF(tbl FactorTable) units.EWIF {
 	return units.EWIF(w)
 }
 
-// RenewableShare returns the summed share of non-fossil sources.
-func (m Mix) RenewableShare() float64 {
-	r := 0.0
-	for s := Source(0); s < numSources; s++ {
-		if !s.IsFossil() {
-			r += m[s]
-		}
-	}
-	return r
-}
-
 // Clone returns a copy of the mix (a value copy, since Mix is an array).
 func (m Mix) Clone() Mix { return m }
 

@@ -104,9 +104,6 @@ func TestMixIntensities(t *testing.T) {
 	if math.Abs(float64(ew)-wantE) > 1e-9 {
 		t.Errorf("EWIF = %v, want %v", ew, wantE)
 	}
-	if rs := m.RenewableShare(); math.Abs(rs-0.5) > 1e-12 {
-		t.Errorf("renewable share = %g, want 0.5", rs)
-	}
 }
 
 func TestMixCloneIndependent(t *testing.T) {

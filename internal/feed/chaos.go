@@ -92,9 +92,6 @@ func (c *Chaos) SetFault(f Fault, retryAfter time.Duration) {
 	c.mode.Store(int32(f))
 }
 
-// ActiveFault reports the current fault mode.
-func (c *Chaos) ActiveFault() Fault { return Fault(c.mode.Load()) }
-
 // Name implements Provider, delegating to the inner provider (the
 // wrapper is transparent to anything keying on provider identity).
 func (c *Chaos) Name() string { return c.inner.Name() }

@@ -17,7 +17,8 @@ import (
 	"waterwise/internal/units"
 )
 
-// Defaults of LiveConfig (applied by NewLive when the field is zero).
+// Defaults of LiveConfig (applied by NewLive when the field is zero), and
+// the two fallback-forecast constants.
 const (
 	// DefaultLiveTTL is how long a fetched reading counts as fresh.
 	DefaultLiveTTL = 5 * time.Minute
@@ -64,12 +65,6 @@ type LiveConfig struct {
 	// ForecastAfter is the staleness beyond which At degrades from the
 	// raw stale value to the seasonal-naive forecast; 0 means 3×TTL.
 	ForecastAfter time.Duration
-	// ForecastHorizon is the advisory horizon reported by
-	// Provider.ForecastHorizon.
-	ForecastHorizon time.Duration
-	// SeasonalDays is the trailing window (days) of the fallback
-	// forecaster.
-	SeasonalDays int
 	// Client overrides the HTTP client (tests); nil builds one from
 	// Timeout.
 	Client *http.Client
@@ -157,12 +152,6 @@ func NewLive(cfg LiveConfig) (*Live, error) {
 	if cfg.ForecastAfter <= 0 {
 		cfg.ForecastAfter = 3 * cfg.TTL
 	}
-	if cfg.ForecastHorizon <= 0 {
-		cfg.ForecastHorizon = DefaultLiveForecastHorizon
-	}
-	if cfg.SeasonalDays <= 0 {
-		cfg.SeasonalDays = DefaultLiveSeasonalDays
-	}
 	client := cfg.Client
 	if client == nil {
 		client = &http.Client{Timeout: cfg.Timeout}
@@ -180,13 +169,13 @@ func NewLive(cfg LiveConfig) (*Live, error) {
 		if _, dup := l.regions[key]; dup {
 			return nil, fmt.Errorf("feed: duplicate live region %q", key)
 		}
-		wet, err := forecast.NewSeasonalNaive(cfg.SeasonalDays)
+		wet, err := forecast.NewSeasonalNaive(DefaultLiveSeasonalDays)
 		if err != nil {
 			return nil, err
 		}
 		r := &liveRegion{key: key, wetPred: wet, mixPred: make(map[energy.Source]*forecast.SeasonalNaive)}
 		for _, src := range energy.AllSources() {
-			p, err := forecast.NewSeasonalNaive(cfg.SeasonalDays)
+			p, err := forecast.NewSeasonalNaive(DefaultLiveSeasonalDays)
 			if err != nil {
 				return nil, err
 			}
@@ -217,7 +206,7 @@ func (*Live) Name() string { return "live" }
 func (l *Live) Regions() []string { return append([]string(nil), l.keys...) }
 
 // ForecastHorizon implements Provider.
-func (l *Live) ForecastHorizon() time.Duration { return l.cfg.ForecastHorizon }
+func (l *Live) ForecastHorizon() time.Duration { return DefaultLiveForecastHorizon }
 
 // At implements Provider. It never performs I/O: a fresh cache line
 // answers directly; an expired one answers stale (or, past

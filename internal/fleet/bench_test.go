@@ -14,9 +14,9 @@ import (
 // BenchmarkFleetReplay measures aggregate accelerated serving throughput
 // at 1, 2, and 4 shards: a fixed trace is submitted up front and drained
 // as fast as the shard round loops allow, the serving layer's peak-rate
-// mode. The reported decisions/s is the scale-out headline (a dated record
-// sits in BENCH_SERVER.json; the repo's benchmark measures the gateway in
-// fleet-drain, see bench/README.md). Shards scale two ways: round loops (and
+// mode. The reported decisions/s is the scale-out headline (the repo's
+// benchmark measures the gateway in fleet-drain, see bench/README.md).
+// Shards scale two ways: round loops (and
 // their MILP solves) run concurrently across cores, and each shard's
 // rounds optimize over its partition only, shrinking the per-round
 // problem — the second effect shows even on a single core.

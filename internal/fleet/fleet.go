@@ -183,11 +183,11 @@ type Fleet struct {
 	buffered [][]server.JobSpec
 	bufCap   int
 	// k-way merge state: the per-shard local-seq cursor, decisions fetched
-	// but not yet past the watermark, and the merged global ring.
+	// but not yet past the watermark, and the merged global log — the
+	// same ring type each shard keeps its own decisions in.
 	cursors []uint64
 	staged  [][]server.Decision
-	merged  []Decision
-	head    int
+	merged  server.Ring[Decision]
 	seq     uint64
 	lost    uint64
 
@@ -276,6 +276,7 @@ func New(cfg Config) (*Fleet, error) {
 		bufCap:   cfg.QueueCap,
 		cursors:  make([]uint64, cfg.Shards),
 		staged:   make([][]server.Decision, cfg.Shards),
+		merged:   server.NewRing[Decision](cfg.DecisionLogCap),
 	}
 	if f.bufCap <= 0 {
 		f.bufCap = 65536
@@ -391,8 +392,8 @@ func (f *Fleet) Owner(id region.ID) (int, bool) {
 	return s, ok
 }
 
-// Shard exposes one shard's server (tests and the standalone-shard
-// daemon mode reach through this; production callers use the gateway).
+// Shard exposes one shard's server (the scenario harness's fault
+// injection and tests reach through this; serving goes via the gateway).
 func (f *Fleet) Shard(i int) *server.Server {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -522,14 +523,27 @@ func (f *Fleet) RestartShard(i int) error {
 	return firstErr
 }
 
+// eachShard runs fn on every shard concurrently — a shard mid-drain must
+// not delay the others — and waits for all of them.
+func (f *Fleet) eachShard(fn func(i int, s *server.Server)) {
+	var wg sync.WaitGroup
+	for i, s := range f.shardList() {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn(i, s)
+		}()
+	}
+	wg.Wait()
+}
+
 // Start launches every shard's round loop (and the supervisor, when
 // configured).
 func (f *Fleet) Start() {
 	f.mu.Lock()
 	f.started = true
-	shards := append([]*server.Server(nil), f.shards...)
 	f.mu.Unlock()
-	for _, s := range shards {
+	for _, s := range f.shardList() {
 		s.Start()
 	}
 	f.startSupervisor()
@@ -542,15 +556,7 @@ func (f *Fleet) Start() {
 // Idempotent.
 func (f *Fleet) Stop() {
 	f.stopSupervisor()
-	var wg sync.WaitGroup
-	for _, s := range f.shardList() {
-		wg.Add(1)
-		go func(s *server.Server) {
-			defer wg.Done()
-			s.Stop()
-		}(s)
-	}
-	wg.Wait()
+	f.eachShard(func(_ int, s *server.Server) { s.Stop() })
 	f.mu.Lock()
 	f.mergeLocked()
 	f.mu.Unlock()
@@ -566,17 +572,8 @@ func (f *Fleet) Stop() {
 // settled logs. With all shards drained the merged stream is total: every
 // decision emitted, fully (round, shard, shard-seq)-ordered.
 func (f *Fleet) Drain(ctx context.Context) error {
-	shards := f.shardList()
-	errs := make([]error, len(shards))
-	var wg sync.WaitGroup
-	for i, s := range shards {
-		wg.Add(1)
-		go func(i int, s *server.Server) {
-			defer wg.Done()
-			errs[i] = s.Drain(ctx)
-		}(i, s)
-	}
-	wg.Wait()
+	errs := make([]error, f.cfg.Shards)
+	f.eachShard(func(i int, s *server.Server) { errs[i] = s.Drain(ctx) })
 	f.mu.Lock()
 	f.mergeLocked()
 	f.mu.Unlock()
@@ -664,12 +661,7 @@ func (f *Fleet) mergeLocked() {
 		f.seq++
 		md := Decision{Decision: d, Shard: best, ShardSeq: d.Seq}
 		md.Decision.Seq = f.seq
-		if len(f.merged) < f.cfg.DecisionLogCap {
-			f.merged = append(f.merged, md)
-			continue
-		}
-		f.merged[f.head] = md
-		f.head = (f.head + 1) % len(f.merged)
+		f.merged.Append(md)
 	}
 }
 
@@ -681,28 +673,7 @@ func (f *Fleet) Decisions(since uint64, limit int) []Decision {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.mergeLocked()
-	n := len(f.merged)
-	if n == 0 {
-		return []Decision{}
-	}
-	lo, hi := 0, n
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if f.merged[(f.head+mid)%n].Seq <= since {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	count := n - lo
-	if limit > 0 && count > limit {
-		count = limit
-	}
-	out := make([]Decision, count)
-	for i := range out {
-		out[i] = f.merged[(f.head+lo+i)%n]
-	}
-	return out
+	return f.merged.Page(since, limit)
 }
 
 // Status aggregates every shard's snapshot.

@@ -30,10 +30,7 @@ func (f *Fleet) StreamDecisions(since uint64, limit int, dst []wire.Decision) []
 func (f *Fleet) StreamInfo() (last, oldest uint64, regions []region.ID) {
 	f.mu.Lock()
 	f.mergeLocked()
-	last = f.seq
-	if n := len(f.merged); n > 0 {
-		oldest = f.merged[f.head%n].Seq
-	}
+	last, oldest = f.seq, f.merged.Oldest()
 	f.mu.Unlock()
 	return last, oldest, f.cfg.Env.IDs()
 }

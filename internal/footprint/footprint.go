@@ -141,17 +141,6 @@ func (m *Model) ForJob(s region.Snapshot, energy units.KWh, duration time.Durati
 	}
 }
 
-// CarbonEstimate evaluates just Eq. 1 — used by schedulers that score
-// candidate placements without committing them.
-func (m *Model) CarbonEstimate(s region.Snapshot, energy units.KWh, duration time.Duration) units.GramsCO2 {
-	return m.ForJob(s, energy, duration).Carbon()
-}
-
-// WaterEstimate evaluates just Eq. 5.
-func (m *Model) WaterEstimate(s region.Snapshot, energy units.KWh, duration time.Duration) units.Liters {
-	return m.ForJob(s, energy, duration).Water()
-}
-
 // WaterIntensity evaluates Eq. 6 with the model's perturbation applied.
 func (m *Model) WaterIntensity(s region.Snapshot) units.WaterIntensity {
 	return units.WaterIntensity((float64(s.WUE) + s.PUE*float64(s.EWIF)) *

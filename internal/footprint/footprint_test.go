@@ -110,18 +110,6 @@ func TestAddAccumulates(t *testing.T) {
 	}
 }
 
-func TestEstimateHelpersMatchForJob(t *testing.T) {
-	m := NewModel(NoPerturbation)
-	s := snap()
-	fp := m.ForJob(s, 0.3, 20*time.Minute)
-	if m.CarbonEstimate(s, 0.3, 20*time.Minute) != fp.Carbon() {
-		t.Error("CarbonEstimate disagrees with ForJob")
-	}
-	if m.WaterEstimate(s, 0.3, 20*time.Minute) != fp.Water() {
-		t.Error("WaterEstimate disagrees with ForJob")
-	}
-}
-
 // Property: footprints are monotone in energy, duration, carbon intensity,
 // and WSF, and never negative.
 func TestQuickFootprintMonotonicity(t *testing.T) {

@@ -177,16 +177,6 @@ func (s *Series) MixAt(t time.Time) energy.Mix {
 	return s.Mixes[i]
 }
 
-// CarbonIntensityAt returns the grid carbon intensity at time t under tbl.
-func (s *Series) CarbonIntensityAt(t time.Time, tbl energy.FactorTable) units.CarbonIntensity {
-	return s.MixAt(t).CarbonIntensity(tbl)
-}
-
-// EWIFAt returns the grid energy-water intensity factor at time t under tbl.
-func (s *Series) EWIFAt(t time.Time, tbl energy.FactorTable) units.EWIF {
-	return s.MixAt(t).EWIF(tbl)
-}
-
 // MeanCarbonIntensity averages the carbon intensity over the whole series.
 func (s *Series) MeanCarbonIntensity(tbl energy.FactorTable) units.CarbonIntensity {
 	if len(s.Mixes) == 0 {

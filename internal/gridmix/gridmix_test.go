@@ -120,9 +120,8 @@ func TestCarbonIntensityVariesOverTime(t *testing.T) {
 		t.Fatal(err)
 	}
 	var cis []float64
-	for h := range s.Mixes {
-		at := testStart.Add(time.Duration(h) * time.Hour)
-		cis = append(cis, float64(s.CarbonIntensityAt(at, energy.Table)))
+	for _, mix := range s.Mixes {
+		cis = append(cis, float64(mix.CarbonIntensity(energy.Table)))
 	}
 	if sd := stats.StdDev(cis); sd < 5 {
 		t.Errorf("CI stddev = %.1f, want meaningful temporal variation", sd)

@@ -148,21 +148,6 @@ func New(nvars int) *Problem {
 // NumVars returns the number of decision variables.
 func (p *Problem) NumVars() int { return p.nvars }
 
-// NumConstraints returns the number of constraint rows added so far.
-func (p *Problem) NumConstraints() int { return len(p.rows) }
-
-// SetSense sets the optimization direction.
-func (p *Problem) SetSense(s Sense) { p.sense = s }
-
-// SetObjectiveCoef sets the objective coefficient of variable i.
-func (p *Problem) SetObjectiveCoef(i int, c float64) error {
-	if i < 0 || i >= p.nvars {
-		return fmt.Errorf("lp: objective variable %d out of range [0,%d)", i, p.nvars)
-	}
-	p.obj[i] = c
-	return nil
-}
-
 // SetObjective replaces the whole objective vector.
 func (p *Problem) SetObjective(c []float64, sense Sense) error {
 	if len(c) != p.nvars {

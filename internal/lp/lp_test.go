@@ -234,9 +234,6 @@ func TestErrorPaths(t *testing.T) {
 	if err := p.SetObjective([]float64{1}, Minimize); err == nil {
 		t.Error("wrong-length objective accepted")
 	}
-	if err := p.SetObjectiveCoef(5, 1); err == nil {
-		t.Error("out-of-range objective coef accepted")
-	}
 	if err := p.SetBounds(0, 3, 1); err == nil {
 		t.Error("inverted bounds accepted")
 	}

@@ -7,7 +7,6 @@ package metrics
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -201,14 +200,6 @@ func (t *Table) String() string {
 	return b.String()
 }
 
-// SortRegionIDs returns ids sorted lexically — a stable order for report
-// output when the environment order is not meaningful.
-func SortRegionIDs(ids []region.ID) []region.ID {
-	out := append([]region.ID(nil), ids...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 func minInt(a, b int) int {
 	if a < b {
 		return a
@@ -221,60 +212,3 @@ func Pct(v float64) string { return fmt.Sprintf("%.1f%%", v) }
 
 // Times formats a normalized multiplier like Table 2 ("1.09x").
 func Times(v float64) string { return fmt.Sprintf("%.2fx", v) }
-
-// Utilization summarizes how busy the cluster was during a run.
-type Utilization struct {
-	// Mean is the average fraction of servers busy across the run.
-	Mean float64
-	// Peak is the highest per-sample busy fraction observed.
-	Peak float64
-	// Series is the sampled busy fraction over time (one point per
-	// sampling interval).
-	Series []float64
-}
-
-// ClusterUtilization reconstructs the cluster-wide utilization over time
-// from job outcomes: at each sample instant, the fraction of totalServers
-// occupied by running jobs. The sample interval must be positive.
-func ClusterUtilization(res *cluster.Result, totalServers int, interval time.Duration) (Utilization, error) {
-	if totalServers <= 0 {
-		return Utilization{}, fmt.Errorf("metrics: non-positive server count %d", totalServers)
-	}
-	if interval <= 0 {
-		return Utilization{}, fmt.Errorf("metrics: non-positive sample interval %v", interval)
-	}
-	if len(res.Outcomes) == 0 {
-		return Utilization{}, nil
-	}
-	start := res.Outcomes[0].Start
-	end := res.Outcomes[0].Finish
-	for _, o := range res.Outcomes {
-		if o.Start.Before(start) {
-			start = o.Start
-		}
-		if o.Finish.After(end) {
-			end = o.Finish
-		}
-	}
-	n := int(end.Sub(start)/interval) + 1
-	busy := make([]int, n)
-	for _, o := range res.Outcomes {
-		from := int(o.Start.Sub(start) / interval)
-		to := int(o.Finish.Sub(start) / interval)
-		for i := from; i <= to && i < n; i++ {
-			busy[i]++
-		}
-	}
-	u := Utilization{Series: make([]float64, n)}
-	sum := 0.0
-	for i, b := range busy {
-		f := float64(b) / float64(totalServers)
-		u.Series[i] = f
-		sum += f
-		if f > u.Peak {
-			u.Peak = f
-		}
-	}
-	u.Mean = sum / float64(n)
-	return u, nil
-}

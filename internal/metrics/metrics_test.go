@@ -162,46 +162,8 @@ func TestFormattersAndSort(t *testing.T) {
 	if Times(1.234) != "1.23x" {
 		t.Errorf("Times = %q", Times(1.234))
 	}
-	got := SortRegionIDs([]region.ID{region.Zurich, region.Madrid})
-	if got[0] != region.Madrid || got[1] != region.Zurich {
-		t.Errorf("SortRegionIDs = %v", got)
-	}
 }
 
 // tiny aliases keeping fabricated outcomes readable.
 func unitsG(v float64) units.GramsCO2 { return units.GramsCO2(v) }
 func unitsL(v float64) units.Liters   { return units.Liters(v) }
-
-func TestClusterUtilization(t *testing.T) {
-	r := &cluster.Result{Scheduler: "x"}
-	// Two jobs on a 4-server cluster: one 0-10min, one 5-15min.
-	a := outcome(0, region.Oregon, region.Oregon, 1, 1, 10*time.Minute, 10*time.Minute, false)
-	b := outcome(1, region.Oregon, region.Oregon, 1, 1, 10*time.Minute, 10*time.Minute, false)
-	b.Start = t0.Add(5 * time.Minute)
-	b.Finish = t0.Add(15 * time.Minute)
-	r.Outcomes = append(r.Outcomes, a, b)
-
-	u, err := ClusterUtilization(r, 4, 5*time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if u.Peak != 0.5 {
-		t.Errorf("peak = %g, want 0.5 (both jobs overlap)", u.Peak)
-	}
-	if u.Mean <= 0 || u.Mean > 0.5 {
-		t.Errorf("mean = %g outside (0, 0.5]", u.Mean)
-	}
-	if len(u.Series) == 0 {
-		t.Error("series empty")
-	}
-	if _, err := ClusterUtilization(r, 0, time.Minute); err == nil {
-		t.Error("zero servers accepted")
-	}
-	if _, err := ClusterUtilization(r, 4, 0); err == nil {
-		t.Error("zero interval accepted")
-	}
-	empty, err := ClusterUtilization(&cluster.Result{}, 4, time.Minute)
-	if err != nil || empty.Mean != 0 {
-		t.Errorf("empty result should give zero utilization, got %+v, %v", empty, err)
-	}
-}

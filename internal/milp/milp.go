@@ -82,8 +82,6 @@ type Options struct {
 	RelGap float64
 	// TimeLimit caps wall-clock search time; 0 means no limit.
 	TimeLimit time.Duration
-	// IntTol is the integrality tolerance; 0 means the default 1e-6.
-	IntTol float64
 	// Workers sets the node-exploration worker count; 0 or 1 runs the
 	// search serially (the scheduler resolves 0 to AutoWorkers(batch)
 	// before solving, so large rounds parallelize by default). A search
@@ -106,6 +104,10 @@ type Options struct {
 	// final objective of a completed search does not depend on it.
 	Seed int64
 }
+
+// intTol is the integrality tolerance: a variable within it of an integer
+// counts as integral.
+const intTol = 1e-6
 
 // autoWorkersBatch is the batch size from which AutoWorkers starts handing
 // out more than one worker; below it the per-node LPs are too cheap for the
@@ -136,9 +138,6 @@ func AutoWorkers(batch int) int {
 func (o Options) withDefaults() Options {
 	if o.MaxNodes == 0 {
 		o.MaxNodes = 100000
-	}
-	if o.IntTol == 0 {
-		o.IntTol = 1e-6
 	}
 	if o.Workers <= 0 {
 		o.Workers = 1
@@ -506,7 +505,7 @@ func (s *search) fractional(x []float64) int {
 		}
 		f := x[i] - math.Floor(x[i])
 		d := math.Min(f, 1-f)
-		if d > s.opts.IntTol && d > bestDist {
+		if d > intTol && d > bestDist {
 			bestDist = d
 			bestV = i
 		}
@@ -540,11 +539,11 @@ func (s *search) expand(n *node, v int, sol *lp.Solution, obj float64, prob *lp.
 			}
 			d := sol.ReducedCosts[j]
 			switch {
-			case d > 1e-9 && sol.X[j] <= lo+s.opts.IntTol:
+			case d > 1e-9 && sol.X[j] <= lo+intTol:
 				if obj+d >= incumbent-1e-9 {
 					rcFixes = append(rcFixes, boundFix{j, lo, lo})
 				}
-			case d < -1e-9 && !math.IsInf(hi, 1) && sol.X[j] >= hi-s.opts.IntTol:
+			case d < -1e-9 && !math.IsInf(hi, 1) && sol.X[j] >= hi-intTol:
 				if obj-d >= incumbent-1e-9 {
 					rcFixes = append(rcFixes, boundFix{j, hi, hi})
 				}
@@ -663,7 +662,7 @@ func (s *search) dive(rootBasis *lp.Basis, rootX []float64) {
 			}
 			f := x[i] - math.Floor(x[i])
 			d := math.Min(f, 1-f)
-			if d <= s.opts.IntTol {
+			if d <= intTol {
 				continue
 			}
 			switch {

@@ -45,12 +45,6 @@ var boundaries = func() [numBuckets]float64 {
 	return b
 }()
 
-// NumBuckets reports the number of finite buckets in the shared scheme.
-func NumBuckets() int { return numBuckets }
-
-// BucketBound reports the inclusive upper edge of bucket i, in seconds.
-func BucketBound(i int) float64 { return boundaries[i] }
-
 // bucketIndex maps a value in seconds to its bucket: the smallest i with
 // v <= boundaries[i], or numBuckets for values past the last edge (they
 // count toward +Inf only). Non-positive values land in bucket 0.

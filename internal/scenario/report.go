@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
 	"time"
 
@@ -164,10 +163,10 @@ func (r *run) evaluate() (*Report, error) {
 	}
 	if slo.RequireFreshAtEnd {
 		fresh := 0.0
-		if !health.Stale {
+		if r.recovered {
 			fresh = 1
 		}
-		check("require-fresh-at-end", !health.Stale, fresh, 1, "feed health still stale after faults cleared")
+		check("require-fresh-at-end", r.recovered, fresh, 1, "feed health still stale after faults cleared")
 	}
 	if slo.MinFsyncP99Ms > 0 {
 		check("min-fsync-p99-ms", rep.FsyncP99Ms >= slo.MinFsyncP99Ms,
@@ -297,12 +296,3 @@ func roundTripCSV(jobs []*trace.Job) ([]*trace.Job, error) {
 
 // ReportPath is the conventional repo-root report file name.
 const ReportPath = "BENCH_SCENARIOS.json"
-
-// DefaultReportPath joins ReportPath onto dir (empty dir: current
-// directory).
-func DefaultReportPath(dir string) string {
-	if dir == "" {
-		return ReportPath
-	}
-	return filepath.Join(dir, ReportPath)
-}

@@ -107,6 +107,7 @@ type run struct {
 	submitted, rejected int
 
 	maxStaleness float64 // max feed staleness seen at any driver poll, s
+	recovered    bool    // awaitFresh saw feed health clear after the schedule
 	faultLog     []string
 	decisions    []fleet.Decision // the settled merged stream (evaluate)
 }
@@ -293,7 +294,7 @@ func (r *run) execute() (*Report, error) {
 	}
 	r.fl.Stop()
 	if s.SLOs.RequireFreshAtEnd {
-		r.awaitFresh(ctx)
+		r.recovered = r.awaitFresh(ctx)
 	}
 	return r.evaluate()
 }
@@ -345,8 +346,15 @@ func (r *run) drive(ctx context.Context, next int) error {
 		if ctx.Err() != nil {
 			return fmt.Errorf("scenario %s: timed out driving the fault schedule: %w", r.spec.Name, ctx.Err())
 		}
-		progress := r.progress()
-		for next < len(r.jobs) && r.submitRound(r.jobs[next]) <= progress+2 {
+		progress, idle := r.progress()
+		ahead := progress + 2
+		if idle && next < len(r.jobs) {
+			// A drained fleet parks instead of stepping rounds, so its round
+			// count never reaches a next arrival more than two rounds out:
+			// feed that arrival's round now, or the run waits forever.
+			ahead = max(ahead, r.submitRound(r.jobs[next]))
+		}
+		for next < len(r.jobs) && r.submitRound(r.jobs[next]) <= ahead {
 			r.submit(r.jobs[next])
 			next++
 		}
@@ -369,15 +377,16 @@ func (r *run) drive(ctx context.Context, next int) error {
 
 // progress is the run's round clock: the most rounds any shard has
 // completed (dead shards hold their pre-crash count, live shards keep
-// advancing, so the clock never stalls during a kill window).
-func (r *run) progress() uint64 {
-	var max uint64
+// advancing, so the clock never stalls during a kill window). idle
+// reports that no shard has anything queued or pending.
+func (r *run) progress() (rounds uint64, idle bool) {
+	idle = true
 	for i := 0; i < r.fl.Shards(); i++ {
-		if n := r.fl.Shard(i).Status().Rounds; n > max {
-			max = n
-		}
+		st := r.fl.Shard(i).Status()
+		rounds = max(rounds, st.Rounds)
+		idle = idle && st.Pending+st.Future == 0
 	}
-	return max
+	return rounds, idle
 }
 
 // step advances one fault through apply/clear against the round clock.
@@ -452,10 +461,13 @@ func (r *run) clear(f *faultState) {
 }
 
 // awaitFresh polls the provider until feed health clears (or a short
-// deadline passes) — the post-outage recovery the RequireFreshAtEnd SLO
-// asserts. Live providers refresh on At, so the poll itself drives the
-// re-fetch.
-func (r *run) awaitFresh(ctx context.Context) {
+// deadline passes) and reports whether it did — the post-outage recovery
+// the RequireFreshAtEnd SLO asserts. Live providers refresh on At, so the
+// poll itself drives the re-fetch. The SLO is judged on this observation,
+// not on a later re-read: scenario TTLs are milliseconds, so a reading
+// seen fresh here has aged out again by the time evaluate runs on a slow
+// (raced) build.
+func (r *run) awaitFresh(ctx context.Context) bool {
 	prov := r.env.Provider()
 	keys := prov.Regions()
 	deadline := time.Now().Add(2 * time.Second)
@@ -464,8 +476,9 @@ func (r *run) awaitFresh(ctx context.Context) {
 			_, _ = prov.At(key, Epoch)
 		}
 		if h := feed.HealthOf(prov); !h.Stale {
-			return
+			return true
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
+	return false
 }

@@ -267,35 +267,39 @@ type WALStatus struct {
 	Deduped uint64 `json:"deduped_total"`
 }
 
-// openDurable attaches the WAL at cfg.DataDir and runs the restart path:
-// load the newest valid snapshot, replay the log tail through the
-// simulator, and leave the server ready to Start exactly where the dead
-// process would have resumed. Called from New before the server is
-// visible to anyone; no locking needed.
+// openDurable opens the WAL at cfg.DataDir and runs the restart path,
+// leaving the server ready to Start exactly where the dead process would
+// have resumed. The log is attached only after recovery: nothing replay
+// drives writes to it. Called from New, before anyone can see the server.
 func (s *Server) openDurable() error {
 	l, err := wal.Open(wal.Options{Dir: s.cfg.DataDir, SyncDelay: s.cfg.WALSyncDelay})
 	if err != nil {
 		return err
 	}
 	t0 := time.Now()
+	if err := s.recoverFrom(l); err != nil {
+		l.Close()
+		return err
+	}
+	s.wlog, s.lastWalSync, s.recoveryDur = l, time.Now(), time.Since(t0)
+	return nil
+}
+
+// recoverFrom loads the newest valid snapshot and replays the log tail
+// behind it through the shard's own transitions.
+func (s *Server) recoverFrom(l *wal.Log) error {
 	payload, covered, err := l.LatestSnapshot()
 	if err != nil {
-		l.Close()
 		return err
 	}
 	if covered+1 < l.FirstIndex() {
 		// Retention deleted segments trusting a newer snapshot that is now
 		// unreadable; the surviving snapshot leaves a gap nothing can fill.
-		l.Close()
 		return fmt.Errorf("server: wal records %d..%d lost (snapshot covers %d, log starts at %d)",
 			covered+1, l.FirstIndex()-1, covered, l.FirstIndex())
 	}
-	s.wlog = l
-	s.lastWalSync = time.Now()
 	if payload != nil {
 		if err := s.restoreSnapshot(payload); err != nil {
-			l.Close()
-			s.wlog = nil
 			return fmt.Errorf("server: restoring snapshot: %w", err)
 		}
 		s.recoveredSnap = true
@@ -307,15 +311,17 @@ func (s *Server) openDurable() error {
 		}
 		return nil
 	}); err != nil {
-		l.Close()
-		s.wlog = nil
 		return fmt.Errorf("server: replaying wal: %w", err)
 	}
-	s.recoveryDur = time.Since(t0)
 	return nil
 }
 
-// replayRecord applies one logged record during recovery.
+// replayRecord is the recovery driver: it decodes one logged record and
+// applies it through the transitions the live server ran — admitLocked
+// for a job, ingestDueLocked and stepLocked for a round. It adds the
+// log's checksum role: a logged round with nothing to run, or ending at
+// another seq than recorded, is ErrReplayDiverged (stepLocked compares
+// the decisions themselves).
 func (s *Server) replayRecord(payload []byte) error {
 	d := &walDec{b: payload}
 	switch typ := d.u8(); typ {
@@ -325,7 +331,7 @@ func (s *Server) replayRecord(payload []byte) error {
 		if d.err != nil {
 			return d.err
 		}
-		s.replayJob(job, digest)
+		s.admitLocked(job, digest, time.Time{})
 		return nil
 	case recRound:
 		k := d.i64()
@@ -334,94 +340,49 @@ func (s *Server) replayRecord(payload []byte) error {
 		if d.err != nil {
 			return d.err
 		}
-		ds := make([]Decision, n)
-		for i := range ds {
-			ds[i] = decDecision(d)
+		logged := make([]Decision, n)
+		for i := range logged {
+			logged[i] = decDecision(d)
 		}
 		if d.err != nil {
 			return d.err
 		}
-		return s.replayRound(k, decSeqAfter, ds)
+		now := s.ingestDueLocked(k, time.Time{})
+		if !now.Before(s.cfg.Env.End()) || s.sim.Pending() == 0 {
+			return fmt.Errorf("%w: logged round %d cannot re-run (pending %d)", ErrReplayDiverged, k, s.sim.Pending())
+		}
+		if _, _, err := s.stepLocked(k, logged); err != nil {
+			return fmt.Errorf("server: replaying round %d: %w", k, err)
+		}
+		if s.decSeq != decSeqAfter {
+			return fmt.Errorf("%w: round %d ends at seq %d, log says %d", ErrReplayDiverged, k, s.decSeq, decSeqAfter)
+		}
+		return nil
 	default:
 		return fmt.Errorf("server: unknown wal record type %d", typ)
 	}
 }
 
-// replayJob re-applies an accepted submission: the validation already
-// happened before the record was written, so this is the commit half of
-// Submit.
-func (s *Server) replayJob(job *trace.Job, digest uint64) {
-	if job.ID >= s.autoID {
-		s.autoID = job.ID + 1
-	}
-	s.live[job.ID] = digest
-	heap.Push(&s.future, job)
-	s.accepted++
-}
-
-// replayRound re-runs one logged scheduling round: same ingest, same
-// simulator step, and therefore — determinism is the durability
-// foundation here — the same decisions, which are validated field by
-// field against the logged ones. The ring entries are taken from the log
-// so the original DecidedWall stamps survive the restart.
-func (s *Server) replayRound(k int64, decSeqAfter uint64, logged []Decision) error {
-	now := s.cfg.Env.Start.Add(time.Duration(k) * s.cfg.Round)
-	s.nextK = k + 1
-	s.simNow = now
-	for len(s.future) > 0 && !s.future[0].Submit.After(now) {
-		job := heap.Pop(&s.future).(*trace.Job)
-		s.sim.Submit(job, now)
-	}
-	if !now.Before(s.cfg.Env.End()) || s.sim.Pending() == 0 {
-		return fmt.Errorf("%w: logged round %d cannot re-run (pending %d)", ErrReplayDiverged, k, s.sim.Pending())
-	}
-	t0 := time.Now()
-	outcomes, err := s.sim.Step(now)
-	s.overheadSum += time.Since(t0)
-	s.rounds++
-	if err != nil {
-		return fmt.Errorf("server: replaying round %d: %w", k, err)
-	}
-	if len(outcomes) != len(logged) {
-		return fmt.Errorf("%w: round %d re-derived %d decisions, log has %d", ErrReplayDiverged, k, len(outcomes), len(logged))
-	}
-	for i := range outcomes {
-		o, ld := &outcomes[i], logged[i]
-		s.decSeq++
-		s.decided++
-		if ld.Seq != s.decSeq || ld.JobID != o.Job.ID || ld.Region != o.Region ||
-			!ld.Start.Equal(o.Start) || !ld.Finish.Equal(o.Finish) {
-			return fmt.Errorf("%w: round %d decision %d: re-derived job %d -> %s [%v, %v] seq %d, log says job %d -> %s [%v, %v] seq %d",
-				ErrReplayDiverged, k, i, o.Job.ID, o.Region, o.Start, o.Finish, s.decSeq,
-				ld.JobID, ld.Region, ld.Start, ld.Finish, ld.Seq)
-		}
-		s.recordDecidedLocked(o.Job.ID)
-		s.logDecisionLocked(ld)
-	}
-	if s.decSeq != decSeqAfter {
-		return fmt.Errorf("%w: round %d ends at seq %d, log says %d", ErrReplayDiverged, k, s.decSeq, decSeqAfter)
-	}
-	return nil
-}
-
 // recordDecidedLocked moves a job's dedupe entry from the live set to the
 // bounded decided index, so a client retrying a decided job gets its
-// original id back instead of ErrDuplicateID. Called with mu held.
-func (s *Server) recordDecidedLocked(id int) {
-	digest, ok := s.live[id]
+// original id back instead of ErrDuplicateID. It returns the instant the
+// job was accepted (zero when unknown). Called with mu held.
+func (s *Server) recordDecidedLocked(id int) time.Time {
+	lj, ok := s.live[id]
 	if !ok {
-		return
+		return time.Time{}
 	}
 	delete(s.live, id)
 	if _, exists := s.decidedIdx[id]; !exists {
 		s.decidedFIFO = append(s.decidedFIFO, id)
 	}
-	s.decidedIdx[id] = digest
+	s.decidedIdx[id] = lj.digest
 	for len(s.decidedFIFO) > dedupeCap {
 		victim := s.decidedFIFO[0]
 		s.decidedFIFO = s.decidedFIFO[1:]
 		delete(s.decidedIdx, victim)
 	}
+	return lj.accepted
 }
 
 // walAppendLocked appends one record; an I/O failure is fatal to the
@@ -475,40 +436,28 @@ func (s *Server) walSyncIfDirtyLocked() error {
 // replay re-derives, and never a decision that was already served.
 // Called with mu held, after the round's decisions are in the ring.
 //
-// rt, when non-nil, receives the round's durability stage timings
-// (append, fsync, snapshot) for the round trace; a nil rt skips every
-// clock read so the obs-off path pays nothing here.
-func (s *Server) walRoundLocked(k int64, ds []Decision, rt *obs.RoundTrace) {
-	var mark time.Time
-	if rt != nil {
-		mark = time.Now()
-	}
-	if s.walAppendLocked(encodeRoundRecord(k, s.decSeq, ds)) != nil {
+// rt receives the round's durability stage timings (append, fsync,
+// snapshot) for the round trace. They are taken whether or not anyone
+// keeps the trace: the interval check needs the clock anyway, so that is
+// one extra read beside a log append, against a branch per stage edge.
+func (s *Server) walRoundLocked(k int64, rt *obs.RoundTrace) {
+	mark := time.Now()
+	if s.walAppendLocked(encodeRoundRecord(k, s.decSeq, s.roundDecs)) != nil {
 		return
 	}
-	if rt != nil {
-		rt.Stages[obs.StageWALAppend] = time.Since(mark)
-	}
-	if time.Since(s.lastWalSync) >= s.cfg.SyncInterval {
-		if rt != nil {
-			mark = time.Now()
-		}
+	now := time.Now()
+	rt.Stages[obs.StageWALAppend] = now.Sub(mark)
+	if now.Sub(s.lastWalSync) >= s.cfg.SyncInterval {
 		if s.walSyncLocked() != nil {
 			return
 		}
-		if rt != nil {
-			rt.Stages[obs.StageWALFsync] = time.Since(mark)
-		}
+		rt.Stages[obs.StageWALFsync] = time.Since(now)
 	}
 	s.sinceSnap++
 	if s.sinceSnap >= s.cfg.SnapshotEvery {
-		if rt != nil {
-			mark = time.Now()
-		}
+		mark = time.Now()
 		_ = s.snapshotLocked()
-		if rt != nil {
-			rt.Stages[obs.StageSnapshot] = time.Since(mark)
-		}
+		rt.Stages[obs.StageSnapshot] = time.Since(mark)
 	}
 }
 
@@ -560,9 +509,9 @@ func (s *Server) marshalSnapshotLocked() []byte {
 	// Live dedupe entries (id -> spec digest); iteration order is
 	// irrelevant, it restores into a map.
 	e.u32(uint32(len(s.live)))
-	for id, digest := range s.live {
+	for id, lj := range s.live {
 		e.i64(int64(id))
-		e.u64(digest)
+		e.u64(lj.digest)
 	}
 	// Decided dedupe index, in FIFO order so eviction resumes correctly.
 	e.u32(uint32(len(s.decidedFIFO)))
@@ -593,11 +542,8 @@ func (s *Server) marshalSnapshotLocked() []byte {
 		}
 	}
 	// Decision ring, oldest first.
-	n := len(s.decisions)
-	e.u32(uint32(n))
-	for i := 0; i < n; i++ {
-		encDecision(&e, s.decisions[(s.decHead+i)%n])
-	}
+	e.u32(uint32(s.decisions.Len()))
+	s.decisions.Each(func(dd Decision) { encDecision(&e, dd) })
 	return e.b
 }
 
@@ -634,7 +580,7 @@ func (s *Server) restoreSnapshot(payload []byte) error {
 	}
 	for i := 0; i < nl; i++ {
 		id := int(d.i64())
-		s.live[id] = d.u64()
+		s.live[id] = liveJob{digest: d.u64()}
 	}
 	nd := int(d.u32())
 	if d.err != nil {
@@ -684,7 +630,7 @@ func (s *Server) restoreSnapshot(payload []byte) error {
 		return d.err
 	}
 	for i := 0; i < nr; i++ {
-		s.logDecisionLocked(decDecision(d))
+		s.decisions.Append(decDecision(d))
 	}
 	return d.err
 }
@@ -693,27 +639,17 @@ func (s *Server) restoreSnapshot(payload []byte) error {
 // loop halts, the WAL drops everything buffered since its last sync and
 // closes without a final snapshot, and queued state simply evaporates —
 // exactly what SIGKILL leaves on disk. Recovery happens by constructing
-// a new server over the same DataDir.
+// a new server over the same DataDir. (A read that lands between the halt
+// and the drop may group-commit first: the same kill, a moment later.)
 func (s *Server) Crash() {
-	s.mu.Lock()
-	started := s.started
-	if s.stopped {
-		s.mu.Unlock()
-		if started {
-			<-s.loopDone
-		}
+	if !s.halt() {
 		return
 	}
-	s.stopped = true
-	close(s.stopCh)
+	s.mu.Lock()
 	if s.wlog != nil {
 		s.wlog.Crash()
 	}
-	s.cond.Broadcast()
 	s.mu.Unlock()
-	if started {
-		<-s.loopDone
-	}
 }
 
 // NextAutoID reports the next id an ID-less submission would receive —

@@ -3,16 +3,20 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"waterwise/internal/cluster"
 	"waterwise/internal/region"
+	"waterwise/internal/wal"
 )
 
 // sameDecisionStream asserts two decision streams are decision-for-
@@ -304,10 +308,12 @@ func TestWALStatusAndMetricsExposed(t *testing.T) {
 	}
 }
 
-// TestRecoveryRefusesDivergedConfig: recovering a data directory under a
-// different round cadence re-derives different decisions than the log
-// recorded; the replay checksum must refuse to serve rather than resume
-// with renumbered history.
+// TestRecoveryRefusesDivergedConfig: a data directory recovered under a
+// configuration that re-derives different decisions than the log
+// recorded, or whose round record no longer matches the round, must be
+// refused by the replay checksum rather than resumed with renumbered
+// history. Each case names the divergence check it has to reach through
+// the round body live rounds and replay share.
 func TestRecoveryRefusesDivergedConfig(t *testing.T) {
 	env := testEnv(t)
 	jobs := genTrace(t, env, 500, 12)
@@ -334,11 +340,150 @@ func TestRecoveryRefusesDivergedConfig(t *testing.T) {
 	}
 	srv.Crash()
 
-	bad := durableConfig(t, dir)
-	bad.SnapshotEvery = 1 << 30
-	bad.Round = 30 * time.Second
-	if _, err := New(bad); !errors.Is(err, ErrReplayDiverged) {
-		t.Fatalf("recovery under a different cadence: got %v, want ErrReplayDiverged", err)
+	// dropLastDecision rewrites the log into a fresh directory with the
+	// last decision cut off the first round record that has two or more.
+	dropLastDecision := func(t *testing.T) string {
+		out := t.TempDir()
+		src, err := wal.Open(wal.Options{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer src.Close()
+		dst, err := wal.Open(wal.Options{Dir: out})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer dst.Close()
+		cut := false
+		if err := src.Replay(0, func(_ uint64, p []byte) error {
+			if d := (&walDec{b: p}); !cut && d.u8() == recRound {
+				k, seqAfter, n := d.i64(), d.u64(), int(d.u32())
+				if n >= 2 {
+					ds := make([]Decision, n)
+					for i := range ds {
+						ds[i] = decDecision(d)
+					}
+					p, cut = encodeRoundRecord(k, seqAfter, ds[:n-1]), true
+				}
+			}
+			_, err := dst.Append(p)
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if !cut {
+			t.Fatal("log holds no round record with two decisions")
+		}
+		return out
+	}
+
+	for _, tc := range []struct {
+		name   string
+		mutate func(t *testing.T, c *Config)
+		want   string // the divergence check's message
+	}{
+		{"round cadence", func(_ *testing.T, c *Config) { c.Round = 30 * time.Second }, ""},
+		{"tolerance", func(_ *testing.T, c *Config) { c.Tolerance = 0 }, "re-derived job"},
+		{"truncated round record", func(t *testing.T, c *Config) { c.DataDir = dropLastDecision(t) }, "decisions, log has"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := durableConfig(t, dir)
+			bad.SnapshotEvery = 1 << 30
+			tc.mutate(t, &bad)
+			_, err := New(bad)
+			if !errors.Is(err, ErrReplayDiverged) {
+				t.Fatalf("recovery under a diverged %s: got %v, want ErrReplayDiverged", tc.name, err)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("recovery under a diverged %s reached the wrong check: %v (want %q)", tc.name, err, tc.want)
+			}
+		})
+	}
+}
+
+// goldenSpecs are the three submissions behind the golden WAL fixtures:
+// two due in round 1, one still queued when the snapshot is taken.
+func goldenSpecs() []JobSpec {
+	id := func(n int) *int { return &n }
+	return []JobSpec{
+		{ID: id(7), Benchmark: "canneal", Home: region.Zurich, Submit: testStart.Add(10 * time.Second)},
+		{ID: id(8), Benchmark: "dedup", Home: region.Mumbai, Submit: testStart.Add(20 * time.Second),
+			DurationSec: 90.5, EnergyKWh: 0.25, EstDurationSec: 80, EstEnergyKWh: 0.2},
+		{ID: id(9), Benchmark: "canneal", Home: region.Oregon, Submit: testStart.Add(5 * time.Hour)},
+	}
+}
+
+// TestGoldenWALBytes pins the on-disk payloads — a job record, a round
+// record carrying two decisions (one with a zero DecidedWall), and a v1
+// snapshot of a small non-empty server — against fixtures the commit
+// before the shared round body wrote: a data directory from before it must
+// recover after it, and what this code writes must still read there. Both
+// directions run through the shared admit and round transitions.
+func TestGoldenWALBytes(t *testing.T) {
+	golden := func(name string) []byte {
+		raw, err := os.ReadFile(filepath.Join("testdata", name+".hex"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := hex.DecodeString(string(bytes.TrimSpace(raw)))
+		if err != nil {
+			t.Fatalf("%s: bad fixture hex: %v", name, err)
+		}
+		return b
+	}
+	fresh := func() *Server {
+		s, err := New(Config{Env: testEnv(t), Scheduler: newScheduler(t, false), Tolerance: 0.5,
+			Round: time.Minute, DecisionLogCap: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	same := func(what string, got, want []byte) {
+		t.Helper()
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s changed:\n got %x\nwant %x\non-disk compatibility break — bump snapVersion / add a record type, or revert", what, got, want)
+		}
+	}
+
+	srv := fresh()
+	for i, spec := range goldenSpecs() {
+		job, err := srv.buildJob(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := encodeJobRecord(job, specDigest(spec))
+		if i == 1 {
+			same("job record encoding", rec, golden("wal_job_v1"))
+		}
+		if err := srv.replayRecord(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	round := golden("wal_round_v1")
+	if err := srv.replayRecord(round); err != nil {
+		t.Fatalf("replaying the golden round record: %v", err)
+	}
+	ds := srv.Decisions(0, 0)
+	if len(ds) != 2 || !ds[0].DecidedWall.IsZero() || ds[1].DecidedWall.IsZero() {
+		t.Fatalf("golden round published %+v, want two decisions, the first with a zero DecidedWall", ds)
+	}
+	same("round record encoding", encodeRoundRecord(1, 2, ds), round)
+
+	// The counters below are not derived from the records: two are
+	// wall-measured or client-driven, pinned to the fixture's values.
+	srv.overheadSum, srv.rejected, srv.deduped = 1500*time.Microsecond, 3, 1
+	snap := golden("snapshot_v1")
+	same("snapshot encoding", srv.marshalSnapshotLocked(), snap)
+
+	restored := fresh()
+	if err := restored.restoreSnapshot(snap); err != nil {
+		t.Fatalf("restoring the golden snapshot: %v", err)
+	}
+	same("snapshot after a restore round trip", restored.marshalSnapshotLocked(), snap)
+	sameDecisionStream(t, restored.Decisions(0, 0), ds)
+	if st := restored.Status(); st.Future != 1 || st.Accepted != 3 || st.LastSeq != 2 {
+		t.Errorf("restored server: future %d accepted %d last seq %d, want 1, 3, 2", st.Future, st.Accepted, st.LastSeq)
 	}
 }
 

@@ -26,10 +26,9 @@ type ObsConfig struct {
 	JobSampleEvery int
 }
 
-// serverObs bundles one server's recorders. acceptedWall and lastSolver
-// are guarded by the server mutex; the histograms, ring, and tracer have
-// their own synchronization (so the ingest handler records outside the
-// lock).
+// serverObs bundles one server's recorders. lastSolver is guarded by the
+// server mutex; the histograms, ring, and tracer have their own
+// synchronization (so the ingest handler records outside the lock).
 type serverObs struct {
 	decision *obs.Histogram // Submit acceptance -> round commit, wall seconds
 	ingest   *obs.Histogram // POST /v1/jobs handler wall seconds
@@ -37,9 +36,6 @@ type serverObs struct {
 	stages   [obs.NumStages]*obs.Histogram
 	ring     *obs.RoundRing
 	jobs     *obs.JobTracer
-	// acceptedWall stamps each queued job's acceptance for the decision
-	// latency histogram (removed on decide or abandon).
-	acceptedWall map[int]time.Time
 	// lastSolver is the previous round's cumulative solver stats, diffed
 	// for per-round trace attribution.
 	lastSolver milp.Stats
@@ -47,12 +43,11 @@ type serverObs struct {
 
 func newServerObs(cfg ObsConfig) *serverObs {
 	o := &serverObs{
-		decision:     &obs.Histogram{},
-		ingest:       &obs.Histogram{},
-		round:        &obs.Histogram{},
-		ring:         obs.NewRoundRing(0, 0),
-		jobs:         obs.NewJobTracer(cfg.JobSampleEvery, 0),
-		acceptedWall: make(map[int]time.Time),
+		decision: &obs.Histogram{},
+		ingest:   &obs.Histogram{},
+		round:    &obs.Histogram{},
+		ring:     obs.NewRoundRing(0, 0),
+		jobs:     obs.NewJobTracer(cfg.JobSampleEvery, 0),
 	}
 	for i := range o.stages {
 		o.stages[i] = &obs.Histogram{}

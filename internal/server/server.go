@@ -51,10 +51,10 @@ type Config struct {
 	// sharing Env's series) and rejects submissions homed elsewhere with
 	// ErrUnknownRegion. Empty means all of Env's regions.
 	Regions []region.ID
-	// Net is the inter-region transfer model (default transfer.New()).
+	// Net is the inter-region transfer model and FP the footprint model;
+	// nil takes cluster.Config's defaults (transfer.New(), unperturbed).
 	Net *transfer.Model
-	// FP is the footprint model (default: unperturbed).
-	FP *footprint.Model
+	FP  *footprint.Model
 	// Scheduler decides placements each round.
 	Scheduler cluster.Scheduler
 	// Tolerance is the delay tolerance TOL as a fraction (e.g. 0.5).
@@ -119,12 +119,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.Scheduler == nil {
 		return c, errors.New("server: nil scheduler")
-	}
-	if c.Net == nil {
-		c.Net = transfer.New()
-	}
-	if c.FP == nil {
-		c.FP = footprint.NewModel(footprint.NoPerturbation)
 	}
 	if c.Round <= 0 {
 		c.Round = time.Minute
@@ -286,6 +280,14 @@ func (h *futureHeap) Pop() interface{} {
 	return it
 }
 
+// liveJob is an accepted, undecided job's dedupe entry: its spec digest
+// and the wall instant Submit accepted it (zero without observability and
+// for a recovered job), which the decision-latency histogram reads.
+type liveJob struct {
+	digest   uint64
+	accepted time.Time
+}
+
 // Server is the online scheduling service. Construct with New, attach the
 // HTTP API via Handler, start the round loop with Start, and stop with Stop.
 type Server struct {
@@ -302,10 +304,10 @@ type Server struct {
 	simNow time.Time
 	// future holds accepted jobs whose Submit lies beyond simNow.
 	future futureHeap
-	// live tracks jobs accepted but not yet decided, keyed by id with the
-	// submission's spec digest (duplicate rejection + idempotent retry);
-	// autoID assigns ids to spec-less submissions.
-	live   map[int]uint64
+	// live tracks jobs accepted but not yet decided, keyed by id (duplicate
+	// rejection + idempotent retry); autoID assigns ids to spec-less
+	// submissions.
+	live   map[int]liveJob
 	autoID int
 	// decidedIdx remembers decided jobs' spec digests (bounded, FIFO via
 	// decidedFIFO) so a client retrying an already-placed submission gets
@@ -313,9 +315,9 @@ type Server struct {
 	decidedIdx  map[int]uint64
 	decidedFIFO []int
 
-	decisions []Decision // ring, capacity DecisionLogCap
-	decHead   int        // index of the oldest entry once the ring wrapped
+	decisions Ring[Decision] // capacity DecisionLogCap
 	decSeq    uint64
+	roundDecs []Decision // the round in flight's decisions; reused
 
 	accepted, rejected, rounds, decided uint64
 	deduped                             uint64
@@ -368,8 +370,9 @@ func New(cfg Config) (*Server, error) {
 		cfg:        cfg,
 		sim:        sim,
 		simNow:     cfg.Env.Start,
-		live:       make(map[int]uint64),
+		live:       make(map[int]liveJob),
 		decidedIdx: make(map[int]uint64),
+		decisions:  NewRing[Decision](cfg.DecisionLogCap),
 		stopCh:     make(chan struct{}),
 		loopDone:   make(chan struct{}),
 	}
@@ -424,7 +427,7 @@ func (s *Server) Submit(spec JobSpec) (int, error) {
 	}
 	if spec.ID != nil {
 		if g, dup := s.live[job.ID]; dup {
-			if g == digest {
+			if g.digest == digest {
 				s.deduped++
 				return job.ID, nil
 			}
@@ -468,19 +471,26 @@ func (s *Server) Submit(spec JobSpec) (int, error) {
 			}
 		}
 	}
+	var accepted time.Time
+	if s.obs != nil {
+		accepted = time.Now()
+		s.obs.jobs.Accepted(job.ID, accepted, job.Submit)
+	}
+	s.admitLocked(job, digest, accepted)
+	s.cond.Broadcast() // wake an idle accelerated loop
+	return job.ID, nil
+}
+
+// admitLocked commits an accepted job to shard state: the tail of Submit
+// (after validation and the write-ahead append) and all of replaying a
+// job record, which passes a zero stamp. Called with mu held.
+func (s *Server) admitLocked(job *trace.Job, digest uint64, accepted time.Time) {
 	if job.ID >= s.autoID {
 		s.autoID = job.ID + 1
 	}
-	s.live[job.ID] = digest
+	s.live[job.ID] = liveJob{digest: digest, accepted: accepted}
 	heap.Push(&s.future, job)
 	s.accepted++
-	if s.obs != nil {
-		acceptWall := time.Now()
-		s.obs.acceptedWall[job.ID] = acceptWall
-		s.obs.jobs.Accepted(job.ID, acceptWall, job.Submit)
-	}
-	s.cond.Broadcast() // wake an idle accelerated loop
-	return job.ID, nil
 }
 
 // buildJob converts a spec into a trace job, defaulting estimates to the
@@ -541,24 +551,30 @@ func (s *Server) Start() {
 	go s.run()
 }
 
-// Stop halts the round loop, abandons still-queued jobs, and waits for the
-// loop to exit. Idempotent.
-func (s *Server) Stop() {
+// halt is the handshake Stop and Crash share: mark the server stopped,
+// wake the round loop, wait for it to exit. It reports whether this call
+// did the halting; a repeat only waits.
+func (s *Server) halt() bool {
 	s.mu.Lock()
-	started := s.started
-	if s.stopped {
-		s.mu.Unlock()
-		if started {
-			<-s.loopDone
-		}
-		return
+	first := !s.stopped
+	if first {
+		s.stopped = true
+		close(s.stopCh)
+		s.cond.Broadcast()
 	}
-	s.stopped = true
-	close(s.stopCh)
-	s.cond.Broadcast()
+	started := s.started
 	s.mu.Unlock()
 	if started {
 		<-s.loopDone
+	}
+	return first
+}
+
+// Stop halts the round loop, abandons still-queued jobs, and waits for the
+// loop to exit. Idempotent.
+func (s *Server) Stop() {
+	if !s.halt() {
+		return
 	}
 	s.mu.Lock()
 	// Everything still queued — pending rounds and not-yet-due arrivals —
@@ -570,9 +586,9 @@ func (s *Server) Stop() {
 	s.abandonLocked()
 	if s.wlog != nil {
 		// Seal the shutdown: a final snapshot makes the next start replay
-		// zero records (the clean-shutdown fast path). After Crash the log
-		// is already closed and both calls are no-ops — exactly right, a
-		// crash must not retroactively tidy the directory.
+		// zero records (the clean-shutdown fast path). A crashed server
+		// never gets here — halt reports the repeat — so a crash is not
+		// retroactively tidied.
 		_ = s.snapshotLocked()
 		_ = s.wlog.Close()
 	}
@@ -589,9 +605,6 @@ func (s *Server) Stop() {
 func (s *Server) abandonLocked() {
 	for _, j := range s.sim.Abandon() {
 		delete(s.live, j.ID)
-		if s.obs != nil {
-			delete(s.obs.acceptedWall, j.ID)
-		}
 		s.unscheduled++
 	}
 }
@@ -708,6 +721,7 @@ func (s *Server) DecisionsPage(since uint64, limit int) ([]Decision, Cursor) {
 	_ = s.walSyncIfDirtyLocked()
 	cur := Cursor{
 		Seq:      s.decSeq,
+		Oldest:   s.decisions.Oldest(),
 		Frontier: s.simNow,
 		Idle:     len(s.future) == 0 && s.sim.Pending() == 0,
 	}
@@ -718,35 +732,7 @@ func (s *Server) DecisionsPage(since uint64, limit int) ([]Decision, Cursor) {
 		// exceeds simNow, so the plain round clock is the frontier.)
 		cur.Frontier = s.simNow.Add(-time.Nanosecond)
 	}
-	n := len(s.decisions)
-	if n > 0 {
-		cur.Oldest = s.decisions[s.decHead].Seq
-	}
-	if n == 0 {
-		return []Decision{}, cur // non-nil: the HTTP layer marshals it as []
-	}
-	// Ring entries are Seq-ordered from decHead, so binary search the first
-	// entry past the cursor instead of scanning the whole log — decision
-	// polling is the serving layer's read hot path, and a full ring holds
-	// DecisionLogCap entries.
-	lo, hi := 0, n
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if s.decisions[(s.decHead+mid)%n].Seq <= since {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	count := n - lo
-	if limit > 0 && count > limit {
-		count = limit
-	}
-	out := make([]Decision, count)
-	for i := range out {
-		out[i] = s.decisions[(s.decHead+lo+i)%n]
-	}
-	return out, cur
+	return s.decisions.Page(since, limit), cur
 }
 
 // Regions returns the region IDs this server schedules over — the full
@@ -773,15 +759,7 @@ func (s *Server) Status() Status {
 		Free:      s.sim.Free(s.simNow),
 	}
 	st.Unscheduled = s.unscheduled
-	if s.obs != nil {
-		snaps := &ObsSnapshots{
-			Decision: s.obs.decision.Snapshot(),
-			Ingest:   s.obs.ingest.Snapshot(),
-			Round:    s.obs.round.Snapshot(),
-		}
-		for i, h := range s.obs.stages {
-			snaps.Stages[i] = h.Snapshot()
-		}
+	if snaps := s.ObsSnapshots(); snaps != nil {
 		st.Obs = snaps.Summary(s.obs.jobs.SampleEvery())
 	}
 	if ss, ok := s.cfg.Scheduler.(solverStatser); ok {
@@ -898,92 +876,49 @@ func (s *Server) nextRoundLocked() (int64, bool) {
 	return 0, false
 }
 
-// roundLocked runs scheduling round nextK: ingest due arrivals, step the
-// simulator, log this round's decisions. Called with mu held.
+// roundLocked is the live driver of a round: it runs round nextK through
+// ingestDueLocked and stepLocked and adds what only a live round does —
+// the round trace, the empty-round skip, horizon abandonment, the WAL
+// round record, and waking waiters. Called with mu held.
 func (s *Server) roundLocked() {
 	k := s.nextK
-	now := s.cfg.Env.Start.Add(time.Duration(k) * s.cfg.Round)
-	s.simNow = now
-	s.nextK++
 	// Observability is measurement only: every ob-guarded block below
 	// reads clocks and counters but feeds nothing back into scheduling.
 	ob := s.obs
 	var rt obs.RoundTrace
 	if ob != nil {
-		rt.Index, rt.Sim, rt.Wall = k, now, time.Now()
+		rt.Index, rt.Wall = k, time.Now()
 	}
-	for len(s.future) > 0 && !s.future[0].Submit.After(now) {
-		job := heap.Pop(&s.future).(*trace.Job)
-		s.sim.Submit(job, now)
-		if ob != nil {
-			ob.jobs.Batched(job.ID, k, now, rt.Wall)
-		}
-	}
+	now := s.ingestDueLocked(k, rt.Wall)
 	if ob != nil {
+		rt.Sim = now
 		rt.Stages[obs.StageIngest] = time.Since(rt.Wall)
 	}
+	defer s.cond.Broadcast()
 	if !now.Before(s.cfg.Env.End()) {
 		// The service clock ran off the environment horizon (possible only
 		// with jobs that could never be placed: every accepted submission
 		// lies inside the horizon). Abandon them rather than spin rounds
 		// against an environment with no snapshots — the serving analogue
-		// of the offline replay's MaxDrain cutoff.
+		// of the offline replay's drain cutoff.
 		s.abandonLocked()
-		s.cond.Broadcast()
 		return
 	}
 	if s.sim.Pending() == 0 {
-		s.cond.Broadcast()
 		return
 	}
 	if ob != nil {
 		rt.Batch = s.sim.Pending()
 	}
-	t0 := time.Now()
-	outcomes, err := s.sim.Step(now)
-	solve := time.Since(t0)
-	s.overheadSum += solve
-	s.rounds++
+	wall, solve, err := s.stepLocked(k, nil)
 	if err != nil {
 		s.runErr = err
-		s.cond.Broadcast()
 		return
 	}
 	if ob != nil {
 		rt.Stages[obs.StageSolve] = solve
-	}
-	wall := time.Now()
-	var roundDecs []Decision
-	if s.wlog != nil && len(outcomes) > 0 {
-		roundDecs = make([]Decision, 0, len(outcomes))
-	}
-	for i := range outcomes {
-		o := &outcomes[i]
-		s.recordDecidedLocked(o.Job.ID)
-		s.decSeq++
-		s.decided++
-		d := Decision{
-			Seq: s.decSeq, JobID: o.Job.ID, Region: o.Region,
-			Round: now, Start: o.Start, Finish: o.Finish,
-			CarbonG:     float64(o.Compute.Carbon() + o.Comm.Carbon()),
-			WaterL:      float64(o.Compute.Water() + o.Comm.Water()),
-			DecidedWall: wall,
-		}
-		s.logDecisionLocked(d)
-		if roundDecs != nil {
-			roundDecs = append(roundDecs, d)
-		}
-		if ob != nil {
-			if aw, tracked := ob.acceptedWall[o.Job.ID]; tracked {
-				ob.decision.Record(wall.Sub(aw).Seconds())
-				delete(ob.acceptedWall, o.Job.ID)
-			}
-			ob.jobs.Decided(o.Job.ID, k, wall, string(o.Region), o.Start, o.Finish)
-		}
-	}
-	if ob != nil {
 		rt.Stages[obs.StagePublish] = time.Since(wall)
-		rt.Decided = len(outcomes)
+		rt.Decided = len(s.roundDecs)
 	}
 	if s.wlog != nil {
 		// Group-commit the round (decisions included even when the batch
@@ -991,11 +926,7 @@ func (s *Server) roundLocked() {
 		// replay, since it advanced the scheduler's history learner. The
 		// deferral counters it bumped are snapshot-format bookkeeping
 		// only; Eq. 14's urgency reads FirstSeen).
-		var rtp *obs.RoundTrace
-		if ob != nil {
-			rtp = &rt
-		}
-		s.walRoundLocked(k, roundDecs, rtp)
+		s.walRoundLocked(k, &rt)
 	}
 	if ob != nil {
 		rt.Total = time.Since(rt.Wall)
@@ -1011,15 +942,76 @@ func (s *Server) roundLocked() {
 		}
 		ob.recordRound(rt)
 	}
-	s.cond.Broadcast()
 }
 
-// logDecisionLocked appends to the bounded decision ring.
-func (s *Server) logDecisionLocked(d Decision) {
-	if len(s.decisions) < s.cfg.DecisionLogCap {
-		s.decisions = append(s.decisions, d)
-		return
+// ingestDueLocked is the first half of a round, live or replayed: move
+// the round clock to round k and hand the simulator every arrival due by
+// then. Returns the round's instant; wall stamps sampled job traces.
+func (s *Server) ingestDueLocked(k int64, wall time.Time) time.Time {
+	now := s.cfg.Env.Start.Add(time.Duration(k) * s.cfg.Round)
+	s.nextK, s.simNow = k+1, now
+	for len(s.future) > 0 && !s.future[0].Submit.After(now) {
+		job := heap.Pop(&s.future).(*trace.Job)
+		s.sim.Submit(job, now)
+		if s.obs != nil {
+			s.obs.jobs.Batched(job.ID, k, now, wall)
+		}
 	}
-	s.decisions[s.decHead] = d
-	s.decHead = (s.decHead + 1) % len(s.decisions)
+	return now
+}
+
+// stepLocked is the second half of a round and the only place the server
+// steps its simulator: schedule the pending set at the round clock, then
+// publish each outcome as the next decision (seq, dedupe index, ring,
+// s.roundDecs). Live rounds pass a nil logged; replay passes the round
+// record's decisions, which the step must re-derive exactly (the log is
+// determinism's checksum) and which are published in place of their
+// twins, so DecidedWall survives a restart. Returns the commit instant
+// and the solve time. Called with mu held.
+func (s *Server) stepLocked(k int64, logged []Decision) (wall time.Time, solve time.Duration, err error) {
+	now := s.simNow
+	t0 := time.Now()
+	outcomes, err := s.sim.Step(now)
+	wall = time.Now()
+	solve = wall.Sub(t0)
+	s.overheadSum += solve
+	s.rounds++
+	s.roundDecs = s.roundDecs[:0]
+	if err != nil {
+		return wall, solve, err
+	}
+	if logged != nil && len(outcomes) != len(logged) {
+		return wall, solve, fmt.Errorf("%w: re-derived %d decisions, log has %d", ErrReplayDiverged, len(outcomes), len(logged))
+	}
+	for i := range outcomes {
+		o := &outcomes[i]
+		s.decSeq++
+		s.decided++
+		d := Decision{
+			Seq: s.decSeq, JobID: o.Job.ID, Region: o.Region,
+			Round: now, Start: o.Start, Finish: o.Finish,
+			CarbonG:     float64(o.Compute.Carbon() + o.Comm.Carbon()),
+			WaterL:      float64(o.Compute.Water() + o.Comm.Water()),
+			DecidedWall: wall,
+		}
+		if logged != nil {
+			ld := logged[i]
+			if ld.Seq != d.Seq || ld.JobID != d.JobID || ld.Region != d.Region ||
+				!ld.Start.Equal(d.Start) || !ld.Finish.Equal(d.Finish) {
+				return wall, solve, fmt.Errorf("%w: decision %d: re-derived job %d -> %s [%v, %v] seq %d, log says %+v",
+					ErrReplayDiverged, i, d.JobID, d.Region, d.Start, d.Finish, d.Seq, ld)
+			}
+			d = ld
+		}
+		accepted := s.recordDecidedLocked(d.JobID)
+		s.decisions.Append(d)
+		s.roundDecs = append(s.roundDecs, d)
+		if ob := s.obs; ob != nil {
+			if !accepted.IsZero() {
+				ob.decision.Record(wall.Sub(accepted).Seconds())
+			}
+			ob.jobs.Decided(d.JobID, k, wall, string(d.Region), d.Start, d.Finish)
+		}
+	}
+	return wall, solve, nil
 }

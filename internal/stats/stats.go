@@ -163,23 +163,6 @@ func (g *Rand) Normal(mean, std float64) float64 {
 	return mean + std*g.r.NormFloat64()
 }
 
-// LogNormal returns a draw from a log-normal distribution whose underlying
-// normal has the given mu and sigma.
-func (g *Rand) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(mu + sigma*g.r.NormFloat64())
-}
-
-// Exponential returns a draw from an exponential distribution with the given
-// mean (not rate).
-func (g *Rand) Exponential(mean float64) float64 {
-	return g.r.ExpFloat64() * mean
-}
-
-// Uniform returns a uniform draw in [lo, hi).
-func (g *Rand) Uniform(lo, hi float64) float64 {
-	return lo + (hi-lo)*g.r.Float64()
-}
-
 // Perm returns a random permutation of [0,n).
 func (g *Rand) Perm(n int) []int { return g.r.Perm(n) }
 
@@ -192,28 +175,6 @@ func Clamp(x, lo, hi float64) float64 {
 		return hi
 	}
 	return x
-}
-
-// MovingAverage returns the trailing moving average of xs with the given
-// window (window >= 1). Entry i averages xs[max(0,i-window+1) .. i].
-func MovingAverage(xs []float64, window int) []float64 {
-	if window < 1 {
-		window = 1
-	}
-	out := make([]float64, len(xs))
-	sum := 0.0
-	for i, x := range xs {
-		sum += x
-		if i >= window {
-			sum -= xs[i-window]
-		}
-		n := window
-		if i+1 < window {
-			n = i + 1
-		}
-		out[i] = sum / float64(n)
-	}
-	return out
 }
 
 // Poisson returns a draw from a Poisson distribution with the given mean,

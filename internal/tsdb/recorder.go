@@ -24,9 +24,6 @@ type Config struct {
 	Gather func() []byte
 	// MemoryBudgetBytes bounds the compressed store; <= 0 means 8 MiB.
 	MemoryBudgetBytes int
-	// ScrapeEvery scrapes once per that many rounds; <= 0 means every
-	// round.
-	ScrapeEvery uint64
 	// Sync scrapes inline on the round-clock callers' goroutine, making
 	// recorded history deterministic — what scenarios and tests want. The
 	// default (async) hands rounds to a scraper goroutine that coalesces
@@ -95,9 +92,6 @@ func New(cfg Config) (*Recorder, error) {
 	if cfg.Gather == nil {
 		return nil, fmt.Errorf("tsdb: Config.Gather is required")
 	}
-	if cfg.ScrapeEvery == 0 {
-		cfg.ScrapeEvery = 1
-	}
 	engine, err := newSLOEngine(cfg.Objectives, cfg.Logf)
 	if err != nil {
 		return nil, err
@@ -127,9 +121,6 @@ func (r *Recorder) Observe(round uint64) {
 		return
 	}
 	r.lastSeen = round
-	if round-r.lastScrapedSnapshot() < r.cfg.ScrapeEvery {
-		return
-	}
 	if r.cfg.Sync {
 		// Inline under obMu: concurrent round threads (fleet shards)
 		// serialize here, so every due round is scraped exactly once and
@@ -168,7 +159,7 @@ func (r *Recorder) loop() {
 		if round <= last {
 			continue
 		}
-		if skipped := (round - last) / r.cfg.ScrapeEvery; skipped > 1 {
+		if skipped := round - last; skipped > 1 {
 			r.mu.Lock()
 			r.coalesced += skipped - 1
 			r.mu.Unlock()

@@ -264,23 +264,3 @@ func TestRecorderMetricsBlock(t *testing.T) {
 		}
 	}
 }
-
-// TestRecorderScrapeEvery pins the stride: ScrapeEvery=3 scrapes roughly
-// every third round, never more.
-func TestRecorderScrapeEvery(t *testing.T) {
-	rec, err := New(Config{
-		Gather:      func() []byte { return fakeExposition(1, 0) },
-		Sync:        true,
-		ScrapeEvery: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rec.Close()
-	for r := uint64(1); r <= 30; r++ {
-		rec.Observe(r)
-	}
-	if st := rec.Stats(); st.Scrapes != 10 {
-		t.Errorf("scrapes = %d with stride 3 over 30 rounds, want 10", st.Scrapes)
-	}
-}

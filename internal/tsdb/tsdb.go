@@ -326,14 +326,6 @@ func (st *Store) Query(key string, from, to uint64) []Sample {
 	return out
 }
 
-// ValueAt returns the newest sample at or before round, or ok=false when
-// the series has no sample that early.
-func (st *Store) ValueAt(key string, round uint64) (Sample, bool) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.valueAtLocked(key, round)
-}
-
 func (st *Store) valueAtLocked(key string, round uint64) (Sample, bool) {
 	sr := st.series[key]
 	if sr == nil {
@@ -373,18 +365,6 @@ func (st *Store) earliestLocked(key string) (Sample, bool) {
 		return Sample{}, false
 	}
 	return scratch[0], true
-}
-
-// Keys returns every live series key, sorted.
-func (st *Store) Keys() []string {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	out := make([]string, 0, len(st.series))
-	for k := range st.series {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // KeysOf returns the live series keys of one bare metric name, sorted.

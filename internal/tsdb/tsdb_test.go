@@ -114,7 +114,7 @@ func TestStoreEviction(t *testing.T) {
 		t.Errorf("samples=%d evicted=%d", stats.Samples, stats.EvictedSamples)
 	}
 	// Recent history must survive; the oldest must be gone.
-	if _, ok := st.ValueAt("a_total", rounds); !ok {
+	if got := st.Query("a_total", rounds, rounds); len(got) != 1 {
 		t.Error("newest sample evicted")
 	}
 	if got := st.Query("a_total", 1, 10); len(got) != 0 {

@@ -73,9 +73,3 @@ func (c Celsius) String() string         { return fmt.Sprintf("%.1f °C", float6
 
 // Kg returns the carbon mass in kilograms.
 func (g GramsCO2) Kg() float64 { return float64(g) / 1000 }
-
-// Joules returns the energy in joules.
-func (e KWh) Joules() float64 { return float64(e) * 3.6e6 }
-
-// FromJoules converts joules to kWh.
-func FromJoules(j float64) KWh { return KWh(j / 3.6e6) }

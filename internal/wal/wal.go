@@ -27,7 +27,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -209,9 +208,13 @@ func Open(opt Options) (*Log, error) {
 	for i, start := range starts {
 		path := filepath.Join(opt.Dir, segName(start))
 		last := i == len(starts)-1
-		count, goodBytes, err := scanSegment(path, opt.MaxRecordBytes, last)
+		data, err := os.ReadFile(path)
 		if err != nil {
 			return nil, fmt.Errorf("%w: segment %s: %v", ErrCorrupt, segName(start), err)
+		}
+		count, goodBytes, _ := walkSegment(data, opt.MaxRecordBytes, nil)
+		if goodBytes != int64(len(data)) && !last {
+			return nil, fmt.Errorf("%w: segment %s: invalid record at offset %d", ErrCorrupt, segName(start), goodBytes)
 		}
 		if want := start; i > 0 && want != l.next {
 			return nil, fmt.Errorf("%w: segment %s starts at record %d, want %d", ErrCorrupt, segName(start), want, l.next)
@@ -220,12 +223,10 @@ func Open(opt Options) (*Log, error) {
 			l.next = start
 		}
 		l.next += uint64(count)
-		if last {
-			if fi, err := os.Stat(path); err == nil && fi.Size() > goodBytes {
-				l.truncated = fi.Size() - goodBytes
-				if err := os.Truncate(path, goodBytes); err != nil {
-					return nil, fmt.Errorf("wal: truncating torn tail of %s: %w", segName(start), err)
-				}
+		if torn := int64(len(data)) - goodBytes; torn > 0 {
+			l.truncated = torn
+			if err := os.Truncate(path, goodBytes); err != nil {
+				return nil, fmt.Errorf("wal: truncating torn tail of %s: %w", segName(start), err)
 			}
 		}
 		l.segments = append(l.segments, segmentInfo{start: start, bytes: goodBytes})
@@ -241,48 +242,50 @@ func Open(opt Options) (*Log, error) {
 	l.w = &writeBuffer{f: f}
 	l.segStart = lastSeg.start
 	l.segBytes = lastSeg.bytes
-	if covers, ok, err := latestSnapshotIndex(opt.Dir); err == nil && ok {
-		l.snapCover = covers
+	if covers, err := listSnapshots(opt.Dir); err == nil && len(covers) > 0 {
+		l.snapCover = covers[len(covers)-1]
 	}
 	return l, nil
 }
 
-// listSegments returns the start indices of every segment file, ascending.
-func listSegments(dir string) ([]uint64, error) {
+// listIndexed returns the record indices encoded in dir's file names of
+// the form prefix + 16 hex digits + suffix — segment starts, snapshot
+// coverage — ascending. Names that do not parse are not ours.
+func listIndexed(dir, prefix, suffix string) ([]uint64, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
-	var starts []uint64
+	var idx []uint64
 	for _, e := range ents {
-		name := e.Name()
-		if !strings.HasSuffix(name, segSuffix) || strings.HasPrefix(name, snapPrefix) {
+		digits, hasPrefix := strings.CutPrefix(e.Name(), prefix)
+		digits, hasSuffix := strings.CutSuffix(digits, suffix)
+		if !hasPrefix || !hasSuffix {
 			continue
 		}
-		n, err := strconv.ParseUint(strings.TrimSuffix(name, segSuffix), 16, 64)
-		if err != nil {
-			continue // not ours
+		if n, err := strconv.ParseUint(digits, 16, 64); err == nil {
+			idx = append(idx, n)
 		}
-		starts = append(starts, n)
 	}
-	sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
-	return starts, nil
+	sort.Slice(idx, func(i, j int) bool { return idx[i] < idx[j] })
+	return idx, nil
 }
 
-// scanSegment walks one segment's records, returning how many are intact
-// and the byte offset past the last intact one. In tolerant mode (the
-// log's final segment) an invalid suffix is reported as the truncation
-// point; otherwise it is an error.
-func scanSegment(path string, maxRec int, tolerant bool) (count int, goodBytes int64, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, 0, err
-	}
-	defer f.Close()
-	data, err := io.ReadAll(f)
-	if err != nil {
-		return 0, 0, err
-	}
+// listSegments returns the start indices of every segment file, ascending.
+func listSegments(dir string) ([]uint64, error) { return listIndexed(dir, "", segSuffix) }
+
+// listSnapshots returns the covered indices of the snapshot files,
+// ascending.
+func listSnapshots(dir string) ([]uint64, error) { return listIndexed(dir, snapPrefix, snapSuffix) }
+
+// walkSegment is the one reader of the segment framing. It walks data, a
+// whole segment file, as length|CRC|payload records, hands each intact
+// payload to fn (when non-nil), and returns how many were intact and the
+// offset past the last. It stops at the first record whose length exceeds
+// maxRec or the remaining bytes, or whose CRC fails; what goodBytes <
+// len(data) means is the caller's policy — a torn tail to truncate on the
+// final segment, ErrCorrupt anywhere else. An error is only ever fn's.
+func walkSegment(data []byte, maxRec int, fn func(payload []byte) error) (count int, goodBytes int64, err error) {
 	off := int64(0)
 	for int64(len(data))-off >= headerBytes {
 		n := int64(binary.LittleEndian.Uint32(data[off:]))
@@ -294,11 +297,13 @@ func scanSegment(path string, maxRec int, tolerant bool) (count int, goodBytes i
 		if crc32.ChecksumIEEE(payload) != sum {
 			break
 		}
+		if fn != nil {
+			if err := fn(payload); err != nil {
+				return count, off, err
+			}
+		}
 		off += headerBytes + n
 		count++
-	}
-	if off != int64(len(data)) && !tolerant {
-		return count, off, fmt.Errorf("invalid record at offset %d", off)
 	}
 	return count, off, nil
 }
@@ -472,56 +477,31 @@ func (l *Log) Replay(after uint64, fn func(idx uint64, payload []byte) error) er
 	if err := l.w.Flush(); err != nil {
 		return err
 	}
-	for _, seg := range l.segments {
+	for i, seg := range l.segments {
 		segEnd := l.next // exclusive record bound of the last segment
-		if i := segIndex(l.segments, seg.start); i+1 < len(l.segments) {
+		if i+1 < len(l.segments) {
 			segEnd = l.segments[i+1].start
 		}
 		if segEnd <= after+1 {
 			continue // fully covered by the snapshot
 		}
-		if err := replaySegment(filepath.Join(l.opt.Dir, segName(seg.start)), seg.start, after, l.opt.MaxRecordBytes, fn); err != nil {
+		data, err := os.ReadFile(filepath.Join(l.opt.Dir, segName(seg.start)))
+		if err != nil {
+			return fmt.Errorf("wal: %w", err)
+		}
+		idx := seg.start - 1 // index of the record the walk last yielded
+		count, goodBytes, err := walkSegment(data, l.opt.MaxRecordBytes, func(payload []byte) error {
+			if idx++; idx <= after {
+				return nil
+			}
+			return fn(idx, payload)
+		})
+		if err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-func segIndex(segs []segmentInfo, start uint64) int {
-	for i, s := range segs {
-		if s.start == start {
-			return i
+		if goodBytes != int64(len(data)) {
+			return fmt.Errorf("%w: record %d invalid (segment %s offset %d)", ErrCorrupt, seg.start+uint64(count), segName(seg.start), goodBytes)
 		}
-	}
-	return -1
-}
-
-func replaySegment(path string, start, after uint64, maxRec int, fn func(uint64, []byte) error) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	off, idx := int64(0), start
-	for int64(len(data))-off >= headerBytes {
-		n := int64(binary.LittleEndian.Uint32(data[off:]))
-		sum := binary.LittleEndian.Uint32(data[off+4:])
-		if n > int64(maxRec) || off+headerBytes+n > int64(len(data)) {
-			return fmt.Errorf("%w: record %d runs past segment end", ErrCorrupt, idx)
-		}
-		payload := data[off+headerBytes : off+headerBytes+n]
-		if crc32.ChecksumIEEE(payload) != sum {
-			return fmt.Errorf("%w: record %d CRC mismatch", ErrCorrupt, idx)
-		}
-		if idx > after {
-			if err := fn(idx, payload); err != nil {
-				return err
-			}
-		}
-		off += headerBytes + n
-		idx++
-	}
-	if off != int64(len(data)) {
-		return fmt.Errorf("%w: trailing %d bytes", ErrCorrupt, int64(len(data))-off)
 	}
 	return nil
 }
@@ -617,37 +597,6 @@ func (l *Log) retainLocked(covered uint64) {
 		kept = append(kept, seg)
 	}
 	l.segments = kept
-}
-
-// listSnapshots returns the covered indices of the snapshot files,
-// ascending.
-func listSnapshots(dir string) ([]uint64, error) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("wal: %w", err)
-	}
-	var covers []uint64
-	for _, e := range ents {
-		name := e.Name()
-		if !strings.HasPrefix(name, snapPrefix) || !strings.HasSuffix(name, snapSuffix) {
-			continue
-		}
-		n, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, snapPrefix), snapSuffix), 16, 64)
-		if err != nil {
-			continue
-		}
-		covers = append(covers, n)
-	}
-	sort.Slice(covers, func(i, j int) bool { return covers[i] < covers[j] })
-	return covers, nil
-}
-
-func latestSnapshotIndex(dir string) (uint64, bool, error) {
-	covers, err := listSnapshots(dir)
-	if err != nil || len(covers) == 0 {
-		return 0, false, err
-	}
-	return covers[len(covers)-1], true, nil
 }
 
 // LatestSnapshot loads the newest valid snapshot payload and the record

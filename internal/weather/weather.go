@@ -100,20 +100,3 @@ func (s *Series) At(t time.Time) units.Celsius {
 	}
 	return s.WetBulb[h]
 }
-
-// WUEAt returns the water usage effectiveness at time t.
-func (s *Series) WUEAt(t time.Time) units.WUE {
-	return WUEFromWetBulb(s.At(t))
-}
-
-// MeanWUE returns the average WUE over the whole series.
-func (s *Series) MeanWUE() units.WUE {
-	if len(s.WetBulb) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, wb := range s.WetBulb {
-		sum += float64(WUEFromWetBulb(wb))
-	}
-	return units.WUE(sum / float64(len(s.WetBulb)))
-}

@@ -113,22 +113,6 @@ func TestEmptySeries(t *testing.T) {
 	if s.At(testStart) != 0 {
 		t.Error("empty series At should be 0")
 	}
-	if s.MeanWUE() != 0 {
-		t.Error("empty series MeanWUE should be 0")
-	}
-}
-
-func TestMeanWUEMatchesManualAverage(t *testing.T) {
-	p := Params{AnnualMean: 18, SeasonalAmp: 5, DiurnalAmp: 2, Noise: 0.5}
-	s := Generate(p, testStart, 200, 9)
-	sum := 0.0
-	for _, wb := range s.WetBulb {
-		sum += float64(WUEFromWetBulb(wb))
-	}
-	want := sum / float64(len(s.WetBulb))
-	if got := float64(s.MeanWUE()); math.Abs(got-want) > 1e-12 {
-		t.Errorf("MeanWUE = %v, want %v", got, want)
-	}
 }
 
 // Property: WUE is always >= the floor and monotone in temperature for any

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bufio"
-	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -85,11 +84,4 @@ func (c *Conn) WriteFrame(t Type, payload []byte) error {
 		return err
 	}
 	return c.bw.Flush()
-}
-
-// IsClosed reports whether err looks like a normal peer disconnect
-// rather than a protocol violation: io.EOF, a torn frame, or a closed
-// network connection.
-func IsClosed(err error) bool {
-	return errors.Is(err, io.EOF) || errors.Is(err, ErrTruncated) || errors.Is(err, io.ErrClosedPipe)
 }

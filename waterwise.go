@@ -378,10 +378,6 @@ type SchedulerConfig struct {
 	// search run to completion returns the same objective at any worker
 	// count.
 	SolverWorkers int
-	// SolverDisableWarmStart solves every branch-and-bound node from
-	// scratch instead of warm starting from the parent simplex basis
-	// (an ablation switch; answers never change, only solve time).
-	SolverDisableWarmStart bool
 	// CrossRoundWarmStart carries the round MILP's simplex basis across
 	// scheduling rounds: the cached round model re-prices the previous
 	// round's basis in place (new objective, capacity RHS, and forbidden
@@ -413,7 +409,6 @@ func NewScheduler(cfg SchedulerConfig) (Scheduler, error) {
 	c.PerfWeight = cfg.PerfWeight
 	c.CostWeight = cfg.CostWeight
 	c.Solver.Workers = cfg.SolverWorkers
-	c.Solver.DisableWarmStart = cfg.SolverDisableWarmStart
 	c.Solver.RepriceWarmStart = cfg.CrossRoundWarmStart
 	return core.New(c)
 }

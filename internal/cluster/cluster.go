@@ -8,7 +8,9 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -70,7 +72,10 @@ type Context struct {
 	// FreeAt reports how many servers of a region are free for the whole
 	// interval [start, start+exec). It reflects only committed decisions,
 	// not ones made earlier in the same Schedule call — schedulers must
-	// track their own intra-batch placements.
+	// track their own intra-batch placements. The count is of servers free
+	// at start, and exec is not consulted: a server free at start holds no
+	// later reservation, because a placement reserves a server only at or
+	// after its next-free instant.
 	FreeAt func(id region.ID, start time.Time, exec time.Duration) int
 }
 
@@ -277,53 +282,77 @@ func (c Config) withDefaults() (Config, error) {
 
 // regionState models a region as a bank of servers, each with the time at
 // which it next becomes free — the standard machine model of cluster
-// simulators. Placements are O(servers); jobs that arrive at a full region
-// queue on the server that frees earliest, which is exactly the paper's
-// source of delay-tolerance violations.
+// simulators. Jobs that arrive at a full region queue on the server that
+// frees earliest, which is exactly the paper's source of delay-tolerance
+// violations.
+//
+// The only state is one slot per server, kept sorted by (next-free instant,
+// server index), so the servers free at t are a prefix of the slice: a free
+// count is one binary search, a placement three (the free prefix, the first
+// of its latest instant, the new position) plus a copy of the slots between
+// the chosen server's old and new positions. The index as secondary key is
+// what makes every tie go to the lowest-numbered server. A min-heap of
+// release times would answer "earliest-freeing" but not best fit's "latest
+// instant not after want" without popping.
 type regionState struct {
-	servers   int
-	busyUntil []time.Time // per-server next-free instant
+	slots []serverSlot
+}
+
+// serverSlot is one server's next-free instant. Instants stay time.Time:
+// every server starts at the zero time, whose UnixNano is undefined.
+type serverSlot struct {
+	until time.Time
+	srv   int
+}
+
+// compare orders slots by instant, then by server index.
+func (a serverSlot) compare(b serverSlot) int {
+	if c := a.until.Compare(b.until); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.srv, b.srv)
 }
 
 func newRegionState(servers int) *regionState {
-	return &regionState{servers: servers, busyUntil: make([]time.Time, servers)}
+	rs := &regionState{slots: make([]serverSlot, servers)}
+	for i := range rs.slots {
+		rs.slots[i].srv = i
+	}
+	return rs
 }
 
-// freeCount counts servers free at instant t.
+// freeCount counts servers free at instant t: the length of the prefix of
+// slots whose instant is not after t.
 func (rs *regionState) freeCount(t time.Time) int {
-	n := 0
-	for _, b := range rs.busyUntil {
-		if !b.After(t) {
-			n++
-		}
-	}
-	return n
+	return sort.Search(len(rs.slots), func(i int) bool { return rs.slots[i].until.After(t) })
 }
 
 // place reserves a server for an exec-long run starting no earlier than
 // want, and returns the actual start. Among servers already free at want it
-// picks the one that has been idle the shortest (best fit); if none is
-// free, the job queues on the earliest-freeing server.
+// picks the one that has been idle the shortest (best fit) — the first slot
+// holding the latest instant not after want; if none is free, the job
+// queues on the earliest-freeing server, slot 0. Both rules break ties
+// toward the lowest server index.
 func (rs *regionState) place(want time.Time, exec time.Duration) time.Time {
-	best := -1
-	for i, b := range rs.busyUntil {
-		if b.After(want) {
-			continue
-		}
-		if best == -1 || b.After(rs.busyUntil[best]) {
-			best = i
-		}
+	i, start := 0, want
+	if k := rs.freeCount(want); k > 0 {
+		latest := rs.slots[k-1].until
+		i = sort.Search(k, func(j int) bool { return !rs.slots[j].until.Before(latest) })
+	} else {
+		start = rs.slots[0].until
 	}
-	start := want
-	if best == -1 {
-		for i := range rs.busyUntil {
-			if best == -1 || rs.busyUntil[i].Before(rs.busyUntil[best]) {
-				best = i
-			}
-		}
-		start = rs.busyUntil[best]
+	moved := serverSlot{until: start.Add(exec), srv: rs.slots[i].srv}
+	// A negative exec moves the slot left, so search the whole slice. No
+	// other slot shares moved's server index, so p is where it belongs with
+	// slot i still counted: one past its final position if it moves right.
+	p := sort.Search(len(rs.slots), func(j int) bool { return rs.slots[j].compare(moved) >= 0 })
+	if p > i {
+		p--
+		copy(rs.slots[i:p], rs.slots[i+1:p+1])
+	} else {
+		copy(rs.slots[p+1:i+1], rs.slots[p:i])
 	}
-	rs.busyUntil[best] = start.Add(exec)
+	rs.slots[p] = moved
 	return start
 }
 
@@ -424,7 +453,7 @@ func (s *Sim) Step(now time.Time) ([]JobOutcome, error) {
 	for id, rs := range s.states {
 		f := rs.freeCount(now)
 		ctx.Free[id] = f
-		ctx.Busy[id] = rs.servers - f
+		ctx.Busy[id] = len(rs.slots) - f
 	}
 	ctx.Now = now
 	ctx.Jobs = s.pending
@@ -464,24 +493,39 @@ func (s *Sim) Abandon() []*trace.Job {
 func (s *Sim) BusySnapshot() map[region.ID][]time.Time {
 	out := make(map[region.ID][]time.Time, len(s.states))
 	for id, rs := range s.states {
-		out[id] = append([]time.Time(nil), rs.busyUntil...)
+		until := make([]time.Time, len(rs.slots))
+		for _, sl := range rs.slots {
+			until[sl.srv] = sl.until
+		}
+		out[id] = until
 	}
 	return out
 }
 
 // RestoreBusy overwrites the per-server reservation state from a
 // BusySnapshot taken on an identically-configured simulator. Regions and
-// server counts must match the Sim's environment exactly.
+// server counts must match the Sim's environment exactly; a snapshot that
+// does not is rejected before any region is written.
 func (s *Sim) RestoreBusy(busy map[region.ID][]time.Time) error {
 	for id, until := range busy {
 		rs, ok := s.states[id]
 		if !ok {
 			return fmt.Errorf("cluster: restoring unknown region %q", id)
 		}
-		if len(until) != rs.servers {
-			return fmt.Errorf("cluster: restoring region %q with %d servers, have %d", id, len(until), rs.servers)
+		if len(until) != len(rs.slots) {
+			return fmt.Errorf("cluster: restoring region %q with %d servers, have %d", id, len(until), len(rs.slots))
 		}
-		copy(rs.busyUntil, until)
+	}
+	for id := range s.states {
+		if _, ok := busy[id]; !ok {
+			return fmt.Errorf("cluster: restoring without region %q", id)
+		}
+	}
+	for id, rs := range s.states {
+		for srv, until := range busy[id] {
+			rs.slots[srv] = serverSlot{until: until, srv: srv}
+		}
+		slices.SortFunc(rs.slots, serverSlot.compare)
 	}
 	return nil
 }

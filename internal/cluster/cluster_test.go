@@ -313,11 +313,14 @@ func TestRegionStatePlacement(t *testing.T) {
 }
 
 // Property: placements never start before the requested time, freeCount
-// stays within [0, servers], and total busy time is conserved.
+// stays within [0, servers], and no instant is covered by more reservations
+// than there are servers.
 func TestQuickRegionStateProperties(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := newTestRand(seed)
-		rs := newRegionState(1 + rng.Intn(5))
+		servers := 1 + rng.Intn(5)
+		rs := newRegionState(servers)
+		var starts, ends []time.Time
 		for i := 0; i < 40; i++ {
 			want := testStart.Add(time.Duration(rng.Intn(600)) * time.Minute)
 			exec := time.Duration(1+rng.Intn(60)) * time.Minute
@@ -325,8 +328,21 @@ func TestQuickRegionStateProperties(t *testing.T) {
 			if got.Before(want) {
 				return false
 			}
+			starts, ends = append(starts, got), append(ends, got.Add(exec))
 			at := testStart.Add(time.Duration(rng.Intn(600)) * time.Minute)
-			if f := rs.freeCount(at); f < 0 || f > rs.servers {
+			if f := rs.freeCount(at); f < 0 || f > servers {
+				return false
+			}
+		}
+		// Coverage peaks at some reservation's start.
+		for _, at := range starts {
+			running := 0
+			for j := range starts {
+				if !starts[j].After(at) && ends[j].After(at) {
+					running++
+				}
+			}
+			if running > servers {
 				return false
 			}
 		}

@@ -111,6 +111,59 @@ func TestPendingIndexFollowsSnapshotRestoreAndAbandon(t *testing.T) {
 	wantStepError(t, again, "job 3 which is not pending") // abandoned, never re-submitted
 }
 
+// RestoreBusy takes a snapshot of exactly the Sim's regions and server
+// counts or nothing: each defect is rejected, and no region is written
+// before the whole snapshot has been checked.
+func TestRestoreBusyRejectsMismatchedSnapshot(t *testing.T) {
+	sim := scriptedSim(t, []int{0, 1, 2})
+	for _, j := range makeJobs(3, 0, region.Oregon) {
+		sim.Submit(j, testStart)
+	}
+	if _, err := sim.Step(testStart); err != nil {
+		t.Fatal(err)
+	}
+	before := sim.BusySnapshot()
+	// shifted is a well-formed snapshot that differs from before in every
+	// region, so a partial write shows.
+	shifted := func() map[region.ID][]time.Time {
+		out := make(map[region.ID][]time.Time, len(before))
+		for id, until := range before {
+			out[id] = make([]time.Time, len(until))
+			for i, b := range until {
+				out[id][i] = b.Add(time.Hour)
+			}
+		}
+		return out
+	}
+	cases := []struct {
+		name   string
+		defect func(map[region.ID][]time.Time)
+		want   string
+	}{
+		{"unknown region", func(m map[region.ID][]time.Time) { m["atlantis"] = nil }, `unknown region "atlantis"`},
+		{"missing region", func(m map[region.ID][]time.Time) { delete(m, region.Zurich) }, `without region "zurich"`},
+		{"too few servers", func(m map[region.ID][]time.Time) { m[region.Milan] = m[region.Milan][1:] }, `region "milan" with`},
+		{"too many servers", func(m map[region.ID][]time.Time) { m[region.Milan] = append(m[region.Milan], testStart) }, `region "milan" with`},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			bad := shifted()
+			c.defect(bad)
+			if err := sim.RestoreBusy(bad); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("RestoreBusy error = %v, want one containing %q", err, c.want)
+			}
+			after := sim.BusySnapshot()
+			for id, until := range before {
+				for srv, b := range until {
+					if !after[id][srv].Equal(b) {
+						t.Fatalf("rejected restore wrote region %s server %d: %v, was %v", id, srv, after[id][srv], b)
+					}
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkSimStepBacklog times one round of the simulator's own work over a
 // standing backlog: commit 25 decisions, compact the queue, take 25 arrivals.
 func BenchmarkSimStepBacklog(b *testing.B) {

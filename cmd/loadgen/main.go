@@ -6,39 +6,34 @@
 // compresses the arrival offsets into the requested wall-clock window, and
 // POSTs jobs to /v1/jobs at their scheduled instants regardless of how the
 // service keeps up — open loop, so backpressure (429) shows up as rejected
-// jobs rather than a slowed generator. A concurrent poller per target
-// tails /v1/decisions and matches decisions to submissions for latency
+// jobs rather than a slowed generator. A concurrent poller tails
+// /v1/decisions and matches decisions to submissions for latency
 // percentiles.
 //
 // With -protocol stream the same open-loop schedule drives the binary
-// wire protocol (internal/wire) instead: one persistent connection per
-// target carries batched Submit frames and server-pushed Decisions
-// frames, reaching rates HTTP request-per-batch cannot. Latency
-// matching is shared — pushed and polled decisions feed one matcher and
-// one percentile path — and stream backpressure (per-job queue-full
-// reply codes) is counted as rejected, exactly like HTTP 429.
+// wire protocol (internal/wire) instead: one persistent connection
+// carries batched Submit frames and server-pushed Decisions frames,
+// reaching rates HTTP request-per-batch cannot. Latency matching is
+// shared — pushed and polled decisions feed one matcher and one
+// percentile path — and stream backpressure (per-job queue-full reply
+// codes) is counted as rejected, exactly like HTTP 429.
 //
-// One generator can drive a whole sharded deployment: -targets names
-// several endpoints (a fleet gateway counts as one; standalone waterwised
-// -partition shards count as one each), each is asked which regions it
-// serves via /v1/status, and every job is routed to the target owning its
-// home region. Latency percentiles and throughput are merged across
-// targets in the report.
+// The service is one endpoint: a single waterwised, or the gateway of a
+// sharded one (-shards N), which routes jobs by home region itself. The
+// regions to draw homes from come from its /v1/status.
 //
 // Usage:
 //
 //	loadgen [flags]
 //
-//	-url       service base URL              (default http://127.0.0.1:8080)
-//	-targets   comma-separated base URLs; jobs route to the target
-//	           serving their home region    (default: just -url)
+//	-url       service base URL; status and metrics are read here
+//	           in both protocols          (default http://127.0.0.1:8080)
 //	-protocol  transport for submits and decisions: http
 //	           (POST /v1/jobs + poll /v1/decisions) or stream
 //	           (persistent binary connection, internal/wire)
 //	                                         (default http)
-//	-stream-targets  comma-separated host:port stream addresses,
-//	           parallel to -targets (the HTTP endpoints still serve
-//	           status and metrics); required with -protocol stream
+//	-stream-addr  the service's stream address, host:port (its
+//	           waterwised -stream-addr); required with -protocol stream
 //	-rate      offered arrival rate, jobs/s  (default 100)
 //	-duration  wall-clock load window        (default 10s)
 //	-trace     borg|alibaba                  (default borg)
@@ -67,6 +62,8 @@
 //	           one sample interval             (default: off)
 //	-sample    timeseries sample interval     (default 1s)
 //	-json      machine-readable report
+//	-co-gap-ms flag a coordinated-omission gap (client p99 -
+//	           server p99) above this many ms (default 250)
 package main
 
 import (
@@ -79,7 +76,6 @@ import (
 	"net/http"
 	"os"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -90,7 +86,7 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "loadgen:", err)
 		os.Exit(1)
 	}
@@ -98,32 +94,32 @@ func main() {
 
 // report is the machine-readable summary (-json).
 type report struct {
-	URL          string   `json:"url"`
-	Targets      []string `json:"targets,omitempty"`
-	Protocol     string   `json:"protocol"`
-	TraceStyle   string   `json:"trace_style"`
-	NominalRate  float64  `json:"nominal_rate_jobs_per_sec"`
-	OfferedRate  float64  `json:"offered_rate_jobs_per_sec"`
-	WindowSec    float64  `json:"window_sec"`
-	Offered      int      `json:"offered"`
-	Accepted     int      `json:"accepted"`
-	Rejected     int      `json:"rejected"`
-	Errors       int      `json:"errors"`
-	Retried      int      `json:"retried,omitempty"`
-	Decided      int      `json:"decided"`
-	DecisionsSec float64  `json:"decisions_per_sec"`
-	RoundsSec    float64  `json:"rounds_per_sec"`
-	LatencyP50Ms float64  `json:"latency_p50_ms"`
-	LatencyP90Ms float64  `json:"latency_p90_ms"`
-	LatencyP99Ms float64  `json:"latency_p99_ms"`
-	LatencyMaxMs float64  `json:"latency_max_ms"`
-	SolverIters  int      `json:"solver_simplex_iters"`
-	SolverWarmPc float64  `json:"solver_warm_start_pct"`
-	// Server-side decision latency, scraped from the targets' /metrics
-	// histograms (waterwise_decision_latency_seconds) at end of run and
-	// merged across targets. The server measures Submit acceptance to
-	// round commit; the client measures send instant to observed
-	// decision — their gap is queueing the server never sees.
+	URL          string  `json:"url"`
+	Protocol     string  `json:"protocol"`
+	TraceStyle   string  `json:"trace_style"`
+	NominalRate  float64 `json:"nominal_rate_jobs_per_sec"`
+	OfferedRate  float64 `json:"offered_rate_jobs_per_sec"`
+	WindowSec    float64 `json:"window_sec"`
+	Offered      int     `json:"offered"`
+	Accepted     int     `json:"accepted"`
+	Rejected     int     `json:"rejected"`
+	Errors       int     `json:"errors"`
+	Retried      int     `json:"retried,omitempty"`
+	Decided      int     `json:"decided"`
+	DecisionsSec float64 `json:"decisions_per_sec"`
+	RoundsSec    float64 `json:"rounds_per_sec"`
+	LatencyP50Ms float64 `json:"latency_p50_ms"`
+	LatencyP90Ms float64 `json:"latency_p90_ms"`
+	LatencyP99Ms float64 `json:"latency_p99_ms"`
+	LatencyMaxMs float64 `json:"latency_max_ms"`
+	SolverIters  int     `json:"solver_simplex_iters"`
+	SolverWarmPc float64 `json:"solver_warm_start_pct"`
+	// Server-side decision latency, scraped from the service's /metrics
+	// histogram (waterwise_decision_latency_seconds, or a gateway's
+	// shard-merged waterwise_fleet_decision_latency_seconds) at end of
+	// run. The server measures Submit acceptance to round commit; the
+	// client measures send instant to observed decision — their gap is
+	// queueing the server never sees.
 	ServerLatencyP50Ms float64 `json:"server_latency_p50_ms,omitempty"`
 	ServerLatencyP99Ms float64 `json:"server_latency_p99_ms,omitempty"`
 	ServerLatencyCount uint64  `json:"server_latency_count,omitempty"`
@@ -136,84 +132,53 @@ type report struct {
 	CoordOmissionFlagged bool    `json:"coordinated_omission_flagged,omitempty"`
 }
 
-func run() error {
+// run parses args, drives the service, and writes the report to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("loadgen", flag.ExitOnError)
 	var (
-		baseURL    = flag.String("url", "http://127.0.0.1:8080", "service base URL")
-		targetsCSV = flag.String("targets", "", "comma-separated service base URLs (default: -url)")
-		protocol   = flag.String("protocol", "http", "transport for submits and decisions: http or stream")
-		streamCSV  = flag.String("stream-targets", "", "comma-separated host:port stream addresses, parallel to -targets (required with -protocol stream)")
-		rate       = flag.Float64("rate", 100, "offered arrival rate (jobs/sec)")
-		duration   = flag.Duration("duration", 10*time.Second, "wall-clock load window")
-		style      = flag.String("trace", "borg", "arrival process: borg|alibaba")
-		batch      = flag.Int("batch", 64, "max jobs per POST")
-		poll       = flag.Duration("poll", 50*time.Millisecond, "decision poll interval")
-		drain      = flag.Duration("drain", 30*time.Second, "extra wait for in-flight decisions")
-		retries    = flag.Int("retries", 2, "extra POST attempts per batch on connection errors or 5xx")
-		seed       = flag.Int64("seed", 7, "generator seed")
-		genWindow  = flag.Duration("gen-window", time.Hour, "simulated-time span the arrivals are drawn from (sets how many scheduling rounds the jobs spread over)")
-		traceSub   = flag.Bool("trace-submits", false, "send the trace's simulated submit times with each job (replay mode) instead of letting the server stamp arrivals \"now\"; spreads high offered rates across many small rounds")
-		idBaseFlag = flag.Int("id-base", 0, "base for client-assigned job ids (0: derive from the wall clock)")
-		tsFile     = flag.String("timeseries", "", "CSV file of periodic client-side latency percentile samples (empty: off)")
-		sampleIv   = flag.Duration("sample", time.Second, "timeseries sample interval")
-		jsonOut    = flag.Bool("json", false, "emit a JSON report")
-		coGapMs    = flag.Float64("co-gap-ms", 250, "flag a coordinated-omission gap (client p99 - server p99) above this many ms")
+		baseURL    = fs.String("url", "http://127.0.0.1:8080", "service base URL (status and metrics are read here in both protocols)")
+		protocol   = fs.String("protocol", "http", "transport for submits and decisions: http or stream")
+		streamAddr = fs.String("stream-addr", "", "the service's binary streaming address, host:port (required with -protocol stream)")
+		rate       = fs.Float64("rate", 100, "offered arrival rate (jobs/sec)")
+		duration   = fs.Duration("duration", 10*time.Second, "wall-clock load window")
+		style      = fs.String("trace", "borg", "arrival process: borg|alibaba")
+		batch      = fs.Int("batch", 64, "max jobs per POST")
+		poll       = fs.Duration("poll", 50*time.Millisecond, "decision poll interval")
+		drain      = fs.Duration("drain", 30*time.Second, "extra wait for in-flight decisions")
+		retries    = fs.Int("retries", 2, "extra POST attempts per batch on connection errors or 5xx")
+		seed       = fs.Int64("seed", 7, "generator seed")
+		genWindow  = fs.Duration("gen-window", time.Hour, "simulated-time span the arrivals are drawn from (sets how many scheduling rounds the jobs spread over)")
+		traceSub   = fs.Bool("trace-submits", false, "send the trace's simulated submit times with each job (replay mode) instead of letting the server stamp arrivals \"now\"; spreads high offered rates across many small rounds")
+		idBaseFlag = fs.Int("id-base", 0, "base for client-assigned job ids (0: derive from the wall clock)")
+		tsFile     = fs.String("timeseries", "", "CSV file of periodic client-side latency percentile samples (empty: off)")
+		sampleIv   = fs.Duration("sample", time.Second, "timeseries sample interval")
+		jsonOut    = fs.Bool("json", false, "emit a JSON report")
+		coGapMs    = fs.Float64("co-gap-ms", 250, "flag a coordinated-omission gap (client p99 - server p99) above this many ms")
 	)
-	flag.Parse()
+	_ = fs.Parse(args) // ExitOnError: a bad flag never returns here
 
-	targets := []string{*baseURL}
-	if *targetsCSV != "" {
-		targets = targets[:0]
-		for _, u := range strings.Split(*targetsCSV, ",") {
-			if u = strings.TrimSpace(u); u != "" {
-				targets = append(targets, u)
-			}
-		}
-	}
-	if len(targets) == 0 {
-		return fmt.Errorf("no targets")
-	}
-	var streamAddrs []string
 	switch *protocol {
 	case "http":
 	case "stream":
-		for _, a := range strings.Split(*streamCSV, ",") {
-			if a = strings.TrimSpace(a); a != "" {
-				streamAddrs = append(streamAddrs, a)
-			}
-		}
-		if len(streamAddrs) != len(targets) {
-			return fmt.Errorf("-protocol stream needs -stream-targets with one host:port per target (%d targets, %d stream addresses)",
-				len(targets), len(streamAddrs))
+		if *streamAddr == "" {
+			return fmt.Errorf("-protocol stream needs -stream-addr host:port")
 		}
 	default:
 		return fmt.Errorf("unknown -protocol %q (want http or stream)", *protocol)
 	}
 
+	// Ask the service which regions it serves (a gateway reports its
+	// whole fleet) and where its counters and decision log stand.
 	client := &http.Client{Timeout: 30 * time.Second}
-	// Ask each target which regions it serves (a gateway reports its whole
-	// fleet; a standalone shard its partition) and route by home region —
-	// first owner wins when targets overlap.
-	owner := map[waterwise.RegionID]int{}
-	startRounds := make([]uint64, len(targets))
-	startSeqs := make([]uint64, len(targets))
-	for ti, url := range targets {
-		status, err := getStatus(client, url)
-		if err != nil {
-			return fmt.Errorf("reaching %s: %w", url, err)
-		}
-		if len(status.Free) == 0 {
-			return fmt.Errorf("%s reports no regions", url)
-		}
-		for id := range status.Free {
-			if _, taken := owner[id]; !taken {
-				owner[id] = ti
-			}
-		}
-		startRounds[ti] = status.Rounds
-		startSeqs[ti] = status.LastSeq
+	start, err := getStatus(client, *baseURL)
+	if err != nil {
+		return fmt.Errorf("reaching %s: %w", *baseURL, err)
 	}
-	regions := make([]waterwise.RegionID, 0, len(owner))
-	for id := range owner {
+	if len(start.Free) == 0 {
+		return fmt.Errorf("%s reports no regions", *baseURL)
+	}
+	regions := make([]waterwise.RegionID, 0, len(start.Free))
+	for id := range start.Free {
 		regions = append(regions, id)
 	}
 	sort.Slice(regions, func(i, j int) bool { return regions[i] < regions[j] })
@@ -234,7 +199,6 @@ func run() error {
 		Seed:       *seed,
 	}
 	var jobs []*trace.Job
-	var err error
 	switch *style {
 	case "borg":
 		jobs, err = trace.GenerateBorgLike(cfg)
@@ -259,65 +223,56 @@ func run() error {
 		idBase = int(time.Now().UnixMicro())
 	}
 
-	// Latency matching is keyed by (target, job id) and shared by both
-	// transports: HTTP pollers and stream readers feed the same matcher,
-	// so pushed and polled decisions go through one percentile path.
-	m := newMatcher(len(targets))
+	// Latency matching is shared by both transports: the HTTP poller and
+	// the stream reader feed the same matcher, so pushed and polled
+	// decisions go through one percentile path.
+	m := newMatcher()
 	var (
 		mu  sync.Mutex
-		rep = report{URL: targets[0], Protocol: *protocol, TraceStyle: *style, NominalRate: *rate, Offered: len(jobs)}
+		rep = report{URL: *baseURL, Protocol: *protocol, TraceStyle: *style, NominalRate: *rate, Offered: len(jobs)}
 	)
-	if len(targets) > 1 {
-		rep.Targets = targets
+	account := func(acc, rej, errs int) {
+		mu.Lock()
+		rep.Accepted += acc
+		rep.Rejected += rej
+		rep.Errors += errs
+		mu.Unlock()
 	}
 
-	// Decision intake, one source per target. HTTP: a poller tails
-	// /v1/decisions. Stream: a persistent connection is dialed now, and
-	// its reader goroutine receives server pushes for the whole run.
-	// Either way the cursor starts past the service's pre-existing
-	// decisions: earlier loadgen runs against the same daemon must not
-	// be matched (or counted) as this run's work.
+	// Decision intake. HTTP: a poller tails /v1/decisions. Stream: a
+	// persistent connection is dialed now, and its reader goroutine
+	// receives server pushes for the whole run. Either way the cursor
+	// starts past the service's pre-existing decisions: earlier loadgen
+	// runs against the same daemon must not be matched (or counted) as
+	// this run's work.
 	stopPoll := make(chan struct{})
 	var pollWG sync.WaitGroup
-	streams := make([]*streamTarget, len(targets))
+	var st *streamConn
 	if *protocol == "stream" {
-		account := func(acc, rej, errs int) {
-			mu.Lock()
-			rep.Accepted += acc
-			rep.Rejected += rej
-			rep.Errors += errs
-			mu.Unlock()
+		if st, err = dialStream(*streamAddr, start.LastSeq, m, account); err != nil {
+			return fmt.Errorf("stream dial %s: %w", *streamAddr, err)
 		}
-		for ti, addr := range streamAddrs {
-			st, err := dialStreamTarget(addr, ti, startSeqs[ti], m, account)
-			if err != nil {
-				return fmt.Errorf("stream dial %s: %w", addr, err)
-			}
-			defer st.nc.Close()
-			streams[ti] = st
-		}
+		defer st.nc.Close()
 	} else {
-		for ti, url := range targets {
-			pollWG.Add(1)
-			go func(ti int, url string) {
-				defer pollWG.Done()
-				cursor := startSeqs[ti]
-				for {
-					ds, next, err := getDecisions(client, url, cursor)
-					if err == nil {
-						cursor = next
-						for _, d := range ds {
-							m.Decided(ti, d.JobID, d.DecidedWall)
-						}
-					}
-					select {
-					case <-stopPoll:
-						return
-					case <-time.After(*poll):
+		pollWG.Add(1)
+		go func() {
+			defer pollWG.Done()
+			cursor := start.LastSeq
+			for {
+				ds, next, err := getDecisions(client, *baseURL, cursor)
+				if err == nil {
+					cursor = next
+					for _, d := range ds {
+						m.Decided(d.JobID, d.DecidedWall)
 					}
 				}
-			}(ti, url)
-		}
+				select {
+				case <-stopPoll:
+					return
+				case <-time.After(*poll):
+				}
+			}
+		}()
 	}
 
 	// Timeseries sampler: every -sample interval, emit one CSV row of
@@ -363,96 +318,71 @@ func run() error {
 		}()
 	}
 
-	// One sender goroutine per target, fed through a buffered queue: the
-	// open-loop schedule keeps walking even when one target is slow or
-	// hung — its batches pile into its own queue (dropped as errors once
-	// full) without stalling submissions to the others.
-	sendCh := make([]chan []waterwise.JobSpec, len(targets))
+	// One sender goroutine fed through a buffered queue: the open-loop
+	// schedule keeps walking even when the service is slow or hung — its
+	// batches pile into the queue (dropped as errors once full) instead
+	// of stalling the schedule.
+	sendCh := make(chan []waterwise.JobSpec, 1024)
 	var sendWG sync.WaitGroup
-	for ti := range targets {
-		sendCh[ti] = make(chan []waterwise.JobSpec, 1024)
-		sendWG.Add(1)
-		if *protocol == "stream" {
-			// Stream sender: one Submit frame per batch; the reader
-			// goroutine does the accept/reject accounting when the reply
-			// comes back, so a send only fails here when the connection
-			// is already known broken or the batch cannot encode.
-			go func(ti int) {
-				defer sendWG.Done()
-				for specs := range sendCh[ti] {
-					if err := streams[ti].send(specs); err != nil {
-						mu.Lock()
-						rep.Errors += len(specs)
-						mu.Unlock()
-					}
+	sendWG.Add(1)
+	go func() {
+		defer sendWG.Done()
+		for specs := range sendCh {
+			if st != nil {
+				// Stream: one Submit frame per batch; the reader does the
+				// accept/reject accounting when the reply comes back, so a
+				// send only fails here when the connection is already known
+				// broken or the batch cannot encode.
+				if err := st.send(specs); err != nil {
+					account(0, 0, len(specs))
 				}
-			}(ti)
-			continue
-		}
-		go func(ti int) {
-			defer sendWG.Done()
-			for specs := range sendCh[ti] {
-				sent := time.Now() // open-loop submission instant, pre-request
-				ids, code, err := postJobs(client, targets[ti], specs)
-				// Re-POST on connection errors and 5xx (a restarting
-				// service): the specs carry client-assigned ids, so a
-				// batch that did reach the server before the failure
-				// dedupes to its original jobs — the retry is idempotent,
-				// never a double-schedule.
-				for attempt := 0; attempt < *retries && (err != nil || code >= 500); attempt++ {
-					mu.Lock()
-					rep.Retried += len(specs)
-					mu.Unlock()
-					time.Sleep(time.Duration(attempt+1) * 100 * time.Millisecond)
-					ids, code, err = postJobs(client, targets[ti], specs)
-				}
-				mu.Lock()
-				switch {
-				case err != nil:
-					rep.Errors += len(specs)
-				case code == http.StatusTooManyRequests:
-					rep.Accepted += len(ids)
-					rep.Rejected += len(specs) - len(ids)
-				case code != http.StatusAccepted:
-					rep.Accepted += len(ids)
-					rep.Errors += len(specs) - len(ids)
-				default:
-					rep.Accepted += len(ids)
-				}
-				mu.Unlock()
-				m.SentBatch(ti, ids, sent)
+				continue
 			}
-		}(ti)
-	}
+			sent := time.Now() // open-loop submission instant, pre-request
+			ids, code, err := postJobs(client, *baseURL, specs)
+			// Re-POST on connection errors and 5xx (a restarting
+			// service): the specs carry client-assigned ids, so a batch
+			// that did reach the server before the failure dedupes to its
+			// original jobs — the retry is idempotent, never a
+			// double-schedule.
+			for attempt := 0; attempt < *retries && (err != nil || code >= 500); attempt++ {
+				mu.Lock()
+				rep.Retried += len(specs)
+				mu.Unlock()
+				time.Sleep(time.Duration(attempt+1) * 100 * time.Millisecond)
+				ids, code, err = postJobs(client, *baseURL, specs)
+			}
+			switch {
+			case err != nil:
+				account(0, 0, len(specs))
+			case code == http.StatusTooManyRequests:
+				account(len(ids), len(specs)-len(ids), 0)
+			case code != http.StatusAccepted:
+				account(len(ids), 0, len(specs)-len(ids))
+			default:
+				account(len(ids), 0, 0)
+			}
+			m.SentBatch(ids, sent)
+		}
+	}()
 
 	// Open-loop sender: walk the compressed schedule, batching jobs that
-	// are due together and routing each batch slice to the target owning
-	// its home region.
+	// are due together.
 	t0 := time.Now()
-	routed := make([][]waterwise.JobSpec, len(targets))
+	due := func(j *trace.Job) time.Time {
+		return t0.Add(time.Duration(float64(j.Submit.Sub(cfg.Start)) * compress))
+	}
 	for i := 0; i < len(jobs); {
-		due := t0.Add(time.Duration(float64(jobs[i].Submit.Sub(cfg.Start)) * compress))
-		if wait := time.Until(due); wait > 0 {
+		if wait := time.Until(due(jobs[i])); wait > 0 {
 			time.Sleep(wait)
 		}
 		// Everything due by now, capped at the batch size.
-		j := i
-		now := time.Now()
-		for j < len(jobs) && j-i < *batch {
-			dj := t0.Add(time.Duration(float64(jobs[j].Submit.Sub(cfg.Start)) * compress))
-			if dj.After(now) {
-				break
-			}
+		j, now := i+1, time.Now()
+		for j < len(jobs) && j-i < *batch && !due(jobs[j]).After(now) {
 			j++
 		}
-		if j == i {
-			j = i + 1
-		}
-		for ti := range routed {
-			routed[ti] = routed[ti][:0]
-		}
+		specs := make([]waterwise.JobSpec, 0, j-i)
 		for _, job := range jobs[i:j] {
-			ti := owner[job.Home] // trace regions come from the targets, so every home has an owner
 			// Ids come from the trace (globally unique), not the service:
 			// a retried batch must present the same ids to dedupe.
 			id := idBase + job.ID
@@ -472,29 +402,19 @@ func run() error {
 				// solver — not the transport — becomes the ceiling.
 				spec.Submit = job.Submit
 			}
-			routed[ti] = append(routed[ti], spec)
+			specs = append(specs, spec)
 		}
-		for ti := range routed {
-			if len(routed[ti]) == 0 {
-				continue
-			}
-			specs := append([]waterwise.JobSpec(nil), routed[ti]...)
-			select {
-			case sendCh[ti] <- specs:
-			default:
-				// The target's queue is full (it is hung or far behind the
-				// offered rate): drop the batch as errors rather than block
-				// the schedule.
-				mu.Lock()
-				rep.Errors += len(specs)
-				mu.Unlock()
-			}
+		select {
+		case sendCh <- specs:
+		default:
+			// The queue is full (the service is hung or far behind the
+			// offered rate): drop the batch as errors rather than block
+			// the schedule.
+			account(0, 0, len(specs))
 		}
 		i = j
 	}
-	for _, ch := range sendCh {
-		close(ch)
-	}
+	close(sendCh)
 	sendWG.Wait()
 	sendWindow := time.Since(t0)
 
@@ -502,10 +422,8 @@ func run() error {
 	// decided or the drain budget runs out. In stream mode the replies
 	// must settle first, so Accepted is final before it gates the drain.
 	drainDeadline := time.Now().Add(*drain)
-	for _, st := range streams {
-		if st != nil {
-			st.waitReplies(drainDeadline)
-		}
+	if st != nil {
+		st.waitReplies(drainDeadline)
 	}
 	for time.Now().Before(drainDeadline) {
 		mu.Lock()
@@ -519,32 +437,23 @@ func run() error {
 	close(stopPoll)
 	pollWG.Wait()
 	tsWG.Wait()
-	for _, st := range streams {
-		if st == nil {
-			continue
-		}
-		if n := st.close(); n > 0 {
-			rep.Errors += n // submitted but never replied to
-		}
+	if st != nil {
+		account(0, 0, st.close()) // submitted but never replied to
 	}
 
-	// Final per-target stats: rounds and solver counters sum across the
-	// deployment (a gateway's per-shard solver stats included).
-	var endRounds uint64
+	// Final stats: rounds and solver counters (a gateway's per-shard
+	// solver stats summed).
+	end, err := getStatus(client, *baseURL)
+	if err != nil {
+		return err
+	}
 	var solver milp.Stats
-	for ti, url := range targets {
-		status, err := getStatus(client, url)
-		if err != nil {
-			return err
-		}
-		endRounds += status.Rounds - startRounds[ti]
-		if status.Solver != nil {
-			solver.Add(*status.Solver)
-		}
-		for _, ss := range status.ShardStatus {
-			if ss.Solver != nil {
-				solver.Add(*ss.Solver)
-			}
+	if end.Solver != nil {
+		solver.Add(*end.Solver)
+	}
+	for _, ss := range end.ShardStatus {
+		if ss.Solver != nil {
+			solver.Add(*ss.Solver)
 		}
 	}
 	// The throughput window runs from the first submission to the last
@@ -558,7 +467,7 @@ func run() error {
 	rep.WindowSec = sendWindow.Seconds()
 	rep.OfferedRate = float64(rep.Offered) / sendWindow.Seconds()
 	rep.DecisionsSec = float64(rep.Decided) / window.Seconds()
-	rep.RoundsSec = float64(endRounds) / window.Seconds()
+	rep.RoundsSec = float64(end.Rounds-start.Rounds) / window.Seconds()
 	rep.SolverIters = solver.SimplexIters
 	rep.SolverWarmPc = 100 * solver.WarmStartHitRate()
 	sort.Float64s(lats)
@@ -569,10 +478,9 @@ func run() error {
 		rep.LatencyMaxMs = lats[len(lats)-1]
 	}
 
-	// Server-side view: scrape each target's /metrics histogram and merge
-	// (bucket edges are shared across servers, so the merge is exact).
-	// Best-effort — an obs-disabled target just leaves these fields zero.
-	if les, cums, ok := scrapeDecisionLatency(client, targets); ok {
+	// Server-side view: scrape the service's /metrics histogram.
+	// Best-effort — a failed scrape just leaves these fields zero.
+	if les, cums, ok := scrapeDecisionLatency(client, *baseURL); ok {
 		rep.ServerLatencyP50Ms = 1e3 * obs.QuantileFromBuckets(les, cums, 0.50)
 		rep.ServerLatencyP99Ms = 1e3 * obs.QuantileFromBuckets(les, cums, 0.99)
 		rep.ServerLatencyCount = cums[len(cums)-1]
@@ -581,78 +489,53 @@ func run() error {
 	}
 
 	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		return enc.Encode(rep)
 	}
-	fmt.Printf("loadgen: %s trace over %s, offered %d jobs in %.1fs (%.1f/s nominal %.0f/s)\n",
+	fmt.Fprintf(stdout, "loadgen: %s trace over %s, offered %d jobs in %.1fs (%.1f/s nominal %.0f/s)\n",
 		rep.TraceStyle, rep.Protocol, rep.Offered, rep.WindowSec, rep.OfferedRate, rep.NominalRate)
-	fmt.Printf("  accepted %d, rejected %d (backpressure), errors %d, retried %d\n",
+	fmt.Fprintf(stdout, "  accepted %d, rejected %d (backpressure), errors %d, retried %d\n",
 		rep.Accepted, rep.Rejected, rep.Errors, rep.Retried)
-	fmt.Printf("  decided %d (%.1f decisions/s, %.1f rounds/s)\n", rep.Decided, rep.DecisionsSec, rep.RoundsSec)
-	fmt.Printf("  decision latency ms: p50 %.1f  p90 %.1f  p99 %.1f  max %.1f\n",
+	fmt.Fprintf(stdout, "  decided %d (%.1f decisions/s, %.1f rounds/s)\n", rep.Decided, rep.DecisionsSec, rep.RoundsSec)
+	fmt.Fprintf(stdout, "  decision latency ms: p50 %.1f  p90 %.1f  p99 %.1f  max %.1f\n",
 		rep.LatencyP50Ms, rep.LatencyP90Ms, rep.LatencyP99Ms, rep.LatencyMaxMs)
 	if rep.ServerLatencyCount > 0 {
-		fmt.Printf("  server-side (scraped) ms: p50 %.1f  p99 %.1f over %d decisions\n",
+		fmt.Fprintf(stdout, "  server-side (scraped) ms: p50 %.1f  p99 %.1f over %d decisions\n",
 			rep.ServerLatencyP50Ms, rep.ServerLatencyP99Ms, rep.ServerLatencyCount)
 		co := ""
 		if rep.CoordOmissionFlagged {
 			co = fmt.Sprintf("  — ABOVE the %.0fms threshold: the client queue hid latency the server never saw", *coGapMs)
 		}
-		fmt.Printf("  coordinated-omission gap (client p99 - server p99): %.1fms%s\n", rep.CoordOmissionGapMs, co)
+		fmt.Fprintf(stdout, "  coordinated-omission gap (client p99 - server p99): %.1fms%s\n", rep.CoordOmissionGapMs, co)
 	}
 	if rep.SolverIters > 0 {
-		fmt.Printf("  solver: %d simplex iters, %.0f%% warm-served\n", rep.SolverIters, rep.SolverWarmPc)
+		fmt.Fprintf(stdout, "  solver: %d simplex iters, %.0f%% warm-served\n", rep.SolverIters, rep.SolverWarmPc)
 	}
 	return nil
 }
 
-// scrapeDecisionLatency fetches each target's /metrics, parses the
-// decision-latency histogram — the fleet-merged family from a gateway,
-// the plain family from a single server — and merges the cumulative
-// buckets across targets into one (les, cums) pair. All waterwise
-// histograms share one bucket scheme, so the per-target deltas sum
-// exactly; elided empty buckets just contribute nothing.
-func scrapeDecisionLatency(c *http.Client, targets []string) (les []float64, cums []uint64, ok bool) {
-	deltas := map[float64]uint64{}
-	for _, base := range targets {
-		fams, err := getMetrics(c, base)
-		if err != nil {
-			continue
-		}
-		fam := fams["waterwise_fleet_decision_latency_seconds"]
-		var want map[string]string
-		if fam == nil {
-			fam = fams["waterwise_decision_latency_seconds"]
-			want = map[string]string{}
-		}
-		if fam == nil {
-			continue
-		}
-		tles, tcums := obs.HistogramBuckets(fam, want)
-		var prev uint64
-		for i, le := range tles {
-			deltas[le] += tcums[i] - prev
-			prev = tcums[i]
-		}
-		ok = true
-	}
-	if !ok || len(deltas) == 0 {
+// scrapeDecisionLatency fetches the service's /metrics and returns the
+// cumulative (le, count) buckets of its decision-latency histogram — the
+// shard-merged family from a fleet gateway, the plain one from a single
+// server.
+func scrapeDecisionLatency(c *http.Client, base string) (les []float64, cums []uint64, ok bool) {
+	fams, err := getMetrics(c, base)
+	if err != nil {
 		return nil, nil, false
 	}
-	for le := range deltas {
-		les = append(les, le)
+	fam := fams["waterwise_fleet_decision_latency_seconds"]
+	if fam == nil {
+		fam = fams["waterwise_decision_latency_seconds"]
 	}
-	sort.Float64s(les)
-	var cum uint64
-	for _, le := range les {
-		cum += deltas[le]
-		cums = append(cums, cum)
+	if fam == nil {
+		return nil, nil, false
 	}
-	return les, cums, true
+	les, cums = obs.HistogramBuckets(fam, nil)
+	return les, cums, len(cums) > 0
 }
 
-// getMetrics fetches and strictly parses a target's /metrics exposition.
+// getMetrics fetches and strictly parses the service's /metrics exposition.
 func getMetrics(c *http.Client, base string) (map[string]*obs.PromFamily, error) {
 	resp, err := c.Get(base + "/metrics")
 	if err != nil {

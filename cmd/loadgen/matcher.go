@@ -5,36 +5,25 @@ import (
 	"time"
 )
 
-// jobKey identifies one submission: standalone shards each mint ids
-// from zero, so a bare id is ambiguous across targets.
-type jobKey struct{ target, id int }
-
 // matcher merges submissions and observed decisions into one latency
-// sample set, keyed (target, id). It is transport-agnostic: polled
-// HTTP decisions and pushed stream decisions feed the same Decided
-// path, and either side of a pair may arrive first — a pushed decision
-// can beat the submit reply that carries its id, just as a polled
-// decision can beat the POST response. Unpaired decisions are parked
-// per target until the matching Sent arrives; decisions that never
-// pair (another client's work) park harmlessly.
+// sample set, keyed by job id. It is transport-agnostic: polled HTTP
+// decisions and pushed stream decisions feed the same Decided path, and
+// either side of a pair may arrive first — a pushed decision can beat
+// the submit reply that carries its id, just as a polled decision can
+// beat the POST response. Unpaired decisions are parked until the
+// matching Sent arrives; decisions that never pair (another client's
+// work) park harmlessly.
 type matcher struct {
 	mu          sync.Mutex
-	sent        map[jobKey]time.Time
-	unmatched   []map[int]time.Time // per target: decided, submission not yet recorded
-	lats        []float64           // latency samples, milliseconds, arrival order
+	sent        map[int]time.Time
+	unmatched   map[int]time.Time // decided, submission not yet recorded
+	lats        []float64         // latency samples, milliseconds, arrival order
 	decided     int
 	lastDecided time.Time
 }
 
-func newMatcher(targets int) *matcher {
-	m := &matcher{
-		sent:      make(map[jobKey]time.Time),
-		unmatched: make([]map[int]time.Time, targets),
-	}
-	for i := range m.unmatched {
-		m.unmatched[i] = make(map[int]time.Time)
-	}
-	return m
+func newMatcher() *matcher {
+	return &matcher{sent: make(map[int]time.Time), unmatched: make(map[int]time.Time)}
 }
 
 // observeLocked records one matched pair.
@@ -46,37 +35,37 @@ func (m *matcher) observeLocked(sent, decided time.Time) {
 	}
 }
 
-// Sent records a submission instant for (target, id), pairing it with
-// an already-observed decision if one is parked.
-func (m *matcher) Sent(target, id int, wall time.Time) {
+// Sent records a submission instant for id, pairing it with an
+// already-observed decision if one is parked.
+func (m *matcher) Sent(id int, wall time.Time) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if decided, ok := m.unmatched[target][id]; ok {
+	if decided, ok := m.unmatched[id]; ok {
 		m.observeLocked(wall, decided)
-		delete(m.unmatched[target], id)
+		delete(m.unmatched, id)
 		return
 	}
-	m.sent[jobKey{target, id}] = wall
+	m.sent[id] = wall
 }
 
 // SentBatch records one submission instant for many ids.
-func (m *matcher) SentBatch(target int, ids []int, wall time.Time) {
+func (m *matcher) SentBatch(ids []int, wall time.Time) {
 	for _, id := range ids {
-		m.Sent(target, id, wall)
+		m.Sent(id, wall)
 	}
 }
 
-// Decided records an observed decision for (target, id), pairing it
-// with its submission if recorded, else parking it for a later Sent.
-func (m *matcher) Decided(target, id int, wall time.Time) {
+// Decided records an observed decision for id, pairing it with its
+// submission if recorded, else parking it for a later Sent.
+func (m *matcher) Decided(id int, wall time.Time) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if sent, ok := m.sent[jobKey{target, id}]; ok {
+	if sent, ok := m.sent[id]; ok {
 		m.observeLocked(sent, wall)
-		delete(m.sent, jobKey{target, id})
+		delete(m.sent, id)
 		return
 	}
-	m.unmatched[target][id] = wall
+	m.unmatched[id] = wall
 }
 
 // DecidedCount returns the matched-pair count so far.

@@ -13,27 +13,27 @@ import (
 // submission. Both orders must pair up to the same latency sample.
 func TestMatcherBothArrivalOrders(t *testing.T) {
 	base := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
-	m := newMatcher(2)
+	m := newMatcher()
 
 	// HTTP-style: Sent first, Decided later.
-	m.Sent(0, 100, base)
+	m.Sent(100, base)
 	if _, _, decided := m.Window(0); decided != 0 {
 		t.Fatalf("decided %d before any decision", decided)
 	}
-	m.Decided(0, 100, base.Add(250*time.Millisecond))
+	m.Decided(100, base.Add(250*time.Millisecond))
 
 	// Stream-style: the push arrives before the reply records the send.
-	m.Decided(1, 100, base.Add(900*time.Millisecond))
+	m.Decided(101, base.Add(900*time.Millisecond))
 	if _, _, decided := m.Window(0); decided != 1 {
 		t.Fatalf("decided %d after unpaired push, want 1", decided)
 	}
-	m.Sent(1, 100, base.Add(400*time.Millisecond))
+	m.Sent(101, base.Add(400*time.Millisecond))
 
 	lats, decided, lastDecided := m.Results()
 	if decided != 2 || len(lats) != 2 {
 		t.Fatalf("decided %d, %d samples, want 2 and 2", decided, len(lats))
 	}
-	// Same id on different targets stayed distinct: 250ms then 500ms.
+	// Both orders paired to their own sample: 250ms then 500ms.
 	if lats[0] != 250 || lats[1] != 500 {
 		t.Fatalf("latencies %v ms, want [250 500]", lats)
 	}
@@ -47,17 +47,17 @@ func TestMatcherBothArrivalOrders(t *testing.T) {
 // foreign decisions (another client's ids) never pair.
 func TestMatcherBatchAndWindow(t *testing.T) {
 	base := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
-	m := newMatcher(1)
-	m.SentBatch(0, []int{1, 2, 3}, base)
-	m.Decided(0, 999, base.Add(time.Second)) // not ours: parks forever
-	m.Decided(0, 2, base.Add(100*time.Millisecond))
-	m.Decided(0, 1, base.Add(200*time.Millisecond))
+	m := newMatcher()
+	m.SentBatch([]int{1, 2, 3}, base)
+	m.Decided(999, base.Add(time.Second)) // not ours: parks forever
+	m.Decided(2, base.Add(100*time.Millisecond))
+	m.Decided(1, base.Add(200*time.Millisecond))
 
 	window, n, decided := m.Window(0)
 	if decided != 2 || len(window) != 2 {
 		t.Fatalf("decided %d, window %v, want 2 matched", decided, window)
 	}
-	m.Decided(0, 3, base.Add(300*time.Millisecond))
+	m.Decided(3, base.Add(300*time.Millisecond))
 	window, _, _ = m.Window(n)
 	if len(window) != 1 || window[0] != 300 {
 		t.Fatalf("second window %v, want [300]", window)

@@ -12,8 +12,8 @@ import (
 	"waterwise/internal/wire"
 )
 
-// errStreamBroken marks a stream target whose connection died; later
-// batches to it are dropped as errors without blocking the schedule.
+// errStreamBroken marks a stream connection that died; later batches
+// are dropped as errors without blocking the schedule.
 var errStreamBroken = errors.New("stream connection broken")
 
 // pendingBatch is one in-flight Submit frame awaiting its reply. The
@@ -24,12 +24,11 @@ type pendingBatch struct {
 	sent time.Time
 }
 
-// streamTarget is one persistent wire-protocol connection to a target:
+// streamConn is the persistent wire-protocol connection to the service:
 // the sender writes Submit frames; a reader goroutine demuxes
 // SubmitReply frames (accept/reject accounting, submission instants
 // into the matcher) and pushed Decisions frames (matcher + Ack).
-type streamTarget struct {
-	ti      int
+type streamConn struct {
 	nc      net.Conn
 	conn    *wire.Conn
 	m       *matcher
@@ -56,9 +55,9 @@ type streamTarget struct {
 	buf  []byte
 }
 
-// dialStreamTarget connects, runs the Hello/Welcome handshake
-// subscribing to decisions after resume, and starts the reader.
-func dialStreamTarget(addr string, ti int, resume uint64, m *matcher, account func(acc, rej, errs int)) (*streamTarget, error) {
+// dialStream connects, runs the Hello/Welcome handshake subscribing to
+// decisions after resume, and starts the reader.
+func dialStream(addr string, resume uint64, m *matcher, account func(acc, rej, errs int)) (*streamConn, error) {
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, err
@@ -88,8 +87,8 @@ func dialStreamTarget(addr string, ti int, resume uint64, m *matcher, account fu
 		nc.Close()
 		return nil, fmt.Errorf("handshake: unexpected frame type %d", typ)
 	}
-	st := &streamTarget{
-		ti: ti, nc: nc, conn: conn, m: m, account: account,
+	st := &streamConn{
+		nc: nc, conn: conn, m: m, account: account,
 		pending: make(chan pendingBatch, 4096),
 		done:    make(chan struct{}),
 		ackKick: make(chan struct{}, 1),
@@ -103,7 +102,7 @@ func dialStreamTarget(addr string, ti int, resume uint64, m *matcher, account fu
 // expectation. The submission instant is captured before the write —
 // the open-loop analogue of HTTP's pre-request stamp — and recorded in
 // the matcher when the reply names the accepted ids.
-func (st *streamTarget) send(specs []waterwise.JobSpec) error {
+func (st *streamConn) send(specs []waterwise.JobSpec) error {
 	if st.broken.Load() {
 		return errStreamBroken
 	}
@@ -132,7 +131,7 @@ func (st *streamTarget) send(specs []waterwise.JobSpec) error {
 }
 
 // read demuxes the connection until it closes or fails.
-func (st *streamTarget) read() {
+func (st *streamConn) read() {
 	defer close(st.done)
 	defer st.broken.Store(true)
 	var (
@@ -156,7 +155,7 @@ func (st *streamTarget) read() {
 				switch r.Code {
 				case wire.SubmitOK:
 					acc++
-					st.m.Sent(st.ti, int(r.ID), pb.sent)
+					st.m.Sent(int(r.ID), pb.sent)
 				case wire.SubmitQueueFull:
 					rej++ // backpressure, the 429 analogue
 				default:
@@ -172,7 +171,7 @@ func (st *streamTarget) read() {
 				return
 			}
 			for i := range ds {
-				st.m.Decided(st.ti, int(ds[i].JobID), server.NanoTime(ds[i].DecidedWallNano))
+				st.m.Decided(int(ds[i].JobID), server.NanoTime(ds[i].DecidedWallNano))
 			}
 			st.ackSeq.Store(next)
 			select {
@@ -188,7 +187,7 @@ func (st *streamTarget) read() {
 // ack forwards the newest decision cursor back to the server whenever
 // the reader kicks it, collapsing any backlog of kicks into one Ack
 // carrying the latest cursor.
-func (st *streamTarget) ack() {
+func (st *streamConn) ack() {
 	var sent uint64
 	var buf []byte
 	for {
@@ -211,7 +210,7 @@ func (st *streamTarget) ack() {
 
 // waitReplies blocks until every written batch has been replied to,
 // the connection breaks, or the deadline passes.
-func (st *streamTarget) waitReplies(deadline time.Time) {
+func (st *streamConn) waitReplies(deadline time.Time) {
 	for time.Now().Before(deadline) {
 		if st.inflight.Load() == 0 || st.broken.Load() {
 			return
@@ -222,7 +221,7 @@ func (st *streamTarget) waitReplies(deadline time.Time) {
 
 // close tears the connection down and returns how many submitted jobs
 // never got a reply (counted as errors by the caller).
-func (st *streamTarget) close() (unreplied int) {
+func (st *streamConn) close() (unreplied int) {
 	st.nc.Close()
 	<-st.done
 	for {

@@ -10,10 +10,7 @@
 // process: N scheduler shards, each owning a disjoint partition of the
 // environment's regions, behind a gateway that routes jobs by home
 // region, merges decision logs into one globally seq-numbered stream, and
-// labels metrics per shard. With -partition it runs a single standalone
-// shard of that layout — the same environment (same seed, same series),
-// restricted to the named regions — so separate waterwised processes can
-// each take a partition and be fronted by an external router.
+// labels metrics per shard.
 //
 // The environment's grid/weather signals come from a pluggable feed
 // (-feed): the deterministic synthetic generators (default), a recorded
@@ -42,8 +39,6 @@
 //	               the sharded fleet behind one gateway      (default 1)
 //	-shard-map     region=shard pins, e.g. "zurich=0,mumbai=1"
 //	               (unpinned regions dealt to emptiest shard)
-//	-partition     standalone-shard mode: serve only these
-//	               regions of the full environment
 //	-feed          environment feed: "synthetic",
 //	               "replay:<file>", or "live:<url>"          (default synthetic)
 //	-record        write the feed to a trace file and exit
@@ -57,16 +52,12 @@
 //	               resumes decision-identical (default: off)
 //	-snapshot-every snapshot cadence in rounds               (default 256)
 //	-workers       solver worker count                       (default 1)
-//	-no-warm-start disable the cross-round warm start
 //	-wri           use the WRI-style water dataset
 //	-seed          environment RNG seed                      (default 7)
 //	-log-level     log threshold: debug, info, warn, error   (default info)
 //	-log-format    log encoding: text or json                (default text)
 //	-debug-addr    serve net/http/pprof on this address
 //	               (default: off)
-//	-no-obs        disable the observability layer (latency
-//	               histograms, round/job traces) — the
-//	               obs-off arm of the overhead benchmark
 //	-record-metrics keep a bounded in-process time-series
 //	               history of /metrics, scraped once per round;
 //	               query it with GET /v1/query (default: off)
@@ -82,7 +73,8 @@
 //	               "availability:0.999" alerts on the rejected/
 //	               accepted ratio; "latency:0.99@250ms" alerts
 //	               when under 99% of decisions beat 250ms.
-//	               Alert states at GET /v1/alerts.
+//	               Each kind at most once. Alert states at
+//	               GET /v1/alerts.
 package main
 
 import (
@@ -214,7 +206,8 @@ func parseSLOs(csv string, fleetMode bool) ([]waterwise.SLOObjective, error) {
 	return out, nil
 }
 
-// parseShardMap parses "region=shard" pins.
+// parseShardMap parses "region=shard" pins; a region pinned twice is an
+// error rather than last-pin-wins.
 func parseShardMap(csv string) (map[waterwise.RegionID]int, error) {
 	if csv == "" {
 		return nil, nil
@@ -229,7 +222,11 @@ func parseShardMap(csv string) (map[waterwise.RegionID]int, error) {
 		if err != nil {
 			return nil, fmt.Errorf("shard map entry %q: %v", pin, err)
 		}
-		out[waterwise.RegionID(strings.TrimSpace(name))] = n
+		id := waterwise.RegionID(strings.TrimSpace(name))
+		if _, dup := out[id]; dup {
+			return nil, fmt.Errorf("shard map pins region %q more than once", id)
+		}
+		out[id] = n
 	}
 	return out, nil
 }
@@ -245,7 +242,6 @@ func run() error {
 		regionsCSV  = flag.String("regions", "", "comma-separated region subset")
 		shards      = flag.Int("shards", 1, "scheduler shard count (at least 1); >1 serves the sharded fleet")
 		shardMapCSV = flag.String("shard-map", "", "region=shard pins, e.g. zurich=0,mumbai=1")
-		partCSV     = flag.String("partition", "", "standalone-shard mode: serve only these regions of the full environment")
 		feedSpec    = flag.String("feed", "synthetic", `environment feed: "synthetic", "replay:<file>", or "live:<url>"`)
 		record      = flag.String("record", "", "write the environment feed to this trace file (.json or .csv) and exit")
 		horizon     = flag.Int("horizon-hours", 0, "environment series horizon in hours (0 = auto: 96, or a replay trace's recorded span)")
@@ -254,13 +250,11 @@ func run() error {
 		dataDir     = flag.String("data-dir", "", "durable state directory (write-ahead log + snapshots); empty = in-memory only")
 		snapEvery   = flag.Int("snapshot-every", 0, "snapshot cadence in rounds (0 = default 256)")
 		workers     = flag.Int("workers", 1, "branch-and-bound worker count")
-		noWarm      = flag.Bool("no-warm-start", false, "disable the cross-round warm start")
 		wri         = flag.Bool("wri", false, "use the WRI-style water dataset")
 		seed        = flag.Int64("seed", 7, "environment RNG seed")
 		logLevel    = flag.String("log-level", "info", "log threshold: debug, info, warn, or error")
 		logFormat   = flag.String("log-format", "text", "log encoding: text or json")
 		debugAddr   = flag.String("debug-addr", "", "serve net/http/pprof on this address (empty = off)")
-		noObs       = flag.Bool("no-obs", false, "disable the observability layer (histograms, round/job traces)")
 		recordTS    = flag.Bool("record-metrics", false, "keep a bounded in-process time-series history of /metrics (query via /v1/query)")
 		recordMB    = flag.Int("record-budget-mb", 0, "memory budget in MiB for recorded metrics history (0 = default 8)")
 		recordIv    = flag.Duration("record-interval", 250*time.Millisecond, "minimum wall-clock spacing between recorder scrapes (0 = every round)")
@@ -275,6 +269,13 @@ func run() error {
 	slog.SetDefault(log)
 	if *shards < 1 {
 		return fmt.Errorf("-shards must be at least 1 (got %d)", *shards)
+	}
+	shardMap, err := parseShardMap(*shardMapCSV)
+	if err != nil {
+		return err
+	}
+	if shardMap != nil && *shards == 1 {
+		return fmt.Errorf("-shard-map needs -shards > 1 (got -shards %d)", *shards)
 	}
 
 	if *debugAddr != "" {
@@ -320,32 +321,36 @@ func run() error {
 		LambdaCarbon:        *lambdaC,
 		LambdaWater:         1 - *lambdaC,
 		SolverWorkers:       *workers,
-		CrossRoundWarmStart: !*noWarm,
+		CrossRoundWarmStart: true,
 	}
-
-	mode := fmt.Sprintf("paced x%g", *timescale)
-	if *timescale == 0 {
-		mode = "accelerated"
-	}
-
 	// -slo without -record-metrics would have nothing to evaluate burn
 	// rates over, so objectives imply recording.
 	slos, err := parseSLOs(*sloCSV, *shards > 1)
 	if err != nil {
 		return err
 	}
-	recCfg := waterwise.RecordConfig{
-		Enable:            *recordTS || len(slos) > 0,
-		MemoryBudgetBytes: *recordMB << 20,
-		MinInterval:       *recordIv,
-		SLOs:              slos,
-		Logf: func(format string, args ...any) {
-			slog.Info(fmt.Sprintf(format, args...))
+	srvCfg := waterwise.ServerConfig{
+		Tolerance: *tolerance, Round: *round, TimeScale: *timescale,
+		QueueCap: *queueCap, DecisionLogCap: *decisionLog,
+		DataDir: *dataDir, SnapshotEvery: *snapEvery,
+		Record: waterwise.RecordConfig{
+			Enable:            *recordTS || len(slos) > 0,
+			MemoryBudgetBytes: *recordMB << 20,
+			MinInterval:       *recordIv,
+			SLOs:              slos,
+			Logf: func(format string, args ...any) {
+				slog.Info(fmt.Sprintf(format, args...))
+			},
 		},
 	}
+	mode := fmt.Sprintf("paced x%g", *timescale)
+	if *timescale == 0 {
+		mode = "accelerated"
+	}
 
-	// Build the backend — sharded fleet or single server — then share one
-	// start → stream → serve → stop tail.
+	// Build the backend — one server, or the sharded fleet running every
+	// shard on the same ServerConfig — then share one start → stream →
+	// serve → stop tail.
 	var (
 		backend     waterwise.StreamBackend
 		handler     http.Handler
@@ -353,20 +358,8 @@ func run() error {
 		logTotals   func()
 	)
 	if *shards > 1 {
-		if *partCSV != "" {
-			return fmt.Errorf("-partition is the standalone-shard mode; use -shard-map with -shards")
-		}
-		shardMap, err := parseShardMap(*shardMapCSV)
-		if err != nil {
-			return err
-		}
 		fl, err := waterwise.NewFleet(env, waterwise.FleetConfig{
-			Shards: *shards, ShardMap: shardMap, Scheduler: schedCfg,
-			Tolerance: *tolerance, Round: *round, TimeScale: *timescale,
-			QueueCap: *queueCap, DecisionLogCap: *decisionLog,
-			DataDir: *dataDir, SnapshotEvery: *snapEvery,
-			Obs:    waterwise.ObsConfig{Disable: *noObs},
-			Record: recCfg,
+			ServerConfig: srvCfg, Shards: *shards, ShardMap: shardMap, Scheduler: schedCfg,
 		})
 		if err != nil {
 			return err
@@ -391,17 +384,6 @@ func run() error {
 			}
 		}
 	} else {
-		if *shardMapCSV != "" {
-			return fmt.Errorf("-shard-map needs -shards > 1 (got -shards %d)", *shards)
-		}
-		srvCfg := waterwise.ServerConfig{
-			Regions:   splitRegions(*partCSV),
-			Tolerance: *tolerance, Round: *round, TimeScale: *timescale,
-			QueueCap: *queueCap, DecisionLogCap: *decisionLog,
-			DataDir: *dataDir, SnapshotEvery: *snapEvery,
-			Obs:    waterwise.ObsConfig{Disable: *noObs},
-			Record: recCfg,
-		}
 		sched, err := waterwise.NewScheduler(schedCfg)
 		if err != nil {
 			return err
@@ -411,13 +393,8 @@ func run() error {
 			return err
 		}
 		logRecovery(log, "server", srv.Status().WAL)
-		served := env.Regions()
-		if len(srvCfg.Regions) > 0 {
-			served = srvCfg.Regions
-			log.Info("standalone shard mode", "partition", fmt.Sprint(served), "environment", fmt.Sprint(env.Regions()))
-		}
 		log.Info("listening", "addr", *addr, "round", round.String(), "mode", mode,
-			"tolerance", *tolerance, "regions", fmt.Sprint(served))
+			"tolerance", *tolerance, "regions", fmt.Sprint(env.Regions()))
 		backend, handler, start, stop = srv, srv.Handler(), srv.Start, srv.Stop
 		logTotals = func() {
 			st := srv.Status()
@@ -427,10 +404,8 @@ func run() error {
 				log.Info("solver totals", "nodes", st.Solver.Nodes, "simplex_iters", st.Solver.SimplexIters,
 					"warm_hit_rate", st.Solver.WarmStartHitRate(), "wall", st.Solver.Wall.Round(time.Millisecond).String())
 			}
-			if st.Obs != nil {
-				log.Info("latency", "decision_p50_ms", st.Obs.DecisionP50Ms,
-					"decision_p99_ms", st.Obs.DecisionP99Ms, "solve_p99_ms", st.Obs.SolveP99Ms)
-			}
+			log.Info("latency", "decision_p50_ms", st.Obs.DecisionP50Ms,
+				"decision_p99_ms", st.Obs.DecisionP99Ms, "solve_p99_ms", st.Obs.SolveP99Ms)
 		}
 	}
 

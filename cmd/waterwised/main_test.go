@@ -174,6 +174,41 @@ func TestRejectsShardCountBelowOne(t *testing.T) {
 	}
 }
 
+// TestRejectsBadFlags runs the daemon with flag values it must refuse
+// before binding anything, each with an error naming the culprit: a
+// region pinned twice (the last pin used to win silently) and two SLO
+// objectives sharing a name (their alerts used to be indistinguishable
+// in /v1/alerts), among other malformed maps and objectives.
+func TestRejectsBadFlags(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		args []string
+		want string
+	}{
+		{"region pinned twice", []string{"-shards", "2", "-shard-map", "zurich=0,zurich=1"}, `"zurich"`},
+		{"region pinned twice, same shard", []string{"-shards", "2", "-shard-map", "oregon=1, oregon=1"}, `"oregon"`},
+		{"pin not region=shard", []string{"-shards", "2", "-shard-map", "zurich"}, `"zurich"`},
+		{"shard map without shards", []string{"-shard-map", "zurich=0"}, "-shard-map"},
+		{"two latency objectives", []string{"-slo", "latency:0.99@250ms,latency:0.9@50ms"}, `"latency"`},
+		{"two latency objectives, fleet", []string{"-shards", "2", "-slo", "latency:0.99@250ms,latency:0.9@50ms"}, `"latency"`},
+		{"unknown objective kind", []string{"-slo", "throughput:0.9"}, `"throughput"`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			cmd := exec.CommandContext(ctx, os.Args[0], append([]string{"-addr", "127.0.0.1:0", "-timescale", "0"}, tc.args...)...)
+			cmd.Env = append(os.Environ(), "WATERWISED_HELPER=1")
+			out, err := cmd.CombinedOutput()
+			if _, exited := err.(*exec.ExitError); !exited || ctx.Err() != nil {
+				t.Fatalf("err = %v, want a non-zero exit; output:\n%s", err, out)
+			}
+			if !bytes.Contains(out, []byte(tc.want)) {
+				t.Errorf("error does not name %s:\n%s", tc.want, out)
+			}
+		})
+	}
+}
+
 // TestCrashRecoverySIGKILL is the end-to-end durability proof at the
 // process level: SIGKILL a running waterwised mid-run, restart it over
 // the same -data-dir, re-submit the workload (idempotent retries), and

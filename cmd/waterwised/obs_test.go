@@ -94,38 +94,3 @@ func TestDaemonMetricsLint(t *testing.T) {
 		t.Errorf("pprof index: status %d", resp.StatusCode)
 	}
 }
-
-// TestDaemonNoObs boots with the kill switch and requires the exposition
-// to stay lintable and the trace endpoints to report 404.
-func TestDaemonNoObs(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns a daemon process")
-	}
-	port := freePort(t)
-	base := fmt.Sprintf("http://127.0.0.1:%d", port)
-	cmd := startDaemon(t, base,
-		"-addr", fmt.Sprintf("127.0.0.1:%d", port),
-		"-timescale", "0", "-no-obs",
-	)
-	defer func() {
-		_ = cmd.Process.Signal(syscall.SIGTERM)
-		_, _ = cmd.Process.Wait()
-	}()
-	resp, err := http.Get(base + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	metrics, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err := obs.LintProm(metrics); err != nil {
-		t.Fatalf("-no-obs /metrics fails lint: %v", err)
-	}
-	resp, err = http.Get(base + "/v1/rounds/slowest")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("rounds endpoint with -no-obs: status %d, want 404", resp.StatusCode)
-	}
-}

@@ -88,10 +88,6 @@ type Config struct {
 	// (server.Config.SyncInterval; 0 means the server default). The
 	// scenario harness tightens it so accelerated runs sync every round.
 	SyncInterval time.Duration
-	// Obs configures every shard's observability layer (server.Config.Obs).
-	// The gateway merges the shard histograms into fleet-level
-	// distributions and serves fleet-wide round and job trace views.
-	Obs server.ObsConfig
 	// WALSyncDelay is handed to every shard's write-ahead log as its fsync
 	// latency hook (server.Config.WALSyncDelay) — the scenario harness's
 	// slow-disk fault. Nil adds nothing; ignored without DataDir.
@@ -193,8 +189,8 @@ type Fleet struct {
 
 	// ingest records the gateway's POST /v1/jobs wall time (jobs enter
 	// the fleet here, not through shard HTTP, so the gateway owns the
-	// ingest histogram; nil when Config.Obs.Disable).
-	ingest *obs.Histogram
+	// ingest histogram).
+	ingest obs.Histogram
 
 	// sup is the watchdog (nil when Config.Supervisor is nil); its
 	// per-shard slices are guarded by mu like dead and buffered.
@@ -281,9 +277,6 @@ func New(cfg Config) (*Fleet, error) {
 	if f.bufCap <= 0 {
 		f.bufCap = 65536
 	}
-	if !cfg.Obs.Disable {
-		f.ingest = &obs.Histogram{}
-	}
 	if cfg.Supervisor != nil {
 		f.sup = newSupervisor(*cfg.Supervisor, cfg.Shards)
 	}
@@ -332,7 +325,7 @@ func (f *Fleet) Handler() http.Handler {
 		RecentRounds:  f.RecentRounds,
 		JobTrace:      f.JobTrace,
 		Recorder:      f.Recorder,
-		Ingest:        f.ingest,
+		Ingest:        &f.ingest,
 	})
 }
 
@@ -364,8 +357,7 @@ func (f *Fleet) buildShard(s int) (*server.Server, error) {
 		Round: f.cfg.Round, TimeScale: f.cfg.TimeScale,
 		QueueCap: f.cfg.QueueCap, DecisionLogCap: f.cfg.DecisionLogCap,
 		DataDir: dir, SnapshotEvery: f.cfg.SnapshotEvery,
-		SyncInterval: f.cfg.SyncInterval,
-		Obs:          f.cfg.Obs, WALSyncDelay: f.cfg.WALSyncDelay,
+		SyncInterval: f.cfg.SyncInterval, WALSyncDelay: f.cfg.WALSyncDelay,
 		OnRound: f.onShardRound,
 	})
 	if err != nil {
@@ -715,9 +707,7 @@ func (f *Fleet) Status() Status {
 	st.Scheduler = st.ShardStatus[0].Scheduler
 	st.Round = st.ShardStatus[0].Round
 	st.TimeScale = st.ShardStatus[0].TimeScale
-	if snaps := f.ObsSnapshots(); snaps != nil {
-		st.Obs = snaps.Summary(shards[0].JobSampleEvery())
-	}
+	st.Obs = f.ObsSnapshots().Summary(shards[0].JobSampleEvery())
 	if prov := f.cfg.Env.Provider(); prov != nil {
 		h := feed.HealthOf(prov)
 		st.Feed = &h

@@ -59,9 +59,8 @@ func (f *Fleet) MetricsText() []byte {
 	// Latency histograms twice over: the per-server families labeled by
 	// shard (which shard's solve is slow), then the shard-merged
 	// fleet-level distributions (what a client of the gateway sees) —
-	// exact sums, since every histogram shares one bucket scheme.
-	// Observability is on for every shard or none, so shard 0 carries the
-	// headers.
+	// exact sums, since every histogram shares one bucket scheme. Shard 0
+	// carries the headers.
 	for i, s := range f.shardList() {
 		b = server.AppendObsMetrics(b, s.ObsSnapshots(), "waterwise_", shardLabel(i), i == 0)
 	}

@@ -29,7 +29,6 @@ func TestFleetMetricsLintAndMergedHistograms(t *testing.T) {
 		Env: env, NewScheduler: coreFactory(t), Shards: shards,
 		Tolerance: 0.5, Round: time.Minute,
 		DataDir: t.TempDir(),
-		Obs:     server.ObsConfig{JobSampleEvery: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -176,7 +175,8 @@ func TestFleetMetricsLintAndMergedHistograms(t *testing.T) {
 		t.Fatalf("recent window: %d rounds", len(rounds.Recent))
 	}
 
-	// Job trace lookup scans the shards and reports the owner.
+	// Job trace lookup scans the shards and reports the owner. The first
+	// job is its shard's accepted ordinal 0, which the tracer samples.
 	id := jobs[0].ID
 	resp, err = http.Get(ts.URL + server.PathJobs + "/" + strconv.Itoa(id) + "/trace")
 	if err != nil {

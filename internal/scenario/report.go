@@ -94,9 +94,7 @@ func (r *run) evaluate() (*Report, error) {
 		MaxFeedStalenessSeconds: r.maxStaleness,
 		ForecastServed:          health.ForecastServed,
 		FetchErrors:             health.FetchErrors,
-	}
-	if st.Obs != nil {
-		rep.DecisionP99Ms = st.Obs.DecisionP99Ms
+		DecisionP99Ms:           st.Obs.DecisionP99Ms,
 	}
 	for _, ss := range st.ShardStatus {
 		if ss.WAL != nil {

@@ -437,9 +437,7 @@ func (s *Server) walSyncIfDirtyLocked() error {
 // Called with mu held, after the round's decisions are in the ring.
 //
 // rt receives the round's durability stage timings (append, fsync,
-// snapshot) for the round trace. They are taken whether or not anyone
-// keeps the trace: the interval check needs the clock anyway, so that is
-// one extra read beside a log append, against a branch per stage edge.
+// snapshot) for the round trace.
 func (s *Server) walRoundLocked(k int64, rt *obs.RoundTrace) {
 	mark := time.Now()
 	if s.walAppendLocked(encodeRoundRecord(k, s.decSeq, s.roundDecs)) != nil {

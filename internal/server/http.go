@@ -85,14 +85,13 @@ type Backend struct {
 	Decisions   func(since uint64, limit int) (page interface{}, next uint64)
 	Status      func() interface{}
 	MetricsText func() []byte
-	// SlowestRounds, RecentRounds and JobTrace serve the trace routes; the
-	// first two return nil when observability is off (served as 404).
+	// SlowestRounds, RecentRounds and JobTrace serve the trace routes.
 	SlowestRounds func() []RoundTraceWire
 	RecentRounds  func(n int) []RoundTraceWire
 	JobTrace      func(id int) (JobTraceResponse, bool)
 	// Recorder returns nil when recording is off (served as 404).
 	Recorder func() *tsdb.Recorder
-	// Ingest records POST /v1/jobs wall time; nil when observability is off.
+	// Ingest records POST /v1/jobs wall time.
 	Ingest *obs.Histogram
 }
 
@@ -165,7 +164,7 @@ func NextCursor[D interface{ LogSeq() uint64 }](since uint64, page []D) uint64 {
 
 // Handler returns the server's HTTP API (see NewMux for the routes).
 func (s *Server) Handler() http.Handler {
-	be := Backend{
+	return NewMux(Backend{
 		Submit: s.Submit,
 		Decisions: func(since uint64, limit int) (interface{}, uint64) {
 			ds := s.Decisions(since, limit)
@@ -180,11 +179,8 @@ func (s *Server) Handler() http.Handler {
 			return JobTraceResponse{Trace: jt, SampleEvery: s.JobSampleEvery()}, ok
 		},
 		Recorder: s.Recorder,
-	}
-	if s.obs != nil {
-		be.Ingest = s.obs.ingest
-	}
-	return NewMux(be)
+		Ingest:   s.obs.ingest,
+	})
 }
 
 // WriteJSON writes v as a JSON response with the given status code.
@@ -221,9 +217,7 @@ func (be *Backend) serveJobs(w http.ResponseWriter, r *http.Request) {
 		WriteJSON(w, http.StatusMethodNotAllowed, SubmitResponse{Error: "POST only"})
 		return
 	}
-	if be.Ingest != nil {
-		defer func(t0 time.Time) { be.Ingest.Record(time.Since(t0).Seconds()) }(time.Now())
-	}
+	defer func(t0 time.Time) { be.Ingest.Record(time.Since(t0).Seconds()) }(time.Now())
 	body, err := io.ReadAll(io.LimitReader(r.Body, 16<<20))
 	if err != nil {
 		WriteJSON(w, http.StatusBadRequest, SubmitResponse{Error: fmt.Sprintf("reading body: %v", err)})

@@ -12,23 +12,12 @@ import (
 	"waterwise/internal/obs"
 )
 
-// ObsConfig parameterizes the server's observability layer (internal/obs):
-// latency histograms, the per-round trace ring, and sampled job lifecycle
-// traces. The zero value enables everything with defaults; Disable turns
-// the whole layer off (the obs-off arm of the overhead benchmark).
-type ObsConfig struct {
-	// Disable turns observability off entirely: no histograms, no round
-	// ring, no job traces; /v1/rounds/slowest and /v1/jobs/{id}/trace
-	// answer 404 and /metrics omits the histogram families.
-	Disable bool
-	// JobSampleEvery samples one of every N accepted jobs for lifecycle
-	// tracing (default 64; 1 traces every job).
-	JobSampleEvery int
-}
-
-// serverObs bundles one server's recorders. lastSolver is guarded by the
-// server mutex; the histograms, ring, and tracer have their own
-// synchronization (so the ingest handler records outside the lock).
+// serverObs bundles one server's observability recorders (internal/obs):
+// latency histograms, the per-round trace ring, and job lifecycle traces
+// sampled one in 64. It is always on and measurement only. lastSolver is
+// guarded by the server mutex; the histograms, ring, and tracer have
+// their own synchronization (so the ingest handler records outside the
+// lock).
 type serverObs struct {
 	decision *obs.Histogram // Submit acceptance -> round commit, wall seconds
 	ingest   *obs.Histogram // POST /v1/jobs handler wall seconds
@@ -41,13 +30,13 @@ type serverObs struct {
 	lastSolver milp.Stats
 }
 
-func newServerObs(cfg ObsConfig) *serverObs {
+func newServerObs() *serverObs {
 	o := &serverObs{
 		decision: &obs.Histogram{},
 		ingest:   &obs.Histogram{},
 		round:    &obs.Histogram{},
 		ring:     obs.NewRoundRing(0, 0),
-		jobs:     obs.NewJobTracer(cfg.JobSampleEvery, 0),
+		jobs:     obs.NewJobTracer(0, 0),
 	}
 	for i := range o.stages {
 		o.stages[i] = &obs.Histogram{}
@@ -102,9 +91,6 @@ type ObsSnapshots struct {
 
 // Merge folds other's counters into s.
 func (s *ObsSnapshots) Merge(other *ObsSnapshots) {
-	if other == nil {
-		return
-	}
 	s.Decision.Merge(other.Decision)
 	s.Ingest.Merge(other.Ingest)
 	s.Round.Merge(other.Round)
@@ -144,9 +130,6 @@ func (s *ObsSnapshots) Summary(sampleEvery int) *ObsSummary {
 // by the single server's /metrics, the fleet's per-shard series, and
 // the fleet's merged distributions (prefix "waterwise_fleet_").
 func AppendObsMetrics(b []byte, snaps *ObsSnapshots, prefix, labels string, withHeader bool) []byte {
-	if snaps == nil {
-		return b
-	}
 	b = snaps.Decision.AppendProm(b, prefix+"decision_latency_seconds",
 		"Server-side decision latency: Submit acceptance to round commit (wall seconds).", labels, withHeader)
 	b = snaps.Ingest.AppendProm(b, prefix+"ingest_request_seconds",
@@ -166,11 +149,8 @@ func AppendObsMetrics(b []byte, snaps *ObsSnapshots, prefix, labels string, with
 }
 
 // ObsSnapshots exports the server's histogram counters for merging and
-// rendering; nil when observability is disabled.
+// rendering.
 func (s *Server) ObsSnapshots() *ObsSnapshots {
-	if s.obs == nil {
-		return nil
-	}
 	out := &ObsSnapshots{
 		Decision: s.obs.decision.Snapshot(),
 		Ingest:   s.obs.ingest.Snapshot(),
@@ -183,40 +163,19 @@ func (s *Server) ObsSnapshots() *ObsSnapshots {
 }
 
 // SlowestRounds returns the slowest scheduling rounds recorded so far,
-// slowest first (nil when observability is disabled).
-func (s *Server) SlowestRounds() []obs.RoundTrace {
-	if s.obs == nil {
-		return nil
-	}
-	return s.obs.ring.Slowest()
-}
+// slowest first.
+func (s *Server) SlowestRounds() []obs.RoundTrace { return s.obs.ring.Slowest() }
 
 // RecentRounds returns up to n of the latest rounds' traces, newest
-// first (nil when observability is disabled; n <= 0 means all retained).
-func (s *Server) RecentRounds(n int) []obs.RoundTrace {
-	if s.obs == nil {
-		return nil
-	}
-	return s.obs.ring.Recent(n)
-}
+// first (n <= 0 means all retained).
+func (s *Server) RecentRounds(n int) []obs.RoundTrace { return s.obs.ring.Recent(n) }
 
-// JobSampleEvery reports the lifecycle-trace sampling stride (0 when
-// observability is disabled).
-func (s *Server) JobSampleEvery() int {
-	if s.obs == nil {
-		return 0
-	}
-	return s.obs.jobs.SampleEvery()
-}
+// JobSampleEvery reports the lifecycle-trace sampling stride.
+func (s *Server) JobSampleEvery() int { return s.obs.jobs.SampleEvery() }
 
 // JobTrace returns the sampled lifecycle trace for a job id, if the job
 // was sampled and its trace has not been evicted.
-func (s *Server) JobTrace(id int) (obs.JobTrace, bool) {
-	if s.obs == nil {
-		return obs.JobTrace{}, false
-	}
-	return s.obs.jobs.Get(id)
-}
+func (s *Server) JobTrace(id int) (obs.JobTrace, bool) { return s.obs.jobs.Get(id) }
 
 // RoundTraceWire is the JSON form of one round trace served by
 // /v1/rounds/slowest: durations in milliseconds, stages keyed by name,
@@ -238,12 +197,8 @@ type RoundTraceWire struct {
 
 // WireRoundTraces converts traces to their wire form, stamped with the
 // owning shard when shard is non-nil. Zero-duration stages are omitted —
-// a stage that did not run would read as "instant" otherwise. Nil in
-// (observability off), nil out; an empty ring stays a non-nil empty list.
+// a stage that did not run would read as "instant" otherwise.
 func WireRoundTraces(rts []obs.RoundTrace, shard *int) []RoundTraceWire {
-	if rts == nil {
-		return nil
-	}
 	out := make([]RoundTraceWire, len(rts))
 	for i, rt := range rts {
 		stages := make(map[string]float64, obs.NumStages)
@@ -277,10 +232,6 @@ type RoundsResponse struct {
 // ?recent=N, the latest N rounds.
 func (be *Backend) serveRounds(w http.ResponseWriter, r *http.Request) {
 	resp := RoundsResponse{Slowest: be.SlowestRounds()}
-	if resp.Slowest == nil {
-		WriteJSON(w, http.StatusNotFound, SubmitResponse{Error: "observability disabled"})
-		return
-	}
 	if v := r.URL.Query().Get("recent"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 0 {
@@ -293,7 +244,7 @@ func (be *Backend) serveRounds(w http.ResponseWriter, r *http.Request) {
 }
 
 // ErrNoTrace reports a job id with no retained lifecycle trace: the job
-// was not sampled, its trace was evicted, or observability is disabled.
+// was not sampled or its trace was evicted.
 var ErrNoTrace = errors.New("server: no trace for job")
 
 // JobTraceResponse is the GET /v1/jobs/{id}/trace reply.

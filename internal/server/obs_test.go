@@ -51,7 +51,6 @@ func TestMetricsLintAndObsEndpoints(t *testing.T) {
 	srv, err := New(Config{
 		Env: env, Scheduler: newScheduler(t, false), Tolerance: 0.5, Round: time.Minute,
 		DataDir: t.TempDir(),
-		Obs:     ObsConfig{JobSampleEvery: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -214,8 +213,9 @@ func TestMetricsLintAndObsEndpoints(t *testing.T) {
 		t.Fatalf("recent window: %d rounds", len(rounds.Recent))
 	}
 
-	// Job lifecycle trace: stride 1 samples every job.
-	id := srv.Result().Outcomes[0].Job.ID
+	// Job lifecycle trace: the tracer samples accepted ordinals 0, 64, ...,
+	// so the first job of the POST is traced.
+	id := jobs[0].ID
 	resp, err = http.Get(ts.URL + PathJobs + "/" + strconv.Itoa(id) + "/trace")
 	if err != nil {
 		t.Fatal(err)
@@ -231,8 +231,8 @@ func TestMetricsLintAndObsEndpoints(t *testing.T) {
 	if !jt.Trace.Done || jt.Trace.Region == "" || jt.Trace.DecidedWall.IsZero() {
 		t.Fatalf("trace incomplete: %+v", jt.Trace)
 	}
-	if jt.SampleEvery != 1 {
-		t.Errorf("sample stride %d, want 1", jt.SampleEvery)
+	if jt.SampleEvery != 64 {
+		t.Errorf("sample stride %d, want 64", jt.SampleEvery)
 	}
 	// Unknown id is a 404, not an error page.
 	resp, err = http.Get(ts.URL + PathJobs + "/999999999/trace")
@@ -242,91 +242,5 @@ func TestMetricsLintAndObsEndpoints(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown job trace: status %d, want 404", resp.StatusCode)
-	}
-}
-
-// TestObsDisabled flips the kill switch: metrics must still lint (minus
-// the histogram families) and the trace endpoints report 404.
-func TestObsDisabled(t *testing.T) {
-	env := testEnv(t)
-	srv, err := New(Config{
-		Env: env, Scheduler: newScheduler(t, false), Tolerance: 0.5, Round: time.Minute,
-		Obs: ObsConfig{Disable: true},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Stop()
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	resp, err := http.Get(ts.URL + PathMetrics)
-	if err != nil {
-		t.Fatal(err)
-	}
-	metrics, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err := obs.LintProm(metrics); err != nil {
-		t.Fatalf("obs-off /metrics fails lint: %v", err)
-	}
-	fams, _ := obs.ParseProm(metrics)
-	if fams["waterwise_decision_latency_seconds"] != nil {
-		t.Error("latency family present with obs disabled")
-	}
-	resp, err = http.Get(ts.URL + PathRounds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("rounds endpoint: status %d, want 404", resp.StatusCode)
-	}
-	resp, err = http.Get(ts.URL + PathJobs + "/1/trace")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("job trace endpoint: status %d, want 404", resp.StatusCode)
-	}
-	if srv.Status().Obs != nil {
-		t.Error("status carries an obs summary with obs disabled")
-	}
-}
-
-// TestObsEquivalence is the no-perturbation guarantee: the same trace
-// replayed with observability on and off must emit identical placements.
-// Sampling is a deterministic counter and recording happens after each
-// decision is committed, so the decision stream cannot depend on it.
-func TestObsEquivalence(t *testing.T) {
-	run := func(disable bool) *cluster.Result {
-		env := testEnv(t)
-		jobs := genTrace(t, env, 3000, 6)
-		srv, err := New(Config{
-			Env: env, Scheduler: newScheduler(t, false), Tolerance: 0.5, Round: time.Minute,
-			Obs: ObsConfig{Disable: disable, JobSampleEvery: 1},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer srv.Stop()
-		for _, j := range jobs {
-			if _, err := srv.Submit(specFor(j)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		drainServer(t, srv)
-		return srv.Result()
-	}
-	on, off := run(false), run(true)
-	if len(on.Outcomes) != len(off.Outcomes) {
-		t.Fatalf("outcome counts differ: obs-on %d, obs-off %d", len(on.Outcomes), len(off.Outcomes))
-	}
-	for i := range on.Outcomes {
-		a, b := on.Outcomes[i], off.Outcomes[i]
-		if a.Job.ID != b.Job.ID || a.Region != b.Region || !a.Start.Equal(b.Start) || !a.Finish.Equal(b.Finish) {
-			t.Fatalf("outcome %d differs: obs-on job %d->%s [%v,%v], obs-off job %d->%s [%v,%v]",
-				i, a.Job.ID, a.Region, a.Start, a.Finish, b.Job.ID, b.Region, b.Start, b.Finish)
-		}
 	}
 }

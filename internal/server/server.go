@@ -90,10 +90,6 @@ type Config struct {
 	// stalls through it. Nil — the default — is exactly free. Ignored
 	// without DataDir.
 	WALSyncDelay func() time.Duration
-	// Obs configures the observability layer — latency histograms, the
-	// per-round trace ring, sampled job lifecycle traces (see ObsConfig).
-	// Measurement only: enabling or disabling it never changes decisions.
-	Obs ObsConfig
 	// Record configures the metrics flight recorder (see RecordConfig):
 	// round-clock self-scrapes of /metrics into an in-process TSDB with
 	// windowed queries and burn-rate SLO alerts. Measurement only.
@@ -239,7 +235,7 @@ type Status struct {
 	// Free is the per-region free server count at SimNow.
 	Free map[region.ID]int `json:"free"`
 	// Obs digests the observability histograms — decision latency, round
-	// and solve time quantiles — when the layer is enabled.
+	// and solve time quantiles.
 	Obs *ObsSummary `json:"obs,omitempty"`
 	// Solver carries branch-and-bound instrumentation when the scheduler
 	// exposes it (the WaterWise controller does).
@@ -281,8 +277,8 @@ func (h *futureHeap) Pop() interface{} {
 }
 
 // liveJob is an accepted, undecided job's dedupe entry: its spec digest
-// and the wall instant Submit accepted it (zero without observability and
-// for a recovered job), which the decision-latency histogram reads.
+// and the wall instant Submit accepted it (zero for a recovered job),
+// which the decision-latency histogram reads.
 type liveJob struct {
 	digest   uint64
 	accepted time.Time
@@ -324,7 +320,7 @@ type Server struct {
 	unscheduled                         int
 	overheadSum                         time.Duration
 
-	// obs is the observability layer (nil when Config.Obs.Disable).
+	// obs is the observability layer: always on, measurement only.
 	obs *serverObs
 
 	// Durability (nil/zero without Config.DataDir): the write-ahead log,
@@ -373,13 +369,11 @@ func New(cfg Config) (*Server, error) {
 		live:       make(map[int]liveJob),
 		decidedIdx: make(map[int]uint64),
 		decisions:  NewRing[Decision](cfg.DecisionLogCap),
+		obs:        newServerObs(),
 		stopCh:     make(chan struct{}),
 		loopDone:   make(chan struct{}),
 	}
 	s.cond = sync.NewCond(&s.mu)
-	if !cfg.Obs.Disable {
-		s.obs = newServerObs(cfg.Obs)
-	}
 	if cfg.DataDir != "" {
 		if err := s.openDurable(); err != nil {
 			return nil, err
@@ -471,11 +465,8 @@ func (s *Server) Submit(spec JobSpec) (int, error) {
 			}
 		}
 	}
-	var accepted time.Time
-	if s.obs != nil {
-		accepted = time.Now()
-		s.obs.jobs.Accepted(job.ID, accepted, job.Submit)
-	}
+	accepted := time.Now()
+	s.obs.jobs.Accepted(job.ID, accepted, job.Submit)
 	s.admitLocked(job, digest, accepted)
 	s.cond.Broadcast() // wake an idle accelerated loop
 	return job.ID, nil
@@ -759,9 +750,7 @@ func (s *Server) Status() Status {
 		Free:      s.sim.Free(s.simNow),
 	}
 	st.Unscheduled = s.unscheduled
-	if snaps := s.ObsSnapshots(); snaps != nil {
-		st.Obs = snaps.Summary(s.obs.jobs.SampleEvery())
-	}
+	st.Obs = s.ObsSnapshots().Summary(s.JobSampleEvery())
 	if ss, ok := s.cfg.Scheduler.(solverStatser); ok {
 		stats := ss.SolverStats()
 		st.Solver = &stats
@@ -882,18 +871,12 @@ func (s *Server) nextRoundLocked() (int64, bool) {
 // round record, and waking waiters. Called with mu held.
 func (s *Server) roundLocked() {
 	k := s.nextK
-	// Observability is measurement only: every ob-guarded block below
-	// reads clocks and counters but feeds nothing back into scheduling.
-	ob := s.obs
-	var rt obs.RoundTrace
-	if ob != nil {
-		rt.Index, rt.Wall = k, time.Now()
-	}
+	// The round trace is measurement only: it reads clocks and counters
+	// but feeds nothing back into scheduling.
+	rt := obs.RoundTrace{Index: k, Wall: time.Now()}
 	now := s.ingestDueLocked(k, rt.Wall)
-	if ob != nil {
-		rt.Sim = now
-		rt.Stages[obs.StageIngest] = time.Since(rt.Wall)
-	}
+	rt.Sim = now
+	rt.Stages[obs.StageIngest] = time.Since(rt.Wall)
 	defer s.cond.Broadcast()
 	if !now.Before(s.cfg.Env.End()) {
 		// The service clock ran off the environment horizon (possible only
@@ -907,19 +890,15 @@ func (s *Server) roundLocked() {
 	if s.sim.Pending() == 0 {
 		return
 	}
-	if ob != nil {
-		rt.Batch = s.sim.Pending()
-	}
+	rt.Batch = s.sim.Pending()
 	wall, solve, err := s.stepLocked(k, nil)
 	if err != nil {
 		s.runErr = err
 		return
 	}
-	if ob != nil {
-		rt.Stages[obs.StageSolve] = solve
-		rt.Stages[obs.StagePublish] = time.Since(wall)
-		rt.Decided = len(s.roundDecs)
-	}
+	rt.Stages[obs.StageSolve] = solve
+	rt.Stages[obs.StagePublish] = time.Since(wall)
+	rt.Decided = len(s.roundDecs)
 	if s.wlog != nil {
 		// Group-commit the round (decisions included even when the batch
 		// was fully deferred: a zero-decision stepped round still must
@@ -928,20 +907,19 @@ func (s *Server) roundLocked() {
 		// only; Eq. 14's urgency reads FirstSeen).
 		s.walRoundLocked(k, &rt)
 	}
-	if ob != nil {
-		rt.Total = time.Since(rt.Wall)
-		if ss, ok := s.cfg.Scheduler.(solverStatser); ok {
-			// Per-round solver deltas: the cumulative stats minus the
-			// previous round's, so a slow round shows its own node count.
-			stats := ss.SolverStats()
-			rt.Nodes = stats.Nodes - ob.lastSolver.Nodes
-			rt.SimplexIters = stats.SimplexIters - ob.lastSolver.SimplexIters
-			rt.WarmStarts = stats.WarmStarts - ob.lastSolver.WarmStarts
-			rt.ColdStarts = stats.ColdStarts - ob.lastSolver.ColdStarts
-			ob.lastSolver = stats
-		}
-		ob.recordRound(rt)
+	rt.Total = time.Since(rt.Wall)
+	ob := s.obs
+	if ss, ok := s.cfg.Scheduler.(solverStatser); ok {
+		// Per-round solver deltas: the cumulative stats minus the
+		// previous round's, so a slow round shows its own node count.
+		stats := ss.SolverStats()
+		rt.Nodes = stats.Nodes - ob.lastSolver.Nodes
+		rt.SimplexIters = stats.SimplexIters - ob.lastSolver.SimplexIters
+		rt.WarmStarts = stats.WarmStarts - ob.lastSolver.WarmStarts
+		rt.ColdStarts = stats.ColdStarts - ob.lastSolver.ColdStarts
+		ob.lastSolver = stats
 	}
+	ob.recordRound(rt)
 }
 
 // ingestDueLocked is the first half of a round, live or replayed: move
@@ -953,9 +931,7 @@ func (s *Server) ingestDueLocked(k int64, wall time.Time) time.Time {
 	for len(s.future) > 0 && !s.future[0].Submit.After(now) {
 		job := heap.Pop(&s.future).(*trace.Job)
 		s.sim.Submit(job, now)
-		if s.obs != nil {
-			s.obs.jobs.Batched(job.ID, k, now, wall)
-		}
+		s.obs.jobs.Batched(job.ID, k, now, wall)
 	}
 	return now
 }
@@ -1006,12 +982,10 @@ func (s *Server) stepLocked(k int64, logged []Decision) (wall time.Time, solve t
 		accepted := s.recordDecidedLocked(d.JobID)
 		s.decisions.Append(d)
 		s.roundDecs = append(s.roundDecs, d)
-		if ob := s.obs; ob != nil {
-			if !accepted.IsZero() {
-				ob.decision.Record(wall.Sub(accepted).Seconds())
-			}
-			ob.jobs.Decided(d.JobID, k, wall, string(d.Region), d.Start, d.Finish)
+		if !accepted.IsZero() {
+			s.obs.decision.Record(wall.Sub(accepted).Seconds())
 		}
+		s.obs.jobs.Decided(d.JobID, k, wall, string(d.Region), d.Start, d.Finish)
 	}
 	return wall, solve, nil
 }

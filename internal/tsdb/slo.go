@@ -98,6 +98,11 @@ func (o *Objective) Validate() error {
 		if r.Name == "" {
 			return fmt.Errorf("tsdb: objective %q: rule %d needs a name", o.Name, i)
 		}
+		for _, prev := range o.Rules[:i] {
+			if prev.Name == r.Name {
+				return fmt.Errorf("tsdb: objective %q: duplicate rule name %q", o.Name, r.Name)
+			}
+		}
 		if r.Long == 0 || r.Short == 0 || r.Short > r.Long {
 			return fmt.Errorf("tsdb: objective %q rule %q: need 0 < short <= long", o.Name, r.Name)
 		}
@@ -134,12 +139,20 @@ type sloEngine struct {
 	logf       func(format string, args ...any)
 }
 
+// newSLOEngine validates the objectives and lays out their alerts. Alerts
+// are identified by (objective, rule) name, so objective names must be
+// unique (and rule names within each objective, which Validate checks).
 func newSLOEngine(objectives []Objective, logf func(string, ...any)) (*sloEngine, error) {
 	e := &sloEngine{logf: logf}
 	for i := range objectives {
 		o := objectives[i]
 		if err := o.Validate(); err != nil {
 			return nil, err
+		}
+		for _, prev := range e.objectives {
+			if prev.Name == o.Name {
+				return nil, fmt.Errorf("tsdb: duplicate objective name %q", o.Name)
+			}
 		}
 		e.objectives = append(e.objectives, o)
 		for _, r := range o.Rules {

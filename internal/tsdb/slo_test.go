@@ -44,6 +44,27 @@ func TestObjectiveValidate(t *testing.T) {
 	}
 }
 
+// TestSLOEngineRejectsDuplicateNames: alerts are keyed by (objective,
+// rule) name, so two objectives sharing a name, or two rules sharing one
+// within an objective, would yield alerts nobody can tell apart.
+func TestSLOEngineRejectsDuplicateNames(t *testing.T) {
+	lat := func(threshMs float64) Objective {
+		return Objective{Name: "latency", Target: 0.99, Family: "f", ThresholdMs: threshMs}
+	}
+	rules := []BurnRule{{Name: "fast", Long: 5, Short: 1, Factor: 14}, {Name: "fast", Long: 60, Short: 5, Factor: 6}}
+	for name, objs := range map[string][]Objective{
+		"objective": {lat(250), lat(50)},
+		"rule":      {{Name: "avail", Target: 0.99, Bad: "b", Total: "t", Rules: rules}},
+	} {
+		if _, err := newSLOEngine(objs, nil); err == nil || !strings.Contains(err.Error(), "duplicate") {
+			t.Errorf("duplicate %s name: err = %v, want a duplicate-name error", name, err)
+		}
+	}
+	if _, err := newSLOEngine([]Objective{lat(250), {Name: "availability", Target: 0.999, Bad: "b", Good: "g"}}, nil); err != nil {
+		t.Fatalf("distinct objectives rejected: %v", err)
+	}
+}
+
 // TestBurnRateFireAndClear drives a sync recorder through healthy rounds,
 // an error storm, and recovery, and checks the multi-window alert fires
 // during the storm and clears after it — and that the pre-storm blip of a

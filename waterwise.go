@@ -467,9 +467,6 @@ type (
 	// WALStatus is the durability block of ServerStatus (log sizing,
 	// fsync stalls, recovery cost); nil when DataDir is unset.
 	WALStatus = server.WALStatus
-	// ObsConfig tunes the observability layer (job sampling stride, or
-	// disabling it for overhead measurement).
-	ObsConfig = server.ObsConfig
 	// ObsSummary is the observability digest in ServerStatus/FleetStatus:
 	// histogram-backed decision latency and round time quantiles.
 	ObsSummary = server.ObsSummary
@@ -514,16 +511,13 @@ func NewStreamListener(ln net.Listener, backend StreamBackend, opts StreamOption
 	return server.NewStreamListener(ln, backend, opts)
 }
 
-// ServerConfig configures the online scheduling service. Zero values take
-// the service defaults: a 1-minute round cadence, accelerated time, 65536
-// queue and decision-log capacities.
+// ServerConfig configures the online scheduling service — a single server,
+// or each shard of a Fleet (FleetConfig embeds it). Zero values take the
+// service defaults: a 1-minute round cadence, accelerated time, 65536
+// queue and decision-log capacities. The observability layer (latency
+// histograms, round traces, sampled job lifecycles) is always on and
+// never affects decisions.
 type ServerConfig struct {
-	// Regions restricts the server to a partition of the environment's
-	// regions — the standalone-shard form (waterwised -partition): the
-	// server schedules only over the subset, reading the same generated
-	// series the full environment holds, and rejects submissions homed
-	// elsewhere. Empty serves every region.
-	Regions []RegionID
 	// Tolerance is the delay tolerance TOL as a fraction (e.g. 0.5).
 	Tolerance float64
 	// Round is the micro-batching cadence in simulated time.
@@ -535,24 +529,23 @@ type ServerConfig struct {
 	// QueueCap bounds the ingest queue; submissions beyond it are rejected
 	// with ErrQueueFull (HTTP 429).
 	QueueCap int
-	// DecisionLogCap bounds the in-memory decision log ring.
+	// DecisionLogCap bounds the in-memory decision log ring (through a
+	// Fleet, each shard's and the merged one).
 	DecisionLogCap int
 	// DataDir enables durable state: accepted jobs and emitted decisions
 	// are written ahead to a segmented, checksummed log under this
 	// directory, snapshots cover settled state, and NewServer recovers the
 	// directory — latest snapshot plus log-tail replay — before serving,
-	// resuming decision-identical to the uninterrupted run. Empty keeps
-	// the service purely in-memory.
+	// resuming decision-identical to the uninterrupted run. A Fleet keeps
+	// each shard under DataDir/shard-<i>. Empty keeps the service purely
+	// in-memory.
 	DataDir string
 	// SnapshotEvery is the snapshot cadence in scheduling rounds
 	// (0 = default 256). Only meaningful with DataDir.
 	SnapshotEvery int
-	// Obs tunes the observability layer — latency histograms, round
-	// traces, sampled job lifecycles (enabled by default; Obs.Disable
-	// turns it off). Measurement only: never affects decisions.
-	Obs ObsConfig
 	// Record enables the metrics flight recorder (off by default; see
-	// RecordConfig). Measurement only: never affects decisions.
+	// RecordConfig); a Fleet records its merged gateway exposition.
+	// Measurement only: never affects decisions.
 	Record RecordConfig
 }
 
@@ -563,11 +556,11 @@ func NewServer(env *Environment, s Scheduler, cfg ServerConfig) (*Server, error)
 		return nil, fmt.Errorf("waterwise: nil environment")
 	}
 	return server.New(server.Config{
-		Env: env.env, Regions: cfg.Regions, Net: env.net, FP: env.fp, Scheduler: s,
+		Env: env.env, Net: env.net, FP: env.fp, Scheduler: s,
 		Tolerance: cfg.Tolerance, Round: cfg.Round, TimeScale: cfg.TimeScale,
 		QueueCap: cfg.QueueCap, DecisionLogCap: cfg.DecisionLogCap,
 		DataDir: cfg.DataDir, SnapshotEvery: cfg.SnapshotEvery,
-		Obs: cfg.Obs, Record: cfg.Record,
+		Record: cfg.Record,
 	})
 }
 
@@ -591,10 +584,15 @@ type (
 	FleetShardStatus = fleet.ShardStatus
 )
 
-// FleetConfig configures the sharded serving fleet. Zero values take the
-// service defaults (1 shard, 1-minute rounds, accelerated time, 65536
-// queue and log capacities).
+// FleetConfig configures the sharded serving fleet: the serving settings
+// every shard runs with, plus how the regions are sharded and which
+// scheduler each shard builds. Zero values take the service defaults
+// (1 shard, 1-minute rounds, accelerated time, 65536 queue and log
+// capacities).
 type FleetConfig struct {
+	// ServerConfig applies to every shard. Round and TimeScale are shared,
+	// so the shards' round clocks stay aligned.
+	ServerConfig
 	// Shards is the scheduler shard count (at most the region count).
 	Shards int
 	// ShardMap pins regions to shards (region → shard index); unpinned
@@ -603,29 +601,6 @@ type FleetConfig struct {
 	// Scheduler configures every shard's WaterWise scheduler (each shard
 	// gets its own instance).
 	Scheduler SchedulerConfig
-	// Tolerance is the delay tolerance TOL as a fraction (e.g. 0.5).
-	Tolerance float64
-	// Round is the micro-batching cadence in simulated time, shared by all
-	// shards so their round clocks stay aligned.
-	Round time.Duration
-	// TimeScale maps wall time to simulated time (0 = accelerated).
-	TimeScale float64
-	// QueueCap bounds each shard's ingest queue.
-	QueueCap int
-	// DecisionLogCap bounds the merged decision ring and each shard's own.
-	DecisionLogCap int
-	// DataDir enables durable shard state: each shard keeps its
-	// write-ahead log and snapshots under DataDir/shard-<i> and is
-	// recovered from there by NewFleet (see ServerConfig.DataDir).
-	DataDir string
-	// SnapshotEvery is each shard's snapshot cadence in rounds
-	// (0 = default 256). Only meaningful with DataDir.
-	SnapshotEvery int
-	// Obs tunes every shard's observability layer (see ServerConfig.Obs).
-	Obs ObsConfig
-	// Record enables the fleet-level metrics flight recorder over the
-	// merged gateway exposition (off by default; see RecordConfig).
-	Record RecordConfig
 }
 
 // NewFleet builds the sharded serving fleet over an environment. Call
@@ -643,7 +618,7 @@ func NewFleet(env *Environment, cfg FleetConfig) (*Fleet, error) {
 		Tolerance: cfg.Tolerance, Round: cfg.Round, TimeScale: cfg.TimeScale,
 		QueueCap: cfg.QueueCap, DecisionLogCap: cfg.DecisionLogCap,
 		DataDir: cfg.DataDir, SnapshotEvery: cfg.SnapshotEvery,
-		Obs: cfg.Obs, Record: cfg.Record,
+		Record: cfg.Record,
 	})
 }
 

@@ -290,8 +290,9 @@ func TestFleetEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	fl, err := NewFleet(env, FleetConfig{
-		Shards: 2, Tolerance: 0.5, Round: time.Minute,
-		Scheduler: SchedulerConfig{CrossRoundWarmStart: true},
+		ServerConfig: ServerConfig{Tolerance: 0.5, Round: time.Minute},
+		Shards:       2,
+		Scheduler:    SchedulerConfig{CrossRoundWarmStart: true},
 	})
 	if err != nil {
 		t.Fatal(err)

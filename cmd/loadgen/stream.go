@@ -171,7 +171,7 @@ func (st *streamConn) read() {
 				return
 			}
 			for i := range ds {
-				st.m.Decided(int(ds[i].JobID), server.NanoTime(ds[i].DecidedWallNano))
+				st.m.Decided(int(ds[i].JobID), wire.NanoTime(ds[i].DecidedWallNano))
 			}
 			st.ackSeq.Store(next)
 			select {

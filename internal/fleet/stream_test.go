@@ -130,8 +130,8 @@ func TestFleetStreamMergedPush(t *testing.T) {
 	for i := range merged {
 		m, p := merged[i], pushed[i]
 		if m.Seq != p.Seq || m.JobID != int(p.JobID) || int(p.Shard) != m.Shard || p.ShardSeq != m.ShardSeq ||
-			string(m.Region) != p.Region || !m.Round.Equal(server.NanoTime(p.RoundNano)) ||
-			!m.Start.Equal(server.NanoTime(p.StartNano)) || !m.Finish.Equal(server.NanoTime(p.FinishNano)) ||
+			string(m.Region) != p.Region || !m.Round.Equal(wire.NanoTime(p.RoundNano)) ||
+			!m.Start.Equal(wire.NanoTime(p.StartNano)) || !m.Finish.Equal(wire.NanoTime(p.FinishNano)) ||
 			m.CarbonG != p.CarbonG || m.WaterL != p.WaterL {
 			t.Fatalf("decision %d: merged %+v, pushed %+v", i, m, p)
 		}

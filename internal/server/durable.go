@@ -2,12 +2,9 @@ package server
 
 import (
 	"container/heap"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"io"
-	"math"
 	"time"
 
 	"waterwise/internal/cluster"
@@ -16,6 +13,7 @@ import (
 	"waterwise/internal/trace"
 	"waterwise/internal/units"
 	"waterwise/internal/wal"
+	"waterwise/internal/wire"
 )
 
 // The durability layer. With Config.DataDir set, every accepted job and
@@ -60,195 +58,147 @@ const (
 	snapVersion = 1
 )
 
-// zeroTimeSentinel encodes time.Time{} (distinguishable from any real
-// instant, which UnixNano cannot represent as MinInt64).
-const zeroTimeSentinel = int64(math.MinInt64)
-
 // specDigest is the idempotency key of a submission: FNV-1a over the
 // canonical client-visible spec, computed before Submit-defaulting so a
 // client retrying the same request (zero Submit instant included)
-// produces the same digest the original acceptance recorded.
+// produces the same digest the original acceptance recorded. Presence
+// flags, string lengths and values are all 8-byte words.
 func specDigest(spec JobSpec) uint64 {
-	h := fnv.New64a()
-	var b [8]byte
-	wu := func(v uint64) { binary.LittleEndian.PutUint64(b[:], v); h.Write(b[:]) }
-	ws := func(s string) { wu(uint64(len(s))); io.WriteString(h, s) }
+	b := make([]byte, 0, 128)
 	if spec.ID != nil {
-		wu(1)
-		wu(uint64(int64(*spec.ID)))
+		b = wire.AppendI64(wire.AppendU64(b, 1), int64(*spec.ID))
 	} else {
-		wu(0)
+		b = wire.AppendU64(b, 0)
 	}
-	ws(spec.Benchmark)
-	ws(string(spec.Home))
+	b = append(wire.AppendU64(b, uint64(len(spec.Benchmark))), spec.Benchmark...)
+	b = append(wire.AppendU64(b, uint64(len(spec.Home))), spec.Home...)
 	if spec.Submit.IsZero() {
-		wu(0)
+		b = wire.AppendU64(b, 0)
 	} else {
-		wu(1)
-		wu(uint64(spec.Submit.UTC().UnixNano()))
+		b = wire.AppendI64(wire.AppendU64(b, 1), spec.Submit.UnixNano())
 	}
-	wu(math.Float64bits(spec.DurationSec))
-	wu(math.Float64bits(spec.EnergyKWh))
-	wu(math.Float64bits(spec.EstDurationSec))
-	wu(math.Float64bits(spec.EstEnergyKWh))
+	b = wire.AppendF64(b, spec.DurationSec)
+	b = wire.AppendF64(b, spec.EnergyKWh)
+	b = wire.AppendF64(b, spec.EstDurationSec)
+	b = wire.AppendF64(b, spec.EstEnergyKWh)
+	h := fnv.New64a()
+	h.Write(b)
 	return h.Sum64()
 }
 
-// walEnc builds a little-endian binary payload.
-type walEnc struct{ b []byte }
+// Minimum encoded sizes of the log's repeated elements: recovery checks
+// every declared count against them before sizing anything by it.
+// Strings count only their 4-byte length.
+const (
+	jobSize      = 8 + 8 + 4 + 4 + 4*8   // id, submit, benchmark, home, durations and energies
+	decisionSize = 8 + 8 + 4 + 4*8 + 2*8 // seq, job id, region, four instants, footprints
+	dedupeSize   = 8 + 8                 // id, spec digest
+	pendingSize  = jobSize + 8 + 4       // job, FirstSeen, Deferrals
+	busySize     = 4 + 4                 // region, server count
+)
 
-func (e *walEnc) u8(v uint8) { e.b = append(e.b, v) }
-func (e *walEnc) u32(v uint32) {
-	e.b = binary.LittleEndian.AppendUint32(e.b, v)
-}
-func (e *walEnc) u64(v uint64) {
-	e.b = binary.LittleEndian.AppendUint64(e.b, v)
-}
-func (e *walEnc) i64(v int64)   { e.u64(uint64(v)) }
-func (e *walEnc) f64(v float64) { e.u64(math.Float64bits(v)) }
-func (e *walEnc) str(s string) {
-	e.u32(uint32(len(s)))
-	e.b = append(e.b, s...)
-}
-func (e *walEnc) time(t time.Time) {
-	if t.IsZero() {
-		e.i64(zeroTimeSentinel)
-		return
-	}
-	e.i64(t.UnixNano())
+func appendJob(b []byte, j *trace.Job) []byte {
+	b = wire.AppendI64(b, int64(j.ID))
+	b = wire.AppendTime(b, j.Submit)
+	b = wire.AppendStr32(b, j.Benchmark)
+	b = wire.AppendStr32(b, string(j.Home))
+	b = wire.AppendI64(b, int64(j.Duration))
+	b = wire.AppendF64(b, float64(j.Energy))
+	b = wire.AppendI64(b, int64(j.EstDuration))
+	return wire.AppendF64(b, float64(j.EstEnergy))
 }
 
-// walDec reads a walEnc payload, latching the first error.
-type walDec struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (d *walDec) fail() {
-	if d.err == nil {
-		d.err = errors.New("server: truncated wal payload")
-	}
-}
-func (d *walDec) u8() uint8 {
-	if d.err != nil || d.off+1 > len(d.b) {
-		d.fail()
-		return 0
-	}
-	v := d.b[d.off]
-	d.off++
-	return v
-}
-func (d *walDec) u32() uint32 {
-	if d.err != nil || d.off+4 > len(d.b) {
-		d.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(d.b[d.off:])
-	d.off += 4
-	return v
-}
-func (d *walDec) u64() uint64 {
-	if d.err != nil || d.off+8 > len(d.b) {
-		d.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.b[d.off:])
-	d.off += 8
-	return v
-}
-func (d *walDec) i64() int64   { return int64(d.u64()) }
-func (d *walDec) f64() float64 { return math.Float64frombits(d.u64()) }
-func (d *walDec) str() string {
-	n := int(d.u32())
-	if d.err != nil || n < 0 || d.off+n > len(d.b) {
-		d.fail()
-		return ""
-	}
-	v := string(d.b[d.off : d.off+n])
-	d.off += n
-	return v
-}
-func (d *walDec) time() time.Time {
-	n := d.i64()
-	if n == zeroTimeSentinel {
-		return time.Time{}
-	}
-	return time.Unix(0, n).UTC()
-}
-
-func encJob(e *walEnc, j *trace.Job) {
-	e.i64(int64(j.ID))
-	e.time(j.Submit)
-	e.str(j.Benchmark)
-	e.str(string(j.Home))
-	e.i64(int64(j.Duration))
-	e.f64(float64(j.Energy))
-	e.i64(int64(j.EstDuration))
-	e.f64(float64(j.EstEnergy))
-}
-
-func decJob(d *walDec) *trace.Job {
+func readJob(r *wire.Reader) *trace.Job {
 	return &trace.Job{
-		ID:          int(d.i64()),
-		Submit:      d.time(),
-		Benchmark:   d.str(),
-		Home:        region.ID(d.str()),
-		Duration:    time.Duration(d.i64()),
-		Energy:      units.KWh(d.f64()),
-		EstDuration: time.Duration(d.i64()),
-		EstEnergy:   units.KWh(d.f64()),
+		ID:          int(r.I64()),
+		Submit:      r.Time(),
+		Benchmark:   r.Str32(),
+		Home:        region.ID(r.Str32()),
+		Duration:    time.Duration(r.I64()),
+		Energy:      units.KWh(r.F64()),
+		EstDuration: time.Duration(r.I64()),
+		EstEnergy:   units.KWh(r.F64()),
 	}
 }
 
-func encDecision(e *walEnc, dd Decision) {
-	e.u64(dd.Seq)
-	e.i64(int64(dd.JobID))
-	e.str(string(dd.Region))
-	e.time(dd.Round)
-	e.time(dd.Start)
-	e.time(dd.Finish)
-	e.f64(dd.CarbonG)
-	e.f64(dd.WaterL)
-	e.time(dd.DecidedWall)
+func appendDecision(b []byte, d Decision) []byte {
+	b = wire.AppendU64(b, d.Seq)
+	b = wire.AppendI64(b, int64(d.JobID))
+	b = wire.AppendStr32(b, string(d.Region))
+	b = wire.AppendTime(b, d.Round)
+	b = wire.AppendTime(b, d.Start)
+	b = wire.AppendTime(b, d.Finish)
+	b = wire.AppendF64(b, d.CarbonG)
+	b = wire.AppendF64(b, d.WaterL)
+	return wire.AppendTime(b, d.DecidedWall)
 }
 
-func decDecision(d *walDec) Decision {
+func readDecision(r *wire.Reader) Decision {
 	return Decision{
-		Seq:         d.u64(),
-		JobID:       int(d.i64()),
-		Region:      region.ID(d.str()),
-		Round:       d.time(),
-		Start:       d.time(),
-		Finish:      d.time(),
-		CarbonG:     d.f64(),
-		WaterL:      d.f64(),
-		DecidedWall: d.time(),
+		Seq:         r.U64(),
+		JobID:       int(r.I64()),
+		Region:      region.ID(r.Str32()),
+		Round:       r.Time(),
+		Start:       r.Time(),
+		Finish:      r.Time(),
+		CarbonG:     r.F64(),
+		WaterL:      r.F64(),
+		DecidedWall: r.Time(),
 	}
 }
 
 // encodeJobRecord frames a recJob: the resolved job plus the spec digest
 // the dedupe index remembers.
 func encodeJobRecord(j *trace.Job, digest uint64) []byte {
-	var e walEnc
-	e.u8(recJob)
-	e.u64(digest)
-	encJob(&e, j)
-	return e.b
+	b := make([]byte, 0, 1+8+jobSize+len(j.Benchmark)+len(j.Home))
+	return appendJob(wire.AppendU64(append(b, recJob), digest), j)
 }
 
 // encodeRoundRecord frames a recRound: the round index, the decision
 // sequence after the round, and the round's decisions in commit order.
 func encodeRoundRecord(k int64, decSeqAfter uint64, ds []Decision) []byte {
-	var e walEnc
-	e.u8(recRound)
-	e.i64(k)
-	e.u64(decSeqAfter)
-	e.u32(uint32(len(ds)))
-	for _, dd := range ds {
-		encDecision(&e, dd)
+	// Sized for region names of up to 8 bytes: one allocation per round.
+	b := make([]byte, 0, 1+8+8+4+len(ds)*(decisionSize+8))
+	b = wire.AppendU64(wire.AppendI64(append(b, recRound), k), decSeqAfter)
+	b = wire.AppendU32(b, uint32(len(ds)))
+	for _, d := range ds {
+		b = appendDecision(b, d)
 	}
-	return e.b
+	return b
+}
+
+// walRecord is one decoded log record: a job (job non-nil, with its spec
+// digest) or a round (its index, the seq after it, its decisions).
+type walRecord struct {
+	job       *trace.Job
+	digest    uint64
+	k         int64
+	seqAfter  uint64
+	decisions []Decision
+}
+
+// decodeRecord parses one logged record and touches no server state: it
+// is the half of replay that reads bytes it did not write.
+func decodeRecord(payload []byte) (walRecord, error) {
+	var rec walRecord
+	r := wire.NewReader(payload)
+	switch typ := r.U8(); typ {
+	case recJob:
+		rec.digest = r.U64()
+		rec.job = readJob(&r)
+	case recRound:
+		rec.k, rec.seqAfter = r.I64(), r.U64()
+		n := r.Count(decisionSize, "decision")
+		rec.decisions = make([]Decision, 0, n)
+		for i := 0; i < n && r.OK(); i++ {
+			rec.decisions = append(rec.decisions, readDecision(&r))
+		}
+	default:
+		if r.OK() {
+			return rec, fmt.Errorf("server: unknown wal record type %d", typ)
+		}
+	}
+	return rec, r.Done("wal record")
 }
 
 // WALStatus is the "wal" block of /v1/status: the log's on-disk
@@ -323,44 +273,26 @@ func (s *Server) recoverFrom(l *wal.Log) error {
 // another seq than recorded, is ErrReplayDiverged (stepLocked compares
 // the decisions themselves).
 func (s *Server) replayRecord(payload []byte) error {
-	d := &walDec{b: payload}
-	switch typ := d.u8(); typ {
-	case recJob:
-		digest := d.u64()
-		job := decJob(d)
-		if d.err != nil {
-			return d.err
-		}
-		s.admitLocked(job, digest, time.Time{})
-		return nil
-	case recRound:
-		k := d.i64()
-		decSeqAfter := d.u64()
-		n := int(d.u32())
-		if d.err != nil {
-			return d.err
-		}
-		logged := make([]Decision, n)
-		for i := range logged {
-			logged[i] = decDecision(d)
-		}
-		if d.err != nil {
-			return d.err
-		}
-		now := s.ingestDueLocked(k, time.Time{})
-		if !now.Before(s.cfg.Env.End()) || s.sim.Pending() == 0 {
-			return fmt.Errorf("%w: logged round %d cannot re-run (pending %d)", ErrReplayDiverged, k, s.sim.Pending())
-		}
-		if _, _, err := s.stepLocked(k, logged); err != nil {
-			return fmt.Errorf("server: replaying round %d: %w", k, err)
-		}
-		if s.decSeq != decSeqAfter {
-			return fmt.Errorf("%w: round %d ends at seq %d, log says %d", ErrReplayDiverged, k, s.decSeq, decSeqAfter)
-		}
-		return nil
-	default:
-		return fmt.Errorf("server: unknown wal record type %d", typ)
+	rec, err := decodeRecord(payload)
+	if err != nil {
+		return err
 	}
+	if rec.job != nil {
+		s.admitLocked(rec.job, rec.digest, time.Time{})
+		return nil
+	}
+	k := rec.k
+	now := s.ingestDueLocked(k, time.Time{})
+	if !now.Before(s.cfg.Env.End()) || s.sim.Pending() == 0 {
+		return fmt.Errorf("%w: logged round %d cannot re-run (pending %d)", ErrReplayDiverged, k, s.sim.Pending())
+	}
+	if _, _, err := s.stepLocked(k, rec.decisions); err != nil {
+		return fmt.Errorf("server: replaying round %d: %w", k, err)
+	}
+	if s.decSeq != rec.seqAfter {
+		return fmt.Errorf("%w: round %d ends at seq %d, log says %d", ErrReplayDiverged, k, s.decSeq, rec.seqAfter)
+	}
+	return nil
 }
 
 // recordDecidedLocked moves a job's dedupe entry from the live set to the
@@ -486,151 +418,120 @@ func (s *Server) snapshotLocked() error {
 // is deliberately absent: the warm≡cold equivalence proof means a cold
 // scheduler re-derives identical decisions.
 func (s *Server) marshalSnapshotLocked() []byte {
-	var e walEnc
-	e.u32(snapVersion)
-	e.i64(s.nextK)
-	e.time(s.simNow)
-	e.u64(s.decSeq)
-	e.u64(s.accepted)
-	e.u64(s.rejected)
-	e.u64(s.rounds)
-	e.u64(s.decided)
-	e.u64(s.deduped)
-	e.i64(int64(s.unscheduled))
-	e.i64(int64(s.overheadSum))
-	e.i64(int64(s.autoID))
+	b := wire.AppendU32(nil, snapVersion)
+	b = wire.AppendI64(b, s.nextK)
+	b = wire.AppendTime(b, s.simNow)
+	b = wire.AppendU64(b, s.decSeq)
+	b = wire.AppendU64(b, s.accepted)
+	b = wire.AppendU64(b, s.rejected)
+	b = wire.AppendU64(b, s.rounds)
+	b = wire.AppendU64(b, s.decided)
+	b = wire.AppendU64(b, s.deduped)
+	b = wire.AppendI64(b, int64(s.unscheduled))
+	b = wire.AppendI64(b, int64(s.overheadSum))
+	b = wire.AppendI64(b, int64(s.autoID))
 	// Ingest queue, in heap-array order (re-heapified on restore).
-	e.u32(uint32(len(s.future)))
+	b = wire.AppendU32(b, uint32(len(s.future)))
 	for _, j := range s.future {
-		encJob(&e, j)
+		b = appendJob(b, j)
 	}
 	// Live dedupe entries (id -> spec digest); iteration order is
 	// irrelevant, it restores into a map.
-	e.u32(uint32(len(s.live)))
+	b = wire.AppendU32(b, uint32(len(s.live)))
 	for id, lj := range s.live {
-		e.i64(int64(id))
-		e.u64(lj.digest)
+		b = wire.AppendU64(wire.AppendI64(b, int64(id)), lj.digest)
 	}
 	// Decided dedupe index, in FIFO order so eviction resumes correctly.
-	e.u32(uint32(len(s.decidedFIFO)))
+	b = wire.AppendU32(b, uint32(len(s.decidedFIFO)))
 	for _, id := range s.decidedFIFO {
-		e.i64(int64(id))
-		e.u64(s.decidedIdx[id])
+		b = wire.AppendU64(wire.AppendI64(b, int64(id)), s.decidedIdx[id])
 	}
 	// Simulator: pending jobs with slack-manager bookkeeping, and the
 	// per-server reservation state.
 	pending := s.sim.PendingSnapshot()
-	e.u32(uint32(len(pending)))
+	b = wire.AppendU32(b, uint32(len(pending)))
 	for i := range pending {
-		encJob(&e, pending[i].Job)
-		e.time(pending[i].FirstSeen)
-		e.u32(uint32(pending[i].Deferrals))
+		b = appendJob(b, pending[i].Job)
+		b = wire.AppendTime(b, pending[i].FirstSeen)
+		b = wire.AppendU32(b, uint32(pending[i].Deferrals))
 	}
 	busy := s.sim.BusySnapshot()
-	e.u32(uint32(len(busy)))
+	b = wire.AppendU32(b, uint32(len(busy)))
 	for _, id := range s.cfg.Env.IDs() { // stable order
 		until, ok := busy[id]
 		if !ok {
 			continue
 		}
-		e.str(string(id))
-		e.u32(uint32(len(until)))
+		b = wire.AppendStr32(b, string(id))
+		b = wire.AppendU32(b, uint32(len(until)))
 		for _, t := range until {
-			e.time(t)
+			b = wire.AppendTime(b, t)
 		}
 	}
 	// Decision ring, oldest first.
-	e.u32(uint32(s.decisions.Len()))
-	s.decisions.Each(func(dd Decision) { encDecision(&e, dd) })
-	return e.b
+	b = wire.AppendU32(b, uint32(s.decisions.Len()))
+	s.decisions.Each(func(d Decision) { b = appendDecision(b, d) })
+	return b
 }
 
 // restoreSnapshot is marshalSnapshotLocked's inverse. Called from
-// openDurable on a freshly-constructed server.
+// openDurable on a freshly-constructed server. Every declared count is
+// checked against the bytes left before anything is sized by it, and the
+// simulator is only touched once the whole payload has parsed.
 func (s *Server) restoreSnapshot(payload []byte) error {
-	d := &walDec{b: payload}
-	if v := d.u32(); v != snapVersion {
+	r := wire.NewReader(payload)
+	if v := r.U32(); v != snapVersion {
 		return fmt.Errorf("server: snapshot version %d, want %d", v, snapVersion)
 	}
-	s.nextK = d.i64()
-	s.simNow = d.time()
-	s.decSeq = d.u64()
-	s.accepted = d.u64()
-	s.rejected = d.u64()
-	s.rounds = d.u64()
-	s.decided = d.u64()
-	s.deduped = d.u64()
-	s.unscheduled = int(d.i64())
-	s.overheadSum = time.Duration(d.i64())
-	s.autoID = int(d.i64())
-	nf := int(d.u32())
-	if d.err != nil {
-		return d.err
-	}
+	s.nextK = r.I64()
+	s.simNow = r.Time()
+	s.decSeq = r.U64()
+	s.accepted = r.U64()
+	s.rejected = r.U64()
+	s.rounds = r.U64()
+	s.decided = r.U64()
+	s.deduped = r.U64()
+	s.unscheduled = int(r.I64())
+	s.overheadSum = time.Duration(r.I64())
+	s.autoID = int(r.I64())
+	nf := r.Count(jobSize, "queued job")
 	s.future = make(futureHeap, 0, nf)
-	for i := 0; i < nf; i++ {
-		s.future = append(s.future, decJob(d))
+	for i := 0; i < nf && r.OK(); i++ {
+		s.future = append(s.future, readJob(&r))
 	}
 	heap.Init(&s.future)
-	nl := int(d.u32())
-	if d.err != nil {
-		return d.err
+	for i, n := 0, r.Count(dedupeSize, "live job"); i < n && r.OK(); i++ {
+		id := int(r.I64())
+		s.live[id] = liveJob{digest: r.U64()}
 	}
-	for i := 0; i < nl; i++ {
-		id := int(d.i64())
-		s.live[id] = liveJob{digest: d.u64()}
-	}
-	nd := int(d.u32())
-	if d.err != nil {
-		return d.err
-	}
-	for i := 0; i < nd; i++ {
-		id := int(d.i64())
-		s.decidedIdx[id] = d.u64()
+	for i, n := 0, r.Count(dedupeSize, "decided job"); i < n && r.OK(); i++ {
+		id := int(r.I64())
+		s.decidedIdx[id] = r.U64()
 		s.decidedFIFO = append(s.decidedFIFO, id)
 	}
-	np := int(d.u32())
-	if d.err != nil {
-		return d.err
-	}
+	np := r.Count(pendingSize, "pending job")
 	pending := make([]cluster.PendingJob, 0, np)
-	for i := 0; i < np; i++ {
-		pj := cluster.PendingJob{Job: decJob(d)}
-		pj.FirstSeen = d.time()
-		pj.Deferrals = int(d.u32())
-		pending = append(pending, pj)
+	for i := 0; i < np && r.OK(); i++ {
+		pending = append(pending, cluster.PendingJob{Job: readJob(&r), FirstSeen: r.Time(), Deferrals: int(r.U32())})
 	}
-	s.sim.RestorePending(pending)
-	nb := int(d.u32())
-	if d.err != nil {
-		return d.err
-	}
+	nb := r.Count(busySize, "busy region")
 	busy := make(map[region.ID][]time.Time, nb)
-	for i := 0; i < nb; i++ {
-		id := region.ID(d.str())
-		ns := int(d.u32())
-		if d.err != nil {
-			return d.err
-		}
-		until := make([]time.Time, ns)
+	for i := 0; i < nb && r.OK(); i++ {
+		id := region.ID(r.Str32())
+		until := make([]time.Time, r.Count(8, "server"))
 		for j := range until {
-			until[j] = d.time()
+			until[j] = r.Time()
 		}
 		busy[id] = until
 	}
-	if d.err == nil {
-		if err := s.sim.RestoreBusy(busy); err != nil {
-			return err
-		}
+	for i, n := 0, r.Count(decisionSize, "ring decision"); i < n && r.OK(); i++ {
+		s.decisions.Append(readDecision(&r))
 	}
-	nr := int(d.u32())
-	if d.err != nil {
-		return d.err
+	if err := r.Done("snapshot"); err != nil {
+		return err
 	}
-	for i := 0; i < nr; i++ {
-		s.decisions.Append(decDecision(d))
-	}
-	return d.err
+	s.sim.RestorePending(pending)
+	return s.sim.RestoreBusy(busy)
 }
 
 // Crash simulates a process kill for fault-injection tests: the round

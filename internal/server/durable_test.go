@@ -356,17 +356,14 @@ func TestRecoveryRefusesDivergedConfig(t *testing.T) {
 		defer dst.Close()
 		cut := false
 		if err := src.Replay(0, func(_ uint64, p []byte) error {
-			if d := (&walDec{b: p}); !cut && d.u8() == recRound {
-				k, seqAfter, n := d.i64(), d.u64(), int(d.u32())
-				if n >= 2 {
-					ds := make([]Decision, n)
-					for i := range ds {
-						ds[i] = decDecision(d)
-					}
-					p, cut = encodeRoundRecord(k, seqAfter, ds[:n-1]), true
-				}
+			rec, err := decodeRecord(p)
+			if err != nil {
+				return err
 			}
-			_, err := dst.Append(p)
+			if n := len(rec.decisions); !cut && n >= 2 {
+				p, cut = encodeRoundRecord(rec.k, rec.seqAfter, rec.decisions[:n-1]), true
+			}
+			_, err = dst.Append(p)
 			return err
 		}); err != nil {
 			t.Fatal(err)

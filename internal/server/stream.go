@@ -338,30 +338,12 @@ func SubmitErrorCode(err error) wire.SubmitCode {
 	}
 }
 
-// NanoTime converts wire Unix nanoseconds to a time.Time, honoring the
-// wire.TimeNone zero-time sentinel.
-func NanoTime(n int64) time.Time {
-	if n == wire.TimeNone {
-		return time.Time{}
-	}
-	return time.Unix(0, n).UTC()
-}
-
-// TimeNano converts a time.Time to wire Unix nanoseconds, encoding the
-// zero time as wire.TimeNone.
-func TimeNano(t time.Time) int64 {
-	if t.IsZero() {
-		return wire.TimeNone
-	}
-	return t.UnixNano()
-}
-
 // JobSpecFromWire converts a decoded wire job to a JobSpec.
 func JobSpecFromWire(j *wire.Job) JobSpec {
 	spec := JobSpec{
 		Benchmark:      j.Benchmark,
 		Home:           region.ID(j.Home),
-		Submit:         NanoTime(j.SubmitNano),
+		Submit:         wire.NanoTime(j.SubmitNano),
 		DurationSec:    j.DurationSec,
 		EnergyKWh:      j.EnergyKWh,
 		EstDurationSec: j.EstDurationSec,
@@ -380,7 +362,7 @@ func WireJob(spec JobSpec) wire.Job {
 	j := wire.Job{
 		Benchmark:      spec.Benchmark,
 		Home:           string(spec.Home),
-		SubmitNano:     TimeNano(spec.Submit),
+		SubmitNano:     wire.TimeNano(spec.Submit),
 		DurationSec:    spec.DurationSec,
 		EnergyKWh:      spec.EnergyKWh,
 		EstDurationSec: spec.EstDurationSec,
@@ -402,10 +384,10 @@ func WireDecision(d Decision, shard uint32, shardSeq uint64) wire.Decision {
 		JobID:           int64(d.JobID),
 		Shard:           shard,
 		ShardSeq:        shardSeq,
-		RoundNano:       TimeNano(d.Round),
-		StartNano:       TimeNano(d.Start),
-		FinishNano:      TimeNano(d.Finish),
-		DecidedWallNano: TimeNano(d.DecidedWall),
+		RoundNano:       wire.TimeNano(d.Round),
+		StartNano:       wire.TimeNano(d.Start),
+		FinishNano:      wire.TimeNano(d.Finish),
+		DecidedWallNano: wire.TimeNano(d.DecidedWall),
 		CarbonG:         d.CarbonG,
 		WaterL:          d.WaterL,
 		Region:          string(d.Region),
@@ -419,12 +401,12 @@ func DecisionFromWire(d *wire.Decision) Decision {
 		Seq:         d.Seq,
 		JobID:       int(d.JobID),
 		Region:      region.ID(d.Region),
-		Round:       NanoTime(d.RoundNano),
-		Start:       NanoTime(d.StartNano),
-		Finish:      NanoTime(d.FinishNano),
+		Round:       wire.NanoTime(d.RoundNano),
+		Start:       wire.NanoTime(d.StartNano),
+		Finish:      wire.NanoTime(d.FinishNano),
 		CarbonG:     d.CarbonG,
 		WaterL:      d.WaterL,
-		DecidedWall: NanoTime(d.DecidedWallNano),
+		DecidedWall: wire.NanoTime(d.DecidedWallNano),
 	}
 }
 

@@ -20,6 +20,7 @@
 package tsdb
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/bits"
@@ -60,14 +61,12 @@ type chunk struct {
 func (c *chunk) appendSample(t uint64, v float64) {
 	vb := math.Float64bits(v)
 	if c.n == 0 {
-		c.buf = appendUvarint(c.buf, t)
-		var raw [8]byte
-		putUint64(raw[:], vb)
-		c.buf = append(c.buf, raw[:]...)
+		c.buf = binary.AppendUvarint(c.buf, t)
+		c.buf = binary.LittleEndian.AppendUint64(c.buf, vb)
 		c.minT = t
 	} else {
 		delta := int64(t - c.maxT)
-		c.buf = appendVarint(c.buf, delta-c.lastDelta)
+		c.buf = binary.AppendVarint(c.buf, delta-c.lastDelta)
 		c.lastDelta = delta
 		c.buf = appendXOR(c.buf, vb^c.lastV)
 	}
@@ -85,12 +84,12 @@ func (c *chunk) decode(dst []Sample) []Sample {
 	for i := 0; i < c.n; i++ {
 		if i == 0 {
 			var n int
-			t, n = uvarint(buf)
+			t, n = binary.Uvarint(buf)
 			buf = buf[n:]
-			vb = getUint64(buf)
+			vb = binary.LittleEndian.Uint64(buf)
 			buf = buf[8:]
 		} else {
-			dod, n := varint(buf)
+			dod, n := binary.Varint(buf)
 			buf = buf[n:]
 			delta += dod
 			t += uint64(delta)
@@ -383,41 +382,7 @@ func (st *Store) Stats() StoreStats {
 	return st.stats
 }
 
-// --- varint / XOR encoding primitives -------------------------------------
-
-// appendUvarint appends v in LEB128.
-func appendUvarint(b []byte, v uint64) []byte {
-	for v >= 0x80 {
-		b = append(b, byte(v)|0x80)
-		v >>= 7
-	}
-	return append(b, byte(v))
-}
-
-// uvarint decodes a LEB128 value, returning it and the bytes consumed.
-func uvarint(b []byte) (uint64, int) {
-	var v uint64
-	var shift uint
-	for i, c := range b {
-		v |= uint64(c&0x7f) << shift
-		if c < 0x80 {
-			return v, i + 1
-		}
-		shift += 7
-	}
-	return 0, 0
-}
-
-// appendVarint appends v zigzag-encoded.
-func appendVarint(b []byte, v int64) []byte {
-	return appendUvarint(b, uint64(v<<1)^uint64(v>>63))
-}
-
-// varint decodes a zigzag varint.
-func varint(b []byte) (int64, int) {
-	u, n := uvarint(b)
-	return int64(u>>1) ^ -int64(u&1), n
-}
+// --- XOR encoding -------------------------------------------------------
 
 // appendXOR appends a byte-aligned Gorilla-style XOR: 0x80 for a repeat
 // (xor == 0), else a control byte packing (trailing-zero bytes << 4 |
@@ -450,20 +415,4 @@ func decodeXOR(b []byte) (uint64, int) {
 		v |= uint64(b[1+i]) << (8 * uint(i))
 	}
 	return v << (8 * uint(trail)), 1 + mean
-}
-
-// putUint64 writes v little-endian into b[:8].
-func putUint64(b []byte, v uint64) {
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * uint(i)))
-	}
-}
-
-// getUint64 reads a little-endian uint64 from b[:8].
-func getUint64(b []byte) uint64 {
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v |= uint64(b[i]) << (8 * uint(i))
-	}
-	return v
 }

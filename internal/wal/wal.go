@@ -48,23 +48,15 @@ const (
 	defaultSegment = 4 << 20
 	defaultMaxRec  = 64 << 20
 	syncSampleCap  = 512
+	// keepSnapshots is how many newest snapshot files retention
+	// preserves: the latest plus one fallback.
+	keepSnapshots = 2
 )
 
-// Options parameterizes a Log. Zero values take the defaults.
+// Options parameterizes a Log.
 type Options struct {
 	// Dir is the log directory (created if absent). Required.
 	Dir string
-	// SegmentBytes is the rotation threshold for segment files
-	// (default 4 MiB). A single record larger than the threshold still
-	// lands in one segment; rotation happens between records.
-	SegmentBytes int64
-	// MaxRecordBytes rejects absurd appends and, symmetrically, treats a
-	// length header beyond it as a torn/corrupt record instead of
-	// allocating garbage (default 64 MiB).
-	MaxRecordBytes int
-	// KeepSnapshots is how many newest snapshot files retention preserves
-	// (default 2: the latest plus one fallback).
-	KeepSnapshots int
 	// SyncDelay, when non-nil, is consulted on every effective Sync (one
 	// that has new records to commit) and the returned duration is slept
 	// before the fsync — the slow-disk fault-injection hook the scenario
@@ -73,20 +65,26 @@ type Options struct {
 	// exactly like a real slow disk. Nil (the default) adds no branch
 	// beyond one pointer check: the hook is exactly free when unused.
 	SyncDelay func() time.Duration
+
+	// segmentBytes is the rotation threshold for segment files (default
+	// 4 MiB). A single record larger than the threshold still lands in
+	// one segment; rotation happens between records.
+	segmentBytes int64
+	// maxRecordBytes rejects absurd appends and, symmetrically, treats a
+	// length header beyond it as a torn/corrupt record instead of
+	// allocating garbage (default 64 MiB). Only tests lower either.
+	maxRecordBytes int
 }
 
 func (o Options) withDefaults() (Options, error) {
 	if o.Dir == "" {
 		return o, errors.New("wal: empty directory")
 	}
-	if o.SegmentBytes <= 0 {
-		o.SegmentBytes = defaultSegment
+	if o.segmentBytes <= 0 {
+		o.segmentBytes = defaultSegment
 	}
-	if o.MaxRecordBytes <= 0 {
-		o.MaxRecordBytes = defaultMaxRec
-	}
-	if o.KeepSnapshots <= 0 {
-		o.KeepSnapshots = 2
+	if o.maxRecordBytes <= 0 {
+		o.maxRecordBytes = defaultMaxRec
 	}
 	return o, nil
 }
@@ -157,13 +155,14 @@ type writeBuffer struct {
 	buf []byte
 }
 
-// Write buffers p, spilling to the file once 64 KiB accumulates.
-func (b *writeBuffer) Write(p []byte) (int, error) {
-	b.buf = append(b.buf, p...)
+// appendRecord frames payload into the buffer, spilling to the file
+// once 64 KiB accumulates. Spills fall between records.
+func (b *writeBuffer) appendRecord(payload []byte) error {
+	b.buf = appendFrame(b.buf, payload)
 	if len(b.buf) >= 1<<16 {
-		return len(p), b.Flush()
+		return b.Flush()
 	}
-	return len(p), nil
+	return nil
 }
 
 // Flush pushes the buffered bytes into the OS (not yet fsynced).
@@ -212,7 +211,7 @@ func Open(opt Options) (*Log, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%w: segment %s: %v", ErrCorrupt, segName(start), err)
 		}
-		count, goodBytes, _ := walkSegment(data, opt.MaxRecordBytes, nil)
+		count, goodBytes, _ := walkSegment(data, opt.maxRecordBytes, nil)
 		if goodBytes != int64(len(data)) && !last {
 			return nil, fmt.Errorf("%w: segment %s: invalid record at offset %d", ErrCorrupt, segName(start), goodBytes)
 		}
@@ -278,13 +277,22 @@ func listSegments(dir string) ([]uint64, error) { return listIndexed(dir, "", se
 // ascending.
 func listSnapshots(dir string) ([]uint64, error) { return listIndexed(dir, snapPrefix, snapSuffix) }
 
-// walkSegment is the one reader of the segment framing. It walks data, a
-// whole segment file, as length|CRC|payload records, hands each intact
-// payload to fn (when non-nil), and returns how many were intact and the
-// offset past the last. It stops at the first record whose length exceeds
-// maxRec or the remaining bytes, or whose CRC fails; what goodBytes <
-// len(data) means is the caller's policy — a torn tail to truncate on the
-// final segment, ErrCorrupt anywhere else. An error is only ever fn's.
+// appendFrame is the one writer of the length|CRC|payload framing that
+// segment records and snapshot files share.
+func appendFrame(dst, payload []byte) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
+	dst = binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
+	return append(dst, payload...)
+}
+
+// walkSegment is the one reader of that framing. It walks data, a whole
+// segment or snapshot file, as frames, hands each intact payload to fn
+// (when non-nil), and returns how many were intact and the offset past
+// the last. It stops at the first frame whose length exceeds maxRec or
+// the remaining bytes, or whose CRC fails; what goodBytes < len(data)
+// means is the caller's policy — a torn tail to truncate on the final
+// segment, ErrCorrupt anywhere else, a snapshot to skip. An error is only
+// ever fn's.
 func walkSegment(data []byte, maxRec int, fn func(payload []byte) error) (count int, goodBytes int64, err error) {
 	off := int64(0)
 	for int64(len(data))-off >= headerBytes {
@@ -327,21 +335,15 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 	if l.closed {
 		return 0, errors.New("wal: log closed")
 	}
-	if len(payload) > l.opt.MaxRecordBytes {
-		return 0, fmt.Errorf("wal: record of %d bytes exceeds cap %d", len(payload), l.opt.MaxRecordBytes)
+	if len(payload) > l.opt.maxRecordBytes {
+		return 0, fmt.Errorf("wal: record of %d bytes exceeds cap %d", len(payload), l.opt.maxRecordBytes)
 	}
-	if l.segBytes >= l.opt.SegmentBytes {
+	if l.segBytes >= l.opt.segmentBytes {
 		if err := l.rotate(); err != nil {
 			return 0, err
 		}
 	}
-	var hdr [headerBytes]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
-	if _, err := l.w.Write(hdr[:]); err != nil {
-		return 0, fmt.Errorf("wal: %w", err)
-	}
-	if _, err := l.w.Write(payload); err != nil {
+	if err := l.w.appendRecord(payload); err != nil {
 		return 0, fmt.Errorf("wal: %w", err)
 	}
 	idx := l.next
@@ -429,8 +431,7 @@ func (l *Log) Close() error {
 // Crash simulates power loss for tests and fault injection: every record
 // buffered since the last Sync (or flush) is discarded and the file is
 // closed without syncing, so a reopened log sees exactly what a killed
-// process would have left behind — possibly including a torn record where
-// an internal flush stopped partway.
+// process would have left behind.
 func (l *Log) Crash() {
 	if l.closed {
 		return
@@ -490,7 +491,7 @@ func (l *Log) Replay(after uint64, fn func(idx uint64, payload []byte) error) er
 			return fmt.Errorf("wal: %w", err)
 		}
 		idx := seg.start - 1 // index of the record the walk last yielded
-		count, goodBytes, err := walkSegment(data, l.opt.MaxRecordBytes, func(payload []byte) error {
+		count, goodBytes, err := walkSegment(data, l.opt.maxRecordBytes, func(payload []byte) error {
 			if idx++; idx <= after {
 				return nil
 			}
@@ -524,12 +525,8 @@ func (l *Log) WriteSnapshot(covered uint64, payload []byte) error {
 	if err := l.Sync(); err != nil {
 		return err
 	}
-	framed := make([]byte, headerBytes+len(payload))
-	binary.LittleEndian.PutUint32(framed[0:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(framed[4:], crc32.ChecksumIEEE(payload))
-	copy(framed[headerBytes:], payload)
 	tmp := filepath.Join(l.opt.Dir, snapName(covered)+".tmp")
-	if err := writeFileSync(tmp, framed); err != nil {
+	if err := writeFileSync(tmp, appendFrame(make([]byte, 0, headerBytes+len(payload)), payload)); err != nil {
 		return err
 	}
 	if err := os.Rename(tmp, filepath.Join(l.opt.Dir, snapName(covered))); err != nil {
@@ -576,11 +573,11 @@ func syncDir(dir string) error {
 }
 
 // retainLocked applies retention after a snapshot at covered: old
-// snapshot files beyond KeepSnapshots go, and so does every non-active
+// snapshot files beyond keepSnapshots go, and so does every non-active
 // segment whose records all lie at or below covered.
 func (l *Log) retainLocked(covered uint64) {
-	if snaps, err := listSnapshots(l.opt.Dir); err == nil && len(snaps) > l.opt.KeepSnapshots {
-		for _, c := range snaps[:len(snaps)-l.opt.KeepSnapshots] {
+	if snaps, err := listSnapshots(l.opt.Dir); err == nil && len(snaps) > keepSnapshots {
+		for _, c := range snaps[:len(snaps)-keepSnapshots] {
 			_ = os.Remove(filepath.Join(l.opt.Dir, snapName(c)))
 		}
 	}
@@ -614,19 +611,12 @@ func (l *Log) LatestSnapshot() ([]byte, uint64, error) {
 		if err != nil {
 			continue
 		}
-		if len(data) < headerBytes {
-			continue
+		// A snapshot is one frame filling the file; its size is not capped.
+		var payload []byte
+		count, goodBytes, _ := walkSegment(data, len(data), func(p []byte) error { payload = p; return nil })
+		if count == 1 && goodBytes == int64(len(data)) {
+			return payload, covers[i], nil
 		}
-		n := int64(binary.LittleEndian.Uint32(data[0:]))
-		sum := binary.LittleEndian.Uint32(data[4:])
-		if headerBytes+n != int64(len(data)) {
-			continue
-		}
-		payload := data[headerBytes:]
-		if crc32.ChecksumIEEE(payload) != sum {
-			continue
-		}
-		return payload, covers[i], nil
 	}
 	return nil, 0, nil
 }

@@ -84,7 +84,7 @@ func TestAppendSyncReopenReplay(t *testing.T) {
 func TestSegmentRotation(t *testing.T) {
 	dir := t.TempDir()
 	// Tiny segments: every record (28 bytes framed) rotates after ~2.
-	l := openT(t, Options{Dir: dir, SegmentBytes: 64})
+	l := openT(t, Options{Dir: dir, segmentBytes: 64})
 	for i := 1; i <= 20; i++ {
 		appendT(t, l, record(i))
 	}
@@ -226,7 +226,7 @@ func TestTornTailByteByByte(t *testing.T) {
 // real corruption and must refuse to open, not silently drop records.
 func TestMidLogCorruptionIsError(t *testing.T) {
 	dir2 := t.TempDir()
-	l2 := openT(t, Options{Dir: dir2, SegmentBytes: 64})
+	l2 := openT(t, Options{Dir: dir2, segmentBytes: 64})
 	for i := 1; i <= 20; i++ {
 		appendT(t, l2, record(i))
 	}
@@ -250,7 +250,7 @@ func TestMidLogCorruptionIsError(t *testing.T) {
 
 func TestSnapshotRoundTripAndRetention(t *testing.T) {
 	dir := t.TempDir()
-	l := openT(t, Options{Dir: dir, SegmentBytes: 64, KeepSnapshots: 2})
+	l := openT(t, Options{Dir: dir, segmentBytes: 64})
 	for i := 1; i <= 20; i++ {
 		appendT(t, l, record(i))
 	}
@@ -300,7 +300,7 @@ func TestSnapshotRoundTripAndRetention(t *testing.T) {
 // in favor of the previous one.
 func TestCorruptLatestSnapshotFallsBack(t *testing.T) {
 	dir := t.TempDir()
-	l := openT(t, Options{Dir: dir, KeepSnapshots: 2})
+	l := openT(t, Options{Dir: dir})
 	for i := 1; i <= 10; i++ {
 		appendT(t, l, record(i))
 	}
@@ -354,7 +354,7 @@ func TestSyncIdempotentAndStats(t *testing.T) {
 }
 
 func TestRecordTooLarge(t *testing.T) {
-	l := openT(t, Options{Dir: t.TempDir(), MaxRecordBytes: 16})
+	l := openT(t, Options{Dir: t.TempDir(), maxRecordBytes: 16})
 	defer l.Close()
 	if _, err := l.Append(make([]byte, 17)); err == nil {
 		t.Fatal("oversized append succeeded")

@@ -19,7 +19,12 @@
 // All multi-byte integers are little-endian. Strings are encoded as a
 // one-byte length followed by UTF-8 bytes (the protocol never needs
 // names longer than 255 bytes). Times travel as int64 Unix nanoseconds;
-// the sentinel math.MinInt64 encodes the zero time.
+// the sentinel TimeNone encodes the zero time.
+//
+// The primitives under the frame payloads — Reader, with its count
+// check, and the AppendU32/U64/I64/F64/Str8/Str32/Time encoders — are
+// the service's one binary codec: internal/server encodes its
+// write-ahead log records and snapshots with them too.
 //
 // The encode path is allocation-free: AppendXxx functions append into a
 // caller-owned scratch buffer. The decode path reuses caller-owned
@@ -28,7 +33,10 @@
 // BenchmarkFrameRoundTrip).
 package wire
 
-import "math"
+import (
+	"math"
+	"time"
+)
 
 // Version is the protocol version carried in every frame header.
 // Peers reject any other value with ErrVersion.
@@ -211,5 +219,25 @@ const (
 	ErrCodeShutdown ErrCode = 2
 )
 
-// TimeNone is the int64 sentinel encoding the zero time.Time.
+// TimeNone is the int64 sentinel encoding the zero time.Time — no real
+// instant has UnixNano math.MinInt64. It is the one zero-time sentinel
+// of every format in the service: wire frames, WAL records, snapshots.
 const TimeNone = math.MinInt64
+
+// NanoTime converts Unix nanoseconds to a UTC time.Time, TimeNone being
+// the zero time.
+func NanoTime(n int64) time.Time {
+	if n == TimeNone {
+		return time.Time{}
+	}
+	return time.Unix(0, n).UTC()
+}
+
+// TimeNano converts a time.Time to Unix nanoseconds, the zero time to
+// TimeNone.
+func TimeNano(t time.Time) int64 {
+	if t.IsZero() {
+		return TimeNone
+	}
+	return t.UnixNano()
+}

@@ -193,11 +193,11 @@ func TestDecodeFrameErrors(t *testing.T) {
 // allocate past the payload size.
 func TestDecodePayloadErrors(t *testing.T) {
 	var c Codec
-	huge := appendU32(nil, math.MaxUint32) // count with no body
+	huge := AppendU32(nil, math.MaxUint32) // count with no body
 	if _, err := c.DecodeSubmit(huge, nil); !errors.Is(err, ErrBadPayload) {
 		t.Fatalf("DecodeSubmit(huge count) = %v, want ErrBadPayload", err)
 	}
-	if _, _, err := c.DecodeDecisions(append(appendU64(nil, 0), huge...), nil); !errors.Is(err, ErrBadPayload) {
+	if _, _, err := c.DecodeDecisions(append(AppendU64(nil, 0), huge...), nil); !errors.Is(err, ErrBadPayload) {
 		t.Fatalf("DecodeDecisions(huge count) = %v, want ErrBadPayload", err)
 	}
 	if _, err := c.DecodeSubmitReply(huge, nil); !errors.Is(err, ErrBadPayload) {

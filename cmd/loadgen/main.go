@@ -18,9 +18,9 @@
 // percentile path — and stream backpressure (per-job queue-full reply
 // codes) is counted as rejected, exactly like HTTP 429.
 //
-// The service is one endpoint: a single waterwised, or the gateway of a
-// sharded one (-shards N), which routes jobs by home region itself. The
-// regions to draw homes from come from its /v1/status.
+// The service is one endpoint — a waterwised with any -shards count routes
+// jobs by home region itself. The regions to draw homes from come from
+// its /v1/status.
 //
 // Usage:
 //
@@ -80,7 +80,6 @@ import (
 	"time"
 
 	"waterwise"
-	"waterwise/internal/milp"
 	"waterwise/internal/obs"
 	"waterwise/internal/trace"
 )
@@ -112,14 +111,17 @@ type report struct {
 	LatencyP90Ms float64 `json:"latency_p90_ms"`
 	LatencyP99Ms float64 `json:"latency_p99_ms"`
 	LatencyMaxMs float64 `json:"latency_max_ms"`
+	// Unmatched counts observed decisions that match no job of this run:
+	// another client's work, or an earlier run's when the start cursor
+	// is wrong.
+	Unmatched    int     `json:"unmatched_decisions"`
 	SolverIters  int     `json:"solver_simplex_iters"`
 	SolverWarmPc float64 `json:"solver_warm_start_pct"`
 	// Server-side decision latency, scraped from the service's /metrics
-	// histogram (waterwise_decision_latency_seconds, or a gateway's
-	// shard-merged waterwise_fleet_decision_latency_seconds) at end of
-	// run. The server measures Submit acceptance to round commit; the
-	// client measures send instant to observed decision — their gap is
-	// queueing the server never sees.
+	// histogram (the shard-merged waterwise_fleet_decision_latency_seconds)
+	// at end of run. The server measures Submit acceptance to round
+	// commit; the client measures send instant to observed decision —
+	// their gap is queueing the server never sees.
 	ServerLatencyP50Ms float64 `json:"server_latency_p50_ms,omitempty"`
 	ServerLatencyP99Ms float64 `json:"server_latency_p99_ms,omitempty"`
 	ServerLatencyCount uint64  `json:"server_latency_count,omitempty"`
@@ -167,8 +169,8 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("unknown -protocol %q (want http or stream)", *protocol)
 	}
 
-	// Ask the service which regions it serves (a gateway reports its
-	// whole fleet) and where its counters and decision log stand.
+	// Ask the service which regions it serves and where its counters and
+	// decision log stand.
 	client := &http.Client{Timeout: 30 * time.Second}
 	start, err := getStatus(client, *baseURL)
 	if err != nil {
@@ -441,25 +443,15 @@ func run(args []string, stdout io.Writer) error {
 		account(0, 0, st.close()) // submitted but never replied to
 	}
 
-	// Final stats: rounds and solver counters (a gateway's per-shard
-	// solver stats summed).
+	// Final stats: rounds and the shards' summed solver counters.
 	end, err := getStatus(client, *baseURL)
 	if err != nil {
 		return err
 	}
-	var solver milp.Stats
-	if end.Solver != nil {
-		solver.Add(*end.Solver)
-	}
-	for _, ss := range end.ShardStatus {
-		if ss.Solver != nil {
-			solver.Add(*ss.Solver)
-		}
-	}
 	// The throughput window runs from the first submission to the last
 	// observed decision (falling back to now if nothing decided).
 	lats, decided, lastDecided := m.Results()
-	rep.Decided = decided
+	rep.Decided, rep.Unmatched = decided, m.Unmatched()
 	window := time.Since(t0)
 	if !lastDecided.IsZero() && lastDecided.After(t0) {
 		window = lastDecided.Sub(t0)
@@ -468,8 +460,10 @@ func run(args []string, stdout io.Writer) error {
 	rep.OfferedRate = float64(rep.Offered) / sendWindow.Seconds()
 	rep.DecisionsSec = float64(rep.Decided) / window.Seconds()
 	rep.RoundsSec = float64(end.Rounds-start.Rounds) / window.Seconds()
-	rep.SolverIters = solver.SimplexIters
-	rep.SolverWarmPc = 100 * solver.WarmStartHitRate()
+	if end.Solver != nil {
+		rep.SolverIters = end.Solver.SimplexIters
+		rep.SolverWarmPc = 100 * end.Solver.WarmStartHitRate()
+	}
 	sort.Float64s(lats)
 	rep.LatencyP50Ms = percentile(lats, 0.50)
 	rep.LatencyP90Ms = percentile(lats, 0.90)
@@ -516,18 +510,14 @@ func run(args []string, stdout io.Writer) error {
 }
 
 // scrapeDecisionLatency fetches the service's /metrics and returns the
-// cumulative (le, count) buckets of its decision-latency histogram — the
-// shard-merged family from a fleet gateway, the plain one from a single
-// server.
+// cumulative (le, count) buckets of its shard-merged decision-latency
+// histogram.
 func scrapeDecisionLatency(c *http.Client, base string) (les []float64, cums []uint64, ok bool) {
 	fams, err := getMetrics(c, base)
 	if err != nil {
 		return nil, nil, false
 	}
 	fam := fams["waterwise_fleet_decision_latency_seconds"]
-	if fam == nil {
-		fam = fams["waterwise_decision_latency_seconds"]
-	}
 	if fam == nil {
 		return nil, nil, false
 	}
@@ -566,26 +556,13 @@ func percentile(sorted []float64, p float64) float64 {
 	return sorted[idx]
 }
 
-// svcStatus is the slice of /v1/status loadgen reads: it decodes both a
-// single server's status and a fleet gateway's aggregate (whose solver
-// stats live per shard under shard_status).
-type svcStatus struct {
-	Free        map[waterwise.RegionID]int `json:"free"`
-	Rounds      uint64                     `json:"rounds"`
-	LastSeq     uint64                     `json:"last_seq"`
-	Solver      *milp.Stats                `json:"solver"`
-	ShardStatus []struct {
-		Solver *milp.Stats `json:"solver"`
-	} `json:"shard_status"`
-}
-
-func getStatus(c *http.Client, base string) (*svcStatus, error) {
+func getStatus(c *http.Client, base string) (*waterwise.ServerStatus, error) {
 	resp, err := c.Get(base + "/v1/status")
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	var st svcStatus
+	var st waterwise.ServerStatus
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		return nil, err
 	}

@@ -75,6 +75,14 @@ func (m *matcher) DecidedCount() int {
 	return m.decided
 }
 
+// Unmatched returns how many observed decisions never paired with a
+// submission of this run.
+func (m *matcher) Unmatched() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.unmatched)
+}
+
 // Window copies the latency samples recorded since index from (for
 // interval sampling) and returns them with the new high-water mark and
 // the total matched count.

@@ -1,13 +1,13 @@
 // Command metricsdoc generates METRICS.md, the reference for every
-// metric family the service exposes, straight from the expositions
-// themselves: it boots a durable single server and a supervised
-// two-shard fleet in-process — flight recorder and SLO engine armed so
-// their self-metrics render — gathers both /metrics bodies through the
-// same strict parser the lint tests use, and emits one sorted table of
-// name, type, labels, exposing surface, and HELP text. Generating from
-// a live exposition rather than a hand-kept list means the doc cannot
-// silently drift: a new family shows up on the next run, and
-// TestMetricsDocUpToDate fails when the committed file no longer matches.
+// metric family the service exposes, straight from the exposition
+// itself: it boots a durable, supervised two-shard service in-process —
+// flight recorder and SLO engine armed so their self-metrics render —
+// gathers its /metrics body through the same strict parser the lint tests
+// use, and emits one sorted table of name, type, labels, and HELP text.
+// Generating from a live exposition rather than a hand-kept list means
+// the doc cannot silently drift: a new family shows up on the next run,
+// and TestMetricsDocUpToDate fails when the committed file no longer
+// matches.
 //
 // Usage:
 //
@@ -27,7 +27,6 @@ import (
 	"waterwise/internal/cluster"
 	"waterwise/internal/core"
 	"waterwise/internal/energy"
-	"waterwise/internal/fleet"
 	"waterwise/internal/obs"
 	"waterwise/internal/region"
 	"waterwise/internal/server"
@@ -41,11 +40,10 @@ func main() {
 	}
 }
 
-// row is one documented family on one exposition surface.
+// row is one documented family.
 type row struct {
 	name, typ, help string
 	labels          map[string]bool
-	sources         map[string]bool
 }
 
 func run() error {
@@ -61,25 +59,28 @@ func run() error {
 	return os.WriteFile(*out, doc, 0o644)
 }
 
-// generate boots the two exposition surfaces and renders the table.
+// generate boots the service and renders the table.
 func generate() ([]byte, error) {
+	text, err := exposition()
+	if err != nil {
+		return nil, err
+	}
+	fams, err := obs.ParseProm(text)
+	if err != nil {
+		return nil, fmt.Errorf("exposition: %w", err)
+	}
 	rows := map[string]*row{}
-
-	srvText, err := serverExposition()
-	if err != nil {
-		return nil, err
+	for name, fam := range fams {
+		r := &row{name: name, typ: fam.Type, help: fam.Help, labels: map[string]bool{}}
+		for _, s := range fam.Samples {
+			for k := range s.Labels {
+				if k != "le" { // bucket edges are structure, not identity
+					r.labels[k] = true
+				}
+			}
+		}
+		rows[name] = r
 	}
-	if err := ingest(rows, srvText, "server"); err != nil {
-		return nil, fmt.Errorf("server exposition: %w", err)
-	}
-	flText, err := fleetExposition()
-	if err != nil {
-		return nil, err
-	}
-	if err := ingest(rows, flText, "fleet"); err != nil {
-		return nil, fmt.Errorf("fleet exposition: %w", err)
-	}
-
 	names := make([]string, 0, len(rows))
 	for name := range rows {
 		names = append(names, name)
@@ -89,48 +90,26 @@ func generate() ([]byte, error) {
 	var b bytes.Buffer
 	b.WriteString("# Metrics reference\n\n")
 	b.WriteString("Every metric family the service exposes on `/metrics`, generated from\n")
-	b.WriteString("live expositions by `cmd/metricsdoc`. Do not edit by hand — regenerate\n")
+	b.WriteString("a live exposition by `cmd/metricsdoc`. Do not edit by hand — regenerate\n")
 	b.WriteString("with `go run ./cmd/metricsdoc -out METRICS.md`; CI fails when this file\n")
 	b.WriteString("drifts from what a booted daemon actually serves.\n\n")
-	b.WriteString("`server` families appear on a standalone `waterwised`; `fleet` families\n")
-	b.WriteString("on a sharded gateway (`-shards > 1`), where per-shard families carry a\n")
-	b.WriteString("`shard` label. Histograms expose `_bucket`/`_sum`/`_count` series with\n")
+	b.WriteString("One `waterwised` exposes every family at any `-shards` count. Per-shard\n")
+	b.WriteString("families carry a `shard` label; the `waterwise_fleet_` families are the\n")
+	b.WriteString("service's own: shard count, merge accounting, supervision, and the\n")
+	b.WriteString("latency histograms merged over the shards. WAL families need `-data-dir`,\n")
+	b.WriteString("`waterwise_fleet_restarts_total` and `waterwise_fleet_shard_up` the\n")
+	b.WriteString("supervisor, and the `waterwise_tsdb_`/`waterwise_alerts_` families\n")
+	b.WriteString("`-record-metrics`. Histograms expose `_bucket`/`_sum`/`_count` series with\n")
 	b.WriteString("one shared bucket scheme, so cross-shard sums are exact merges.\n\n")
-	b.WriteString("| Metric | Type | Labels | Exposed by | Help |\n")
-	b.WriteString("|---|---|---|---|---|\n")
+	b.WriteString("| Metric | Type | Labels | Help |\n")
+	b.WriteString("|---|---|---|---|\n")
 	for _, name := range names {
 		r := rows[name]
-		fmt.Fprintf(&b, "| `%s` | %s | %s | %s | %s |\n",
-			r.name, r.typ, setList(r.labels, "—"), setList(r.sources, "—"),
-			strings.ReplaceAll(r.help, "|", "\\|"))
+		fmt.Fprintf(&b, "| `%s` | %s | %s | %s |\n",
+			r.name, r.typ, setList(r.labels, "—"), strings.ReplaceAll(r.help, "|", "\\|"))
 	}
 	fmt.Fprintf(&b, "\n%d families.\n", len(names))
 	return b.Bytes(), nil
-}
-
-// ingest parses one exposition and folds its families into rows.
-func ingest(rows map[string]*row, text []byte, source string) error {
-	fams, err := obs.ParseProm(text)
-	if err != nil {
-		return err
-	}
-	for name, fam := range fams {
-		r := rows[name]
-		if r == nil {
-			r = &row{name: name, typ: fam.Type, help: fam.Help,
-				labels: map[string]bool{}, sources: map[string]bool{}}
-			rows[name] = r
-		}
-		r.sources[source] = true
-		for _, s := range fam.Samples {
-			for k := range s.Labels {
-				if k != "le" { // bucket edges are structure, not identity
-					r.labels[k] = true
-				}
-			}
-		}
-	}
-	return nil
 }
 
 func setList(set map[string]bool, empty string) string {
@@ -152,58 +131,31 @@ var docObjectives = []tsdb.Objective{{
 	Bad: "waterwise_jobs_rejected_total", Good: "waterwise_jobs_accepted_total",
 }}
 
-// serverExposition boots a durable standalone server with every optional
-// subsystem armed — WAL, solver stats, observability, feed health,
-// flight recorder — and returns its exposition.
-func serverExposition() ([]byte, error) {
+// exposition boots a durable, supervised two-shard service with every
+// optional subsystem armed — WAL, solver stats, observability, feed
+// health, flight recorder — and returns its exposition.
+func exposition() ([]byte, error) {
 	env, err := region.NewEnvironment(region.Defaults(), energy.Table, time.Date(2023, 7, 3, 0, 0, 0, 0, time.UTC), 4, 1)
 	if err != nil {
 		return nil, err
 	}
-	sched, err := core.New(core.DefaultConfig())
-	if err != nil {
-		return nil, err
-	}
-	dir, err := os.MkdirTemp("", "metricsdoc-server-")
+	dir, err := os.MkdirTemp("", "metricsdoc-")
 	if err != nil {
 		return nil, err
 	}
 	defer os.RemoveAll(dir)
 	srv, err := server.New(server.Config{
-		Env: env, Scheduler: sched, Tolerance: 0.5, Round: 15 * time.Minute,
-		DataDir: dir,
-		Record:  server.RecordConfig{Enable: true, SLOs: docObjectives},
-	})
-	if err != nil {
-		return nil, err
-	}
-	return srv.MetricsText(), nil
-}
-
-// fleetExposition boots a durable, supervised two-shard fleet with the
-// fleet-level flight recorder armed and returns the gateway exposition.
-func fleetExposition() ([]byte, error) {
-	env, err := region.NewEnvironment(region.Defaults(), energy.Table, time.Date(2023, 7, 3, 0, 0, 0, 0, time.UTC), 4, 1)
-	if err != nil {
-		return nil, err
-	}
-	dir, err := os.MkdirTemp("", "metricsdoc-fleet-")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(dir)
-	fl, err := fleet.New(fleet.Config{
 		Env: env, Shards: 2, Tolerance: 0.5, Round: 15 * time.Minute,
 		DataDir: dir,
 		NewScheduler: func(int, []region.ID) (cluster.Scheduler, error) {
 			return core.New(core.DefaultConfig())
 		},
-		Supervisor: &fleet.SupervisorConfig{Interval: time.Second, FailThreshold: 2},
+		Supervisor: &server.SupervisorConfig{Interval: time.Second, FailThreshold: 2},
 		Record:     server.RecordConfig{Enable: true, SLOs: docObjectives},
 	})
 	if err != nil {
 		return nil, err
 	}
-	defer fl.Stop()
-	return fl.MetricsText(), nil
+	defer srv.Stop()
+	return srv.MetricsText(), nil
 }

@@ -6,11 +6,11 @@
 // same MILP scheduler stack the offline replay uses (cross-round warm
 // starts on by default).
 //
-// With -shards N (N > 1) it runs the region-sharded serving fleet in one
-// process: N scheduler shards, each owning a disjoint partition of the
-// environment's regions, behind a gateway that routes jobs by home
-// region, merges decision logs into one globally seq-numbered stream, and
-// labels metrics per shard.
+// The service runs -shards N scheduler shards in one process (one by
+// default), each owning a disjoint partition of the environment's regions;
+// jobs are routed by home region, the shards' decision logs are merged
+// into one globally seq-numbered stream, and metrics are labeled per
+// shard.
 //
 // The environment's grid/weather signals come from a pluggable feed
 // (-feed): the deterministic synthetic generators (default), a recorded
@@ -35,8 +35,7 @@
 //	-tolerance     delay tolerance fraction                  (default 0.5)
 //	-lambda-carbon λ_CO2 objective weight (λ_H2O = 1-λ_CO2)  (default 0.5)
 //	-regions       comma-separated region subset             (default: all five)
-//	-shards        scheduler shard count, at least 1; >1 serves
-//	               the sharded fleet behind one gateway      (default 1)
+//	-shards        scheduler shard count, at least 1          (default 1)
 //	-shard-map     region=shard pins, e.g. "zurich=0,mumbai=1"
 //	               (unpinned regions dealt to emptiest shard)
 //	-feed          environment feed: "synthetic",
@@ -148,14 +147,8 @@ func applyFeedFlag(cfg *waterwise.EnvironmentConfig, spec string) error {
 //	latency:<target>@<threshold> — latency objective over the decision
 //	                               latency histogram (e.g. 0.99@250ms)
 //
-// The latency family differs between a single server and a fleet
-// gateway (the fleet exposes the shard-merged histogram under its own
-// name), so the caller passes which one is being built.
-func parseSLOs(csv string, fleetMode bool) ([]waterwise.SLOObjective, error) {
-	latencyFamily := "waterwise_decision_latency_seconds"
-	if fleetMode {
-		latencyFamily = "waterwise_fleet_decision_latency_seconds"
-	}
+// Latency objectives read the shard-merged decision latency histogram.
+func parseSLOs(csv string) ([]waterwise.SLOObjective, error) {
 	var out []waterwise.SLOObjective
 	for _, spec := range strings.Split(csv, ",") {
 		if spec = strings.TrimSpace(spec); spec == "" {
@@ -191,7 +184,7 @@ func parseSLOs(csv string, fleetMode bool) ([]waterwise.SLOObjective, error) {
 			}
 			out = append(out, waterwise.SLOObjective{
 				Name: "latency", Target: target,
-				Family:      latencyFamily,
+				Family:      "waterwise_fleet_decision_latency_seconds",
 				ThresholdMs: float64(thresh) / float64(time.Millisecond),
 			})
 		default:
@@ -240,7 +233,7 @@ func run() error {
 		tolerance   = flag.Float64("tolerance", 0.5, "delay tolerance fraction")
 		lambdaC     = flag.Float64("lambda-carbon", 0.5, "carbon objective weight (water gets 1-x)")
 		regionsCSV  = flag.String("regions", "", "comma-separated region subset")
-		shards      = flag.Int("shards", 1, "scheduler shard count (at least 1); >1 serves the sharded fleet")
+		shards      = flag.Int("shards", 1, "scheduler shard count (at least 1)")
 		shardMapCSV = flag.String("shard-map", "", "region=shard pins, e.g. zurich=0,mumbai=1")
 		feedSpec    = flag.String("feed", "synthetic", `environment feed: "synthetic", "replay:<file>", or "live:<url>"`)
 		record      = flag.String("record", "", "write the environment feed to this trace file (.json or .csv) and exit")
@@ -317,19 +310,13 @@ func run() error {
 			"replay_with", "-feed replay:"+*record)
 		return nil
 	}
-	schedCfg := waterwise.SchedulerConfig{
-		LambdaCarbon:        *lambdaC,
-		LambdaWater:         1 - *lambdaC,
-		SolverWorkers:       *workers,
-		CrossRoundWarmStart: true,
-	}
 	// -slo without -record-metrics would have nothing to evaluate burn
 	// rates over, so objectives imply recording.
-	slos, err := parseSLOs(*sloCSV, *shards > 1)
+	slos, err := parseSLOs(*sloCSV)
 	if err != nil {
 		return err
 	}
-	srvCfg := waterwise.ServerConfig{
+	srv, err := waterwise.NewServer(env, waterwise.ServerConfig{
 		Tolerance: *tolerance, Round: *round, TimeScale: *timescale,
 		QueueCap: *queueCap, DecisionLogCap: *decisionLog,
 		DataDir: *dataDir, SnapshotEvery: *snapEvery,
@@ -342,81 +329,50 @@ func run() error {
 				slog.Info(fmt.Sprintf(format, args...))
 			},
 		},
+		Shards: *shards, ShardMap: shardMap,
+		Scheduler: waterwise.SchedulerConfig{
+			LambdaCarbon:        *lambdaC,
+			LambdaWater:         1 - *lambdaC,
+			SolverWorkers:       *workers,
+			CrossRoundWarmStart: true,
+		},
+	})
+	if err != nil {
+		return err
 	}
 	mode := fmt.Sprintf("paced x%g", *timescale)
 	if *timescale == 0 {
 		mode = "accelerated"
 	}
-
-	// Build the backend — one server, or the sharded fleet running every
-	// shard on the same ServerConfig — then share one start → stream →
-	// serve → stop tail.
-	var (
-		backend     waterwise.StreamBackend
-		handler     http.Handler
-		start, stop func()
-		logTotals   func()
-	)
-	if *shards > 1 {
-		fl, err := waterwise.NewFleet(env, waterwise.FleetConfig{
-			ServerConfig: srvCfg, Shards: *shards, ShardMap: shardMap, Scheduler: schedCfg,
-		})
-		if err != nil {
-			return err
-		}
-		for _, ss := range fl.Status().ShardStatus {
-			logRecovery(log, fmt.Sprintf("shard %d", ss.Shard), ss.WAL)
-		}
-		log.Info("fleet gateway listening", "addr", *addr, "shards", fl.Shards(),
-			"round", round.String(), "mode", mode, "tolerance", *tolerance)
-		for s, part := range fl.Partitions() {
-			log.Info("shard partition", "shard", s, "regions", fmt.Sprint(part))
-		}
-		backend, handler, start, stop = fl, fl.Handler(), fl.Start, fl.Stop
-		logTotals = func() {
-			st := fl.Status()
-			log.Info("fleet stopped", "rounds", st.Rounds, "decisions", st.Decisions,
-				"merged", st.Merged, "lost", st.Lost, "accepted", st.Accepted,
-				"rejected", st.Rejected, "unscheduled", st.Unscheduled)
-			for _, ss := range st.ShardStatus {
-				log.Info("shard totals", "shard", ss.Shard, "rounds", ss.Rounds,
-					"decisions", ss.Decisions, "accepted", ss.Accepted)
-			}
-		}
-	} else {
-		sched, err := waterwise.NewScheduler(schedCfg)
-		if err != nil {
-			return err
-		}
-		srv, err := waterwise.NewServer(env, sched, srvCfg)
-		if err != nil {
-			return err
-		}
-		logRecovery(log, "server", srv.Status().WAL)
-		log.Info("listening", "addr", *addr, "round", round.String(), "mode", mode,
-			"tolerance", *tolerance, "regions", fmt.Sprint(env.Regions()))
-		backend, handler, start, stop = srv, srv.Handler(), srv.Start, srv.Stop
-		logTotals = func() {
-			st := srv.Status()
-			log.Info("stopped", "rounds", st.Rounds, "decisions", st.Decisions,
-				"accepted", st.Accepted, "rejected", st.Rejected, "unscheduled", st.Unscheduled)
-			if st.Solver != nil {
-				log.Info("solver totals", "nodes", st.Solver.Nodes, "simplex_iters", st.Solver.SimplexIters,
-					"warm_hit_rate", st.Solver.WarmStartHitRate(), "wall", st.Solver.Wall.Round(time.Millisecond).String())
-			}
-			log.Info("latency", "decision_p50_ms", st.Obs.DecisionP50Ms,
-				"decision_p99_ms", st.Obs.DecisionP99Ms, "solve_p99_ms", st.Obs.SolveP99Ms)
-		}
+	st := srv.Status()
+	log.Info("listening", "addr", *addr, "shards", st.Shards, "round", round.String(),
+		"mode", mode, "tolerance", *tolerance)
+	for _, ss := range st.ShardStatus {
+		log.Info("shard", "shard", ss.Shard, "regions", fmt.Sprint(ss.Regions))
+		logRecovery(log, ss.Shard, ss.WAL)
 	}
 
-	start()
-	stopStream, err := startStream(log, *streamAddr, backend)
+	srv.Start()
+	stopStream, err := startStream(log, *streamAddr, srv)
 	if err != nil {
-		stop()
+		srv.Stop()
 		return err
 	}
-	err = serve(log, *addr, handler, func() { stopStream(); stop() })
-	logTotals()
+	err = serve(log, *addr, srv.Handler(), func() { stopStream(); srv.Stop() })
+	st = srv.Status()
+	log.Info("stopped", "rounds", st.Rounds, "decisions", st.Decisions,
+		"merged", st.Merged, "lost", st.Lost, "accepted", st.Accepted,
+		"rejected", st.Rejected, "unscheduled", st.Unscheduled)
+	if st.Solver != nil {
+		log.Info("solver totals", "nodes", st.Solver.Nodes, "simplex_iters", st.Solver.SimplexIters,
+			"warm_hit_rate", st.Solver.WarmStartHitRate(), "wall", st.Solver.Wall.Round(time.Millisecond).String())
+	}
+	log.Info("latency", "decision_p50_ms", st.Obs.DecisionP50Ms,
+		"decision_p99_ms", st.Obs.DecisionP99Ms, "solve_p99_ms", st.Obs.SolveP99Ms)
+	for _, ss := range st.ShardStatus {
+		log.Info("shard totals", "shard", ss.Shard, "rounds", ss.Rounds,
+			"decisions", ss.Decisions, "accepted", ss.Accepted)
+	}
 	return err
 }
 
@@ -447,27 +403,26 @@ func buildLogger(level, format string) (*slog.Logger, error) {
 	}
 }
 
-// logRecovery summarizes what the restart path restored for one durable
-// scheduling service.
-func logRecovery(log *slog.Logger, who string, w *waterwise.WALStatus) {
+// logRecovery summarizes what the restart path restored for one shard.
+func logRecovery(log *slog.Logger, shard int, w *waterwise.WALStatus) {
 	if w == nil {
 		return
 	}
 	if !w.RecoveredSnapshot && w.RecoveredRecords == 0 {
-		log.Info("fresh data directory", "who", who)
+		log.Info("fresh data directory", "shard", shard)
 		return
 	}
 	src := "log replay only"
 	if w.RecoveredSnapshot {
 		src = "snapshot + log replay"
 	}
-	log.Info("recovered durable state", "who", who, "records", w.RecoveredRecords,
+	log.Info("recovered durable state", "shard", shard, "records", w.RecoveredRecords,
 		"source", src, "recovery_ms", w.RecoveryMs, "segments", w.Segments, "appended", w.Appended)
 }
 
 // startStream opens the binary streaming listener when -stream-addr is
 // set and returns its shutdown func (a no-op when the flag is off).
-func startStream(log *slog.Logger, addr string, backend waterwise.StreamBackend) (func(), error) {
+func startStream(log *slog.Logger, addr string, srv *waterwise.Server) (func(), error) {
 	if addr == "" {
 		return func() {}, nil
 	}
@@ -475,7 +430,7 @@ func startStream(log *slog.Logger, addr string, backend waterwise.StreamBackend)
 	if err != nil {
 		return nil, fmt.Errorf("stream listener: %w", err)
 	}
-	sl := waterwise.NewStreamListener(ln, backend, waterwise.StreamOptions{})
+	sl := srv.ServeStream(ln, waterwise.StreamOptions{})
 	log.Info("stream listening", "addr", ln.Addr().String())
 	return func() { sl.Close() }, nil
 }

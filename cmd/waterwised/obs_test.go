@@ -71,7 +71,7 @@ func TestDaemonMetricsLint(t *testing.T) {
 			t.Errorf("family %s missing from daemon /metrics", name)
 		}
 	}
-	_, cums := obs.HistogramBuckets(fams["waterwise_decision_latency_seconds"], nil)
+	_, cums := obs.HistogramBuckets(fams["waterwise_fleet_decision_latency_seconds"], nil)
 	if len(cums) == 0 || cums[len(cums)-1] != jobs {
 		t.Errorf("decision latency count: %v, want %d", cums, jobs)
 	}

@@ -117,7 +117,6 @@ var testOnlyAllowed = map[string]string{
 	"wire.DecodeFrame":            "fuzz and golden-bytes target; shares parseHeader with ReadFrame",
 	"wire.AppendFrame":            "fuzz and golden-bytes target, DecodeFrame's inverse",
 	"core.LastRoundObjective":     "instrument: the reprice and warm-start tests compare round objectives",
-	"fleet.Owner":                 "instrument: routing tests ask which shard owns a region",
 	"milp.SetBinary":              "instrument: differential tests build models with it",
 	"milp.SetInteger":             "instrument: differential tests build models with it",
 	"stats.StdDev":                "instrument: trace and perturbation tests measure spread",
@@ -125,8 +124,6 @@ var testOnlyAllowed = map[string]string{
 	"gridmix.MeanCarbonIntensity": "instrument: region calibration tests",
 	"gridmix.MeanEWIF":            "instrument: region calibration tests",
 	"obs.StageBreakdown":          "instrument: the obs tests read a trace's stages by name",
-	"server.ConnCount":            "instrument: stream tests wait on connection teardown",
-	"server.DecisionFromWire":     "instrument: WireDecision's inverse, the stream round-trip tests' decoder",
 	"transfer.NewCustom":          "instrument: transfer tests pin bandwidth and latency",
 }
 

@@ -22,24 +22,21 @@ import (
 )
 
 func main() {
-	// 1. Environment and scheduler, exactly as in the offline quickstart —
-	//    plus the cross-round warm start, which keeps the round MILP's
-	//    simplex basis alive between scheduling rounds.
+	// 1. The environment, exactly as in the offline quickstart.
 	env, err := waterwise.NewEnvironment(waterwise.EnvironmentConfig{Seed: 42})
-	if err != nil {
-		log.Fatal(err)
-	}
-	sched, err := waterwise.NewScheduler(waterwise.SchedulerConfig{CrossRoundWarmStart: true})
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// 2. The online service: 1-minute scheduling rounds, accelerated time
 	//    (rounds run back to back; TimeScale: 1 would pace them against the
-	//    wall clock as cmd/waterwised does by default).
-	srv, err := waterwise.NewServer(env, sched, waterwise.ServerConfig{
+	//    wall clock as cmd/waterwised does by default), and the WaterWise
+	//    scheduler with the cross-round warm start, which keeps the round
+	//    MILP's simplex basis alive between scheduling rounds.
+	srv, err := waterwise.NewServer(env, waterwise.ServerConfig{
 		Tolerance: 0.5,
 		Round:     time.Minute,
+		Scheduler: waterwise.SchedulerConfig{CrossRoundWarmStart: true},
 	})
 	if err != nil {
 		log.Fatal(err)

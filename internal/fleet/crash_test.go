@@ -109,13 +109,13 @@ func TestFleetCrashRestartEquivalence(t *testing.T) {
 	fl.Start()
 	// Yield-only spin: without per-round fsyncs the whole shard run is
 	// tens of milliseconds, and a sleeping poll can miss the kill window.
-	for fl.Shard(0).Status().Decisions < 100 {
+	for fl.ShardStatus(0).Decisions < 100 {
 		runtime.Gosched()
 	}
 	if err := fl.KillShard(0); err != nil {
 		t.Fatal(err)
 	}
-	st0 := fl.Shard(0).Status()
+	st0 := fl.ShardStatus(0)
 	if st0.Decisions >= st0.Accepted {
 		t.Fatalf("kill landed after shard 0 finished (%d/%d decisions); nothing recovered",
 			st0.Decisions, st0.Accepted)
@@ -123,7 +123,7 @@ func TestFleetCrashRestartEquivalence(t *testing.T) {
 	if err := fl.RestartShard(0); err != nil {
 		t.Fatalf("restart: %v", err)
 	}
-	rst := fl.Shard(0).Status()
+	rst := fl.ShardStatus(0)
 	if rst.WAL == nil || (!rst.WAL.RecoveredSnapshot && rst.WAL.RecoveredRecords == 0) {
 		t.Fatalf("restarted shard recovered nothing: %+v", rst.WAL)
 	}

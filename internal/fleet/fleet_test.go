@@ -77,6 +77,20 @@ type decisionsPage struct {
 	Next      uint64     `json:"next"`
 }
 
+// ownerOf maps each region to the shard whose partition holds it.
+func ownerOf(parts [][]region.ID) func(region.ID) (int, bool) {
+	owner := make(map[region.ID]int)
+	for s, p := range parts {
+		for _, id := range p {
+			owner[id] = s
+		}
+	}
+	return func(id region.ID) (int, bool) {
+		s, ok := owner[id]
+		return s, ok
+	}
+}
+
 func specFor(j *trace.Job) server.JobSpec {
 	id := j.ID
 	return server.JobSpec{
@@ -127,6 +141,7 @@ func TestFleetReplayEquivalence(t *testing.T) {
 			// Merged stream: one decision per job, dense global seqs,
 			// (round, shard, shard-seq)-ordered, every decision on the shard
 			// owning the job's home and placed inside its partition.
+			owner := ownerOf(fl.Partitions())
 			byID := make(map[int]*trace.Job, len(jobs))
 			for _, j := range jobs {
 				byID[j.ID] = j
@@ -156,11 +171,11 @@ func TestFleetReplayEquivalence(t *testing.T) {
 				if job == nil {
 					t.Fatalf("decision for unknown job %d", d.JobID)
 				}
-				if own, _ := fl.Owner(job.Home); own != d.Shard {
+				if own, _ := owner(job.Home); own != d.Shard {
 					t.Fatalf("job %d homed in %s decided by shard %d, owner is %d",
 						d.JobID, job.Home, d.Shard, own)
 				}
-				if own, _ := fl.Owner(d.Region); own != d.Shard {
+				if own, _ := owner(d.Region); own != d.Shard {
 					t.Fatalf("job %d placed in %s, outside shard %d's partition", d.JobID, d.Region, d.Shard)
 				}
 			}
@@ -180,7 +195,7 @@ func TestFleetReplayEquivalence(t *testing.T) {
 				}
 				var sub []*trace.Job
 				for _, j := range jobs {
-					if own, _ := fl.Owner(j.Home); own == s {
+					if own, _ := owner(j.Home); own == s {
 						sub = append(sub, j)
 					}
 				}
@@ -192,7 +207,7 @@ func TestFleetReplayEquivalence(t *testing.T) {
 				}
 				var outs []cluster.JobOutcome
 				for _, o := range got.Outcomes {
-					if own, _ := fl.Owner(o.Job.Home); own == s {
+					if own, _ := owner(o.Job.Home); own == s {
 						outs = append(outs, o)
 					}
 				}
@@ -315,7 +330,7 @@ func TestFleetDrainUnderLoadGapFree(t *testing.T) {
 		t.Fatalf("merged log has %d decisions, want %d", len(ds), total)
 	}
 	seenJob := make(map[int]bool, total)
-	shardSeq := make([]uint64, fl.Shards())
+	shardSeq := make([]uint64, len(fl.Partitions()))
 	for i, d := range ds {
 		if d.Seq != uint64(i+1) {
 			t.Fatalf("global seq %d at index %d: gap or duplicate", d.Seq, i)
@@ -522,7 +537,8 @@ func TestFleetSubmitTypedErrors(t *testing.T) {
 	// The sibling shard's queue is independent: backpressure on one shard
 	// does not reject jobs homed on another.
 	other := env.IDs()[1]
-	if own0, _ := fl.Owner(region.Zurich); own0 == func() int { s, _ := fl.Owner(other); return s }() {
+	owner := ownerOf(fl.Partitions())
+	if own0, _ := owner(region.Zurich); own0 == func() int { s, _ := owner(other); return s }() {
 		t.Fatalf("test setup: %s and %s share a shard", region.Zurich, other)
 	}
 	if _, err := fl.Submit(server.JobSpec{Benchmark: "canneal", Home: other, Submit: testStart}); err != nil {
@@ -543,10 +559,11 @@ func TestPartitionAssignment(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fl.Stop()
-	if own, _ := fl.Owner(region.Mumbai); own != 0 {
+	owner := ownerOf(fl.Partitions())
+	if own, _ := owner(region.Mumbai); own != 0 {
 		t.Errorf("mumbai pinned to 0, owned by %d", own)
 	}
-	if own, _ := fl.Owner(region.Zurich); own != 1 {
+	if own, _ := owner(region.Zurich); own != 1 {
 		t.Errorf("zurich pinned to 1, owned by %d", own)
 	}
 	parts := fl.Partitions()

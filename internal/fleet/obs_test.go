@@ -79,9 +79,10 @@ func TestFleetMetricsLintAndMergedHistograms(t *testing.T) {
 		t.Fatalf("fleet /metrics fails lint: %v", err)
 	}
 
-	// One definition per family: everything a durable single server
-	// exports is on the gateway too, with the same TYPE and HELP, and —
-	// bar the build identity and the one shared feed — labeled by shard.
+	// One definition per family: everything a durable one-shard service
+	// exports is on the two-shard one too, with the same TYPE and HELP,
+	// and — bar the build identity, the one shared feed and the
+	// service's own families — labeled by shard.
 	single, err := server.New(server.Config{
 		Env: env, Scheduler: newCore(t), Tolerance: 0.5, Round: time.Minute, DataDir: t.TempDir(),
 	})
@@ -102,7 +103,7 @@ func TestFleetMetricsLintAndMergedHistograms(t *testing.T) {
 		if got.Type != want.Type || got.Help != want.Help {
 			t.Errorf("%s: gateway says %s %q, single server %s %q", name, got.Type, got.Help, want.Type, want.Help)
 		}
-		if name == "waterwise_build_info" || strings.HasPrefix(name, "waterwise_feed_") {
+		if name == "waterwise_build_info" || strings.HasPrefix(name, "waterwise_feed_") || strings.HasPrefix(name, "waterwise_fleet_") {
 			continue
 		}
 		for _, smp := range got.Samples {
@@ -164,7 +165,7 @@ func TestFleetMetricsLintAndMergedHistograms(t *testing.T) {
 		t.Fatal("gateway served no slowest rounds")
 	}
 	for i, rt := range rounds.Slowest {
-		if rt.Shard == nil || *rt.Shard < 0 || *rt.Shard >= shards {
+		if rt.Shard < 0 || rt.Shard >= shards {
 			t.Fatalf("slowest[%d] has no valid shard: %+v", i, rt)
 		}
 		if i > 0 && rt.TotalMs > rounds.Slowest[i-1].TotalMs {
@@ -190,7 +191,7 @@ func TestFleetMetricsLintAndMergedHistograms(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if jt.Shard == nil || !jt.Trace.Done || jt.Trace.Region == "" {
+	if !jt.Trace.Done || jt.Trace.Region == "" {
 		t.Fatalf("gateway trace incomplete: shard=%v trace=%+v", jt.Shard, jt.Trace)
 	}
 }

@@ -4,135 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
-	"io"
 	"net/http"
 	"net/http/httptest"
-	"regexp"
-	"runtime"
-	"strconv"
 	"testing"
 	"time"
 
 	"waterwise/internal/server"
 )
-
-// TestSupervisorAutoFailover is the failover acceptance test: a shard of
-// a supervised fleet crash-stops mid-run — not via KillShard, but the
-// way a real process dies, with the fleet never told — and the
-// supervisor alone must detect the death, mark the shard dead, and
-// restart it from its write-ahead log. No external RestartShard call is
-// ever made. The merged stream must come out decision-for-decision
-// identical to an undisturbed reference fleet, with dense global seqs,
-// zero lost decisions, and the restart counted in the status and
-// metrics surfaces.
-func TestSupervisorAutoFailover(t *testing.T) {
-	const round = time.Minute
-	env := testEnv(t)
-	jobs := genTrace(t, env, 2000, 24)
-	ctx, cancel := context.WithTimeout(context.Background(), 180*time.Second)
-	defer cancel()
-
-	// Uninterrupted, unsupervised reference.
-	ref, err := New(Config{Env: env, NewScheduler: coreFactory(t), Shards: 2, Tolerance: 0.5, Round: round})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ref.Stop()
-	for _, j := range jobs {
-		if _, err := ref.Submit(specFor(j)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ref.Start()
-	if err := ref.Drain(ctx); err != nil {
-		t.Fatal(err)
-	}
-	want := ref.Decisions(0, 0)
-
-	// Supervised durable fleet, throttled so the crash lands mid-run.
-	fl, err := New(Config{
-		Env: testEnv(t), NewScheduler: throttledFactory(t, 500*time.Microsecond), Shards: 2,
-		Tolerance: 0.5, Round: round, DataDir: t.TempDir(), SnapshotEvery: 100,
-		Supervisor: &SupervisorConfig{
-			Interval: time.Millisecond, FailThreshold: 2,
-			BackoffMin: 2 * time.Millisecond, BackoffMax: 50 * time.Millisecond,
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fl.Stop()
-	ts := httptest.NewServer(fl.Handler())
-	defer ts.Close()
-	for _, j := range jobs {
-		if _, err := fl.Submit(specFor(j)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	fl.Start()
-	victim := fl.Shard(0)
-	for victim.Status().Decisions < 100 {
-		runtime.Gosched()
-	}
-	// Crash the server directly — the fleet is not told (no KillShard);
-	// only the supervisor's health probe can notice.
-	victim.Crash()
-	st0 := victim.Status()
-	if st0.Decisions >= st0.Accepted {
-		t.Fatalf("crash landed after shard 0 finished (%d/%d decisions); nothing to fail over",
-			st0.Decisions, st0.Accepted)
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for fl.Restarts() < 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("supervisor never restarted the crashed shard")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if rst := fl.Shard(0).Status(); rst.WAL == nil || (!rst.WAL.RecoveredSnapshot && rst.WAL.RecoveredRecords == 0) {
-		t.Fatalf("supervised restart recovered nothing: %+v", rst.WAL)
-	}
-	if err := fl.Drain(ctx); err != nil {
-		t.Fatalf("drain after failover: %v", err)
-	}
-	got := fl.Decisions(0, 0)
-	sameMergedStream(t, got, want)
-	for i, d := range got {
-		if d.Seq != uint64(i)+1 {
-			t.Fatalf("global seq gap: decision %d has seq %d", i, d.Seq)
-		}
-	}
-
-	st := fl.Status()
-	if st.Lost != 0 {
-		t.Fatalf("merge lost %d decisions across the failover", st.Lost)
-	}
-	if st.Supervisor == nil || st.Supervisor.Restarts < 1 {
-		t.Fatalf("status supervisor block missing the restart: %+v", st.Supervisor)
-	}
-	if s0 := st.Supervisor.Shards[0]; s0.State != "up" || s0.Restarts < 1 {
-		t.Fatalf("shard 0 supervision state: %+v", s0)
-	}
-
-	// The restart shows in the metrics exposition.
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	m := regexp.MustCompile(`(?m)^waterwise_fleet_restarts_total (\d+)$`).FindSubmatch(body)
-	if m == nil {
-		t.Fatal("metrics exposition missing waterwise_fleet_restarts_total")
-	}
-	if n, _ := strconv.Atoi(string(m[1])); n < 1 {
-		t.Fatalf("waterwise_fleet_restarts_total = %d, want >= 1", n)
-	}
-	if !bytes.Contains(body, []byte(`waterwise_fleet_shard_up{shard="0"} 1`)) {
-		t.Fatal("metrics exposition missing the recovered shard's up gauge")
-	}
-}
 
 // TestGatewayDeadShardOverflowHTTP is the end-to-end backpressure test:
 // during a kill window the gateway's HTTP ingest keeps accepting the
@@ -203,7 +81,7 @@ func TestGatewayDeadShardOverflowHTTP(t *testing.T) {
 			t.Fatalf("buffered job %d never decided after restart", id)
 		}
 	}
-	if errors.Is(fl.Err(), server.ErrStopped) {
-		t.Fatal("fleet still reports the crash after restart")
+	if st := fl.Status(); st.Err != "" {
+		t.Fatalf("fleet still reports a failure after restart: %s", st.Err)
 	}
 }

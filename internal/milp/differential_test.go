@@ -231,11 +231,11 @@ func TestAblationsMatch(t *testing.T) {
 		if err != nil {
 			t.Fatalf("case %d: %v", k, err)
 		}
-		noWarm, err := p.Solve(Options{DisableWarmStart: true})
+		noWarm, err := p.Solve(Options{disableWarmStart: true})
 		if err != nil {
 			t.Fatalf("case %d: %v", k, err)
 		}
-		noHeur, err := p.Solve(Options{DisableHeuristic: true})
+		noHeur, err := p.Solve(Options{disableHeuristic: true})
 		if err != nil {
 			t.Fatalf("case %d: %v", k, err)
 		}
@@ -256,7 +256,7 @@ func TestAblationsMatch(t *testing.T) {
 				k, full.Objective, noHeur.Objective)
 		}
 		if noWarm.Stats.WarmStarts != 0 {
-			t.Errorf("case %d: DisableWarmStart still warm started", k)
+			t.Errorf("case %d: disableWarmStart still warm started", k)
 		}
 	}
 }

@@ -88,9 +88,6 @@ type Options struct {
 	// that runs to completion (no node, gap, or time limit) returns the
 	// same objective at any worker count.
 	Workers int
-	// DisableWarmStart solves every node relaxation from scratch instead
-	// of warm starting from the parent basis (ablation/debugging).
-	DisableWarmStart bool
 	// RepriceWarmStart carries the root LP basis *across* Solve calls on a
 	// reused Problem: when only the objective, RHS, and variable bounds
 	// changed since the previous Solve (the scheduler's cached round model),
@@ -98,11 +95,16 @@ type Options struct {
 	// of solving cold. Answers never change — any doubt falls back to a cold
 	// solve — only the root simplex iteration count does.
 	RepriceWarmStart bool
-	// DisableHeuristic turns off the root diving/rounding heuristic.
-	DisableHeuristic bool
 	// Seed makes tie-breaking in the diving heuristic deterministic; the
 	// final objective of a completed search does not depend on it.
 	Seed int64
+
+	// disableWarmStart solves every node relaxation from scratch instead
+	// of warm starting from the parent basis, and disableHeuristic turns
+	// off the root diving/rounding heuristic: the ablations the package's
+	// differential tests run.
+	disableWarmStart bool
+	disableHeuristic bool
 }
 
 // intTol is the integrality tolerance: a variable within it of an integer
@@ -474,7 +476,7 @@ func (s *search) solveNode(prob *lp.Problem, n *node) (*lp.Solution, *lp.Basis, 
 		}
 	}
 	basis := n.basis
-	if s.opts.DisableWarmStart {
+	if s.opts.disableWarmStart {
 		basis = nil
 	} else if basis == nil {
 		basis = lp.NewBasis()
@@ -574,7 +576,7 @@ func (s *search) expand(n *node, v int, sol *lp.Solution, obj float64, prob *lp.
 	}
 
 	s.mu.Lock()
-	withBasis := len(s.open) < maxOpenBases && !s.opts.DisableWarmStart
+	withBasis := len(s.open) < maxOpenBases && !s.opts.disableWarmStart
 	if withBasis && basis.Valid() {
 		if len(children) > 0 {
 			children[0].basis = basis // transfer ownership
@@ -633,12 +635,12 @@ func (s *search) worker() {
 // tree. Tie-breaks use opts.Seed; the completed search's objective does not
 // depend on them.
 func (s *search) dive(rootBasis *lp.Basis, rootX []float64) {
-	if s.opts.DisableHeuristic {
+	if s.opts.disableHeuristic {
 		return
 	}
 	prob := s.p.base.Clone()
 	// Warm starts make each dive step a few dual pivots; without a basis
-	// (DisableWarmStart) the dive still runs, just on cold solves — the
+	// (disableWarmStart) the dive still runs, just on cold solves — the
 	// two ablation switches stay independent.
 	var basis *lp.Basis
 	if rootBasis.Valid() {
@@ -752,7 +754,7 @@ func (p *Problem) Solve(opts Options) (*Solution, error) {
 		p.rootBasis = lp.NewBasis()
 	}
 	rootBasis := p.rootBasis
-	if opts.DisableWarmStart {
+	if opts.disableWarmStart {
 		rootBasis = nil
 	}
 	var rootSol *lp.Solution

@@ -134,7 +134,7 @@ type Snapshot struct {
 	Sum float64
 }
 
-// Merge adds other's counters into s — the shard → gateway aggregation
+// Merge adds other's counters into s — the shard → service aggregation
 // step. Quantiles of the merged snapshot equal quantiles of the combined
 // observation stream within the bucket error.
 func (s *Snapshot) Merge(other Snapshot) {

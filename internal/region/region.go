@@ -272,9 +272,9 @@ func (e *Environment) Region(id ID) *Region { return e.byID[id] }
 // provider — partitioning never regenerates, reseeds, or re-fetches the
 // signals, so a snapshot read through a view is bit-identical to one read
 // through the full environment. That sharing is what makes region-sharded
-// serving (internal/fleet) decision-identical to a single scheduler over
-// the same world: every shard sees the same series the single server
-// would, just fewer regions of it (and N shards over one Live provider
+// serving (internal/server) decision-identical to a single scheduler over
+// the same world: every shard sees the same series one shard over every
+// region would, just fewer regions of it (and N shards over one Live provider
 // share one cache, not N upstream pollers).
 func (e *Environment) Partition(ids ...ID) (*Environment, error) {
 	if len(ids) == 0 {

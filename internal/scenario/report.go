@@ -43,7 +43,7 @@ type Report struct {
 	// Faults lists the schedule entries that actually fired.
 	Faults []string `json:"faults,omitempty"`
 	// Jobs is the generated trace size; Submitted/RejectedSubmits are the
-	// submitter-side ledger (gateway buffer overflows included).
+	// submitter-side ledger (dead-shard buffer overflows included).
 	Jobs            int `json:"jobs"`
 	Submitted       int `json:"submitted"`
 	RejectedSubmits int `json:"rejected_submits"`
@@ -74,10 +74,10 @@ type Report struct {
 	Alerts         []tsdb.Alert `json:"alerts,omitempty"`
 }
 
-// evaluate reads the settled fleet and builds the report.
+// evaluate reads the settled service and builds the report.
 func (r *run) evaluate() (*Report, error) {
-	st := r.fl.Status()
-	decisions := r.fl.Decisions(0, 0)
+	st := r.srv.Status()
+	decisions := r.srv.Decisions(0, 0)
 	r.decisions = decisions
 	health := feed.HealthOf(r.env.Provider())
 	if health.StalenessSeconds > r.maxStaleness {
@@ -90,7 +90,7 @@ func (r *run) evaluate() (*Report, error) {
 		Accepted: st.Accepted, Rejected: st.Rejected, Rounds: st.Rounds,
 		Decisions: st.Decisions, Merged: st.Merged, Lost: st.Lost,
 		Unscheduled:             st.Unscheduled,
-		Restarts:                r.fl.Restarts(),
+		Restarts:                r.srv.Restarts(),
 		MaxFeedStalenessSeconds: r.maxStaleness,
 		ForecastServed:          health.ForecastServed,
 		FetchErrors:             health.FetchErrors,
@@ -170,7 +170,7 @@ func (r *run) evaluate() (*Report, error) {
 		check("min-fsync-p99-ms", rep.FsyncP99Ms >= slo.MinFsyncP99Ms,
 			rep.FsyncP99Ms, slo.MinFsyncP99Ms, "fsync stall p99 never reached the injected level")
 	}
-	if rec := r.fl.Recorder(); rec != nil {
+	if rec := r.srv.Recorder(); rec != nil {
 		rep.RecordedRounds = rec.LastRound()
 		rep.Alerts = rec.Alerts()
 		for _, w := range slo.Windows {

@@ -12,7 +12,6 @@ import (
 	"waterwise/internal/core"
 	"waterwise/internal/energy"
 	"waterwise/internal/feed"
-	"waterwise/internal/fleet"
 	"waterwise/internal/region"
 	"waterwise/internal/server"
 	"waterwise/internal/trace"
@@ -37,7 +36,7 @@ type RunOptions struct {
 }
 
 // BuildTrace generates the spec's job trace — exposed so the no-fault
-// equivalence test can replay the identical jobs through a plain fleet.
+// equivalence test can replay the identical jobs through a plain service.
 // The trace round-trips through the CSV encoding first, quantizing
 // timestamps and energies exactly the way a file-fed replay would.
 func BuildTrace(s Spec) ([]*trace.Job, error) {
@@ -96,12 +95,12 @@ type run struct {
 	opt   RunOptions
 	chaos *feed.Chaos
 	env   *region.Environment
-	fl    *fleet.Fleet
+	srv   *server.Server
 	jobs  []*trace.Job
 
 	fsyncDelay atomic.Int64 // injected WAL fsync latency, ns
 
-	// Submitter-side accounting: the gateway's dead-shard buffer
+	// Submitter-side accounting: the service's dead-shard buffer
 	// overflows reject without any shard counting them, so the rejected
 	// fraction SLO is measured where the client stands.
 	submitted, rejected int
@@ -109,7 +108,7 @@ type run struct {
 	maxStaleness float64 // max feed staleness seen at any driver poll, s
 	recovered    bool    // awaitFresh saw feed health clear after the schedule
 	faultLog     []string
-	decisions    []fleet.Decision // the settled merged stream (evaluate)
+	decisions    []server.MergedDecision // the settled merged stream (evaluate)
 }
 
 // Run executes one scenario spec end to end and returns its report. The
@@ -123,8 +122,8 @@ func Run(s Spec, opt RunOptions) (*Report, error) {
 
 // runFull is Run plus the merged decision stream, for the equivalence
 // tests that compare a scenario run decision-for-decision against a
-// plain fleet replay.
-func runFull(s Spec, opt RunOptions) (*Report, []fleet.Decision, error) {
+// plain replay.
+func runFull(s Spec, opt RunOptions) (*Report, []server.MergedDecision, error) {
 	s, err := s.WithDefaults()
 	if err != nil {
 		return nil, nil, err
@@ -154,7 +153,7 @@ func runFull(s Spec, opt RunOptions) (*Report, []fleet.Decision, error) {
 			dataDir = tmp
 		}
 	}
-	fcfg := fleet.Config{
+	cfg := server.Config{
 		Env: r.env, Shards: s.Shards, Tolerance: 0.5,
 		Round: s.Round.Std(), QueueCap: s.QueueCap, DataDir: dataDir,
 		// Accelerated runs compress hours into milliseconds, so the WAL
@@ -179,7 +178,7 @@ func runFull(s Spec, opt RunOptions) (*Report, []fleet.Decision, error) {
 		// recorded specs submit their trace up front: with no mid-run
 		// submission pacing to perturb, stretching a round cannot change
 		// any decision (TestRecorderEquivalence pins this).
-		fcfg.Record = server.RecordConfig{
+		cfg.Record = server.RecordConfig{
 			Enable: true,
 			Sync:   true,
 			SLOs:   s.Objectives,
@@ -187,12 +186,12 @@ func runFull(s Spec, opt RunOptions) (*Report, []fleet.Decision, error) {
 		}
 	}
 	if s.Supervisor {
-		fcfg.Supervisor = &fleet.SupervisorConfig{
+		cfg.Supervisor = &server.SupervisorConfig{
 			Interval: time.Millisecond, FailThreshold: 2,
 			BackoffMin: 5 * time.Millisecond, BackoffMax: 250 * time.Millisecond,
 		}
 	}
-	if r.fl, err = fleet.New(fcfg); err != nil {
+	if r.srv, err = server.New(cfg); err != nil {
 		return nil, nil, fmt.Errorf("scenario %s: %w", s.Name, err)
 	}
 	started := time.Now()
@@ -265,7 +264,7 @@ func (r *run) execute() (*Report, error) {
 	s := r.spec
 	ctx, cancel := context.WithTimeout(context.Background(), r.opt.Timeout)
 	defer cancel()
-	defer r.fl.Stop()
+	defer r.srv.Stop()
 
 	// Upfront: the whole trace before Start (the replay discipline —
 	// Start seals the backlog durably). Paced: prefill the first rounds,
@@ -282,17 +281,17 @@ func (r *run) execute() (*Report, error) {
 			next++
 		}
 	}
-	r.fl.Start()
+	r.srv.Start()
 	if err := r.drive(ctx, next); err != nil {
 		return nil, err
 	}
-	if err := r.fl.Drain(ctx); err != nil {
+	if err := r.srv.Drain(ctx); err != nil {
 		if ctx.Err() != nil {
 			return nil, fmt.Errorf("scenario %s: timed out draining: %w", s.Name, ctx.Err())
 		}
 		return nil, fmt.Errorf("scenario %s: drain: %w", s.Name, err)
 	}
-	r.fl.Stop()
+	r.srv.Stop()
 	if s.SLOs.RequireFreshAtEnd {
 		r.recovered = r.awaitFresh(ctx)
 	}
@@ -306,11 +305,11 @@ func (r *run) submitRound(j *trace.Job) uint64 {
 	return uint64((off+rd-1)/rd) + 1
 }
 
-// submit routes one job through the gateway, keeping submitter-side
+// submit routes one job through the service, keeping submitter-side
 // accept/reject accounting.
 func (r *run) submit(j *trace.Job) {
 	id := j.ID
-	_, err := r.fl.Submit(server.JobSpec{
+	_, err := r.srv.Submit(server.JobSpec{
 		ID: &id, Benchmark: j.Benchmark, Home: j.Home, Submit: j.Submit,
 		DurationSec: j.Duration.Seconds(), EnergyKWh: float64(j.Energy),
 		EstDurationSec: j.EstDuration.Seconds(), EstEnergyKWh: float64(j.EstEnergy),
@@ -326,7 +325,7 @@ type faultState struct {
 	spec     FaultSpec
 	applied  bool
 	resolved bool
-	prevCaps []int // queue_squeeze restore set
+	prevCap  int // queue_squeeze restore value
 }
 
 // drive is the fault driver and paced feeder: poll round progress, fire
@@ -381,8 +380,8 @@ func (r *run) drive(ctx context.Context, next int) error {
 // reports that no shard has anything queued or pending.
 func (r *run) progress() (rounds uint64, idle bool) {
 	idle = true
-	for i := 0; i < r.fl.Shards(); i++ {
-		st := r.fl.Shard(i).Status()
+	for i := 0; i < r.spec.Shards; i++ {
+		st := r.srv.ShardStatus(i)
 		rounds = max(rounds, st.Rounds)
 		idle = idle && st.Pending+st.Future == 0
 	}
@@ -409,7 +408,7 @@ func (r *run) step(f *faultState, progress uint64) {
 	}
 	if f.spec.Kind == FaultKillShard && r.spec.Supervisor {
 		// Resolved when the supervisor has brought the shard back.
-		if !r.fl.Shard(f.spec.Shard).Stopped() {
+		if st := r.srv.Status(); st.Supervisor.Shards[f.spec.Shard].State == "up" {
 			f.resolved = true
 			r.opt.Logf("scenario %s: supervisor recovered shard %d by round %d", r.spec.Name, f.spec.Shard, progress)
 		}
@@ -431,14 +430,10 @@ func (r *run) apply(f *faultState) {
 	case FaultFeedThrottle:
 		r.chaos.SetFault(feed.FaultThrottle, f.spec.RetryAfter.Std())
 	case FaultKillShard:
-		_ = r.fl.KillShard(f.spec.Shard)
+		_ = r.srv.KillShard(f.spec.Shard)
 	case FaultQueueSqueeze:
-		f.prevCaps = make([]int, r.fl.Shards())
-		for i := 0; i < r.fl.Shards(); i++ {
-			srv := r.fl.Shard(i)
-			f.prevCaps[i] = srv.QueueCap()
-			srv.SetQueueCap(f.spec.Cap)
-		}
+		f.prevCap = r.srv.ShardStatus(0).QueueCap
+		r.srv.SetQueueCap(f.spec.Cap)
 	case FaultSlowFsync:
 		r.fsyncDelay.Store(int64(f.spec.Delay.Std()))
 	}
@@ -450,11 +445,9 @@ func (r *run) clear(f *faultState) {
 	case FaultFeedOutage, FaultFeedThrottle:
 		r.chaos.SetFault(feed.FaultNone, 0)
 	case FaultKillShard:
-		_ = r.fl.RestartShard(f.spec.Shard)
+		_ = r.srv.RestartShard(f.spec.Shard)
 	case FaultQueueSqueeze:
-		for i, cap := range f.prevCaps {
-			r.fl.Shard(i).SetQueueCap(cap)
-		}
+		r.srv.SetQueueCap(f.prevCap)
 	case FaultSlowFsync:
 		r.fsyncDelay.Store(0)
 	}

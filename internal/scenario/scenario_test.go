@@ -11,7 +11,6 @@ import (
 	"waterwise/internal/cluster"
 	"waterwise/internal/core"
 	"waterwise/internal/energy"
-	"waterwise/internal/fleet"
 	"waterwise/internal/region"
 	"waterwise/internal/server"
 	"waterwise/internal/tsdb"
@@ -126,7 +125,7 @@ var equivSpec = Spec{
 // scenario with an empty fault schedule — but with every injection hook
 // installed (chaos-wrapped provider, supervisor watchdog, fsync-delay
 // hook at zero, pacing wrapper) — must be decision-for-decision
-// identical to a plain fleet replay of the same trace with none of those
+// identical to a plain replay of the same trace with none of those
 // layers present. Injection at zero is exactly free, or the harness's
 // fault measurements mean nothing.
 func TestScenarioNoFaultEquivalence(t *testing.T) {
@@ -148,7 +147,7 @@ func TestScenarioNoFaultEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fl, err := fleet.New(fleet.Config{
+	fl, err := server.New(server.Config{
 		Env: env, Shards: spec.Shards, Tolerance: 0.5, Round: spec.Round.Std(),
 		NewScheduler: func(int, []region.ID) (cluster.Scheduler, error) {
 			return core.New(core.DefaultConfig())

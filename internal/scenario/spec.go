@@ -2,14 +2,14 @@
 // validated spec combining an arrival program (what load looks like), a
 // timed fault schedule (what breaks, when, for how long), and SLO
 // assertions (what must still hold), and the runner executes it against
-// a real fleet — the same server shards, gateway, WAL, and feed stack
-// production runs, with faults injected through first-class hooks
-// (feed.Chaos, fleet.SupervisorConfig, server.SetQueueCap,
-// wal.Options.SyncDelay) rather than test doubles.
+// a real sharded service — the same server shards, routing, merge, WAL,
+// and feed stack production runs, with faults injected through
+// first-class hooks (feed.Chaos, server.SupervisorConfig,
+// server.SetQueueCap, wal.Options.SyncDelay) rather than test doubles.
 //
 // The harness's own correctness bar is the no-fault equivalence test: a
 // scenario with an empty fault schedule must be decision-for-decision
-// identical to a plain fleet replay of the same trace, proving every
+// identical to a plain replay of the same trace, proving every
 // injection hook is exactly free at zero. Reports are machine-readable
 // and append into BENCH_SCENARIOS.json keyed by scenario name, so runs
 // are comparable across commits.
@@ -93,7 +93,7 @@ const (
 	// Retry-After header (live mode; in synthetic mode it only marks
 	// health degraded).
 	FaultFeedThrottle = "feed_throttle"
-	// FaultKillShard crash-stops one shard (fleet.KillShard: the WAL
+	// FaultKillShard crash-stops one shard (server.KillShard: the WAL
 	// drops its unsynced buffer). Recovery is the supervisor's when
 	// Spec.Supervisor is set, otherwise an explicit RestartShard after
 	// Rounds rounds.
@@ -211,7 +211,7 @@ type SLOSpec struct {
 	// (submit acceptance to round commit, wall clock).
 	MaxDecisionP99Ms float64 `json:"max_decision_p99_ms,omitempty"`
 	// MaxRejectedFraction bounds rejected/submitted as observed by the
-	// submitter (gateway buffer overflows included). Negative disables;
+	// submitter (dead-shard buffer overflows included). Negative disables;
 	// the zero value disables too (state 0 explicitly via a tiny bound).
 	MaxRejectedFraction float64 `json:"max_rejected_fraction,omitempty"`
 	// MaxFeedStalenessSeconds bounds the maximum feed staleness observed

@@ -23,7 +23,7 @@ import (
 // deterministic — same environment, same scheduler, same pending order,
 // same machine-model state in, same decisions out (the warm≡cold and
 // sharded≡unsharded equivalence proofs of earlier PRs are what make this
-// safe) — a restarted server restores the newest snapshot and re-runs the
+// safe) — a restarted shard restores the newest snapshot and re-runs the
 // logged rounds through cluster.Sim, re-deriving decisions bit-for-bit
 // rather than trusting persisted solver state. The logged decisions act
 // as a checksum: replay validates every re-derived placement against the
@@ -48,7 +48,7 @@ import (
 // ErrReplayDiverged reports a recovery replay whose re-derived decisions
 // do not match the logged ones — the data directory belongs to a
 // different configuration (environment, scheduler, tolerance, round
-// cadence) than the server was built with.
+// cadence) than the shard was built with.
 var ErrReplayDiverged = errors.New("server: wal replay diverged from logged decisions")
 
 // WAL record types and the snapshot format version.
@@ -177,7 +177,7 @@ type walRecord struct {
 	decisions []Decision
 }
 
-// decodeRecord parses one logged record and touches no server state: it
+// decodeRecord parses one logged record and touches no shard state: it
 // is the half of replay that reads bytes it did not write.
 func decodeRecord(payload []byte) (walRecord, error) {
 	var rec walRecord
@@ -206,7 +206,7 @@ func decodeRecord(payload []byte) (walRecord, error) {
 type WALStatus struct {
 	wal.Stats
 	// RecoveryMs is how long the restart path took (snapshot restore +
-	// log replay); zero for a server that started fresh.
+	// log replay); zero for a shard that started fresh.
 	RecoveryMs float64 `json:"recovery_ms"`
 	// RecoveredRecords counts the log records replayed at startup;
 	// RecoveredSnapshot reports whether a snapshot seeded the state.
@@ -217,11 +217,35 @@ type WALStatus struct {
 	Deduped uint64 `json:"deduped_total"`
 }
 
+// add sums another shard's block into w: counters and sizes add, the
+// fsync stall percentiles and last sync keep the worst and newest, and the
+// recovery took as long as the shards' sequential recoveries together.
+func (w *WALStatus) add(o *WALStatus) {
+	w.Segments += o.Segments
+	w.Bytes += o.Bytes
+	w.Appended += o.Appended
+	w.Synced += o.Synced
+	w.Fsyncs += o.Fsyncs
+	if o.LastSync.After(w.LastSync) {
+		w.LastSync = o.LastSync
+	}
+	w.FsyncP50 = max(w.FsyncP50, o.FsyncP50)
+	w.FsyncP99 = max(w.FsyncP99, o.FsyncP99)
+	w.Snapshots += o.Snapshots
+	w.SnapshotCovered += o.SnapshotCovered
+	w.TruncatedBytes += o.TruncatedBytes
+	w.RecoveryMs += o.RecoveryMs
+	w.RecoveredRecords += o.RecoveredRecords
+	w.RecoveredSnapshot = w.RecoveredSnapshot || o.RecoveredSnapshot
+	w.Deduped += o.Deduped
+}
+
 // openDurable opens the WAL at cfg.DataDir and runs the restart path,
-// leaving the server ready to Start exactly where the dead process would
+// leaving the shard ready to Start exactly where the dead process would
 // have resumed. The log is attached only after recovery: nothing replay
-// drives writes to it. Called from New, before anyone can see the server.
-func (s *Server) openDurable() error {
+// drives writes to it. Called from newShard, before anyone can see the
+// shard.
+func (s *shard) openDurable() error {
 	l, err := wal.Open(wal.Options{Dir: s.cfg.DataDir, SyncDelay: s.cfg.WALSyncDelay})
 	if err != nil {
 		return err
@@ -237,7 +261,7 @@ func (s *Server) openDurable() error {
 
 // recoverFrom loads the newest valid snapshot and replays the log tail
 // behind it through the shard's own transitions.
-func (s *Server) recoverFrom(l *wal.Log) error {
+func (s *shard) recoverFrom(l *wal.Log) error {
 	payload, covered, err := l.LatestSnapshot()
 	if err != nil {
 		return err
@@ -267,12 +291,12 @@ func (s *Server) recoverFrom(l *wal.Log) error {
 }
 
 // replayRecord is the recovery driver: it decodes one logged record and
-// applies it through the transitions the live server ran — admitLocked
+// applies it through the transitions the live shard ran — admitLocked
 // for a job, ingestDueLocked and stepLocked for a round. It adds the
 // log's checksum role: a logged round with nothing to run, or ending at
 // another seq than recorded, is ErrReplayDiverged (stepLocked compares
 // the decisions themselves).
-func (s *Server) replayRecord(payload []byte) error {
+func (s *shard) replayRecord(payload []byte) error {
 	rec, err := decodeRecord(payload)
 	if err != nil {
 		return err
@@ -299,7 +323,7 @@ func (s *Server) replayRecord(payload []byte) error {
 // bounded decided index, so a client retrying a decided job gets its
 // original id back instead of ErrDuplicateID. It returns the instant the
 // job was accepted (zero when unknown). Called with mu held.
-func (s *Server) recordDecidedLocked(id int) time.Time {
+func (s *shard) recordDecidedLocked(id int) time.Time {
 	lj, ok := s.live[id]
 	if !ok {
 		return time.Time{}
@@ -320,7 +344,7 @@ func (s *Server) recordDecidedLocked(id int) time.Time {
 // walAppendLocked appends one record; an I/O failure is fatal to the
 // round loop (serving un-durable acceptances would break the recovery
 // contract). Called with mu held.
-func (s *Server) walAppendLocked(payload []byte) error {
+func (s *shard) walAppendLocked(payload []byte) error {
 	if _, err := s.wlog.Append(payload); err != nil {
 		err = fmt.Errorf("server: wal append: %w", err)
 		if s.runErr == nil {
@@ -333,7 +357,7 @@ func (s *Server) walAppendLocked(payload []byte) error {
 }
 
 // walSyncLocked is the group-commit point. Called with mu held.
-func (s *Server) walSyncLocked() error {
+func (s *shard) walSyncLocked() error {
 	if err := s.wlog.Sync(); err != nil {
 		err = fmt.Errorf("server: wal sync: %w", err)
 		if s.runErr == nil {
@@ -353,7 +377,7 @@ func (s *Server) walSyncLocked() error {
 // accelerated mode rounds fire thousands of times a second and an fsync
 // apiece would serialize the whole pipeline on the disk. Called with mu
 // held; a no-op without a log or with a clean one.
-func (s *Server) walSyncIfDirtyLocked() error {
+func (s *shard) walSyncIfDirtyLocked() error {
 	if s.wlog == nil || !s.walDirty {
 		return nil
 	}
@@ -370,7 +394,7 @@ func (s *Server) walSyncIfDirtyLocked() error {
 //
 // rt receives the round's durability stage timings (append, fsync,
 // snapshot) for the round trace.
-func (s *Server) walRoundLocked(k int64, rt *obs.RoundTrace) {
+func (s *shard) walRoundLocked(k int64, rt *obs.RoundTrace) {
 	mark := time.Now()
 	if s.walAppendLocked(encodeRoundRecord(k, s.decSeq, s.roundDecs)) != nil {
 		return
@@ -394,7 +418,7 @@ func (s *Server) walRoundLocked(k int64, rt *obs.RoundTrace) {
 // snapshotLocked writes a snapshot of the settled (between-rounds) state
 // covering every WAL record appended so far. Failures are reported but
 // not fatal: the log alone still recovers. Called with mu held.
-func (s *Server) snapshotLocked() error {
+func (s *shard) snapshotLocked() error {
 	if s.wlog == nil {
 		return nil
 	}
@@ -413,11 +437,11 @@ func (s *Server) snapshotLocked() error {
 // marshalSnapshotLocked encodes everything recovery cannot re-derive
 // from the log tail: the round clock, counters, ingest queue, dedupe
 // indices, the simulator's pending set and machine-model reservations,
-// and the decision ring (so a gateway cursor behind the snapshot is
+// and the decision ring (so a merge cursor behind the snapshot is
 // still servable after restart). Scheduler-internal state (warm bases)
 // is deliberately absent: the warm≡cold equivalence proof means a cold
 // scheduler re-derives identical decisions.
-func (s *Server) marshalSnapshotLocked() []byte {
+func (s *shard) marshalSnapshotLocked() []byte {
 	b := wire.AppendU32(nil, snapVersion)
 	b = wire.AppendI64(b, s.nextK)
 	b = wire.AppendTime(b, s.simNow)
@@ -475,10 +499,10 @@ func (s *Server) marshalSnapshotLocked() []byte {
 }
 
 // restoreSnapshot is marshalSnapshotLocked's inverse. Called from
-// openDurable on a freshly-constructed server. Every declared count is
+// openDurable on a freshly-constructed shard. Every declared count is
 // checked against the bytes left before anything is sized by it, and the
 // simulator is only touched once the whole payload has parsed.
-func (s *Server) restoreSnapshot(payload []byte) error {
+func (s *shard) restoreSnapshot(payload []byte) error {
 	r := wire.NewReader(payload)
 	if v := r.U32(); v != snapVersion {
 		return fmt.Errorf("server: snapshot version %d, want %d", v, snapVersion)
@@ -534,13 +558,13 @@ func (s *Server) restoreSnapshot(payload []byte) error {
 	return s.sim.RestoreBusy(busy)
 }
 
-// Crash simulates a process kill for fault-injection tests: the round
-// loop halts, the WAL drops everything buffered since its last sync and
-// closes without a final snapshot, and queued state simply evaporates —
-// exactly what SIGKILL leaves on disk. Recovery happens by constructing
-// a new server over the same DataDir. (A read that lands between the halt
-// and the drop may group-commit first: the same kill, a moment later.)
-func (s *Server) Crash() {
+// Crash simulates a process kill: the round loop halts, the WAL drops
+// everything buffered since its last sync and closes without a final
+// snapshot, and queued state simply evaporates — exactly what SIGKILL
+// leaves on disk. Recovery happens by building the shard again over the
+// same directory. (A read that lands between the halt and the drop may
+// group-commit first: the same kill, a moment later.)
+func (s *shard) Crash() {
 	if !s.halt() {
 		return
 	}
@@ -551,17 +575,8 @@ func (s *Server) Crash() {
 	s.mu.Unlock()
 }
 
-// NextAutoID reports the next id an ID-less submission would receive —
-// after recovery, the floor a fleet gateway must raise its own id
-// counter to so restarted shards never re-mint a recovered job's id.
-func (s *Server) NextAutoID() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.autoID
-}
-
 // walStatusLocked builds the /v1/status wal block. Called with mu held.
-func (s *Server) walStatusLocked() *WALStatus {
+func (s *shard) walStatusLocked() *WALStatus {
 	if s.wlog == nil {
 		return nil
 	}

@@ -19,17 +19,21 @@ import (
 	"waterwise/internal/wal"
 )
 
+// decision lets sameDecisionStream compare a shard's log and the merged
+// one: MergedDecision inherits it, carrying its global seq.
+func (d Decision) decision() Decision { return d }
+
 // sameDecisionStream asserts two decision streams are decision-for-
 // decision identical — sequence, job, placement, times, footprints —
 // excluding DecidedWall (a wall-clock stamp that legitimately differs
 // between any two processes).
-func sameDecisionStream(t *testing.T, got, want []Decision) {
+func sameDecisionStream[D interface{ decision() Decision }](t *testing.T, got, want []D) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("decision stream length %d, want %d", len(got), len(want))
 	}
 	for i := range got {
-		g, w := got[i], want[i]
+		g, w := got[i].decision(), want[i].decision()
 		if g.Seq != w.Seq || g.JobID != w.JobID || g.Region != w.Region ||
 			!g.Round.Equal(w.Round) || !g.Start.Equal(w.Start) || !g.Finish.Equal(w.Finish) ||
 			g.CarbonG != w.CarbonG || g.WaterL != w.WaterL {
@@ -344,12 +348,12 @@ func TestRecoveryRefusesDivergedConfig(t *testing.T) {
 	// last decision cut off the first round record that has two or more.
 	dropLastDecision := func(t *testing.T) string {
 		out := t.TempDir()
-		src, err := wal.Open(wal.Options{Dir: dir})
+		src, err := wal.Open(wal.Options{Dir: filepath.Join(dir, "shard-0")})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer src.Close()
-		dst, err := wal.Open(wal.Options{Dir: out})
+		dst, err := wal.Open(wal.Options{Dir: filepath.Join(out, "shard-0")})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -398,6 +402,140 @@ func TestRecoveryRefusesDivergedConfig(t *testing.T) {
 	}
 }
 
+// TestDataDirLayouts: a data directory from before the one layout rule
+// either recovers decision-identically or is refused with an error that
+// names the layout — never started empty. A fleet kept shard i under
+// shard-<i>, which is the rule; a single server kept its log at the top
+// level.
+func TestDataDirLayouts(t *testing.T) {
+	jobs := genTrace(t, testEnv(t), 500, 12)
+	cfg := func(dir string, shards int) Config {
+		return Config{Env: testEnv(t), NewScheduler: coreFactory(t), Shards: shards,
+			Tolerance: 0.5, Round: time.Minute, DataDir: dir}
+	}
+	// served replays the trace into dir, reads everything back (which
+	// commits it) and crash-stops: the merged stream a restart must equal.
+	served := func(c Config) []MergedDecision {
+		srv, err := New(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, j := range jobs {
+			if _, err := srv.Submit(specFor(j)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		srv.Start()
+		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+		defer cancel()
+		if err := srv.Drain(ctx); err != nil {
+			t.Fatal(err)
+		}
+		want := srv.Decisions(0, 0)
+		srv.Crash()
+		return want
+	}
+	recovers := func(c Config, want []MergedDecision) {
+		t.Helper()
+		srv, err := New(c)
+		if err != nil {
+			t.Fatalf("recovery: %v", err)
+		}
+		defer srv.Stop()
+		if st := srv.Status(); st.WAL == nil || (!st.WAL.RecoveredSnapshot && st.WAL.RecoveredRecords == 0) {
+			t.Fatalf("started empty: %+v", st.WAL)
+		}
+		sameMergedStream(t, srv.Decisions(0, 0), want)
+	}
+	// move renames every file (not directory) in from into to.
+	move := func(from, to string) {
+		t.Helper()
+		entries, err := os.ReadDir(from)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if e.IsDir() {
+				continue
+			}
+			if err := os.Rename(filepath.Join(from, e.Name()), filepath.Join(to, e.Name())); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	t.Run("fleet", func(t *testing.T) {
+		dir := t.TempDir()
+		recovers(cfg(dir, 2), served(cfg(dir, 2)))
+	})
+	t.Run("single server", func(t *testing.T) {
+		dir := t.TempDir()
+		want := served(cfg(dir, 1))
+		shard0 := filepath.Join(dir, "shard-0")
+		move(shard0, dir)
+		if err := os.Remove(shard0); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := New(cfg(dir, 1)); err == nil || !strings.Contains(err.Error(), "shard-0") {
+			t.Fatalf("top-level log: got %v, want an error naming shard-0", err)
+		}
+		if _, err := os.Stat(shard0); !os.IsNotExist(err) {
+			t.Fatalf("the refused start left %s behind: %v", shard0, err)
+		}
+		if err := os.Mkdir(shard0, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		move(dir, shard0)
+		recovers(cfg(dir, 1), want)
+	})
+}
+
+// TestRestartKeepsMergedSeqs: decisions a previous process merged and the
+// shard rings have since evicted are neither renumbered nor counted lost
+// after a restart of a sharded service.
+func TestRestartKeepsMergedSeqs(t *testing.T) {
+	dir := t.TempDir()
+	config := func() Config {
+		return Config{Env: testEnv(t), NewScheduler: coreFactory(t), Shards: 2, Tolerance: 0.5,
+			Round: time.Minute, DataDir: dir, DecisionLogCap: 8}
+	}
+	srv, err := New(config())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Start()
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	// Batches smaller than the ring, each drained (and so merged) before
+	// the next: nothing is lost while the process lives.
+	for b := 0; b < 5; b++ {
+		for i := 0; i < 6; i++ {
+			spec := JobSpec{Benchmark: "canneal", Home: region.Oregon, Submit: testStart.Add(time.Duration(6*b+i) * time.Minute)}
+			if _, err := srv.Submit(spec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := srv.Drain(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := srv.Decisions(0, 0)
+	srv.Stop()
+	if len(want) != 8 || want[7].Seq != 30 {
+		t.Fatalf("merged ring holds %d decisions ending at seq %d, want 8 ending at 30", len(want), want[len(want)-1].Seq)
+	}
+
+	back, err := New(config())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer back.Stop()
+	sameMergedStream(t, back.Decisions(0, 0), want)
+	if st := back.Status(); st.Lost != 0 || st.LastSeq != 30 {
+		t.Fatalf("restarted service: lost %d, last seq %d, want 0 and 30", st.Lost, st.LastSeq)
+	}
+}
+
 // goldenSpecs are the three submissions behind the golden WAL fixtures:
 // two due in round 1, one still queued when the snapshot is taken.
 func goldenSpecs() []JobSpec {
@@ -428,13 +566,9 @@ func TestGoldenWALBytes(t *testing.T) {
 		}
 		return b
 	}
-	fresh := func() *Server {
-		s, err := New(Config{Env: testEnv(t), Scheduler: newScheduler(t, false), Tolerance: 0.5,
+	fresh := func() *shard {
+		return testShard(t, Config{Env: testEnv(t), Scheduler: newScheduler(t, false), Tolerance: 0.5,
 			Round: time.Minute, DecisionLogCap: 8})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
 	}
 	same := func(what string, got, want []byte) {
 		t.Helper()
@@ -461,7 +595,7 @@ func TestGoldenWALBytes(t *testing.T) {
 	if err := srv.replayRecord(round); err != nil {
 		t.Fatalf("replaying the golden round record: %v", err)
 	}
-	ds := srv.Decisions(0, 0)
+	ds := srv.decisions.Page(0, 0)
 	if len(ds) != 2 || !ds[0].DecidedWall.IsZero() || ds[1].DecidedWall.IsZero() {
 		t.Fatalf("golden round published %+v, want two decisions, the first with a zero DecidedWall", ds)
 	}
@@ -478,7 +612,7 @@ func TestGoldenWALBytes(t *testing.T) {
 		t.Fatalf("restoring the golden snapshot: %v", err)
 	}
 	same("snapshot after a restore round trip", restored.marshalSnapshotLocked(), snap)
-	sameDecisionStream(t, restored.Decisions(0, 0), ds)
+	sameDecisionStream(t, restored.decisions.Page(0, 0), ds)
 	if st := restored.Status(); st.Future != 1 || st.Accepted != 3 || st.LastSeq != 2 {
 		t.Errorf("restored server: future %d accepted %d last seq %d, want 1, 3, 2", st.Future, st.Accepted, st.LastSeq)
 	}

@@ -10,9 +10,6 @@ import (
 	"strconv"
 	"time"
 	"unicode"
-
-	"waterwise/internal/obs"
-	"waterwise/internal/tsdb"
 )
 
 // isJSONArray reports whether the body's first non-space byte opens an array.
@@ -26,9 +23,9 @@ func isJSONArray(body []byte) bool {
 	return false
 }
 
-// DecodeJobSpecs decodes a POST /v1/jobs body: a single JobSpec object or
-// an array of them. Shared by this server's handler and the fleet gateway.
-func DecodeJobSpecs(body []byte) ([]JobSpec, error) {
+// decodeJobSpecs decodes a POST /v1/jobs body: a single JobSpec object or
+// an array of them.
+func decodeJobSpecs(body []byte) ([]JobSpec, error) {
 	if isJSONArray(body) {
 		var specs []JobSpec
 		if err := json.Unmarshal(body, &specs); err != nil {
@@ -59,85 +56,65 @@ const (
 	PathAlerts = "/v1/alerts"
 )
 
-// SubmitResponse is the POST /v1/jobs reply — shared with the fleet
-// gateway so clients drive a shard and a gateway with the same code.
+// SubmitResponse is the POST /v1/jobs reply.
 type SubmitResponse struct {
 	Accepted []int  `json:"accepted"`
 	Error    string `json:"error,omitempty"`
 }
 
-// DecisionsResponse is the GET /v1/decisions reply. Decisions holds the
-// log page — []Decision from a single server, []fleet.Decision through
-// the gateway.
+// DecisionsResponse is the GET /v1/decisions reply.
 type DecisionsResponse struct {
-	Decisions interface{} `json:"decisions"`
+	Decisions []MergedDecision `json:"decisions"`
 	// Next is the cursor to pass as ?since= on the next poll.
 	Next uint64 `json:"next"`
 }
 
-// Backend is what the HTTP API needs from a serving surface; a server
-// and the fleet gateway each fill one in from their own methods.
-type Backend struct {
-	Submit func(JobSpec) (int, error)
-	// Decisions returns the log page after since — []Decision from a
-	// server, []fleet.Decision through the gateway — and the cursor to
-	// resume from (NextCursor).
-	Decisions   func(since uint64, limit int) (page interface{}, next uint64)
-	Status      func() interface{}
-	MetricsText func() []byte
-	// SlowestRounds, RecentRounds and JobTrace serve the trace routes.
-	SlowestRounds func() []RoundTraceWire
-	RecentRounds  func(n int) []RoundTraceWire
-	JobTrace      func(id int) (JobTraceResponse, bool)
-	// Recorder returns nil when recording is off (served as 404).
-	Recorder func() *tsdb.Recorder
-	// Ingest records POST /v1/jobs wall time.
-	Ingest *obs.Histogram
-}
-
-// NewMux mounts the service's HTTP API over a backend:
+// Handler returns the service's HTTP API:
 //
 //	POST /v1/jobs             — submit one JobSpec or an array of them
-//	GET  /v1/decisions        — decision log; ?since=<seq>&limit=<n>
+//	GET  /v1/decisions        — merged decision log; ?since=<seq>&limit=<n>
 //	GET  /v1/status           — service snapshot
 //	GET  /metrics             — Prometheus text metrics
 //	GET  /v1/rounds/slowest   — slowest rounds' stage breakdowns; ?recent=<n>
 //	GET  /v1/jobs/{id}/trace  — sampled job lifecycle trace
 //	GET  /v1/query            — windowed queries over recorded metrics history
 //	GET  /v1/alerts           — burn-rate SLO alert states
-func NewMux(be Backend) http.Handler {
+func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc(PathJobs, be.serveJobs)
-	mux.HandleFunc(PathDecisions, getOnly(be.serveDecisions))
+	mux.HandleFunc(PathJobs, s.serveJobs)
+	mux.HandleFunc(PathDecisions, getOnly(s.serveDecisions))
 	mux.HandleFunc(PathStatus, getOnly(func(w http.ResponseWriter, r *http.Request) {
-		WriteJSON(w, http.StatusOK, be.Status())
+		writeJSON(w, http.StatusOK, s.Status())
 	}))
-	mux.HandleFunc(PathMetrics, be.serveMetrics)
-	mux.HandleFunc(PathRounds, getOnly(be.serveRounds))
-	mux.HandleFunc(PathJobs+"/", getOnly(be.serveJobTrace))
-	mux.HandleFunc(PathQuery, be.serveQuery)
-	mux.HandleFunc(PathAlerts, getOnly(be.serveAlerts))
+	mux.HandleFunc(PathMetrics, s.serveMetrics)
+	mux.HandleFunc(PathRounds, getOnly(s.serveRounds))
+	mux.HandleFunc(PathJobs+"/", getOnly(s.serveJobTrace))
+	mux.HandleFunc(PathQuery, s.serveQuery)
+	mux.HandleFunc(PathAlerts, getOnly(s.serveAlerts))
 	return mux
 }
 
-func (be *Backend) serveDecisions(w http.ResponseWriter, r *http.Request) {
-	since, limit, err := ParseDecisionsQuery(r.URL.Query())
+func (s *Server) serveDecisions(w http.ResponseWriter, r *http.Request) {
+	since, limit, err := parseDecisionsQuery(r.URL.Query())
 	if err != nil {
-		WriteJSON(w, http.StatusBadRequest, SubmitResponse{Error: err.Error()})
+		writeJSON(w, http.StatusBadRequest, SubmitResponse{Error: err.Error()})
 		return
 	}
-	page, next := be.Decisions(since, limit)
-	WriteJSON(w, http.StatusOK, DecisionsResponse{Decisions: page, Next: next})
+	resp := DecisionsResponse{Decisions: s.Decisions(since, limit), Next: since}
+	if n := len(resp.Decisions); n > 0 {
+		resp.Next = resp.Decisions[n-1].Seq
+	}
+	writeJSON(w, http.StatusOK, resp)
 }
 
-func (be *Backend) serveMetrics(w http.ResponseWriter, r *http.Request) {
+func (s *Server) serveMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", http.MethodGet)
 		http.Error(w, "GET only", http.StatusMethodNotAllowed)
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_, _ = w.Write(be.MetricsText())
+	_, _ = w.Write(s.MetricsText())
 }
 
 // getOnly answers anything but GET with 405 and an Allow header.
@@ -145,54 +122,22 @@ func getOnly(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
 			w.Header().Set("Allow", http.MethodGet)
-			WriteJSON(w, http.StatusMethodNotAllowed, SubmitResponse{Error: "GET only"})
+			writeJSON(w, http.StatusMethodNotAllowed, SubmitResponse{Error: "GET only"})
 			return
 		}
 		h(w, r)
 	}
 }
 
-// NextCursor is the cursor rule every decision reader shares: resume
-// behind the last decision of the page, or stay at since when the page
-// is empty.
-func NextCursor[D interface{ LogSeq() uint64 }](since uint64, page []D) uint64 {
-	if n := len(page); n > 0 {
-		return page[n-1].LogSeq()
-	}
-	return since
-}
-
-// Handler returns the server's HTTP API (see NewMux for the routes).
-func (s *Server) Handler() http.Handler {
-	return NewMux(Backend{
-		Submit: s.Submit,
-		Decisions: func(since uint64, limit int) (interface{}, uint64) {
-			ds := s.Decisions(since, limit)
-			return ds, NextCursor(since, ds)
-		},
-		Status:        func() interface{} { return s.Status() },
-		MetricsText:   s.MetricsText,
-		SlowestRounds: func() []RoundTraceWire { return WireRoundTraces(s.SlowestRounds(), nil) },
-		RecentRounds:  func(n int) []RoundTraceWire { return WireRoundTraces(s.RecentRounds(n), nil) },
-		JobTrace: func(id int) (JobTraceResponse, bool) {
-			jt, ok := s.JobTrace(id)
-			return JobTraceResponse{Trace: jt, SampleEvery: s.JobSampleEvery()}, ok
-		},
-		Recorder: s.Recorder,
-		Ingest:   s.obs.ingest,
-	})
-}
-
-// WriteJSON writes v as a JSON response with the given status code.
-func WriteJSON(w http.ResponseWriter, code int, v interface{}) {
+// writeJSON writes v as a JSON response with the given status code.
+func writeJSON(w http.ResponseWriter, code int, v interface{}) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// ParseDecisionsQuery parses GET /v1/decisions' since/limit parameters —
-// one cursor grammar for the single server and the fleet gateway.
-func ParseDecisionsQuery(q url.Values) (since uint64, limit int, err error) {
+// parseDecisionsQuery parses GET /v1/decisions' since/limit parameters.
+func parseDecisionsQuery(q url.Values) (since uint64, limit int, err error) {
 	if v := q.Get("since"); v != "" {
 		since, err = strconv.ParseUint(v, 10, 64)
 		if err != nil {
@@ -211,41 +156,40 @@ func ParseDecisionsQuery(q url.Values) (since uint64, limit int, err error) {
 // serveJobs is POST /v1/jobs: 16 MiB body cap, single-or-array decode,
 // per-job submit loop with partial-accept reply, typed status mapping.
 // The ingest histogram times the whole request, outside any lock.
-func (be *Backend) serveJobs(w http.ResponseWriter, r *http.Request) {
+func (s *Server) serveJobs(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
-		WriteJSON(w, http.StatusMethodNotAllowed, SubmitResponse{Error: "POST only"})
+		writeJSON(w, http.StatusMethodNotAllowed, SubmitResponse{Error: "POST only"})
 		return
 	}
-	defer func(t0 time.Time) { be.Ingest.Record(time.Since(t0).Seconds()) }(time.Now())
+	defer func(t0 time.Time) { s.ingest.Record(time.Since(t0).Seconds()) }(time.Now())
 	body, err := io.ReadAll(io.LimitReader(r.Body, 16<<20))
 	if err != nil {
-		WriteJSON(w, http.StatusBadRequest, SubmitResponse{Error: fmt.Sprintf("reading body: %v", err)})
+		writeJSON(w, http.StatusBadRequest, SubmitResponse{Error: fmt.Sprintf("reading body: %v", err)})
 		return
 	}
-	specs, err := DecodeJobSpecs(body)
+	specs, err := decodeJobSpecs(body)
 	if err != nil {
-		WriteJSON(w, http.StatusBadRequest, SubmitResponse{Error: err.Error()})
+		writeJSON(w, http.StatusBadRequest, SubmitResponse{Error: err.Error()})
 		return
 	}
 	ids := make([]int, 0, len(specs))
 	for _, spec := range specs {
-		id, err := be.Submit(spec)
+		id, err := s.Submit(spec)
 		if err != nil {
-			WriteJSON(w, SubmitErrorStatus(err), SubmitResponse{Accepted: ids, Error: err.Error()})
+			writeJSON(w, submitErrorStatus(err), SubmitResponse{Accepted: ids, Error: err.Error()})
 			return
 		}
 		ids = append(ids, id)
 	}
-	WriteJSON(w, http.StatusAccepted, SubmitResponse{Accepted: ids})
+	writeJSON(w, http.StatusAccepted, SubmitResponse{Accepted: ids})
 }
 
-// SubmitErrorStatus maps a Submit rejection to its HTTP status. The typed
+// submitErrorStatus maps a Submit rejection to its HTTP status. The typed
 // ingest errors get distinct codes — 429 backpressure, 503 stopped, 409
 // duplicate id, 404 unroutable home region — and anything else (bad
 // benchmark, out-of-horizon instant, malformed spec) is the client's 400.
-// Shared by this server's own handler and the fleet gateway.
-func SubmitErrorStatus(err error) int {
+func submitErrorStatus(err error) int {
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		return http.StatusTooManyRequests

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"sort"
 	"strconv"
 
@@ -10,11 +11,10 @@ import (
 	"waterwise/internal/region"
 )
 
-// Family is one metric family: its exposition identity (name, TYPE,
-// HELP) and how to read its samples off a status snapshot S. A family is
-// defined in exactly one table row; every surface that serves it renders
-// that row through AppendFamilies.
-type Family[S any] struct {
+// family is one metric family: its exposition identity (name, TYPE, HELP)
+// and how to read its samples off a status snapshot S. A family is defined
+// in exactly one table row, rendered through appendFamilies.
+type family[S any] struct {
 	Name, Type, Help string
 	// Samples calls emit once per sample st carries, with the sample's own
 	// labels (empty, or a comma-joined `k="v"` list). A status without the
@@ -23,54 +23,53 @@ type Family[S any] struct {
 	Samples func(st *S, emit func(labels string, v float64))
 }
 
-// Source is one status to render and the label that tells its samples
-// from the other sources': empty for a lone server, `shard="2"` through
-// the fleet gateway.
-type Source[S any] struct {
-	Label  string
-	Status *S
+// source is one status to render and the label that tells its samples
+// from the other sources': `shard="2"` for a shard, empty for the service.
+type source[S any] struct {
+	label  string
+	status *S
 }
 
-// AppendFamilies renders the table over the sources: each family that
-// any source has samples for gets one # HELP/# TYPE header followed by
-// every source's rows; a family nobody has is skipped.
-func AppendFamilies[S any](b []byte, fams []Family[S], srcs []Source[S]) []byte {
+// appendFamilies renders the table over the sources: each family that any
+// source has samples for gets one # HELP/# TYPE header followed by every
+// source's rows; a family nobody has is skipped.
+func appendFamilies[S any](b []byte, fams []family[S], srcs []source[S]) []byte {
 	for i := range fams {
 		f := &fams[i]
 		wrote := false
 		for _, src := range srcs {
-			f.Samples(src.Status, func(labels string, v float64) {
+			f.Samples(src.status, func(labels string, v float64) {
 				if !wrote {
 					b = obs.AppendHeader(b, f.Name, f.Type, f.Help)
 					wrote = true
 				}
-				if labels != "" && src.Label != "" {
+				if labels != "" && src.label != "" {
 					labels += ","
 				}
-				b = obs.AppendSample(b, f.Name, labels+src.Label, v)
+				b = obs.AppendSample(b, f.Name, labels+src.label, v)
 			})
 		}
 	}
 	return b
 }
 
-// scalar, solverStat and walStat adapt a one-value getter to a Family's
-// Samples; the latter two emit nothing when the status has no solver
-// stats or no WAL.
-func scalar(v func(*Status) float64) func(*Status, func(string, float64)) {
-	return func(st *Status, emit func(string, float64)) { emit("", v(st)) }
+// scalar, solverStat and walStat adapt a one-value getter to a family's
+// Samples; the latter two emit nothing when the shard has no solver stats
+// or no WAL.
+func scalar(v func(*ShardStatus) float64) func(*ShardStatus, func(string, float64)) {
+	return func(st *ShardStatus, emit func(string, float64)) { emit("", v(st)) }
 }
 
-func solverStat(v func(*milp.Stats) float64) func(*Status, func(string, float64)) {
-	return func(st *Status, emit func(string, float64)) {
+func solverStat(v func(*milp.Stats) float64) func(*ShardStatus, func(string, float64)) {
+	return func(st *ShardStatus, emit func(string, float64)) {
 		if st.Solver != nil {
 			emit("", v(st.Solver))
 		}
 	}
 }
 
-func walStat(v func(*WALStatus) float64) func(*Status, func(string, float64)) {
-	return func(st *Status, emit func(string, float64)) {
+func walStat(v func(*WALStatus) float64) func(*ShardStatus, func(string, float64)) {
+	return func(st *ShardStatus, emit func(string, float64)) {
 		if st.WAL != nil {
 			emit("", v(st.WAL))
 		}
@@ -78,28 +77,28 @@ func walStat(v func(*WALStatus) float64) func(*Status, func(string, float64)) {
 }
 
 // statusFamilies is the one definition of every family derived from a
-// Status: queue and round counters, per-region free servers, solver
-// instrumentation (when the scheduler exposes it) and durability (when
-// DataDir is set). Adding a family is adding a row.
-var statusFamilies = []Family[Status]{
+// shard's status: queue and round counters, per-region free servers,
+// solver instrumentation (when the scheduler exposes it) and durability
+// (when DataDir is set). Adding a family is adding a row.
+var statusFamilies = []family[ShardStatus]{
 	{"waterwise_jobs_accepted_total", "counter", "Jobs accepted into the ingest queue.",
-		scalar(func(st *Status) float64 { return float64(st.Accepted) })},
+		scalar(func(st *ShardStatus) float64 { return float64(st.Accepted) })},
 	{"waterwise_jobs_rejected_total", "counter", "Jobs rejected (backpressure, validation, duplicates).",
-		scalar(func(st *Status) float64 { return float64(st.Rejected) })},
+		scalar(func(st *ShardStatus) float64 { return float64(st.Rejected) })},
 	{"waterwise_rounds_total", "counter", "Scheduling rounds run.",
-		scalar(func(st *Status) float64 { return float64(st.Rounds) })},
+		scalar(func(st *ShardStatus) float64 { return float64(st.Rounds) })},
 	{"waterwise_decisions_total", "counter", "Placement decisions committed.",
-		scalar(func(st *Status) float64 { return float64(st.Decisions) })},
+		scalar(func(st *ShardStatus) float64 { return float64(st.Decisions) })},
 	{"waterwise_jobs_unscheduled_total", "counter", "Jobs abandoned without a placement.",
-		scalar(func(st *Status) float64 { return float64(st.Unscheduled) })},
+		scalar(func(st *ShardStatus) float64 { return float64(st.Unscheduled) })},
 	{"waterwise_queue_pending", "gauge", "Jobs awaiting a placement decision.",
-		scalar(func(st *Status) float64 { return float64(st.Pending) })},
+		scalar(func(st *ShardStatus) float64 { return float64(st.Pending) })},
 	{"waterwise_queue_future", "gauge", "Accepted jobs not yet due for a round.",
-		scalar(func(st *Status) float64 { return float64(st.Future) })},
+		scalar(func(st *ShardStatus) float64 { return float64(st.Future) })},
 	{"waterwise_queue_cap", "gauge", "Ingest queue capacity (backpressure threshold).",
-		scalar(func(st *Status) float64 { return float64(st.QueueCap) })},
+		scalar(func(st *ShardStatus) float64 { return float64(st.QueueCap) })},
 	{"waterwise_region_free_servers", "gauge", "Servers free per region at the simulated clock.",
-		func(st *Status, emit func(string, float64)) {
+		func(st *ShardStatus, emit func(string, float64)) {
 			ids := make([]string, 0, len(st.Free))
 			for id := range st.Free {
 				ids = append(ids, string(id))
@@ -147,34 +146,75 @@ var statusFamilies = []Family[Status]{
 		walStat(func(w *WALStatus) float64 { return float64(w.RecoveredRecords) })},
 }
 
-// AppendStatusMetrics renders the status-derived families for one server
-// (a single unlabeled source) or a fleet's shards (one shard-labeled
-// source each).
-func AppendStatusMetrics(b []byte, srcs []Source[Status]) []byte {
-	return AppendFamilies(b, statusFamilies, srcs)
+// serviceFamilies are the service's own families — merge accounting and
+// supervision — over its Status.
+var serviceFamilies = []family[Status]{
+	{"waterwise_fleet_shards", "gauge", "Scheduler shards behind this gateway.",
+		func(st *Status, emit func(string, float64)) { emit("", float64(st.Shards)) }},
+	{"waterwise_fleet_merged_decisions_total", "counter", "Decisions emitted into the merged global stream.",
+		func(st *Status, emit func(string, float64)) { emit("", float64(st.Merged)) }},
+	{"waterwise_fleet_lost_decisions_total", "counter", "Decisions evicted from a shard ring before the merge read them.",
+		func(st *Status, emit func(string, float64)) { emit("", float64(st.Lost)) }},
+	{"waterwise_fleet_restarts_total", "counter", "Supervisor-driven shard restarts.",
+		func(st *Status, emit func(string, float64)) {
+			if st.Supervisor != nil {
+				emit("", float64(st.Supervisor.Restarts))
+			}
+		}},
+	{"waterwise_fleet_shard_up", "gauge", "1 while the shard's round loop is serving, 0 while dead or restarting.",
+		func(st *Status, emit func(string, float64)) {
+			if st.Supervisor == nil {
+				return
+			}
+			for _, ss := range st.Supervisor.Shards {
+				up := 0.0
+				if ss.State == "up" {
+					up = 1
+				}
+				emit(shardLabel(ss.Shard), up)
+			}
+		}},
 }
 
-// MetricsText renders the full exposition as bytes: the HTTP handler
-// serves it and the metrics flight recorder scrapes it in-process on the
-// round clock.
+func shardLabel(shard int) string { return fmt.Sprintf("shard=\"%d\"", shard) }
+
+// MetricsText renders the full exposition as bytes — what /metrics serves
+// and the flight recorder scrapes in-process on the round clock: the
+// service's own families, every shard's families labeled by shard, the
+// shard-merged latency histograms, the feed block and the recorder's.
+// Labeling rather than summing keeps a hot shard visible; sums are one
+// PromQL aggregation away.
 func (s *Server) MetricsText() []byte {
 	st := s.Status()
-	b := AppendBuildInfo(nil)
-	b = AppendStatusMetrics(b, []Source[Status]{{Status: &st}})
-	b = AppendObsMetrics(b, s.ObsSnapshots(), "waterwise_", "", true)
-	b = AppendFeedMetrics(b, st.Feed)
+	b := appendBuildInfo(nil)
+	b = appendFamilies(b, serviceFamilies, []source[Status]{{status: &st}})
+	shards := make([]source[ShardStatus], len(st.ShardStatus))
+	for i := range st.ShardStatus {
+		ss := &st.ShardStatus[i]
+		shards[i] = source[ShardStatus]{label: shardLabel(ss.Shard), status: ss}
+	}
+	b = appendFamilies(b, statusFamilies, shards)
+	// Latency histograms twice over: per shard (which shard's solve is
+	// slow), then shard-merged (what a client of the service sees) — exact
+	// sums, since every histogram shares one bucket scheme. Shard 0
+	// carries the headers.
+	for i, sh := range s.shardList() {
+		b = appendObsMetrics(b, sh.obsSnapshots(), "waterwise_", shardLabel(i), i == 0)
+	}
+	b = appendObsMetrics(b, s.ObsSnapshots(), "waterwise_fleet_", "", true)
+	// One feed block: every shard reads the same provider through its
+	// partition view.
+	b = appendFeedMetrics(b, st.Feed)
 	if s.recorder != nil {
 		b = s.recorder.AppendMetrics(b, "waterwise_")
 	}
 	return b
 }
 
-// AppendFeedMetrics renders the environment-feed health block — provider
+// appendFeedMetrics renders the environment-feed health block — provider
 // identity, staleness, and fetch/cache accounting — in Prometheus text
-// format. Shared by this server's /metrics and the fleet gateway's
-// (which reports the one provider all shards share exactly once, rather
-// than once per shard).
-func AppendFeedMetrics(b []byte, h *feed.Health) []byte {
+// format.
+func appendFeedMetrics(b []byte, h *feed.Health) []byte {
 	if h == nil {
 		return b
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -12,15 +13,13 @@ import (
 	"waterwise/internal/obs"
 )
 
-// serverObs bundles one server's observability recorders (internal/obs):
+// shardObs bundles one shard's observability recorders (internal/obs):
 // latency histograms, the per-round trace ring, and job lifecycle traces
 // sampled one in 64. It is always on and measurement only. lastSolver is
-// guarded by the server mutex; the histograms, ring, and tracer have
-// their own synchronization (so the ingest handler records outside the
-// lock).
-type serverObs struct {
+// guarded by the shard mutex; the histograms, ring, and tracer have their
+// own synchronization.
+type shardObs struct {
 	decision *obs.Histogram // Submit acceptance -> round commit, wall seconds
-	ingest   *obs.Histogram // POST /v1/jobs handler wall seconds
 	round    *obs.Histogram // total scheduling-round wall seconds
 	stages   [obs.NumStages]*obs.Histogram
 	ring     *obs.RoundRing
@@ -30,10 +29,9 @@ type serverObs struct {
 	lastSolver milp.Stats
 }
 
-func newServerObs() *serverObs {
-	o := &serverObs{
+func newShardObs() *shardObs {
+	o := &shardObs{
 		decision: &obs.Histogram{},
-		ingest:   &obs.Histogram{},
 		round:    &obs.Histogram{},
 		ring:     obs.NewRoundRing(0, 0),
 		jobs:     obs.NewJobTracer(0, 0),
@@ -48,7 +46,7 @@ func newServerObs() *serverObs {
 // the ring. Stages that did not run this round (no WAL, no fsync due, no
 // snapshot) are zero and skipped, so each stage histogram's count is the
 // number of rounds that actually exercised it.
-func (o *serverObs) recordRound(rt obs.RoundTrace) {
+func (o *shardObs) recordRound(rt obs.RoundTrace) {
 	o.round.Record(rt.Total.Seconds())
 	for st, d := range rt.Stages {
 		if d > 0 || obs.Stage(st) == obs.StageSolve {
@@ -58,7 +56,7 @@ func (o *serverObs) recordRound(rt obs.RoundTrace) {
 	o.ring.Record(rt)
 }
 
-// ObsSummary is the quantile digest of the server's latency histograms,
+// ObsSummary is the quantile digest of the latency histograms,
 // served in Status — the numbers the bench harness gates on without
 // parsing the full /metrics exposition.
 type ObsSummary struct {
@@ -79,9 +77,8 @@ type ObsSummary struct {
 	JobSampleEvery int `json:"job_sample_every"`
 }
 
-// ObsSnapshots is the mergeable counter export of one server's
-// histograms — what the fleet gateway sums across shards into
-// fleet-level distributions.
+// ObsSnapshots is the mergeable counter export of latency histograms —
+// one shard's, or the service's sum of them.
 type ObsSnapshots struct {
 	Decision obs.Snapshot
 	Ingest   obs.Snapshot
@@ -89,8 +86,8 @@ type ObsSnapshots struct {
 	Stages   [obs.NumStages]obs.Snapshot
 }
 
-// Merge folds other's counters into s.
-func (s *ObsSnapshots) Merge(other *ObsSnapshots) {
+// merge folds other's counters into s.
+func (s *ObsSnapshots) merge(other *ObsSnapshots) {
 	s.Decision.Merge(other.Decision)
 	s.Ingest.Merge(other.Ingest)
 	s.Round.Merge(other.Round)
@@ -99,8 +96,8 @@ func (s *ObsSnapshots) Merge(other *ObsSnapshots) {
 	}
 }
 
-// Summary digests the snapshots into the Status quantiles.
-func (s *ObsSnapshots) Summary(sampleEvery int) *ObsSummary {
+// summary digests the snapshots into the Status quantiles.
+func (s *ObsSnapshots) summary(sampleEvery int) *ObsSummary {
 	dec := s.Decision
 	rnd := s.Round
 	slv := s.Stages[obs.StageSolve]
@@ -120,16 +117,14 @@ func (s *ObsSnapshots) Summary(sampleEvery int) *ObsSummary {
 	}
 }
 
-// AppendObsMetrics renders the observability histograms in Prometheus
-// text format: <prefix>decision_latency_seconds,
-// <prefix>ingest_request_seconds, <prefix>round_duration_seconds, and
-// <prefix>round_stage_seconds{stage=...}. labels is spliced into every
-// series (empty for the single server, shard="N" through the fleet);
-// withHeader emits the # HELP/# TYPE lines — the fleet passes true for
-// the first shard only, so each family has exactly one header. Shared
-// by the single server's /metrics, the fleet's per-shard series, and
-// the fleet's merged distributions (prefix "waterwise_fleet_").
-func AppendObsMetrics(b []byte, snaps *ObsSnapshots, prefix, labels string, withHeader bool) []byte {
+// appendObsMetrics renders latency histograms in Prometheus text format:
+// <prefix>decision_latency_seconds, <prefix>ingest_request_seconds,
+// <prefix>round_duration_seconds, and <prefix>round_stage_seconds{stage=...}.
+// labels is spliced into every series (shard="N" per shard, empty for the
+// shard-merged "waterwise_fleet_" families); withHeader emits the
+// # HELP/# TYPE lines, which only the first shard passes, so each family
+// has exactly one header.
+func appendObsMetrics(b []byte, snaps *ObsSnapshots, prefix, labels string, withHeader bool) []byte {
 	b = snaps.Decision.AppendProm(b, prefix+"decision_latency_seconds",
 		"Server-side decision latency: Submit acceptance to round commit (wall seconds).", labels, withHeader)
 	b = snaps.Ingest.AppendProm(b, prefix+"ingest_request_seconds",
@@ -148,12 +143,11 @@ func AppendObsMetrics(b []byte, snaps *ObsSnapshots, prefix, labels string, with
 	return b
 }
 
-// ObsSnapshots exports the server's histogram counters for merging and
-// rendering.
-func (s *Server) ObsSnapshots() *ObsSnapshots {
+// obsSnapshots exports the shard's histogram counters. Ingest stays zero:
+// requests are timed by the service, which owns the handler.
+func (s *shard) obsSnapshots() *ObsSnapshots {
 	out := &ObsSnapshots{
 		Decision: s.obs.decision.Snapshot(),
-		Ingest:   s.obs.ingest.Snapshot(),
 		Round:    s.obs.round.Snapshot(),
 	}
 	for i, h := range s.obs.stages {
@@ -162,26 +156,48 @@ func (s *Server) ObsSnapshots() *ObsSnapshots {
 	return out
 }
 
-// SlowestRounds returns the slowest scheduling rounds recorded so far,
-// slowest first.
-func (s *Server) SlowestRounds() []obs.RoundTrace { return s.obs.ring.Slowest() }
+// ObsSnapshots returns the service's histogram counters: every shard's
+// snapshots summed bucket by bucket (all histograms share one boundary
+// set, so addition is exact), plus the ingest histogram.
+func (s *Server) ObsSnapshots() *ObsSnapshots {
+	merged := &ObsSnapshots{Ingest: s.ingest.Snapshot()}
+	for _, sh := range s.shardList() {
+		merged.merge(sh.obsSnapshots())
+	}
+	return merged
+}
 
-// RecentRounds returns up to n of the latest rounds' traces, newest
-// first (n <= 0 means all retained).
-func (s *Server) RecentRounds(n int) []obs.RoundTrace { return s.obs.ring.Recent(n) }
+// mergedRounds gathers every shard's traces in wire form, orders them by
+// before and keeps the first max (max <= 0 keeps all).
+func (s *Server) mergedRounds(fetch func(*obs.RoundRing) []obs.RoundTrace, max int,
+	before func(a, b *RoundTraceWire) bool) []RoundTraceWire {
+	out := []RoundTraceWire{}
+	for i, sh := range s.shardList() {
+		out = append(out, wireRoundTraces(fetch(sh.obs.ring), i)...)
+	}
+	sort.Slice(out, func(i, j int) bool { return before(&out[i], &out[j]) })
+	if max > 0 && len(out) > max {
+		out = out[:max]
+	}
+	return out
+}
 
-// JobSampleEvery reports the lifecycle-trace sampling stride.
-func (s *Server) JobSampleEvery() int { return s.obs.jobs.SampleEvery() }
-
-// JobTrace returns the sampled lifecycle trace for a job id, if the job
-// was sampled and its trace has not been evicted.
-func (s *Server) JobTrace(id int) (obs.JobTrace, bool) { return s.obs.jobs.Get(id) }
+// jobTrace scans the shards for a sampled job's lifecycle trace; job ids
+// are service-unique, so at most one shard answers.
+func (s *Server) jobTrace(id int) (JobTraceResponse, bool) {
+	for i, sh := range s.shardList() {
+		if jt, ok := sh.obs.jobs.Get(id); ok {
+			return JobTraceResponse{Shard: i, Trace: jt, SampleEvery: sh.obs.jobs.SampleEvery()}, true
+		}
+	}
+	return JobTraceResponse{}, false
+}
 
 // RoundTraceWire is the JSON form of one round trace served by
 // /v1/rounds/slowest: durations in milliseconds, stages keyed by name,
-// and — through the fleet gateway — the owning shard.
+// and the owning shard.
 type RoundTraceWire struct {
-	Shard        *int               `json:"shard,omitempty"`
+	Shard        int                `json:"shard"`
 	Index        int64              `json:"index"`
 	Sim          time.Time          `json:"sim"`
 	Wall         time.Time          `json:"wall"`
@@ -195,10 +211,10 @@ type RoundTraceWire struct {
 	ColdStarts   int                `json:"cold_starts"`
 }
 
-// WireRoundTraces converts traces to their wire form, stamped with the
-// owning shard when shard is non-nil. Zero-duration stages are omitted —
-// a stage that did not run would read as "instant" otherwise.
-func WireRoundTraces(rts []obs.RoundTrace, shard *int) []RoundTraceWire {
+// wireRoundTraces converts one shard's traces to their wire form.
+// Zero-duration stages are omitted — a stage that did not run would read
+// as "instant" otherwise.
+func wireRoundTraces(rts []obs.RoundTrace, shard int) []RoundTraceWire {
 	out := make([]RoundTraceWire, len(rts))
 	for i, rt := range rts {
 		stages := make(map[string]float64, obs.NumStages)
@@ -228,19 +244,21 @@ type RoundsResponse struct {
 	Recent []RoundTraceWire `json:"recent,omitempty"`
 }
 
-// serveRounds is GET /v1/rounds/slowest: the slowest exemplars plus, with
-// ?recent=N, the latest N rounds.
-func (be *Backend) serveRounds(w http.ResponseWriter, r *http.Request) {
-	resp := RoundsResponse{Slowest: be.SlowestRounds()}
+// serveRounds is GET /v1/rounds/slowest: the slowest rounds across every
+// shard, slowest first, plus, with ?recent=N, the latest N, newest first.
+func (s *Server) serveRounds(w http.ResponseWriter, r *http.Request) {
+	resp := RoundsResponse{Slowest: s.mergedRounds((*obs.RoundRing).Slowest, obs.DefaultSlowestRounds,
+		func(a, b *RoundTraceWire) bool { return a.TotalMs > b.TotalMs })}
 	if v := r.URL.Query().Get("recent"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 0 {
-			WriteJSON(w, http.StatusBadRequest, SubmitResponse{Error: "bad recent"})
+			writeJSON(w, http.StatusBadRequest, SubmitResponse{Error: "bad recent"})
 			return
 		}
-		resp.Recent = be.RecentRounds(n)
+		resp.Recent = s.mergedRounds(func(rr *obs.RoundRing) []obs.RoundTrace { return rr.Recent(n) }, n,
+			func(a, b *RoundTraceWire) bool { return a.Wall.After(b.Wall) })
 	}
-	WriteJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // ErrNoTrace reports a job id with no retained lifecycle trace: the job
@@ -249,8 +267,8 @@ var ErrNoTrace = errors.New("server: no trace for job")
 
 // JobTraceResponse is the GET /v1/jobs/{id}/trace reply.
 type JobTraceResponse struct {
-	// Shard identifies the owning shard through the fleet gateway.
-	Shard *int         `json:"shard,omitempty"`
+	// Shard identifies the owning shard.
+	Shard int          `json:"shard"`
 	Trace obs.JobTrace `json:"trace"`
 	// SampleEvery echoes the sampling stride, so a 404 is interpretable:
 	// roughly one of every SampleEvery accepted jobs has a trace.
@@ -259,22 +277,22 @@ type JobTraceResponse struct {
 
 // serveJobTrace is GET /v1/jobs/{id}/trace; unknown or unsampled ids are
 // 404.
-func (be *Backend) serveJobTrace(w http.ResponseWriter, r *http.Request) {
+func (s *Server) serveJobTrace(w http.ResponseWriter, r *http.Request) {
 	rest, ok := strings.CutPrefix(r.URL.Path, PathJobs+"/")
 	if !ok {
-		WriteJSON(w, http.StatusNotFound, SubmitResponse{Error: "not found"})
+		writeJSON(w, http.StatusNotFound, SubmitResponse{Error: "not found"})
 		return
 	}
 	idStr, tail, _ := strings.Cut(rest, "/")
 	id, err := strconv.Atoi(idStr)
 	if err != nil || tail != "trace" {
-		WriteJSON(w, http.StatusNotFound, SubmitResponse{Error: "want /v1/jobs/{id}/trace"})
+		writeJSON(w, http.StatusNotFound, SubmitResponse{Error: "want /v1/jobs/{id}/trace"})
 		return
 	}
-	resp, found := be.JobTrace(id)
+	resp, found := s.jobTrace(id)
 	if !found {
-		WriteJSON(w, http.StatusNotFound, SubmitResponse{Error: ErrNoTrace.Error() + " " + idStr})
+		writeJSON(w, http.StatusNotFound, SubmitResponse{Error: ErrNoTrace.Error() + " " + idStr})
 		return
 	}
-	WriteJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, resp)
 }

@@ -18,12 +18,13 @@ import (
 )
 
 // statusDerived filters a parsed exposition down to the families rendered
-// from a Status: everything but build info, the latency histograms and
-// the feed block.
+// from a shard's status: everything but build info, the service's own
+// families, the latency histograms and the feed block.
 func statusDerived(fams map[string]*obs.PromFamily) map[string]*obs.PromFamily {
 	out := make(map[string]*obs.PromFamily)
 	for name, fam := range fams {
-		if name == "waterwise_build_info" || fam.Type == "histogram" || strings.HasPrefix(name, "waterwise_feed_") {
+		if name == "waterwise_build_info" || fam.Type == "histogram" ||
+			strings.HasPrefix(name, "waterwise_feed_") || strings.HasPrefix(name, "waterwise_fleet_") {
 			continue
 		}
 		out[name] = fam
@@ -162,18 +163,19 @@ func TestMetricsLintAndObsEndpoints(t *testing.T) {
 
 	// Every decided job with an accept stamp contributes one decision
 	// latency observation.
-	les, cums := obs.HistogramBuckets(fams["waterwise_decision_latency_seconds"], nil)
+	shard0 := map[string]string{"shard": "0"}
+	les, cums := obs.HistogramBuckets(fams["waterwise_decision_latency_seconds"], shard0)
 	if len(les) == 0 {
 		t.Fatal("decision latency histogram empty")
 	}
 	if got := cums[len(cums)-1]; got != uint64(decided) {
 		t.Errorf("decision latency count %d, want %d decided", got, decided)
 	}
-	if _, cums := obs.HistogramBuckets(fams["waterwise_ingest_request_seconds"], nil); len(cums) == 0 || cums[len(cums)-1] != 1 {
+	if _, cums := obs.HistogramBuckets(fams["waterwise_fleet_ingest_request_seconds"], nil); len(cums) == 0 || cums[len(cums)-1] != 1 {
 		t.Errorf("ingest histogram should hold the one POST: %v", cums)
 	}
 	// The solve stage runs every round.
-	sles, scums := obs.HistogramBuckets(fams["waterwise_round_stage_seconds"], map[string]string{"stage": "solve"})
+	sles, scums := obs.HistogramBuckets(fams["waterwise_round_stage_seconds"], map[string]string{"shard": "0", "stage": "solve"})
 	if len(sles) == 0 || scums[len(scums)-1] == 0 {
 		t.Error("solve stage histogram empty")
 	}

@@ -15,7 +15,7 @@ import (
 var Version = "dev"
 
 // RecordConfig configures the metrics flight recorder: when enabled the
-// server scrapes its own /metrics exposition at the end of each
+// service scrapes its own /metrics exposition at the end of each
 // scheduling round into an in-process time-series store (internal/tsdb),
 // making windowed rate/increase/quantile queries and burn-rate SLO alerts
 // available over recorded history via /v1/query and /v1/alerts.
@@ -46,40 +46,10 @@ type RecordConfig struct {
 	Logf func(format string, args ...any)
 }
 
-// NewRecorder builds a flight recorder that scrapes the exposition gather
-// renders — a server's own, or the fleet gateway's merged one.
-func (c RecordConfig) NewRecorder(gather func() []byte) (*tsdb.Recorder, error) {
-	return tsdb.New(tsdb.Config{
-		Gather:            gather,
-		MemoryBudgetBytes: c.MemoryBudgetBytes,
-		MinInterval:       c.MinInterval,
-		Sync:              c.Sync,
-		Objectives:        c.SLOs,
-		Logf:              c.Logf,
-	})
-}
-
-// Recorder exposes the flight recorder for queries; nil when recording is
-// disabled.
-func (s *Server) Recorder() *tsdb.Recorder { return s.recorder }
-
-// notifyRound runs the end-of-round hooks — the recorder scrape and the
-// owner's OnRound callback. Called by the round loops with mu released:
-// the recorder's gather path re-enters Status, and holding mu here would
-// deadlock (and would bill scrape time to the scheduling lock).
-func (s *Server) notifyRound(rounds uint64) {
-	if s.recorder != nil {
-		s.recorder.Observe(rounds)
-	}
-	if s.cfg.OnRound != nil {
-		s.cfg.OnRound(rounds)
-	}
-}
-
-// AppendBuildInfo renders the waterwise_build_info gauge: constant 1 with
+// appendBuildInfo renders the waterwise_build_info gauge: constant 1 with
 // the build identity as labels, the standard Prometheus idiom for joining
 // version metadata onto any other series.
-func AppendBuildInfo(b []byte) []byte {
+func appendBuildInfo(b []byte) []byte {
 	const name = "waterwise_build_info"
 	b = obs.AppendHeader(b, name, "gauge", "Build identity (constant 1; the labels carry the information).")
 	labels := "version=" + strconv.Quote(Version) +
@@ -121,21 +91,21 @@ type AlertsResponse struct {
 //	q       — quantile in [0,1] (fn=quantile)
 //	end     — window end round (default: latest recorded)
 //	from,to — raw-sample bounds (fn=raw)
-func (be *Backend) serveQuery(w http.ResponseWriter, r *http.Request) {
+func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", http.MethodGet)
-		WriteJSON(w, http.StatusMethodNotAllowed, QueryResponse{Error: "GET only"})
+		writeJSON(w, http.StatusMethodNotAllowed, QueryResponse{Error: "GET only"})
 		return
 	}
-	rr := be.Recorder()
+	rr := s.recorder
 	if rr == nil {
-		WriteJSON(w, http.StatusNotFound, QueryResponse{Error: "recording disabled (enable with -record-metrics)"})
+		writeJSON(w, http.StatusNotFound, QueryResponse{Error: "recording disabled (enable with -record-metrics)"})
 		return
 	}
 	q := r.URL.Query()
 	resp := QueryResponse{Series: q.Get("series"), Fn: q.Get("fn")}
 	if resp.Series == "" {
-		WriteJSON(w, http.StatusBadRequest, QueryResponse{Error: "missing series parameter"})
+		writeJSON(w, http.StatusBadRequest, QueryResponse{Error: "missing series parameter"})
 		return
 	}
 	if resp.Fn == "" {
@@ -148,7 +118,7 @@ func (be *Backend) serveQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		u, err := strconv.ParseUint(v, 10, 64)
 		if err != nil {
-			WriteJSON(w, http.StatusBadRequest, QueryResponse{Error: "bad " + name})
+			writeJSON(w, http.StatusBadRequest, QueryResponse{Error: "bad " + name})
 			return 0, false
 		}
 		return u, true
@@ -161,7 +131,7 @@ func (be *Backend) serveQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if resp.Fn != "raw" && resp.Window == 0 {
-		WriteJSON(w, http.StatusBadRequest, QueryResponse{Error: "window is required for " + resp.Fn})
+		writeJSON(w, http.StatusBadRequest, QueryResponse{Error: "window is required for " + resp.Fn})
 		return
 	}
 	switch resp.Fn {
@@ -185,24 +155,24 @@ func (be *Backend) serveQuery(w http.ResponseWriter, r *http.Request) {
 		if v := q.Get("q"); v != "" {
 			f, err := strconv.ParseFloat(v, 64)
 			if err != nil || f < 0 || f > 1 {
-				WriteJSON(w, http.StatusBadRequest, QueryResponse{Error: "bad q"})
+				writeJSON(w, http.StatusBadRequest, QueryResponse{Error: "bad q"})
 				return
 			}
 			quant = f
 		}
 		resp.Value, resp.Ok = rr.Quantile(resp.Series, quant, resp.Window, resp.End)
 	default:
-		WriteJSON(w, http.StatusBadRequest, QueryResponse{Error: "fn must be raw, rate, increase, or quantile"})
+		writeJSON(w, http.StatusBadRequest, QueryResponse{Error: "fn must be raw, rate, increase, or quantile"})
 		return
 	}
-	WriteJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // serveAlerts is GET /v1/alerts: the burn-rate SLO alert states.
-func (be *Backend) serveAlerts(w http.ResponseWriter, r *http.Request) {
-	rr := be.Recorder()
+func (s *Server) serveAlerts(w http.ResponseWriter, r *http.Request) {
+	rr := s.recorder
 	if rr == nil {
-		WriteJSON(w, http.StatusNotFound, SubmitResponse{Error: "recording disabled (enable with -record-metrics)"})
+		writeJSON(w, http.StatusNotFound, SubmitResponse{Error: "recording disabled (enable with -record-metrics)"})
 		return
 	}
 	alerts := rr.Alerts()
@@ -212,5 +182,5 @@ func (be *Backend) serveAlerts(w http.ResponseWriter, r *http.Request) {
 			firing++
 		}
 	}
-	WriteJSON(w, http.StatusOK, AlertsResponse{Round: rr.LastRound(), Firing: firing, Alerts: alerts})
+	writeJSON(w, http.StatusOK, AlertsResponse{Round: rr.LastRound(), Firing: firing, Alerts: alerts})
 }

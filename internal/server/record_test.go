@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"testing"
 	"time"
 
@@ -116,7 +117,7 @@ func TestRecorderEndpoints(t *testing.T) {
 	// recorder's first scrape lands after round 1, so decisions committed
 	// before it are — correctly — not part of recorded history).
 	var raw QueryResponse
-	if code := getJSON(PathQuery+"?series=waterwise_decisions_total&fn=raw", &raw); code != http.StatusOK || len(raw.Samples) == 0 {
+	if code := getJSON(PathQuery+"?fn=raw&series="+url.QueryEscape(`waterwise_decisions_total{shard="0"}`), &raw); code != http.StatusOK || len(raw.Samples) == 0 {
 		t.Fatalf("raw query: status %d, %d samples", code, len(raw.Samples))
 	}
 	decided := float64(len(srv.Result().Outcomes))

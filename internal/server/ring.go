@@ -3,9 +3,9 @@ package server
 import "sort"
 
 // Ring is a bounded decision log: entries are appended in increasing
-// LogSeq order and, at capacity, each append evicts the oldest. A server's
-// decision log and the fleet gateway's merged one (over fleet.Decision,
-// which embeds Decision) are both Rings, so cursor semantics have one
+// LogSeq order and, at capacity, each append evicts the oldest. A shard's
+// decision log and the service's merged one (over MergedDecision, which
+// embeds Decision) are both Rings, so cursor semantics have one
 // implementation. Not synchronized: the owner's lock guards it.
 type Ring[D interface{ LogSeq() uint64 }] struct {
 	buf  []D

@@ -1,11 +1,35 @@
 // Package server implements the online scheduling service: the long-running
 // form of the WaterWise Optimization Decision Controller. Where cluster.Run
-// replays a static trace offline, the server ingests a continuous stream of
-// job arrivals over HTTP/JSON, micro-batches them into scheduling rounds on
-// a configurable cadence, and feeds them to the same incremental simulator
-// (cluster.Sim) and scheduler stack the offline path uses — so an
-// accelerated-time replay of a trace through the service reproduces
-// cluster.Run decision for decision.
+// replays a static trace offline, the service ingests a continuous stream of
+// job arrivals over HTTP/JSON or the binary stream protocol, micro-batches
+// them into scheduling rounds on a configurable cadence, and feeds them to
+// the same incremental simulator (cluster.Sim) and scheduler stack the
+// offline path uses — so an accelerated-time replay of a trace through the
+// service reproduces cluster.Run decision for decision.
+//
+// A Server runs N >= 1 shards. Each shard is a full scheduling engine — its
+// own ingest queue, round loop, solver stack, decision ring and write-ahead
+// log — over a disjoint partition of the regions of one shared
+// region.Environment (an Environment.Partition view: same series, fewer
+// regions). The Server routes each submission by home region to the owning
+// shard, merges the shard decision logs into one globally seq-numbered
+// stream, and serves one status, one metrics exposition and one flight
+// recorder with per-shard labels. One shard is the default, and its
+// partition is the whole environment.
+//
+// Sharding by home region is exact, not approximate: within each partition
+// the service is decision-for-decision identical to the offline cluster.Run
+// over that partition. The trade is that geo-shifting is confined to the
+// partition: operators group regions so the moves that matter stay
+// intra-shard (e.g. one shard per continent).
+//
+// The merged stream is ordered by (round, shard, shard-seq) under a round
+// watermark: a decision is emitted only once every shard's round clock has
+// passed its round (a drained shard's clock counts as infinite), so the
+// interleaving is deterministic however far the shards' accelerated clocks
+// diverge. Global sequence numbers are dense by construction; shard-ring
+// evictions that outrun the merge are counted as Lost. One shard's log
+// merges to itself, so a one-shard service serves its shard's ring as is.
 //
 // The service clock runs in simulated time. In paced mode (TimeScale > 0)
 // the simulated clock advances TimeScale simulated seconds per wall second
@@ -13,17 +37,17 @@
 // rounds fire back to back as fast as the solver allows, fast-forwarding
 // over idle gaps — the mode for replay, benchmarking, and tests.
 //
-// Ingest is bounded: QueueCap caps the number of jobs queued ahead of
+// Ingest is bounded: QueueCap caps the jobs each shard queues ahead of
 // placement, and Submit rejects (ErrQueueFull) once it is reached —
 // backpressure the HTTP layer translates to 429 Too Many Requests.
 package server
 
 import (
-	"container/heap"
 	"context"
 	"errors"
 	"fmt"
 	"math"
+	"path/filepath"
 	"sync"
 	"time"
 
@@ -33,50 +57,59 @@ import (
 	"waterwise/internal/milp"
 	"waterwise/internal/obs"
 	"waterwise/internal/region"
-	"waterwise/internal/trace"
 	"waterwise/internal/transfer"
 	"waterwise/internal/tsdb"
-	"waterwise/internal/units"
-	"waterwise/internal/wal"
-	"waterwise/internal/workload"
 )
 
 // Config parameterizes the scheduling service.
 type Config struct {
-	// Env is the environment (regions, grids, weather) decisions read.
+	// Env is the environment (regions, grids, weather) decisions read; each
+	// shard sees a partition view of it, never a reseeded copy.
 	Env *region.Environment
-	// Regions restricts the server to a subset of Env's regions — the
-	// shard form the fleet gateway (internal/fleet) runs N of: the server
-	// schedules only over the subset (via an Environment.Partition view
-	// sharing Env's series) and rejects submissions homed elsewhere with
-	// ErrUnknownRegion. Empty means all of Env's regions.
-	Regions []region.ID
-	// Net is the inter-region transfer model and FP the footprint model;
-	// nil takes cluster.Config's defaults (transfer.New(), unperturbed).
+	// Net is the inter-region transfer model and FP the footprint model,
+	// shared by every shard; nil takes cluster.Config's defaults
+	// (transfer.New(), unperturbed).
 	Net *transfer.Model
 	FP  *footprint.Model
-	// Scheduler decides placements each round.
+	// Scheduler decides placements for a one-shard service — shorthand for
+	// a NewScheduler that returns it. The instance carries its shard's
+	// history, so a shard built from it cannot be restarted.
 	Scheduler cluster.Scheduler
+	// NewScheduler builds one shard's scheduler, at New and again at every
+	// RestartShard. Schedulers are stateful and single-threaded by the
+	// cluster.Scheduler contract, so every shard needs its own instance:
+	// required for more than one shard. Set Scheduler or NewScheduler.
+	NewScheduler func(shard int, regions []region.ID) (cluster.Scheduler, error)
+	// Shards is the shard count (default 1; at most the region count).
+	Shards int
+	// ShardMap pins regions to shards (region → shard index in
+	// [0, Shards)). Regions absent from the map are dealt to the emptiest
+	// shard in environment order; every shard must end up owning at least
+	// one region.
+	ShardMap map[region.ID]int
 	// Tolerance is the delay tolerance TOL as a fraction (e.g. 0.5).
 	Tolerance float64
-	// Round is the micro-batching cadence in simulated time (default 1m).
+	// Round is the micro-batching cadence in simulated time (default 1m),
+	// shared by every shard so their round clocks stay aligned.
 	Round time.Duration
 	// TimeScale maps wall time to simulated time: simulated seconds per
 	// wall second. 1 runs in real time, 60 packs a simulated hour into a
 	// wall minute; 0 (the default) is accelerated mode — rounds run back to
 	// back with no pacing, fast-forwarding over idle stretches.
 	TimeScale float64
-	// QueueCap bounds the jobs queued ahead of placement (pending rounds +
-	// not-yet-due arrivals). Submit rejects once reached. Default 65536.
+	// QueueCap bounds the jobs each shard queues ahead of placement
+	// (pending rounds + not-yet-due arrivals), and the submissions buffered
+	// for a dead shard. Submit rejects once reached. Default 65536.
 	QueueCap int
-	// DecisionLogCap bounds the in-memory decision log ring (default 65536).
-	// Older decisions are dropped from the log (never from the accounting).
+	// DecisionLogCap bounds each shard's decision ring and the merged one
+	// (default 65536). Older decisions are dropped from the log (never
+	// from the accounting).
 	DecisionLogCap int
-	// DataDir, when non-empty, makes the server durable: accepted jobs
-	// and scheduling rounds are written ahead to a segmented WAL under
-	// this directory, settled state is snapshotted periodically, and New
-	// recovers a prior process's state from the directory before serving
-	// (see durable.go). Empty keeps the server purely in-memory.
+	// DataDir, when non-empty, makes the service durable: shard i writes
+	// accepted jobs and scheduling rounds ahead to a segmented WAL under
+	// DataDir/shard-<i>, snapshots settled state periodically, and New
+	// recovers every shard's directory before serving (see durable.go).
+	// Empty keeps the service purely in-memory.
 	DataDir string
 	// SnapshotEvery is the snapshot cadence in scheduling rounds
 	// (default 256). Ignored without DataDir.
@@ -85,36 +118,35 @@ type Config struct {
 	// WAL's user-space buffer before a group commit when no round fires
 	// (default 100ms). Rounds always commit their batch on completion.
 	SyncInterval time.Duration
-	// WALSyncDelay is passed to the write-ahead log as its fsync latency
-	// hook (wal.Options.SyncDelay): the scenario harness injects slow-disk
-	// stalls through it. Nil — the default — is exactly free. Ignored
-	// without DataDir.
+	// WALSyncDelay is passed to every shard's write-ahead log as its fsync
+	// latency hook (wal.Options.SyncDelay): the scenario harness injects
+	// slow-disk stalls through it. Nil — the default — is exactly free.
 	WALSyncDelay func() time.Duration
+	// Supervisor enables the watchdog: a goroutine that detects dead shards
+	// (killed, crashed, or round-loop failures) and drives RestartShard
+	// with capped exponential backoff. Nil leaves dead shards down until
+	// RestartShard is called.
+	Supervisor *SupervisorConfig
 	// Record configures the metrics flight recorder (see RecordConfig):
 	// round-clock self-scrapes of /metrics into an in-process TSDB with
 	// windowed queries and burn-rate SLO alerts. Measurement only.
 	Record RecordConfig
-	// OnRound, when non-nil, is called with the completed-rounds count
-	// after each scheduling round, outside the server's lock — the hook
-	// the fleet uses to drive its own recorder on the shards' round
-	// clock. Must not block for long: it runs on the round loop's
-	// goroutine between rounds.
-	OnRound func(rounds uint64)
 }
 
 func (c Config) withDefaults() (Config, error) {
 	if c.Env == nil {
 		return c, errors.New("server: nil environment")
 	}
-	if len(c.Regions) > 0 {
-		view, err := c.Env.Partition(c.Regions...)
-		if err != nil {
-			return c, fmt.Errorf("server: %w", err)
-		}
-		c.Env = view
+	if c.Shards <= 0 {
+		c.Shards = 1
 	}
-	if c.Scheduler == nil {
+	switch {
+	case c.Scheduler != nil && c.NewScheduler != nil:
+		return c, errors.New("server: set Scheduler or NewScheduler, not both")
+	case c.Scheduler == nil && c.NewScheduler == nil:
 		return c, errors.New("server: nil scheduler")
+	case c.Scheduler != nil && c.Shards > 1:
+		return c, fmt.Errorf("server: %d shards need NewScheduler, one scheduler each", c.Shards)
 	}
 	if c.Round <= 0 {
 		c.Round = time.Minute
@@ -148,17 +180,17 @@ func secondsToDuration(s float64) time.Duration {
 }
 
 // Typed ingest rejections. Submit wraps each with the offending detail
-// (region name, job id, instant), so callers — the HTTP layer here and the
-// fleet gateway routing across shards — branch with errors.Is and map each
-// cause to a distinct HTTP status instead of matching message strings.
+// (region name, job id, instant), so callers branch with errors.Is and the
+// HTTP and stream layers map each cause to a distinct status instead of
+// matching message strings.
 var (
-	// ErrQueueFull is returned by Submit when the ingest queue is at
-	// QueueCap — the service's backpressure signal.
+	// ErrQueueFull is returned by Submit when the owning shard's ingest
+	// queue (or a dead shard's buffer) is at QueueCap — the service's
+	// backpressure signal.
 	ErrQueueFull = errors.New("server: ingest queue full")
 	// ErrStopped is returned by Submit after Stop.
 	ErrStopped = errors.New("server: stopped")
-	// ErrUnknownRegion rejects a home region this server does not serve —
-	// absent from the environment, or outside this shard's partition.
+	// ErrUnknownRegion rejects a home region the service does not serve.
 	ErrUnknownRegion = errors.New("server: unknown home region")
 	// ErrUnknownBenchmark rejects a benchmark with no workload profile.
 	ErrUnknownBenchmark = errors.New("server: unknown benchmark")
@@ -190,7 +222,7 @@ type JobSpec struct {
 	EstEnergyKWh   float64 `json:"est_energy_kwh,omitempty"`
 }
 
-// Decision is one placement, as exposed by the decision log.
+// Decision is one placement as a shard logs it.
 type Decision struct {
 	// Seq is the log sequence number (monotonic from 1).
 	Seq uint64 `json:"seq"`
@@ -211,13 +243,55 @@ type Decision struct {
 	DecidedWall time.Time `json:"decided_wall"`
 }
 
-// LogSeq returns Seq; fleet.Decision embeds Decision, so one NextCursor
-// serves a server's pages and the gateway's merged ones.
+// LogSeq returns Seq; MergedDecision embeds Decision, so one Ring type
+// holds a shard's log and the merged one.
 func (d Decision) LogSeq() uint64 { return d.Seq }
 
-// Status is a point-in-time service snapshot.
+// MergedDecision is one entry of the service's decision log: a shard's
+// decision re-stamped with the service-wide sequence number. Seq (in the
+// embedded Decision) carries the global stream position; ShardSeq keeps
+// the shard-local number the merge consumed.
+type MergedDecision struct {
+	Decision
+	Shard    int    `json:"shard"`
+	ShardSeq uint64 `json:"shard_seq"`
+}
+
+// ShardStatus is one shard's point-in-time snapshot.
+type ShardStatus struct {
+	Shard     int         `json:"shard"`
+	Regions   []region.ID `json:"regions"`
+	SimNow    time.Time   `json:"sim_now"`
+	Pending   int         `json:"pending"`
+	Future    int         `json:"future"`
+	QueueCap  int         `json:"queue_cap"`
+	Accepted  uint64      `json:"accepted"`
+	Rejected  uint64      `json:"rejected"`
+	Rounds    uint64      `json:"rounds"`
+	Decisions uint64      `json:"decisions"`
+	// LastSeq is the newest shard-local decision sequence number.
+	LastSeq     uint64 `json:"last_seq"`
+	Unscheduled int    `json:"unscheduled"`
+	// Free is the per-region free server count at SimNow.
+	Free map[region.ID]int `json:"free"`
+	// Obs digests the shard's latency histograms.
+	Obs *ObsSummary `json:"obs,omitempty"`
+	// Solver carries branch-and-bound instrumentation when the scheduler
+	// exposes it (the WaterWise controller does).
+	Solver *milp.Stats `json:"solver,omitempty"`
+	// WAL reports the durability layer — log size, fsync accounting, and
+	// what the last restart recovered — when DataDir is configured.
+	WAL *WALStatus `json:"wal,omitempty"`
+	// Err reports a scheduler failure that halted the round loop.
+	Err string `json:"err,omitempty"`
+}
+
+// Status is a point-in-time service snapshot: counters summed over the
+// shards, the union of their free servers, and every shard's own snapshot.
 type Status struct {
-	Scheduler string    `json:"scheduler"`
+	Shards    int    `json:"shards"`
+	Scheduler string `json:"scheduler"`
+	// SimNow is the furthest shard round clock.
 	SimNow    time.Time `json:"sim_now"`
 	Round     string    `json:"round"`
 	TimeScale float64   `json:"time_scale"`
@@ -228,764 +302,601 @@ type Status struct {
 	Rejected  uint64    `json:"rejected"`
 	Rounds    uint64    `json:"rounds"`
 	Decisions uint64    `json:"decisions"`
-	// LastSeq is the newest decision-log sequence number (the cursor a
-	// fresh poller should resume behind).
-	LastSeq     uint64 `json:"last_seq"`
-	Unscheduled int    `json:"unscheduled"`
-	// Free is the per-region free server count at SimNow.
-	Free map[region.ID]int `json:"free"`
-	// Obs digests the observability histograms — decision latency, round
-	// and solve time quantiles.
+	// Merged counts decisions emitted into the merged stream; it trails
+	// Decisions until the next merge pull catches up.
+	Merged uint64 `json:"merged"`
+	// LastSeq is the newest merged sequence number: the cursor a fresh
+	// poller resumes behind.
+	LastSeq uint64 `json:"last_seq"`
+	// Lost counts decisions evicted from a shard's ring before the merge
+	// read them (log gap — a sizing failure; see DESIGN.md).
+	Lost        uint64            `json:"lost"`
+	Unscheduled int               `json:"unscheduled"`
+	Free        map[region.ID]int `json:"free"`
+	// Obs digests the service's histograms — every shard's decision
+	// latency and round timings merged, plus the ingest handler's.
 	Obs *ObsSummary `json:"obs,omitempty"`
-	// Solver carries branch-and-bound instrumentation when the scheduler
-	// exposes it (the WaterWise controller does).
+	// Solver sums the shards' solver instrumentation.
 	Solver *milp.Stats `json:"solver,omitempty"`
-	// Feed reports the environment feed behind this server's decisions:
-	// which provider, how stale its readings are, and its fetch/cache
-	// accounting (trivially fresh for the deterministic providers).
+	// Feed reports the one environment feed every shard reads: which
+	// provider, how stale its readings are, and its fetch/cache accounting.
 	Feed *feed.Health `json:"feed,omitempty"`
-	// WAL reports the durability layer — log size, fsync accounting, and
-	// what the last restart recovered — when DataDir is configured.
+	// WAL sums the shards' durability blocks.
 	WAL *WALStatus `json:"wal,omitempty"`
-	// Err reports a scheduler failure that halted the round loop.
-	Err string `json:"err,omitempty"`
-}
-
-// solverStatser is implemented by schedulers that expose branch-and-bound
-// instrumentation (core.Scheduler).
-type solverStatser interface{ SolverStats() milp.Stats }
-
-// futureHeap orders not-yet-due jobs by (Submit, ID) — the same order the
-// offline replay ingests a sorted trace in.
-type futureHeap []*trace.Job
-
-func (h futureHeap) Len() int { return len(h) }
-func (h futureHeap) Less(i, j int) bool {
-	if h[i].Submit.Equal(h[j].Submit) {
-		return h[i].ID < h[j].ID
-	}
-	return h[i].Submit.Before(h[j].Submit)
-}
-func (h futureHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *futureHeap) Push(x interface{}) { *h = append(*h, x.(*trace.Job)) }
-func (h *futureHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
-}
-
-// liveJob is an accepted, undecided job's dedupe entry: its spec digest
-// and the wall instant Submit accepted it (zero for a recovered job),
-// which the decision-latency histogram reads.
-type liveJob struct {
-	digest   uint64
-	accepted time.Time
+	// Supervisor reports the watchdog's view of every shard. Nil when
+	// supervision is off.
+	Supervisor *SupervisorStatus `json:"supervisor,omitempty"`
+	// Err reports the first shard whose round loop failed.
+	Err         string        `json:"err,omitempty"`
+	ShardStatus []ShardStatus `json:"shard_status"`
 }
 
 // Server is the online scheduling service. Construct with New, attach the
-// HTTP API via Handler, start the round loop with Start, and stop with Stop.
+// HTTP API via Handler (and the stream protocol via ServeStream), start
+// the round loops with Start, and stop with Stop.
 type Server struct {
-	cfg Config
+	cfg   Config
+	parts [][]region.ID
+	owner map[region.ID]int
 
-	mu   sync.Mutex
-	cond *sync.Cond
-	sim  *cluster.Sim
-	// nextK is the index of the next scheduling round: round k fires at
-	// simulated time Env.Start + k*Round.
-	nextK int64
-	// simNow is the simulated time of the most recent round (Env.Start
-	// before any round has run).
-	simNow time.Time
-	// future holds accepted jobs whose Submit lies beyond simNow.
-	future futureHeap
-	// live tracks jobs accepted but not yet decided, keyed by id (duplicate
-	// rejection + idempotent retry); autoID assigns ids to spec-less
-	// submissions.
-	live   map[int]liveJob
-	autoID int
-	// decidedIdx remembers decided jobs' spec digests (bounded, FIFO via
-	// decidedFIFO) so a client retrying an already-placed submission gets
-	// its original id back instead of ErrDuplicateID.
-	decidedIdx  map[int]uint64
-	decidedFIFO []int
-
-	decisions Ring[Decision] // capacity DecisionLogCap
-	decSeq    uint64
-	roundDecs []Decision // the round in flight's decisions; reused
-
-	accepted, rejected, rounds, decided uint64
-	deduped                             uint64
-	unscheduled                         int
-	overheadSum                         time.Duration
-
-	// obs is the observability layer: always on, measurement only.
-	obs *serverObs
-
-	// Durability (nil/zero without Config.DataDir): the write-ahead log,
-	// the group-commit and snapshot cadence state, and what the restart
-	// path recovered.
-	wlog          *wal.Log
-	walDirty      bool
-	lastWalSync   time.Time
-	sinceSnap     int
-	recoveryDur   time.Duration
-	recoveredRecs uint64
-	recoveredSnap bool
-
-	// recorder is the metrics flight recorder (nil unless Record.Enable).
+	// ingest records POST /v1/jobs wall time; recorder is the flight
+	// recorder (nil unless Record.Enable). Both are immutable after New.
+	ingest   obs.Histogram
 	recorder *tsdb.Recorder
 
+	// mu guards routing: the shard slice (RestartShard swaps entries), the
+	// id counter, dead shards and the submissions buffered for them
+	// (bounded by QueueCap), and the supervisor's per-shard state. It is
+	// never held while a shard's lock is waited on by a round.
+	mu       sync.Mutex
+	shards   []*shard
+	autoID   int
 	started  bool
-	stopped  bool
-	stopCh   chan struct{}
-	loopDone chan struct{}
-	runErr   error
+	dead     []bool
+	buffered [][]JobSpec
+	sup      *supervisor
 
-	// wallStart anchors the paced clock: simulated time advances TimeScale
-	// seconds per wall second from Env.Start at wallStart.
-	wallStart time.Time
+	// mergeMu guards the k-way merge: the per-shard local-seq cursor,
+	// decisions fetched but not yet past the watermark, and the merged log.
+	mergeMu sync.Mutex
+	cursors []uint64
+	staged  [][]Decision
+	merged  Ring[MergedDecision]
+	seq     uint64
+	lost    uint64
 }
 
-// New validates cfg and returns a stopped service; call Start to begin
-// scheduling rounds.
+// partition assigns every region of env to a shard: pinned regions first,
+// the rest dealt to the emptiest shard in environment order.
+func partition(env *region.Environment, shards int, pin map[region.ID]int) ([][]region.ID, error) {
+	ids := env.IDs()
+	if shards > len(ids) {
+		return nil, fmt.Errorf("server: %d shards over %d regions leaves empty shards", shards, len(ids))
+	}
+	for id, s := range pin {
+		if env.Region(id) == nil {
+			return nil, fmt.Errorf("server: shard map names unknown region %q", id)
+		}
+		if s < 0 || s >= shards {
+			return nil, fmt.Errorf("server: shard map sends region %q to shard %d of %d", id, s, shards)
+		}
+	}
+	parts := make([][]region.ID, shards)
+	for _, id := range ids {
+		if s, ok := pin[id]; ok {
+			parts[s] = append(parts[s], id)
+		}
+	}
+	for _, id := range ids {
+		if _, ok := pin[id]; ok {
+			continue
+		}
+		best := 0
+		for s := 1; s < shards; s++ {
+			if len(parts[s]) < len(parts[best]) {
+				best = s
+			}
+		}
+		parts[best] = append(parts[best], id)
+	}
+	for s, p := range parts {
+		if len(p) == 0 {
+			return nil, fmt.Errorf("server: shard map leaves shard %d with no regions", s)
+		}
+	}
+	return parts, nil
+}
+
+// New validates cfg, partitions the environment, and builds — or, with
+// DataDir, recovers — every shard; call Start to begin scheduling rounds.
 func New(cfg Config) (*Server, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-	sim, err := cluster.NewSim(cluster.Config{
-		Env: cfg.Env, Net: cfg.Net, FP: cfg.FP,
-		Tick: cfg.Round, Tolerance: cfg.Tolerance,
-	}, cfg.Scheduler)
+	if cfg.DataDir != "" {
+		// One layout: shard i under DataDir/shard-<i>. A log at the top
+		// level is a single server's from before that rule; starting empty
+		// next to it would silently drop its history.
+		if top, _ := filepath.Glob(filepath.Join(cfg.DataDir, "*.wal")); len(top) > 0 {
+			return nil, fmt.Errorf("server: %s holds a write-ahead log at its top level, the old single-server layout; "+
+				"shard i keeps its log in %s: move the files into %s",
+				cfg.DataDir, filepath.Join(cfg.DataDir, "shard-<i>"), filepath.Join(cfg.DataDir, "shard-0"))
+		}
+	}
+	parts, err := partition(cfg.Env, cfg.Shards, cfg.ShardMap)
 	if err != nil {
 		return nil, err
 	}
 	s := &Server{
-		cfg:        cfg,
-		sim:        sim,
-		simNow:     cfg.Env.Start,
-		live:       make(map[int]liveJob),
-		decidedIdx: make(map[int]uint64),
-		decisions:  NewRing[Decision](cfg.DecisionLogCap),
-		obs:        newServerObs(),
-		stopCh:     make(chan struct{}),
-		loopDone:   make(chan struct{}),
+		cfg:      cfg,
+		parts:    parts,
+		owner:    make(map[region.ID]int, len(cfg.Env.Regions)),
+		shards:   make([]*shard, cfg.Shards),
+		dead:     make([]bool, cfg.Shards),
+		buffered: make([][]JobSpec, cfg.Shards),
+		cursors:  make([]uint64, cfg.Shards),
+		staged:   make([][]Decision, cfg.Shards),
+		merged:   NewRing[MergedDecision](cfg.DecisionLogCap),
 	}
-	s.cond = sync.NewCond(&s.mu)
-	if cfg.DataDir != "" {
-		if err := s.openDurable(); err != nil {
+	if cfg.Supervisor != nil {
+		s.sup = newSupervisor(*cfg.Supervisor, cfg.Shards)
+	}
+	for i, p := range parts {
+		for _, id := range p {
+			s.owner[id] = i
+		}
+		sh, err := s.buildShard(i)
+		if err != nil {
 			return nil, err
+		}
+		s.shards[i] = sh
+		// A recovered shard already owns ids up to its next auto id; the
+		// service-wide counter must never re-mint one of them. Its ring may
+		// have evicted decisions a previous process merged: the merge
+		// resumes behind the oldest one left, and the merged seq after them,
+		// rather than counting them lost.
+		s.autoID = max(s.autoID, sh.autoID)
+		if oldest := sh.decisions.Oldest(); oldest > 1 {
+			s.cursors[i] = oldest - 1
+			s.seq += oldest - 1
 		}
 	}
 	if cfg.Record.Enable {
-		if s.recorder, err = cfg.Record.NewRecorder(s.MetricsText); err != nil {
-			return nil, err
+		if s.recorder, err = tsdb.New(tsdb.Config{
+			Gather:            s.MetricsText,
+			MemoryBudgetBytes: cfg.Record.MemoryBudgetBytes,
+			MinInterval:       cfg.Record.MinInterval,
+			Sync:              cfg.Record.Sync,
+			Objectives:        cfg.Record.SLOs,
+			Logf:              cfg.Record.Logf,
+		}); err != nil {
+			return nil, fmt.Errorf("server: %w", err)
 		}
 	}
 	return s, nil
 }
 
-// simAt maps a wall instant to the paced simulated clock. Accelerated mode
-// has no wall mapping; it reports the round clock instead.
-func (s *Server) simAt(wall time.Time) time.Time {
-	if s.cfg.TimeScale == 0 || s.wallStart.IsZero() {
-		return s.simNow
+// buildShard constructs (or, with DataDir, recovers) shard i over its
+// partition. Called from New and, with mu held, from RestartShard.
+func (s *Server) buildShard(i int) (*shard, error) {
+	cfg := s.cfg
+	var err error
+	if cfg.NewScheduler != nil {
+		if cfg.Scheduler, err = cfg.NewScheduler(i, s.parts[i]); err != nil {
+			return nil, fmt.Errorf("server: building shard %d scheduler: %w", i, err)
+		}
+	} else if s.shards[i] != nil {
+		return nil, fmt.Errorf("server: restarting shard %d needs Config.NewScheduler", i)
 	}
-	return s.cfg.Env.Start.Add(time.Duration(float64(wall.Sub(s.wallStart)) * s.cfg.TimeScale))
+	if cfg.Env, err = cfg.Env.Partition(s.parts[i]...); err != nil {
+		return nil, fmt.Errorf("server: %w", err)
+	}
+	if cfg.DataDir != "" {
+		cfg.DataDir = filepath.Join(cfg.DataDir, fmt.Sprintf("shard-%d", i))
+	}
+	sh, err := newShard(i, cfg, s.observeRound)
+	if err != nil {
+		return nil, fmt.Errorf("server: building shard %d: %w", i, err)
+	}
+	return sh, nil
 }
 
-// Submit accepts one job into the ingest queue. The returned id is the
-// job's identity in the decision log. Rejections: ErrQueueFull
-// (backpressure), ErrStopped, duplicate ids, unknown benchmarks or regions,
-// and submit instants outside the environment horizon.
-//
-// Re-submits are idempotent: a client-assigned id whose spec digest
-// matches what this server already accepted (still queued or already
-// decided, up to dedupeCap history) is acknowledged again with the
-// original id and no new job — the safe-retry contract clients rely on
-// after a connection error or a shard restart. The same id with a
-// different spec stays ErrDuplicateID.
-func (s *Server) Submit(spec JobSpec) (int, error) {
-	job, err := s.buildJob(spec)
-	if err != nil {
-		return 0, err
+// observeRound is every shard's end-of-round hook. Each shard reports its
+// own completed-round count and the recorder keeps the maximum, so its
+// clock is the service's progress clock. Runs on the shard's round-loop
+// goroutine with the shard's lock released.
+func (s *Server) observeRound(rounds uint64) {
+	if s.recorder != nil {
+		s.recorder.Observe(rounds)
 	}
-	digest := specDigest(spec)
+}
+
+// Recorder exposes the flight recorder for queries; nil when recording is
+// disabled.
+func (s *Server) Recorder() *tsdb.Recorder { return s.recorder }
+
+// Partitions returns each shard's region partition (copies).
+func (s *Server) Partitions() [][]region.ID {
+	out := make([][]region.ID, len(s.parts))
+	for i, p := range s.parts {
+		out[i] = append([]region.ID(nil), p...)
+	}
+	return out
+}
+
+// shardList snapshots the shard slice so iterating methods tolerate a
+// concurrent RestartShard swapping an entry.
+func (s *Server) shardList() []*shard {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.stopped {
-		s.rejected++
-		return 0, ErrStopped
+	return append([]*shard(nil), s.shards...)
+}
+
+// eachShard runs fn on every shard concurrently — a shard mid-drain must
+// not delay the others — and waits for all of them.
+func (s *Server) eachShard(fn func(i int, sh *shard)) {
+	var wg sync.WaitGroup
+	for i, sh := range s.shardList() {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn(i, sh)
+		}()
 	}
-	if spec.ID != nil {
-		if g, dup := s.live[job.ID]; dup {
-			if g.digest == digest {
-				s.deduped++
-				return job.ID, nil
-			}
-			s.rejected++
-			return 0, fmt.Errorf("%w: %d", ErrDuplicateID, job.ID)
-		}
-		if g, done := s.decidedIdx[job.ID]; done && g == digest {
-			s.deduped++
-			return job.ID, nil
-		}
+	wg.Wait()
+}
+
+// Submit routes one job to the shard owning its home region. The returned
+// id is the job's identity in the decision log; ids are assigned
+// service-wide when the spec carries none, and client-assigned ids must be
+// unique per home shard (globally unique ids satisfy that trivially).
+// Rejections: ErrQueueFull (backpressure), ErrStopped, duplicate ids,
+// unknown benchmarks or regions, and submit instants outside the
+// environment horizon.
+//
+// Re-submits are idempotent: a client-assigned id whose spec matches what
+// the shard already accepted (queued or decided, up to dedupeCap history)
+// is acknowledged again with the original id and no new job — the
+// safe-retry contract clients rely on after a connection error or a
+// restart.
+//
+// A submission for a dead shard (see KillShard) is accepted and buffered —
+// bounded by QueueCap, overflow is ErrQueueFull — and re-routed when
+// RestartShard brings the shard back.
+func (s *Server) Submit(spec JobSpec) (int, error) {
+	i, ok := s.owner[spec.Home]
+	if !ok {
+		return 0, fmt.Errorf("%w: %q", ErrUnknownRegion, spec.Home)
 	}
-	if len(s.future)+s.sim.Pending() >= s.cfg.QueueCap {
-		s.rejected++
+	s.mu.Lock()
+	if spec.ID == nil {
+		id := s.autoID
+		spec.ID = &id
+	}
+	s.autoID = max(s.autoID, *spec.ID+1)
+	if s.dead[i] {
+		id, err := s.bufferLocked(i, spec)
+		s.mu.Unlock()
+		return id, err
+	}
+	sh := s.shards[i]
+	s.mu.Unlock()
+	id, err := sh.Submit(spec)
+	if errors.Is(err, ErrStopped) {
+		// The shard died between the route decision and the submit (or was
+		// crashed directly). Buffer if the service knows it is dead; a
+		// deliberately stopped shard keeps the error.
+		s.mu.Lock()
+		if s.dead[i] {
+			id, err = s.bufferLocked(i, spec)
+		}
+		s.mu.Unlock()
+	}
+	return id, err
+}
+
+// bufferLocked parks one spec for a dead shard. Called with mu held.
+func (s *Server) bufferLocked(i int, spec JobSpec) (int, error) {
+	if len(s.buffered[i]) >= s.cfg.QueueCap {
 		return 0, ErrQueueFull
 	}
-	if spec.ID == nil {
-		job.ID = s.autoID
-	}
-	if job.Submit.IsZero() {
-		job.Submit = s.simAt(time.Now())
-		if job.Submit.Before(s.cfg.Env.Start) {
-			job.Submit = s.cfg.Env.Start
-		}
-	}
-	if job.Submit.Before(s.cfg.Env.Start) || !job.Submit.Before(s.cfg.Env.End()) {
-		s.rejected++
-		return 0, fmt.Errorf("%w: %v not in [%v, %v)",
-			ErrOutsideHorizon, job.Submit, s.cfg.Env.Start, s.cfg.Env.End())
-	}
-	if s.wlog != nil {
-		// Write-ahead: the acceptance is logged before it is acknowledged,
-		// and group-committed by the next round or the SyncInterval.
-		if err := s.walAppendLocked(encodeJobRecord(job, digest)); err != nil {
-			s.rejected++
-			return 0, err
-		}
-		if time.Since(s.lastWalSync) >= s.cfg.SyncInterval {
-			if err := s.walSyncLocked(); err != nil {
-				s.rejected++
-				return 0, err
-			}
-		}
-	}
-	accepted := time.Now()
-	s.obs.jobs.Accepted(job.ID, accepted, job.Submit)
-	s.admitLocked(job, digest, accepted)
-	s.cond.Broadcast() // wake an idle accelerated loop
-	return job.ID, nil
+	s.buffered[i] = append(s.buffered[i], spec)
+	return *spec.ID, nil
 }
 
-// admitLocked commits an accepted job to shard state: the tail of Submit
-// (after validation and the write-ahead append) and all of replaying a
-// job record, which passes a zero stamp. Called with mu held.
-func (s *Server) admitLocked(job *trace.Job, digest uint64, accepted time.Time) {
-	if job.ID >= s.autoID {
-		s.autoID = job.ID + 1
+// KillShard crash-stops one shard the way a SIGKILL would: the round
+// loop halts and the shard's WAL drops its unsynced buffer, with no final
+// snapshot. The service marks the shard dead and buffers its submissions
+// until RestartShard. Idempotent.
+func (s *Server) KillShard(i int) error {
+	if i < 0 || i >= len(s.parts) {
+		return fmt.Errorf("server: no shard %d", i)
 	}
-	s.live[job.ID] = liveJob{digest: digest, accepted: accepted}
-	heap.Push(&s.future, job)
-	s.accepted++
-}
-
-// buildJob converts a spec into a trace job, defaulting estimates to the
-// benchmark profile and actuals to the estimates.
-func (s *Server) buildJob(spec JobSpec) (*trace.Job, error) {
-	prof, err := workload.Lookup(spec.Benchmark)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownBenchmark, spec.Benchmark)
-	}
-	if s.cfg.Env.Region(spec.Home) == nil {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownRegion, spec.Home)
-	}
-	estDur := secondsToDuration(spec.EstDurationSec)
-	if estDur <= 0 {
-		estDur = prof.MeanDuration
-	}
-	estEnergy := spec.EstEnergyKWh
-	if estEnergy <= 0 {
-		estEnergy = float64(prof.MeanEnergy())
-	}
-	dur := secondsToDuration(spec.DurationSec)
-	if dur <= 0 {
-		dur = estDur
-	}
-	energy := spec.EnergyKWh
-	if energy <= 0 {
-		energy = estEnergy
-	}
-	job := &trace.Job{
-		Benchmark: spec.Benchmark, Home: spec.Home,
-		Duration: dur, EstDuration: estDur,
-		Energy: units.KWh(energy), EstEnergy: units.KWh(estEnergy),
-	}
-	if !spec.Submit.IsZero() {
-		job.Submit = spec.Submit.UTC()
-	}
-	if spec.ID != nil {
-		job.ID = *spec.ID
-	}
-	return job, nil
-}
-
-// Start launches the round loop. Jobs may be submitted before Start —
-// replay clients queue the whole trace first so the accelerated clock
-// cannot outrun the feed.
-func (s *Server) Start() {
 	s.mu.Lock()
-	if s.started || s.stopped {
+	if s.dead[i] {
 		s.mu.Unlock()
-		return
+		return nil
 	}
-	s.started = true
-	// Seal the pre-Start backlog: replay clients queue the whole trace
-	// before starting the clock, and from here the accelerated loop may
-	// decide (and serve) any of it within the first SyncInterval.
-	_ = s.walSyncIfDirtyLocked()
+	s.dead[i] = true
+	sh := s.shards[i]
 	s.mu.Unlock()
-	go s.run()
+	sh.Crash()
+	return nil
 }
 
-// halt is the handshake Stop and Crash share: mark the server stopped,
-// wake the round loop, wait for it to exit. It reports whether this call
-// did the halting; a repeat only waits.
-func (s *Server) halt() bool {
-	s.mu.Lock()
-	first := !s.stopped
-	if first {
-		s.stopped = true
-		close(s.stopCh)
-		s.cond.Broadcast()
+// RestartShard rebuilds a killed shard from its data directory —
+// recovering the latest snapshot and replaying the log tail — flushes the
+// submissions buffered while it was down, and starts its round loop if the
+// service is started. The merge cursor is untouched: the recovered ring
+// carries the same shard-local sequence numbers, so the merged stream
+// continues without a gap or renumbering.
+func (s *Server) RestartShard(i int) error {
+	if i < 0 || i >= len(s.parts) {
+		return fmt.Errorf("server: no shard %d", i)
 	}
+	s.mu.Lock()
+	if !s.dead[i] {
+		s.mu.Unlock()
+		return fmt.Errorf("server: shard %d is not dead", i)
+	}
+	sh, err := s.buildShard(i)
+	if err != nil {
+		s.mu.Unlock()
+		return err
+	}
+	s.shards[i], s.dead[i] = sh, false
+	s.autoID = max(s.autoID, sh.autoID)
+	pend := s.buffered[i]
+	s.buffered[i] = nil
 	started := s.started
 	s.mu.Unlock()
-	if started {
-		<-s.loopDone
+	var firstErr error
+	for _, spec := range pend {
+		if _, err := sh.Submit(spec); err != nil && firstErr == nil {
+			firstErr = fmt.Errorf("server: re-routing buffered job to shard %d: %w", i, err)
+		}
 	}
-	return first
+	if started {
+		sh.Start()
+	}
+	return firstErr
 }
 
-// Stop halts the round loop, abandons still-queued jobs, and waits for the
-// loop to exit. Idempotent.
-func (s *Server) Stop() {
-	if !s.halt() {
-		return
-	}
+// Start launches every shard's round loop (and the supervisor, when
+// configured).
+func (s *Server) Start() {
 	s.mu.Lock()
-	// Everything still queued — pending rounds and not-yet-due arrivals —
-	// is abandoned into the result's Unscheduled list.
-	for len(s.future) > 0 {
-		j := heap.Pop(&s.future).(*trace.Job)
-		s.sim.Submit(j, s.simNow)
-	}
-	s.abandonLocked()
-	if s.wlog != nil {
-		// Seal the shutdown: a final snapshot makes the next start replay
-		// zero records (the clean-shutdown fast path). A crashed server
-		// never gets here — halt reports the repeat — so a crash is not
-		// retroactively tidied.
-		_ = s.snapshotLocked()
-		_ = s.wlog.Close()
-	}
+	s.started = true
 	s.mu.Unlock()
+	for _, sh := range s.shardList() {
+		sh.Start()
+	}
+	s.startSupervisor()
+}
+
+// Stop halts the supervisor first (so the shutdown is not mistaken for a
+// crash and "repaired"), then every shard concurrently — abandoning
+// still-queued jobs into Result().Unscheduled — then merges the final
+// decisions. Idempotent.
+func (s *Server) Stop() {
+	s.stopSupervisor()
+	s.eachShard(func(_ int, sh *shard) { sh.Stop() })
+	s.DecisionsPage(math.MaxUint64, 0)
 	if s.recorder != nil {
-		// The loop is down, so no more rounds arrive; Close drains the
-		// async scraper. The store stays queryable after Stop.
+		// Every round loop is down, so no more rounds arrive; Close drains
+		// the async scraper. The store stays queryable after Stop.
 		s.recorder.Close()
 	}
 }
 
-// abandonLocked abandons every pending job, releasing their ids and
-// updating the unscheduled counter. Called with mu held.
-func (s *Server) abandonLocked() {
-	for _, j := range s.sim.Abandon() {
-		delete(s.live, j.ID)
-		s.unscheduled++
-	}
+// Crash simulates a process kill for fault-injection tests: the
+// supervisor stops, every shard crash-stops as KillShard's does, and
+// nothing is sealed. Recovery is a New over the same DataDir.
+func (s *Server) Crash() {
+	s.stopSupervisor()
+	s.eachShard(func(_ int, sh *shard) { sh.Crash() })
 }
 
-// Drain blocks until the ingest queue and pending set are empty (the
-// accelerated replay's "trace fully scheduled" condition), the round loop
-// fails, or the context expires.
+// Drain blocks until every shard's queue and pending set are empty (the
+// accelerated replay's "trace fully scheduled" condition), a shard's round
+// loop fails, or the context expires, then merges the settled logs: with
+// every shard drained the merged stream is total.
 func (s *Server) Drain(ctx context.Context) error {
-	wake := context.AfterFunc(ctx, func() {
-		s.mu.Lock()
-		s.cond.Broadcast()
-		s.mu.Unlock()
-	})
-	defer wake()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for len(s.future)+s.sim.Pending() > 0 && !s.stopped && s.runErr == nil && ctx.Err() == nil {
-		s.cond.Wait()
-	}
-	if s.runErr != nil {
-		return s.runErr
-	}
-	if ctx.Err() == nil && !s.stopped && s.wlog != nil {
-		// The queue is drained — settled state, nothing in flight — so a
-		// snapshot here means a subsequent restart replays zero records.
-		_ = s.snapshotLocked()
-	}
-	return ctx.Err()
+	errs := make([]error, len(s.parts))
+	s.eachShard(func(i int, sh *shard) { errs[i] = sh.Drain(ctx) })
+	s.DecisionsPage(math.MaxUint64, 0)
+	return errors.Join(errs...)
 }
 
-// Result returns the accumulated accounting (the same cluster.Result the
-// offline replay produces). Call after Stop or Drain for a settled view.
+// Result merges every shard's accounting into one cluster.Result — the
+// same the offline replay produces, outcomes in job-id order. Call after
+// Stop or Drain for a settled view.
 func (s *Server) Result() *cluster.Result {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.sim.Result()
+	shards := s.shardList()
+	parts := make([]*cluster.Result, len(shards))
+	for i, sh := range shards {
+		parts[i] = sh.Result()
+	}
+	res, _ := cluster.MergeResults(parts...) // non-nil parts, one tolerance: cannot fail
+	return res
 }
 
-// Err reports a scheduler failure that halted the round loop, if any.
-func (s *Server) Err() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.runErr
-}
-
-// Stopped reports whether the server has halted — by Stop, by Crash, or
-// by a round-loop failure (see Err). The fleet supervisor's health probe:
-// a shard that reports stopped without its fleet having stopped it is
-// dead and a restart candidate.
-func (s *Server) Stopped() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stopped || s.runErr != nil
-}
-
-// SetQueueCap changes the ingest queue capacity at runtime — the
-// scenario harness's queue-squeeze fault. A lower cap takes effect on
-// the next Submit (already-queued jobs are never evicted); n <= 0 is
-// ignored. Decision-neutral: capacity only selects which submissions are
-// rejected, never how an accepted job is placed.
+// SetQueueCap changes every shard's ingest queue capacity at runtime — the
+// scenario harness's queue-squeeze fault. A lower cap takes effect on the
+// next Submit (already-queued jobs are never evicted); n <= 0 is ignored.
+// Decision-neutral: capacity only selects which submissions are rejected,
+// never how an accepted job is placed.
 func (s *Server) SetQueueCap(n int) {
 	if n <= 0 {
 		return
 	}
 	s.mu.Lock()
-	s.cfg.QueueCap = n
+	s.cfg.QueueCap = n // restarted shards and the dead-shard buffers follow
 	s.mu.Unlock()
+	for _, sh := range s.shardList() {
+		sh.setQueueCap(n)
+	}
 }
 
-// QueueCap reports the current ingest queue capacity.
-func (s *Server) QueueCap() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cfg.QueueCap
+// mergeLocked advances the k-way merge: pull new decisions from every
+// shard, then emit into the merged ring — in (round, shard, shard-seq)
+// order — every staged decision whose round is final service-wide. A round
+// is final once each shard's frontier has passed it; a drained shard's
+// frontier counts as infinite (it cannot decide anything at a round it
+// has already slept through unless new work arrives, in which case those
+// decisions join the stream late but the global seq stays dense). Returns
+// the merged log's cursor: its Frontier is the watermark, zero when every
+// shard is idle. Called with mergeMu held; takes each shard's lock via
+// DecisionsPage.
+func (s *Server) mergeLocked() Cursor {
+	var watermark time.Time
+	bounded := false
+	for i, sh := range s.shardList() {
+		page, cur := sh.DecisionsPage(s.cursors[i], 0)
+		if len(page) > 0 {
+			if first := page[0].Seq; first > s.cursors[i]+1 {
+				// The shard ring evicted decisions before we read them:
+				// count the gap instead of silently renumbering over it.
+				s.lost += first - s.cursors[i] - 1
+			}
+			s.cursors[i] = page[len(page)-1].Seq
+			s.staged[i] = append(s.staged[i], page...)
+		}
+		if !cur.Idle && (!bounded || cur.Frontier.Before(watermark)) {
+			watermark, bounded = cur.Frontier, true
+		}
+	}
+	for {
+		best := -1
+		for i := range s.staged {
+			if len(s.staged[i]) == 0 {
+				continue
+			}
+			h := &s.staged[i][0]
+			if bounded && h.Round.After(watermark) {
+				continue
+			}
+			if best == -1 || h.Round.Before(s.staged[best][0].Round) {
+				best = i
+			}
+		}
+		if best == -1 {
+			break
+		}
+		d := s.staged[best][0]
+		s.staged[best] = s.staged[best][1:]
+		if len(s.staged[best]) == 0 {
+			s.staged[best] = nil // release the drained backing array
+		}
+		s.seq++
+		md := MergedDecision{Decision: d, Shard: best, ShardSeq: d.Seq}
+		md.Decision.Seq = s.seq
+		s.merged.Append(md)
+	}
+	return Cursor{Seq: s.seq, Oldest: s.merged.Oldest(), Frontier: watermark, Idle: !bounded}
 }
 
-// Cursor is an atomic snapshot of the decision log's progress, taken
-// together with a Decisions page so a merging consumer — the fleet
-// gateway interleaving several shards' logs — can reason about what it
-// has and has not seen.
-type Cursor struct {
-	// Seq is the latest sequence number assigned (0 before any decision).
-	Seq uint64 `json:"seq"`
-	// Oldest is the sequence number of the oldest entry still in the ring
-	// (0 while the log is empty). A reader whose cursor has fallen below
-	// Oldest-1 has lost decisions to ring eviction.
-	Oldest uint64 `json:"oldest"`
-	// Frontier is the round clock: every decision of rounds at or before
-	// Frontier is already in the log, and later reads only ever append
-	// decisions of strictly later rounds. Before the server's first round
-	// it lies strictly before every possible decision round.
-	Frontier time.Time `json:"frontier"`
-	// Idle reports a fully drained server: nothing queued, nothing
-	// pending, so no decision exists beyond Seq until new work arrives.
-	Idle bool `json:"idle"`
+// DecisionsPage returns up to limit merged decisions with Seq > since,
+// oldest first (limit <= 0 means all), and the merged log's cursor, pulling
+// any newly final shard decisions into the stream first. The merged log is
+// a bounded ring like each shard's own: decisions older than the last
+// DecisionLogCap may be gone.
+//
+// The merge of one shard's log is that log, in its own order and with its
+// own seqs: a one-shard service pages the shard's ring directly rather
+// than hold every decision twice.
+func (s *Server) DecisionsPage(since uint64, limit int) ([]MergedDecision, Cursor) {
+	s.mergeMu.Lock()
+	defer s.mergeMu.Unlock()
+	if len(s.parts) == 1 {
+		page, cur := s.shardList()[0].DecisionsPage(since, limit)
+		out := make([]MergedDecision, len(page))
+		for i := range page {
+			out[i] = MergedDecision{Decision: page[i], ShardSeq: page[i].Seq}
+		}
+		return out, cur
+	}
+	cur := s.mergeLocked()
+	return s.merged.Page(since, limit), cur
 }
 
-// Decisions returns up to limit logged decisions with Seq > since, oldest
-// first (limit <= 0 means all). The log is a bounded ring: decisions older
-// than the last DecisionLogCap may be gone.
-func (s *Server) Decisions(since uint64, limit int) []Decision {
+// Decisions is DecisionsPage without the cursor.
+func (s *Server) Decisions(since uint64, limit int) []MergedDecision {
 	ds, _ := s.DecisionsPage(since, limit)
 	return ds
 }
 
-// DecisionsPage is Decisions plus the log cursor, snapshotted atomically —
-// the export the fleet's k-way merge is built on.
-func (s *Server) DecisionsPage(since uint64, limit int) ([]Decision, Cursor) {
+// ShardStatus returns shard i's own snapshot: one entry of
+// Status.ShardStatus without the merge and the sums, for pollers that
+// only follow the shards' round clocks.
+func (s *Server) ShardStatus(i int) ShardStatus {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	// Group commit on read: every decision this call returns is on disk
-	// before it leaves the process, so a served decision can never be
-	// lost to a crash — the invariant the restart equivalence rests on.
-	_ = s.walSyncIfDirtyLocked()
-	cur := Cursor{
-		Seq:      s.decSeq,
-		Oldest:   s.decisions.Oldest(),
-		Frontier: s.simNow,
-		Idle:     len(s.future) == 0 && s.sim.Pending() == 0,
-	}
-	if s.nextK == 0 {
-		// No round has run yet, so round 0 — whose time IS simNow — may
-		// still produce decisions: the frontier lies strictly before it.
-		// (After any round, nextK > 0 and every future decision's Round
-		// exceeds simNow, so the plain round clock is the frontier.)
-		cur.Frontier = s.simNow.Add(-time.Nanosecond)
-	}
-	return s.decisions.Page(since, limit), cur
+	sh := s.shards[i]
+	s.mu.Unlock()
+	return sh.Status()
 }
-
-// Regions returns the region IDs this server schedules over — the full
-// environment's, or the Config.Regions partition when sharded.
-func (s *Server) Regions() []region.ID { return s.cfg.Env.IDs() }
 
 // Status returns a point-in-time service snapshot.
 func (s *Server) Status() Status {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	st := Status{
-		Scheduler: s.cfg.Scheduler.Name(),
-		SimNow:    s.simNow,
+		Shards:    len(s.parts),
 		Round:     s.cfg.Round.String(),
 		TimeScale: s.cfg.TimeScale,
-		Pending:   s.sim.Pending(),
-		Future:    len(s.future),
-		QueueCap:  s.cfg.QueueCap,
-		Accepted:  s.accepted,
-		Rejected:  s.rejected,
-		Rounds:    s.rounds,
-		Decisions: s.decided,
-		LastSeq:   s.decSeq,
-		Free:      s.sim.Free(s.simNow),
+		Free:      make(map[region.ID]int),
 	}
-	st.Unscheduled = s.unscheduled
-	st.Obs = s.ObsSnapshots().Summary(s.JobSampleEvery())
-	if ss, ok := s.cfg.Scheduler.(solverStatser); ok {
-		stats := ss.SolverStats()
-		st.Solver = &stats
+	// Merge before reading the shard counters: a decision logged between
+	// the two reads then shows up in Decisions but not yet in Merged,
+	// keeping the documented Merged <= Decisions invariant (monitors
+	// compute the backlog as their difference).
+	_, cur := s.DecisionsPage(math.MaxUint64, 1)
+	st.Merged, st.LastSeq = cur.Seq, cur.Seq
+	s.mergeMu.Lock()
+	st.Lost = s.lost
+	s.mergeMu.Unlock()
+	s.mu.Lock()
+	shards := append([]*shard(nil), s.shards...)
+	st.Supervisor = s.supervisorStatusLocked()
+	s.mu.Unlock()
+	st.Scheduler = shards[0].cfg.Scheduler.Name()
+	st.ShardStatus = make([]ShardStatus, len(shards))
+	for i, sh := range shards {
+		ss := sh.Status()
+		st.ShardStatus[i] = ss
+		if ss.SimNow.After(st.SimNow) {
+			st.SimNow = ss.SimNow
+		}
+		st.Pending += ss.Pending
+		st.Future += ss.Future
+		st.QueueCap += ss.QueueCap
+		st.Accepted += ss.Accepted
+		st.Rejected += ss.Rejected
+		st.Rounds += ss.Rounds
+		st.Decisions += ss.Decisions
+		st.Unscheduled += ss.Unscheduled
+		for id, n := range ss.Free {
+			st.Free[id] = n
+		}
+		if ss.Solver != nil {
+			if st.Solver == nil {
+				st.Solver = &milp.Stats{}
+			}
+			st.Solver.Add(*ss.Solver)
+		}
+		if ss.WAL != nil {
+			if st.WAL == nil {
+				st.WAL = &WALStatus{}
+			}
+			st.WAL.add(ss.WAL)
+		}
+		if st.Err == "" {
+			st.Err = ss.Err
+		}
 	}
+	st.Obs = s.ObsSnapshots().summary(shards[0].obs.jobs.SampleEvery())
 	if prov := s.cfg.Env.Provider(); prov != nil {
 		h := feed.HealthOf(prov)
 		st.Feed = &h
 	}
-	st.WAL = s.walStatusLocked()
-	if s.runErr != nil {
-		st.Err = s.runErr.Error()
-	}
 	return st
-}
-
-// run is the round loop. Accelerated mode steps rounds back to back,
-// fast-forwarding over idle gaps and parking on the condition variable when
-// the queue is empty; paced mode fires rounds on a wall timer.
-func (s *Server) run() {
-	defer close(s.loopDone)
-	if s.cfg.TimeScale == 0 {
-		s.runAccelerated()
-		return
-	}
-	s.runPaced()
-}
-
-func (s *Server) runAccelerated() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		if s.stopped || s.runErr != nil {
-			return
-		}
-		k, ok := s.nextRoundLocked()
-		if !ok {
-			s.cond.Wait()
-			continue
-		}
-		s.nextK = k
-		s.roundLocked()
-		rounds := s.rounds
-		// Yield the lock between rounds: a long drain must not starve the
-		// HTTP endpoints (Submit/Status/Decisions) for its whole duration.
-		// Go's mutex hands off to waiters that have queued >1ms, so this
-		// bounds their latency to about one round. The round hooks run in
-		// this gap — their gather path re-enters Status, which needs mu.
-		s.mu.Unlock()
-		s.notifyRound(rounds)
-		s.mu.Lock()
-	}
-}
-
-func (s *Server) runPaced() {
-	s.mu.Lock()
-	// Anchor the paced clock so simulated time continues from the
-	// (possibly recovered) round clock rather than resetting to
-	// Env.Start: the wall instant that maps to simNow is "now".
-	s.wallStart = time.Now().Add(-time.Duration(float64(s.simNow.Sub(s.cfg.Env.Start)) / s.cfg.TimeScale))
-	wallRound := time.Duration(float64(s.cfg.Round) / s.cfg.TimeScale)
-	if wallRound < time.Millisecond {
-		// An extreme TimeScale would truncate the tick to zero (which
-		// panics time.NewTicker); at sub-millisecond pacing the accelerated
-		// mode is the right tool anyway.
-		wallRound = time.Millisecond
-	}
-	s.mu.Unlock()
-	tick := time.NewTicker(wallRound)
-	defer tick.Stop()
-	for {
-		select {
-		case <-s.stopCh:
-			return
-		case <-tick.C:
-		}
-		s.mu.Lock()
-		if s.stopped || s.runErr != nil {
-			s.mu.Unlock()
-			return
-		}
-		// Derive the round index from the wall clock rather than counting
-		// ticks: a slow round (or GC stall) drops ticker ticks, and a
-		// tick-counted clock would lag the wall-anchored simAt stamping of
-		// live submissions forever. Missed rounds coalesce into the next.
-		k := int64(float64(time.Since(s.wallStart)) * s.cfg.TimeScale / float64(s.cfg.Round))
-		if k > s.nextK {
-			s.nextK = k
-		}
-		s.roundLocked()
-		rounds := s.rounds
-		s.mu.Unlock()
-		s.notifyRound(rounds)
-	}
-}
-
-// nextRoundLocked picks the next round index to run in accelerated mode:
-// the very next round while jobs are pending (deferred jobs are re-offered
-// every round, as offline), otherwise the round aligned at or after the
-// earliest queued arrival. No work → no round.
-func (s *Server) nextRoundLocked() (int64, bool) {
-	if s.sim.Pending() > 0 {
-		return s.nextK, true
-	}
-	if len(s.future) > 0 {
-		due := s.future[0].Submit.Sub(s.cfg.Env.Start)
-		k := int64((due + s.cfg.Round - 1) / s.cfg.Round)
-		if k < s.nextK {
-			k = s.nextK
-		}
-		return k, true
-	}
-	return 0, false
-}
-
-// roundLocked is the live driver of a round: it runs round nextK through
-// ingestDueLocked and stepLocked and adds what only a live round does —
-// the round trace, the empty-round skip, horizon abandonment, the WAL
-// round record, and waking waiters. Called with mu held.
-func (s *Server) roundLocked() {
-	k := s.nextK
-	// The round trace is measurement only: it reads clocks and counters
-	// but feeds nothing back into scheduling.
-	rt := obs.RoundTrace{Index: k, Wall: time.Now()}
-	now := s.ingestDueLocked(k, rt.Wall)
-	rt.Sim = now
-	rt.Stages[obs.StageIngest] = time.Since(rt.Wall)
-	defer s.cond.Broadcast()
-	if !now.Before(s.cfg.Env.End()) {
-		// The service clock ran off the environment horizon (possible only
-		// with jobs that could never be placed: every accepted submission
-		// lies inside the horizon). Abandon them rather than spin rounds
-		// against an environment with no snapshots — the serving analogue
-		// of the offline replay's drain cutoff.
-		s.abandonLocked()
-		return
-	}
-	if s.sim.Pending() == 0 {
-		return
-	}
-	rt.Batch = s.sim.Pending()
-	wall, solve, err := s.stepLocked(k, nil)
-	if err != nil {
-		s.runErr = err
-		return
-	}
-	rt.Stages[obs.StageSolve] = solve
-	rt.Stages[obs.StagePublish] = time.Since(wall)
-	rt.Decided = len(s.roundDecs)
-	if s.wlog != nil {
-		// Group-commit the round (decisions included even when the batch
-		// was fully deferred: a zero-decision stepped round still must
-		// replay, since it advanced the scheduler's history learner. The
-		// deferral counters it bumped are snapshot-format bookkeeping
-		// only; Eq. 14's urgency reads FirstSeen).
-		s.walRoundLocked(k, &rt)
-	}
-	rt.Total = time.Since(rt.Wall)
-	ob := s.obs
-	if ss, ok := s.cfg.Scheduler.(solverStatser); ok {
-		// Per-round solver deltas: the cumulative stats minus the
-		// previous round's, so a slow round shows its own node count.
-		stats := ss.SolverStats()
-		rt.Nodes = stats.Nodes - ob.lastSolver.Nodes
-		rt.SimplexIters = stats.SimplexIters - ob.lastSolver.SimplexIters
-		rt.WarmStarts = stats.WarmStarts - ob.lastSolver.WarmStarts
-		rt.ColdStarts = stats.ColdStarts - ob.lastSolver.ColdStarts
-		ob.lastSolver = stats
-	}
-	ob.recordRound(rt)
-}
-
-// ingestDueLocked is the first half of a round, live or replayed: move
-// the round clock to round k and hand the simulator every arrival due by
-// then. Returns the round's instant; wall stamps sampled job traces.
-func (s *Server) ingestDueLocked(k int64, wall time.Time) time.Time {
-	now := s.cfg.Env.Start.Add(time.Duration(k) * s.cfg.Round)
-	s.nextK, s.simNow = k+1, now
-	for len(s.future) > 0 && !s.future[0].Submit.After(now) {
-		job := heap.Pop(&s.future).(*trace.Job)
-		s.sim.Submit(job, now)
-		s.obs.jobs.Batched(job.ID, k, now, wall)
-	}
-	return now
-}
-
-// stepLocked is the second half of a round and the only place the server
-// steps its simulator: schedule the pending set at the round clock, then
-// publish each outcome as the next decision (seq, dedupe index, ring,
-// s.roundDecs). Live rounds pass a nil logged; replay passes the round
-// record's decisions, which the step must re-derive exactly (the log is
-// determinism's checksum) and which are published in place of their
-// twins, so DecidedWall survives a restart. Returns the commit instant
-// and the solve time. Called with mu held.
-func (s *Server) stepLocked(k int64, logged []Decision) (wall time.Time, solve time.Duration, err error) {
-	now := s.simNow
-	t0 := time.Now()
-	outcomes, err := s.sim.Step(now)
-	wall = time.Now()
-	solve = wall.Sub(t0)
-	s.overheadSum += solve
-	s.rounds++
-	s.roundDecs = s.roundDecs[:0]
-	if err != nil {
-		return wall, solve, err
-	}
-	if logged != nil && len(outcomes) != len(logged) {
-		return wall, solve, fmt.Errorf("%w: re-derived %d decisions, log has %d", ErrReplayDiverged, len(outcomes), len(logged))
-	}
-	for i := range outcomes {
-		o := &outcomes[i]
-		s.decSeq++
-		s.decided++
-		d := Decision{
-			Seq: s.decSeq, JobID: o.Job.ID, Region: o.Region,
-			Round: now, Start: o.Start, Finish: o.Finish,
-			CarbonG:     float64(o.Compute.Carbon() + o.Comm.Carbon()),
-			WaterL:      float64(o.Compute.Water() + o.Comm.Water()),
-			DecidedWall: wall,
-		}
-		if logged != nil {
-			ld := logged[i]
-			if ld.Seq != d.Seq || ld.JobID != d.JobID || ld.Region != d.Region ||
-				!ld.Start.Equal(d.Start) || !ld.Finish.Equal(d.Finish) {
-				return wall, solve, fmt.Errorf("%w: decision %d: re-derived job %d -> %s [%v, %v] seq %d, log says %+v",
-					ErrReplayDiverged, i, d.JobID, d.Region, d.Start, d.Finish, d.Seq, ld)
-			}
-			d = ld
-		}
-		accepted := s.recordDecidedLocked(d.JobID)
-		s.decisions.Append(d)
-		s.roundDecs = append(s.roundDecs, d)
-		if !accepted.IsZero() {
-			s.obs.decision.Record(wall.Sub(accepted).Seconds())
-		}
-		s.obs.jobs.Decided(d.JobID, k, wall, string(d.Region), d.Start, d.Finish)
-	}
-	return wall, solve, nil
 }

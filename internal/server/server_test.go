@@ -41,6 +41,17 @@ func newScheduler(t testing.TB, reprice bool) *core.Scheduler {
 	return ww
 }
 
+// testShard builds a one-shard service over cfg and returns its shard:
+// the engine the WAL and cursor tests drive directly.
+func testShard(tb testing.TB, cfg Config) *shard {
+	tb.Helper()
+	srv, err := New(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return srv.shards[0]
+}
+
 // genTrace produces a millisecond-quantized trace (as the CSV wire format
 // carries) so JSON float-seconds round exactly.
 func genTrace(t testing.TB, env *region.Environment, jobsPerDay float64, hours int) []*trace.Job {
@@ -179,6 +190,51 @@ func TestAcceleratedReplayMatchesOfflineRun(t *testing.T) {
 	}
 }
 
+// TestOneShardResultKeepsDecisionOrder: a one-shard Result is the merge of
+// one part, and that merge reorders nothing — outcomes and rounds come out
+// in cluster.Run's order, element for element, which is what
+// durable-replay's in-order digest against cluster.Run relies on.
+func TestOneShardResultKeepsDecisionOrder(t *testing.T) {
+	env := testEnv(t)
+	jobs := genTrace(t, env, 2000, 12)
+	want, err := cluster.Run(cluster.Config{Env: testEnv(t), Tolerance: 0.5, Tick: time.Minute}, newScheduler(t, false), jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(Config{Env: env, Scheduler: newScheduler(t, false), Tolerance: 0.5, Round: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Stop()
+	for _, j := range jobs {
+		if _, err := srv.Submit(specFor(j)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv.Start()
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	if err := srv.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	got := srv.Result()
+	if len(got.Outcomes) != len(want.Outcomes) || len(got.Ticks) != len(want.Ticks) {
+		t.Fatalf("service %d outcomes over %d rounds, offline %d over %d",
+			len(got.Outcomes), len(got.Ticks), len(want.Outcomes), len(want.Ticks))
+	}
+	for i, w := range want.Outcomes {
+		if g := got.Outcomes[i]; g.Job.ID != w.Job.ID || g.Region != w.Region || !g.Start.Equal(w.Start) ||
+			g.Compute != w.Compute || g.Comm != w.Comm || g.Violated != w.Violated {
+			t.Fatalf("outcome %d: service job %d -> %s, offline job %d -> %s", i, g.Job.ID, g.Region, w.Job.ID, w.Region)
+		}
+	}
+	for i, w := range want.Ticks {
+		if g := got.Ticks[i]; !g.At.Equal(w.At) || g.Batch != w.Batch || g.Decided != w.Decided {
+			t.Fatalf("round %d: service %+v, offline %+v", i, g, w)
+		}
+	}
+}
+
 // TestReplayWithRepriceWarmStart replays the same trace with the cross-round
 // warm start enabled and asserts the service still drains every job while
 // serving most rounds from a revived basis (correctness of the repriced
@@ -298,23 +354,27 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
-// TestRegionPartitionShard covers the shard form of the server: with
-// Config.Regions set, it schedules only over the partition and rejects
-// submissions homed outside it with ErrUnknownRegion.
+// TestRegionPartitionShard covers a shard over a partition: it schedules
+// only over its regions and rejects submissions homed outside them with
+// ErrUnknownRegion.
 func TestRegionPartitionShard(t *testing.T) {
 	env := testEnv(t)
 	srv, err := New(Config{
-		Env: env, Regions: []region.ID{region.Zurich, region.Milan},
-		Scheduler: newScheduler(t, false), Tolerance: 0.5, Round: time.Minute,
+		Env:          env,
+		NewScheduler: func(int, []region.ID) (cluster.Scheduler, error) { return newScheduler(t, false), nil },
+		Shards:       2, ShardMap: map[region.ID]int{region.Zurich: 0, region.Milan: 0, region.Madrid: 1, region.Oregon: 1, region.Mumbai: 1},
+		Tolerance: 0.5, Round: time.Minute,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Stop()
-	if got := srv.Regions(); len(got) != 2 || got[0] != region.Zurich || got[1] != region.Milan {
+	sh := srv.shards[0]
+	if got := sh.Status().Regions; len(got) != 2 || got[0] != region.Zurich || got[1] != region.Milan {
 		t.Fatalf("shard regions = %v", got)
 	}
-	if _, err := srv.Submit(JobSpec{Benchmark: "canneal", Home: region.Mumbai, Submit: testStart}); !errors.Is(err, ErrUnknownRegion) {
+	id := 1
+	if _, err := sh.Submit(JobSpec{ID: &id, Benchmark: "canneal", Home: region.Mumbai, Submit: testStart}); !errors.Is(err, ErrUnknownRegion) {
 		t.Errorf("out-of-partition home: got %v, want ErrUnknownRegion", err)
 	}
 	if _, err := srv.Submit(JobSpec{Benchmark: "canneal", Home: region.Milan, Submit: testStart}); err != nil {
@@ -331,18 +391,14 @@ func TestRegionPartitionShard(t *testing.T) {
 			t.Fatalf("shard placed a job in %s, outside its partition", d.Region)
 		}
 	}
-	st := srv.Status()
-	if len(st.Free) != 2 {
+	if st := sh.Status(); len(st.Free) != 2 {
 		t.Fatalf("shard status reports %d regions free, want 2", len(st.Free))
-	}
-	if _, err := New(Config{Env: env, Regions: []region.ID{"atlantis"}, Scheduler: newScheduler(t, false)}); err == nil {
-		t.Error("unknown partition region accepted")
 	}
 }
 
-// TestDecisionsPageCursor pins the cursor export the fleet merge builds
-// on: Seq/Oldest track the ring, Frontier the round clock, Idle the
-// drained state.
+// TestDecisionsPageCursor pins the cursor a shard exports to the merge:
+// Seq/Oldest track the ring, Frontier the round clock, Idle the drained
+// state.
 func TestDecisionsPageCursor(t *testing.T) {
 	env := testEnv(t)
 	srv, err := New(Config{
@@ -353,7 +409,8 @@ func TestDecisionsPageCursor(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Stop()
-	if _, cur := srv.DecisionsPage(0, 0); cur.Seq != 0 || cur.Oldest != 0 || !cur.Idle {
+	sh := srv.shards[0]
+	if _, cur := sh.DecisionsPage(0, 0); cur.Seq != 0 || cur.Oldest != 0 || !cur.Idle {
 		t.Fatalf("empty-server cursor %+v", cur)
 	}
 	for i := 0; i < 6; i++ {
@@ -362,7 +419,7 @@ func TestDecisionsPageCursor(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, cur := srv.DecisionsPage(0, 0); cur.Idle || !cur.Frontier.Before(testStart) {
+	if _, cur := sh.DecisionsPage(0, 0); cur.Idle || !cur.Frontier.Before(testStart) {
 		// Round 0 has not run, so its decisions (Round == Env.Start) are
 		// not final yet: the frontier must lie strictly before them, or a
 		// fleet merge emits another shard's round-0 decisions too early.
@@ -374,7 +431,7 @@ func TestDecisionsPageCursor(t *testing.T) {
 	if err := srv.Drain(ctx); err != nil {
 		t.Fatal(err)
 	}
-	ds, cur := srv.DecisionsPage(0, 0)
+	ds, cur := sh.DecisionsPage(0, 0)
 	if cur.Seq != 6 || !cur.Idle {
 		t.Fatalf("drained cursor %+v", cur)
 	}
@@ -389,7 +446,7 @@ func TestDecisionsPageCursor(t *testing.T) {
 	if cur.Frontier.Before(ds[len(ds)-1].Round) {
 		t.Fatalf("frontier %v behind last logged round %v", cur.Frontier, ds[len(ds)-1].Round)
 	}
-	if st := srv.Status(); st.LastSeq != 6 {
+	if st := sh.Status(); st.LastSeq != 6 {
 		t.Fatalf("status last_seq %d, want 6", st.LastSeq)
 	}
 }
@@ -473,11 +530,11 @@ func TestDecisionsPagingAndStatusAndMetrics(t *testing.T) {
 	_, _ = raw.ReadFrom(resp.Body)
 	resp.Body.Close()
 	for _, key := range []string{
-		"waterwise_jobs_accepted_total 10",
-		"waterwise_decisions_total 10",
+		"waterwise_jobs_accepted_total{shard=\"0\"} 10",
+		"waterwise_decisions_total{shard=\"0\"} 10",
 		"waterwise_rounds_total",
 		"waterwise_solver_simplex_iters_total",
-		"waterwise_region_free_servers{region=\"oregon\"}",
+		"waterwise_region_free_servers{region=\"oregon\",shard=\"0\"}",
 		"# TYPE waterwise_feed_staleness_seconds gauge",
 		"waterwise_feed_staleness_seconds{provider=\"synthetic\"} 0",
 		"# TYPE waterwise_feed_fetch_errors_total counter",

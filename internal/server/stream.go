@@ -13,21 +13,6 @@ import (
 	"waterwise/internal/wire"
 )
 
-// StreamBackend is the surface a streaming session needs from its
-// ingest target. Both *Server and *fleet.Fleet implement it, so one
-// StreamListener serves either a single server or a sharded gateway.
-type StreamBackend interface {
-	// Submit ingests one job with POST /v1/jobs semantics: same typed
-	// errors, same dedupe index, same queue backpressure.
-	Submit(spec JobSpec) (int, error)
-	// StreamDecisions appends up to limit decisions with Seq > since
-	// into dst, oldest first, and returns the extended slice.
-	StreamDecisions(since uint64, limit int, dst []wire.Decision) []wire.Decision
-	// StreamInfo reports the decision log bounds (newest and oldest
-	// retained seq) and the served regions, for the Welcome frame.
-	StreamInfo() (last, oldest uint64, regions []region.ID)
-}
-
 // StreamOptions tunes a StreamListener. The zero value uses defaults.
 type StreamOptions struct {
 	// PushInterval is the idle poll cadence of the decision pusher
@@ -46,14 +31,14 @@ const (
 )
 
 // StreamListener accepts persistent binary-protocol connections
-// (internal/wire) alongside the HTTP mux and serves them against a
-// StreamBackend: batched submits in, batched decision pushes out, with
+// (internal/wire) alongside the HTTP mux and serves them against a Server:
+// batched submits in, batched pushes of the merged decision log out, with
 // a cursor-resume handshake. Close shuts it down and waits for every
 // connection goroutine to exit.
 type StreamListener struct {
-	backend StreamBackend
-	opts    StreamOptions
-	ln      net.Listener
+	srv  *Server
+	opts StreamOptions
+	ln   net.Listener
 
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{}
@@ -61,38 +46,26 @@ type StreamListener struct {
 	wg     sync.WaitGroup
 }
 
-// NewStreamListener starts serving the wire protocol on ln against
-// backend. It returns immediately; connections are handled on their
-// own goroutines until Close.
-func NewStreamListener(ln net.Listener, backend StreamBackend, opts StreamOptions) *StreamListener {
+// ServeStream starts serving the wire protocol on ln. It returns
+// immediately; connections are handled on their own goroutines until
+// Close.
+func (s *Server) ServeStream(ln net.Listener, opts StreamOptions) *StreamListener {
 	if opts.PushInterval <= 0 {
 		opts.PushInterval = time.Millisecond
 	}
 	l := &StreamListener{
-		backend: backend,
-		opts:    opts,
-		ln:      ln,
-		conns:   make(map[net.Conn]struct{}),
+		srv:   s,
+		opts:  opts,
+		ln:    ln,
+		conns: make(map[net.Conn]struct{}),
 	}
 	l.wg.Add(1)
 	go l.acceptLoop()
 	return l
 }
 
-// ServeStream starts a StreamListener for this server on ln.
-func (s *Server) ServeStream(ln net.Listener, opts StreamOptions) *StreamListener {
-	return NewStreamListener(ln, s, opts)
-}
-
 // Addr returns the listener's address (useful with ":0" listeners).
 func (l *StreamListener) Addr() net.Addr { return l.ln.Addr() }
-
-// ConnCount returns the number of live connections.
-func (l *StreamListener) ConnCount() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.conns)
-}
 
 // Close stops accepting, closes every live connection, and waits for
 // all connection goroutines to finish.
@@ -179,8 +152,9 @@ func (l *StreamListener) serveConn(nc net.Conn) {
 		l.sendError(conn, wire.ErrCodeProtocol, "malformed hello")
 		return
 	}
-	last, oldest, regions := l.backend.StreamInfo()
-	welcome := wire.Welcome{LastSeq: last, Oldest: oldest, Regions: make([]string, len(regions))}
+	_, cur := l.srv.DecisionsPage(math.MaxUint64, 1)
+	regions := l.srv.cfg.Env.IDs()
+	welcome := wire.Welcome{LastSeq: cur.Seq, Oldest: cur.Oldest, Regions: make([]string, len(regions))}
 	for i, r := range regions {
 		welcome.Regions[i] = string(r)
 	}
@@ -226,8 +200,8 @@ func (l *StreamListener) readLoop(ss *streamSession) {
 			}
 			results = results[:0]
 			for i := range jobs {
-				id, err := l.backend.Submit(JobSpecFromWire(&jobs[i]))
-				res := wire.SubmitResult{Code: SubmitErrorCode(err)}
+				id, err := l.srv.Submit(jobSpecFromWire(&jobs[i]))
+				res := wire.SubmitResult{Code: submitErrorCode(err)}
 				if err == nil {
 					res.ID = int64(id)
 				}
@@ -251,7 +225,7 @@ func (l *StreamListener) readLoop(ss *streamSession) {
 	}
 }
 
-// pushDecisions streams the backend's decision log to the client from
+// pushDecisions streams the merged decision log to the client from
 // resume onward: poll a page, encode, write, repeat — sleeping only
 // when the log is drained or the client's ack window is full.
 func (l *StreamListener) pushDecisions(ss *streamSession, resume uint64) {
@@ -289,7 +263,7 @@ func (l *StreamListener) pushDecisions(ss *streamSession, resume uint64) {
 			}
 			continue
 		}
-		page = l.backend.StreamDecisions(cursor, int(min(room, pushBatch)), page[:0])
+		page = l.srv.wireDecisions(cursor, int(min(room, pushBatch)), page[:0])
 		if len(page) == 0 {
 			if !wait() {
 				return
@@ -315,9 +289,9 @@ func (l *StreamListener) sendError(conn *wire.Conn, code wire.ErrCode, msg strin
 	_ = conn.WriteFrame(wire.TypeError, wire.AppendError(nil, code, msg))
 }
 
-// SubmitErrorCode maps a Submit error to its wire result code, the
-// stream analogue of SubmitErrorStatus.
-func SubmitErrorCode(err error) wire.SubmitCode {
+// submitErrorCode maps a Submit error to its wire result code, the
+// stream analogue of submitErrorStatus.
+func submitErrorCode(err error) wire.SubmitCode {
 	switch {
 	case err == nil:
 		return wire.SubmitOK
@@ -338,8 +312,8 @@ func SubmitErrorCode(err error) wire.SubmitCode {
 	}
 }
 
-// JobSpecFromWire converts a decoded wire job to a JobSpec.
-func JobSpecFromWire(j *wire.Job) JobSpec {
+// jobSpecFromWire converts a decoded wire job to a JobSpec.
+func jobSpecFromWire(j *wire.Job) JobSpec {
 	spec := JobSpec{
 		Benchmark:      j.Benchmark,
 		Home:           region.ID(j.Home),
@@ -375,9 +349,8 @@ func WireJob(spec JobSpec) wire.Job {
 	return j
 }
 
-// WireDecision converts a decision to its wire form. shard and
-// shardSeq carry the fleet coordinates; a single server passes 0 and
-// d.Seq.
+// WireDecision converts a decision to its wire form; shard and shardSeq
+// are its coordinates in the merged log.
 func WireDecision(d Decision, shard uint32, shardSeq uint64) wire.Decision {
 	return wire.Decision{
 		Seq:             d.Seq,
@@ -394,34 +367,13 @@ func WireDecision(d Decision, shard uint32, shardSeq uint64) wire.Decision {
 	}
 }
 
-// DecisionFromWire converts a decoded wire decision back to the server
-// form (the client-side decode helper).
-func DecisionFromWire(d *wire.Decision) Decision {
-	return Decision{
-		Seq:         d.Seq,
-		JobID:       int(d.JobID),
-		Region:      region.ID(d.Region),
-		Round:       wire.NanoTime(d.RoundNano),
-		Start:       wire.NanoTime(d.StartNano),
-		Finish:      wire.NanoTime(d.FinishNano),
-		CarbonG:     d.CarbonG,
-		WaterL:      d.WaterL,
-		DecidedWall: wire.NanoTime(d.DecidedWallNano),
-	}
-}
-
-// StreamDecisions implements StreamBackend for a single server: shard
-// is always 0 and ShardSeq mirrors the global seq.
-func (s *Server) StreamDecisions(since uint64, limit int, dst []wire.Decision) []wire.Decision {
+// wireDecisions appends up to limit merged decisions with Seq > since
+// to dst in wire form, oldest first.
+func (s *Server) wireDecisions(since uint64, limit int, dst []wire.Decision) []wire.Decision {
 	page, _ := s.DecisionsPage(since, limit)
 	for i := range page {
-		dst = append(dst, WireDecision(page[i], 0, page[i].Seq))
+		d := &page[i]
+		dst = append(dst, WireDecision(d.Decision, uint32(d.Shard), d.ShardSeq))
 	}
 	return dst
-}
-
-// StreamInfo implements StreamBackend for a single server.
-func (s *Server) StreamInfo() (last, oldest uint64, regions []region.ID) {
-	_, cur := s.DecisionsPage(math.MaxUint64, 1)
-	return cur.Seq, cur.Oldest, s.Regions()
 }

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"waterwise/internal/region"
 	"waterwise/internal/wire"
 )
 
@@ -118,6 +119,29 @@ func (c *streamClient) readDecisions(n int, deadline time.Duration) []wire.Decis
 		}
 	}
 	return out
+}
+
+// decisionFromWire converts a decoded wire decision back to the server
+// form, WireDecision's inverse.
+func decisionFromWire(d *wire.Decision) Decision {
+	return Decision{
+		Seq:         d.Seq,
+		JobID:       int(d.JobID),
+		Region:      region.ID(d.Region),
+		Round:       wire.NanoTime(d.RoundNano),
+		Start:       wire.NanoTime(d.StartNano),
+		Finish:      wire.NanoTime(d.FinishNano),
+		CarbonG:     d.CarbonG,
+		WaterL:      d.WaterL,
+		DecidedWall: wire.NanoTime(d.DecidedWallNano),
+	}
+}
+
+// connCount returns the number of live connections.
+func (l *StreamListener) connCount() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.conns)
 }
 
 // streamTestServer boots an accelerated server with a stream listener
@@ -247,7 +271,7 @@ func TestStreamEquivalence(t *testing.T) {
 		t.Fatalf("http log has %d decisions, stream pushed %d", len(httpDecisions), len(pushed))
 	}
 	for i := range pushed {
-		h, s := httpDecisions[i], DecisionFromWire(&pushed[i])
+		h, s := httpDecisions[i], decisionFromWire(&pushed[i])
 		if h.Seq != s.Seq || h.JobID != s.JobID || h.Region != s.Region ||
 			!h.Round.Equal(s.Round) || !h.Start.Equal(s.Start) || !h.Finish.Equal(s.Finish) ||
 			h.CarbonG != s.CarbonG || h.WaterL != s.WaterL {
@@ -322,9 +346,9 @@ func TestStreamDisconnectCleanup(t *testing.T) {
 	})
 	waitConns := func(want int) {
 		deadline := time.Now().Add(10 * time.Second)
-		for sl.ConnCount() != want {
+		for sl.connCount() != want {
 			if time.Now().After(deadline) {
-				t.Fatalf("ConnCount = %d, want %d", sl.ConnCount(), want)
+				t.Fatalf("ConnCount = %d, want %d", sl.connCount(), want)
 			}
 			time.Sleep(time.Millisecond)
 		}

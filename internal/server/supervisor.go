@@ -1,21 +1,18 @@
-package fleet
+package server
 
 import (
 	"time"
 )
 
-// The PR 6 residual this file closes: the gateway buffers submissions
-// for a dead shard, but something external had to call RestartShard. The
-// supervisor is that something — a watchdog goroutine that probes every
-// shard, declares one dead after a threshold of consecutive failed
-// probes (a shard that stopped or whose round loop errored without the
-// fleet stopping it), and drives RestartShard with capped exponential
-// backoff until the shard rejoins. Region re-assignment is deliberately
-// out of scope (it would change partitions and break the
-// sharded≡unsharded equivalence proof); the supervisor restores the
-// fixed partition, it never rebalances it.
+// The supervisor is a watchdog goroutine that probes every shard, declares
+// one dead after a threshold of consecutive failed probes (a shard that
+// stopped or whose round loop errored without the service stopping it),
+// and drives RestartShard with capped exponential backoff until the shard
+// rejoins. Region re-assignment is deliberately out of scope (it would
+// change partitions and break the sharded≡unsharded equivalence proof);
+// the supervisor restores the fixed partition, it never rebalances it.
 
-// Supervisor defaults (applied by Config.Supervisor.withDefaults).
+// Supervisor defaults (applied by SupervisorConfig.withDefaults).
 const (
 	// DefaultSupervisorInterval is the health-probe cadence.
 	DefaultSupervisorInterval = 25 * time.Millisecond
@@ -30,13 +27,13 @@ const (
 	DefaultSupervisorBackoffMax = 5 * time.Second
 )
 
-// SupervisorConfig parameterizes the fleet watchdog. Zero values take
-// the defaults above.
+// SupervisorConfig parameterizes the watchdog. Zero values take the
+// defaults above.
 type SupervisorConfig struct {
 	// Interval is the health-probe cadence.
 	Interval time.Duration
 	// FailThreshold is how many consecutive failed probes mark a live
-	// shard dead (KillShard semantics: the gateway starts buffering).
+	// shard dead (KillShard semantics: the service starts buffering).
 	// Shards killed explicitly skip the threshold — they are already dead.
 	FailThreshold int
 	// BackoffMin and BackoffMax bound the capped exponential backoff
@@ -79,25 +76,24 @@ type ShardSupervision struct {
 	LastRestart time.Time `json:"last_restart,omitzero"`
 }
 
-// SupervisorStatus is the "supervisor" block of the gateway's /v1/status.
+// SupervisorStatus is the "supervisor" block of /v1/status.
 type SupervisorStatus struct {
 	// Restarts counts successful supervisor-driven shard restarts,
-	// fleet-wide (the waterwise_fleet_restarts_total counter).
+	// service-wide (the waterwise_fleet_restarts_total counter).
 	Restarts uint64             `json:"restarts"`
 	Shards   []ShardSupervision `json:"shards"`
 }
 
 // supervisor is the watchdog state. Per-shard slices are guarded by the
-// fleet's mu (the same lock the dead/buffered bookkeeping lives under);
-// the loop goroutine is started by Fleet.Start and stopped by Fleet.Stop
-// before the shards are, so a deliberate shutdown never looks like a
-// crash.
+// Server's mu (the same lock the dead/buffered bookkeeping lives under);
+// the loop goroutine is started by Start and stopped by Stop before the
+// shards are, so a deliberate shutdown never looks like a crash.
 type supervisor struct {
 	cfg  SupervisorConfig
 	stop chan struct{}
 	done chan struct{}
 
-	// All guarded by Fleet.mu.
+	// All guarded by Server.mu.
 	running  bool
 	strikes  []int
 	backoff  []time.Duration
@@ -119,38 +115,38 @@ func newSupervisor(cfg SupervisorConfig, shards int) *supervisor {
 }
 
 // startSupervisor launches the watchdog loop (idempotent). Called from
-// Fleet.Start.
-func (f *Fleet) startSupervisor() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.sup == nil || f.sup.running {
+// Start.
+func (s *Server) startSupervisor() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.sup == nil || s.sup.running {
 		return
 	}
-	f.sup.running = true
-	f.sup.stop = make(chan struct{})
-	f.sup.done = make(chan struct{})
-	go f.supervise()
+	s.sup.running = true
+	s.sup.stop = make(chan struct{})
+	s.sup.done = make(chan struct{})
+	go s.supervise()
 }
 
 // stopSupervisor halts the watchdog and waits for it (idempotent).
-// Called from Fleet.Stop before the shards are stopped, so the shutdown
-// is never mistaken for a fleet-wide crash.
-func (f *Fleet) stopSupervisor() {
-	f.mu.Lock()
-	if f.sup == nil || !f.sup.running {
-		f.mu.Unlock()
+// Called from Stop and Crash before the shards go down, so the shutdown is
+// never mistaken for a crash.
+func (s *Server) stopSupervisor() {
+	s.mu.Lock()
+	if s.sup == nil || !s.sup.running {
+		s.mu.Unlock()
 		return
 	}
-	f.sup.running = false
-	stop, done := f.sup.stop, f.sup.done
-	f.mu.Unlock()
+	s.sup.running = false
+	stop, done := s.sup.stop, s.sup.done
+	s.mu.Unlock()
 	close(stop)
 	<-done
 }
 
 // supervise is the watchdog loop: probe, declare, restart.
-func (f *Fleet) supervise() {
-	sup := f.sup
+func (s *Server) supervise() {
+	sup := s.sup
 	defer close(sup.done)
 	t := time.NewTicker(sup.cfg.Interval)
 	defer t.Stop()
@@ -160,48 +156,48 @@ func (f *Fleet) supervise() {
 			return
 		case <-t.C:
 		}
-		for i := range f.shardList() {
-			f.superviseShard(i)
+		for i := range s.parts {
+			s.superviseShard(i)
 		}
 	}
 }
 
 // superviseShard runs one probe-and-repair step for one shard.
-func (f *Fleet) superviseShard(i int) {
-	sup := f.sup
-	f.mu.Lock()
-	dead := f.dead[i]
-	srv := f.shards[i]
-	f.mu.Unlock()
+func (s *Server) superviseShard(i int) {
+	sup := s.sup
+	s.mu.Lock()
+	dead := s.dead[i]
+	sh := s.shards[i]
+	s.mu.Unlock()
 	if !dead {
-		if !srv.Stopped() {
-			f.mu.Lock()
+		if !sh.Stopped() {
+			s.mu.Lock()
 			sup.strikes[i] = 0
-			f.mu.Unlock()
+			s.mu.Unlock()
 			return
 		}
-		// The shard halted without the fleet killing it — a direct Crash
+		// The shard halted without the service killing it — a direct Crash
 		// or a round-loop failure. Strike; at the threshold, mark it dead
 		// the usual way (KillShard is idempotent and, on an
-		// already-stopped server, only flips the gateway to buffering).
-		f.mu.Lock()
+		// already-stopped shard, only flips the service to buffering).
+		s.mu.Lock()
 		sup.strikes[i]++
 		strikes := sup.strikes[i]
-		f.mu.Unlock()
+		s.mu.Unlock()
 		if strikes < sup.cfg.FailThreshold {
 			return
 		}
-		_ = f.KillShard(i)
+		_ = s.KillShard(i)
 	}
-	f.mu.Lock()
+	s.mu.Lock()
 	wait := time.Until(sup.next[i]) > 0
-	f.mu.Unlock()
+	s.mu.Unlock()
 	if wait {
 		return
 	}
-	err := f.RestartShard(i)
-	f.mu.Lock()
-	defer f.mu.Unlock()
+	err := s.RestartShard(i)
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if err != nil {
 		if sup.backoff[i] < sup.cfg.BackoffMin {
 			sup.backoff[i] = sup.cfg.BackoffMin
@@ -222,18 +218,18 @@ func (f *Fleet) superviseShard(i int) {
 	sup.total++
 }
 
-// supervisorStatusLocked builds the status block. Called with f.mu held;
+// supervisorStatusLocked builds the status block. Called with mu held;
 // nil when supervision is disabled.
-func (f *Fleet) supervisorStatusLocked() *SupervisorStatus {
-	sup := f.sup
+func (s *Server) supervisorStatusLocked() *SupervisorStatus {
+	sup := s.sup
 	if sup == nil {
 		return nil
 	}
 	st := &SupervisorStatus{
 		Restarts: sup.total,
-		Shards:   make([]ShardSupervision, len(f.shards)),
+		Shards:   make([]ShardSupervision, len(s.shards)),
 	}
-	for i := range f.shards {
+	for i := range s.shards {
 		ss := ShardSupervision{
 			Shard:       i,
 			State:       "up",
@@ -241,7 +237,7 @@ func (f *Fleet) supervisorStatusLocked() *SupervisorStatus {
 			Strikes:     sup.strikes[i],
 			LastRestart: sup.lastUp[i],
 		}
-		if f.dead[i] {
+		if s.dead[i] {
 			ss.State = "dead"
 			if sup.backoff[i] > 0 {
 				ss.State = "backoff"
@@ -255,11 +251,11 @@ func (f *Fleet) supervisorStatusLocked() *SupervisorStatus {
 
 // Restarts reports the number of successful supervisor-driven shard
 // restarts (0 with supervision disabled).
-func (f *Fleet) Restarts() uint64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.sup == nil {
+func (s *Server) Restarts() uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.sup == nil {
 		return 0
 	}
-	return f.sup.total
+	return s.sup.total
 }

@@ -108,11 +108,8 @@ func allocatedBy(fn func()) uint64 {
 // it. Trusting them, the hostile snapshot allocates ~6.6 GB and the
 // hostile round record ~576 MB before failing.
 func TestWALDecodeBoundsCounts(t *testing.T) {
-	srv, err := New(Config{Env: testEnv(t), Scheduler: newScheduler(t, false), Tolerance: 0.5,
+	srv := testShard(t, Config{Env: testEnv(t), Scheduler: newScheduler(t, false), Tolerance: 0.5,
 		Round: time.Minute, DecisionLogCap: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, tc := range []struct {
 		name  string
 		input []byte
@@ -161,8 +158,8 @@ func FuzzWALRecord(f *testing.F) {
 	})
 }
 
-// FuzzSnapshot restores arbitrary bytes into a fresh server with a small
-// decision ring. The invariant: an error or a restored server, never a
+// FuzzSnapshot restores arbitrary bytes into a fresh shard with a small
+// decision ring. The invariant: an error or a restored shard, never a
 // panic.
 func FuzzSnapshot(f *testing.F) {
 	for _, seed := range walFuzzSeeds(f) {
@@ -170,10 +167,7 @@ func FuzzSnapshot(f *testing.F) {
 	}
 	env, sched := testEnv(f), newScheduler(f, false)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		srv, err := New(Config{Env: env, Scheduler: sched, Tolerance: 0.5, Round: time.Minute, DecisionLogCap: 8})
-		if err != nil {
-			t.Fatal(err)
-		}
+		srv := testShard(t, Config{Env: env, Scheduler: sched, Tolerance: 0.5, Round: time.Minute, DecisionLogCap: 8})
 		if srv.restoreSnapshot(data) == nil && srv.sim.Pending()+len(srv.future) > len(data)/jobSize {
 			t.Fatalf("restored %d jobs from %d bytes", srv.sim.Pending()+len(srv.future), len(data))
 		}

@@ -1,6 +1,6 @@
 // Package wire implements the binary streaming protocol spoken between
 // waterwised and persistent-connection clients (cmd/loadgen -protocol
-// stream, internal/server's StreamListener, internal/fleet's gateway).
+// stream, internal/server's StreamListener).
 //
 // The protocol carries the same semantics as POST /v1/jobs and
 // GET /v1/decisions — the same typed submit errors, the same dedupe
@@ -180,16 +180,15 @@ type SubmitResult struct {
 }
 
 // Decision is the wire form of a placement decision, mirroring
-// server.Decision plus the fleet's shard coordinates (zero for a
-// single-server endpoint).
+// server.MergedDecision: the decision plus its shard coordinates.
 type Decision struct {
 	// Seq is the dense global sequence number.
 	Seq uint64
 	// JobID identifies the placed job.
 	JobID int64
-	// Shard is the owning shard index (fleet only).
+	// Shard is the owning shard index.
 	Shard uint32
-	// ShardSeq is the per-shard seq (fleet only; equals Seq otherwise).
+	// ShardSeq is the per-shard seq.
 	ShardSeq uint64
 	// RoundNano is the scheduling round's logical time.
 	RoundNano int64

@@ -19,7 +19,6 @@ package waterwise
 
 import (
 	"fmt"
-	"net"
 	"os"
 	"time"
 
@@ -27,7 +26,6 @@ import (
 	"waterwise/internal/core"
 	"waterwise/internal/energy"
 	"waterwise/internal/feed"
-	"waterwise/internal/fleet"
 	"waterwise/internal/footprint"
 	"waterwise/internal/metrics"
 	"waterwise/internal/region"
@@ -449,26 +447,32 @@ func Distribution(res *Result, ids []RegionID) map[RegionID]float64 {
 }
 
 // Server is the online scheduling service: streaming job ingest over an
-// HTTP/JSON API, micro-batched scheduling rounds on a configurable cadence
-// with bounded queues and backpressure, and a decision log — the
-// long-running form of the same scheduler stack Environment.Run drives
-// offline. See internal/server for the API surface (Submit, Handler, Start,
-// Stop, Drain, Decisions, Status, Result).
+// HTTP/JSON API (and the binary stream protocol via ServeStream),
+// micro-batched scheduling rounds on a configurable cadence with bounded
+// queues and backpressure, and a decision log — the long-running form of
+// the same scheduler stack Environment.Run drives offline. It runs one
+// region shard by default, or N behind one router that merges their
+// decision logs into one globally seq-numbered stream; within each shard's
+// partition it is decision-for-decision identical to the offline replay.
+// See internal/server for the API surface (Submit, Handler, ServeStream,
+// Start, Stop, Drain, Decisions, Status, Result).
 type Server = server.Server
 
 // Server-facing types of the online service.
 type (
 	// JobSpec is one job submission to the online service.
 	JobSpec = server.JobSpec
-	// ServerDecision is one logged placement decision.
-	ServerDecision = server.Decision
-	// ServerStatus is a point-in-time service snapshot.
+	// ServerDecision is one entry of the decision log: a placement with
+	// its global sequence number and its shard coordinates.
+	ServerDecision = server.MergedDecision
+	// ServerStatus is a point-in-time service snapshot: counters summed
+	// over the shards plus every shard's own snapshot.
 	ServerStatus = server.Status
 	// WALStatus is the durability block of ServerStatus (log sizing,
 	// fsync stalls, recovery cost); nil when DataDir is unset.
 	WALStatus = server.WALStatus
-	// ObsSummary is the observability digest in ServerStatus/FleetStatus:
-	// histogram-backed decision latency and round time quantiles.
+	// ObsSummary is the observability digest in ServerStatus: histogram-
+	// backed decision latency and round time quantiles.
 	ObsSummary = server.ObsSummary
 	// RecordConfig configures the metrics flight recorder: round-clock
 	// self-scrapes of the exposition into a bounded in-process TSDB with
@@ -482,118 +486,54 @@ type (
 	SLOBurnRule = tsdb.BurnRule
 	// SLOAlert is the live state of one (objective, rule) alert.
 	SLOAlert = tsdb.Alert
+	// StreamListener accepts persistent wire-protocol connections
+	// (Server.ServeStream): batched submits in, batched decision pushes
+	// out, cursor-resume handshake.
+	StreamListener = server.StreamListener
+	// StreamOptions tunes a StreamListener (push cadence); the zero value
+	// uses defaults.
+	StreamOptions = server.StreamOptions
 )
 
 // ErrQueueFull is the online service's backpressure rejection.
 var ErrQueueFull = server.ErrQueueFull
 
-// Streaming-ingest types: the persistent-connection binary protocol
-// (internal/wire) served alongside the HTTP mux. Both *Server and
-// *Fleet implement StreamBackend, so either can sit behind a
-// StreamListener (waterwised -stream-addr).
-type (
-	// StreamBackend is the ingest/decision surface a StreamListener
-	// serves: stream submits with POST /v1/jobs semantics and decision
-	// pages from the seq-dense log.
-	StreamBackend = server.StreamBackend
-	// StreamListener accepts persistent wire-protocol connections:
-	// batched submits in, batched decision pushes out, cursor-resume
-	// handshake.
-	StreamListener = server.StreamListener
-	// StreamOptions tunes a StreamListener (push cadence); the zero
-	// value uses defaults.
-	StreamOptions = server.StreamOptions
-)
-
-// NewStreamListener serves the binary streaming protocol on ln against
-// a Server or Fleet, alongside (not instead of) its HTTP handler.
-func NewStreamListener(ln net.Listener, backend StreamBackend, opts StreamOptions) *StreamListener {
-	return server.NewStreamListener(ln, backend, opts)
-}
-
-// ServerConfig configures the online scheduling service — a single server,
-// or each shard of a Fleet (FleetConfig embeds it). Zero values take the
-// service defaults: a 1-minute round cadence, accelerated time, 65536
-// queue and decision-log capacities. The observability layer (latency
-// histograms, round traces, sampled job lifecycles) is always on and
-// never affects decisions.
+// ServerConfig configures the online scheduling service. Zero values take
+// the service defaults: one shard, a 1-minute round cadence, accelerated
+// time, 65536 queue and decision-log capacities. The observability layer
+// (latency histograms, round traces, sampled job lifecycles) is always on
+// and never affects decisions.
 type ServerConfig struct {
 	// Tolerance is the delay tolerance TOL as a fraction (e.g. 0.5).
 	Tolerance float64
-	// Round is the micro-batching cadence in simulated time.
+	// Round is the micro-batching cadence in simulated time, shared by
+	// every shard.
 	Round time.Duration
 	// TimeScale maps wall time to simulated time (simulated seconds per
 	// wall second): 1 runs in real time, 0 is accelerated — rounds run back
 	// to back, the replay/benchmark mode.
 	TimeScale float64
-	// QueueCap bounds the ingest queue; submissions beyond it are rejected
-	// with ErrQueueFull (HTTP 429).
+	// QueueCap bounds each shard's ingest queue; submissions beyond it are
+	// rejected with ErrQueueFull (HTTP 429).
 	QueueCap int
-	// DecisionLogCap bounds the in-memory decision log ring (through a
-	// Fleet, each shard's and the merged one).
+	// DecisionLogCap bounds each shard's decision log ring and the merged
+	// one.
 	DecisionLogCap int
 	// DataDir enables durable state: accepted jobs and emitted decisions
-	// are written ahead to a segmented, checksummed log under this
-	// directory, snapshots cover settled state, and NewServer recovers the
-	// directory — latest snapshot plus log-tail replay — before serving,
-	// resuming decision-identical to the uninterrupted run. A Fleet keeps
-	// each shard under DataDir/shard-<i>. Empty keeps the service purely
-	// in-memory.
+	// are written ahead to a segmented, checksummed log per shard under
+	// DataDir/shard-<i>, snapshots cover settled state, and NewServer
+	// recovers the directory — latest snapshot plus log-tail replay —
+	// before serving, resuming decision-identical to the uninterrupted run.
+	// Empty keeps the service purely in-memory.
 	DataDir string
 	// SnapshotEvery is the snapshot cadence in scheduling rounds
 	// (0 = default 256). Only meaningful with DataDir.
 	SnapshotEvery int
 	// Record enables the metrics flight recorder (off by default; see
-	// RecordConfig); a Fleet records its merged gateway exposition.
-	// Measurement only: never affects decisions.
+	// RecordConfig). Measurement only: never affects decisions.
 	Record RecordConfig
-}
-
-// NewServer builds the online scheduling service over an environment and a
-// scheduling policy. Call Start to begin rounds, Handler for the HTTP API.
-func NewServer(env *Environment, s Scheduler, cfg ServerConfig) (*Server, error) {
-	if env == nil {
-		return nil, fmt.Errorf("waterwise: nil environment")
-	}
-	return server.New(server.Config{
-		Env: env.env, Net: env.net, FP: env.fp, Scheduler: s,
-		Tolerance: cfg.Tolerance, Round: cfg.Round, TimeScale: cfg.TimeScale,
-		QueueCap: cfg.QueueCap, DecisionLogCap: cfg.DecisionLogCap,
-		DataDir: cfg.DataDir, SnapshotEvery: cfg.SnapshotEvery,
-		Record: cfg.Record,
-	})
-}
-
-// Fleet is the region-sharded serving fleet: N scheduler shards, each a
-// full online service over a disjoint partition of the environment's
-// regions, behind one gateway that routes submissions by home region,
-// merges the shards' decision logs into one globally seq-numbered stream,
-// and aggregates status and metrics per shard. Within each partition the
-// fleet is decision-for-decision identical to a dedicated single server;
-// a 1-shard fleet is exactly Server. See internal/fleet.
-type Fleet = fleet.Fleet
-
-// Fleet-facing types of the sharded service.
-type (
-	// FleetDecision is one merged decision: the shard's placement
-	// re-stamped with the global sequence number.
-	FleetDecision = fleet.Decision
-	// FleetStatus aggregates the fleet plus every shard's snapshot.
-	FleetStatus = fleet.Status
-	// FleetShardStatus is one shard's snapshot within FleetStatus.
-	FleetShardStatus = fleet.ShardStatus
-)
-
-// FleetConfig configures the sharded serving fleet: the serving settings
-// every shard runs with, plus how the regions are sharded and which
-// scheduler each shard builds. Zero values take the service defaults
-// (1 shard, 1-minute rounds, accelerated time, 65536 queue and log
-// capacities).
-type FleetConfig struct {
-	// ServerConfig applies to every shard. Round and TimeScale are shared,
-	// so the shards' round clocks stay aligned.
-	ServerConfig
-	// Shards is the scheduler shard count (at most the region count).
+	// Shards is the scheduler shard count (default 1, at most the region
+	// count); each shard schedules a disjoint partition of the regions.
 	Shards int
 	// ShardMap pins regions to shards (region → shard index); unpinned
 	// regions are dealt to the emptiest shard in environment order.
@@ -603,13 +543,13 @@ type FleetConfig struct {
 	Scheduler SchedulerConfig
 }
 
-// NewFleet builds the sharded serving fleet over an environment. Call
-// Start to begin every shard's rounds, Handler for the gateway HTTP API.
-func NewFleet(env *Environment, cfg FleetConfig) (*Fleet, error) {
+// NewServer builds the online scheduling service over an environment. Call
+// Start to begin rounds, Handler for the HTTP API.
+func NewServer(env *Environment, cfg ServerConfig) (*Server, error) {
 	if env == nil {
 		return nil, fmt.Errorf("waterwise: nil environment")
 	}
-	return fleet.New(fleet.Config{
+	return server.New(server.Config{
 		Env: env.env, Net: env.net, FP: env.fp,
 		NewScheduler: func(int, []RegionID) (Scheduler, error) {
 			return NewScheduler(cfg.Scheduler)

@@ -223,19 +223,18 @@ func TestAlibabaTraceAPI(t *testing.T) {
 }
 
 // TestOnlineServiceEndToEnd exercises the serving surface the README
-// documents: build an environment and scheduler, start the online service
-// in accelerated mode, stream a generated trace through its HTTP API, drain
-// it, and check the decisions and status.
+// documents: build an environment, start the online service in
+// accelerated mode, stream a generated trace through it, drain it, and
+// check the decisions and status.
 func TestOnlineServiceEndToEnd(t *testing.T) {
 	env, err := NewEnvironment(EnvironmentConfig{Seed: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched, err := NewScheduler(SchedulerConfig{CrossRoundWarmStart: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := NewServer(env, sched, ServerConfig{Tolerance: 0.5, Round: time.Minute})
+	srv, err := NewServer(env, ServerConfig{
+		Tolerance: 0.5, Round: time.Minute,
+		Scheduler: SchedulerConfig{CrossRoundWarmStart: true},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,18 +280,18 @@ func TestOnlineServiceEndToEnd(t *testing.T) {
 	}
 }
 
-// TestFleetEndToEnd exercises the sharded serving surface: build a fleet
-// over the default environment, stream a trace through it by home region,
-// drain, and check the merged decisions, aggregate status, and result.
+// TestFleetEndToEnd exercises the sharded serving surface: build a
+// two-shard service over the default environment, stream a trace through
+// it by home region, drain, and check the merged decisions, aggregate
+// status, and result.
 func TestFleetEndToEnd(t *testing.T) {
 	env, err := NewEnvironment(EnvironmentConfig{Seed: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fl, err := NewFleet(env, FleetConfig{
-		ServerConfig: ServerConfig{Tolerance: 0.5, Round: time.Minute},
-		Shards:       2,
-		Scheduler:    SchedulerConfig{CrossRoundWarmStart: true},
+	fl, err := NewServer(env, ServerConfig{
+		Tolerance: 0.5, Round: time.Minute, Shards: 2,
+		Scheduler: SchedulerConfig{CrossRoundWarmStart: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -335,10 +334,7 @@ func TestFleetEndToEnd(t *testing.T) {
 			t.Fatalf("merged stream has a gap at %d", i)
 		}
 	}
-	res, err := fl.Result()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := fl.Result()
 	if len(res.Outcomes) != len(jobs) || res.TotalCarbon() <= 0 || res.TotalWater() <= 0 {
 		t.Fatalf("fleet result: %d outcomes, carbon %v, water %v",
 			len(res.Outcomes), res.TotalCarbon(), res.TotalWater())

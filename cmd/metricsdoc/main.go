@@ -1,6 +1,6 @@
 // Command metricsdoc generates METRICS.md, the reference for every
 // metric family the service exposes, straight from the exposition
-// itself: it boots a durable, supervised two-shard service in-process —
+// itself: it boots a durable two-shard service in-process —
 // flight recorder and SLO engine armed so their self-metrics render —
 // gathers its /metrics body through the same strict parser the lint tests
 // use, and emits one sorted table of name, type, labels, and HELP text.
@@ -95,11 +95,10 @@ func generate() ([]byte, error) {
 	b.WriteString("drifts from what a booted daemon actually serves.\n\n")
 	b.WriteString("One `waterwised` exposes every family at any `-shards` count. Per-shard\n")
 	b.WriteString("families carry a `shard` label; the `waterwise_fleet_` families are the\n")
-	b.WriteString("service's own: shard count, merge accounting, supervision, and the\n")
-	b.WriteString("latency histograms merged over the shards. WAL families need `-data-dir`,\n")
-	b.WriteString("`waterwise_fleet_restarts_total` and `waterwise_fleet_shard_up` the\n")
-	b.WriteString("supervisor, and the `waterwise_tsdb_`/`waterwise_alerts_` families\n")
-	b.WriteString("`-record-metrics`. Histograms expose `_bucket`/`_sum`/`_count` series with\n")
+	b.WriteString("service's own: shard count, merge accounting, failover, and the latency\n")
+	b.WriteString("histograms merged over the shards. WAL families need `-data-dir`, and the\n")
+	b.WriteString("`waterwise_tsdb_`/`waterwise_alerts_` families `-record-metrics`.\n")
+	b.WriteString("Histograms expose `_bucket`/`_sum`/`_count` series with\n")
 	b.WriteString("one shared bucket scheme, so cross-shard sums are exact merges.\n\n")
 	b.WriteString("| Metric | Type | Labels | Help |\n")
 	b.WriteString("|---|---|---|---|\n")
@@ -131,7 +130,7 @@ var docObjectives = []tsdb.Objective{{
 	Bad: "waterwise_jobs_rejected_total", Good: "waterwise_jobs_accepted_total",
 }}
 
-// exposition boots a durable, supervised two-shard service with every
+// exposition boots a durable two-shard service with every
 // optional subsystem armed — WAL, solver stats, observability, feed
 // health, flight recorder — and returns its exposition.
 func exposition() ([]byte, error) {
@@ -150,8 +149,7 @@ func exposition() ([]byte, error) {
 		NewScheduler: func(int, []region.ID) (cluster.Scheduler, error) {
 			return core.New(core.DefaultConfig())
 		},
-		Supervisor: &server.SupervisorConfig{Interval: time.Second, FailThreshold: 2},
-		Record:     server.RecordConfig{Enable: true, SLOs: docObjectives},
+		Record: server.RecordConfig{Enable: true, SLOs: docObjectives},
 	})
 	if err != nil {
 		return nil, err

@@ -16,8 +16,6 @@ type (
 	Decision = server.MergedDecision
 	// Status is server.Status.
 	Status = server.Status
-	// SupervisorConfig is server.SupervisorConfig.
-	SupervisorConfig = server.SupervisorConfig
 )
 
 // Fleet is a server.Server whose Result also returns an error.

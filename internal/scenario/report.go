@@ -43,7 +43,7 @@ type Report struct {
 	// Faults lists the schedule entries that actually fired.
 	Faults []string `json:"faults,omitempty"`
 	// Jobs is the generated trace size; Submitted/RejectedSubmits are the
-	// submitter-side ledger (dead-shard buffer overflows included).
+	// submitter-side ledger (refusals by a dead shard included).
 	Jobs            int `json:"jobs"`
 	Submitted       int `json:"submitted"`
 	RejectedSubmits int `json:"rejected_submits"`
@@ -55,7 +55,8 @@ type Report struct {
 	Merged      uint64 `json:"merged"`
 	Lost        uint64 `json:"lost"`
 	Unscheduled int    `json:"unscheduled"`
-	// Restarts counts supervisor-driven shard restarts.
+	// Restarts counts dead shards the service rebuilt from their data
+	// directories.
 	Restarts uint64 `json:"restarts"`
 	// DecisionP99Ms is the fleet-merged decision-latency p99.
 	DecisionP99Ms float64 `json:"decision_p99_ms"`
@@ -90,7 +91,7 @@ func (r *run) evaluate() (*Report, error) {
 		Accepted: st.Accepted, Rejected: st.Rejected, Rounds: st.Rounds,
 		Decisions: st.Decisions, Merged: st.Merged, Lost: st.Lost,
 		Unscheduled:             st.Unscheduled,
-		Restarts:                r.srv.Restarts(),
+		Restarts:                r.srv.Status().Restarts,
 		MaxFeedStalenessSeconds: r.maxStaleness,
 		ForecastServed:          health.ForecastServed,
 		FetchErrors:             health.FetchErrors,
@@ -149,7 +150,7 @@ func (r *run) evaluate() (*Report, error) {
 	}
 	if slo.MinRestarts > 0 {
 		check("min-restarts", rep.Restarts >= slo.MinRestarts,
-			float64(rep.Restarts), float64(slo.MinRestarts), "supervisor performed fewer restarts than required")
+			float64(rep.Restarts), float64(slo.MinRestarts), "the service restarted fewer shards than required")
 	}
 	if slo.MinForecastServed > 0 {
 		check("min-forecast-served", health.ForecastServed >= slo.MinForecastServed,

@@ -100,8 +100,8 @@ type run struct {
 
 	fsyncDelay atomic.Int64 // injected WAL fsync latency, ns
 
-	// Submitter-side accounting: the service's dead-shard buffer
-	// overflows reject without any shard counting them, so the rejected
+	// Submitter-side accounting: a dead shard's refusals die with it (a
+	// restart recovers its counters from disk), so the rejected
 	// fraction SLO is measured where the client stands.
 	submitted, rejected int
 
@@ -183,12 +183,6 @@ func runFull(s Spec, opt RunOptions) (*Report, []server.MergedDecision, error) {
 			Sync:   true,
 			SLOs:   s.Objectives,
 			Logf:   opt.Logf,
-		}
-	}
-	if s.Supervisor {
-		cfg.Supervisor = &server.SupervisorConfig{
-			Interval: time.Millisecond, FailThreshold: 2,
-			BackoffMin: 5 * time.Millisecond, BackoffMax: 250 * time.Millisecond,
 		}
 	}
 	if r.srv, err = server.New(cfg); err != nil {
@@ -406,11 +400,11 @@ func (r *run) step(f *faultState, progress uint64) {
 	if f.resolved {
 		return
 	}
-	if f.spec.Kind == FaultKillShard && r.spec.Supervisor {
-		// Resolved when the supervisor has brought the shard back.
-		if st := r.srv.Status(); st.Supervisor.Shards[f.spec.Shard].State == "up" {
+	if f.spec.Kind == FaultKillShard {
+		// Resolved when the service has brought the shard back.
+		if !r.srv.ShardStatus(f.spec.Shard).Down {
 			f.resolved = true
-			r.opt.Logf("scenario %s: supervisor recovered shard %d by round %d", r.spec.Name, f.spec.Shard, progress)
+			r.opt.Logf("scenario %s: service recovered shard %d by round %d", r.spec.Name, f.spec.Shard, progress)
 		}
 		return
 	}
@@ -444,8 +438,6 @@ func (r *run) clear(f *faultState) {
 	switch f.spec.Kind {
 	case FaultFeedOutage, FaultFeedThrottle:
 		r.chaos.SetFault(feed.FaultNone, 0)
-	case FaultKillShard:
-		_ = r.srv.RestartShard(f.spec.Shard)
 	case FaultQueueSqueeze:
 		r.srv.SetQueueCap(f.prevCap)
 	case FaultSlowFsync:

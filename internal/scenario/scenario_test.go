@@ -46,7 +46,8 @@ func TestBundledSpecsParse(t *testing.T) {
 }
 
 // TestSpecValidation pins the guard rails: unknown fields, unknown fault
-// kinds, and an unsupervised kill with no restart window are all errors.
+// kinds, and a kill with a restart window are all errors (the service
+// restarts a killed shard itself), and a kill implies a durable run.
 func TestSpecValidation(t *testing.T) {
 	if _, err := Parse([]byte(`{"name":"x","slso":{}}`)); err == nil {
 		t.Error("unknown top-level field accepted")
@@ -54,8 +55,18 @@ func TestSpecValidation(t *testing.T) {
 	if _, err := Parse([]byte(`{"name":"x","faults":[{"kind":"meteor","at_round":2}]}`)); err == nil {
 		t.Error("unknown fault kind accepted")
 	}
-	if _, err := Parse([]byte(`{"name":"x","faults":[{"kind":"kill_shard","at_round":2,"shard":0}]}`)); err == nil {
-		t.Error("unsupervised kill with no restart window accepted")
+	if _, err := Parse([]byte(`{"name":"x","faults":[{"kind":"kill_shard","at_round":2,"rounds":3,"shard":0}]}`)); err == nil {
+		t.Error("kill with a restart window accepted")
+	}
+	if _, err := Parse([]byte(`{"name":"x","supervisor":true}`)); err == nil {
+		t.Error("the retired supervisor field accepted")
+	}
+	kill, err := Parse([]byte(`{"name":"x","faults":[{"kind":"kill_shard","at_round":2,"shard":0}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !kill.Durable {
+		t.Error("kill_shard did not imply a durable run")
 	}
 	s, err := Parse([]byte(`{"name":"x","faults":[{"kind":"slow_fsync","at_round":2,"rounds":2,"delay":"1ms"}]}`))
 	if err != nil {
@@ -110,21 +121,21 @@ func TestWindowAssertionValidation(t *testing.T) {
 }
 
 // equivSpec is the no-fault scenario the equivalence test runs: every
-// injection hook present and armed at zero — chaos wrapper, supervisor,
-// fsync-delay hook, pacing, and the flight recorder with SLO objectives
-// scraping every round — but nothing ever fired.
+// injection hook present and armed at zero — chaos wrapper, fsync-delay
+// hook, pacing, and the flight recorder with SLO objectives scraping every
+// round — but nothing ever fired.
 var equivSpec = Spec{
 	Name: "equivalence-probe", Seed: 5, Shards: 2, Hours: 4,
 	Round: Duration(15 * time.Minute), JobsPerDay: 1500,
-	Pacing: Duration(300 * time.Microsecond), Supervisor: true,
+	Pacing: Duration(300 * time.Microsecond),
 	Objectives: []tsdb.Objective{{Name: "availability", Target: 0.999,
 		Bad: "waterwise_jobs_rejected_total", Good: "waterwise_jobs_accepted_total"}},
 }
 
 // TestScenarioNoFaultEquivalence is the harness's own correctness bar: a
 // scenario with an empty fault schedule — but with every injection hook
-// installed (chaos-wrapped provider, supervisor watchdog, fsync-delay
-// hook at zero, pacing wrapper) — must be decision-for-decision
+// installed (chaos-wrapped provider, fsync-delay hook at zero, pacing
+// wrapper, flight recorder) — must be decision-for-decision
 // identical to a plain replay of the same trace with none of those
 // layers present. Injection at zero is exactly free, or the harness's
 // fault measurements mean nothing.
@@ -138,7 +149,7 @@ func TestScenarioNoFaultEquivalence(t *testing.T) {
 	}
 
 	// The plain replay: same environment parameters, same trace, no
-	// chaos wrapper, no supervisor, no hooks, no pacing.
+	// chaos wrapper, no hooks, no pacing.
 	spec, err := equivSpec.WithDefaults()
 	if err != nil {
 		t.Fatal(err)
@@ -194,8 +205,8 @@ func TestScenarioNoFaultEquivalence(t *testing.T) {
 }
 
 // TestScenarioShardKillFailover runs the bundled shard-kill scenario:
-// the supervisor — not the harness — must bring the killed shard back,
-// and every SLO (dense seqs, no lost decisions, >= 1 restart) must hold.
+// the service — not the harness — must bring the killed shard back, and
+// every SLO (dense seqs, no lost decisions, >= 1 restart) must hold.
 func TestScenarioShardKillFailover(t *testing.T) {
 	spec, err := Lookup("shard-kill")
 	if err != nil {
@@ -209,7 +220,7 @@ func TestScenarioShardKillFailover(t *testing.T) {
 		t.Fatalf("shard-kill scenario failed its SLOs: %+v", rep.Checks)
 	}
 	if rep.Restarts < 1 {
-		t.Fatalf("supervisor performed %d restarts, want >= 1", rep.Restarts)
+		t.Fatalf("service performed %d restarts, want >= 1", rep.Restarts)
 	}
 	if len(rep.Faults) != 1 {
 		t.Fatalf("fault log %v, want the one kill", rep.Faults)

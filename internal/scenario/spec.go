@@ -4,8 +4,8 @@
 // assertions (what must still hold), and the runner executes it against
 // a real sharded service — the same server shards, routing, merge, WAL,
 // and feed stack production runs, with faults injected through
-// first-class hooks (feed.Chaos, server.SupervisorConfig,
-// server.SetQueueCap, wal.Options.SyncDelay) rather than test doubles.
+// first-class hooks (feed.Chaos, server.KillShard, server.SetQueueCap,
+// wal.Options.SyncDelay) rather than test doubles.
 //
 // The harness's own correctness bar is the no-fault equivalence test: a
 // scenario with an empty fault schedule must be decision-for-decision
@@ -94,9 +94,9 @@ const (
 	// health degraded).
 	FaultFeedThrottle = "feed_throttle"
 	// FaultKillShard crash-stops one shard (server.KillShard: the WAL
-	// drops its unsynced buffer). Recovery is the supervisor's when
-	// Spec.Supervisor is set, otherwise an explicit RestartShard after
-	// Rounds rounds.
+	// drops its unsynced buffer). The service rebuilds the shard from its
+	// write-ahead log on its own, so the fault has no window: it resolves
+	// once the shard is back.
 	FaultKillShard = "kill_shard"
 	// FaultQueueSqueeze drops every shard's ingest queue capacity to Cap
 	// for the window, restoring the original capacity after.
@@ -117,7 +117,7 @@ type FaultSpec struct {
 	// AtRound is the onset, in completed rounds.
 	AtRound uint64 `json:"at_round"`
 	// Rounds is the window length; 0 means the fault holds to the end of
-	// the run (invalid for kill_shard without a supervisor).
+	// the run (kill_shard takes none: the service ends it).
 	Rounds uint64 `json:"rounds,omitempty"`
 	// Shard is the victim for kill_shard.
 	Shard int `json:"shard,omitempty"`
@@ -211,7 +211,7 @@ type SLOSpec struct {
 	// (submit acceptance to round commit, wall clock).
 	MaxDecisionP99Ms float64 `json:"max_decision_p99_ms,omitempty"`
 	// MaxRejectedFraction bounds rejected/submitted as observed by the
-	// submitter (dead-shard buffer overflows included). Negative disables;
+	// submitter (refusals by a dead shard included). Negative disables;
 	// the zero value disables too (state 0 explicitly via a tiny bound).
 	MaxRejectedFraction float64 `json:"max_rejected_fraction,omitempty"`
 	// MaxFeedStalenessSeconds bounds the maximum feed staleness observed
@@ -225,8 +225,8 @@ type SLOSpec struct {
 	RequireDenseSeqs bool `json:"require_dense_seqs,omitempty"`
 	// MinDecisions asserts at least this many merged decisions.
 	MinDecisions uint64 `json:"min_decisions,omitempty"`
-	// MinRestarts asserts the supervisor performed at least this many
-	// shard restarts (proof the failover path actually ran).
+	// MinRestarts asserts the service restarted at least this many dead
+	// shards (proof the failover path actually ran).
 	MinRestarts uint64 `json:"min_restarts,omitempty"`
 	// MinForecastServed asserts the feed degraded to its forecast
 	// fallback at least this often (proof an outage actually starved the
@@ -289,9 +289,6 @@ type Spec struct {
 	Pacing Duration `json:"pacing,omitempty"`
 	// Submit is SubmitUpfront (default) or SubmitPaced.
 	Submit string `json:"submit,omitempty"`
-	// Supervisor enables the fleet watchdog (required for kill_shard
-	// faults with no explicit restart window).
-	Supervisor bool `json:"supervisor,omitempty"`
 	// LiveFeed routes the environment through a feed.Live provider
 	// backed by the chaos transport — the full TTL/backoff/forecast
 	// ladder under fault control — instead of wrapping the synthetic
@@ -370,8 +367,8 @@ func (s Spec) WithDefaults() (Spec, error) {
 			if f.Shard < 0 || f.Shard >= s.Shards {
 				return s, fmt.Errorf("scenario %s: fault %d kills shard %d of %d", s.Name, i, f.Shard, s.Shards)
 			}
-			if !s.Supervisor && f.Rounds == 0 {
-				return s, fmt.Errorf("scenario %s: fault %d kills a shard with no supervisor and no restart window", s.Name, i)
+			if f.Rounds != 0 {
+				return s, fmt.Errorf("scenario %s: fault %d gives kill_shard a window; the service restarts the shard itself", s.Name, i)
 			}
 			s.Durable = true
 		case FaultQueueSqueeze:

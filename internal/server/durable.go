@@ -343,14 +343,10 @@ func (s *shard) recordDecidedLocked(id int) time.Time {
 
 // walAppendLocked appends one record; an I/O failure is fatal to the
 // round loop (serving un-durable acceptances would break the recovery
-// contract). Called with mu held.
+// contract), so the shard dies and failover takes it. Called with mu held.
 func (s *shard) walAppendLocked(payload []byte) error {
 	if _, err := s.wlog.Append(payload); err != nil {
-		err = fmt.Errorf("server: wal append: %w", err)
-		if s.runErr == nil {
-			s.runErr = err
-		}
-		return err
+		return s.failLocked(fmt.Errorf("server: wal append: %w", err))
 	}
 	s.walDirty = true
 	return nil
@@ -359,11 +355,7 @@ func (s *shard) walAppendLocked(payload []byte) error {
 // walSyncLocked is the group-commit point. Called with mu held.
 func (s *shard) walSyncLocked() error {
 	if err := s.wlog.Sync(); err != nil {
-		err = fmt.Errorf("server: wal sync: %w", err)
-		if s.runErr == nil {
-			s.runErr = err
-		}
-		return err
+		return s.failLocked(fmt.Errorf("server: wal sync: %w", err))
 	}
 	s.walDirty = false
 	s.lastWalSync = time.Now()
@@ -563,16 +555,42 @@ func (s *shard) restoreSnapshot(payload []byte) error {
 // snapshot, and queued state simply evaporates — exactly what SIGKILL
 // leaves on disk. Recovery happens by building the shard again over the
 // same directory. (A read that lands between the halt and the drop may
-// group-commit first: the same kill, a moment later.)
+// group-commit first: the same kill, a moment later.) The shard is dead
+// from then on: it refuses submissions with ErrShardDown, and the
+// service's failover hook hears of it.
 func (s *shard) Crash() {
-	if !s.halt() {
+	if !s.halt(true) {
 		return
 	}
 	s.mu.Lock()
 	if s.wlog != nil {
 		s.wlog.Crash()
+		s.walDirty = false // nothing reaches the disk any more: reads must not try
 	}
 	s.mu.Unlock()
+	s.onDown(s)
+}
+
+// release closes a dead shard's log so a rebuild has the directory to
+// itself. A shard that Crash killed drops its unsynced buffer, if Crash
+// has not already. One whose round loop failed syncs it instead: the
+// failure was the round's, not the process's, and the jobs acknowledged
+// since the last group commit must reach the rebuild. (A sync that fails
+// leaves what a crash would.) No snapshot: a failed round's state is not
+// settled.
+func (s *shard) release() {
+	s.halt(false)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.wlog == nil {
+		return
+	}
+	if s.crashed {
+		s.wlog.Crash()
+	} else {
+		_ = s.wlog.Close()
+	}
+	s.walDirty = false
 }
 
 // walStatusLocked builds the /v1/status wal block. Called with mu held.

@@ -186,14 +186,15 @@ func (s *Server) serveJobs(w http.ResponseWriter, r *http.Request) {
 }
 
 // submitErrorStatus maps a Submit rejection to its HTTP status. The typed
-// ingest errors get distinct codes — 429 backpressure, 503 stopped, 409
-// duplicate id, 404 unroutable home region — and anything else (bad
-// benchmark, out-of-horizon instant, malformed spec) is the client's 400.
+// ingest errors get distinct codes — 429 backpressure, 503 stopped or
+// shard down, 409 duplicate id, 404 unroutable home region — and anything
+// else (bad benchmark, out-of-horizon instant, malformed spec) is the
+// client's 400.
 func submitErrorStatus(err error) int {
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		return http.StatusTooManyRequests
-	case errors.Is(err, ErrStopped):
+	case errors.Is(err, ErrStopped), errors.Is(err, ErrShardDown):
 		return http.StatusServiceUnavailable
 	case errors.Is(err, ErrDuplicateID):
 		return http.StatusConflict

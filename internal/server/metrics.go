@@ -147,7 +147,7 @@ var statusFamilies = []family[ShardStatus]{
 }
 
 // serviceFamilies are the service's own families — merge accounting and
-// supervision — over its Status.
+// failover — over its Status.
 var serviceFamilies = []family[Status]{
 	{"waterwise_fleet_shards", "gauge", "Scheduler shards behind this gateway.",
 		func(st *Status, emit func(string, float64)) { emit("", float64(st.Shards)) }},
@@ -155,21 +155,14 @@ var serviceFamilies = []family[Status]{
 		func(st *Status, emit func(string, float64)) { emit("", float64(st.Merged)) }},
 	{"waterwise_fleet_lost_decisions_total", "counter", "Decisions evicted from a shard ring before the merge read them.",
 		func(st *Status, emit func(string, float64)) { emit("", float64(st.Lost)) }},
-	{"waterwise_fleet_restarts_total", "counter", "Supervisor-driven shard restarts.",
+	{"waterwise_fleet_restarts_total", "counter", "Dead shards rebuilt from their data directories.",
+		func(st *Status, emit func(string, float64)) { emit("", float64(st.Restarts)) }},
+	{"waterwise_fleet_shard_up", "gauge", "1 while the shard serves, 0 while it is dead.",
 		func(st *Status, emit func(string, float64)) {
-			if st.Supervisor != nil {
-				emit("", float64(st.Supervisor.Restarts))
-			}
-		}},
-	{"waterwise_fleet_shard_up", "gauge", "1 while the shard's round loop is serving, 0 while dead or restarting.",
-		func(st *Status, emit func(string, float64)) {
-			if st.Supervisor == nil {
-				return
-			}
-			for _, ss := range st.Supervisor.Shards {
-				up := 0.0
-				if ss.State == "up" {
-					up = 1
+			for _, ss := range st.ShardStatus {
+				up := 1.0
+				if ss.Down {
+					up = 0
 				}
 				emit(shardLabel(ss.Shard), up)
 			}

@@ -31,6 +31,10 @@
 // evictions that outrun the merge are counted as Lost. One shard's log
 // merges to itself, so a one-shard service serves its shard's ring as is.
 //
+// A shard that dies — killed, crashed, or halted by a round-loop failure —
+// refuses its submissions with ErrShardDown, and a durable service rebuilds
+// it from its data directory on its own (see failover.go).
+//
 // The service clock runs in simulated time. In paced mode (TimeScale > 0)
 // the simulated clock advances TimeScale simulated seconds per wall second
 // and rounds fire on a wall timer; in accelerated mode (TimeScale == 0)
@@ -73,10 +77,11 @@ type Config struct {
 	FP  *footprint.Model
 	// Scheduler decides placements for a one-shard service — shorthand for
 	// a NewScheduler that returns it. The instance carries its shard's
-	// history, so a shard built from it cannot be restarted.
+	// history, so a shard built from it is never restarted: it stays down
+	// once dead.
 	Scheduler cluster.Scheduler
 	// NewScheduler builds one shard's scheduler, at New and again at every
-	// RestartShard. Schedulers are stateful and single-threaded by the
+	// restart. Schedulers are stateful and single-threaded by the
 	// cluster.Scheduler contract, so every shard needs its own instance:
 	// required for more than one shard. Set Scheduler or NewScheduler.
 	NewScheduler func(shard int, regions []region.ID) (cluster.Scheduler, error)
@@ -98,8 +103,8 @@ type Config struct {
 	// back with no pacing, fast-forwarding over idle stretches.
 	TimeScale float64
 	// QueueCap bounds the jobs each shard queues ahead of placement
-	// (pending rounds + not-yet-due arrivals), and the submissions buffered
-	// for a dead shard. Submit rejects once reached. Default 65536.
+	// (pending rounds + not-yet-due arrivals). Submit rejects once reached.
+	// Default 65536.
 	QueueCap int
 	// DecisionLogCap bounds each shard's decision ring and the merged one
 	// (default 65536). Older decisions are dropped from the log (never
@@ -108,8 +113,9 @@ type Config struct {
 	// DataDir, when non-empty, makes the service durable: shard i writes
 	// accepted jobs and scheduling rounds ahead to a segmented WAL under
 	// DataDir/shard-<i>, snapshots settled state periodically, and New
-	// recovers every shard's directory before serving (see durable.go).
-	// Empty keeps the service purely in-memory.
+	// recovers every shard's directory before serving (see durable.go). A
+	// shard that dies is rebuilt from its directory the same way, given
+	// NewScheduler. Empty keeps the service purely in-memory.
 	DataDir string
 	// SnapshotEvery is the snapshot cadence in scheduling rounds
 	// (default 256). Ignored without DataDir.
@@ -122,11 +128,6 @@ type Config struct {
 	// latency hook (wal.Options.SyncDelay): the scenario harness injects
 	// slow-disk stalls through it. Nil — the default — is exactly free.
 	WALSyncDelay func() time.Duration
-	// Supervisor enables the watchdog: a goroutine that detects dead shards
-	// (killed, crashed, or round-loop failures) and drives RestartShard
-	// with capped exponential backoff. Nil leaves dead shards down until
-	// RestartShard is called.
-	Supervisor *SupervisorConfig
 	// Record configures the metrics flight recorder (see RecordConfig):
 	// round-clock self-scrapes of /metrics into an in-process TSDB with
 	// windowed queries and burn-rate SLO alerts. Measurement only.
@@ -185,11 +186,14 @@ func secondsToDuration(s float64) time.Duration {
 // matching message strings.
 var (
 	// ErrQueueFull is returned by Submit when the owning shard's ingest
-	// queue (or a dead shard's buffer) is at QueueCap — the service's
-	// backpressure signal.
+	// queue is at QueueCap — the service's backpressure signal.
 	ErrQueueFull = errors.New("server: ingest queue full")
 	// ErrStopped is returned by Submit after Stop.
 	ErrStopped = errors.New("server: stopped")
+	// ErrShardDown is returned by Submit for a home region whose shard has
+	// died: it has no log to write the job ahead to. A durable service
+	// brings the shard back on its own, so the client retries.
+	ErrShardDown = errors.New("server: shard down")
 	// ErrUnknownRegion rejects a home region the service does not serve.
 	ErrUnknownRegion = errors.New("server: unknown home region")
 	// ErrUnknownBenchmark rejects a benchmark with no workload profile.
@@ -282,8 +286,18 @@ type ShardStatus struct {
 	// WAL reports the durability layer — log size, fsync accounting, and
 	// what the last restart recovered — when DataDir is configured.
 	WAL *WALStatus `json:"wal,omitempty"`
-	// Err reports a scheduler failure that halted the round loop.
+	// Down reports a dead shard: it refuses submissions until a restart
+	// replaces it. Restarts counts the times it was rebuilt from its data
+	// directory.
+	Down     bool   `json:"down,omitempty"`
+	Restarts uint64 `json:"restarts,omitempty"`
+	// Err reports a failure that halted the round loop, or what keeps a
+	// down shard from being rebuilt.
 	Err string `json:"err,omitempty"`
+	// LastErr is why the shard last died — a round-loop failure, or a
+	// kill — kept after a restart replaces it, so a repeating disk or
+	// solver fault stays visible.
+	LastErr string `json:"last_err,omitempty"`
 }
 
 // Status is a point-in-time service snapshot: counters summed over the
@@ -323,9 +337,8 @@ type Status struct {
 	Feed *feed.Health `json:"feed,omitempty"`
 	// WAL sums the shards' durability blocks.
 	WAL *WALStatus `json:"wal,omitempty"`
-	// Supervisor reports the watchdog's view of every shard. Nil when
-	// supervision is off.
-	Supervisor *SupervisorStatus `json:"supervisor,omitempty"`
+	// Restarts sums the shards' restarts from their data directories.
+	Restarts uint64 `json:"restarts"`
 	// Err reports the first shard whose round loop failed.
 	Err         string        `json:"err,omitempty"`
 	ShardStatus []ShardStatus `json:"shard_status"`
@@ -344,17 +357,14 @@ type Server struct {
 	ingest   obs.Histogram
 	recorder *tsdb.Recorder
 
-	// mu guards routing: the shard slice (RestartShard swaps entries), the
-	// id counter, dead shards and the submissions buffered for them
-	// (bounded by QueueCap), and the supervisor's per-shard state. It is
-	// never held while a shard's lock is waited on by a round.
-	mu       sync.Mutex
-	shards   []*shard
-	autoID   int
-	started  bool
-	dead     []bool
-	buffered [][]JobSpec
-	sup      *supervisor
+	// mu guards routing: the shard slice (a restart swaps an entry), the
+	// id counter, and the failover state (see failover.go). It is never
+	// held while a shard's lock is waited on by a round.
+	mu      sync.Mutex
+	shards  []*shard
+	autoID  int
+	started bool
+	failover
 
 	// mergeMu guards the k-way merge: the per-shard local-seq cursor,
 	// decisions fetched but not yet past the watermark, and the merged log.
@@ -433,20 +443,17 @@ func New(cfg Config) (*Server, error) {
 		parts:    parts,
 		owner:    make(map[region.ID]int, len(cfg.Env.Regions)),
 		shards:   make([]*shard, cfg.Shards),
-		dead:     make([]bool, cfg.Shards),
-		buffered: make([][]JobSpec, cfg.Shards),
+		failover: newFailover(cfg),
 		cursors:  make([]uint64, cfg.Shards),
 		staged:   make([][]Decision, cfg.Shards),
 		merged:   NewRing[MergedDecision](cfg.DecisionLogCap),
 	}
-	if cfg.Supervisor != nil {
-		s.sup = newSupervisor(*cfg.Supervisor, cfg.Shards)
-	}
+	s.up = sync.NewCond(&s.mu)
 	for i, p := range parts {
 		for _, id := range p {
 			s.owner[id] = i
 		}
-		sh, err := s.buildShard(i)
+		sh, err := s.buildShard(i, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -478,16 +485,14 @@ func New(cfg Config) (*Server, error) {
 }
 
 // buildShard constructs (or, with DataDir, recovers) shard i over its
-// partition. Called from New and, with mu held, from RestartShard.
-func (s *Server) buildShard(i int) (*shard, error) {
-	cfg := s.cfg
+// partition from the service config cfg. Called from New and from a
+// restart.
+func (s *Server) buildShard(i int, cfg Config) (*shard, error) {
 	var err error
 	if cfg.NewScheduler != nil {
 		if cfg.Scheduler, err = cfg.NewScheduler(i, s.parts[i]); err != nil {
 			return nil, fmt.Errorf("server: building shard %d scheduler: %w", i, err)
 		}
-	} else if s.shards[i] != nil {
-		return nil, fmt.Errorf("server: restarting shard %d needs Config.NewScheduler", i)
 	}
 	if cfg.Env, err = cfg.Env.Partition(s.parts[i]...); err != nil {
 		return nil, fmt.Errorf("server: %w", err)
@@ -495,7 +500,7 @@ func (s *Server) buildShard(i int) (*shard, error) {
 	if cfg.DataDir != "" {
 		cfg.DataDir = filepath.Join(cfg.DataDir, fmt.Sprintf("shard-%d", i))
 	}
-	sh, err := newShard(i, cfg, s.observeRound)
+	sh, err := newShard(i, cfg, s.observeRound, s.shardDown)
 	if err != nil {
 		return nil, fmt.Errorf("server: building shard %d: %w", i, err)
 	}
@@ -526,7 +531,7 @@ func (s *Server) Partitions() [][]region.ID {
 }
 
 // shardList snapshots the shard slice so iterating methods tolerate a
-// concurrent RestartShard swapping an entry.
+// concurrent restart swapping an entry.
 func (s *Server) shardList() []*shard {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -551,19 +556,15 @@ func (s *Server) eachShard(fn func(i int, sh *shard)) {
 // id is the job's identity in the decision log; ids are assigned
 // service-wide when the spec carries none, and client-assigned ids must be
 // unique per home shard (globally unique ids satisfy that trivially).
-// Rejections: ErrQueueFull (backpressure), ErrStopped, duplicate ids,
-// unknown benchmarks or regions, and submit instants outside the
-// environment horizon.
+// Rejections: ErrQueueFull (backpressure), ErrStopped, ErrShardDown (the
+// home shard is dead), duplicate ids, unknown benchmarks or regions, and
+// submit instants outside the environment horizon.
 //
 // Re-submits are idempotent: a client-assigned id whose spec matches what
 // the shard already accepted (queued or decided, up to dedupeCap history)
 // is acknowledged again with the original id and no new job — the
-// safe-retry contract clients rely on after a connection error or a
-// restart.
-//
-// A submission for a dead shard (see KillShard) is accepted and buffered —
-// bounded by QueueCap, overflow is ErrQueueFull — and re-routed when
-// RestartShard brings the shard back.
+// safe-retry contract clients rely on after a connection error, a refusal
+// by a dead shard, or a restart.
 func (s *Server) Submit(spec JobSpec) (int, error) {
 	i, ok := s.owner[spec.Home]
 	if !ok {
@@ -575,96 +576,12 @@ func (s *Server) Submit(spec JobSpec) (int, error) {
 		spec.ID = &id
 	}
 	s.autoID = max(s.autoID, *spec.ID+1)
-	if s.dead[i] {
-		id, err := s.bufferLocked(i, spec)
-		s.mu.Unlock()
-		return id, err
-	}
 	sh := s.shards[i]
 	s.mu.Unlock()
-	id, err := sh.Submit(spec)
-	if errors.Is(err, ErrStopped) {
-		// The shard died between the route decision and the submit (or was
-		// crashed directly). Buffer if the service knows it is dead; a
-		// deliberately stopped shard keeps the error.
-		s.mu.Lock()
-		if s.dead[i] {
-			id, err = s.bufferLocked(i, spec)
-		}
-		s.mu.Unlock()
-	}
-	return id, err
+	return sh.Submit(spec)
 }
 
-// bufferLocked parks one spec for a dead shard. Called with mu held.
-func (s *Server) bufferLocked(i int, spec JobSpec) (int, error) {
-	if len(s.buffered[i]) >= s.cfg.QueueCap {
-		return 0, ErrQueueFull
-	}
-	s.buffered[i] = append(s.buffered[i], spec)
-	return *spec.ID, nil
-}
-
-// KillShard crash-stops one shard the way a SIGKILL would: the round
-// loop halts and the shard's WAL drops its unsynced buffer, with no final
-// snapshot. The service marks the shard dead and buffers its submissions
-// until RestartShard. Idempotent.
-func (s *Server) KillShard(i int) error {
-	if i < 0 || i >= len(s.parts) {
-		return fmt.Errorf("server: no shard %d", i)
-	}
-	s.mu.Lock()
-	if s.dead[i] {
-		s.mu.Unlock()
-		return nil
-	}
-	s.dead[i] = true
-	sh := s.shards[i]
-	s.mu.Unlock()
-	sh.Crash()
-	return nil
-}
-
-// RestartShard rebuilds a killed shard from its data directory —
-// recovering the latest snapshot and replaying the log tail — flushes the
-// submissions buffered while it was down, and starts its round loop if the
-// service is started. The merge cursor is untouched: the recovered ring
-// carries the same shard-local sequence numbers, so the merged stream
-// continues without a gap or renumbering.
-func (s *Server) RestartShard(i int) error {
-	if i < 0 || i >= len(s.parts) {
-		return fmt.Errorf("server: no shard %d", i)
-	}
-	s.mu.Lock()
-	if !s.dead[i] {
-		s.mu.Unlock()
-		return fmt.Errorf("server: shard %d is not dead", i)
-	}
-	sh, err := s.buildShard(i)
-	if err != nil {
-		s.mu.Unlock()
-		return err
-	}
-	s.shards[i], s.dead[i] = sh, false
-	s.autoID = max(s.autoID, sh.autoID)
-	pend := s.buffered[i]
-	s.buffered[i] = nil
-	started := s.started
-	s.mu.Unlock()
-	var firstErr error
-	for _, spec := range pend {
-		if _, err := sh.Submit(spec); err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("server: re-routing buffered job to shard %d: %w", i, err)
-		}
-	}
-	if started {
-		sh.Start()
-	}
-	return firstErr
-}
-
-// Start launches every shard's round loop (and the supervisor, when
-// configured).
+// Start launches every shard's round loop.
 func (s *Server) Start() {
 	s.mu.Lock()
 	s.started = true
@@ -672,15 +589,14 @@ func (s *Server) Start() {
 	for _, sh := range s.shardList() {
 		sh.Start()
 	}
-	s.startSupervisor()
 }
 
-// Stop halts the supervisor first (so the shutdown is not mistaken for a
-// crash and "repaired"), then every shard concurrently — abandoning
+// Stop ends restarts first (so the shutdown is not mistaken for a crash
+// and "repaired"), then stops every shard concurrently — abandoning
 // still-queued jobs into Result().Unscheduled — then merges the final
 // decisions. Idempotent.
 func (s *Server) Stop() {
-	s.stopSupervisor()
+	s.haltRestarts()
 	s.eachShard(func(_ int, sh *shard) { sh.Stop() })
 	s.DecisionsPage(math.MaxUint64, 0)
 	if s.recorder != nil {
@@ -690,21 +606,30 @@ func (s *Server) Stop() {
 	}
 }
 
-// Crash simulates a process kill for fault-injection tests: the
-// supervisor stops, every shard crash-stops as KillShard's does, and
-// nothing is sealed. Recovery is a New over the same DataDir.
+// Crash simulates a process kill for fault-injection tests: restarts end,
+// every shard crash-stops as KillShard's does, and nothing is sealed.
+// Recovery is a New over the same DataDir.
 func (s *Server) Crash() {
-	s.stopSupervisor()
+	s.haltRestarts()
 	s.eachShard(func(_ int, sh *shard) { sh.Crash() })
 }
 
 // Drain blocks until every shard's queue and pending set are empty (the
-// accelerated replay's "trace fully scheduled" condition), a shard's round
-// loop fails, or the context expires, then merges the settled logs: with
-// every shard drained the merged stream is total.
+// accelerated replay's "trace fully scheduled" condition), a shard dies
+// with no restart coming (ErrShardDown), or the context expires, then
+// merges the settled logs: with every shard drained the merged stream is
+// total. A shard a durable service restarts is drained through its
+// restart.
 func (s *Server) Drain(ctx context.Context) error {
 	errs := make([]error, len(s.parts))
-	s.eachShard(func(i int, sh *shard) { errs[i] = sh.Drain(ctx) })
+	s.eachShard(func(i int, sh *shard) {
+		for sh != nil {
+			if errs[i] = sh.Drain(ctx); !errors.Is(errs[i], ErrShardDown) {
+				return
+			}
+			sh = s.replacement(ctx, sh)
+		}
+	})
 	s.DecisionsPage(math.MaxUint64, 0)
 	return errors.Join(errs...)
 }
@@ -732,7 +657,7 @@ func (s *Server) SetQueueCap(n int) {
 		return
 	}
 	s.mu.Lock()
-	s.cfg.QueueCap = n // restarted shards and the dead-shard buffers follow
+	s.cfg.QueueCap = n // restarted shards follow
 	s.mu.Unlock()
 	for _, sh := range s.shardList() {
 		sh.setQueueCap(n)
@@ -832,9 +757,18 @@ func (s *Server) Decisions(since uint64, limit int) []MergedDecision {
 // only follow the shards' round clocks.
 func (s *Server) ShardStatus(i int) ShardStatus {
 	s.mu.Lock()
-	sh := s.shards[i]
+	sh, down, restarts := s.shards[i], s.down[i], s.restarts[i]
+	restartErr, lastDown := s.restartErr[i], s.lastDown[i]
 	s.mu.Unlock()
-	return sh.Status()
+	st := sh.Status()
+	st.Down, st.Restarts = down, restarts
+	if down && restartErr != nil {
+		st.Err = restartErr.Error()
+	}
+	if lastDown != nil {
+		st.LastErr = lastDown.Error()
+	}
+	return st
 }
 
 // Status returns a point-in-time service snapshot.
@@ -854,14 +788,11 @@ func (s *Server) Status() Status {
 	s.mergeMu.Lock()
 	st.Lost = s.lost
 	s.mergeMu.Unlock()
-	s.mu.Lock()
-	shards := append([]*shard(nil), s.shards...)
-	st.Supervisor = s.supervisorStatusLocked()
-	s.mu.Unlock()
+	shards := s.shardList()
 	st.Scheduler = shards[0].cfg.Scheduler.Name()
 	st.ShardStatus = make([]ShardStatus, len(shards))
-	for i, sh := range shards {
-		ss := sh.Status()
+	for i := range shards {
+		ss := s.ShardStatus(i)
 		st.ShardStatus[i] = ss
 		if ss.SimNow.After(st.SimNow) {
 			st.SimNow = ss.SimNow
@@ -873,6 +804,7 @@ func (s *Server) Status() Status {
 		st.Rejected += ss.Rejected
 		st.Rounds += ss.Rounds
 		st.Decisions += ss.Decisions
+		st.Restarts += ss.Restarts
 		st.Unscheduled += ss.Unscheduled
 		for id, n := range ss.Free {
 			st.Free[id] = n

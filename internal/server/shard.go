@@ -94,9 +94,12 @@ type shard struct {
 
 	// obs is the observability layer: always on, measurement only.
 	obs *shardObs
-	// onRound, when non-nil, runs after each round with the completed-rounds
-	// count and mu released: the service's recorder clock.
+	// onRound runs after each round with the completed-rounds count and mu
+	// released: the service's recorder clock. onDown runs once the shard
+	// has died — by Crash or by a failed round loop — with mu released:
+	// the service's failover hook.
 	onRound func(rounds uint64)
+	onDown  func(*shard)
 
 	// Durability (nil/zero without Config.DataDir): the write-ahead log,
 	// the group-commit and snapshot cadence state, and what the restart
@@ -109,8 +112,10 @@ type shard struct {
 	recoveredRecs uint64
 	recoveredSnap bool
 
-	started  bool
-	stopped  bool
+	started bool
+	stopped bool
+	// crashed marks a halt by Crash: the shard is dead, not stopped.
+	crashed  bool
 	stopCh   chan struct{}
 	loopDone chan struct{}
 	runErr   error
@@ -123,7 +128,7 @@ type shard struct {
 // newShard builds shard id over cfg (defaults applied, Env already the
 // partition view) and, when cfg.DataDir is set, recovers the directory's
 // state before returning. The round loop starts with Start.
-func newShard(id int, cfg Config, onRound func(uint64)) (*shard, error) {
+func newShard(id int, cfg Config, onRound func(uint64), onDown func(*shard)) (*shard, error) {
 	sim, err := cluster.NewSim(cluster.Config{
 		Env: cfg.Env, Net: cfg.Net, FP: cfg.FP,
 		Tick: cfg.Round, Tolerance: cfg.Tolerance,
@@ -141,6 +146,7 @@ func newShard(id int, cfg Config, onRound func(uint64)) (*shard, error) {
 		decisions:  NewRing[Decision](cfg.DecisionLogCap),
 		obs:        newShardObs(),
 		onRound:    onRound,
+		onDown:     onDown,
 		stopCh:     make(chan struct{}),
 		loopDone:   make(chan struct{}),
 	}
@@ -166,7 +172,8 @@ func (s *shard) simAt(wall time.Time) time.Time {
 // queue. Re-submits are idempotent: an id whose spec digest matches what
 // this shard already accepted (still queued or already decided, up to
 // dedupeCap history) is acknowledged again with no new job. The same id
-// with a different spec is ErrDuplicateID.
+// with a different spec is ErrDuplicateID. A dead shard refuses every
+// submission with ErrShardDown.
 func (s *shard) Submit(spec JobSpec) (int, error) {
 	job, err := s.buildJob(spec)
 	if err != nil {
@@ -175,6 +182,10 @@ func (s *shard) Submit(spec JobSpec) (int, error) {
 	digest := specDigest(spec)
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if err := s.downErrLocked(); err != nil {
+		s.rejected++
+		return 0, err
+	}
 	if s.stopped {
 		s.rejected++
 		return 0, ErrStopped
@@ -297,14 +308,14 @@ func (s *shard) Start() {
 	go s.run()
 }
 
-// halt is the handshake Stop and Crash share: mark the shard stopped,
-// wake the round loop, wait for it to exit. It reports whether this call
-// did the halting; a repeat only waits.
-func (s *shard) halt() bool {
+// halt is the handshake Stop and Crash share: mark the shard stopped (and
+// crashed, for Crash), wake the round loop, wait for it to exit. It
+// reports whether this call did the halting; a repeat only waits.
+func (s *shard) halt(crash bool) bool {
 	s.mu.Lock()
 	first := !s.stopped
 	if first {
-		s.stopped = true
+		s.stopped, s.crashed = true, crash
 		close(s.stopCh)
 		s.cond.Broadcast()
 	}
@@ -319,7 +330,7 @@ func (s *shard) halt() bool {
 // Stop halts the round loop, abandons still-queued jobs, and waits for the
 // loop to exit. Idempotent.
 func (s *shard) Stop() {
-	if !s.halt() {
+	if !s.halt(false) {
 		return
 	}
 	s.mu.Lock()
@@ -351,8 +362,8 @@ func (s *shard) abandonLocked() {
 }
 
 // Drain blocks until the ingest queue and pending set are empty (the
-// accelerated replay's "trace fully scheduled" condition), the round loop
-// fails, or the context expires.
+// accelerated replay's "trace fully scheduled" condition), the shard dies
+// (ErrShardDown), or the context expires.
 func (s *shard) Drain(ctx context.Context) error {
 	wake := context.AfterFunc(ctx, func() {
 		s.mu.Lock()
@@ -365,8 +376,8 @@ func (s *shard) Drain(ctx context.Context) error {
 	for len(s.future)+s.sim.Pending() > 0 && !s.stopped && s.runErr == nil && ctx.Err() == nil {
 		s.cond.Wait()
 	}
-	if s.runErr != nil {
-		return s.runErr
+	if err := s.downErrLocked(); err != nil {
+		return err
 	}
 	if ctx.Err() == nil && !s.stopped && s.wlog != nil {
 		// The queue is drained — settled state, nothing in flight — so a
@@ -383,14 +394,35 @@ func (s *shard) Result() *cluster.Result {
 	return s.sim.Result()
 }
 
-// Stopped reports whether the shard has halted — by Stop, by Crash, or
-// by a round-loop failure (Status.Err). The supervisor's health probe: a
-// shard that reports stopped without the service having stopped it is
-// dead and a restart candidate.
-func (s *shard) Stopped() bool {
+// downErrLocked is why a dead shard refuses work: ErrShardDown after a
+// Crash or a round-loop failure (wrapping the failure), nil while the
+// shard serves or after a deliberate Stop. Called with mu held.
+func (s *shard) downErrLocked() error {
+	switch {
+	case s.runErr != nil:
+		return fmt.Errorf("%w: shard %d: %w", ErrShardDown, s.id, s.runErr)
+	case s.crashed:
+		return fmt.Errorf("%w: shard %d", ErrShardDown, s.id)
+	}
+	return nil
+}
+
+// downErr is downErrLocked for callers without mu.
+func (s *shard) downErr() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.stopped || s.runErr != nil
+	return s.downErrLocked()
+}
+
+// failLocked records the first failure that halts the round loop and
+// wakes the loop and any drainer to see it. Returns err. Called with mu
+// held.
+func (s *shard) failLocked(err error) error {
+	if s.runErr == nil {
+		s.runErr = err
+	}
+	s.cond.Broadcast()
+	return err
 }
 
 // setQueueCap changes the ingest queue capacity; see Server.SetQueueCap.
@@ -435,7 +467,9 @@ func (s *shard) DecisionsPage(since uint64, limit int) ([]Decision, Cursor) {
 		Seq:      s.decSeq,
 		Oldest:   s.decisions.Oldest(),
 		Frontier: s.simNow,
-		Idle:     len(s.future) == 0 && s.sim.Pending() == 0,
+		// A dead shard with no log decides nothing ever again: nothing can
+		// rebuild it.
+		Idle: len(s.future) == 0 && s.sim.Pending() == 0 || s.wlog == nil && s.downErrLocked() != nil,
 	}
 	if s.nextK == 0 {
 		// No round has run yet, so round 0 — whose time IS simNow — may
@@ -480,14 +514,22 @@ func (s *shard) Status() ShardStatus {
 
 // run is the round loop. Accelerated mode steps rounds back to back,
 // fast-forwarding over idle gaps and parking on the condition variable when
-// the queue is empty; paced mode fires rounds on a wall timer.
+// the queue is empty; paced mode fires rounds on a wall timer. Both return
+// on a halt or a failure; a failure is the shard's death, reported to the
+// service here (Crash reports its own).
 func (s *shard) run() {
-	defer close(s.loopDone)
 	if s.cfg.TimeScale == 0 {
 		s.runAccelerated()
-		return
+	} else {
+		s.runPaced()
 	}
-	s.runPaced()
+	s.mu.Lock()
+	failed := !s.stopped
+	s.mu.Unlock()
+	close(s.loopDone)
+	if failed {
+		s.onDown(s)
+	}
 }
 
 func (s *shard) runAccelerated() {
@@ -616,7 +658,7 @@ func (s *shard) roundLocked() {
 	rt.Batch = s.sim.Pending()
 	wall, solve, err := s.stepLocked(k, nil)
 	if err != nil {
-		s.runErr = err
+		s.failLocked(err)
 		return
 	}
 	rt.Stages[obs.StageSolve] = solve

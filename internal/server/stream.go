@@ -297,7 +297,7 @@ func submitErrorCode(err error) wire.SubmitCode {
 		return wire.SubmitOK
 	case errors.Is(err, ErrQueueFull):
 		return wire.SubmitQueueFull
-	case errors.Is(err, ErrStopped):
+	case errors.Is(err, ErrStopped), errors.Is(err, ErrShardDown):
 		return wire.SubmitStopped
 	case errors.Is(err, ErrUnknownRegion):
 		return wire.SubmitUnknownRegion

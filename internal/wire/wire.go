@@ -129,7 +129,8 @@ const (
 	SubmitOK SubmitCode = 0
 	// SubmitQueueFull is the 429 equivalent (server.ErrQueueFull).
 	SubmitQueueFull SubmitCode = 1
-	// SubmitStopped is the 503 equivalent (server.ErrStopped).
+	// SubmitStopped is the 503 equivalent (server.ErrStopped, or
+	// server.ErrShardDown for a job whose shard is dead).
 	SubmitStopped SubmitCode = 2
 	// SubmitUnknownRegion is the 404 equivalent (server.ErrUnknownRegion).
 	SubmitUnknownRegion SubmitCode = 3

@@ -29,7 +29,7 @@ func TestFleetStreamMergedPush(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sl := f.ServeStream(ln, server.StreamOptions{PushInterval: 200 * time.Microsecond})
+	sl := f.ServeStream(ln, server.StreamOptions{})
 	defer sl.Close()
 
 	// Ingest the trace over the stream; the gateway routes by home.

@@ -4,7 +4,7 @@ import (
 	"container/heap"
 	"errors"
 	"fmt"
-	"hash/fnv"
+	"math"
 	"time"
 
 	"waterwise/internal/cluster"
@@ -62,28 +62,54 @@ const (
 // canonical client-visible spec, computed before Submit-defaulting so a
 // client retrying the same request (zero Submit instant included)
 // produces the same digest the original acceptance recorded. Presence
-// flags, string lengths and values are all 8-byte words.
+// flags, string lengths and values are all 8-byte words, little-endian as
+// the wire codec lays them out, and are hashed as they are produced: no
+// buffer, no allocation per job.
 func specDigest(spec JobSpec) uint64 {
-	b := make([]byte, 0, 128)
+	h := fnv1a(14695981039346656037)
 	if spec.ID != nil {
-		b = wire.AppendI64(wire.AppendU64(b, 1), int64(*spec.ID))
+		h.word(1)
+		h.word(uint64(*spec.ID))
 	} else {
-		b = wire.AppendU64(b, 0)
+		h.word(0)
 	}
-	b = append(wire.AppendU64(b, uint64(len(spec.Benchmark))), spec.Benchmark...)
-	b = append(wire.AppendU64(b, uint64(len(spec.Home))), spec.Home...)
+	h.str(spec.Benchmark)
+	h.str(string(spec.Home))
 	if spec.Submit.IsZero() {
-		b = wire.AppendU64(b, 0)
+		h.word(0)
 	} else {
-		b = wire.AppendI64(wire.AppendU64(b, 1), spec.Submit.UnixNano())
+		h.word(1)
+		h.word(uint64(spec.Submit.UnixNano()))
 	}
-	b = wire.AppendF64(b, spec.DurationSec)
-	b = wire.AppendF64(b, spec.EnergyKWh)
-	b = wire.AppendF64(b, spec.EstDurationSec)
-	b = wire.AppendF64(b, spec.EstEnergyKWh)
-	h := fnv.New64a()
-	h.Write(b)
-	return h.Sum64()
+	h.word(math.Float64bits(spec.DurationSec))
+	h.word(math.Float64bits(spec.EnergyKWh))
+	h.word(math.Float64bits(spec.EstDurationSec))
+	h.word(math.Float64bits(spec.EstEnergyKWh))
+	return uint64(h)
+}
+
+// fnv1a is a 64-bit FNV-1a hash (hash/fnv's New64a, whose interface value
+// escapes to the heap).
+type fnv1a uint64
+
+// word hashes v's eight bytes, least significant first.
+func (h *fnv1a) word(v uint64) {
+	x := *h
+	for i := 0; i < 8; i++ {
+		x = (x ^ fnv1a(byte(v))) * 1099511628211
+		v >>= 8
+	}
+	*h = x
+}
+
+// str hashes s's length as a word, then its bytes.
+func (h *fnv1a) str(s string) {
+	h.word(uint64(len(s)))
+	x := *h
+	for i := 0; i < len(s); i++ {
+		x = (x ^ fnv1a(s[i])) * 1099511628211
+	}
+	*h = x
 }
 
 // Minimum encoded sizes of the log's repeated elements: recovery checks

@@ -101,8 +101,9 @@ func (s *Server) KillShard(i int) error {
 // shardDown is every shard's death hook: Crash calls it, and so does a
 // round loop that exits on a failure. The first call for the shard in
 // service marks its slot down and, when the service recovers shards,
-// starts the restart. Repeats, calls for a shard already replaced, and
-// deaths during Stop or Crash are ignored.
+// starts the restart. It publishes the death: a dead in-memory shard no
+// longer holds the merge back. Repeats, calls for a shard already
+// replaced, and deaths during Stop or Crash are ignored.
 func (s *Server) shardDown(sh *shard) {
 	why := sh.downErr()
 	s.mu.Lock()
@@ -116,6 +117,7 @@ func (s *Server) shardDown(sh *shard) {
 		s.restarting.Add(1)
 		go s.restart(sh)
 	}
+	s.published.publish()
 }
 
 // restart rebuilds a dead shard from its data directory and swaps it in,
@@ -164,6 +166,7 @@ func (s *Server) restart(dead *shard) {
 		started := s.started
 		s.up.Broadcast()
 		s.mu.Unlock()
+		s.published.publish() // the recovered ring may hold decisions no merge has read
 		if started {
 			sh.Start()
 		}

@@ -552,3 +552,25 @@ func TestFailedRestartBacksOff(t *testing.T) {
 		t.Fatalf("Stop waited %v on a restart backoff", took)
 	}
 }
+
+// TestKilledLaggingShardReleasesMerge: on an in-memory service, killing
+// the shard that holds the merge back releases the live shard's
+// decisions to a subscriber, with no further round on the dead shard.
+// Shard 0 drained before the kill, so the kill is the only event that can
+// wake the pusher.
+func TestKilledLaggingShardReleasesMerge(t *testing.T) {
+	const jobs = 40
+	srv, sub := heldMerge(t, jobs)
+	if err := srv.KillShard(1); err != nil {
+		t.Fatal(err)
+	}
+	got := sub.readDecisions(jobs, 10*time.Second)
+	for i, d := range got {
+		if d.Seq != uint64(i+1) || d.Shard != 0 {
+			t.Fatalf("decision %d: seq %d shard %d, want seq %d from shard 0", i, d.Seq, d.Shard, i+1)
+		}
+	}
+	if st := srv.ShardStatus(1); !st.Down || st.Rounds != 0 {
+		t.Fatalf("dead shard: down %v, %d rounds; want down with none", st.Down, st.Rounds)
+	}
+}

@@ -154,8 +154,11 @@ func parseDecisionsQuery(q url.Values) (since uint64, limit int, err error) {
 }
 
 // serveJobs is POST /v1/jobs: 16 MiB body cap, single-or-array decode,
-// per-job submit loop with partial-accept reply, typed status mapping.
-// The ingest histogram times the whole request, outside any lock.
+// one batch admission with an accepted-prefix reply, typed status
+// mapping. Admission stops at the first rejection: Accepted lists the ids
+// admitted before it, nothing after it is admitted, and the status is the
+// rejection's. The ingest histogram times the whole request, outside any
+// lock.
 func (s *Server) serveJobs(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
@@ -173,14 +176,15 @@ func (s *Server) serveJobs(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, SubmitResponse{Error: err.Error()})
 		return
 	}
-	ids := make([]int, 0, len(specs))
-	for _, spec := range specs {
-		id, err := s.Submit(spec)
-		if err != nil {
-			writeJSON(w, submitErrorStatus(err), SubmitResponse{Accepted: ids, Error: err.Error()})
+	out := make([]Admission, len(specs))
+	n := s.submitFrame(specs, out, true)
+	ids := make([]int, 0, n)
+	for _, a := range out[:n] {
+		if a.Err != nil {
+			writeJSON(w, submitErrorStatus(a.Err), SubmitResponse{Accepted: ids, Error: a.Err.Error()})
 			return
 		}
-		ids = append(ids, id)
+		ids = append(ids, a.ID)
 	}
 	writeJSON(w, http.StatusAccepted, SubmitResponse{Accepted: ids})
 }

@@ -52,6 +52,7 @@ import (
 	"fmt"
 	"math"
 	"path/filepath"
+	"slices"
 	"sync"
 	"time"
 
@@ -61,6 +62,7 @@ import (
 	"waterwise/internal/milp"
 	"waterwise/internal/obs"
 	"waterwise/internal/region"
+	"waterwise/internal/trace"
 	"waterwise/internal/transfer"
 	"waterwise/internal/tsdb"
 )
@@ -374,6 +376,41 @@ type Server struct {
 	merged  Ring[MergedDecision]
 	seq     uint64
 	lost    uint64
+
+	// published wakes the stream pushers when new merged decisions may be
+	// readable.
+	published publisher
+}
+
+// publisher is the service's publish signal. Every event that can make
+// new merged decisions readable closes the channel its waiters hold: a
+// shard's completed round (observeRound), a shard's death (shardDown) or
+// restart, and Stop's final merge. Nothing else moves the merge: a
+// submission can only hold decisions back, never release them.
+type publisher struct {
+	mu sync.Mutex
+	ch chan struct{}
+}
+
+// wait returns a channel the next publish closes. A reader takes it before
+// it reads the log, so an event landing between the two still wakes it.
+func (p *publisher) wait() <-chan struct{} {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.ch == nil {
+		p.ch = make(chan struct{})
+	}
+	return p.ch
+}
+
+// publish wakes every waiter; with none waiting it allocates nothing.
+func (p *publisher) publish() {
+	p.mu.Lock()
+	if p.ch != nil {
+		close(p.ch)
+		p.ch = nil
+	}
+	p.mu.Unlock()
 }
 
 // partition assigns every region of env to a shard: pinned regions first,
@@ -507,11 +544,13 @@ func (s *Server) buildShard(i int, cfg Config) (*shard, error) {
 	return sh, nil
 }
 
-// observeRound is every shard's end-of-round hook. Each shard reports its
-// own completed-round count and the recorder keeps the maximum, so its
+// observeRound is every shard's end-of-round hook. It publishes the
+// round's decisions to the stream pushers, and each shard reports its own
+// completed-round count to the recorder, which keeps the maximum, so its
 // clock is the service's progress clock. Runs on the shard's round-loop
 // goroutine with the shard's lock released.
 func (s *Server) observeRound(rounds uint64) {
+	s.published.publish()
 	if s.recorder != nil {
 		s.recorder.Observe(rounds)
 	}
@@ -565,20 +604,93 @@ func (s *Server) eachShard(fn func(i int, sh *shard)) {
 // is acknowledged again with the original id and no new job — the
 // safe-retry contract clients rely on after a connection error, a refusal
 // by a dead shard, or a restart.
+//
+// Submit is SubmitBatch's one-job case.
 func (s *Server) Submit(spec JobSpec) (int, error) {
-	i, ok := s.owner[spec.Home]
-	if !ok {
-		return 0, fmt.Errorf("%w: %q", ErrUnknownRegion, spec.Home)
+	var out [1]Admission
+	s.submitFrame([]JobSpec{spec}, out[:], false)
+	if out[0].Err != nil {
+		return 0, out[0].Err
 	}
+	return out[0].ID, nil
+}
+
+// Admission is one job's outcome in a SubmitBatch: the id it is logged
+// under, or why it was refused (ID is meaningful only when Err is nil).
+type Admission struct {
+	ID  int
+	Err error
+
+	// Between routing and a shard's admission: the owning shard, and the
+	// job built from the spec with its digest.
+	sh     *shard
+	job    *trace.Job
+	digest uint64
+}
+
+// SubmitBatch admits a frame of jobs with Submit's contract per job — the
+// same checks, the same typed rejections, the same idempotent retries —
+// and returns their outcomes in out (reused when large enough), one per
+// spec in order. Every spec is tried, whatever the others' outcomes. The
+// frame's auto ids are assigned under one acquisition of the routing
+// lock, and each shard admits its jobs in frame order under one
+// acquisition of its own lock, waking its round loop once.
+func (s *Server) SubmitBatch(specs []JobSpec, out []Admission) []Admission {
+	out = slices.Grow(out[:0], len(specs))[:len(specs)]
+	s.submitFrame(specs, out, false)
+	return out
+}
+
+// submitFrame is the one admission path, behind Submit, SubmitBatch and
+// POST /v1/jobs. It routes every spec and assigns its id under one
+// acquisition of s.mu, then hands each shard its entries. Without prefix
+// every spec is tried and each shard takes all of its entries at once.
+// With prefix — HTTP's accepted-prefix contract — admission stops at the
+// first rejection: the frame goes to the shards as runs of consecutive
+// same-shard specs, in order, and nothing after the rejection is
+// admitted. It returns how many leading specs were tried: len(specs), or
+// the rejected one's index + 1. Ids are assigned before any shard admits,
+// so specs cut off after a rejection leave their auto ids unused, as a
+// rejected job does.
+func (s *Server) submitFrame(specs []JobSpec, out []Admission, prefix bool) int {
+	n := len(specs)
 	s.mu.Lock()
-	if spec.ID == nil {
+	for i := range specs {
+		out[i] = Admission{}
+		o, ok := s.owner[specs[i].Home]
+		if !ok {
+			out[i].Err = fmt.Errorf("%w: %q", ErrUnknownRegion, specs[i].Home)
+			if prefix {
+				n = i + 1
+				break
+			}
+			continue
+		}
 		id := s.autoID
-		spec.ID = &id
+		if specs[i].ID != nil {
+			id = *specs[i].ID
+		}
+		s.autoID = max(s.autoID, id+1)
+		out[i].ID, out[i].sh = id, s.shards[o]
 	}
-	s.autoID = max(s.autoID, *spec.ID+1)
-	sh := s.shards[i]
 	s.mu.Unlock()
-	return sh.Submit(spec)
+	for i := 0; i < n; i++ {
+		sh := out[i].sh
+		if sh == nil {
+			continue // refused at routing, or admitted with its shard's earlier entries
+		}
+		end := n
+		if prefix {
+			end = i + 1
+			for end < n && out[end].sh == sh {
+				end++
+			}
+		}
+		if stop := sh.admit(specs[i:end], out[i:end], prefix); stop >= 0 {
+			return i + stop + 1
+		}
+	}
+	return n
 }
 
 // Start launches every shard's round loop.
@@ -594,11 +706,12 @@ func (s *Server) Start() {
 // Stop ends restarts first (so the shutdown is not mistaken for a crash
 // and "repaired"), then stops every shard concurrently — abandoning
 // still-queued jobs into Result().Unscheduled — then merges the final
-// decisions. Idempotent.
+// decisions and publishes them to live subscribers. Idempotent.
 func (s *Server) Stop() {
 	s.haltRestarts()
 	s.eachShard(func(_ int, sh *shard) { sh.Stop() })
 	s.DecisionsPage(math.MaxUint64, 0)
+	s.published.publish()
 	if s.recorder != nil {
 		// Every round loop is down, so no more rounds arrive; Close drains
 		// the async scraper. The store stays queryable after Stop.

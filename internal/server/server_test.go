@@ -373,8 +373,9 @@ func TestRegionPartitionShard(t *testing.T) {
 	if got := sh.Status().Regions; len(got) != 2 || got[0] != region.Zurich || got[1] != region.Milan {
 		t.Fatalf("shard regions = %v", got)
 	}
-	id := 1
-	if _, err := sh.Submit(JobSpec{ID: &id, Benchmark: "canneal", Home: region.Mumbai, Submit: testStart}); !errors.Is(err, ErrUnknownRegion) {
+	out := []Admission{{ID: 1, sh: sh}} // routed to shard 0 by hand, past the service's router
+	sh.admit([]JobSpec{{Benchmark: "canneal", Home: region.Mumbai, Submit: testStart}}, out, false)
+	if err := out[0].Err; !errors.Is(err, ErrUnknownRegion) {
 		t.Errorf("out-of-partition home: got %v, want ErrUnknownRegion", err)
 	}
 	if _, err := srv.Submit(JobSpec{Benchmark: "canneal", Home: region.Milan, Submit: testStart}); err != nil {
@@ -647,5 +648,121 @@ func TestStopAbandonsQueue(t *testing.T) {
 	}
 	if got := len(srv.Result().Unscheduled); got != 4 {
 		t.Errorf("unscheduled %d, want 4", got)
+	}
+}
+
+// TestHTTPSubmitAcceptedPrefix pins POST /v1/jobs' accepted-prefix
+// contract: an array rejected at index k — here a duplicate id, so 409 —
+// admits exactly its first k jobs and nothing after the rejection, and
+// Accepted lists those k ids. On two shards the array alternates between
+// them, so a later job on the other shard must not slip in either.
+func TestHTTPSubmitAcceptedPrefix(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			srv, err := New(Config{Env: testEnv(t), NewScheduler: coreFactory(t), Shards: shards, Tolerance: 0.5})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Stop()
+			ts := httptest.NewServer(srv.Handler())
+			defer ts.Close()
+			parts := srv.Partitions()
+			const k = 3
+			specs := make([]JobSpec, 6)
+			for i := range specs {
+				id := i + 1
+				specs[i] = JobSpec{ID: &id, Benchmark: "canneal", Home: parts[i%shards][0], Submit: testStart}
+			}
+			taken := 100
+			first := specs[k]
+			first.ID = &taken
+			if _, err := srv.Submit(first); err != nil {
+				t.Fatal(err)
+			}
+			specs[k].ID, specs[k].Benchmark = &taken, "swaptions" // same id, another spec
+			before := srv.Status().Accepted
+
+			body, err := json.Marshal(specs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.Post(ts.URL+PathJobs, "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var reply SubmitResponse
+			err = json.NewDecoder(resp.Body).Decode(&reply)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusConflict {
+				t.Fatalf("status %d, want 409 (%s)", resp.StatusCode, reply.Error)
+			}
+			if len(reply.Accepted) != k {
+				t.Fatalf("accepted %v, want the %d ids before the rejection", reply.Accepted, k)
+			}
+			for i, id := range reply.Accepted {
+				if id != i+1 {
+					t.Fatalf("accepted %v, want ids 1..%d", reply.Accepted, k)
+				}
+			}
+			if got := srv.Status().Accepted - before; got != k {
+				t.Fatalf("the request admitted %d jobs, want %d", got, k)
+			}
+		})
+	}
+}
+
+// BenchmarkSubmitBatch times admission at frame sizes 1 and 256, in memory
+// and durable: one SubmitBatch per op, with ns/job alongside. The server
+// is rebuilt off the clock every 64k jobs, so its queue stays bounded.
+func BenchmarkSubmitBatch(b *testing.B) {
+	env := testEnv(b)
+	homes := env.IDs()
+	for _, durable := range []bool{false, true} {
+		for _, frame := range []int{1, 256} {
+			mode := "mem"
+			if durable {
+				mode = "durable"
+			}
+			b.Run(fmt.Sprintf("frame=%d/%s", frame, mode), func(b *testing.B) {
+				fresh := func() *Server {
+					cfg := Config{Env: env, Scheduler: newScheduler(b, false), Tolerance: 0.5, QueueCap: 1 << 17}
+					if durable {
+						cfg.DataDir = b.TempDir()
+					}
+					srv, err := New(cfg)
+					if err != nil {
+						b.Fatal(err)
+					}
+					return srv
+				}
+				specs := make([]JobSpec, frame)
+				for i := range specs {
+					specs[i] = JobSpec{Benchmark: "canneal", Home: homes[i%len(homes)],
+						Submit: testStart.Add(time.Duration(i) * time.Second)}
+				}
+				srv, out, queued := fresh(), []Admission(nil), 0
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if queued+frame > 1<<16 {
+						b.StopTimer()
+						srv.Stop()
+						srv, queued = fresh(), 0
+						b.StartTimer()
+					}
+					out = srv.SubmitBatch(specs, out)
+					if out[0].Err != nil {
+						b.Fatal(out[0].Err)
+					}
+					queued += frame
+				}
+				b.StopTimer()
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*frame), "ns/job")
+				srv.Stop()
+			})
+		}
 	}
 }

@@ -168,53 +168,103 @@ func (s *shard) simAt(wall time.Time) time.Time {
 	return s.cfg.Env.Start.Add(time.Duration(float64(wall.Sub(s.wallStart)) * s.cfg.TimeScale))
 }
 
-// Submit accepts one job (the service has assigned its id) into the ingest
-// queue. Re-submits are idempotent: an id whose spec digest matches what
-// this shard already accepted (still queued or already decided, up to
-// dedupeCap history) is acknowledged again with no new job. The same id
-// with a different spec is ErrDuplicateID. A dead shard refuses every
-// submission with ErrShardDown.
-func (s *shard) Submit(spec JobSpec) (int, error) {
-	job, err := s.buildJob(spec)
-	if err != nil {
-		return 0, err
+// admit is a shard's half of Server.submitFrame: it admits the entries of
+// out routed to this shard (out[i].sh == s, id already assigned), in
+// frame order, under one lock acquisition and with one wake of the round
+// loop. Jobs are built and digested before the lock is taken. Each entry's
+// outcome lands in out[i].Err and its routing is cleared, so the caller
+// sees which entries are done. With prefix, admission stops at the first
+// rejection and admit returns its index in out; otherwise it returns -1.
+func (s *shard) admit(specs []JobSpec, out []Admission, prefix bool) int {
+	stop, end := -1, len(specs)
+	for i := range specs {
+		a := &out[i]
+		if a.sh != s {
+			continue
+		}
+		if a.job, a.Err = s.buildJob(specs[i]); a.Err != nil {
+			if prefix {
+				stop, end = i, i
+				break
+			}
+			continue
+		}
+		a.job.ID = a.ID
+		spec := specs[i]
+		spec.ID = &a.ID // the digest covers the assigned id
+		a.digest = specDigest(spec)
 	}
-	digest := specDigest(spec)
+	woke := false
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	now := time.Now() // after the lock wait: a paced stamp must not predate the round clock
+	for i := 0; i < end; i++ {
+		a := &out[i]
+		if a.sh != s || a.job == nil {
+			continue
+		}
+		if a.Err = s.acceptLocked(a.job, a.digest, now); a.Err == nil {
+			woke = true
+		} else if prefix {
+			stop = i
+			break
+		}
+	}
+	if woke {
+		s.cond.Broadcast() // wake an idle accelerated loop
+	}
+	s.mu.Unlock()
+	for i := range out {
+		if out[i].sh == s {
+			out[i].sh, out[i].job = nil, nil
+		}
+	}
+	return stop
+}
+
+// acceptLocked runs the admission checks for one built job and, if it
+// passes, commits it: the shard must be up and not stopped, the id new or
+// an idempotent re-submit, the queue below QueueCap and the submit instant
+// inside the horizon; then the job is written ahead (group-committed by
+// the next round, the SyncInterval, or a read) and traced. Re-submits are
+// idempotent: an id whose spec digest matches what this shard already
+// accepted (still queued or already decided, up to dedupeCap history) is
+// acknowledged again with no new job; the same id with a different spec
+// is ErrDuplicateID. A dead shard refuses with ErrShardDown. now stamps
+// the acceptance. Called with mu held.
+func (s *shard) acceptLocked(job *trace.Job, digest uint64, now time.Time) error {
 	if err := s.downErrLocked(); err != nil {
 		s.rejected++
-		return 0, err
+		return err
 	}
 	if s.stopped {
 		s.rejected++
-		return 0, ErrStopped
+		return ErrStopped
 	}
 	if g, dup := s.live[job.ID]; dup {
 		if g.digest == digest {
 			s.deduped++
-			return job.ID, nil
+			return nil
 		}
 		s.rejected++
-		return 0, fmt.Errorf("%w: %d", ErrDuplicateID, job.ID)
+		return fmt.Errorf("%w: %d", ErrDuplicateID, job.ID)
 	}
 	if g, done := s.decidedIdx[job.ID]; done && g == digest {
 		s.deduped++
-		return job.ID, nil
+		return nil
 	}
 	if len(s.future)+s.sim.Pending() >= s.cfg.QueueCap {
 		s.rejected++
-		return 0, ErrQueueFull
+		return ErrQueueFull
 	}
 	if job.Submit.IsZero() {
-		job.Submit = s.simAt(time.Now())
+		job.Submit = s.simAt(now)
 		if job.Submit.Before(s.cfg.Env.Start) {
 			job.Submit = s.cfg.Env.Start
 		}
 	}
 	if job.Submit.Before(s.cfg.Env.Start) || !job.Submit.Before(s.cfg.Env.End()) {
 		s.rejected++
-		return 0, fmt.Errorf("%w: %v not in [%v, %v)",
+		return fmt.Errorf("%w: %v not in [%v, %v)",
 			ErrOutsideHorizon, job.Submit, s.cfg.Env.Start, s.cfg.Env.End())
 	}
 	if s.wlog != nil {
@@ -222,25 +272,23 @@ func (s *shard) Submit(spec JobSpec) (int, error) {
 		// and group-committed by the next round or the SyncInterval.
 		if err := s.walAppendLocked(encodeJobRecord(job, digest)); err != nil {
 			s.rejected++
-			return 0, err
+			return err
 		}
-		if time.Since(s.lastWalSync) >= s.cfg.SyncInterval {
+		if now.Sub(s.lastWalSync) >= s.cfg.SyncInterval {
 			if err := s.walSyncLocked(); err != nil {
 				s.rejected++
-				return 0, err
+				return err
 			}
 		}
 	}
-	accepted := time.Now()
-	s.obs.jobs.Accepted(job.ID, accepted, job.Submit)
-	s.admitLocked(job, digest, accepted)
-	s.cond.Broadcast() // wake an idle accelerated loop
-	return job.ID, nil
+	s.obs.jobs.Accepted(job.ID, now, job.Submit)
+	s.admitLocked(job, digest, now)
+	return nil
 }
 
-// admitLocked commits an accepted job to shard state: the tail of Submit
-// (after validation and the write-ahead append) and all of replaying a
-// job record, which passes a zero stamp. Called with mu held.
+// admitLocked commits an accepted job to shard state: the tail of
+// acceptLocked (after validation and the write-ahead append) and all of
+// replaying a job record, which passes a zero stamp. Called with mu held.
 func (s *shard) admitLocked(job *trace.Job, digest uint64, accepted time.Time) {
 	if job.ID >= s.autoID {
 		s.autoID = job.ID + 1

@@ -7,19 +7,15 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"waterwise/internal/region"
 	"waterwise/internal/wire"
 )
 
-// StreamOptions tunes a StreamListener. The zero value uses defaults.
-type StreamOptions struct {
-	// PushInterval is the idle poll cadence of the decision pusher
-	// (default 1ms). When decisions are flowing the pusher loops
-	// without sleeping.
-	PushInterval time.Duration
-}
+// StreamOptions is a StreamListener's options; there are none. The
+// pusher has no cadence to tune: it wakes when the service publishes new
+// decisions.
+type StreamOptions struct{}
 
 const (
 	// pushBatch caps decisions per pushed frame.
@@ -36,9 +32,8 @@ const (
 // a cursor-resume handshake. Close shuts it down and waits for every
 // connection goroutine to exit.
 type StreamListener struct {
-	srv  *Server
-	opts StreamOptions
-	ln   net.Listener
+	srv *Server
+	ln  net.Listener
 
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{}
@@ -49,13 +44,9 @@ type StreamListener struct {
 // ServeStream starts serving the wire protocol on ln. It returns
 // immediately; connections are handled on their own goroutines until
 // Close.
-func (s *Server) ServeStream(ln net.Listener, opts StreamOptions) *StreamListener {
-	if opts.PushInterval <= 0 {
-		opts.PushInterval = time.Millisecond
-	}
+func (s *Server) ServeStream(ln net.Listener, _ StreamOptions) *StreamListener {
 	l := &StreamListener{
 		srv:   s,
-		opts:  opts,
 		ln:    ln,
 		conns: make(map[net.Conn]struct{}),
 	}
@@ -117,10 +108,13 @@ func (l *StreamListener) acceptLoop() {
 }
 
 // streamSession is the per-connection state shared between the read
-// loop and the decision pusher.
+// loop and the decision pusher. The read loop stores each Ack in lastAck
+// and then signals acked (one buffered token), which wakes a pusher whose
+// window is full.
 type streamSession struct {
 	conn    *wire.Conn
 	lastAck atomic.Uint64
+	acked   chan struct{}
 	stop    chan struct{}
 	pushed  sync.WaitGroup
 }
@@ -135,7 +129,7 @@ func (l *StreamListener) serveConn(nc net.Conn) {
 	}()
 
 	conn := wire.NewConn(nc)
-	ss := &streamSession{conn: conn, stop: make(chan struct{})}
+	ss := &streamSession{conn: conn, acked: make(chan struct{}, 1), stop: make(chan struct{})}
 
 	// Handshake: the first frame must be Hello; the reply is Welcome
 	// with the log bounds and region set.
@@ -179,10 +173,13 @@ func (l *StreamListener) serveConn(nc net.Conn) {
 
 // readLoop ingests Submit and Ack frames until the connection errors
 // or the client closes. A frame is fully decoded before any job is
-// submitted, so a torn frame never half-ingests a batch.
+// submitted, so a torn frame never half-ingests a batch, and then
+// admitted as one SubmitBatch.
 func (l *StreamListener) readLoop(ss *streamSession) {
 	var (
 		jobs    []wire.Job
+		specs   []JobSpec
+		adm     []Admission
 		results []wire.SubmitResult
 		scratch []byte
 	)
@@ -198,12 +195,16 @@ func (l *StreamListener) readLoop(ss *streamSession) {
 				l.sendError(ss.conn, wire.ErrCodeProtocol, "malformed submit")
 				return
 			}
-			results = results[:0]
+			specs = specs[:0]
 			for i := range jobs {
-				id, err := l.srv.Submit(jobSpecFromWire(&jobs[i]))
-				res := wire.SubmitResult{Code: submitErrorCode(err)}
-				if err == nil {
-					res.ID = int64(id)
+				specs = append(specs, jobSpecFromWire(&jobs[i]))
+			}
+			adm = l.srv.SubmitBatch(specs, adm)
+			results = results[:0]
+			for i := range adm {
+				res := wire.SubmitResult{Code: submitErrorCode(adm[i].Err)}
+				if adm[i].Err == nil {
+					res.ID = int64(adm[i].ID)
 				}
 				results = append(results, res)
 			}
@@ -218,6 +219,10 @@ func (l *StreamListener) readLoop(ss *streamSession) {
 				return
 			}
 			ss.lastAck.Store(seq)
+			select {
+			case ss.acked <- struct{}{}:
+			default: // a token is already waiting
+			}
 		default:
 			l.sendError(ss.conn, wire.ErrCodeProtocol, fmt.Sprintf("unexpected frame type %d", typ))
 			return
@@ -226,8 +231,13 @@ func (l *StreamListener) readLoop(ss *streamSession) {
 }
 
 // pushDecisions streams the merged decision log to the client from
-// resume onward: poll a page, encode, write, repeat — sleeping only
-// when the log is drained or the client's ack window is full.
+// resume onward: page, encode, write — then wait for the service to
+// publish more. It reads the log once per publish (and so group-commits a
+// durable shard's log at most once per wake), again at once only when a
+// page came back full, and sleeps on the client's next Ack while its
+// window is full. There is no timer: a page that comes back short has
+// everything readable when the wait channel was taken, and anything
+// published since has closed that channel.
 func (l *StreamListener) pushDecisions(ss *streamSession, resume uint64) {
 	defer ss.pushed.Done()
 	cursor := resume
@@ -235,51 +245,39 @@ func (l *StreamListener) pushDecisions(ss *streamSession, resume uint64) {
 		page    []wire.Decision
 		scratch []byte
 	)
-	timer := time.NewTimer(l.opts.PushInterval)
-	defer timer.Stop()
-	wait := func() bool {
-		timer.Reset(l.opts.PushInterval)
-		select {
-		case <-ss.stop:
-			return false
-		case <-timer.C:
-			return true
-		}
-	}
 	for {
+		room := pushWindow - max(int64(cursor)-int64(ss.lastAck.Load()), 0)
+		if room <= 0 {
+			select {
+			case <-ss.stop:
+				return
+			case <-ss.acked:
+			}
+			continue
+		}
+		published := l.srv.published.wait()
+		limit := int(min(room, pushBatch))
+		page = l.srv.wireDecisions(cursor, limit, page[:0])
+		if len(page) > 0 {
+			next := page[len(page)-1].Seq
+			var err error
+			scratch, err = wire.AppendDecisions(scratch[:0], next, page)
+			if err != nil {
+				return
+			}
+			if err := ss.conn.WriteFrame(wire.TypeDecisions, scratch); err != nil {
+				return
+			}
+			cursor = next
+			if len(page) == limit {
+				continue // the page was cut short of what is readable
+			}
+		}
 		select {
 		case <-ss.stop:
 			return
-		default:
+		case <-published:
 		}
-		inflight := int64(cursor) - int64(ss.lastAck.Load())
-		if inflight < 0 {
-			inflight = 0
-		}
-		room := pushWindow - inflight
-		if room <= 0 {
-			if !wait() {
-				return
-			}
-			continue
-		}
-		page = l.srv.wireDecisions(cursor, int(min(room, pushBatch)), page[:0])
-		if len(page) == 0 {
-			if !wait() {
-				return
-			}
-			continue
-		}
-		next := page[len(page)-1].Seq
-		var err error
-		scratch, err = wire.AppendDecisions(scratch[:0], next, page)
-		if err != nil {
-			return
-		}
-		if err := ss.conn.WriteFrame(wire.TypeDecisions, scratch); err != nil {
-			return
-		}
-		cursor = next
 	}
 }
 

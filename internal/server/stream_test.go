@@ -11,10 +11,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"waterwise/internal/region"
+	"waterwise/internal/sched"
 	"waterwise/internal/wire"
 )
 
@@ -156,7 +158,7 @@ func streamTestServer(t testing.TB, cfg Config) (*Server, *StreamListener) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sl := srv.ServeStream(ln, StreamOptions{PushInterval: 200 * time.Microsecond})
+	sl := srv.ServeStream(ln, StreamOptions{})
 	t.Cleanup(func() {
 		sl.Close()
 		srv.Stop()
@@ -474,5 +476,139 @@ func TestStreamHandshakeErrors(t *testing.T) {
 	var ne net.Error
 	if _, _, err := c.conn.ReadFrame(); err == nil || (errors.As(err, &ne) && ne.Timeout()) {
 		t.Fatalf("connection stayed open after Error frame: %v", err)
+	}
+}
+
+// readUnacked consumes pushed Decisions frames without acking any until n
+// decisions have arrived or the deadline passes.
+func (c *streamClient) readUnacked(n int, deadline time.Duration) []wire.Decision {
+	c.t.Helper()
+	var out []wire.Decision
+	c.nc.SetReadDeadline(time.Now().Add(deadline))
+	defer c.nc.SetReadDeadline(time.Time{})
+	for len(out) < n {
+		typ, payload, err := c.conn.ReadFrame()
+		if err != nil || typ != wire.TypeDecisions {
+			c.t.Fatalf("readUnacked after %d/%d: type %d, err %v", len(out), n, typ, err)
+		}
+		if out, _, err = c.conn.Codec().DecodeDecisions(payload, out); err != nil {
+			c.t.Fatal(err)
+		}
+	}
+	return out
+}
+
+// quiet asserts that no frame arrives within d.
+func (c *streamClient) quiet(d time.Duration) {
+	c.t.Helper()
+	c.nc.SetReadDeadline(time.Now().Add(d))
+	defer c.nc.SetReadDeadline(time.Time{})
+	// The frame reader wraps the deadline error as text.
+	if typ, _, err := c.conn.ReadFrame(); err == nil || !strings.Contains(err.Error(), "i/o timeout") {
+		c.t.Fatalf("want no frame for %v, got type %d, err %v", d, typ, err)
+	}
+}
+
+// TestStreamAckWindowResumes: a subscriber that stops acking stalls at
+// pushWindow decisions in flight, and one Ack reopens the window. The
+// service is drained before the Ack, so no round publishes anything after
+// it: only the Ack can wake the pusher.
+func TestStreamAckWindowResumes(t *testing.T) {
+	const perRound = 150 // what the baseline scheduler places in one round
+	n := pushWindow + 500
+	srv, sl := streamTestServer(t, Config{
+		Env: testEnv(t), Scheduler: sched.NewBaseline(), Tolerance: 0.5, Round: time.Minute,
+		QueueCap: 2 * pushWindow, DecisionLogCap: 2 * pushWindow,
+	})
+	homes := srv.cfg.Env.IDs()
+	specs := make([]JobSpec, n)
+	for i := range specs {
+		specs[i] = JobSpec{Benchmark: "canneal", Home: homes[i%len(homes)],
+			Submit: testStart.Add(time.Duration(i/perRound) * time.Minute), DurationSec: 30}
+	}
+	for i, a := range srv.SubmitBatch(specs, nil) {
+		if a.Err != nil {
+			t.Fatalf("job %d: %v", i, a.Err)
+		}
+	}
+	sub := dialStream(t, sl.Addr().String(), 0, true)
+	defer sub.close()
+	srv.Start()
+
+	got := sub.readUnacked(pushWindow, 60*time.Second)
+	if len(got) != pushWindow {
+		t.Fatalf("pushed %d decisions unacked, want the window's %d", len(got), pushWindow)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	if err := srv.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	sub.quiet(50 * time.Millisecond)
+
+	if err := sub.conn.WriteFrame(wire.TypeAck, wire.AppendAck(nil, got[len(got)-1].Seq)); err != nil {
+		t.Fatal(err)
+	}
+	got = append(got, sub.readDecisions(n-len(got), 10*time.Second)...)
+	for i, d := range got {
+		if d.Seq != uint64(i+1) {
+			t.Fatalf("decision %d: seq %d, want %d", i, d.Seq, i+1)
+		}
+	}
+}
+
+// heldMerge builds a two-shard in-memory service whose merge holds shard
+// 0's decisions behind shard 1: shard 1 has a queued job but its round
+// loop never starts, so its round clock stays before every decision. Shard
+// 0 runs alone and decides jobs decisions, and a subscriber is connected
+// throughout; heldMerge returns once shard 0 has drained and nothing has
+// been pushed.
+func heldMerge(t *testing.T, jobs int) (*Server, *streamClient) {
+	t.Helper()
+	srv, sl := streamTestServer(t, Config{
+		Env: testEnv(t), NewScheduler: coreFactory(t), Shards: 2, Tolerance: 0.5, Round: time.Minute,
+	})
+	parts := srv.Partitions()
+	if _, err := srv.Submit(JobSpec{Benchmark: "canneal", Home: parts[1][0], Submit: testStart}); err != nil {
+		t.Fatal(err)
+	}
+	specs := make([]JobSpec, jobs)
+	for i := range specs {
+		specs[i] = JobSpec{Benchmark: "canneal", Home: parts[0][i%len(parts[0])],
+			Submit: testStart.Add(time.Duration(i) * time.Minute)}
+	}
+	for i, a := range srv.SubmitBatch(specs, nil) {
+		if a.Err != nil {
+			t.Fatalf("job %d: %v", i, a.Err)
+		}
+	}
+	sub := dialStream(t, sl.Addr().String(), 0, true)
+	t.Cleanup(sub.close)
+	sh0 := srv.shardList()[0]
+	sh0.Start()
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	if err := sh0.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if st := sh0.Status(); st.Decisions != uint64(jobs) {
+		t.Fatalf("shard 0 decided %d of %d", st.Decisions, jobs)
+	}
+	sub.quiet(50 * time.Millisecond) // the merge holds them
+	return srv, sub
+}
+
+// TestStreamStopReleasesMerge: Stop's final merge releases decisions the
+// merge held, and a live subscriber receives them. Shard 0 drained before
+// Stop, so Stop is the only event that can wake the pusher.
+func TestStreamStopReleasesMerge(t *testing.T) {
+	const jobs = 40
+	srv, sub := heldMerge(t, jobs)
+	srv.Stop()
+	got := sub.readDecisions(jobs, 10*time.Second)
+	for i, d := range got {
+		if d.Seq != uint64(i+1) || d.Shard != 0 {
+			t.Fatalf("decision %d: seq %d shard %d, want seq %d from shard 0", i, d.Seq, d.Shard, i+1)
+		}
 	}
 }

@@ -490,8 +490,8 @@ type (
 	// (Server.ServeStream): batched submits in, batched decision pushes
 	// out, cursor-resume handshake.
 	StreamListener = server.StreamListener
-	// StreamOptions tunes a StreamListener (push cadence); the zero value
-	// uses defaults.
+	// StreamOptions is a StreamListener's options, currently none: the
+	// listener pushes decisions as rounds publish them, with no cadence.
 	StreamOptions = server.StreamOptions
 )
 

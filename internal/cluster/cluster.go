@@ -577,6 +577,8 @@ func Run(cfg Config, sched Scheduler, jobs []*trace.Job) (*Result, error) {
 		}
 	}
 	cfg = sim.cfg // defaults applied
+	// Every job gets one outcome, so the log is sized once for the trace.
+	sim.res.Outcomes = make([]JobOutcome, 0, len(jobs))
 	nextJob := 0
 	now := cfg.Env.Start
 	var lastArrival time.Time
@@ -627,10 +629,7 @@ func (s *Sim) apply(now time.Time, decisions []Decision) error {
 		}
 		job := pj.Job
 
-		var pkgMB float64
-		if p, err := workload.Lookup(job.Benchmark); err == nil {
-			pkgMB = p.PackageMB
-		}
+		pkgMB := workload.PackageMB(job.Benchmark)
 		lat := cfg.Net.Latency(job.Home, d.Region, pkgMB)
 
 		start := now.Add(lat)

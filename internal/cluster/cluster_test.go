@@ -8,7 +8,9 @@ import (
 	"waterwise/internal/energy"
 	"waterwise/internal/region"
 	"waterwise/internal/trace"
+	"waterwise/internal/transfer"
 	"waterwise/internal/units"
+	"waterwise/internal/workload"
 )
 
 var testStart = time.Date(2023, 7, 1, 0, 0, 0, 0, time.UTC)
@@ -184,6 +186,33 @@ func TestMigrationAccountsTransfer(t *testing.T) {
 		if o.Comm.Carbon() <= 0 || o.Comm.Water() <= 0 {
 			t.Errorf("job %d migrated without comm footprint", o.Job.ID)
 		}
+	}
+}
+
+// An unknown benchmark migrates at the package size every controller
+// prices it at (workload.PackageMB's fallback), so it pays a transfer and
+// a communication footprint like any other migration.
+func TestUnknownBenchmarkMigratesDefaultPackage(t *testing.T) {
+	env := testEnv(t)
+	net := transfer.New()
+	jobs := makeJobs(1, time.Minute, region.Oregon)
+	jobs[0].Benchmark = "not-a-benchmark"
+	toZurich := schedulerFunc(func(ctx *Context) ([]Decision, error) {
+		return []Decision{{Job: ctx.Jobs[0].Job, Region: region.Zurich}}, nil
+	})
+	res, err := Run(Config{Env: env, Net: net, Tolerance: 1}, toZurich, jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Outcomes) != 1 {
+		t.Fatalf("%d outcomes, want 1", len(res.Outcomes))
+	}
+	o := res.Outcomes[0]
+	if want := net.Latency(region.Oregon, region.Zurich, workload.DefaultPackageMB); o.Transfer != want {
+		t.Errorf("transfer %v, want %v (a %d MB package)", o.Transfer, want, workload.DefaultPackageMB)
+	}
+	if o.Comm.Carbon() <= 0 || o.Comm.Water() <= 0 {
+		t.Errorf("comm footprint %+v, want a non-zero one", o.Comm)
 	}
 }
 

@@ -23,7 +23,7 @@ func referenceMostUrgent(ctx *cluster.Context, jobs []*cluster.PendingJob, limit
 	scoredJobs := make([]urgentJob, len(jobs))
 	for i, pj := range jobs {
 		job := pj.Job
-		avgLat := ctx.Net.AvgLatency(job.Home, ids, jobPackageMB(job))
+		avgLat := ctx.Net.AvgLatency(job.Home, ids, workload.PackageMB(job.Benchmark))
 		waited := ctx.Now.Sub(pj.FirstSeen)
 		u := ctx.Tolerance*float64(job.EstDuration) - float64(avgLat) - float64(waited)
 		scoredJobs[i] = urgentJob{pj: pj, u: u}

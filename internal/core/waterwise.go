@@ -31,7 +31,6 @@ import (
 	"waterwise/internal/lp"
 	"waterwise/internal/milp"
 	"waterwise/internal/region"
-	"waterwise/internal/trace"
 	"waterwise/internal/workload"
 )
 
@@ -130,6 +129,17 @@ type Scheduler struct {
 	urgBuf   []urgentJob
 	avgLat   map[latKey]time.Duration
 	leftBuf  []int
+	// The objective's round invariants (see roundTerms): each job row's
+	// normalizers and each region's history-learner term.
+	rowMax  []rowMax
+	refTerm []float64
+}
+
+// rowMax holds one job's Eq. 8 normalizers over its candidate row: the
+// largest finite carbon and water (1 when none is positive) and, for the
+// §7 extensions, the largest finite ratio and the largest cost.
+type rowMax struct {
+	carbon, water, ratio, usd float64
 }
 
 // latKey identifies the inputs of Eq. 14's L̄_m within one round: the region
@@ -340,6 +350,7 @@ func (s *Scheduler) Schedule(ctx *cluster.Context) ([]cluster.Decision, error) {
 	}
 
 	cands := s.buildCandidates(ctx, ids, jobs)
+	s.roundTerms(ids, cands)
 
 	if s.cfg.GreedyController {
 		return s.greedyAssign(ctx, ids, caps, jobs, cands), nil
@@ -384,7 +395,7 @@ func (s *Scheduler) buildCandidates(ctx *cluster.Context, ids []region.ID, jobs 
 	cands := s.candRows[:len(jobs)]
 	for m, pj := range jobs {
 		job := pj.Job
-		pkg := jobPackageMB(job)
+		pkg := workload.PackageMB(job.Benchmark)
 		row := s.candBuf[m*len(ids) : (m+1)*len(ids)]
 		for n, id := range ids {
 			lat := ctx.Net.Latency(job.Home, id, pkg)
@@ -417,53 +428,63 @@ func (s *Scheduler) buildCandidates(ctx *cluster.Context, ids []region.ID, jobs 
 	return cands
 }
 
+// roundTerms computes what the Eq. 8 objective shares across a round:
+// each candidate row's maxima and each region's history-learner term
+// λ_ref·(λ_CO2·CO2ref_n + λ_H2O·H2Oref_n). It runs once per round, after
+// buildCandidates, so objective is O(1) per pair.
+func (s *Scheduler) roundTerms(ids []region.ID, cands [][]candidate) {
+	if cap(s.rowMax) < len(cands) {
+		s.rowMax = make([]rowMax, len(cands))
+	}
+	s.rowMax = s.rowMax[:len(cands)]
+	for m, row := range cands {
+		mx := rowMax{}
+		for _, c := range row {
+			if !math.IsInf(c.carbon, 1) && c.carbon > mx.carbon {
+				mx.carbon = c.carbon
+			}
+			if !math.IsInf(c.water, 1) && c.water > mx.water {
+				mx.water = c.water
+			}
+			if !math.IsInf(c.ratio, 1) && c.ratio > mx.ratio {
+				mx.ratio = c.ratio
+			}
+			if c.cost > mx.usd {
+				mx.usd = c.cost
+			}
+		}
+		if mx.carbon == 0 {
+			mx.carbon = 1
+		}
+		if mx.water == 0 {
+			mx.water = 1
+		}
+		s.rowMax[m] = mx
+	}
+	if cap(s.refTerm) < len(ids) {
+		s.refTerm = make([]float64, len(ids))
+	}
+	s.refTerm = s.refTerm[:len(ids)]
+	for n, id := range ids {
+		s.refTerm[n] = s.cfg.LambdaRef * (s.cfg.LambdaCarbon*s.refCarbon(id) + s.cfg.LambdaWater*s.refWater(id))
+	}
+}
+
 // objective computes the Eq. 8 cost coefficient of placing job m in region
-// index n.
-func (s *Scheduler) objective(ids []region.ID, cands [][]candidate, m, n int) float64 {
-	row := cands[m]
-	maxC, maxW := 0.0, 0.0
-	for _, c := range row {
-		if !math.IsInf(c.carbon, 1) && c.carbon > maxC {
-			maxC = c.carbon
-		}
-		if !math.IsInf(c.water, 1) && c.water > maxW {
-			maxW = c.water
-		}
-	}
-	if maxC == 0 {
-		maxC = 1
-	}
-	if maxW == 0 {
-		maxW = 1
-	}
-	c := row[n]
-	cost := s.cfg.LambdaCarbon*c.carbon/maxC + s.cfg.LambdaWater*c.water/maxW
+// index n, from the round terms roundTerms stored.
+func (s *Scheduler) objective(cands [][]candidate, m, n int) float64 {
+	mx, c := s.rowMax[m], cands[m][n]
+	cost := s.cfg.LambdaCarbon*c.carbon/mx.carbon + s.cfg.LambdaWater*c.water/mx.water
 	if !s.cfg.DisableHistory {
-		cost += s.cfg.LambdaRef * (s.cfg.LambdaCarbon*s.refCarbon(ids[n]) + s.cfg.LambdaWater*s.refWater(ids[n]))
+		cost += s.refTerm[n]
 	}
 	// §7 extensions: performance and financial-cost objectives, normalized
 	// like the carbon/water terms so no single objective dominates by unit.
-	if s.cfg.PerfWeight > 0 {
-		maxR := 0.0
-		for _, cc := range row {
-			if !math.IsInf(cc.ratio, 1) && cc.ratio > maxR {
-				maxR = cc.ratio
-			}
-		}
-		if maxR > 0 {
-			cost += s.cfg.PerfWeight * c.ratio / maxR
-		}
+	if s.cfg.PerfWeight > 0 && mx.ratio > 0 {
+		cost += s.cfg.PerfWeight * c.ratio / mx.ratio
 	}
-	if s.cfg.CostWeight > 0 {
-		maxUSD := 0.0
-		for _, cc := range row {
-			if cc.cost > maxUSD {
-				maxUSD = cc.cost
-			}
-		}
-		if maxUSD > 0 {
-			cost += s.cfg.CostWeight * c.cost / maxUSD
-		}
+	if s.cfg.CostWeight > 0 && mx.usd > 0 {
+		cost += s.cfg.CostWeight * c.cost / mx.usd
 	}
 	return cost
 }
@@ -506,7 +527,7 @@ func (s *Scheduler) solve(ctx *cluster.Context, ids []region.ID, caps []int, job
 		}
 		for n := 0; n < N; n++ {
 			v := m*N + n
-			cost := s.objective(ids, cands, m, n)
+			cost := s.objective(cands, m, n)
 			ratio := cands[m][n].ratio
 			switch {
 			case math.IsInf(cost, 1) || math.IsInf(ratio, 1):
@@ -584,7 +605,7 @@ func (s *Scheduler) greedyAssign(ctx *cluster.Context, ids []region.ID, caps []i
 			if cands[m][n].ratio > ctx.Tolerance {
 				continue
 			}
-			if c := s.objective(ids, cands, m, n); c < bestCost {
+			if c := s.objective(cands, m, n); c < bestCost {
 				bestCost = c
 				best = n
 			}
@@ -596,7 +617,7 @@ func (s *Scheduler) greedyAssign(ctx *cluster.Context, ids []region.ID, caps []i
 				if left[n] <= 0 {
 					continue
 				}
-				c := s.objective(ids, cands, m, n) + s.cfg.PenaltySigma*math.Max(0, cands[m][n].ratio-ctx.Tolerance)
+				c := s.objective(cands, m, n) + s.cfg.PenaltySigma*math.Max(0, cands[m][n].ratio-ctx.Tolerance)
 				if c < bestCost {
 					bestCost = c
 					best = n
@@ -638,7 +659,7 @@ func (s *Scheduler) mostUrgent(ctx *cluster.Context, jobs []*cluster.PendingJob,
 		key := latKey{job.Home, job.Benchmark}
 		avgLat, ok := s.avgLat[key]
 		if !ok {
-			avgLat = ctx.Net.AvgLatency(job.Home, ids, jobPackageMB(job))
+			avgLat = ctx.Net.AvgLatency(job.Home, ids, workload.PackageMB(job.Benchmark))
 			s.avgLat[key] = avgLat
 		}
 		waited := ctx.Now.Sub(pj.FirstSeen)
@@ -726,13 +747,6 @@ func meanOf(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-func jobPackageMB(j *trace.Job) float64 {
-	if p, err := workload.Lookup(j.Benchmark); err == nil {
-		return p.PackageMB
-	}
-	return 500
 }
 
 // Interface compliance check.

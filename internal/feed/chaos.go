@@ -22,8 +22,9 @@ const (
 	// FaultNone disables injection: At and Transport delegate unchanged.
 	FaultNone Fault = iota
 	// FaultOutage emulates an unreachable upstream: the Provider view
-	// serves the last good sample per region (readings age, Health goes
-	// stale — a feed outage never errors a scheduling round), and the
+	// serves each region's last good sample, the last reading Chaos
+	// served for it to any caller (readings age, Health goes stale — a
+	// feed outage never errors a scheduling round), and the
 	// Transport view fails every request with a connection-style error.
 	FaultOutage
 	// FaultThrottle emulates a rate-limiting upstream: the Provider view
@@ -109,6 +110,14 @@ func (c *Chaos) ForecastHorizon() time.Duration { return c.inner.ForecastHorizon
 // cache still; FaultThrottle delegates (throttling is a Transport-level
 // fault). The first At per region always reaches the inner provider, so
 // an outage injected before any reading still answers.
+//
+// The last good sample is the last reading Chaos served for the region,
+// whoever asked. A region.Environment in front of Chaos answers from its
+// snapshot memo until the instant leaves the window of the reading it
+// stored, so an outage shows there from the next window on. Hold windows
+// pass through unchanged, in an outage too: a memo stores a reading only
+// for instants inside its window, where the inner provider answers the
+// same.
 func (c *Chaos) At(key string, t time.Time) (Sample, error) {
 	if Fault(c.mode.Load()) == FaultOutage {
 		c.mu.Lock()

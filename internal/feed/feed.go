@@ -53,6 +53,13 @@ type Sample struct {
 	// WSF optionally overrides the region's static water scarcity factor;
 	// UnsetWSF (any negative value) means "use the static value".
 	WSF float64
+	// HeldFrom and HeldUntil promise that At returns this same reading,
+	// Time aside, for every instant in [HeldFrom, HeldUntil) — the span of
+	// the series interval the reading came from. A zero HeldUntil promises
+	// nothing. The window may be narrower than the real one, never wider;
+	// region.Environment relies on it to derive each snapshot once per
+	// interval.
+	HeldFrom, HeldUntil time.Time
 }
 
 // Provider serves per-region, per-timestep environment samples. All three
@@ -223,18 +230,25 @@ func (*Synthetic) Name() string { return "synthetic" }
 func (s *Synthetic) Regions() []string { return append([]string(nil), s.keys...) }
 
 // At implements Provider: the generated hourly series, held within each
-// hour and clamped at the span edges.
+// hour and clamped at the span edges. A reading inside the span is held
+// for its hour, the bucket gridmix.Series.MixAt and weather.Series.At
+// index; a clamped reading promises no window.
 func (s *Synthetic) At(key string, t time.Time) (Sample, error) {
 	gs, ok := s.grid[key]
 	if !ok {
 		return Sample{}, fmt.Errorf("feed: synthetic provider has no region %q", key)
 	}
-	return Sample{
+	smp := Sample{
 		Time:    t,
 		Mix:     gs.MixAt(t),
 		WetBulb: s.wx[key].At(t),
 		WSF:     UnsetWSF,
-	}, nil
+	}
+	if h := int(t.Sub(s.start) / time.Hour); !t.Before(s.start) && h < s.hours {
+		smp.HeldFrom = s.start.Add(time.Duration(h) * time.Hour)
+		smp.HeldUntil = smp.HeldFrom.Add(time.Hour)
+	}
+	return smp, nil
 }
 
 // ForecastHorizon implements Provider: the synthetic series is fully

@@ -61,7 +61,8 @@ func (r *Replay) Interp() string { return r.interp }
 // and instants after the last clamp to the last; between samples the
 // trace's interpolation mode applies — hold serves the newest sample at
 // or before t, linear blends the neighbors. The returned Sample.Time
-// echoes t, matching Synthetic.
+// echoes t, matching Synthetic. A held reading carries its window, from
+// its own sample to the next; a blended or clamped one promises none.
 func (r *Replay) At(key string, t time.Time) (Sample, error) {
 	samples, ok := r.series[key]
 	if !ok {
@@ -80,6 +81,7 @@ func (r *Replay) At(key string, t time.Time) (Sample, error) {
 		s = lerpSamples(samples[i-1], samples[i], t)
 	default:
 		s = samples[i-1] // hold
+		s.HeldFrom, s.HeldUntil = samples[i-1].Time, samples[i].Time
 	}
 	s.Time = t
 	return s, nil

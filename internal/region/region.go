@@ -16,6 +16,7 @@ package region
 
 import (
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"waterwise/internal/energy"
@@ -183,18 +184,42 @@ func (s Snapshot) WaterIntensity() units.WaterIntensity {
 // feed.Provider — the synthetic generators by default, or a replayed/live
 // feed. Reads are safe for concurrent use (the deterministic providers are
 // immutable; Live serves from a locked cache).
+//
+// Snapshot derives each region's reading once per interval the provider
+// says it holds (feed.Sample.HeldFrom/HeldUntil) and serves the stored
+// snapshot for the rest of it. The memo is keyed on nothing but the
+// instant, so Table and every Regions entry are read-only once the
+// Environment is built: a snapshot derived before a write would be served
+// after it.
 type Environment struct {
 	// Regions are the static region descriptions, in registry order.
+	// Read-only after construction.
 	Regions []*Region
-	// Table maps energy sources to carbon/water factors.
+	// Table maps energy sources to carbon/water factors. Read-only after
+	// construction.
 	Table energy.FactorTable
 	// Start is the beginning of the covered horizon.
 	Start time.Time
 	// Hours is the horizon length.
 	Hours int
 
-	byID map[ID]*Region
+	byID map[ID]*entry
 	prov feed.Provider
+}
+
+// entry is one region of an Environment with its memoized snapshot.
+// Partition views share their parent's entries, so every view reads and
+// fills one memo per region.
+type entry struct {
+	*Region
+	held atomic.Pointer[heldSnapshot]
+}
+
+// heldSnapshot is a snapshot together with the window the provider
+// promised its reading holds for.
+type heldSnapshot struct {
+	from, until time.Time
+	snap        Snapshot
 }
 
 // NewEnvironment builds a synthetic-feed environment: the per-region
@@ -244,7 +269,7 @@ func NewEnvironmentWithProvider(regions []*Region, tbl energy.FactorTable, start
 		Table:   tbl,
 		Start:   start,
 		Hours:   hours,
-		byID:    make(map[ID]*Region, len(regions)),
+		byID:    make(map[ID]*entry, len(regions)),
 		prov:    prov,
 	}
 	for _, r := range regions {
@@ -254,7 +279,7 @@ func NewEnvironmentWithProvider(regions []*Region, tbl energy.FactorTable, start
 		if !served[string(r.ID)] {
 			return nil, fmt.Errorf("region: %s feed does not serve region %q", prov.Name(), r.ID)
 		}
-		env.byID[r.ID] = r
+		env.byID[r.ID] = &entry{Region: r}
 	}
 	return env, nil
 }
@@ -265,7 +290,12 @@ func NewEnvironmentWithProvider(regions []*Region, tbl energy.FactorTable, start
 func (e *Environment) Provider() feed.Provider { return e.prov }
 
 // Region returns the static region description for id, or nil if unknown.
-func (e *Environment) Region(id ID) *Region { return e.byID[id] }
+func (e *Environment) Region(id ID) *Region {
+	if en := e.byID[id]; en != nil {
+		return en.Region
+	}
+	return nil
+}
 
 // Partition returns a view of the environment restricted to the named
 // regions, in the given order. The view shares the receiver's feed
@@ -275,7 +305,8 @@ func (e *Environment) Region(id ID) *Region { return e.byID[id] }
 // serving (internal/server) decision-identical to a single scheduler over
 // the same world: every shard sees the same series one shard over every
 // region would, just fewer regions of it (and N shards over one Live provider
-// share one cache, not N upstream pollers).
+// share one cache, not N upstream pollers). The view shares the receiver's
+// per-region snapshot memo too.
 func (e *Environment) Partition(ids ...ID) (*Environment, error) {
 	if len(ids) == 0 {
 		return nil, fmt.Errorf("region: empty partition")
@@ -284,20 +315,20 @@ func (e *Environment) Partition(ids ...ID) (*Environment, error) {
 		Table: e.Table,
 		Start: e.Start,
 		Hours: e.Hours,
-		byID:  make(map[ID]*Region, len(ids)),
+		byID:  make(map[ID]*entry, len(ids)),
 		prov:  e.prov,
 	}
 	view.Regions = make([]*Region, 0, len(ids))
 	for _, id := range ids {
-		r, ok := e.byID[id]
+		en, ok := e.byID[id]
 		if !ok {
 			return nil, fmt.Errorf("region: partition names unknown region %q", id)
 		}
 		if _, dup := view.byID[id]; dup {
 			return nil, fmt.Errorf("region: partition names region %q twice", id)
 		}
-		view.Regions = append(view.Regions, r)
-		view.byID[id] = r
+		view.Regions = append(view.Regions, en.Region)
+		view.byID[id] = en
 	}
 	return view, nil
 }
@@ -317,24 +348,35 @@ func (e *Environment) IDs() []ID {
 // the sample overrides them. The boolean is false if the region is
 // unknown (or, for a live feed that never primed the region, on a
 // provider error — deterministic providers never fail on a known region).
+//
+// A snapshot is derived once per window the provider says its reading
+// holds for: an instant inside the region's stored window is answered
+// from it, and any other asks the provider, storing the result when t lies
+// inside the window it came with. No lock is taken; concurrent misses each
+// derive the same snapshot and the last store wins.
 func (e *Environment) Snapshot(id ID, t time.Time) (Snapshot, bool) {
-	r, ok := e.byID[id]
+	en, ok := e.byID[id]
 	if !ok {
 		return Snapshot{}, false
+	}
+	if h := en.held.Load(); h != nil && !t.Before(h.from) && t.Before(h.until) {
+		snap := h.snap
+		snap.Time = t
+		return snap, true
 	}
 	smp, err := e.prov.At(string(id), t)
 	if err != nil {
 		return Snapshot{}, false
 	}
-	pue := r.PUE
+	pue := en.PUE
 	if smp.PUE > 0 {
 		pue = smp.PUE
 	}
-	wsf := r.WSF
+	wsf := en.WSF
 	if smp.WSF >= 0 {
 		wsf = smp.WSF
 	}
-	return Snapshot{
+	snap := Snapshot{
 		Region: id,
 		Time:   t,
 		CI:     smp.Mix.CarbonIntensity(e.Table),
@@ -342,7 +384,11 @@ func (e *Environment) Snapshot(id ID, t time.Time) (Snapshot, bool) {
 		WUE:    weather.WUEFromWetBulb(smp.WetBulb),
 		WSF:    wsf,
 		PUE:    pue,
-	}, true
+	}
+	if !t.Before(smp.HeldFrom) && t.Before(smp.HeldUntil) {
+		en.held.Store(&heldSnapshot{from: smp.HeldFrom, until: smp.HeldUntil, snap: snap})
+	}
+	return snap, true
 }
 
 // MixAt exposes the raw energy mix for region id at time t (used by the

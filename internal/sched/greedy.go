@@ -6,6 +6,7 @@ import (
 
 	"waterwise/internal/cluster"
 	"waterwise/internal/region"
+	"waterwise/internal/workload"
 )
 
 // Objective selects which footprint a greedy oracle minimizes.
@@ -56,7 +57,7 @@ func (g *GreedyOpt) Schedule(ctx *cluster.Context) ([]cluster.Decision, error) {
 
 	for _, pj := range ctx.Jobs {
 		job := pj.Job
-		pkg := packageMB(job)
+		pkg := workload.PackageMB(job.Benchmark)
 		// Oracle privilege: use the true duration and energy.
 		dur, energy := job.Duration, job.Energy
 		// Remaining slack: the tolerance budget minus time already spent

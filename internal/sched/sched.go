@@ -18,19 +18,8 @@ import (
 
 	"waterwise/internal/cluster"
 	"waterwise/internal/region"
-	"waterwise/internal/trace"
 	"waterwise/internal/units"
-	"waterwise/internal/workload"
 )
-
-// packageMB returns the deployment package size for a job's benchmark,
-// falling back to a typical size for unknown benchmarks.
-func packageMB(j *trace.Job) float64 {
-	if p, err := workload.Lookup(j.Benchmark); err == nil {
-		return p.PackageMB
-	}
-	return 500
-}
 
 // Baseline schedules every job in its home region immediately. It is the
 // carbon- and water-unaware reference all savings are reported against.

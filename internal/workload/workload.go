@@ -106,6 +106,20 @@ func Lookup(name string) (Profile, error) {
 	return p, nil
 }
 
+// DefaultPackageMB is the deployment package size assumed for a benchmark
+// the profile database does not know.
+const DefaultPackageMB = 500
+
+// PackageMB returns the deployment package size of a benchmark, or
+// DefaultPackageMB when the name is unknown — the one rule the controllers
+// and the simulator all price a job's transfer by.
+func PackageMB(name string) float64 {
+	if p, ok := byName[name]; ok {
+		return p.PackageMB
+	}
+	return DefaultPackageMB
+}
+
 // Actuals are one job run's realized duration and energy, drawn around the
 // profile means.
 type Actuals struct {

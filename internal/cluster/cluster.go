@@ -14,6 +14,7 @@ import (
 	"sort"
 	"time"
 
+	"waterwise/internal/blocklog"
 	"waterwise/internal/footprint"
 	"waterwise/internal/region"
 	"waterwise/internal/trace"
@@ -211,8 +212,17 @@ func MergeResults(parts ...*Result) (*Result, error) {
 			return nil, fmt.Errorf("cluster: merging nil result")
 		}
 	}
-	merged := &Result{Scheduler: parts[0].Scheduler, Tolerance: parts[0].Tolerance}
-	var ticks []TickStat
+	var nOut, nUnsched, nTicks int
+	for _, p := range parts {
+		nOut, nUnsched, nTicks = nOut+len(p.Outcomes), nUnsched+len(p.Unscheduled), nTicks+len(p.Ticks)
+	}
+	// Each slice is sized once, and stays nil when no part has entries.
+	merged := &Result{
+		Scheduler: parts[0].Scheduler, Tolerance: parts[0].Tolerance,
+		Outcomes:    slices.Grow([]JobOutcome(nil), nOut),
+		Unscheduled: slices.Grow([]*trace.Job(nil), nUnsched),
+	}
+	ticks := slices.Grow([]TickStat(nil), nTicks)
 	for _, p := range parts {
 		if p.Tolerance != merged.Tolerance {
 			return nil, fmt.Errorf("cluster: merging results with tolerances %g and %g",
@@ -231,9 +241,11 @@ func MergeResults(parts ...*Result) (*Result, error) {
 	sort.Slice(merged.Unscheduled, func(i, j int) bool {
 		return merged.Unscheduled[i].ID < merged.Unscheduled[j].ID
 	})
-	// Coalesce ticks of the same round across shards: each part's ticks are
-	// already time-ordered, so a stable sort by At groups concurrent rounds.
+	// Coalesce ticks of the same round across shards, in place: each
+	// part's ticks are already time-ordered, so a stable sort by At groups
+	// concurrent rounds.
 	sort.SliceStable(ticks, func(i, j int) bool { return ticks[i].At.Before(ticks[j].At) })
+	merged.Ticks = ticks[:0]
 	for _, t := range ticks {
 		if n := len(merged.Ticks); n > 0 && merged.Ticks[n-1].At.Equal(t.At) {
 			merged.Ticks[n-1].Batch += t.Batch
@@ -373,7 +385,12 @@ type Sim struct {
 	pending []*PendingJob
 	byID    map[int]*PendingJob
 	res     *Result
-	sorted  bool
+	// outcomes is every outcome so far, in decision order; Result hands
+	// out res.Outcomes as the log's entries sorted by job ID. round holds
+	// the current Step's outcomes, reused from round to round.
+	outcomes blocklog.Log[JobOutcome]
+	round    []JobOutcome
+	sorted   bool
 	// ctx is the scheduler context, reused across Steps (a Sim is
 	// single-owner by contract). Its free/busy maps are only valid for the
 	// duration of the Schedule call.
@@ -393,8 +410,9 @@ func NewSim(cfg Config, sched Scheduler) (*Sim, error) {
 	}
 	s := &Sim{
 		cfg: cfg, sched: sched, states: states,
-		res:  &Result{Scheduler: sched.Name(), Tolerance: cfg.Tolerance},
-		byID: make(map[int]*PendingJob),
+		res:      &Result{Scheduler: sched.Name(), Tolerance: cfg.Tolerance},
+		byID:     make(map[int]*PendingJob),
+		outcomes: blocklog.New[JobOutcome](blocklog.BlockSize, 0),
 	}
 	s.ctx = Context{
 		Free: make(map[region.ID]int, len(states)),
@@ -438,7 +456,8 @@ func (s *Sim) Free(at time.Time) map[region.ID]int {
 // asks it for decisions, commits them (reserving capacity and accounting
 // footprints), and returns this round's outcomes. Rounds with no pending
 // jobs are no-ops (no tick is recorded, matching Run). The returned slice
-// aliases the accumulated result; callers must not mutate it. An error
+// is reused by the next Step, so it is valid only until then: a caller
+// that keeps outcomes copies them (Result holds every one). An error
 // from a faulty decision leaves the ones before it committed: the Sim is
 // then inconsistent and must not be stepped again.
 func (s *Sim) Step(now time.Time) ([]JobOutcome, error) {
@@ -463,14 +482,18 @@ func (s *Sim) Step(now time.Time) ([]JobOutcome, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cluster: scheduler %s at %v: %w", s.sched.Name(), now, err)
 	}
-	firstOut := len(s.res.Outcomes)
-	if err := s.apply(now, decisions); err != nil {
+	s.round = s.round[:0]
+	err = s.apply(now, decisions)
+	for i := range s.round {
+		s.outcomes.Append(s.round[i])
+	}
+	s.sorted = false
+	if err != nil {
 		return nil, err
 	}
 	s.res.Ticks = append(s.res.Ticks, TickStat{At: now, Batch: len(s.pending), Decided: len(decisions), Overhead: overhead})
 	s.pending = survivors(s.pending)
-	s.sorted = false
-	return s.res.Outcomes[firstOut:], nil
+	return s.round, nil
 }
 
 // Abandon moves every still-pending job to the result's Unscheduled list —
@@ -554,10 +577,12 @@ func (s *Sim) RestorePending(jobs []PendingJob) {
 }
 
 // Result returns the accumulated simulation result with outcomes in job-ID
-// order. The Sim remains usable; subsequent Steps keep appending to the same
-// result.
+// order. The Sim remains usable; a later Result after further Steps holds
+// their outcomes too. A log that fits one block (Run sizes it so) is
+// sorted in place; a longer one is copied out once per call after a Step.
 func (s *Sim) Result() *Result {
 	if !s.sorted {
+		s.res.Outcomes = s.outcomes.Slice()
 		sort.Slice(s.res.Outcomes, func(i, j int) bool { return s.res.Outcomes[i].Job.ID < s.res.Outcomes[j].Job.ID })
 		s.sorted = true
 	}
@@ -577,8 +602,9 @@ func Run(cfg Config, sched Scheduler, jobs []*trace.Job) (*Result, error) {
 		}
 	}
 	cfg = sim.cfg // defaults applied
-	// Every job gets one outcome, so the log is sized once for the trace.
-	sim.res.Outcomes = make([]JobOutcome, 0, len(jobs))
+	// Every job gets at most one outcome, so the log is one block sized
+	// for the trace.
+	sim.outcomes = blocklog.New[JobOutcome](blocklog.BlockSize, len(jobs))
 	nextJob := 0
 	now := cfg.Env.Start
 	var lastArrival time.Time
@@ -611,10 +637,10 @@ func Run(cfg Config, sched Scheduler, jobs []*trace.Job) (*Result, error) {
 }
 
 // apply commits decisions: reserves capacity, computes footprints, appends
-// outcomes, and takes each decided job out of the pending index, marked for
-// survivors to drop from the queue. O(decisions).
+// outcomes to s.round, and takes each decided job out of the pending index,
+// marked for survivors to drop from the queue. O(decisions).
 func (s *Sim) apply(now time.Time, decisions []Decision) error {
-	cfg, states, res := s.cfg, s.states, s.res
+	cfg, states := s.cfg, s.states
 	for _, d := range decisions {
 		pj, ok := s.byID[d.Job.ID]
 		if !ok {
@@ -672,7 +698,7 @@ func (s *Sim) apply(now time.Time, decisions []Decision) error {
 			CostUSD:  costUSD,
 			Violated: finish.Sub(job.Submit) > allowed,
 		}
-		res.Outcomes = append(res.Outcomes, out)
+		s.round = append(s.round, out)
 		pj.decided = true
 	}
 	for _, d := range decisions {

@@ -1,7 +1,10 @@
 package server_test
 
 import (
+	"fmt"
+	"math/rand"
 	"slices"
+	"sort"
 	"testing"
 
 	"waterwise/internal/fleet"
@@ -93,5 +96,105 @@ func TestRing(t *testing.T) {
 		testRing(t, func(seq uint64) fleet.Decision {
 			return fleet.Decision{Decision: server.Decision{Seq: seq}, Shard: int(seq % 2), ShardSeq: seq / 2}
 		})
+	})
+}
+
+// TestRingMatchesModel checks the ring against a plain slice holding the
+// last capacity seqs, at capacities either side of the block size and
+// spanning several blocks: seeded bursts of appends, each followed by
+// pages at cursors below, at, inside and past the retained entries and
+// limits that cross block seams, then Oldest, Len and Each.
+func TestRingMatchesModel(t *testing.T) {
+	const block = 4096
+	for _, capacity := range []int{1, 3, block - 1, block, block + 1, 3*block + 5} {
+		t.Run(fmt.Sprint(capacity), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(capacity)))
+			r := server.NewRing[server.Decision](capacity)
+			var model []uint64
+			seq := uint64(0)
+			for round := 0; seq < uint64(4*capacity+20); round++ {
+				for range 1 + rng.Intn(capacity/2+2) {
+					seq++
+					r.Append(server.Decision{Seq: seq, JobID: int(seq)})
+					model = append(model, seq)
+					if len(model) > capacity {
+						model = model[1:]
+					}
+				}
+				oldest := model[0]
+				mid := oldest + uint64(rng.Intn(len(model)))
+				for _, since := range []uint64{0, oldest - 1, oldest, mid, seq - 1, seq, seq + 5} {
+					for _, limit := range []int{0, 1, 1 + rng.Intn(len(model)), block + 1} {
+						want := model[sort.Search(len(model), func(i int) bool { return model[i] > since }):]
+						if limit > 0 && len(want) > limit {
+							want = want[:limit]
+						}
+						page := r.Page(since, limit)
+						if got := seqsOf(page); !slices.Equal(got, want) || page == nil || cap(page) != len(want) {
+							t.Fatalf("round %d: Page(%d, %d) = %d entries from %v, want %d from %v (cap %d)",
+								round, since, limit, len(got), head(got), len(want), head(want), cap(page))
+						}
+					}
+				}
+				if r.Oldest() != oldest || r.Len() != len(model) {
+					t.Fatalf("round %d: Oldest %d Len %d, want %d and %d", round, r.Oldest(), r.Len(), oldest, len(model))
+				}
+				var walked []uint64
+				r.Each(func(d server.Decision) { walked = append(walked, d.Seq) })
+				if !slices.Equal(walked, model) {
+					t.Fatalf("round %d: Each walks %d entries from %v, want %d from %v", round, len(walked), head(walked), len(model), head(model))
+				}
+			}
+		})
+	}
+}
+
+// head is a failure message's view of a long seq list.
+func head(s []uint64) []uint64 { return s[:min(len(s), 3)] }
+
+// TestRingFullAppendAllocatesNothing: a full ring evicts into the block it
+// reuses, so steady-state logging costs no allocation.
+func TestRingFullAppendAllocatesNothing(t *testing.T) {
+	for _, capacity := range []int{1, 4096, 65536} {
+		r := server.NewRing[server.Decision](capacity)
+		seq := uint64(0)
+		appendOne := func() {
+			seq++
+			r.Append(server.Decision{Seq: seq})
+		}
+		for range 2*capacity + 1 {
+			appendOne()
+		}
+		if allocs := testing.AllocsPerRun(2*capacity+100, appendOne); allocs != 0 {
+			t.Errorf("capacity %d: Append on a full ring allocates %.2f per call", capacity, allocs)
+		}
+	}
+}
+
+// BenchmarkRingAppend times a shard's decision log growing from empty to
+// 100k entries (one op is the whole growth) and a full 65536-entry ring's
+// steady-state Append (one op is one append).
+func BenchmarkRingAppend(b *testing.B) {
+	b.Run("grow=100k", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			r := server.NewRing[server.Decision](100_000)
+			for s := range uint64(100_000) {
+				r.Append(server.Decision{Seq: s + 1})
+			}
+		}
+	})
+	b.Run("full=65536", func(b *testing.B) {
+		r := server.NewRing[server.Decision](65536)
+		seq := uint64(0)
+		for range 2 * 65536 {
+			seq++
+			r.Append(server.Decision{Seq: seq})
+		}
+		b.ReportAllocs()
+		for b.Loop() {
+			seq++
+			r.Append(server.Decision{Seq: seq})
+		}
 	})
 }

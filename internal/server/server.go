@@ -786,20 +786,23 @@ func (s *Server) SetQueueCap(n int) {
 // decisions join the stream late but the global seq stays dense). Returns
 // the merged log's cursor: its Frontier is the watermark, zero when every
 // shard is idle. Called with mergeMu held; takes each shard's lock via
-// DecisionsPage.
+// readDecisions, which stages the new decisions straight from the
+// shard's ring.
 func (s *Server) mergeLocked() Cursor {
 	var watermark time.Time
 	bounded := false
 	for i, sh := range s.shardList() {
-		page, cur := sh.DecisionsPage(s.cursors[i], 0)
-		if len(page) > 0 {
-			if first := page[0].Seq; first > s.cursors[i]+1 {
+		had := len(s.staged[i])
+		cur := sh.readDecisions(func(log *Ring[Decision]) {
+			s.staged[i] = log.appendPage(s.staged[i], s.cursors[i])
+		})
+		if fresh := s.staged[i][had:]; len(fresh) > 0 {
+			if first := fresh[0].Seq; first > s.cursors[i]+1 {
 				// The shard ring evicted decisions before we read them:
 				// count the gap instead of silently renumbering over it.
 				s.lost += first - s.cursors[i] - 1
 			}
-			s.cursors[i] = page[len(page)-1].Seq
-			s.staged[i] = append(s.staged[i], page...)
+			s.cursors[i] = fresh[len(fresh)-1].Seq
 		}
 		if !cur.Idle && (!bounded || cur.Frontier.Before(watermark)) {
 			watermark, bounded = cur.Frontier, true
@@ -842,18 +845,23 @@ func (s *Server) mergeLocked() Cursor {
 // DecisionLogCap may be gone.
 //
 // The merge of one shard's log is that log, in its own order and with its
-// own seqs: a one-shard service pages the shard's ring directly rather
-// than hold every decision twice.
+// own seqs: a one-shard service pages the shard's ring directly, straight
+// into the page it returns, rather than hold every decision twice.
 func (s *Server) DecisionsPage(since uint64, limit int) ([]MergedDecision, Cursor) {
 	s.mergeMu.Lock()
 	defer s.mergeMu.Unlock()
 	if len(s.parts) == 1 {
-		page, cur := s.shardList()[0].DecisionsPage(since, limit)
-		out := make([]MergedDecision, len(page))
-		for i := range page {
-			out[i] = MergedDecision{Decision: page[i], ShardSeq: page[i].Seq}
-		}
-		return out, cur
+		var page []MergedDecision
+		cur := s.shardList()[0].readDecisions(func(r *Ring[Decision]) {
+			lo, hi := r.span(since, limit)
+			page = make([]MergedDecision, 0, hi-lo)
+			for c := range r.log.Chunks(lo, hi) {
+				for _, d := range c {
+					page = append(page, MergedDecision{Decision: d, ShardSeq: d.Seq})
+				}
+			}
+		})
+		return page, cur
 	}
 	cur := s.mergeLocked()
 	return s.merged.Page(since, limit), cur

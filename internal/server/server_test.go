@@ -397,6 +397,13 @@ func TestRegionPartitionShard(t *testing.T) {
 	}
 }
 
+// shardPage reads a page of shard sh's decision log with its cursor.
+func shardPage(sh *shard, since uint64, limit int) ([]Decision, Cursor) {
+	var page []Decision
+	cur := sh.readDecisions(func(log *Ring[Decision]) { page = log.Page(since, limit) })
+	return page, cur
+}
+
 // TestDecisionsPageCursor pins the cursor a shard exports to the merge:
 // Seq/Oldest track the ring, Frontier the round clock, Idle the drained
 // state.
@@ -411,7 +418,7 @@ func TestDecisionsPageCursor(t *testing.T) {
 	}
 	defer srv.Stop()
 	sh := srv.shards[0]
-	if _, cur := sh.DecisionsPage(0, 0); cur.Seq != 0 || cur.Oldest != 0 || !cur.Idle {
+	if _, cur := shardPage(sh, 0, 0); cur.Seq != 0 || cur.Oldest != 0 || !cur.Idle {
 		t.Fatalf("empty-server cursor %+v", cur)
 	}
 	for i := 0; i < 6; i++ {
@@ -420,7 +427,7 @@ func TestDecisionsPageCursor(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, cur := sh.DecisionsPage(0, 0); cur.Idle || !cur.Frontier.Before(testStart) {
+	if _, cur := shardPage(sh, 0, 0); cur.Idle || !cur.Frontier.Before(testStart) {
 		// Round 0 has not run, so its decisions (Round == Env.Start) are
 		// not final yet: the frontier must lie strictly before them, or a
 		// fleet merge emits another shard's round-0 decisions too early.
@@ -432,7 +439,7 @@ func TestDecisionsPageCursor(t *testing.T) {
 	if err := srv.Drain(ctx); err != nil {
 		t.Fatal(err)
 	}
-	ds, cur := sh.DecisionsPage(0, 0)
+	ds, cur := shardPage(sh, 0, 0)
 	if cur.Seq != 6 || !cur.Idle {
 		t.Fatalf("drained cursor %+v", cur)
 	}

@@ -501,13 +501,14 @@ type Cursor struct {
 	Idle bool `json:"idle"`
 }
 
-// DecisionsPage returns up to limit logged decisions with Seq > since,
-// oldest first (limit <= 0 means all), and the log cursor, snapshotted
-// atomically — the export the service's k-way merge is built on.
-func (s *shard) DecisionsPage(since uint64, limit int) ([]Decision, Cursor) {
+// readDecisions runs read on the decision log under the shard lock and
+// returns the log cursor, snapshotted atomically with what read sees — the
+// export the service's k-way merge and a one-shard service's pages are
+// built on. read must not keep the ring past its return.
+func (s *shard) readDecisions(read func(log *Ring[Decision])) Cursor {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	// Group commit on read: every decision this call returns is on disk
+	// Group commit on read: every decision a reader takes is on disk
 	// before it leaves the shard, so a served decision can never be lost
 	// to a crash — the invariant the restart equivalence rests on.
 	_ = s.walSyncIfDirtyLocked()
@@ -526,7 +527,8 @@ func (s *shard) DecisionsPage(since uint64, limit int) ([]Decision, Cursor) {
 		// exceeds simNow, so the plain round clock is the frontier.)
 		cur.Frontier = s.simNow.Add(-time.Nanosecond)
 	}
-	return s.decisions.Page(since, limit), cur
+	read(&s.decisions)
+	return cur
 }
 
 // Status returns a point-in-time snapshot of the shard.

@@ -50,7 +50,6 @@
 //	               + snapshots; restart recovers it and
 //	               resumes decision-identical (default: off)
 //	-snapshot-every snapshot cadence in rounds               (default 256)
-//	-workers       solver worker count                       (default 1)
 //	-wri           use the WRI-style water dataset
 //	-seed          environment RNG seed                      (default 7)
 //	-log-level     log threshold: debug, info, warn, error   (default info)
@@ -242,7 +241,6 @@ func run() error {
 		decisionLog = flag.Int("decision-log", 0, "decision log ring capacity (0 = default 65536)")
 		dataDir     = flag.String("data-dir", "", "durable state directory (write-ahead log + snapshots); empty = in-memory only")
 		snapEvery   = flag.Int("snapshot-every", 0, "snapshot cadence in rounds (0 = default 256)")
-		workers     = flag.Int("workers", 1, "branch-and-bound worker count")
 		wri         = flag.Bool("wri", false, "use the WRI-style water dataset")
 		seed        = flag.Int64("seed", 7, "environment RNG seed")
 		logLevel    = flag.String("log-level", "info", "log threshold: debug, info, warn, or error")
@@ -333,7 +331,6 @@ func run() error {
 		Scheduler: waterwise.SchedulerConfig{
 			LambdaCarbon:        *lambdaC,
 			LambdaWater:         1 - *lambdaC,
-			SolverWorkers:       *workers,
 			CrossRoundWarmStart: true,
 		},
 	})

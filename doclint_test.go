@@ -123,7 +123,6 @@ var testOnlyAllowed = map[string]string{
 	"forecast.Evaluate":           "instrument: forecaster accuracy tests score with it",
 	"gridmix.MeanCarbonIntensity": "instrument: region calibration tests",
 	"gridmix.MeanEWIF":            "instrument: region calibration tests",
-	"obs.StageBreakdown":          "instrument: the obs tests read a trace's stages by name",
 	"transfer.NewCustom":          "instrument: transfer tests pin bandwidth and latency",
 }
 

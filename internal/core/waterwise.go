@@ -198,8 +198,8 @@ func (s *Scheduler) model(M, N int) (*roundModel, error) {
 		capRows[n] = row
 	}
 	// Compile the skeleton's sparse matrix once: every round with this batch
-	// shape — and every clone the branch-and-bound workers take — shares the
-	// same immutable CSC arrays instead of re-deriving them per solve.
+	// shape shares the same immutable CSC arrays instead of re-deriving them
+	// per solve.
 	prob.Compile()
 	rm := &roundModel{prob: prob, capRows: capRows, obj: make([]float64, M*N)}
 	s.models[key] = rm
@@ -500,9 +500,10 @@ func (s *Scheduler) objective(cands [][]candidate, m, n int) float64 {
 // the chosen pair, so σ·max(0, ratio - TOL) folds into the pair's objective
 // coefficient. Both encodings are mathematically identical to the paper's
 // formulation and keep the relaxation a pure assignment polytope, which is
-// integral — branch and bound terminates at the root LP, keeping the
-// decision overhead of Fig. 13 low. It returns the decisions, whether a
-// usable solution was found, and any solver error.
+// integral — branch and bound terminates at the root LP (milp's
+// TestRoundModelsCloseAtRoot checks this), keeping the decision overhead
+// of Fig. 13 low. It returns the decisions, whether a usable solution was
+// found, and any solver error.
 func (s *Scheduler) solve(ctx *cluster.Context, ids []region.ID, caps []int, jobs []*cluster.PendingJob, cands [][]candidate, soft bool) ([]cluster.Decision, bool, error) {
 	M, N := len(jobs), len(ids)
 	rm, err := s.model(M, N)
@@ -559,14 +560,7 @@ func (s *Scheduler) solve(ctx *cluster.Context, ids []region.ID, caps []int, job
 		}
 	}
 
-	opts := s.cfg.Solver
-	if opts.Workers <= 0 {
-		// Auto worker default: serial below 200-job batches, then
-		// min(GOMAXPROCS, batch/64) — thousand-job rounds spread the
-		// branch-and-bound tree across cores without the caller opting in.
-		opts.Workers = milp.AutoWorkers(M)
-	}
-	sol, err := prob.Solve(opts)
+	sol, err := prob.Solve(s.cfg.Solver)
 	if err != nil {
 		return nil, false, err
 	}

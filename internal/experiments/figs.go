@@ -572,8 +572,9 @@ func Fig13(s Scale) (*Report, error) {
 			"expected shape: overhead well below 1% of mean execution time;",
 			"the alibaba-like trace (8.5x rate) shows higher overhead than borg-like;",
 			"solver instrumentation: the scheduling MILP's assignment relaxation is",
-			"integral, so branch-and-bound terminates at the root node in almost",
-			"every round (warm starts only engage when branching happens)",
+			"integral, so branch-and-bound terminates at the root node in every",
+			"round (internal/milp's TestRoundModelsCloseAtRoot checks this; warm",
+			"starts only engage when branching happens)",
 		},
 	}, nil
 }

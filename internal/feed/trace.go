@@ -11,6 +11,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unicode"
+	"unicode/utf8"
 
 	"waterwise/internal/energy"
 	"waterwise/internal/units"
@@ -119,10 +121,11 @@ func toSample(ts TraceSample) Sample {
 }
 
 // Validate checks the trace against the schema: supported version and
-// interpolation mode, at least one region, unique non-empty keys, at
-// least one sample per region in strictly ascending time order, known
-// source names, finite non-negative shares summing to 1 (±1e-6), finite
-// wet-bulb readings, and positive/non-negative override values.
+// interpolation mode, at least one region, unique non-empty keys of
+// printable UTF-8, at least one sample per region in strictly ascending
+// time order within years 0000-9999 UTC, known source names, finite
+// non-negative shares summing to 1 (±1e-6), finite wet-bulb readings, and
+// positive/non-negative override values.
 func (tr Trace) Validate() error {
 	if tr.Version != TraceVersion {
 		return fmt.Errorf("feed: trace version %d, this build reads version %d", tr.Version, TraceVersion)
@@ -139,6 +142,11 @@ func (tr Trace) Validate() error {
 	for _, rt := range tr.Regions {
 		if rt.Key == "" {
 			return fmt.Errorf("feed: trace region with empty key")
+		}
+		if !utf8.ValidString(rt.Key) || strings.IndexFunc(rt.Key, unicode.IsControl) >= 0 {
+			// CSV reads "\r\n" inside a quoted field back as "\n", and JSON
+			// replaces invalid UTF-8: such a key would not survive a round trip.
+			return fmt.Errorf("feed: trace region key %q is not printable UTF-8", rt.Key)
 		}
 		if seen[rt.Key] {
 			return fmt.Errorf("feed: trace region %q appears twice", rt.Key)
@@ -161,10 +169,24 @@ func (tr Trace) Validate() error {
 }
 
 func validateSample(ts TraceSample) error {
-	total := 0.0
-	for name, v := range ts.Mix {
+	if y := ts.Time.UTC().Year(); y < 0 || y > 9999 {
+		// Both encodings carry four-digit years only (CSV writes UTC).
+		return fmt.Errorf("time %v is outside years 0000-9999 UTC", ts.Time)
+	}
+	for name := range ts.Mix {
 		if _, ok := sourceByName[name]; !ok {
 			return fmt.Errorf("unknown energy source %q", name)
+		}
+	}
+	// Sum in the fixed source order: floating-point addition is not
+	// associative, so a map-order sum of shares at the ±1e-6 edge could
+	// pass on one call and fail on the next.
+	total := 0.0
+	for _, src := range energy.AllSources() {
+		name := src.String()
+		v, ok := ts.Mix[name]
+		if !ok {
+			continue
 		}
 		if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
 			return fmt.Errorf("source %q share %g is not a finite non-negative number", name, v)
@@ -450,8 +472,8 @@ func readCSV(r io.Reader) (Trace, error) {
 			if err != nil {
 				return Trace{}, fmt.Errorf("feed: trace CSV line %d: bad %s share %q: %w", line, s, row[5+i], err)
 			}
-			if v != 0 {
-				ts.Mix[s.String()] = v
+			if v != 0 || math.Signbit(v) {
+				ts.Mix[s.String()] = v // an explicit -0 share keeps its sign
 			}
 		}
 		rt := byKey[key]

@@ -130,6 +130,12 @@ func TestTraceValidation(t *testing.T) {
 		{"no regions", mut(func(tr *Trace) { tr.Regions = nil })},
 		{"empty key", mut(func(tr *Trace) { tr.Regions[0].Key = "" })},
 		{"dup key", mut(func(tr *Trace) { tr.Regions[1].Key = tr.Regions[0].Key })},
+		{"control char key", mut(func(tr *Trace) { tr.Regions[0].Key = "zur\r\nich" })},
+		{"invalid utf-8 key", mut(func(tr *Trace) { tr.Regions[0].Key = "zur\xffich" })},
+		{"year past 9999 UTC", mut(func(tr *Trace) {
+			s := tr.Regions[0].Samples
+			s[len(s)-1].Time = time.Date(9999, 12, 31, 23, 0, 0, 0, time.FixedZone("", -5*3600))
+		})},
 		{"no samples", mut(func(tr *Trace) { tr.Regions[0].Samples = nil })},
 		{"unsorted", mut(func(tr *Trace) {
 			s := tr.Regions[0].Samples
@@ -263,5 +269,43 @@ func TestReadTraceRejectsGarbage(t *testing.T) {
 	}
 	if _, err := ReadTrace(strings.NewReader("a,b\n1,2\n"), FormatCSV); err == nil {
 		t.Error("bad CSV header accepted")
+	}
+}
+
+// TestMixSumVerdictIsStable: shares whose sum sits at the ±1e-6 edge must
+// get the same verdict on every call. Summed in map-iteration order, this
+// sample was accepted on some calls and rejected on others.
+func TestMixSumVerdictIsStable(t *testing.T) {
+	const doc = `{"version":1,"regions":[{"key":"edge","samples":[{"t":"2023-07-01T00:00:00Z",` +
+		`"mix":{"coal":0.726291,"gas":0.1815722,"hydro":0.0212711,"oil":0.053911,"wind":0.0169537},"wet_bulb_c":20}]}]}`
+	_, first := ReadTrace(strings.NewReader(doc), FormatJSON)
+	for i := 0; i < 200; i++ {
+		tr, err := ReadTrace(strings.NewReader(doc), FormatJSON)
+		if (err == nil) != (first == nil) {
+			t.Fatalf("call %d: verdict %v, first call %v", i, err, first)
+		}
+		if err == nil {
+			if _, err := NewReplay(tr); err != nil {
+				t.Fatalf("call %d: ReadTrace accepted, NewReplay rejected: %v", i, err)
+			}
+		}
+	}
+}
+
+// TestCSVKeepsNegativeZeroShare: traces round-trip bit-exact in both
+// encodings, so an explicit -0 share read from JSON must survive CSV too.
+func TestCSVKeepsNegativeZeroShare(t *testing.T) {
+	tr, _ := recordedTrace(t, 2)
+	tr.Regions[0].Samples[0].Mix["oil"] = math.Copysign(0, -1)
+	var buf bytes.Buffer
+	if err := WriteTrace(&buf, tr, FormatCSV); err != nil {
+		t.Fatal(err)
+	}
+	back, err := ReadTrace(&buf, FormatCSV)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sameTrace(tr, back); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -8,7 +8,7 @@ package lp
 //
 // A csc is immutable once built: Problem caches one per constraint shape
 // (AddConstraint invalidates, SetRHS/SetBounds/SetObjective do not — they
-// touch vectors, not the matrix), and clones, branch-and-bound workers, and
+// touch vectors, not the matrix), and clones, branch-and-bound nodes, and
 // Basis snapshots all share the same instance.
 type csc struct {
 	m      int // rows

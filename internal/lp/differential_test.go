@@ -240,23 +240,3 @@ func TestWarmStartChain(t *testing.T) {
 		}
 	}
 }
-
-// TestReducedCostsSignConvention verifies the documented minimization-space
-// sign convention on a problem with a known optimum.
-func TestReducedCostsSignConvention(t *testing.T) {
-	// min x + 2y s.t. x + y >= 1: optimum x=1,y=0; y's reduced cost must be
-	// nonnegative (it sits at its lower bound).
-	p := New(2)
-	p.SetObjective([]float64{1, 2}, Minimize)
-	p.AddConstraint([]Term{{0, 1}, {1, 1}}, GE, 1)
-	sol, err := p.Solve()
-	if err != nil || sol.Status != Optimal {
-		t.Fatalf("status %v err %v", sol.Status, err)
-	}
-	if sol.ReducedCosts == nil {
-		t.Fatal("no reduced costs on optimal solve")
-	}
-	if rc := sol.ReducedCosts[1]; rc < -1e-9 {
-		t.Errorf("reduced cost of nonbasic-at-lower variable = %g, want >= 0", rc)
-	}
-}

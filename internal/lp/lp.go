@@ -123,7 +123,7 @@ type Problem struct {
 	epsTol float64
 	// cscCache is the constraint matrix in compressed sparse column form,
 	// built lazily on the first solve and shared by clones, warm-start bases,
-	// and branch-and-bound workers (it depends only on the constraint
+	// and branch-and-bound nodes (it depends only on the constraint
 	// structure, which AddConstraint alone mutates).
 	cscCache *csc
 }
@@ -158,10 +158,6 @@ func (p *Problem) SetObjective(c []float64, sense Sense) error {
 	return nil
 }
 
-// ObjectiveCoef returns the objective coefficient of variable i in the
-// caller's sense.
-func (p *Problem) ObjectiveCoef(i int) float64 { return p.obj[i] }
-
 // SetBounds sets lo <= x[i] <= hi. Use math.Inf(1) for an unbounded upper.
 func (p *Problem) SetBounds(i int, lo, hi float64) error {
 	if i < 0 || i >= p.nvars {
@@ -181,8 +177,8 @@ func (p *Problem) SetBounds(i int, lo, hi float64) error {
 // Bounds returns the current bounds of variable i.
 func (p *Problem) Bounds(i int) (lo, hi float64) { return p.lower[i], p.upper[i] }
 
-// ResetBounds replaces the bounds of every variable at once; branch-and-bound
-// workers use it to rebuild a node's box from the root bounds in one copy.
+// ResetBounds replaces the bounds of every variable at once; branch and bound
+// uses it to rebuild a node's box from the root bounds in one copy.
 func (p *Problem) ResetBounds(lo, hi []float64) error {
 	if len(lo) != p.nvars || len(hi) != p.nvars {
 		return fmt.Errorf("lp: ResetBounds got %d/%d bounds, want %d", len(lo), len(hi), p.nvars)
@@ -217,8 +213,8 @@ func (p *Problem) structCSC() *csc {
 
 // Compile eagerly builds the problem's compressed sparse column matrix (it is
 // otherwise built lazily on the first solve). The scheduler's round-model
-// cache calls this once per batch shape so every round — and every clone the
-// branch-and-bound workers take — reuses the same immutable CSC arrays.
+// cache calls this once per batch shape so every round — and the clone branch
+// and bound solves its nodes on — reuses the same immutable CSC arrays.
 func (p *Problem) Compile() { p.structCSC() }
 
 // SetRHS changes the right-hand side of constraint i in place. Round-to-round
@@ -260,12 +256,6 @@ type Solution struct {
 	Objective float64
 	X         []float64
 	Iters     int
-	// ReducedCosts holds the final reduced cost of every structural
-	// variable in minimization space (the internal sense; for Maximize
-	// problems multiply by -1 to recover the caller's sense). Nil unless
-	// the solve reached Optimal. Branch-and-bound uses these for
-	// reduced-cost fixing.
-	ReducedCosts []float64
 	// WarmStarted reports whether this solve reused a Basis instead of
 	// running the two-phase method from scratch.
 	WarmStarted bool
@@ -283,7 +273,7 @@ type Solution struct {
 // A Basis is only meaningful for a Problem with the same constraints and
 // objective as the one that produced it; SolveWarm detects objective drift
 // (via dual infeasibility) and falls back to a cold solve. A Basis is not
-// safe for concurrent use; Clone one per worker.
+// safe for concurrent use; Clone gives each branch-and-bound child its own.
 type Basis struct {
 	s *simplex
 }
@@ -393,12 +383,8 @@ func (p *Problem) solveReusing(b *Basis, revive func(*simplex) (Status, bool)) (
 	st := s.solveCold()
 	sol := &Solution{Status: st, Iters: s.iters}
 	if st == Optimal || st == IterLimit {
-		ext := s.extract(p)
-		sol.Objective = ext.Objective
-		sol.X = ext.X
-		if st == Optimal {
-			sol.ReducedCosts = ext.ReducedCosts
-		}
+		sol = s.extract(p)
+		sol.Status = st
 	}
 	p.finishSense(sol)
 	if b != nil && sol.Status == Optimal {

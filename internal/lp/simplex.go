@@ -798,7 +798,7 @@ func (s *simplex) dual(priceLim int) Status {
 		if row == -1 {
 			return Optimal // primal feasible (and still dual feasible)
 		}
-		s.btranUnit(row)  // ρ: the leaving row of B⁻¹A, one dot per column
+		s.btranUnit(row)    // ρ: the leaving row of B⁻¹A, one dot per column
 		s.btranCost(s.cost) // y: reduced costs for the dual ratio test
 		// Entering column: dual ratio test. Eligibility keeps the step
 		// direction consistent with the leaving variable returning to its
@@ -954,23 +954,7 @@ func (s *simplex) extract(p *Problem) *Solution {
 	for j := 0; j < s.nstruct; j++ {
 		obj += s.cost[j] * x[j]
 	}
-	sol := &Solution{Objective: obj, X: x, Iters: s.iters}
-	if !s.lu.ok || s.lu.m != s.m {
-		// A mid-solve refactorization failed (numerically singular basis, the
-		// IterLimit bail-out): the factorization is unusable, so no reduced
-		// costs — callers only consume them on Optimal anyway.
-		return sol
-	}
-	rc := make([]float64, s.nstruct)
-	s.btranCost(s.cost)
-	for j := 0; j < s.nstruct; j++ {
-		if s.status[j] == statBasic {
-			continue // exactly zero by the reduced-cost identity
-		}
-		rc[j] = s.cost[j] - s.colDot(j, s.y)
-	}
-	sol.ReducedCosts = rc
-	return sol
+	return &Solution{Objective: obj, X: x, Iters: s.iters}
 }
 
 // clone deep-copies the basis headers. The factorization, eta file, and
@@ -982,8 +966,8 @@ func (s *simplex) clone() *simplex {
 		m: s.m, nstruct: s.nstruct, nreal: s.nreal, width: s.width,
 		a: s.a,
 		// slackRow must be owned: a recycled engine rebuilds it in place
-		// (newSimplex), which would race with a sibling clone still reading
-		// the shared array in parallel branch-and-bound.
+		// (newSimplex), which would corrupt a sibling clone still holding
+		// the shared array.
 		slackRow: append([]int32(nil), s.slackRow...),
 		artRow:   append([]int32(nil), s.artRow...),
 		artSign:  append([]float64(nil), s.artSign...),

@@ -10,8 +10,8 @@ import (
 
 // oracleSolve is an independently coded branch-and-bound over the retained
 // previous-generation LP solver (lp.SolveReference): plain depth-first
-// recursion, no warm starts, no heuristics, no reduced-cost fixing. It is
-// the ground truth for the differential corpus.
+// recursion, no warm starts, most-fractional branching. It is the ground
+// truth for the differential corpus.
 func oracleSolve(t *testing.T, p *Problem) (Status, float64) {
 	t.Helper()
 	prob := p.base.Clone()
@@ -191,38 +191,13 @@ func TestDifferentialVsOracle(t *testing.T) {
 	if agg.WarmStarts == 0 {
 		t.Error("corpus never exercised the warm-start path")
 	}
-	t.Logf("corpus=%d nodes=%d iters=%d warm=%d cold=%d hit=%.2f heuristic=%d",
+	t.Logf("corpus=%d nodes=%d iters=%d warm=%d cold=%d hit=%.2f",
 		len(corpus), agg.Nodes, agg.SimplexIters, agg.WarmStarts, agg.ColdStarts,
-		agg.WarmStartHitRate(), agg.HeuristicIncumbents)
+		agg.WarmStartHitRate())
 }
 
-// TestParallelDeterminism is the acceptance check that the parallel tree is
-// deterministic: a completed search returns equal objectives at workers=1
-// and workers=8 across the whole differential corpus.
-func TestParallelDeterminism(t *testing.T) {
-	r := rand.New(rand.NewSource(20260702))
-	corpus := differentialCorpus(r)
-	for k, p := range corpus {
-		serial, err := p.Solve(Options{Workers: 1, Seed: 7})
-		if err != nil {
-			t.Fatalf("case %d serial: %v", k, err)
-		}
-		parallel, err := p.Solve(Options{Workers: 8, Seed: 7})
-		if err != nil {
-			t.Fatalf("case %d parallel: %v", k, err)
-		}
-		if serial.Status != parallel.Status {
-			t.Errorf("case %d: serial status %v, parallel %v", k, serial.Status, parallel.Status)
-			continue
-		}
-		if serial.Status == Optimal && math.Abs(serial.Objective-parallel.Objective) > 1e-9 {
-			t.Errorf("case %d: serial obj %.12f, parallel %.12f", k, serial.Objective, parallel.Objective)
-		}
-	}
-}
-
-// TestAblationsMatch checks the solver features are pure accelerations:
-// disabling warm starts or the heuristic never changes the answer.
+// TestAblationsMatch checks node warm starts are a pure acceleration:
+// disabling them never changes the answer.
 func TestAblationsMatch(t *testing.T) {
 	r := rand.New(rand.NewSource(20260703))
 	corpus := differentialCorpus(r)[:80]
@@ -235,13 +210,8 @@ func TestAblationsMatch(t *testing.T) {
 		if err != nil {
 			t.Fatalf("case %d: %v", k, err)
 		}
-		noHeur, err := p.Solve(Options{disableHeuristic: true})
-		if err != nil {
-			t.Fatalf("case %d: %v", k, err)
-		}
-		if full.Status != noWarm.Status || full.Status != noHeur.Status {
-			t.Errorf("case %d: statuses diverge: full=%v noWarm=%v noHeur=%v",
-				k, full.Status, noWarm.Status, noHeur.Status)
+		if full.Status != noWarm.Status {
+			t.Errorf("case %d: statuses diverge: full=%v noWarm=%v", k, full.Status, noWarm.Status)
 			continue
 		}
 		if full.Status != Optimal {
@@ -251,35 +221,8 @@ func TestAblationsMatch(t *testing.T) {
 			t.Errorf("case %d: warm-start changed objective: %.12f vs %.12f",
 				k, full.Objective, noWarm.Objective)
 		}
-		if math.Abs(full.Objective-noHeur.Objective) > 1e-9 {
-			t.Errorf("case %d: heuristic changed objective: %.12f vs %.12f",
-				k, full.Objective, noHeur.Objective)
-		}
 		if noWarm.Stats.WarmStarts != 0 {
 			t.Errorf("case %d: disableWarmStart still warm started", k)
-		}
-	}
-}
-
-// TestSeedDeterminism: identical options and seed give identical objectives
-// and node counts in serial mode (full reproducibility of a search).
-func TestSeedDeterminism(t *testing.T) {
-	r := rand.New(rand.NewSource(20260704))
-	for k := 0; k < 40; k++ {
-		p := randomMixedMILP(r)
-		a, err := p.Solve(Options{Seed: 11})
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := p.Solve(Options{Seed: 11})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a.Status != b.Status || a.Nodes != b.Nodes {
-			t.Errorf("case %d: reruns diverge: %v/%d vs %v/%d", k, a.Status, a.Nodes, b.Status, b.Nodes)
-		}
-		if a.Status == Optimal && a.Objective != b.Objective {
-			t.Errorf("case %d: rerun objective %.12f vs %.12f", k, a.Objective, b.Objective)
 		}
 	}
 }

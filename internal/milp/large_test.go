@@ -3,7 +3,6 @@ package milp
 import (
 	"math"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"waterwise/internal/lp"
@@ -85,87 +84,63 @@ func BenchmarkSchedulingRound1000x10(b *testing.B) {
 	}
 }
 
-// TestLargeBatchWorkersDeterminism proves workers=1 ≡ workers=N at a
-// 1000-job batch on a round-shaped MILP hardened with coupling rows that
-// break the assignment polytope's integrality, so branch and bound really
-// branches and the worker pool really runs. Closes the ROADMAP open item
-// "Workers > 1 defaults once batches grow beyond ~200 jobs".
-func TestLargeBatchWorkersDeterminism(t *testing.T) {
+// TestLargeBatchBranching runs the serial tree on a 1000-job round-shaped
+// MILP hardened with knapsack rows that break the assignment polytope's
+// integrality, so branch and bound really branches: the search must still
+// prove the known optimum.
+func TestLargeBatchBranching(t *testing.T) {
 	if testing.Short() {
-		t.Skip("large-batch determinism test skipped in -short mode")
+		t.Skip("large-batch branching test skipped in -short mode")
 	}
 	const M, N = 1000, 10
-	workers := runtime.GOMAXPROCS(0)
-	if workers < 2 {
-		workers = 2
-	}
-	wantAuto := M / 64
-	if g := runtime.GOMAXPROCS(0); wantAuto > g {
-		wantAuto = g
-	}
-	if aw := AutoWorkers(M); aw != wantAuto {
-		t.Fatalf("AutoWorkers(%d) = %d, want min(GOMAXPROCS, %d/64) = %d", M, aw, M, wantAuto)
-	}
-	if aw := AutoWorkers(199); aw != 1 {
-		t.Fatalf("AutoWorkers(199) = %d, want 1 below the 200-job threshold", aw)
-	}
-
-	solveAt := func(w int) *Solution {
-		prob, capRows := buildRoundModel(t, M, N)
-		r := rand.New(rand.NewSource(7))
-		obj := freshObjective(r, M, N)
-		installRound(t, prob, capRows, M, N, r, obj)
-		// Break the assignment polytope's integrality so the tree really
-		// grows: groups of three jobs share a cheap favorite region, but a
-		// knapsack row only admits 1.4 favorites in total — the LP splits
-		// fractionally and integrality forces branching. Favorite costs are
-		// small but distinct, and the 0.4-fractional split rounds down to a
-		// feasible point, so the diving heuristic seeds an incumbent and
-		// best-bound pruning closes the tree fast.
-		group := 0
-		for m := 0; m+2 < M; m += 199 {
-			fav := group % N
-			group++
-			terms := make([]lp.Term, 0, 3)
-			for k := 0; k < 3; k++ {
-				v := (m+k)*N + fav
-				obj[v] = 0.02 * float64(k+1)
-				terms = append(terms, lp.Term{Var: v, Coef: 1})
-			}
-			if _, err := prob.AddConstraint(terms, lp.LE, 1.4); err != nil {
-				t.Fatal(err)
-			}
+	prob, capRows := buildRoundModel(t, M, N)
+	r := rand.New(rand.NewSource(7))
+	obj := freshObjective(r, M, N)
+	installRound(t, prob, capRows, M, N, r, obj)
+	// Groups of three jobs share a cheap favorite region, but a knapsack
+	// row only admits 1.4 favorites in total — the LP splits fractionally
+	// and integrality forces branching. Favorite costs are small but
+	// distinct, so best-bound pruning closes the tree fast.
+	group := 0
+	for m := 0; m+2 < M; m += 199 {
+		fav := group % N
+		group++
+		terms := make([]lp.Term, 0, 3)
+		for k := 0; k < 3; k++ {
+			v := (m+k)*N + fav
+			obj[v] = 0.02 * float64(k+1)
+			terms = append(terms, lp.Term{Var: v, Coef: 1})
 		}
-		if err := prob.SetObjective(obj, lp.Minimize); err != nil {
+		if _, err := prob.AddConstraint(terms, lp.LE, 1.4); err != nil {
 			t.Fatal(err)
 		}
-		// Generous capacities: fixing a group variable must not ripple
-		// fractionality through binding capacity rows — this test measures
-		// worker-pool determinism on a prunable tree, not capacity pressure
-		// (TestLargeRoundSolvesInBudget keeps the binding-capacity shape).
-		for n := 0; n < N; n++ {
-			if err := prob.SetRHS(capRows[n], float64(M)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		sol, err := prob.Solve(Options{Workers: w, MaxNodes: 50000})
-		if err != nil {
+	}
+	if err := prob.SetObjective(obj, lp.Minimize); err != nil {
+		t.Fatal(err)
+	}
+	// Generous capacities: fixing a group variable must not ripple
+	// fractionality through binding capacity rows
+	// (TestLargeRoundSolvesInBudget keeps the binding-capacity shape).
+	for n := 0; n < N; n++ {
+		if err := prob.SetRHS(capRows[n], float64(M)); err != nil {
 			t.Fatal(err)
 		}
-		if sol.Status != Optimal {
-			t.Fatalf("workers=%d: status %v", w, sol.Status)
-		}
-		return sol
 	}
-
-	serial := solveAt(1)
-	parallel := solveAt(workers)
-	if math.Abs(serial.Objective-parallel.Objective) > 1e-6 {
-		t.Fatalf("objective diverged: workers=1 %.9f, workers=%d %.9f",
-			serial.Objective, workers, parallel.Objective)
+	sol, err := prob.Solve(Options{MaxNodes: 50000})
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Logf("workers=1: %d nodes obj %.6f; workers=%d: %d nodes obj %.6f",
-		serial.Nodes, serial.Objective, workers, parallel.Nodes, parallel.Objective)
+	if sol.Status != Optimal {
+		t.Fatalf("status %v", sol.Status)
+	}
+	if sol.Stats.Nodes < 2 {
+		t.Fatalf("%d nodes: the knapsack rows no longer force branching", sol.Stats.Nodes)
+	}
+	const want = 287.066742
+	if math.Abs(sol.Objective-want) > 1e-6 {
+		t.Fatalf("objective %.9f, want %.6f", sol.Objective, want)
+	}
+	t.Logf("%d nodes, %d simplex iterations, objective %.6f", sol.Stats.Nodes, sol.Stats.SimplexIters, sol.Objective)
 }
 
 // TestLargeRoundSolvesInBudget keeps thousand-job rounds inside the online
@@ -184,8 +159,8 @@ func TestLargeRoundSolvesInBudget(t *testing.T) {
 		if sol.Status != Optimal {
 			t.Fatalf("round %d: status %v", round, sol.Status)
 		}
-		if sol.Nodes != 1 {
-			t.Errorf("round %d: %d nodes — the assignment relaxation is integral, the root LP must close it", round, sol.Nodes)
+		if sol.Stats.Nodes != 1 {
+			t.Errorf("round %d: %d nodes — the assignment relaxation is integral, the root LP must close it", round, sol.Stats.Nodes)
 		}
 	}
 }

@@ -8,22 +8,18 @@
 // continuous), node/gap/time limits, and returns the best incumbent found
 // with a bound-based optimality certificate when search completes.
 //
-// Throughput features (the system's hot path is one MILP per scheduling
-// round, so the solver is rearchitected for speed):
+// The scheduler's round MILP is an assignment problem whose relaxation is
+// integral, so its solves close at the root relaxation
+// (TestRoundModelsCloseAtRoot pins this); the tree below the root exists
+// for general models and is searched serially:
 //
 //   - Branching tightens variable bounds instead of appending constraint
 //     rows, so every node shares the parent's constraint matrix.
 //   - Each child node warm starts from its parent's simplex Basis: a bound
 //     change leaves the basis dual feasible, so a short dual-simplex run
 //     replaces a from-scratch two-phase solve (see lp.SolveWarm).
-//   - Reduced-cost fixing pins integer variables whose LP reduced cost
-//     proves they cannot move off their bound in any improving solution.
-//   - A rounding/diving primal heuristic runs at the root to produce an
-//     early incumbent for pruning.
-//   - Node exploration runs on a configurable worker pool (Options.Workers)
-//     with deterministic best-bound node selection: ties break on a
-//     deterministic node id (root 1, children 2id and 2id+1), and a search
-//     run to completion returns the same objective at any worker count.
+//   - Nodes are expanded in best-bound order; ties break on a deterministic
+//     node id (root 1, children 2id and 2id+1), so a search is reproducible.
 //   - Solution.Stats reports nodes, simplex iterations, warm-start hit
 //     rate, and wall time for the paper's Fig. 13 overhead accounting.
 package milp
@@ -32,9 +28,6 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
-	"math/rand"
-	"runtime"
-	"sync"
 	"time"
 
 	"waterwise/internal/lp"
@@ -82,11 +75,9 @@ type Options struct {
 	RelGap float64
 	// TimeLimit caps wall-clock search time; 0 means no limit.
 	TimeLimit time.Duration
-	// Workers sets the node-exploration worker count; 0 or 1 runs the
-	// search serially (the scheduler resolves 0 to AutoWorkers(batch)
-	// before solving, so large rounds parallelize by default). A search
-	// that runs to completion (no node, gap, or time limit) returns the
-	// same objective at any worker count.
+	// Workers is kept for source compatibility.
+	//
+	// Deprecated: ignored; the search is serial.
 	Workers int
 	// RepriceWarmStart carries the root LP basis *across* Solve calls on a
 	// reused Problem: when only the objective, RHS, and variable bounds
@@ -95,54 +86,20 @@ type Options struct {
 	// of solving cold. Answers never change — any doubt falls back to a cold
 	// solve — only the root simplex iteration count does.
 	RepriceWarmStart bool
-	// Seed makes tie-breaking in the diving heuristic deterministic; the
-	// final objective of a completed search does not depend on it.
-	Seed int64
 
 	// disableWarmStart solves every node relaxation from scratch instead
-	// of warm starting from the parent basis, and disableHeuristic turns
-	// off the root diving/rounding heuristic: the ablations the package's
+	// of warm starting from the parent basis: the ablation the package's
 	// differential tests run.
 	disableWarmStart bool
-	disableHeuristic bool
 }
 
 // intTol is the integrality tolerance: a variable within it of an integer
 // counts as integral.
 const intTol = 1e-6
 
-// autoWorkersBatch is the batch size from which AutoWorkers starts handing
-// out more than one worker; below it the per-node LPs are too cheap for the
-// pool's coordination to pay off.
-const autoWorkersBatch = 200
-
-// AutoWorkers picks a node-exploration worker count for a scheduling round of
-// the given batch size (jobs in the round MILP): 1 below 200 jobs, then
-// min(GOMAXPROCS, batch/64). The scheduler wires this in when the caller left
-// SchedulerConfig.SolverWorkers unset, so thousand-job batches spread across
-// cores by default while small rounds stay serial. A completed search returns
-// the same objective at any worker count, so the default never changes
-// answers.
-func AutoWorkers(batch int) int {
-	if batch < autoWorkersBatch {
-		return 1
-	}
-	w := batch / 64
-	if max := runtime.GOMAXPROCS(0); w > max {
-		w = max
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
 func (o Options) withDefaults() Options {
 	if o.MaxNodes == 0 {
 		o.MaxNodes = 100000
-	}
-	if o.Workers <= 0 {
-		o.Workers = 1
 	}
 	return o
 }
@@ -151,19 +108,15 @@ func (o Options) withDefaults() Options {
 // paper's Fig. 13 reports these alongside wall time.
 type Stats struct {
 	// Nodes is the number of branch-and-bound nodes whose LP relaxation
-	// was solved (heuristic solves excluded).
+	// was solved.
 	Nodes int
-	// SimplexIters is the total simplex pivot count across all LP solves,
-	// including the diving heuristic.
+	// SimplexIters is the total simplex pivot count across all LP solves.
 	SimplexIters int
 	// WarmStarts counts LP solves served by a dual-simplex warm start.
 	WarmStarts int
 	// ColdStarts counts LP solves that ran the two-phase method from
 	// scratch (the root, plus any warm-start fallbacks).
 	ColdStarts int
-	// HeuristicIncumbents counts incumbents contributed by the diving
-	// heuristic.
-	HeuristicIncumbents int
 	// Wall is the wall-clock solve time.
 	Wall time.Duration
 }
@@ -183,7 +136,6 @@ func (s *Stats) Add(other Stats) {
 	s.SimplexIters += other.SimplexIters
 	s.WarmStarts += other.WarmStarts
 	s.ColdStarts += other.ColdStarts
-	s.HeuristicIncumbents += other.HeuristicIncumbents
 	s.Wall += other.Wall
 }
 
@@ -192,10 +144,8 @@ type Solution struct {
 	Status    Status
 	Objective float64
 	X         []float64
-	Nodes     int           // branch-and-bound nodes explored (== Stats.Nodes)
-	Gap       float64       // final relative optimality gap
-	Runtime   time.Duration // wall-clock solve time (== Stats.Wall)
-	Stats     Stats         // solver instrumentation
+	Gap       float64 // final relative optimality gap
+	Stats     Stats   // solver instrumentation
 }
 
 // Problem is a MILP under construction. The zero value is not usable; call
@@ -295,7 +245,7 @@ func (p *Problem) AddConstraint(terms []lp.Term, op lp.Op, rhs float64) (int, er
 // Compile eagerly builds the relaxation's compressed sparse column matrix
 // (otherwise built lazily on the first solve). The scheduler's round-model
 // cache calls this once per batch shape; the immutable CSC arrays are then
-// shared by every round, warm-start basis, and branch-and-bound worker.
+// shared by every round, warm-start basis, and branch-and-bound node.
 func (p *Problem) Compile() { p.base.Compile() }
 
 // SetRHS changes the right-hand side of constraint i (round-to-round
@@ -356,113 +306,56 @@ func (h *nodeHeap) Pop() interface{} {
 // new nodes are pushed without a basis and solved cold if ever expanded.
 const maxOpenBases = 2048
 
-// search is the shared state of one Solve call.
+// search is the state of one Solve call.
 type search struct {
 	p        *Problem
 	opts     Options
 	sgn      float64   // +1 Minimize, -1 Maximize: relaxation obj -> min space
 	deadline time.Time // zero when no time limit
 
-	mu           sync.Mutex
-	cond         *sync.Cond
 	open         nodeHeap
-	inflight     map[uint64]float64 // id -> bound of nodes being processed
 	incumbent    []float64
 	incumbentObj float64 // minimization space
 	limitHit     bool
-	gapHit       bool
-	err          error
 	stats        Stats
 }
 
-func (s *search) globalBoundLocked() float64 {
-	b := math.Inf(1)
-	if len(s.open) > 0 {
-		b = s.open[0].bound
+// bestBound is the lowest bound among open nodes (+Inf when none are left).
+func (s *search) bestBound() float64 {
+	if len(s.open) == 0 {
+		return math.Inf(1)
 	}
-	for _, ib := range s.inflight {
-		if ib < b {
-			b = ib
-		}
-	}
-	return b
+	return s.open[0].bound
 }
 
-// consider offers an integer-feasible point as the incumbent.
-func (s *search) consider(x []float64, obj float64, heuristic bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if obj < s.incumbentObj-1e-12 {
-		s.incumbentObj = obj
-		s.incumbent = append(s.incumbent[:0], x...)
-		if heuristic {
-			s.stats.HeuristicIncumbents++
-		}
-	}
-}
-
-func (s *search) fail(err error) {
-	s.mu.Lock()
-	if s.err == nil {
-		s.err = err
-	}
-	s.cond.Broadcast()
-	s.mu.Unlock()
-}
-
-// next pops the best open node, blocking while other workers may still push
-// children. It returns nil when the search is over (exhausted, limited, or
-// failed).
-func (s *search) next() *node {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		if s.err != nil || s.limitHit || s.gapHit {
+// run expands open nodes in best-bound order on prob, a clone of the root
+// problem, until the tree is exhausted, the gap closes, or a limit hits.
+func (s *search) run(prob *lp.Problem) error {
+	for len(s.open) > 0 {
+		if s.stats.Nodes >= s.opts.MaxNodes || (!s.deadline.IsZero() && time.Now().After(s.deadline)) {
+			s.limitHit = true
 			return nil
 		}
-		if len(s.open) > 0 {
-			if s.stats.Nodes >= s.opts.MaxNodes {
-				s.limitHit = true
-				s.cond.Broadcast()
+		if s.incumbentObj < math.Inf(1) {
+			gap := (s.incumbentObj - s.bestBound()) / math.Max(math.Abs(s.incumbentObj), 1)
+			if gap <= s.opts.RelGap {
 				return nil
 			}
-			if !s.deadline.IsZero() && time.Now().After(s.deadline) {
-				s.limitHit = true
-				s.cond.Broadcast()
-				return nil
-			}
-			if s.incumbentObj < math.Inf(1) {
-				gap := (s.incumbentObj - s.globalBoundLocked()) / math.Max(math.Abs(s.incumbentObj), 1)
-				if gap <= s.opts.RelGap {
-					s.gapHit = true
-					s.cond.Broadcast()
-					return nil
-				}
-			}
-			n := heap.Pop(&s.open).(*node)
-			if n.bound >= s.incumbentObj-1e-9 {
-				continue // pruned by bound; costs no LP solve
-			}
-			s.inflight[n.id] = n.bound
-			return n
 		}
-		if len(s.inflight) == 0 {
-			return nil // tree exhausted
+		n := heap.Pop(&s.open).(*node)
+		if n.bound >= s.incumbentObj-1e-9 {
+			continue // pruned by bound; costs no LP solve
 		}
-		s.cond.Wait()
+		if err := s.process(n, prob); err != nil {
+			return err
+		}
 	}
+	return nil
 }
 
-func (s *search) done(n *node) {
-	s.mu.Lock()
-	delete(s.inflight, n.id)
-	s.cond.Broadcast()
-	s.mu.Unlock()
-}
-
-// solveNode applies a node's bound fixes to the worker's problem clone and
-// solves its relaxation, warm starting from the node's basis when possible.
-// It returns (nil, nil) for nodes whose fixes cross (trivially infeasible).
+// solveNode applies a node's bound fixes to prob and solves its relaxation,
+// warm starting from the node's basis when possible. It returns (nil, nil)
+// for nodes whose fixes cross (trivially infeasible).
 func (s *search) solveNode(prob *lp.Problem, n *node) (*lp.Solution, *lp.Basis, error) {
 	if err := prob.ResetBounds(s.p.lo, s.p.hi); err != nil {
 		return nil, nil, err
@@ -485,16 +378,19 @@ func (s *search) solveNode(prob *lp.Problem, n *node) (*lp.Solution, *lp.Basis, 
 	if err != nil {
 		return nil, nil, err
 	}
-	s.mu.Lock()
+	s.count(sol)
+	return sol, basis, nil
+}
+
+// count adds one LP solve to the stats.
+func (s *search) count(sol *lp.Solution) {
+	s.stats.Nodes++
 	s.stats.SimplexIters += sol.Iters
 	if sol.WarmStarted {
 		s.stats.WarmStarts++
 	} else {
 		s.stats.ColdStarts++
 	}
-	s.stats.Nodes++
-	s.mu.Unlock()
-	return sol, basis, nil
 }
 
 // fractional returns the integer variable farthest from integrality, or -1
@@ -516,68 +412,24 @@ func (s *search) fractional(x []float64) int {
 }
 
 // expand branches a node whose relaxation solved Optimal with fractional
-// value at v: two children with tightened bounds on v, plus any
-// reduced-cost fixes the LP solution proves. prob still holds the node's
-// bounds; basis is the node's final basis (ownership passes to the left
-// child; the right child gets a clone).
-func (s *search) expand(n *node, v int, sol *lp.Solution, obj float64, prob *lp.Problem, basis *lp.Basis) {
-	s.mu.Lock()
-	incumbent := s.incumbentObj
-	s.mu.Unlock()
-
-	// Reduced-cost fixing: an integer variable sitting at its bound with
-	// reduced cost d cannot move (integers move in whole units, costing at
-	// least |d| each) in any solution better than the incumbent when
-	// obj + |d| already meets it. Fixing shrinks both children's boxes.
-	var rcFixes []boundFix
-	if sol.ReducedCosts != nil && incumbent < math.Inf(1) {
-		for j, isI := range s.p.isInt {
-			if !isI || j == v {
-				continue
-			}
-			lo, hi := prob.Bounds(j)
-			if lo == hi {
-				continue
-			}
-			d := sol.ReducedCosts[j]
-			switch {
-			case d > 1e-9 && sol.X[j] <= lo+intTol:
-				if obj+d >= incumbent-1e-9 {
-					rcFixes = append(rcFixes, boundFix{j, lo, lo})
-				}
-			case d < -1e-9 && !math.IsInf(hi, 1) && sol.X[j] >= hi-intTol:
-				if obj-d >= incumbent-1e-9 {
-					rcFixes = append(rcFixes, boundFix{j, hi, hi})
-				}
-			}
-		}
-	}
-
+// value xv at v: two children with tightened bounds on v. prob still holds
+// the node's bounds; basis is the node's final basis (ownership passes to
+// the left child; the right child gets a clone).
+func (s *search) expand(n *node, v int, xv, obj float64, prob *lp.Problem, basis *lp.Basis) {
 	lo, hi := prob.Bounds(v)
-	floor := math.Floor(sol.X[v])
-	base := make([]boundFix, 0, len(n.fixes)+len(rcFixes)+1)
-	base = append(base, n.fixes...)
-	base = append(base, rcFixes...)
-
+	floor := math.Floor(xv)
+	child := func(fix boundFix, right bool) *node {
+		fixes := append(append(make([]boundFix, 0, len(n.fixes)+1), n.fixes...), fix)
+		return &node{fixes: fixes, bound: obj, id: childID(n.id, right)}
+	}
 	var children []*node
 	if floor >= lo {
-		left := &node{
-			fixes: append(append([]boundFix(nil), base...), boundFix{v, lo, floor}),
-			bound: obj, id: childID(n.id, false),
-		}
-		children = append(children, left)
+		children = append(children, child(boundFix{v, lo, floor}, false))
 	}
 	if floor+1 <= hi {
-		right := &node{
-			fixes: append(append([]boundFix(nil), base...), boundFix{v, floor + 1, hi}),
-			bound: obj, id: childID(n.id, true),
-		}
-		children = append(children, right)
+		children = append(children, child(boundFix{v, floor + 1, hi}, true))
 	}
-
-	s.mu.Lock()
-	withBasis := len(s.open) < maxOpenBases && !s.opts.disableWarmStart
-	if withBasis && basis.Valid() {
+	if len(s.open) < maxOpenBases && !s.opts.disableWarmStart && basis.Valid() {
 		if len(children) > 0 {
 			children[0].basis = basis // transfer ownership
 		}
@@ -588,137 +440,28 @@ func (s *search) expand(n *node, v int, sol *lp.Solution, obj float64, prob *lp.
 	for _, c := range children {
 		heap.Push(&s.open, c)
 	}
-	s.cond.Broadcast()
-	s.mu.Unlock()
 }
 
 // process solves one popped node and prunes, records, or branches.
-func (s *search) process(n *node, prob *lp.Problem) {
+func (s *search) process(n *node, prob *lp.Problem) error {
 	sol, basis, err := s.solveNode(prob, n)
 	if err != nil {
-		s.fail(err)
-		return
+		return err
 	}
 	if sol == nil || sol.Status != lp.Optimal {
-		return // infeasible (or numerically stuck) subtree: prune
+		return nil // infeasible (or numerically stuck) subtree: prune
 	}
 	obj := s.sgn * sol.Objective
-	s.mu.Lock()
-	incumbent := s.incumbentObj
-	s.mu.Unlock()
-	if obj >= incumbent-1e-9 {
-		return
+	if obj >= s.incumbentObj-1e-9 {
+		return nil
 	}
 	if v := s.fractional(sol.X); v >= 0 {
-		s.expand(n, v, sol, obj, prob, basis)
+		s.expand(n, v, sol.X[v], obj, prob, basis)
 	} else {
-		s.consider(sol.X, obj, false)
+		s.incumbentObj = obj
+		s.incumbent = append(s.incumbent[:0], sol.X...)
 	}
-}
-
-func (s *search) worker() {
-	prob := s.p.base.Clone()
-	for {
-		n := s.next()
-		if n == nil {
-			return
-		}
-		s.process(n, prob)
-		s.done(n)
-	}
-}
-
-// dive runs the rounding/diving primal heuristic from the root relaxation:
-// repeatedly fix the fractional integer variable closest to integrality to
-// its rounded value and warm-resolve, hoping to land on an integer-feasible
-// point quickly. Any incumbent it finds seeds bound pruning for the whole
-// tree. Tie-breaks use opts.Seed; the completed search's objective does not
-// depend on them.
-func (s *search) dive(rootBasis *lp.Basis, rootX []float64) {
-	if s.opts.disableHeuristic {
-		return
-	}
-	prob := s.p.base.Clone()
-	// Warm starts make each dive step a few dual pivots; without a basis
-	// (disableWarmStart) the dive still runs, just on cold solves — the
-	// two ablation switches stay independent.
-	var basis *lp.Basis
-	if rootBasis.Valid() {
-		basis = rootBasis.Clone()
-	}
-	x := append([]float64(nil), rootX...)
-	rng := rand.New(rand.NewSource(s.opts.Seed))
-	maxDepth := 0
-	for _, isI := range s.p.isInt {
-		if isI {
-			maxDepth++
-		}
-	}
-	for depth := 0; depth <= maxDepth; depth++ {
-		// Most-integral fractional variable; ties broken by seeded RNG.
-		v, bestDist := -1, math.Inf(1)
-		ties := 0
-		for i, isI := range s.p.isInt {
-			if !isI {
-				continue
-			}
-			f := x[i] - math.Floor(x[i])
-			d := math.Min(f, 1-f)
-			if d <= intTol {
-				continue
-			}
-			switch {
-			case d < bestDist-1e-9:
-				bestDist = d
-				v = i
-				ties = 1
-			case d < bestDist+1e-9:
-				ties++
-				if rng.Intn(ties) == 0 {
-					v = i
-				}
-			}
-		}
-		if v == -1 {
-			obj := 0.0
-			for j := range x {
-				obj += s.p.base.ObjectiveCoef(j) * x[j]
-			}
-			s.consider(x, s.sgn*obj, true)
-			return
-		}
-		lo, hi := prob.Bounds(v)
-		r := math.Round(x[v])
-		if r < lo {
-			r = math.Ceil(lo)
-		}
-		if r > hi {
-			r = math.Floor(hi)
-		}
-		if r < lo || r > hi {
-			return
-		}
-		if err := prob.SetBounds(v, r, r); err != nil {
-			return
-		}
-		sol, err := prob.SolveWarm(basis)
-		if err != nil || sol.Status != lp.Optimal {
-			return
-		}
-		s.mu.Lock()
-		s.stats.SimplexIters += sol.Iters
-		if sol.WarmStarted {
-			s.stats.WarmStarts++
-		} else {
-			s.stats.ColdStarts++
-		}
-		incumbent := s.incumbentObj
-		s.mu.Unlock()
-		if s.sgn*sol.Objective >= incumbent-1e-9 {
-			return
-		}
-		x = sol.X
-	}
+	return nil
 }
 
 // Solve runs branch and bound and returns the best solution found.
@@ -730,26 +473,17 @@ func (p *Problem) Solve(opts Options) (*Solution, error) {
 	if p.sense == lp.Maximize {
 		sgn = -1.0
 	}
-	s := &search{
-		p: p, opts: opts, sgn: sgn,
-		inflight:     make(map[uint64]float64),
-		incumbentObj: math.Inf(1),
-	}
-	s.cond = sync.NewCond(&s.mu)
+	s := &search{p: p, opts: opts, sgn: sgn, incumbentObj: math.Inf(1)}
 	if opts.TimeLimit > 0 {
 		s.deadline = start.Add(opts.TimeLimit)
 	}
 
 	finish := func(sol *Solution) *Solution {
-		sol.Runtime = time.Since(start)
-		s.stats.Wall = sol.Runtime
+		s.stats.Wall = time.Since(start)
 		sol.Stats = s.stats
-		sol.Nodes = s.stats.Nodes
 		return sol
 	}
 
-	// Root relaxation: solved inline (serially) so terminal statuses and
-	// the diving heuristic happen before workers spawn.
 	if p.rootBasis == nil {
 		p.rootBasis = lp.NewBasis()
 	}
@@ -769,12 +503,7 @@ func (p *Problem) Solve(opts Options) (*Solution, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.stats.Nodes, s.stats.SimplexIters = 1, rootSol.Iters
-	if rootSol.WarmStarted {
-		s.stats.WarmStarts = 1
-	} else {
-		s.stats.ColdStarts = 1
-	}
+	s.count(rootSol)
 	switch rootSol.Status {
 	case lp.Infeasible:
 		return finish(&Solution{Status: Infeasible, Gap: math.Inf(1)}), nil
@@ -794,28 +523,13 @@ func (p *Problem) Solve(opts Options) (*Solution, error) {
 			Gap:       0,
 		}), nil
 	}
-	s.dive(rootBasis, rootSol.X)
-	rootNode := &node{bound: rootObj, id: 1}
-	s.inflight[1] = rootObj // mirrors a worker mid-expansion
 	// p.base already holds exactly the root bounds, and expand only reads
-	// them — no clone needed.
-	s.expand(rootNode, branchVar, rootSol, rootObj, p.base, rootBasis)
-	s.done(rootNode)
-
-	var wg sync.WaitGroup
-	for w := 0; w < opts.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			s.worker()
-		}()
-	}
-	wg.Wait()
-	if s.err != nil {
-		return nil, s.err
+	// them; the nodes below are solved on one clone.
+	s.expand(&node{id: 1}, branchVar, rootSol.X[branchVar], rootObj, p.base, rootBasis)
+	if err := s.run(p.base.Clone()); err != nil {
+		return nil, err
 	}
 
-	bestBound := s.globalBoundLocked() // workers joined: no lock contention
 	sol := &Solution{}
 	if s.incumbent == nil {
 		if s.limitHit {
@@ -826,9 +540,10 @@ func (p *Problem) Solve(opts Options) (*Solution, error) {
 		sol.Gap = math.Inf(1)
 		return finish(sol), nil
 	}
+	bestBound := s.bestBound()
 	sol.X = s.incumbent
 	sol.Objective = sgn * s.incumbentObj
-	if math.IsInf(bestBound, 1) || bestBound >= s.incumbentObj {
+	if bestBound >= s.incumbentObj {
 		bestBound = s.incumbentObj
 	}
 	sol.Gap = (s.incumbentObj - bestBound) / math.Max(math.Abs(s.incumbentObj), 1)

@@ -72,16 +72,6 @@ type RoundTrace struct {
 	ColdStarts   int `json:"cold_starts"`
 }
 
-// StageBreakdown returns the stage durations keyed by stage name —
-// the JSON form the /v1/rounds/slowest endpoint serves.
-func (rt *RoundTrace) StageBreakdown() map[string]time.Duration {
-	out := make(map[string]time.Duration, NumStages)
-	for st := Stage(0); st < NumStages; st++ {
-		out[st.String()] = rt.Stages[st]
-	}
-	return out
-}
-
 // RoundRing retains the most recent rounds' traces in a bounded ring
 // plus the slowest-N rounds ever seen (by Total) as exemplars, so a tail
 // round remains inspectable after thousands of fast rounds have cycled

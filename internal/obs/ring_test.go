@@ -190,10 +190,4 @@ func TestStageString(t *testing.T) {
 			t.Errorf("Stage(%d).String() = %q, want %q", st, st.String(), want[st])
 		}
 	}
-	var rt RoundTrace
-	rt.Stages[StageSolve] = time.Millisecond
-	bd := rt.StageBreakdown()
-	if len(bd) != int(NumStages) || bd["solve"] != time.Millisecond {
-		t.Errorf("StageBreakdown = %v", bd)
-	}
 }

@@ -164,10 +164,10 @@ func TestConformanceHeaderLayout(t *testing.T) {
 	}
 	wantHdr := []byte{
 		'W', 'W', 'S', '1', // magic, little-endian 0x31535757
-		1,                  // version
-		byte(TypeAck),      // frame type
-		0, 0,               // reserved
-		4, 0, 0, 0,         // payload length
+		1,             // version
+		byte(TypeAck), // frame type
+		0, 0,          // reserved
+		4, 0, 0, 0, // payload length
 	}
 	if !bytes.Equal(frame[:12], wantHdr) {
 		t.Fatalf("header = %x, want %x", frame[:12], wantHdr)

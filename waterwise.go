@@ -370,11 +370,9 @@ type SchedulerConfig struct {
 	// well inside the round budget, so large deployments can raise this to
 	// batch whole bursts into one optimal assignment.
 	MaxBatch int
-	// SolverWorkers sets the branch-and-bound node-exploration worker
-	// count; 1 solves serially, 0 (the default) picks automatically:
-	// serial below 200-job batches, then min(GOMAXPROCS, batch/64). A
-	// search run to completion returns the same objective at any worker
-	// count.
+	// SolverWorkers is kept for source compatibility.
+	//
+	// Deprecated: ignored; the search is serial.
 	SolverWorkers int
 	// CrossRoundWarmStart carries the round MILP's simplex basis across
 	// scheduling rounds: the cached round model re-prices the previous
@@ -406,7 +404,6 @@ func NewScheduler(cfg SchedulerConfig) (Scheduler, error) {
 	}
 	c.PerfWeight = cfg.PerfWeight
 	c.CostWeight = cfg.CostWeight
-	c.Solver.Workers = cfg.SolverWorkers
 	c.Solver.RepriceWarmStart = cfg.CrossRoundWarmStart
 	return core.New(c)
 }

@@ -25,16 +25,34 @@ import (
 
 // PendingJob is a job awaiting a placement decision, with the bookkeeping
 // the slack manager needs (T_start in Eq. 14 is when the controller first
-// received the job).
+// received the job, and Slack holds the rest of the job's score).
 type PendingJob struct {
 	Job *trace.Job
 	// FirstSeen is when the controller first saw this job.
 	FirstSeen time.Time
 	// Deferrals counts how many scheduling rounds have passed it over.
 	Deferrals int
+	// Slack is the slack manager's memo of the job's wait-free urgency
+	// term. The Sim never reads it: RestorePending clears it, and a
+	// PendingSnapshot's consumer does not persist it.
+	Slack SlackMemo
 	// decided marks a job placed by the round being committed, between
 	// apply and the compaction that drops it from the queue.
 	decided bool
+}
+
+// SlackMemo holds Eq. 14's per-job term TOL·t̂_m − L̄_m, in nanoseconds,
+// which the slack manager (internal/core) works out the first time it
+// ranks the job; every later round only subtracts the wait. The term is a
+// pure function of the job and of its Sim's Tolerance, transfer model and
+// region set, which are fixed for the Sim's life, so the memo stays valid
+// for as long as the job is queued in the Sim that filled it. A job handed
+// to another Sim, through PendingSnapshot and RestorePending, arrives with
+// the memo cleared. The zero value is an empty memo.
+type SlackMemo struct {
+	// Base is TOL·t̂_m − L̄_m; it means something only when Set.
+	Base float64
+	Set  bool
 }
 
 // Decision places one job in a region. StartAt lets oracle schedulers
@@ -57,7 +75,8 @@ type Decision struct {
 // The Context (including its Free/Busy maps and Jobs slice) is pooled by the
 // simulator and rewritten every round: it is only valid for the duration of
 // the Schedule call. Schedulers that need round-over-round state must copy
-// what they keep.
+// what they keep. The one exception is a job's PendingJob.Slack, which a
+// scheduler may fill and read back for as long as the job is queued.
 type Context struct {
 	Now  time.Time
 	Jobs []*PendingJob
@@ -556,7 +575,9 @@ func (s *Sim) RestoreBusy(busy map[region.ID][]time.Time) error {
 // PendingSnapshot copies the jobs awaiting placement, with FirstSeen — the
 // T_start the slack manager's urgency score (Eq. 14) depends on — and the
 // Deferrals counter, which no score reads: it is bookkeeping a durable
-// checkpoint carries so a restored queue equals the one snapshotted.
+// checkpoint carries so a restored queue equals the one snapshotted. The
+// copies also carry each job's Slack memo, which is not state:
+// RestorePending drops it, and the durable checkpoint does not write it.
 func (s *Sim) PendingSnapshot() []PendingJob {
 	out := make([]PendingJob, len(s.pending))
 	for i, pj := range s.pending {
@@ -566,12 +587,15 @@ func (s *Sim) PendingSnapshot() []PendingJob {
 }
 
 // RestorePending replaces the pending queue from a PendingSnapshot,
-// preserving order (schedulers see jobs in submission order).
+// preserving order (schedulers see jobs in submission order). Each job's
+// Slack memo is cleared: the snapshot may come from a Sim with another
+// tolerance, transfer model or region set.
 func (s *Sim) RestorePending(jobs []PendingJob) {
 	s.pending = s.pending[:0]
 	clear(s.byID)
 	for i := range jobs {
 		pj := jobs[i]
+		pj.Slack = SlackMemo{}
 		s.enqueue(&pj)
 	}
 }

@@ -94,6 +94,128 @@ func TestMostUrgentMatchesReference(t *testing.T) {
 			}
 		}
 	}
+
+	// The memo's lifetime: the first ranking of a backlog fills each job's
+	// memo and the next two, with the clock moved on, only read it; jobs
+	// appended after that arrive without one and are ranked beside the
+	// memoized ones.
+	matches := func(ctx *cluster.Context, jobs []*cluster.PendingJob, label string) {
+		t.Helper()
+		for _, limit := range []int{1, 64, len(jobs) / 2} {
+			want := referenceMostUrgent(ctx, jobs, limit)
+			got := s.mostUrgent(ctx, jobs, limit)
+			if len(got) != len(want) {
+				t.Fatalf("%s limit=%d: picked %d jobs, reference %d", label, limit, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s limit=%d: pick %d is job %d, reference job %d",
+						label, limit, i, got[i].Job.ID, want[i].Job.ID)
+				}
+			}
+		}
+	}
+	for _, tieFlood := range []bool{false, true} {
+		jobs := randomBacklog(rng, 3000, env.IDs(), benchmarks, tieFlood)
+		later := *ctx
+		for _, wait := range []time.Duration{0, 7 * time.Minute, 95 * time.Minute} {
+			later.Now = testStart.Add(wait)
+			matches(&later, jobs, fmt.Sprintf("ties=%v now=+%v", tieFlood, wait))
+		}
+		fresh := randomBacklog(rng, 1000, env.IDs(), benchmarks, tieFlood)
+		for i, pj := range fresh {
+			pj.Job.ID = len(jobs) + i
+			pj.FirstSeen = pj.FirstSeen.Add(95 * time.Minute)
+		}
+		jobs = append(jobs, fresh...)
+		later.Now = testStart.Add(2 * time.Hour)
+		matches(&later, jobs, fmt.Sprintf("ties=%v with fresh jobs", tieFlood))
+	}
+}
+
+// rankProbe is a scheduler that places nothing and, every round, checks the
+// slack manager's picks from the simulator's own queue against the
+// reference. With alt set it also records whether the reference would pick
+// differently under tolerance alt.
+type rankProbe struct {
+	t          *testing.T
+	s          *Scheduler
+	alt        float64
+	rounds     int
+	altDiffers bool
+}
+
+func (p *rankProbe) Name() string { return "rank-probe" }
+
+func (p *rankProbe) Schedule(ctx *cluster.Context) ([]cluster.Decision, error) {
+	const limit = 64
+	want := referenceMostUrgent(ctx, ctx.Jobs, limit)
+	got := p.s.mostUrgent(ctx, ctx.Jobs, limit)
+	for i := range want {
+		if got[i] != want[i] {
+			p.t.Fatalf("round %d at tolerance %g: pick %d is job %d, reference job %d",
+				p.rounds, ctx.Tolerance, i, got[i].Job.ID, want[i].Job.ID)
+		}
+	}
+	if p.alt != 0 {
+		alt := *ctx
+		alt.Tolerance = p.alt
+		altWant := referenceMostUrgent(&alt, ctx.Jobs, limit)
+		for i := range want {
+			p.altDiffers = p.altDiffers || altWant[i] != want[i]
+		}
+	}
+	p.rounds++
+	return nil, nil
+}
+
+// A queue carried through PendingSnapshot and RestorePending into a Sim
+// with another tolerance ranks as Eq. 14 says under the new tolerance: the
+// memo filled under the old one does not survive the restore.
+func TestSlackMemoClearedOnRestore(t *testing.T) {
+	env := testEnv(t)
+	backlog := randomBacklog(rand.New(rand.NewSource(29)), 2000, env.IDs(), workload.Names(), false)
+	const loose, tight = 2.0, 0.1
+	first, err := cluster.NewSim(cluster.Config{Env: env, Tolerance: loose}, &rankProbe{t: t, s: mustNew(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pj := range backlog {
+		first.Submit(pj.Job, pj.FirstSeen)
+	}
+	for round := range 2 {
+		if _, err := first.Step(testStart.Add(time.Duration(round) * time.Minute)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := first.PendingSnapshot()
+	if len(snap) != len(backlog) || !snap[0].Slack.Set {
+		t.Fatalf("snapshot of %d jobs, first memo set %v: want %d jobs ranked under tolerance %g",
+			len(snap), snap[0].Slack.Set, len(backlog), loose)
+	}
+
+	probe := &rankProbe{t: t, s: mustNew(t), alt: loose}
+	second, err := cluster.NewSim(cluster.Config{Env: env, Tolerance: tight}, probe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second.RestorePending(snap)
+	if _, err := second.Step(testStart.Add(2 * time.Minute)); err != nil {
+		t.Fatal(err)
+	}
+	if probe.rounds != 1 || !probe.altDiffers {
+		t.Fatalf("%d rounds ranked after the restore, tolerances %g and %g rank differently: %v; want 1 round and a difference",
+			probe.rounds, loose, tight, probe.altDiffers)
+	}
+}
+
+func mustNew(t *testing.T) *Scheduler {
+	t.Helper()
+	s, err := New(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 // The selection's scratch is sized to limit and pooled: after the first
@@ -225,20 +347,39 @@ func TestFlashCrowdRunMatchesReferenceSelection(t *testing.T) {
 
 var sinkPicked []*cluster.PendingJob
 
+// BenchmarkMostUrgent ranks a backlog whose jobs the slack manager has
+// already ranked once (every memo set, as in each overloaded round after a
+// job's first), and, under cold/, one whose memos are all empty (every job
+// new to the slack manager).
 func BenchmarkMostUrgent(b *testing.B) {
 	env := testEnv(b)
 	ctx := testCtx(b, env, nil, 0.5, nil)
-	for _, n := range []int{1000, 15000, 100000} {
-		b.Run(fmt.Sprintf("backlog=%dk/limit=64", n/1000), func(b *testing.B) {
-			s, err := New(DefaultConfig())
-			if err != nil {
-				b.Fatal(err)
+	for _, cold := range []bool{false, true} {
+		for _, n := range []int{1000, 15000, 100000} {
+			name := fmt.Sprintf("backlog=%dk/limit=64", n/1000)
+			if cold {
+				name = "cold/" + name
 			}
-			jobs := randomBacklog(rand.New(rand.NewSource(1)), n, env.IDs(), workload.Names(), false)
-			b.ReportAllocs()
-			for b.Loop() {
-				sinkPicked = s.mostUrgent(ctx, jobs, 64)
-			}
-		})
+			b.Run(name, func(b *testing.B) {
+				s, err := New(DefaultConfig())
+				if err != nil {
+					b.Fatal(err)
+				}
+				jobs := randomBacklog(rand.New(rand.NewSource(1)), n, env.IDs(), workload.Names(), false)
+				sinkPicked = s.mostUrgent(ctx, jobs, 64) // fills every memo
+				b.ReportAllocs()
+				b.ResetTimer()
+				for range b.N {
+					if cold {
+						b.StopTimer()
+						for _, pj := range jobs {
+							pj.Slack = cluster.SlackMemo{}
+						}
+						b.StartTimer()
+					}
+					sinkPicked = s.mostUrgent(ctx, jobs, 64)
+				}
+			})
+		}
 	}
 }

@@ -31,6 +31,7 @@ import (
 	"waterwise/internal/lp"
 	"waterwise/internal/milp"
 	"waterwise/internal/region"
+	"waterwise/internal/trace"
 	"waterwise/internal/workload"
 )
 
@@ -121,14 +122,15 @@ type Scheduler struct {
 	// Per-round scratch, reused across Schedule calls (a Scheduler is
 	// single-threaded by the cluster.Scheduler contract, so pooling here is
 	// safe): candidate rows and backing array, capacity counts, the slack
-	// manager's kept-set heap and L̄_m memo, and greedy capacity leftovers.
-	// Keeps the serving hot path off the allocator.
+	// manager's kept-set heap, greedy capacity leftovers, and the history
+	// learner's per-region readings. Keeps the serving hot path off the
+	// allocator.
 	candRows [][]candidate
 	candBuf  []candidate
 	capsBuf  []int
 	urgBuf   []urgentJob
-	avgLat   map[latKey]time.Duration
 	leftBuf  []int
+	readBuf  []reading
 	// The objective's round invariants (see roundTerms): each job row's
 	// normalizers and each region's history-learner term.
 	rowMax  []rowMax
@@ -140,14 +142,6 @@ type Scheduler struct {
 // §7 extensions, the largest finite ratio and the largest cost.
 type rowMax struct {
 	carbon, water, ratio, usd float64
-}
-
-// latKey identifies the inputs of Eq. 14's L̄_m within one round: the region
-// set and transfer model are fixed for the call, and the package size is a
-// function of the benchmark.
-type latKey struct {
-	home      region.ID
-	benchmark string
 }
 
 type modelKey struct{ m, n int }
@@ -238,7 +232,6 @@ func New(cfg Config) (*Scheduler, error) {
 		histCarbon: make(map[region.ID][]float64),
 		histWater:  make(map[region.ID][]float64),
 		models:     make(map[modelKey]*roundModel),
-		avgLat:     make(map[latKey]time.Duration),
 	}, nil
 }
 
@@ -517,15 +510,7 @@ func (s *Scheduler) solve(ctx *cluster.Context, ids []region.ID, caps []int, job
 		return nil, false, err
 	}
 	for m := 0; m < M; m++ {
-		// Remaining tolerance: the budget shrinks by the time the job has
-		// already spent waiting in the queue.
-		rhs := ctx.Tolerance
-		if est := float64(jobs[m].Job.EstDuration); est > 0 {
-			rhs -= float64(ctx.Now.Sub(jobs[m].Job.Submit)) / est
-		}
-		if rhs < 0 {
-			rhs = 0
-		}
+		rhs := remainingTolerance(ctx, jobs[m].Job)
 		for n := 0; n < N; n++ {
 			v := m*N + n
 			cost := s.objective(cands, m, n)
@@ -581,8 +566,23 @@ func (s *Scheduler) solve(ctx *cluster.Context, ids []region.ID, caps []int, job
 	return dec, true, nil
 }
 
+// remainingTolerance is the right-hand side of the job's Eq. 11 row this
+// round: TOL less the share of its estimated run time it has already spent
+// waiting since submission, floored at 0.
+func remainingTolerance(ctx *cluster.Context, job *trace.Job) float64 {
+	rhs := ctx.Tolerance
+	if est := float64(job.EstDuration); est > 0 {
+		rhs -= float64(ctx.Now.Sub(job.Submit)) / est
+	}
+	if rhs < 0 {
+		rhs = 0
+	}
+	return rhs
+}
+
 // greedyAssign is the ablation controller (and last-resort fallback): each
-// job takes its cheapest feasible region, respecting capacity counts.
+// job takes its cheapest feasible region, respecting capacity counts, under
+// the same remaining tolerance as solve.
 func (s *Scheduler) greedyAssign(ctx *cluster.Context, ids []region.ID, caps []int, jobs []*cluster.PendingJob, cands [][]candidate) []cluster.Decision {
 	if cap(s.leftBuf) < len(caps) {
 		s.leftBuf = make([]int, len(caps))
@@ -591,12 +591,13 @@ func (s *Scheduler) greedyAssign(ctx *cluster.Context, ids []region.ID, caps []i
 	copy(left, caps)
 	out := make([]cluster.Decision, 0, len(jobs))
 	for m, pj := range jobs {
+		rhs := remainingTolerance(ctx, pj.Job)
 		best, bestCost := -1, math.Inf(1)
 		for n := range ids {
 			if left[n] <= 0 {
 				continue
 			}
-			if cands[m][n].ratio > ctx.Tolerance {
+			if cands[m][n].ratio > rhs {
 				continue
 			}
 			if c := s.objective(cands, m, n); c < bestCost {
@@ -611,7 +612,7 @@ func (s *Scheduler) greedyAssign(ctx *cluster.Context, ids []region.ID, caps []i
 				if left[n] <= 0 {
 					continue
 				}
-				c := s.objective(cands, m, n) + s.cfg.PenaltySigma*math.Max(0, cands[m][n].ratio-ctx.Tolerance)
+				c := s.objective(cands, m, n) + s.cfg.PenaltySigma*math.Max(0, cands[m][n].ratio-rhs)
 				if c < bestCost {
 					bestCost = c
 					best = n
@@ -637,8 +638,14 @@ func (s *Scheduler) greedyAssign(ctx *cluster.Context, ids []region.ID, caps []i
 // order. One pass over the backlog keeps the limit smallest in a max-heap
 // (the root is the least urgent kept job, so a job enters only by beating
 // it), then only the kept jobs are sorted: O(backlog + limit·log limit).
+//
+// The first two terms do not change while the job waits, so the first call
+// that ranks a job keeps TOL%·t_m − L̄_m in its PendingJob.Slack (see
+// cluster.SlackMemo for when that stays valid), and every call scores it as
+// that base minus the wait: the same float operations, in the same order,
+// as evaluating Eq. 14 afresh. The region list is fetched only for a job
+// without a memo.
 func (s *Scheduler) mostUrgent(ctx *cluster.Context, jobs []*cluster.PendingJob, limit int) []*cluster.PendingJob {
-	ids := ctx.Env.IDs()
 	k := min(limit, len(jobs))
 	if k <= 0 {
 		return nil
@@ -647,17 +654,18 @@ func (s *Scheduler) mostUrgent(ctx *cluster.Context, jobs []*cluster.PendingJob,
 		s.urgBuf = make([]urgentJob, 0, k)
 	}
 	kept := s.urgBuf[:0]
-	clear(s.avgLat)
+	var ids []region.ID
+	now := ctx.Now.UnixNano()
 	for pos, pj := range jobs {
-		job := pj.Job
-		key := latKey{job.Home, job.Benchmark}
-		avgLat, ok := s.avgLat[key]
-		if !ok {
-			avgLat = ctx.Net.AvgLatency(job.Home, ids, workload.PackageMB(job.Benchmark))
-			s.avgLat[key] = avgLat
+		if !pj.Slack.Set {
+			if ids == nil {
+				ids = ctx.Env.IDs()
+			}
+			job := pj.Job
+			avgLat := ctx.Net.AvgLatency(job.Home, ids, workload.PackageMB(job.Benchmark))
+			pj.Slack = cluster.SlackMemo{Base: ctx.Tolerance*float64(job.EstDuration) - float64(avgLat), Set: true}
 		}
-		waited := ctx.Now.Sub(pj.FirstSeen)
-		u := ctx.Tolerance*float64(job.EstDuration) - float64(avgLat) - float64(waited)
+		u := pj.Slack.Base - float64(now-pj.FirstSeen.UnixNano())
 		switch {
 		case len(kept) < k:
 			kept = append(kept, urgentJob{pj: pj, u: u, pos: pos})
@@ -682,36 +690,52 @@ func (s *Scheduler) mostUrgent(ctx *cluster.Context, jobs []*cluster.PendingJob,
 	return out
 }
 
+// reading is one region's carbon and water intensity in a round, as the
+// history learner reads it; ok is false when the region had no snapshot.
+type reading struct {
+	carbon, water float64
+	ok            bool
+}
+
 // updateHistory records this round's normalized per-region carbon and water
-// intensities into the history learner window.
+// intensities into the history learner window. A region without a snapshot
+// this round (a live feed that has not primed it) gets no entry: a missing
+// reading is not a clean one.
 func (s *Scheduler) updateHistory(ctx *cluster.Context, ids []region.ID) {
 	if s.cfg.DisableHistory {
 		return
 	}
-	carbons := make([]float64, len(ids))
-	waters := make([]float64, len(ids))
+	if cap(s.readBuf) < len(ids) {
+		s.readBuf = make([]reading, len(ids))
+	}
+	reads := s.readBuf[:len(ids)]
 	maxC, maxW := 0.0, 0.0
 	for i, id := range ids {
 		snap, ok := ctx.Env.Snapshot(id, ctx.Now)
 		if !ok {
+			reads[i] = reading{}
 			continue
 		}
-		carbons[i] = float64(snap.CI)
-		waters[i] = float64(snap.WaterIntensity())
-		if carbons[i] > maxC {
-			maxC = carbons[i]
+		r := reading{carbon: float64(snap.CI), water: float64(snap.WaterIntensity()), ok: true}
+		reads[i] = r
+		if r.carbon > maxC {
+			maxC = r.carbon
 		}
-		if waters[i] > maxW {
-			maxW = waters[i]
+		if r.water > maxW {
+			maxW = r.water
 		}
 	}
 	for i, id := range ids {
+		r := reads[i]
+		if !r.ok {
+			continue
+		}
 		c, w := 0.0, 0.0
 		if maxC > 0 {
-			c = carbons[i] / maxC
+			c = r.carbon / maxC
 		}
 		if maxW > 0 {
-			w = waters[i] / maxW
+			w = r.water / maxW
 		}
 		s.histCarbon[id] = pushWindow(s.histCarbon[id], c, s.cfg.HistoryWindow)
 		s.histWater[id] = pushWindow(s.histWater[id], w, s.cfg.HistoryWindow)

@@ -1,16 +1,19 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"time"
 
 	"waterwise/internal/cluster"
 	"waterwise/internal/energy"
+	"waterwise/internal/feed"
 	"waterwise/internal/footprint"
 	"waterwise/internal/region"
 	"waterwise/internal/trace"
 	"waterwise/internal/transfer"
+	"waterwise/internal/workload"
 )
 
 var testStart = time.Date(2023, 7, 1, 0, 0, 0, 0, time.UTC)
@@ -421,4 +424,115 @@ func TestCostWeightExtensionPrefersCheapRegion(t *testing.T) {
 	if toOregon < len(dec)*3/4 {
 		t.Errorf("only %d/%d jobs went to cheapest Oregon under dominant cost weight", toOregon, len(dec))
 	}
+}
+
+// unprimedFeed fails one region's readings before an instant, as a live
+// feed does for a region it has not fetched yet.
+type unprimedFeed struct {
+	feed.Provider
+	key   string
+	until time.Time
+}
+
+func (p unprimedFeed) At(key string, t time.Time) (feed.Sample, error) {
+	if key == p.key && t.Before(p.until) {
+		return feed.Sample{}, errors.New("region not primed")
+	}
+	return p.Provider.At(key, t)
+}
+
+// A round in which a region has no snapshot adds nothing to its history: its
+// CO2ref is the mean of the rounds that did read it, not diluted by zeros
+// that would rank it the cleanest region.
+func TestHistoryLearnerSkipsRegionWithoutSnapshot(t *testing.T) {
+	primed := testStart.Add(4 * time.Hour)
+	env, err := region.NewEnvironmentWithProvider(region.Defaults(), energy.Table, testStart, 24*5,
+		unprimedFeed{testEnv(t).Provider(), string(region.Mumbai), primed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var readings []float64
+	for round := range 7 {
+		ctx := testCtx(t, env, nil, 0.5, nil)
+		ctx.Now = testStart.Add(time.Duration(round) * time.Hour)
+		s.updateHistory(ctx, env.IDs())
+		if ctx.Now.Before(primed) {
+			continue
+		}
+		maxCI := 0.0
+		for _, id := range env.IDs() {
+			snap, ok := env.Snapshot(id, ctx.Now)
+			if !ok {
+				t.Fatalf("no snapshot for %s at %v", id, ctx.Now)
+			}
+			maxCI = max(maxCI, float64(snap.CI))
+		}
+		snap, _ := env.Snapshot(region.Mumbai, ctx.Now)
+		readings = append(readings, float64(snap.CI)/maxCI)
+	}
+	if n := len(s.histCarbon[region.Mumbai]); n != len(readings) {
+		t.Errorf("Mumbai's window holds %d entries, want its %d real readings", n, len(readings))
+	}
+	if n := len(s.histCarbon[region.Zurich]); n != 7 {
+		t.Errorf("Zurich's window holds %d entries, want 7", n)
+	}
+	if got, want := s.refCarbon(region.Mumbai), meanOf(readings); math.Abs(got-want) > 1e-12 {
+		t.Errorf("Mumbai's CO2ref = %g, want %g, the mean of its %d real readings", got, want, len(readings))
+	}
+}
+
+// Both controllers check Eq. 11 against the tolerance a job has left: a
+// job that leaves its home region when fresh stays home, under the MILP
+// and under the greedy controller alike, once its wait has used up more
+// tolerance than any move needs.
+func TestControllersUseRemainingTolerance(t *testing.T) {
+	env := testEnv(t)
+	net := transfer.New()
+	pkg := workload.PackageMB("canneal")
+	greedyCfg := DefaultConfig()
+	greedyCfg.GreedyController = true
+	place := func(cfg Config, job *trace.Job) region.ID {
+		t.Helper()
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec, err := s.Schedule(testCtx(t, env, []*trace.Job{job}, 0.5, nil))
+		if err != nil || len(dec) != 1 {
+			t.Fatalf("scheduling job from %s: %d decisions, err %v", job.Home, len(dec), err)
+		}
+		return dec[0].Region
+	}
+	for _, home := range env.IDs() {
+		// Every move costs at most a quarter of the run time, well inside
+		// the 50% tolerance.
+		minLat, maxLat := time.Duration(math.MaxInt64), time.Duration(0)
+		for _, id := range env.IDs() {
+			if id != home {
+				lat := net.Latency(home, id, pkg)
+				minLat, maxLat = min(minLat, lat), max(maxLat, lat)
+			}
+		}
+		est := 4 * maxLat
+		job := &trace.Job{ID: 0, Submit: testStart, Benchmark: "canneal", Home: home,
+			Duration: est, Energy: 5, EstDuration: est, EstEnergy: 5}
+		if place(DefaultConfig(), job) == home || place(greedyCfg, job) == home {
+			continue // home is the cheapest region anyway
+		}
+		// Waiting leaves half the cheapest move's ratio of tolerance.
+		waited := time.Duration(0.5*float64(est)) - minLat/2
+		job.Submit = testStart.Add(-waited)
+		if got := place(DefaultConfig(), job); got != home {
+			t.Errorf("MILP moved a job from %s to %s with too little tolerance left", home, got)
+		}
+		if got := place(greedyCfg, job); got != home {
+			t.Errorf("greedy controller moved a job from %s to %s with too little tolerance left", home, got)
+		}
+		return
+	}
+	t.Fatal("no home region from which a fresh job moves: the test checks nothing")
 }

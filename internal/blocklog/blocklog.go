@@ -12,9 +12,10 @@ import (
 	"slices"
 )
 
-// BlockSize is the block size the serving logs use: 4096 entries, 590 KB
-// of decisions or 754 KB of outcomes, so a log's unused tail is under
-// 1 MB while a million-entry log is a few hundred blocks.
+// BlockSize is the block size the serving logs use: 4096 entries — 295 KB
+// of a shard ring's 72-byte decision records, 328 KB of the merged ring's
+// 80-byte ones, 754 KB of outcomes — so a log's unused tail is under 1 MB
+// while a million-entry log is a few hundred blocks.
 const BlockSize = 4096
 
 // Log is an append-only sequence of entries, indexed from the oldest.

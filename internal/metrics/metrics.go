@@ -30,8 +30,13 @@ type Savings struct {
 }
 
 // Compare computes savings of run relative to base. It returns an error if
-// either run is empty or they cover different job counts.
+// either run is empty or they cover different job counts; a run that
+// covers the baseline's jobs only by counting the ones it abandoned is
+// reported as such, not as a count mismatch.
 func Compare(base, run *cluster.Result) (Savings, error) {
+	if n, m := len(run.Unscheduled), len(base.Outcomes); n > 0 && len(run.Outcomes)+n == m {
+		return Savings{}, fmt.Errorf("metrics: %s left %d of %d jobs unscheduled", run.Scheduler, n, m)
+	}
 	if len(base.Outcomes) == 0 || len(run.Outcomes) == 0 {
 		return Savings{}, fmt.Errorf("metrics: empty result (base %d outcomes, run %d)", len(base.Outcomes), len(run.Outcomes))
 	}

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -72,6 +73,35 @@ func TestCompareErrors(t *testing.T) {
 	runOne := resultWith("x", []float64{1}, []float64{1})
 	if _, err := Compare(zero, runOne); err == nil {
 		t.Error("degenerate baseline accepted")
+	}
+}
+
+// TestCompareNamesAbandonedJobs: a run whose placed and abandoned jobs
+// add up to the baseline's is reported as abandonment, with the scheduler
+// and the count, whether it placed some jobs or none.
+func TestCompareNamesAbandonedJobs(t *testing.T) {
+	base := resultWith("baseline", []float64{100, 100, 100}, []float64{10, 10, 10})
+	for _, tc := range []struct {
+		placed int
+		want   string
+	}{
+		{2, "waterwise left 1 of 3 jobs unscheduled"},
+		{0, "waterwise left 3 of 3 jobs unscheduled"},
+	} {
+		fp := slices.Repeat([]float64{50}, tc.placed)
+		run := resultWith("waterwise", fp, fp)
+		for i := tc.placed; i < 3; i++ {
+			run.Unscheduled = append(run.Unscheduled, &trace.Job{ID: i})
+		}
+		_, err := Compare(base, run)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%d placed: error %v, want one saying %q", tc.placed, err, tc.want)
+		}
+	}
+	short := resultWith("x", []float64{1, 2}, []float64{1, 2})
+	short.Unscheduled = []*trace.Job{{ID: 7}, {ID: 8}}
+	if _, err := Compare(base, short); err == nil || !strings.Contains(err.Error(), "job count mismatch") {
+		t.Errorf("2 placed + 2 abandoned of 3: error %v, want a job count mismatch", err)
 	}
 }
 

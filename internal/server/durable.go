@@ -1,7 +1,6 @@
 package server
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math"
@@ -147,16 +146,19 @@ func readJob(r *wire.Reader) *trace.Job {
 	}
 }
 
-func appendDecision(b []byte, d Decision) []byte {
-	b = wire.AppendU64(b, d.Seq)
-	b = wire.AppendI64(b, int64(d.JobID))
-	b = wire.AppendStr32(b, string(d.Region))
-	b = wire.AppendTime(b, d.Round)
-	b = wire.AppendTime(b, d.Start)
-	b = wire.AppendTime(b, d.Finish)
-	b = wire.AppendF64(b, d.CarbonG)
-	b = wire.AppendF64(b, d.WaterL)
-	return wire.AppendTime(b, d.DecidedWall)
+// appendDecision encodes record d, whose region is named regions[d.region]:
+// the bytes appending its Decision form always had, since
+// wire.AppendTime(t) is wire.AppendI64(wire.TimeNano(t)).
+func appendDecision(b []byte, d *decRecord, regions []region.ID) []byte {
+	b = wire.AppendU64(b, d.seq)
+	b = wire.AppendI64(b, d.jobID)
+	b = wire.AppendStr32(b, string(regions[d.region]))
+	b = wire.AppendI64(b, d.round)
+	b = wire.AppendI64(b, d.start)
+	b = wire.AppendI64(b, d.finish)
+	b = wire.AppendF64(b, d.carbonG)
+	b = wire.AppendF64(b, d.waterL)
+	return wire.AppendI64(b, d.decidedWall)
 }
 
 func readDecision(r *wire.Reader) Decision {
@@ -181,14 +183,15 @@ func encodeJobRecord(j *trace.Job, digest uint64) []byte {
 }
 
 // encodeRoundRecord frames a recRound: the round index, the decision
-// sequence after the round, and the round's decisions in commit order.
-func encodeRoundRecord(k int64, decSeqAfter uint64, ds []Decision) []byte {
+// sequence after the round, and the round's decisions in commit order,
+// their regions named by regions.
+func encodeRoundRecord(k int64, decSeqAfter uint64, ds []decRecord, regions []region.ID) []byte {
 	// Sized for region names of up to 8 bytes: one allocation per round.
 	b := make([]byte, 0, 1+8+8+4+len(ds)*(decisionSize+8))
 	b = wire.AppendU64(wire.AppendI64(append(b, recRound), k), decSeqAfter)
 	b = wire.AppendU32(b, uint32(len(ds)))
-	for _, d := range ds {
-		b = appendDecision(b, d)
+	for i := range ds {
+		b = appendDecision(b, &ds[i], regions)
 	}
 	return b
 }
@@ -345,28 +348,6 @@ func (s *shard) replayRecord(payload []byte) error {
 	return nil
 }
 
-// recordDecidedLocked moves a job's dedupe entry from the live set to the
-// bounded decided index, so a client retrying a decided job gets its
-// original id back instead of ErrDuplicateID. It returns the instant the
-// job was accepted (zero when unknown). Called with mu held.
-func (s *shard) recordDecidedLocked(id int) time.Time {
-	lj, ok := s.live[id]
-	if !ok {
-		return time.Time{}
-	}
-	delete(s.live, id)
-	if _, exists := s.decidedIdx[id]; !exists {
-		s.decidedFIFO = append(s.decidedFIFO, id)
-	}
-	s.decidedIdx[id] = lj.digest
-	for len(s.decidedFIFO) > dedupeCap {
-		victim := s.decidedFIFO[0]
-		s.decidedFIFO = s.decidedFIFO[1:]
-		delete(s.decidedIdx, victim)
-	}
-	return lj.accepted
-}
-
 // walAppendLocked appends one record; an I/O failure is fatal to the
 // round loop (serving un-durable acceptances would break the recovery
 // contract), so the shard dies and failover takes it. Called with mu held.
@@ -414,7 +395,7 @@ func (s *shard) walSyncIfDirtyLocked() error {
 // snapshot) for the round trace.
 func (s *shard) walRoundLocked(k int64, rt *obs.RoundTrace) {
 	mark := time.Now()
-	if s.walAppendLocked(encodeRoundRecord(k, s.decSeq, s.roundDecs)) != nil {
+	if s.walAppendLocked(encodeRoundRecord(k, s.decSeq, s.roundDecs, s.regions)) != nil {
 		return
 	}
 	now := time.Now()
@@ -454,7 +435,7 @@ func (s *shard) snapshotLocked() error {
 
 // marshalSnapshotLocked encodes everything recovery cannot re-derive
 // from the log tail: the round clock, counters, ingest queue, dedupe
-// indices, the simulator's pending set and machine-model reservations,
+// index, the simulator's pending set and machine-model reservations,
 // and the decision ring (so a merge cursor behind the snapshot is
 // still servable after restart). Scheduler-internal state (warm bases)
 // is deliberately absent: the warm≡cold equivalence proof means a cold
@@ -472,22 +453,14 @@ func (s *shard) marshalSnapshotLocked() []byte {
 	b = wire.AppendI64(b, int64(s.unscheduled))
 	b = wire.AppendI64(b, int64(s.overheadSum))
 	b = wire.AppendI64(b, int64(s.autoID))
-	// Ingest queue, in heap-array order (re-heapified on restore).
-	b = wire.AppendU32(b, uint32(len(s.future)))
-	for _, j := range s.future {
-		b = appendJob(b, j)
+	// Ingest queue, in (Submit, ID) order, then the dedupe index: every
+	// section is in a fixed order, so equal states encode to equal bytes.
+	queue := s.future.sorted()
+	b = wire.AppendU32(b, uint32(len(queue)))
+	for i := range queue {
+		b = appendJob(b, queue[i].job)
 	}
-	// Live dedupe entries (id -> spec digest); iteration order is
-	// irrelevant, it restores into a map.
-	b = wire.AppendU32(b, uint32(len(s.live)))
-	for id, lj := range s.live {
-		b = wire.AppendU64(wire.AppendI64(b, int64(id)), lj.digest)
-	}
-	// Decided dedupe index, in FIFO order so eviction resumes correctly.
-	b = wire.AppendU32(b, uint32(len(s.decidedFIFO)))
-	for _, id := range s.decidedFIFO {
-		b = wire.AppendU64(wire.AppendI64(b, int64(id)), s.decidedIdx[id])
-	}
+	b = s.appendDedupe(b)
 	// Simulator: pending jobs with slack-manager bookkeeping, and the
 	// per-server reservation state.
 	pending := s.sim.PendingSnapshot()
@@ -512,7 +485,7 @@ func (s *shard) marshalSnapshotLocked() []byte {
 	}
 	// Decision ring, oldest first.
 	b = wire.AppendU32(b, uint32(s.decisions.Len()))
-	s.decisions.Each(func(d Decision) { b = appendDecision(b, d) })
+	s.decisions.Each(func(d decRecord) { b = appendDecision(b, &d, s.regions) })
 	return b
 }
 
@@ -536,21 +509,10 @@ func (s *shard) restoreSnapshot(payload []byte) error {
 	s.unscheduled = int(r.I64())
 	s.overheadSum = time.Duration(r.I64())
 	s.autoID = int(r.I64())
-	nf := r.Count(jobSize, "queued job")
-	s.future = make(futureHeap, 0, nf)
-	for i := 0; i < nf && r.OK(); i++ {
-		s.future = append(s.future, readJob(&r))
+	for i, n := 0, r.Count(jobSize, "queued job"); i < n && r.OK(); i++ {
+		s.future.push(readJob(&r))
 	}
-	heap.Init(&s.future)
-	for i, n := 0, r.Count(dedupeSize, "live job"); i < n && r.OK(); i++ {
-		id := int(r.I64())
-		s.live[id] = liveJob{digest: r.U64()}
-	}
-	for i, n := 0, r.Count(dedupeSize, "decided job"); i < n && r.OK(); i++ {
-		id := int(r.I64())
-		s.decidedIdx[id] = r.U64()
-		s.decidedFIFO = append(s.decidedFIFO, id)
-	}
+	s.readDedupe(&r)
 	np := r.Count(pendingSize, "pending job")
 	pending := make([]cluster.PendingJob, 0, np)
 	for i := 0; i < np && r.OK(); i++ {
@@ -567,7 +529,15 @@ func (s *shard) restoreSnapshot(payload []byte) error {
 		busy[id] = until
 	}
 	for i, n := 0, r.Count(decisionSize, "ring decision"); i < n && r.OK(); i++ {
-		s.decisions.Append(readDecision(&r))
+		d := readDecision(&r)
+		if !r.OK() {
+			break
+		}
+		ri := s.regionIndex(d.Region)
+		if ri < 0 {
+			return fmt.Errorf("server: snapshot ring decision %d placed in %q, outside the shard's partition %v", d.Seq, d.Region, s.regions)
+		}
+		s.decisions.Append(record(&d, ri, s.id))
 	}
 	if err := r.Done("snapshot"); err != nil {
 		return err

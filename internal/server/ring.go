@@ -1,6 +1,7 @@
 package server
 
 import (
+	"iter"
 	"sort"
 
 	"waterwise/internal/blocklog"
@@ -8,8 +9,8 @@ import (
 
 // Ring is a bounded decision log: entries are appended in increasing
 // LogSeq order and, at capacity, each append evicts the oldest. A shard's
-// decision log and the service's merged one (over MergedDecision, which
-// embeds Decision) are both Rings, so cursor semantics have one
+// decision log and the service's merged one (over decRecord and
+// mergedRecord) are both Rings, so cursor semantics have one
 // implementation. Entries live in blocklog blocks of up to
 // blocklog.BlockSize: growing never copies a logged decision, and a full
 // ring reuses the block its evictions empty. Not synchronized: the owner's
@@ -44,11 +45,11 @@ func (r *Ring[D]) Oldest() uint64 {
 	return r.log.At(0).LogSeq()
 }
 
-// span is where Page(since, limit) reads: positions [lo, hi) counted from
-// the oldest entry. The first entry past the cursor is found by binary
-// search, not a scan: polling a full ring is the serving layer's read hot
-// path.
-func (r *Ring[D]) span(since uint64, limit int) (lo, hi int) {
+// Span is where a page of up to limit entries with LogSeq > since lies
+// (limit <= 0 means all): positions [lo, hi) counted from the oldest entry,
+// for Chunks. The first entry past the cursor is found by binary search,
+// not a scan: polling a full ring is the serving layer's read hot path.
+func (r *Ring[D]) Span(since uint64, limit int) (lo, hi int) {
 	n := r.log.Len()
 	lo = sort.Search(n, func(i int) bool { return r.log.At(i).LogSeq() > since })
 	hi = n
@@ -58,16 +59,13 @@ func (r *Ring[D]) span(since uint64, limit int) (lo, hi int) {
 	return lo, hi
 }
 
-// Page returns up to limit entries with LogSeq > since, oldest first
-// (limit <= 0 means all), as a fresh non-nil slice of exactly that many.
-func (r *Ring[D]) Page(since uint64, limit int) []D {
-	lo, hi := r.span(since, limit)
-	return r.log.AppendRange(make([]D, 0, hi-lo), lo, hi)
-}
+// Chunks yields the entries at positions [lo, hi), oldest first, as
+// slices of the ring's own blocks, valid until the next Append.
+func (r *Ring[D]) Chunks(lo, hi int) iter.Seq[[]D] { return r.log.Chunks(lo, hi) }
 
-// appendPage is Page(since, 0) appended to dst instead of a fresh slice.
+// appendPage appends every entry with LogSeq > since to dst.
 func (r *Ring[D]) appendPage(dst []D, since uint64) []D {
-	lo, hi := r.span(since, 0)
+	lo, hi := r.Span(since, 0)
 	return r.log.AppendRange(dst, lo, hi)
 }
 

@@ -20,6 +20,21 @@ func seqsOf[D interface{ LogSeq() uint64 }](ds []D) []uint64 {
 	return out
 }
 
+// page is what a reader of r sees for (since, limit): the positions Span
+// picks, walked with Chunks, which must yield exactly that many entries.
+func page[D interface{ LogSeq() uint64 }](t *testing.T, r *server.Ring[D], since uint64, limit int) []D {
+	t.Helper()
+	lo, hi := r.Span(since, limit)
+	out := []D{}
+	for c := range r.Chunks(lo, hi) {
+		out = append(out, c...)
+	}
+	if len(out) != hi-lo {
+		t.Errorf("Span(%d, %d) = [%d, %d), Chunks yield %d entries", since, limit, lo, hi, len(out))
+	}
+	return out
+}
+
 // testRing runs the ring's one table over an element type: what a reader
 // sees for every cursor and limit, below capacity and after wrapping.
 func testRing[D interface{ LogSeq() uint64 }](t *testing.T, mk func(seq uint64) D) {
@@ -60,15 +75,8 @@ func testRing[D interface{ LogSeq() uint64 }](t *testing.T, mk func(seq uint64) 
 			for s := uint64(1); s <= tc.appended; s++ {
 				r.Append(mk(s))
 			}
-			page := r.Page(tc.since, tc.limit)
-			if page == nil {
-				t.Error("Page returned nil; the HTTP layer needs [] for an empty page")
-			}
-			if got := seqsOf(page); !slices.Equal(got, tc.want) {
-				t.Errorf("Page(%d, %d) = %v, want %v", tc.since, tc.limit, got, tc.want)
-			}
-			if cap(page) != len(tc.want) {
-				t.Errorf("Page allocated %d elements for %d", cap(page), len(tc.want))
+			if got := seqsOf(page(t, &r, tc.since, tc.limit)); !slices.Equal(got, tc.want) {
+				t.Errorf("page(%d, %d) = %v, want %v", tc.since, tc.limit, got, tc.want)
 			}
 			if got := r.Oldest(); got != tc.oldest {
 				t.Errorf("Oldest = %d, want %d", got, tc.oldest)
@@ -79,7 +87,7 @@ func testRing[D interface{ LogSeq() uint64 }](t *testing.T, mk func(seq uint64) 
 			}
 			var walked []uint64
 			r.Each(func(d D) { walked = append(walked, d.LogSeq()) })
-			if want := seqsOf(r.Page(0, 0)); !slices.Equal(walked, want) {
+			if want := seqsOf(page(t, &r, 0, 0)); !slices.Equal(walked, want) {
 				t.Errorf("Each walks %v, want oldest-first %v", walked, want)
 			}
 		})
@@ -129,10 +137,9 @@ func TestRingMatchesModel(t *testing.T) {
 						if limit > 0 && len(want) > limit {
 							want = want[:limit]
 						}
-						page := r.Page(since, limit)
-						if got := seqsOf(page); !slices.Equal(got, want) || page == nil || cap(page) != len(want) {
-							t.Fatalf("round %d: Page(%d, %d) = %d entries from %v, want %d from %v (cap %d)",
-								round, since, limit, len(got), head(got), len(want), head(want), cap(page))
+						if got := seqsOf(page(t, &r, since, limit)); !slices.Equal(got, want) {
+							t.Fatalf("round %d: page(%d, %d) = %d entries from %v, want %d from %v",
+								round, since, limit, len(got), head(got), len(want), head(want))
 						}
 					}
 				}

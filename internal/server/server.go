@@ -65,6 +65,7 @@ import (
 	"waterwise/internal/trace"
 	"waterwise/internal/transfer"
 	"waterwise/internal/tsdb"
+	"waterwise/internal/wire"
 )
 
 // Config parameterizes the scheduling service.
@@ -172,10 +173,6 @@ func (c Config) withDefaults() (Config, error) {
 	return c, nil
 }
 
-// dedupeCap bounds the decided-job dedupe index that makes client
-// re-submits idempotent after a restart (entries evicted FIFO).
-const dedupeCap = 262144
-
 // secondsToDuration converts float seconds to a Duration, rounding to the
 // nearest nanosecond so millisecond-quantized wire values map exactly.
 func secondsToDuration(s float64) time.Duration {
@@ -249,8 +246,8 @@ type Decision struct {
 	DecidedWall time.Time `json:"decided_wall"`
 }
 
-// LogSeq returns Seq; MergedDecision embeds Decision, so one Ring type
-// holds a shard's log and the merged one.
+// LogSeq returns Seq, so a Ring can hold Decisions (or MergedDecisions,
+// which embed one).
 func (d Decision) LogSeq() uint64 { return d.Seq }
 
 // MergedDecision is one entry of the service's decision log: a shard's
@@ -372,8 +369,8 @@ type Server struct {
 	// decisions fetched but not yet past the watermark, and the merged log.
 	mergeMu sync.Mutex
 	cursors []uint64
-	staged  [][]Decision
-	merged  Ring[MergedDecision]
+	staged  [][]decRecord
+	merged  Ring[mergedRecord]
 	seq     uint64
 	lost    uint64
 
@@ -482,8 +479,8 @@ func New(cfg Config) (*Server, error) {
 		shards:   make([]*shard, cfg.Shards),
 		failover: newFailover(cfg),
 		cursors:  make([]uint64, cfg.Shards),
-		staged:   make([][]Decision, cfg.Shards),
-		merged:   NewRing[MergedDecision](cfg.DecisionLogCap),
+		staged:   make([][]decRecord, cfg.Shards),
+		merged:   NewRing[mergedRecord](cfg.DecisionLogCap),
 	}
 	s.up = sync.NewCond(&s.mu)
 	for i, p := range parts {
@@ -785,27 +782,28 @@ func (s *Server) SetQueueCap(n int) {
 // has already slept through unless new work arrives, in which case those
 // decisions join the stream late but the global seq stays dense). Returns
 // the merged log's cursor: its Frontier is the watermark, zero when every
-// shard is idle. Called with mergeMu held; takes each shard's lock via
-// readDecisions, which stages the new decisions straight from the
-// shard's ring.
+// shard is idle. Rounds are compared as Unix nanoseconds. Called with
+// mergeMu held; takes each shard's lock via readDecisions, which stages
+// the new decisions straight from the shard's ring.
 func (s *Server) mergeLocked() Cursor {
 	var watermark time.Time
+	var wm int64
 	bounded := false
 	for i, sh := range s.shardList() {
 		had := len(s.staged[i])
-		cur := sh.readDecisions(func(log *Ring[Decision]) {
+		cur := sh.readDecisions(func(log *Ring[decRecord]) {
 			s.staged[i] = log.appendPage(s.staged[i], s.cursors[i])
 		})
 		if fresh := s.staged[i][had:]; len(fresh) > 0 {
-			if first := fresh[0].Seq; first > s.cursors[i]+1 {
+			if first := fresh[0].seq; first > s.cursors[i]+1 {
 				// The shard ring evicted decisions before we read them:
 				// count the gap instead of silently renumbering over it.
 				s.lost += first - s.cursors[i] - 1
 			}
-			s.cursors[i] = fresh[len(fresh)-1].Seq
+			s.cursors[i] = fresh[len(fresh)-1].seq
 		}
 		if !cur.Idle && (!bounded || cur.Frontier.Before(watermark)) {
-			watermark, bounded = cur.Frontier, true
+			watermark, wm, bounded = cur.Frontier, wire.TimeNano(cur.Frontier), true
 		}
 	}
 	for {
@@ -815,10 +813,10 @@ func (s *Server) mergeLocked() Cursor {
 				continue
 			}
 			h := &s.staged[i][0]
-			if bounded && h.Round.After(watermark) {
+			if bounded && h.round > wm {
 				continue
 			}
-			if best == -1 || h.Round.Before(s.staged[best][0].Round) {
+			if best == -1 || h.round < s.staged[best][0].round {
 				best = i
 			}
 		}
@@ -831,46 +829,9 @@ func (s *Server) mergeLocked() Cursor {
 			s.staged[best] = nil // release the drained backing array
 		}
 		s.seq++
-		md := MergedDecision{Decision: d, Shard: best, ShardSeq: d.Seq}
-		md.Decision.Seq = s.seq
-		s.merged.Append(md)
+		s.merged.Append(mergedRecord{seq: s.seq, d: d})
 	}
 	return Cursor{Seq: s.seq, Oldest: s.merged.Oldest(), Frontier: watermark, Idle: !bounded}
-}
-
-// DecisionsPage returns up to limit merged decisions with Seq > since,
-// oldest first (limit <= 0 means all), and the merged log's cursor, pulling
-// any newly final shard decisions into the stream first. The merged log is
-// a bounded ring like each shard's own: decisions older than the last
-// DecisionLogCap may be gone.
-//
-// The merge of one shard's log is that log, in its own order and with its
-// own seqs: a one-shard service pages the shard's ring directly, straight
-// into the page it returns, rather than hold every decision twice.
-func (s *Server) DecisionsPage(since uint64, limit int) ([]MergedDecision, Cursor) {
-	s.mergeMu.Lock()
-	defer s.mergeMu.Unlock()
-	if len(s.parts) == 1 {
-		var page []MergedDecision
-		cur := s.shardList()[0].readDecisions(func(r *Ring[Decision]) {
-			lo, hi := r.span(since, limit)
-			page = make([]MergedDecision, 0, hi-lo)
-			for c := range r.log.Chunks(lo, hi) {
-				for _, d := range c {
-					page = append(page, MergedDecision{Decision: d, ShardSeq: d.Seq})
-				}
-			}
-		})
-		return page, cur
-	}
-	cur := s.mergeLocked()
-	return s.merged.Page(since, limit), cur
-}
-
-// Decisions is DecisionsPage without the cursor.
-func (s *Server) Decisions(since uint64, limit int) []MergedDecision {
-	ds, _ := s.DecisionsPage(since, limit)
-	return ds
 }
 
 // ShardStatus returns shard i's own snapshot: one entry of

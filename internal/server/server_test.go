@@ -400,7 +400,7 @@ func TestRegionPartitionShard(t *testing.T) {
 // shardPage reads a page of shard sh's decision log with its cursor.
 func shardPage(sh *shard, since uint64, limit int) ([]Decision, Cursor) {
 	var page []Decision
-	cur := sh.readDecisions(func(log *Ring[Decision]) { page = log.Page(since, limit) })
+	cur := sh.readDecisions(func(log *Ring[decRecord]) { page = ringPage(log, sh.regions, since, limit) })
 	return page, cur
 }
 

@@ -1,53 +1,26 @@
 package server
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
 	"waterwise/internal/cluster"
 	"waterwise/internal/milp"
 	"waterwise/internal/obs"
+	"waterwise/internal/region"
 	"waterwise/internal/trace"
 	"waterwise/internal/units"
 	"waterwise/internal/wal"
+	"waterwise/internal/wire"
 	"waterwise/internal/workload"
 )
 
 // solverStatser is implemented by schedulers that expose branch-and-bound
 // instrumentation (core.Scheduler).
 type solverStatser interface{ SolverStats() milp.Stats }
-
-// futureHeap orders not-yet-due jobs by (Submit, ID) — the same order the
-// offline replay ingests a sorted trace in.
-type futureHeap []*trace.Job
-
-func (h futureHeap) Len() int { return len(h) }
-func (h futureHeap) Less(i, j int) bool {
-	if h[i].Submit.Equal(h[j].Submit) {
-		return h[i].ID < h[j].ID
-	}
-	return h[i].Submit.Before(h[j].Submit)
-}
-func (h futureHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *futureHeap) Push(x interface{}) { *h = append(*h, x.(*trace.Job)) }
-func (h *futureHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
-}
-
-// liveJob is an accepted, undecided job's dedupe entry: its spec digest
-// and the wall instant Submit accepted it (zero for a recovered job),
-// which the decision-latency histogram reads.
-type liveJob struct {
-	digest   uint64
-	accepted time.Time
-}
 
 // shard is one scheduling engine: the state machine behind a partition of
 // the service's regions. It owns an ingest queue, a cluster.Sim and its
@@ -57,9 +30,11 @@ type liveJob struct {
 type shard struct {
 	// id is the shard's index; cfg is the service config with Env narrowed
 	// to the shard's partition, Scheduler set to the shard's own instance
-	// and DataDir to the shard's directory.
-	id  int
-	cfg Config
+	// and DataDir to the shard's directory. regions is the partition in
+	// Env.IDs() order, which decision records index.
+	id      int
+	cfg     Config
+	regions []region.ID
 
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -71,21 +46,22 @@ type shard struct {
 	// before any round has run).
 	simNow time.Time
 	// future holds accepted jobs whose Submit lies beyond simNow.
-	future futureHeap
-	// live tracks jobs accepted but not yet decided, keyed by id (duplicate
-	// rejection + idempotent retry); autoID is the floor above every id the
-	// shard has seen, which the service's id counter never re-mints.
-	live   map[int]liveJob
-	autoID int
-	// decidedIdx remembers decided jobs' spec digests (bounded, FIFO via
-	// decidedFIFO) so a client retrying an already-placed submission gets
-	// its original id back instead of ErrDuplicateID.
-	decidedIdx  map[int]uint64
+	future ingestQueue
+	// dedupe is the idempotency index, keyed by job id: live jobs (accepted,
+	// not yet decided) for duplicate rejection and idempotent retry, and
+	// decided jobs' digests, bounded FIFO via decidedFIFO, so a client
+	// retrying an already-placed submission gets its original id back
+	// instead of ErrDuplicateID. epoch is the instant acceptances are
+	// stamped from. autoID is the floor above every id the shard has seen,
+	// which the service's id counter never re-mints.
+	dedupe      map[int]dedupeEntry
 	decidedFIFO []int
+	epoch       time.Time
+	autoID      int
 
-	decisions Ring[Decision] // capacity DecisionLogCap
+	decisions Ring[decRecord] // capacity DecisionLogCap
 	decSeq    uint64
-	roundDecs []Decision // the round in flight's decisions; reused
+	roundDecs []decRecord // the round in flight's decisions; reused
 
 	accepted, rejected, rounds, decided uint64
 	deduped                             uint64
@@ -136,19 +112,24 @@ func newShard(id int, cfg Config, onRound func(uint64), onDown func(*shard)) (*s
 	if err != nil {
 		return nil, err
 	}
+	regions := cfg.Env.IDs()
+	if len(regions) > math.MaxUint16 || id > math.MaxUint16 {
+		return nil, fmt.Errorf("server: shard %d of %d regions: decision records index at most %d", id, len(regions), math.MaxUint16)
+	}
 	s := &shard{
-		id:         id,
-		cfg:        cfg,
-		sim:        sim,
-		simNow:     cfg.Env.Start,
-		live:       make(map[int]liveJob),
-		decidedIdx: make(map[int]uint64),
-		decisions:  NewRing[Decision](cfg.DecisionLogCap),
-		obs:        newShardObs(),
-		onRound:    onRound,
-		onDown:     onDown,
-		stopCh:     make(chan struct{}),
-		loopDone:   make(chan struct{}),
+		id:        id,
+		cfg:       cfg,
+		regions:   regions,
+		sim:       sim,
+		simNow:    cfg.Env.Start,
+		dedupe:    make(map[int]dedupeEntry),
+		epoch:     time.Now(),
+		decisions: NewRing[decRecord](cfg.DecisionLogCap),
+		obs:       newShardObs(),
+		onRound:   onRound,
+		onDown:    onDown,
+		stopCh:    make(chan struct{}),
+		loopDone:  make(chan struct{}),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	if cfg.DataDir != "" {
@@ -240,19 +221,14 @@ func (s *shard) acceptLocked(job *trace.Job, digest uint64, now time.Time) error
 		s.rejected++
 		return ErrStopped
 	}
-	if g, dup := s.live[job.ID]; dup {
-		if g.digest == digest {
-			s.deduped++
-			return nil
-		}
+	if dup, err := s.dedupeLocked(job.ID, digest); err != nil {
 		s.rejected++
-		return fmt.Errorf("%w: %d", ErrDuplicateID, job.ID)
-	}
-	if g, done := s.decidedIdx[job.ID]; done && g == digest {
+		return err
+	} else if dup {
 		s.deduped++
 		return nil
 	}
-	if len(s.future)+s.sim.Pending() >= s.cfg.QueueCap {
+	if s.future.Len()+s.sim.Pending() >= s.cfg.QueueCap {
 		s.rejected++
 		return ErrQueueFull
 	}
@@ -293,8 +269,8 @@ func (s *shard) admitLocked(job *trace.Job, digest uint64, accepted time.Time) {
 	if job.ID >= s.autoID {
 		s.autoID = job.ID + 1
 	}
-	s.live[job.ID] = liveJob{digest: digest, accepted: accepted}
-	heap.Push(&s.future, job)
+	s.markLiveLocked(job.ID, digest, accepted)
+	s.future.push(job)
 	s.accepted++
 }
 
@@ -385,9 +361,8 @@ func (s *shard) Stop() {
 	defer s.mu.Unlock()
 	// Everything still queued — pending rounds and not-yet-due arrivals —
 	// is abandoned into the result's Unscheduled list.
-	for len(s.future) > 0 {
-		j := heap.Pop(&s.future).(*trace.Job)
-		s.sim.Submit(j, s.simNow)
+	for s.future.Len() > 0 {
+		s.sim.Submit(s.future.pop(), s.simNow)
 	}
 	s.abandonLocked()
 	if s.wlog != nil {
@@ -404,7 +379,7 @@ func (s *shard) Stop() {
 // updating the unscheduled counter. Called with mu held.
 func (s *shard) abandonLocked() {
 	for _, j := range s.sim.Abandon() {
-		delete(s.live, j.ID)
+		s.forgetLocked(j.ID, idLive)
 		s.unscheduled++
 	}
 }
@@ -421,7 +396,7 @@ func (s *shard) Drain(ctx context.Context) error {
 	defer wake()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for len(s.future)+s.sim.Pending() > 0 && !s.stopped && s.runErr == nil && ctx.Err() == nil {
+	for s.future.Len()+s.sim.Pending() > 0 && !s.stopped && s.runErr == nil && ctx.Err() == nil {
 		s.cond.Wait()
 	}
 	if err := s.downErrLocked(); err != nil {
@@ -505,7 +480,7 @@ type Cursor struct {
 // returns the log cursor, snapshotted atomically with what read sees — the
 // export the service's k-way merge and a one-shard service's pages are
 // built on. read must not keep the ring past its return.
-func (s *shard) readDecisions(read func(log *Ring[Decision])) Cursor {
+func (s *shard) readDecisions(read func(log *Ring[decRecord])) Cursor {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	// Group commit on read: every decision a reader takes is on disk
@@ -518,7 +493,7 @@ func (s *shard) readDecisions(read func(log *Ring[Decision])) Cursor {
 		Frontier: s.simNow,
 		// A dead shard with no log decides nothing ever again: nothing can
 		// rebuild it.
-		Idle: len(s.future) == 0 && s.sim.Pending() == 0 || s.wlog == nil && s.downErrLocked() != nil,
+		Idle: s.future.Len() == 0 && s.sim.Pending() == 0 || s.wlog == nil && s.downErrLocked() != nil,
 	}
 	if s.nextK == 0 {
 		// No round has run yet, so round 0 — whose time IS simNow — may
@@ -540,7 +515,7 @@ func (s *shard) Status() ShardStatus {
 		Regions:     s.cfg.Env.IDs(),
 		SimNow:      s.simNow,
 		Pending:     s.sim.Pending(),
-		Future:      len(s.future),
+		Future:      s.future.Len(),
 		QueueCap:    s.cfg.QueueCap,
 		Accepted:    s.accepted,
 		Rejected:    s.rejected,
@@ -669,8 +644,8 @@ func (s *shard) nextRoundLocked() (int64, bool) {
 	if s.sim.Pending() > 0 {
 		return s.nextK, true
 	}
-	if len(s.future) > 0 {
-		due := s.future[0].Submit.Sub(s.cfg.Env.Start)
+	if s.future.Len() > 0 {
+		due := s.future.peek().job.Submit.Sub(s.cfg.Env.Start)
 		k := int64((due + s.cfg.Round - 1) / s.cfg.Round)
 		if k < s.nextK {
 			k = s.nextK
@@ -743,8 +718,8 @@ func (s *shard) roundLocked() {
 func (s *shard) ingestDueLocked(k int64, wall time.Time) time.Time {
 	now := s.cfg.Env.Start.Add(time.Duration(k) * s.cfg.Round)
 	s.nextK, s.simNow = k+1, now
-	for len(s.future) > 0 && !s.future[0].Submit.After(now) {
-		job := heap.Pop(&s.future).(*trace.Job)
+	for due := wire.TimeNano(now); s.future.Len() > 0 && s.future.peek().submit <= due; {
+		job := s.future.pop()
 		s.sim.Submit(job, now)
 		s.obs.jobs.Batched(job.ID, k, now, wall)
 	}
@@ -756,9 +731,9 @@ func (s *shard) ingestDueLocked(k int64, wall time.Time) time.Time {
 // publish each outcome as the next decision (seq, dedupe index, ring,
 // s.roundDecs). Live rounds pass a nil logged; replay passes the round
 // record's decisions, which the step must re-derive exactly (the log is
-// determinism's checksum) and which are published in place of their
-// twins, so DecidedWall survives a restart. Returns the commit instant
-// and the solve time. Called with mu held.
+// determinism's checksum) and whose instants and footprints are published
+// in place of their twins', so DecidedWall survives a restart. Returns the
+// commit instant and the solve time. Called with mu held.
 func (s *shard) stepLocked(k int64, logged []Decision) (wall time.Time, solve time.Duration, err error) {
 	now := s.simNow
 	t0 := time.Now()
@@ -774,33 +749,38 @@ func (s *shard) stepLocked(k int64, logged []Decision) (wall time.Time, solve ti
 	if logged != nil && len(outcomes) != len(logged) {
 		return wall, solve, fmt.Errorf("%w: re-derived %d decisions, log has %d", ErrReplayDiverged, len(outcomes), len(logged))
 	}
+	round, wallNs := wire.TimeNano(now), wire.TimeNano(wall)
 	for i := range outcomes {
 		o := &outcomes[i]
 		s.decSeq++
 		s.decided++
-		d := Decision{
-			Seq: s.decSeq, JobID: o.Job.ID, Region: o.Region,
-			Round: now, Start: o.Start, Finish: o.Finish,
-			CarbonG:     float64(o.Compute.Carbon() + o.Comm.Carbon()),
-			WaterL:      float64(o.Compute.Water() + o.Comm.Water()),
-			DecidedWall: wall,
+		d := decRecord{
+			seq: s.decSeq, jobID: int64(o.Job.ID),
+			round: round, start: wire.TimeNano(o.Start), finish: wire.TimeNano(o.Finish),
+			carbonG:     float64(o.Compute.Carbon() + o.Comm.Carbon()),
+			waterL:      float64(o.Compute.Water() + o.Comm.Water()),
+			decidedWall: wallNs,
+			// The Sim refuses a placement outside its partition, so the
+			// region is always found.
+			region: uint16(s.regionIndex(o.Region)), shard: uint16(s.id),
 		}
 		if logged != nil {
-			ld := logged[i]
-			if ld.Seq != d.Seq || ld.JobID != d.JobID || ld.Region != d.Region ||
-				!ld.Start.Equal(d.Start) || !ld.Finish.Equal(d.Finish) {
+			ld := &logged[i]
+			if ld.Seq != d.seq || ld.JobID != o.Job.ID || ld.Region != o.Region ||
+				!ld.Start.Equal(o.Start) || !ld.Finish.Equal(o.Finish) {
 				return wall, solve, fmt.Errorf("%w: decision %d: re-derived job %d -> %s [%v, %v] seq %d, log says %+v",
-					ErrReplayDiverged, i, d.JobID, d.Region, d.Start, d.Finish, d.Seq, ld)
+					ErrReplayDiverged, i, o.Job.ID, o.Region, o.Start, o.Finish, d.seq, *ld)
 			}
-			d = ld
+			d.round, d.decidedWall = wire.TimeNano(ld.Round), wire.TimeNano(ld.DecidedWall)
+			d.carbonG, d.waterL = ld.CarbonG, ld.WaterL
 		}
-		accepted := s.recordDecidedLocked(d.JobID)
+		accepted := s.recordDecidedLocked(o.Job.ID)
 		s.decisions.Append(d)
 		s.roundDecs = append(s.roundDecs, d)
-		if !accepted.IsZero() {
-			s.obs.decision.Record(wall.Sub(accepted).Seconds())
+		if accepted != 0 {
+			s.obs.decision.Record((wall.Sub(s.epoch) - time.Duration(accepted)).Seconds())
 		}
-		s.obs.jobs.Decided(d.JobID, k, wall, string(d.Region), d.Start, d.Finish)
+		s.obs.jobs.Decided(o.Job.ID, k, wall, string(o.Region), o.Start, o.Finish)
 	}
 	return wall, solve, nil
 }

@@ -364,14 +364,3 @@ func WireDecision(d Decision, shard uint32, shardSeq uint64) wire.Decision {
 		Region:          string(d.Region),
 	}
 }
-
-// wireDecisions appends up to limit merged decisions with Seq > since
-// to dst in wire form, oldest first.
-func (s *Server) wireDecisions(since uint64, limit int, dst []wire.Decision) []wire.Decision {
-	page, _ := s.DecisionsPage(since, limit)
-	for i := range page {
-		d := &page[i]
-		dst = append(dst, WireDecision(d.Decision, uint32(d.Shard), d.ShardSeq))
-	}
-	return dst
-}

@@ -150,7 +150,7 @@ func FuzzWALRecord(f *testing.F) {
 		if rec.job != nil {
 			again = encodeJobRecord(rec.job, rec.digest)
 		} else {
-			again = encodeRoundRecord(rec.k, rec.seqAfter, rec.decisions)
+			again = encodeDecisions(rec.k, rec.seqAfter, rec.decisions)
 		}
 		if !bytes.Equal(again, data) {
 			t.Fatalf("record does not re-encode to its input:\n got %x\nwant %x", again, data)
@@ -159,17 +159,61 @@ func FuzzWALRecord(f *testing.F) {
 }
 
 // FuzzSnapshot restores arbitrary bytes into a fresh shard with a small
-// decision ring. The invariant: an error or a restored shard, never a
-// panic.
+// decision ring. The invariants: an error or a restored shard, never a
+// panic; no more jobs than the bytes can hold; and a restored state is a
+// fixpoint — its snapshot restores into a state whose snapshot is the
+// same bytes, since every section is written in a fixed order. Beside the
+// committed seeds it starts from the golden snapshot with its ring's
+// region renamed out of the partition, which must be an error.
 func FuzzSnapshot(f *testing.F) {
 	for _, seed := range walFuzzSeeds(f) {
 		f.Add(seed)
 	}
+	f.Add(ringOutsidePartition(f))
 	env, sched := testEnv(f), newScheduler(f, false)
-	f.Fuzz(func(t *testing.T, data []byte) {
+	restore := func(t *testing.T, data []byte) (*shard, error) {
 		srv := testShard(t, Config{Env: env, Scheduler: sched, Tolerance: 0.5, Round: time.Minute, DecisionLogCap: 8})
-		if srv.restoreSnapshot(data) == nil && srv.sim.Pending()+len(srv.future) > len(data)/jobSize {
-			t.Fatalf("restored %d jobs from %d bytes", srv.sim.Pending()+len(srv.future), len(data))
+		return srv, srv.restoreSnapshot(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		srv, err := restore(t, data)
+		if err != nil {
+			return
+		}
+		if srv.sim.Pending()+srv.future.Len() > len(data)/jobSize {
+			t.Fatalf("restored %d jobs from %d bytes", srv.sim.Pending()+srv.future.Len(), len(data))
+		}
+		once := srv.marshalSnapshotLocked()
+		again, err := restore(t, once)
+		if err != nil {
+			t.Fatalf("a restored state's snapshot does not restore: %v", err)
+		}
+		if twice := again.marshalSnapshotLocked(); !bytes.Equal(twice, once) {
+			t.Fatalf("snapshot is not a fixpoint:\n once  %x\n twice %x", once, twice)
 		}
 	})
+}
+
+// ringOutsidePartition is the golden snapshot with every ring decision's
+// region renamed to one no partition holds, and the check that restoring
+// it fails.
+func ringOutsidePartition(tb testing.TB) []byte {
+	snap := goldenPayload(tb, "snapshot_v1")
+	srv := testShard(tb, Config{Env: testEnv(tb), Scheduler: newScheduler(tb, false), Tolerance: 0.5, Round: time.Minute, DecisionLogCap: 8})
+	if err := srv.restoreSnapshot(snap); err != nil {
+		tb.Fatal(err)
+	}
+	// The ring is the snapshot's last section: rename from its start.
+	var ring []byte
+	srv.decisions.Each(func(d decRecord) { ring = appendDecision(ring, &d, srv.regions) })
+	at := len(snap) - len(ring)
+	out := bytes.Clone(snap)
+	for _, id := range srv.regions {
+		name := []byte(id)
+		out = append(out[:at:at], bytes.ReplaceAll(out[at:], name, bytes.Repeat([]byte("?"), len(name)))...)
+	}
+	if err := testShard(tb, Config{Env: testEnv(tb), Scheduler: newScheduler(tb, false), Tolerance: 0.5, Round: time.Minute}).restoreSnapshot(out); err == nil {
+		tb.Fatal("restored a ring decision outside the partition")
+	}
+	return out
 }

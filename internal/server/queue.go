@@ -22,94 +22,49 @@ func (a *queued) before(b *queued) bool {
 	return a.submit < b.submit || a.submit == b.submit && a.id < b.id
 }
 
-// runKeep is the largest run backing array a drained queue keeps for
-// reuse: a steady stream reuses one small array, and a drained backlog
-// hands its large one back to the GC.
-const runKeep = 4096
+// queueKeep is the largest backing array a drained queue keeps for reuse:
+// a steady stream reuses one small array, and a drained backlog hands its
+// large one back to the GC.
+const queueKeep = 4096
 
 // ingestQueue holds a shard's accepted jobs whose Submit lies beyond the
-// round clock, popped in (Submit, ID) order. Arrivals mostly come in that
-// order already — a replay client queues a sorted trace, a live client
-// stamps "now" — so an arrival at or after the newest one appends to a
-// sorted FIFO run in O(1); only an out-of-order arrival goes to a binary
-// heap, and a pop takes the smaller of the two heads. Not synchronized:
-// the shard's lock guards it.
+// round clock, popped in (Submit, ID) order: a binary min-heap of queued
+// values. Not synchronized: the shard's lock guards it.
 type ingestQueue struct {
-	run  []queued // sorted; run[head:] is queued, run[:head] consumed
-	head int
-	heap []queued // out-of-order arrivals, a binary min-heap
+	heap []queued
 }
 
 // Len reports how many jobs are queued.
-func (q *ingestQueue) Len() int { return len(q.run) - q.head + len(q.heap) }
+func (q *ingestQueue) Len() int { return len(q.heap) }
 
 // push queues j.
 func (q *ingestQueue) push(j *trace.Job) {
-	e := queued{submit: wire.TimeNano(j.Submit), id: j.ID, job: j}
-	if n := len(q.run); n == q.head || !e.before(&q.run[n-1]) {
-		q.run = append(q.run, e)
-		return
-	}
-	q.heap = append(q.heap, e)
+	q.heap = append(q.heap, queued{submit: wire.TimeNano(j.Submit), id: j.ID, job: j})
 	q.up(len(q.heap) - 1)
 }
 
-// heapFirst reports whether the queue's first job is the heap's head
-// rather than the run's; the queue must not be empty.
-func (q *ingestQueue) heapFirst() bool {
-	return q.head == len(q.run) || len(q.heap) > 0 && q.heap[0].before(&q.run[q.head])
-}
-
 // peek returns the first job in queue order; the queue must not be empty.
-func (q *ingestQueue) peek() *queued {
-	if q.heapFirst() {
-		return &q.heap[0]
-	}
-	return &q.run[q.head]
-}
+func (q *ingestQueue) peek() *queued { return &q.heap[0] }
 
 // pop removes and returns the first job in queue order; the queue must
 // not be empty.
 func (q *ingestQueue) pop() *trace.Job {
-	if q.heapFirst() {
-		j := q.heap[0].job
-		last := len(q.heap) - 1
-		q.heap[0] = q.heap[last]
-		q.heap[last] = queued{}
-		q.heap = q.heap[:last]
-		q.down(0)
-		return j
-	}
-	j := q.run[q.head].job
-	q.run[q.head] = queued{}
-	q.head++
-	switch {
-	case q.head == len(q.run):
-		// Drained: a small array is kept for the next arrivals, a large one
-		// released.
-		q.run, q.head = q.run[:0], 0
-		if cap(q.run) > runKeep {
-			q.run = nil
-		}
-	case q.head > len(q.run)/2:
-		// Compact once the consumed prefix is the larger half: each entry
-		// moves at most once per halving, so pops stay amortized O(1).
-		n := copy(q.run, q.run[q.head:])
-		clear(q.run[n:])
-		q.run, q.head = q.run[:n], 0
+	j := q.heap[0].job
+	last := len(q.heap) - 1
+	q.heap[0] = q.heap[last]
+	q.heap[last] = queued{}
+	q.heap = q.heap[:last]
+	q.down(0)
+	if last == 0 && cap(q.heap) > queueKeep {
+		q.heap = nil
 	}
 	return j
 }
 
 // sorted returns every queued entry in queue order, as a fresh slice.
 func (q *ingestQueue) sorted() []queued {
-	out := make([]queued, 0, q.Len())
-	out = append(out, q.run[q.head:]...)
-	if len(q.heap) == 0 {
-		return out
-	}
-	out = append(out, q.heap...)
-	slices.SortStableFunc(out, func(a, b queued) int {
+	out := slices.Clone(q.heap)
+	slices.SortFunc(out, func(a, b queued) int {
 		switch {
 		case a.before(&b):
 			return -1

@@ -225,7 +225,7 @@ type JobSpec struct {
 	EstEnergyKWh   float64 `json:"est_energy_kwh,omitempty"`
 }
 
-// Decision is one placement as a shard logs it.
+// Decision is one placement as a shard logs it. Its instants are in UTC.
 type Decision struct {
 	// Seq is the log sequence number (monotonic from 1).
 	Seq uint64 `json:"seq"`

@@ -112,18 +112,12 @@ var stdInterfaceMethods = map[string]bool{
 // production file references and that stay anyway, each with its reason.
 // Everything else must earn its place in a non-test file.
 var testOnlyAllowed = map[string]string{
-	"lp.SolveReference":           "the dense-tableau oracle the simplex differential tests compare against",
-	"obs.LintProm":                "the exposition checker every metrics test runs",
-	"wire.DecodeFrame":            "fuzz and golden-bytes target; shares parseHeader with ReadFrame",
-	"wire.AppendFrame":            "fuzz and golden-bytes target, DecodeFrame's inverse",
-	"core.LastRoundObjective":     "instrument: the reprice and warm-start tests compare round objectives",
-	"milp.SetBinary":              "instrument: differential tests build models with it",
-	"milp.SetInteger":             "instrument: differential tests build models with it",
-	"stats.StdDev":                "instrument: trace and perturbation tests measure spread",
-	"forecast.Evaluate":           "instrument: forecaster accuracy tests score with it",
-	"gridmix.MeanCarbonIntensity": "instrument: region calibration tests",
-	"gridmix.MeanEWIF":            "instrument: region calibration tests",
-	"transfer.NewCustom":          "instrument: transfer tests pin bandwidth and latency",
+	"lp.SolveReference": "the dense-tableau oracle the simplex differential tests compare against",
+	"obs.LintProm":      "the exposition checker every metrics test runs",
+	"wire.DecodeFrame":  "fuzz and golden-bytes target; shares parseHeader with ReadFrame",
+	"wire.AppendFrame":  "fuzz and golden-bytes target, DecodeFrame's inverse",
+	"stats.StdDev":      "instrument: trace and perturbation tests measure spread",
+	"forecast.Evaluate": "instrument: forecaster accuracy tests score with it",
 }
 
 // TestExportedFuncsHaveProductionCallers keeps "no production code that

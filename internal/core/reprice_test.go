@@ -93,3 +93,9 @@ func TestCrossRoundWarmStartDifferential(t *testing.T) {
 		m.compared, ws.WarmStarts, ws.SimplexIters, cs.SimplexIters,
 		100*(1-float64(ws.SimplexIters)/float64(cs.SimplexIters)))
 }
+
+// LastRoundObjective reports the MILP objective of the most recent
+// scheduling round, and whether that round was decided by the optimizer
+// (false when the round fell back to the greedy controller or decided
+// nothing).
+func (s *Scheduler) LastRoundObjective() (float64, bool) { return s.lastObj, s.lastObjSet }

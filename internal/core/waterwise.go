@@ -247,12 +247,6 @@ func (s *Scheduler) Stats() (rounds, softened int) { return s.rounds, s.softened
 // rate, and solver wall time (the decision-overhead breakdown of Fig. 13).
 func (s *Scheduler) SolverStats() milp.Stats { return s.solverStats }
 
-// LastRoundObjective reports the MILP objective of the most recent
-// scheduling round, and whether that round was decided by the optimizer
-// (false when the round fell back to the greedy controller or decided
-// nothing).
-func (s *Scheduler) LastRoundObjective() (float64, bool) { return s.lastObj, s.lastObjSet }
-
 // urgentJob pairs a pending job with its Eq. 14 urgency score and its
 // position in the round's queue, the tie-break of the selection order.
 type urgentJob struct {

@@ -21,7 +21,6 @@ import (
 
 	"waterwise/internal/energy"
 	"waterwise/internal/stats"
-	"waterwise/internal/units"
 )
 
 // Params describes one grid's generation structure.
@@ -175,28 +174,4 @@ func (s *Series) MixAt(t time.Time) energy.Mix {
 		return energy.Mix{}
 	}
 	return s.Mixes[i]
-}
-
-// MeanCarbonIntensity averages the carbon intensity over the whole series.
-func (s *Series) MeanCarbonIntensity(tbl energy.FactorTable) units.CarbonIntensity {
-	if len(s.Mixes) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, m := range s.Mixes {
-		sum += float64(m.CarbonIntensity(tbl))
-	}
-	return units.CarbonIntensity(sum / float64(len(s.Mixes)))
-}
-
-// MeanEWIF averages the EWIF over the whole series.
-func (s *Series) MeanEWIF(tbl energy.FactorTable) units.EWIF {
-	if len(s.Mixes) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, m := range s.Mixes {
-		sum += float64(m.EWIF(tbl))
-	}
-	return units.EWIF(sum / float64(len(s.Mixes)))
 }

@@ -8,6 +8,7 @@ import (
 
 	"waterwise/internal/energy"
 	"waterwise/internal/stats"
+	"waterwise/internal/units"
 )
 
 var testStart = time.Date(2023, 7, 1, 0, 0, 0, 0, time.UTC)
@@ -214,4 +215,28 @@ func TestQuickGeneratedMixValidity(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
 	}
+}
+
+// MeanCarbonIntensity averages the carbon intensity over the whole series.
+func (s *Series) MeanCarbonIntensity(tbl energy.FactorTable) units.CarbonIntensity {
+	if len(s.Mixes) == 0 {
+		return 0
+	}
+	sum := 0.0
+	for _, m := range s.Mixes {
+		sum += float64(m.CarbonIntensity(tbl))
+	}
+	return units.CarbonIntensity(sum / float64(len(s.Mixes)))
+}
+
+// MeanEWIF averages the EWIF over the whole series.
+func (s *Series) MeanEWIF(tbl energy.FactorTable) units.EWIF {
+	if len(s.Mixes) == 0 {
+		return 0
+	}
+	sum := 0.0
+	for _, m := range s.Mixes {
+		sum += float64(m.EWIF(tbl))
+	}
+	return units.EWIF(sum / float64(len(s.Mixes)))
 }

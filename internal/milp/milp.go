@@ -206,30 +206,11 @@ func (p *Problem) ResetVarBounds(lo, hi float64) error {
 	return p.base.ResetBounds(p.lo, p.hi)
 }
 
-// SetBinary marks variable i as binary (integer in {0,1}).
-func (p *Problem) SetBinary(i int) error {
-	if err := p.SetBounds(i, 0, 1); err != nil {
-		return err
-	}
-	p.isInt[i] = true
-	return nil
-}
-
 // SetImpliedBinary marks variable i as integer WITHOUT installing the
 // explicit [0,1] bound. Use it when the constraint matrix already implies
 // x_i <= 1 (e.g. an assignment row Σ_j x_ij = 1 with x >= 0). The caller is
 // responsible for the implication actually holding.
 func (p *Problem) SetImpliedBinary(i int) error {
-	if i < 0 || i >= len(p.isInt) {
-		return fmt.Errorf("milp: variable %d out of range [0,%d)", i, len(p.isInt))
-	}
-	p.isInt[i] = true
-	return nil
-}
-
-// SetInteger marks variable i as a general integer (bounds must be set
-// separately; the default lower bound is 0).
-func (p *Problem) SetInteger(i int) error {
 	if i < 0 || i >= len(p.isInt) {
 		return fmt.Errorf("milp: variable %d out of range [0,%d)", i, len(p.isInt))
 	}

@@ -1,6 +1,7 @@
 package milp
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -392,4 +393,23 @@ func BenchmarkMILPAssignment30x5(b *testing.B) {
 			b.Fatalf("status %v err %v", sol.Status, err)
 		}
 	}
+}
+
+// SetBinary marks variable i as binary (integer in {0,1}).
+func (p *Problem) SetBinary(i int) error {
+	if err := p.SetBounds(i, 0, 1); err != nil {
+		return err
+	}
+	p.isInt[i] = true
+	return nil
+}
+
+// SetInteger marks variable i as a general integer (bounds must be set
+// separately; the default lower bound is 0).
+func (p *Problem) SetInteger(i int) error {
+	if i < 0 || i >= len(p.isInt) {
+		return fmt.Errorf("milp: variable %d out of range [0,%d)", i, len(p.isInt))
+	}
+	p.isInt[i] = true
+	return nil
 }

@@ -60,7 +60,8 @@ type Report struct {
 	Restarts uint64 `json:"restarts"`
 	// DecisionP99Ms is the fleet-merged decision-latency p99.
 	DecisionP99Ms float64 `json:"decision_p99_ms"`
-	// MaxFeedStalenessSeconds is the worst staleness any driver poll saw.
+	// MaxFeedStalenessSeconds is the worst staleness seen at the end of
+	// any round.
 	MaxFeedStalenessSeconds float64 `json:"max_feed_staleness_s"`
 	// ForecastServed and FetchErrors are the feed's final degradation
 	// counters (live mode).
@@ -81,9 +82,6 @@ func (r *run) evaluate() (*Report, error) {
 	decisions := r.srv.Decisions(0, 0)
 	r.decisions = decisions
 	health := feed.HealthOf(r.env.Provider())
-	if health.StalenessSeconds > r.maxStaleness {
-		r.maxStaleness = health.StalenessSeconds
-	}
 	rep := &Report{
 		Scenario: r.spec.Name, Description: r.spec.Description,
 		Faults: r.faultLog, Jobs: len(r.jobs),
@@ -91,7 +89,7 @@ func (r *run) evaluate() (*Report, error) {
 		Accepted: st.Accepted, Rejected: st.Rejected, Rounds: st.Rounds,
 		Decisions: st.Decisions, Merged: st.Merged, Lost: st.Lost,
 		Unscheduled:             st.Unscheduled,
-		Restarts:                r.srv.Status().Restarts,
+		Restarts:                st.Restarts,
 		MaxFeedStalenessSeconds: r.maxStaleness,
 		ForecastServed:          health.ForecastServed,
 		FetchErrors:             health.FetchErrors,

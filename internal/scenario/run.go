@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"net/http"
 	"os"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -73,21 +75,10 @@ func BuildTrace(s Spec) ([]*trace.Job, error) {
 	return roundTripCSV(jobs)
 }
 
-// pacedScheduler stretches each round by a fixed wall delay, delegating
-// decisions unchanged — it gives round-indexed fault windows real time
-// to land in without touching the decision stream.
-type pacedScheduler struct {
-	cluster.Scheduler
-	delay time.Duration
-}
-
-// Schedule implements cluster.Scheduler with the added delay.
-func (p pacedScheduler) Schedule(ctx *cluster.Context) ([]cluster.Decision, error) {
-	if p.delay > 0 {
-		time.Sleep(p.delay)
-	}
-	return p.Scheduler.Schedule(ctx)
-}
+// liveTTL is the live feed's cache TTL in a scenario. Rounds take
+// milliseconds, so the TTL → stale → forecast ladder must too: live-feed
+// runs let one TTL of wall time pass after every round.
+const liveTTL = 5 * time.Millisecond
 
 // run carries one execution's wiring.
 type run struct {
@@ -98,17 +89,26 @@ type run struct {
 	srv   *server.Server
 	jobs  []*trace.Job
 
-	fsyncDelay atomic.Int64 // injected WAL fsync latency, ns
+	fsyncDelay atomic.Int64   // injected WAL fsync latency, ns
+	kills      sync.WaitGroup // KillShard calls the round hook started (see apply)
+	// Written once the service has stopped.
+	recovered bool                    // awaitFresh saw feed health clear after the schedule
+	decisions []server.MergedDecision // the settled merged stream (evaluate)
 
+	// mu guards the rest: every shard's round hook reads and writes it.
+	mu    sync.Mutex
+	feeds [][]*trace.Job // each shard's home-region jobs not yet submitted (paced)
 	// Submitter-side accounting: a dead shard's refusals die with it (a
 	// restart recovers its counters from disk), so the rejected
 	// fraction SLO is measured where the client stands.
 	submitted, rejected int
-
-	maxStaleness float64 // max feed staleness seen at any driver poll, s
-	recovered    bool    // awaitFresh saw feed health clear after the schedule
+	// rounds is the run's round clock: the most rounds any shard has
+	// completed, so it never stalls while a killed shard is down.
+	rounds       uint64
+	faults       []faultState
+	settled      bool    // a Drain left nothing to feed: no fault fires from now on
+	maxStaleness float64 // max feed staleness seen at the end of any round, s
 	faultLog     []string
-	decisions    []server.MergedDecision // the settled merged stream (evaluate)
 }
 
 // Run executes one scenario spec end to end and returns its report. The
@@ -134,7 +134,10 @@ func runFull(s Spec, opt RunOptions) (*Report, []server.MergedDecision, error) {
 	if opt.Logf == nil {
 		opt.Logf = func(string, ...any) {}
 	}
-	r := &run{spec: s, opt: opt}
+	r := &run{spec: s, opt: opt, faults: make([]faultState, len(s.Faults))}
+	for i, f := range s.Faults {
+		r.faults[i].spec = f
+	}
 	if err := r.buildEnv(); err != nil {
 		return nil, nil, err
 	}
@@ -160,24 +163,20 @@ func runFull(s Spec, opt RunOptions) (*Report, []server.MergedDecision, error) {
 		// group-commit clock must compress too or a whole scenario fits
 		// inside one default sync interval and fsync faults never land.
 		SyncInterval: 2 * time.Millisecond,
-		NewScheduler: func(shard int, regions []region.ID) (cluster.Scheduler, error) {
-			sched, err := core.New(core.DefaultConfig())
-			if err != nil {
-				return nil, err
-			}
-			return pacedScheduler{Scheduler: sched, delay: s.Pacing.Std()}, nil
+		NewScheduler: func(int, []region.ID) (cluster.Scheduler, error) {
+			return core.New(core.DefaultConfig())
 		},
 		WALSyncDelay: func() time.Duration { return time.Duration(r.fsyncDelay.Load()) },
+		OnRound:      r.onRound,
 	}
 	if len(s.Objectives) > 0 || len(s.SLOs.Windows) > 0 {
 		// Sync mode, deliberately: the scrape runs inline on the round
 		// thread, so every round lands in the store and windowed
 		// assertions see a round-exact history — async coalescing under
 		// CPU pressure can collapse a whole run into one scrape, leaving
-		// every asserted window empty. Sync scraping is safe here because
-		// recorded specs submit their trace up front: with no mid-run
-		// submission pacing to perturb, stretching a round cannot change
-		// any decision (TestRecorderEquivalence pins this).
+		// every asserted window empty. A scrape stretching a round changes
+		// no decision (TestRecorderEquivalence): submission follows the
+		// round clock, not the wall.
 		cfg.Record = server.RecordConfig{
 			Enable: true,
 			Sync:   true,
@@ -217,12 +216,10 @@ func (r *run) buildEnv() error {
 	r.chaos = feed.NewChaos(inner)
 	var prov feed.Provider = r.chaos
 	if s.LiveFeed {
-		// Small real-time windows: scenario wall time is milliseconds per
-		// round, so the TTL → stale → forecast ladder must turn over in
-		// milliseconds too.
+		// Small real-time windows (see liveTTL).
 		live, err := feed.NewLive(feed.LiveConfig{
 			BaseURL: "http://scenario.chaos", Regions: keys,
-			TTL: 5 * time.Millisecond, MinInterval: time.Millisecond,
+			TTL: liveTTL, MinInterval: time.Millisecond,
 			ForecastAfter: 15 * time.Millisecond, MaxBackoff: 50 * time.Millisecond,
 			Timeout: time.Second,
 			Client:  &http.Client{Transport: r.chaos.Transport()},
@@ -230,21 +227,7 @@ func (r *run) buildEnv() error {
 		if err != nil {
 			return fmt.Errorf("scenario %s: %w", s.Name, err)
 		}
-		prov = live
-		// Prime every region so round one schedules over fetched (not
-		// zero-valued cold) readings.
-		deadline := time.Now().Add(2 * time.Second)
-		for _, key := range keys {
-			for {
-				if smp, err := live.At(key, Epoch); err == nil && len(smp.Mix) > 0 {
-					break
-				}
-				if time.Now().After(deadline) {
-					return fmt.Errorf("scenario %s: live feed never primed region %s", s.Name, key)
-				}
-				time.Sleep(time.Millisecond)
-			}
-		}
+		prov = live // NewLive has fetched every region once: round one schedules over real readings
 	}
 	r.env, err = region.NewEnvironmentWithProvider(regions, energy.Table, Epoch, s.Hours, prov)
 	if err != nil {
@@ -255,41 +238,67 @@ func (r *run) buildEnv() error {
 
 // execute runs the trace under the fault schedule and evaluates SLOs.
 func (r *run) execute() (*Report, error) {
-	s := r.spec
 	ctx, cancel := context.WithTimeout(context.Background(), r.opt.Timeout)
 	defer cancel()
 	defer r.srv.Stop()
 
 	// Upfront: the whole trace before Start (the replay discipline —
-	// Start seals the backlog durably). Paced: prefill the first rounds,
-	// feed the rest from the driver loop.
-	next := 0
-	if s.Submit == SubmitUpfront {
-		next = len(r.jobs)
-		for _, j := range r.jobs {
+	// Start seals the backlog durably). Paced: split the trace by home
+	// shard and prefill each shard's first rounds; the round hook feeds
+	// the rest.
+	parts := r.srv.Partitions()
+	r.feeds = make([][]*trace.Job, len(parts))
+	for _, j := range r.jobs {
+		if r.spec.Submit == SubmitUpfront {
 			r.submit(j)
+			continue
 		}
-	} else {
-		for next < len(r.jobs) && r.submitRound(r.jobs[next]) <= 2 {
-			r.submit(r.jobs[next])
-			next++
-		}
+		i := slices.IndexFunc(parts, func(p []region.ID) bool { return slices.Contains(p, j.Home) })
+		r.feeds[i] = append(r.feeds[i], j)
+	}
+	for i := range r.feeds {
+		r.feedLocked(i) // no round hook runs before Start
 	}
 	r.srv.Start()
-	if err := r.drive(ctx, next); err != nil {
+	if err := r.settle(ctx); err != nil {
 		return nil, err
 	}
-	if err := r.srv.Drain(ctx); err != nil {
-		if ctx.Err() != nil {
-			return nil, fmt.Errorf("scenario %s: timed out draining: %w", s.Name, ctx.Err())
-		}
-		return nil, fmt.Errorf("scenario %s: drain: %w", s.Name, err)
-	}
 	r.srv.Stop()
-	if s.SLOs.RequireFreshAtEnd {
+	if r.spec.SLOs.RequireFreshAtEnd {
 		r.recovered = r.awaitFresh(ctx)
 	}
 	return r.evaluate()
+}
+
+// settle drains the service until the whole trace is submitted and
+// placed and every killed shard is back. Drain waits for each shard's last
+// round hook, so one Drain covers the paced feed — except for a shard
+// rebuilt with nothing queued, which parks before any hook feeds it: the
+// run feeds every shard itself after each Drain, as the hook would.
+func (r *run) settle(ctx context.Context) error {
+	for {
+		if err := r.srv.Drain(ctx); err != nil {
+			return fmt.Errorf("scenario %s: drain: %w", r.spec.Name, err)
+		}
+		r.mu.Lock()
+		fed := false
+		for i, jobs := range r.feeds {
+			r.feedLocked(i)
+			fed = fed || len(r.feeds[i]) < len(jobs)
+		}
+		wasSettled := r.settled
+		r.settled = !fed
+		r.mu.Unlock()
+		if fed {
+			continue
+		}
+		if wasSettled {
+			return nil
+		}
+		// No fault fires once settled, so this Wait races no Add; the
+		// next Drain then waits out the restarts the kills began.
+		r.kills.Wait()
+	}
 }
 
 // submitRound maps a job to the round (1-based) that first schedules it.
@@ -300,7 +309,7 @@ func (r *run) submitRound(j *trace.Job) uint64 {
 }
 
 // submit routes one job through the service, keeping submitter-side
-// accept/reject accounting.
+// accept/reject accounting. Called before Start or with mu held.
 func (r *run) submit(j *trace.Job) {
 	id := j.ID
 	_, err := r.srv.Submit(server.JobSpec{
@@ -314,106 +323,78 @@ func (r *run) submit(j *trace.Job) {
 	}
 }
 
+// onRound is the service's end-of-round hook (server.Config.OnRound),
+// run on the shard's round-loop goroutine before its next round: it
+// advances the fault schedule on the run's round clock, samples feed
+// health, and feeds the shard its next paced jobs.
+func (r *run) onRound(shard int, rounds uint64) {
+	var events []string
+	r.mu.Lock()
+	r.rounds = max(r.rounds, rounds)
+	for i := range r.faults {
+		if ev := r.step(&r.faults[i]); ev != "" {
+			events = append(events, ev)
+		}
+	}
+	if h := feed.HealthOf(r.env.Provider()); h.StalenessSeconds > r.maxStaleness {
+		r.maxStaleness = h.StalenessSeconds
+	}
+	r.feedLocked(shard)
+	r.mu.Unlock()
+	for _, ev := range events {
+		r.opt.Logf("scenario %s: %s", r.spec.Name, ev)
+	}
+	if r.spec.LiveFeed {
+		time.Sleep(liveTTL) // see liveTTL
+	}
+}
+
+// feedLocked submits shard i's jobs due within two rounds of its
+// completed-round count — and, when the shard has nothing queued and
+// would park instead of stepping another round, through its next arrival
+// as well. It reads only the shard's own state, so which submissions find
+// the shard's queue full does not depend on timing. Called with mu held.
+func (r *run) feedLocked(i int) {
+	jobs := r.feeds[i]
+	if len(jobs) == 0 {
+		return
+	}
+	st := r.srv.ShardStatus(i)
+	ahead := st.Rounds + 2
+	if st.Pending+st.Future == 0 {
+		ahead = max(ahead, r.submitRound(jobs[0]))
+	}
+	for len(jobs) > 0 && r.submitRound(jobs[0]) <= ahead {
+		r.submit(jobs[0])
+		jobs = jobs[1:]
+	}
+	r.feeds[i] = jobs
+}
+
 // faultState tracks one schedule entry through its lifecycle.
 type faultState struct {
-	spec     FaultSpec
-	applied  bool
-	resolved bool
-	prevCap  int // queue_squeeze restore value
+	spec    FaultSpec
+	applied bool
+	cleared bool
+	prevCap int // queue_squeeze restore value
 }
 
-// drive is the fault driver and paced feeder: poll round progress, fire
-// and clear faults at their windows, feed the trace (paced mode), and
-// sample feed health — until the schedule is resolved and the trace
-// fully submitted.
-func (r *run) drive(ctx context.Context, next int) error {
-	faults := make([]*faultState, len(r.spec.Faults))
-	for i := range r.spec.Faults {
-		faults[i] = &faultState{spec: r.spec.Faults[i]}
-	}
-	poll := r.spec.Pacing.Std() / 4
-	if poll < 200*time.Microsecond {
-		poll = 200 * time.Microsecond
-	}
-	for {
-		if ctx.Err() != nil {
-			return fmt.Errorf("scenario %s: timed out driving the fault schedule: %w", r.spec.Name, ctx.Err())
-		}
-		progress, idle := r.progress()
-		ahead := progress + 2
-		if idle && next < len(r.jobs) {
-			// A drained fleet parks instead of stepping rounds, so its round
-			// count never reaches a next arrival more than two rounds out:
-			// feed that arrival's round now, or the run waits forever.
-			ahead = max(ahead, r.submitRound(r.jobs[next]))
-		}
-		for next < len(r.jobs) && r.submitRound(r.jobs[next]) <= ahead {
-			r.submit(r.jobs[next])
-			next++
-		}
-		if h := feed.HealthOf(r.env.Provider()); h.StalenessSeconds > r.maxStaleness {
-			r.maxStaleness = h.StalenessSeconds
-		}
-		allDone := next >= len(r.jobs)
-		for _, f := range faults {
-			r.step(f, progress)
-			if !f.resolved {
-				allDone = false
-			}
-		}
-		if allDone {
-			return nil
-		}
-		time.Sleep(poll)
-	}
-}
-
-// progress is the run's round clock: the most rounds any shard has
-// completed (dead shards hold their pre-crash count, live shards keep
-// advancing, so the clock never stalls during a kill window). idle
-// reports that no shard has anything queued or pending.
-func (r *run) progress() (rounds uint64, idle bool) {
-	idle = true
-	for i := 0; i < r.spec.Shards; i++ {
-		st := r.srv.ShardStatus(i)
-		rounds = max(rounds, st.Rounds)
-		idle = idle && st.Pending+st.Future == 0
-	}
-	return rounds, idle
-}
-
-// step advances one fault through apply/clear against the round clock.
-func (r *run) step(f *faultState, progress uint64) {
-	if !f.applied {
-		if progress < f.spec.AtRound {
-			return
-		}
+// step fires a fault once the round clock reaches its onset, and clears a
+// windowed one once the clock reaches the window's end, describing what
+// it did ("" for nothing). Called with mu held.
+func (r *run) step(f *faultState) string {
+	switch {
+	case !f.applied && !r.settled && r.rounds >= f.spec.AtRound:
 		r.apply(f)
 		f.applied = true
 		r.faultLog = append(r.faultLog, f.spec.String())
-		r.opt.Logf("scenario %s: fault %s fired at round %d", r.spec.Name, f.spec, progress)
-		if f.spec.Rounds == 0 && f.spec.Kind != FaultKillShard {
-			f.resolved = true // holds to the end by design
-		}
-		return
+		return fmt.Sprintf("fault %s fired at round %d", f.spec, r.rounds)
+	case f.applied && !f.cleared && f.spec.Rounds > 0 && r.rounds >= f.spec.AtRound+f.spec.Rounds:
+		r.clear(f)
+		f.cleared = true
+		return fmt.Sprintf("fault %s cleared at round %d", f.spec, r.rounds)
 	}
-	if f.resolved {
-		return
-	}
-	if f.spec.Kind == FaultKillShard {
-		// Resolved when the service has brought the shard back.
-		if !r.srv.ShardStatus(f.spec.Shard).Down {
-			f.resolved = true
-			r.opt.Logf("scenario %s: service recovered shard %d by round %d", r.spec.Name, f.spec.Shard, progress)
-		}
-		return
-	}
-	if progress < f.spec.AtRound+f.spec.Rounds {
-		return
-	}
-	r.clear(f)
-	f.resolved = true
-	r.opt.Logf("scenario %s: fault %s cleared at round %d", r.spec.Name, f.spec, progress)
+	return ""
 }
 
 // apply fires one fault.
@@ -424,7 +405,13 @@ func (r *run) apply(f *faultState) {
 	case FaultFeedThrottle:
 		r.chaos.SetFault(feed.FaultThrottle, f.spec.RetryAfter.Std())
 	case FaultKillShard:
-		_ = r.srv.KillShard(f.spec.Shard)
+		// KillShard waits for the victim's round loop, which may be the
+		// one running this hook.
+		r.kills.Add(1)
+		go func() {
+			defer r.kills.Done()
+			_ = r.srv.KillShard(f.spec.Shard)
+		}()
 	case FaultQueueSqueeze:
 		f.prevCap = r.srv.ShardStatus(0).QueueCap
 		r.srv.SetQueueCap(f.spec.Cap)

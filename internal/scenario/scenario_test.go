@@ -75,8 +75,27 @@ func TestSpecValidation(t *testing.T) {
 	if !s.Durable {
 		t.Error("slow_fsync did not imply a durable run")
 	}
-	if s.Pacing == 0 {
-		t.Error("a faulted spec defaulted to free-run pacing")
+	if _, err := Parse([]byte(`{"name":"x","pacing":"2ms"}`)); err == nil {
+		t.Error("the retired pacing field accepted")
+	}
+}
+
+// TestRetryAfterWholeSeconds: HTTP's Retry-After carries whole seconds
+// only, and the chaos transport advertises the whole seconds it is given,
+// so a sub-second retry_after would silently send no header at all.
+func TestRetryAfterWholeSeconds(t *testing.T) {
+	for _, ra := range []string{`"25ms"`, `"1500ms"`, `"-1s"`} {
+		spec := `{"name":"x","live_feed":true,"faults":[{"kind":"feed_throttle","at_round":2,"rounds":2,"retry_after":` + ra + `}]}`
+		if _, err := Parse([]byte(spec)); err == nil {
+			t.Errorf("retry_after %s accepted", ra)
+		}
+	}
+	s, err := Parse([]byte(`{"name":"x","live_feed":true,"faults":[{"kind":"feed_throttle","at_round":2,"rounds":2,"retry_after":"2s"}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Faults[0].RetryAfter.Std(); got != 2*time.Second {
+		t.Errorf("retry_after parsed as %s, want 2s", got)
 	}
 }
 
@@ -122,20 +141,19 @@ func TestWindowAssertionValidation(t *testing.T) {
 
 // equivSpec is the no-fault scenario the equivalence test runs: every
 // injection hook present and armed at zero — chaos wrapper, fsync-delay
-// hook, pacing, and the flight recorder with SLO objectives scraping every
-// round — but nothing ever fired.
+// hook, the round hook, and the flight recorder with SLO objectives
+// scraping every round — but nothing ever fired.
 var equivSpec = Spec{
 	Name: "equivalence-probe", Seed: 5, Shards: 2, Hours: 4,
 	Round: Duration(15 * time.Minute), JobsPerDay: 1500,
-	Pacing: Duration(300 * time.Microsecond),
 	Objectives: []tsdb.Objective{{Name: "availability", Target: 0.999,
 		Bad: "waterwise_jobs_rejected_total", Good: "waterwise_jobs_accepted_total"}},
 }
 
 // TestScenarioNoFaultEquivalence is the harness's own correctness bar: a
 // scenario with an empty fault schedule — but with every injection hook
-// installed (chaos-wrapped provider, fsync-delay hook at zero, pacing
-// wrapper, flight recorder) — must be decision-for-decision
+// installed (chaos-wrapped provider, fsync-delay hook at zero, round
+// hook, flight recorder) — must be decision-for-decision
 // identical to a plain replay of the same trace with none of those
 // layers present. Injection at zero is exactly free, or the harness's
 // fault measurements mean nothing.
@@ -149,7 +167,7 @@ func TestScenarioNoFaultEquivalence(t *testing.T) {
 	}
 
 	// The plain replay: same environment parameters, same trace, no
-	// chaos wrapper, no hooks, no pacing.
+	// chaos wrapper, no hooks.
 	spec, err := equivSpec.WithDefaults()
 	if err != nil {
 		t.Fatal(err)
@@ -269,6 +287,42 @@ func TestPacedFeederSurvivesIdleFleet(t *testing.T) {
 	}
 }
 
+// TestPacedScenarioIsDeterministic: paced submission runs on each shard's
+// own round clock, so which submissions find a full queue depends only on
+// the shard's state, never on how threads interleave. Two runs of the
+// flash crowd must submit, reject and decide exactly alike, down to the
+// merged stream (DecidedWall, a wall-clock stamp, aside).
+func TestPacedScenarioIsDeterministic(t *testing.T) {
+	spec, err := Lookup("flash-crowd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, firstDecs, err := runFull(spec, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.RejectedSubmits == 0 {
+		t.Fatal("the flash crowd rejected nothing: the queue never filled")
+	}
+	second, secondDecs, err := runFull(spec, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Submitted != second.Submitted || first.RejectedSubmits != second.RejectedSubmits ||
+		first.Decisions != second.Decisions || len(firstDecs) != len(secondDecs) {
+		t.Fatalf("runs differ: submitted %d vs %d, rejected %d vs %d, decisions %d vs %d, merged %d vs %d",
+			first.Submitted, second.Submitted, first.RejectedSubmits, second.RejectedSubmits,
+			first.Decisions, second.Decisions, len(firstDecs), len(secondDecs))
+	}
+	for i := range firstDecs {
+		a, b := firstDecs[i], secondDecs[i]
+		a.DecidedWall, b.DecidedWall = time.Time{}, time.Time{}
+		if a != b {
+			t.Fatalf("merged decision %d differs:\nfirst:  %+v\nsecond: %+v", i, a, b)
+		}
+	}
+}
+
 // TestBundledScenariosPass sweeps the rest of the bundled catalogue —
 // the 429 storm, the flash crowd, the degraded disk — asserting every
 // spec passes its own SLOs and emits a comparable report.
@@ -279,16 +333,6 @@ func TestBundledScenariosPass(t *testing.T) {
 			spec, err := Lookup(name)
 			if err != nil {
 				t.Fatal(err)
-			}
-			if raceEnabled && spec.Submit == SubmitPaced {
-				// Paced submission is wall-clock best-effort (see
-				// SubmitPaced): which submits find the queue full depends
-				// on how far the feeder goroutine lags the round loop, and
-				// the race detector slows the two unevenly — flash-crowd
-				// reads 0.60-0.63 rejected against its 0.6 bound. The raced
-				// run keeps every round-indexed SLO (dense seqs, nothing
-				// lost, decision count) and drops only this wall-timed one.
-				spec.SLOs.MaxRejectedFraction = 0
 			}
 			rep, err := Run(spec, RunOptions{DataDir: t.TempDir(), Logf: t.Logf})
 			if err != nil {

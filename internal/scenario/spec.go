@@ -106,11 +106,12 @@ const (
 	FaultSlowFsync = "slow_fsync"
 )
 
-// FaultSpec is one timed entry of the fault schedule. Time is measured
-// in completed scheduling rounds (the fleet's only meaningful clock in
-// accelerated mode): the fault fires once any shard has completed
-// AtRound rounds and — for windowed kinds — clears once progress
-// reaches AtRound+Rounds.
+// FaultSpec is one timed entry of the fault schedule, timed in completed
+// scheduling rounds (the fleet's only meaningful clock in accelerated
+// mode) by the service's end-of-round hook (server.Config.OnRound): the
+// fault fires after the round that brings any shard to AtRound completed
+// rounds and — for windowed kinds — clears after the one that brings it
+// to AtRound+Rounds. An onset the run never reaches never fires.
 type FaultSpec struct {
 	// Kind is one of the Fault* constants.
 	Kind string `json:"kind"`
@@ -121,7 +122,8 @@ type FaultSpec struct {
 	Rounds uint64 `json:"rounds,omitempty"`
 	// Shard is the victim for kill_shard.
 	Shard int `json:"shard,omitempty"`
-	// RetryAfter is the Retry-After advertised during feed_throttle.
+	// RetryAfter is the Retry-After advertised during feed_throttle: a
+	// whole number of seconds, HTTP's only unit for it (0 sends none).
 	RetryAfter Duration `json:"retry_after,omitempty"`
 	// Cap is the squeezed queue capacity for queue_squeeze.
 	Cap int `json:"cap,omitempty"`
@@ -215,7 +217,7 @@ type SLOSpec struct {
 	// the zero value disables too (state 0 explicitly via a tiny bound).
 	MaxRejectedFraction float64 `json:"max_rejected_fraction,omitempty"`
 	// MaxFeedStalenessSeconds bounds the maximum feed staleness observed
-	// at any poll during the run.
+	// at the end of any round during the run.
 	MaxFeedStalenessSeconds float64 `json:"max_feed_staleness_s,omitempty"`
 	// RequireNoLost asserts the merge lost no decisions to ring eviction
 	// (fleet Lost == 0).
@@ -253,12 +255,13 @@ const (
 	// discipline every equivalence test uses (deterministic round
 	// membership for every job).
 	SubmitUpfront = "upfront"
-	// SubmitPaced feeds the trace as rounds progress, each job submitted
-	// about two rounds before it falls due — the discipline that makes
-	// mid-run admission faults (queue_squeeze, flash crowds) bite.
-	// Pacing is wall-clock best-effort: a job can slip a round under
-	// extreme scheduling jitter, so paced specs assert aggregate SLOs,
-	// not per-decision equality.
+	// SubmitPaced feeds the trace as rounds progress — the discipline
+	// that makes mid-run admission faults (queue_squeeze, flash crowds)
+	// bite. Each shard's end-of-round hook submits its home-region jobs
+	// due within two rounds of its completed-round count, and through its
+	// next arrival when it has nothing queued. What a shard admits then
+	// depends only on its own state, so a paced run without faults
+	// rejects the same submissions every time.
 	SubmitPaced = "paced"
 )
 
@@ -283,10 +286,6 @@ type Spec struct {
 	Arrival Arrival `json:"arrival,omitempty"`
 	// QueueCap bounds each shard's ingest queue (0: server default).
 	QueueCap int `json:"queue_cap,omitempty"`
-	// Pacing stretches each shard round by this wall-clock delay so
-	// round-indexed fault windows land mid-run (decision-neutral; 0
-	// defaults to 2ms when the schedule has faults, otherwise free-run).
-	Pacing Duration `json:"pacing,omitempty"`
 	// Submit is SubmitUpfront (default) or SubmitPaced.
 	Submit string `json:"submit,omitempty"`
 	// LiveFeed routes the environment through a feed.Live provider
@@ -353,16 +352,17 @@ func (s Spec) WithDefaults() (Spec, error) {
 	default:
 		return s, fmt.Errorf("scenario %s: unknown submit mode %q", s.Name, s.Submit)
 	}
-	if s.Pacing == 0 && len(s.Faults) > 0 {
-		s.Pacing = Duration(2 * time.Millisecond)
-	}
 	totalRounds := uint64(time.Duration(s.Hours) * time.Hour / s.Round.Std())
 	for i, f := range s.Faults {
 		if f.AtRound == 0 || f.AtRound >= totalRounds {
 			return s, fmt.Errorf("scenario %s: fault %d onset round %d outside (0, %d)", s.Name, i, f.AtRound, totalRounds)
 		}
 		switch f.Kind {
-		case FaultFeedOutage, FaultFeedThrottle:
+		case FaultFeedOutage:
+		case FaultFeedThrottle:
+			if f.RetryAfter < 0 || f.RetryAfter%Duration(time.Second) != 0 {
+				return s, fmt.Errorf("scenario %s: fault %d: retry_after %s is not a whole number of seconds", s.Name, i, f.RetryAfter.Std())
+			}
 		case FaultKillShard:
 			if f.Shard < 0 || f.Shard >= s.Shards {
 				return s, fmt.Errorf("scenario %s: fault %d kills shard %d of %d", s.Name, i, f.Shard, s.Shards)

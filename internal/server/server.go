@@ -135,6 +135,13 @@ type Config struct {
 	// round-clock self-scrapes of /metrics into an in-process TSDB with
 	// windowed queries and burn-rate SLO alerts. Measurement only.
 	Record RecordConfig
+	// OnRound, when set, runs after every round of every shard is
+	// published, with the shard's index and completed-round count, on the
+	// shard's round-loop goroutine with its lock released; the next round
+	// and Drain wait for it. It may Submit, read status and SetQueueCap,
+	// but must not KillShard, Stop, Crash or Drain: those wait for the
+	// loop it runs on. The scenario harness drives its faults from it.
+	OnRound func(shard int, rounds uint64)
 }
 
 func (c Config) withDefaults() (Config, error) {
@@ -544,12 +551,15 @@ func (s *Server) buildShard(i int, cfg Config) (*shard, error) {
 // observeRound is every shard's end-of-round hook. It publishes the
 // round's decisions to the stream pushers, and each shard reports its own
 // completed-round count to the recorder, which keeps the maximum, so its
-// clock is the service's progress clock. Runs on the shard's round-loop
-// goroutine with the shard's lock released.
-func (s *Server) observeRound(rounds uint64) {
+// clock is the service's progress clock; then it runs Config.OnRound.
+// Runs on the shard's round-loop goroutine with the shard's lock released.
+func (s *Server) observeRound(shard int, rounds uint64) {
 	s.published.publish()
 	if s.recorder != nil {
 		s.recorder.Observe(rounds)
+	}
+	if s.cfg.OnRound != nil {
+		s.cfg.OnRound(shard, rounds)
 	}
 }
 
@@ -835,8 +845,8 @@ func (s *Server) mergeLocked() Cursor {
 }
 
 // ShardStatus returns shard i's own snapshot: one entry of
-// Status.ShardStatus without the merge and the sums, for pollers that
-// only follow the shards' round clocks.
+// Status.ShardStatus without the merge and the sums, for a caller
+// that follows one shard, such as an OnRound hook.
 func (s *Server) ShardStatus(i int) ShardStatus {
 	s.mu.Lock()
 	sh, down, restarts := s.shards[i], s.down[i], s.restarts[i]

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -771,5 +772,94 @@ func BenchmarkSubmitBatch(b *testing.B) {
 				srv.Stop()
 			})
 		}
+	}
+}
+
+// TestOnRoundContract pins Config.OnRound's contract: each shard's hook
+// sees its completed-round counts 1, 2, 3, … with no gap; it runs after
+// the round is published, so a one-shard service's Decisions already
+// holds the round's decisions; and a Submit from inside the hook is
+// admitted without deadlock and scheduled like any other job.
+func TestOnRoundContract(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			env := testEnv(t)
+			jobs := genTrace(t, env, 2000, 12)
+			late := specFor(jobs[0])
+			lateID := 1 << 20
+			late.ID, late.Submit = &lateID, testStart.Add(6*time.Hour)
+
+			var (
+				srv     *Server
+				mu      sync.Mutex
+				counts  = make([][]uint64, shards)
+				seen    uint64 // decisions visible at the previous hook (one shard)
+				lateErr = errors.New("never submitted")
+				faults  []string
+			)
+			onRound := func(shard int, rounds uint64) {
+				mu.Lock()
+				defer mu.Unlock()
+				counts[shard] = append(counts[shard], rounds)
+				if shards == 1 {
+					st := srv.ShardStatus(shard)
+					ds := srv.Decisions(0, 0)
+					if uint64(len(ds)) != st.Decisions {
+						faults = append(faults, fmt.Sprintf("round %d: Decisions holds %d, the shard decided %d", rounds, len(ds), st.Decisions))
+					} else if uint64(len(ds)) > seen && !ds[len(ds)-1].Round.Equal(st.SimNow) {
+						faults = append(faults, fmt.Sprintf("round %d: newest decision is from %v, the round ran at %v", rounds, ds[len(ds)-1].Round, st.SimNow))
+					}
+					seen = uint64(len(ds))
+				}
+				if shard == 0 && rounds == 1 {
+					_, lateErr = srv.Submit(late)
+				}
+			}
+			var err error
+			srv, err = New(Config{Env: env, Shards: shards, NewScheduler: coreFactory(t),
+				Tolerance: 0.5, Round: 15 * time.Minute, OnRound: onRound})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Stop()
+			for _, j := range jobs {
+				if _, err := srv.Submit(specFor(j)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			srv.Start()
+			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+			defer cancel()
+			if err := srv.Drain(ctx); err != nil {
+				t.Fatal(err)
+			}
+			srv.Stop()
+			mu.Lock()
+			defer mu.Unlock()
+			if lateErr != nil {
+				t.Fatalf("Submit from inside the hook: %v", lateErr)
+			}
+			for _, f := range faults {
+				t.Error(f)
+			}
+			for i, c := range counts {
+				want := srv.ShardStatus(i).Rounds
+				if uint64(len(c)) != want {
+					t.Errorf("shard %d: hook ran %d times over %d rounds", i, len(c), want)
+				}
+				for k, n := range c {
+					if n != uint64(k)+1 {
+						t.Fatalf("shard %d: hook call %d saw round count %d, want %d", i, k, n, k+1)
+					}
+				}
+			}
+			found := false
+			for _, d := range srv.Decisions(0, 0) {
+				found = found || d.JobID == lateID
+			}
+			if !found {
+				t.Error("the job submitted from the hook was never decided")
+			}
+		})
 	}
 }

@@ -70,12 +70,13 @@ type shard struct {
 
 	// obs is the observability layer: always on, measurement only.
 	obs *shardObs
-	// onRound runs after each round with the completed-rounds count and mu
-	// released: the service's recorder clock. onDown runs once the shard
-	// has died — by Crash or by a failed round loop — with mu released:
-	// the service's failover hook.
-	onRound func(rounds uint64)
+	// onRound runs after each round with the shard's id, its
+	// completed-rounds count and mu released: the service's recorder clock
+	// and Config.OnRound. onDown runs once the shard has died — by Crash
+	// or by a failed round loop — with mu released: the failover hook.
+	onRound func(shard int, rounds uint64)
 	onDown  func(*shard)
+	inHook  bool // onRound is running: Drain waits for it
 
 	// Durability (nil/zero without Config.DataDir): the write-ahead log,
 	// the group-commit and snapshot cadence state, and what the restart
@@ -104,7 +105,7 @@ type shard struct {
 // newShard builds shard id over cfg (defaults applied, Env already the
 // partition view) and, when cfg.DataDir is set, recovers the directory's
 // state before returning. The round loop starts with Start.
-func newShard(id int, cfg Config, onRound func(uint64), onDown func(*shard)) (*shard, error) {
+func newShard(id int, cfg Config, onRound func(int, uint64), onDown func(*shard)) (*shard, error) {
 	sim, err := cluster.NewSim(cluster.Config{
 		Env: cfg.Env, Net: cfg.Net, FP: cfg.FP,
 		Tick: cfg.Round, Tolerance: cfg.Tolerance,
@@ -385,8 +386,9 @@ func (s *shard) abandonLocked() {
 }
 
 // Drain blocks until the ingest queue and pending set are empty (the
-// accelerated replay's "trace fully scheduled" condition), the shard dies
-// (ErrShardDown), or the context expires.
+// accelerated replay's "trace fully scheduled" condition) and the last
+// round's end-of-round hook has returned, the shard dies (ErrShardDown),
+// or the context expires.
 func (s *shard) Drain(ctx context.Context) error {
 	wake := context.AfterFunc(ctx, func() {
 		s.mu.Lock()
@@ -396,7 +398,7 @@ func (s *shard) Drain(ctx context.Context) error {
 	defer wake()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for s.future.Len()+s.sim.Pending() > 0 && !s.stopped && s.runErr == nil && ctx.Err() == nil {
+	for (s.future.Len()+s.sim.Pending() > 0 || s.inHook) && !s.stopped && s.runErr == nil && ctx.Err() == nil {
 		s.cond.Wait()
 	}
 	if err := s.downErrLocked(); err != nil {
@@ -571,16 +573,12 @@ func (s *shard) runAccelerated() {
 		}
 		s.nextK = k
 		s.roundLocked()
-		rounds := s.rounds
 		// Yield the lock between rounds: a long drain must not starve the
 		// HTTP endpoints (Submit/Status/Decisions) for its whole duration.
 		// Go's mutex hands off to waiters that have queued >1ms, so this
 		// bounds their latency to about one round. The round hook runs in
-		// this gap — the recorder's gather path re-enters Status, which
-		// needs mu.
-		s.mu.Unlock()
-		s.notifyRound(rounds)
-		s.mu.Lock()
+		// this gap.
+		s.notifyRoundLocked()
 	}
 }
 
@@ -620,20 +618,24 @@ func (s *shard) runPaced() {
 			s.nextK = k
 		}
 		s.roundLocked()
-		rounds := s.rounds
+		s.notifyRoundLocked()
 		s.mu.Unlock()
-		s.notifyRound(rounds)
 	}
 }
 
-// notifyRound runs the end-of-round hook. Called by the round loops with
-// mu released: the recorder's gather path re-enters Status, and holding
-// mu here would deadlock (and would bill scrape time to the scheduling
-// lock).
-func (s *shard) notifyRound(rounds uint64) {
-	if s.onRound != nil {
-		s.onRound(rounds)
-	}
+// notifyRoundLocked runs the end-of-round hook. Called by the round loops
+// with mu held; it releases mu around the hook — the recorder's gather
+// path re-enters Status, and holding mu would deadlock (and would bill
+// scrape time to the scheduling lock). Drain waits for the hook too, so
+// whatever the hook submits is drained with the round that ran it.
+func (s *shard) notifyRoundLocked() {
+	rounds := s.rounds
+	s.inHook = true
+	s.mu.Unlock()
+	s.onRound(s.id, rounds)
+	s.mu.Lock()
+	s.inHook = false
+	s.cond.Broadcast()
 }
 
 // nextRoundLocked picks the next round index to run in accelerated mode:

@@ -6,7 +6,6 @@
 package transfer
 
 import (
-	"fmt"
 	"time"
 
 	"waterwise/internal/region"
@@ -61,18 +60,6 @@ func New() *Model {
 		bandwidth:   DefaultBandwidthMBps,
 		energyPerGB: DefaultEnergyPerGBkWh,
 	}
-}
-
-// NewCustom returns a model with explicit bandwidth (MB/s) and energy
-// intensity (kWh/GB); rtts still come from the built-in table.
-func NewCustom(bandwidthMBps, energyPerGBkWh float64) (*Model, error) {
-	if bandwidthMBps <= 0 {
-		return nil, fmt.Errorf("transfer: non-positive bandwidth %g", bandwidthMBps)
-	}
-	if energyPerGBkWh < 0 {
-		return nil, fmt.Errorf("transfer: negative energy intensity %g", energyPerGBkWh)
-	}
-	return &Model{rtt: rttTable, bandwidth: bandwidthMBps, energyPerGB: energyPerGBkWh}, nil
 }
 
 // defaultRTT covers region pairs absent from the table.

@@ -1,6 +1,7 @@
 package transfer
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -130,4 +131,16 @@ func mod(x, m float64) float64 {
 		return 0
 	}
 	return v
+}
+
+// NewCustom returns a model with explicit bandwidth (MB/s) and energy
+// intensity (kWh/GB); rtts still come from the built-in table.
+func NewCustom(bandwidthMBps, energyPerGBkWh float64) (*Model, error) {
+	if bandwidthMBps <= 0 {
+		return nil, fmt.Errorf("transfer: non-positive bandwidth %g", bandwidthMBps)
+	}
+	if energyPerGBkWh < 0 {
+		return nil, fmt.Errorf("transfer: negative energy intensity %g", energyPerGBkWh)
+	}
+	return &Model{rtt: rttTable, bandwidth: bandwidthMBps, energyPerGB: energyPerGBkWh}, nil
 }

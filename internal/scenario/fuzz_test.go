@@ -59,22 +59,28 @@ func TestSpecFuzzCorpusCommitted(t *testing.T) {
 }
 
 // FuzzParseSpec feeds arbitrary bytes to Parse, the decoder behind
-// `scenario -spec <file>`. The invariants: never panic, and a spec Parse
-// accepts survives json.Marshal → Parse unchanged (defaults applied once
-// stay applied, and every field the JSON form carries round-trips).
+// `scenario -spec <file>`. The invariants: never panic, an accepted
+// span of hours fits a time.Duration, and a spec Parse accepts survives
+// json.Marshal → Parse unchanged (defaults applied once stay applied, and
+// every field the JSON form carries round-trips).
 func FuzzParseSpec(f *testing.F) {
 	for _, data := range specFuzzSeeds(f) {
 		f.Add(data)
 	}
 	// Edges the bundled specs never reach: extreme and negative
-	// durations, a nanosecond round, a rate at the float limit.
+	// durations, a nanosecond round, a rate at the float limit, hours
+	// whose span overflows a time.Duration.
 	f.Add([]byte(`{"name":"x","arrival":{"program":"flash","flash_at":-9223372036854775808}}`))
 	f.Add([]byte(`{"name":"x","hours":2562047,"round":1,"jobs_per_day":1e308}`))
 	f.Add([]byte(`{"name":"x","round":-1,"faults":[{"kind":"feed_throttle","at_round":3,"retry_after":"3s"}]}`))
+	f.Add([]byte(`{"name":"x","hours":9223372036854775807}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := Parse(data)
 		if err != nil {
 			return
+		}
+		if s.Hours > maxHours {
+			t.Fatalf("accepted %d hours, a span no time.Duration holds", s.Hours)
 		}
 		first, err := json.Marshal(s)
 		if err != nil {

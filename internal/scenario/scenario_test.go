@@ -3,6 +3,8 @@ package scenario
 import (
 	"context"
 	"encoding/json"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -77,6 +79,24 @@ func TestSpecValidation(t *testing.T) {
 	}
 	if _, err := Parse([]byte(`{"name":"x","pacing":"2ms"}`)); err == nil {
 		t.Error("the retired pacing field accepted")
+	}
+}
+
+// TestSpecHoursFitDuration: a span of hours is multiplied into a
+// time.Duration for the trace span and the fault-onset bound, so a spec
+// whose hours overflow it is refused rather than wrapped.
+func TestSpecHoursFitDuration(t *testing.T) {
+	for _, tc := range []struct {
+		hours int
+		ok    bool
+	}{{maxHours, true}, {maxHours + 1, false}, {math.MaxInt64, false}} {
+		s, err := Parse([]byte(fmt.Sprintf(`{"name":"x","hours":%d}`, tc.hours)))
+		if (err == nil) != tc.ok {
+			t.Errorf("hours %d: err %v, want accepted %t", tc.hours, err, tc.ok)
+		}
+		if err == nil && time.Duration(s.Hours)*time.Hour/time.Hour != time.Duration(s.Hours) {
+			t.Errorf("hours %d accepted, and its span overflows", tc.hours)
+		}
 	}
 }
 

@@ -19,6 +19,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"time"
 
 	"waterwise/internal/tsdb"
@@ -276,7 +277,8 @@ type Spec struct {
 	Seed int64 `json:"seed,omitempty"`
 	// Shards is the fleet width (default 2).
 	Shards int `json:"shards,omitempty"`
-	// Hours is the simulated environment span (default 6).
+	// Hours is the simulated environment span (default 6, at most
+	// 2562047: the whole hours a time.Duration holds).
 	Hours int `json:"hours,omitempty"`
 	// Round is the simulated round length (default 15m).
 	Round Duration `json:"round,omitempty"`
@@ -306,6 +308,10 @@ type Spec struct {
 	SLOs SLOSpec `json:"slos,omitempty"`
 }
 
+// maxHours is the longest span a spec may give: the whole hours a
+// time.Duration holds, about 292 years.
+const maxHours = int(math.MaxInt64 / int64(time.Hour))
+
 // WithDefaults fills defaulted fields and validates the spec, returning
 // the runnable form.
 func (s Spec) WithDefaults() (Spec, error) {
@@ -320,6 +326,9 @@ func (s Spec) WithDefaults() (Spec, error) {
 	}
 	if s.Hours <= 0 {
 		s.Hours = 6
+	}
+	if s.Hours > maxHours {
+		return s, fmt.Errorf("scenario %s: %d hours exceed the %d a time.Duration holds", s.Name, s.Hours, maxHours)
 	}
 	if s.Round <= 0 {
 		s.Round = Duration(15 * time.Minute)

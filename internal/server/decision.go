@@ -155,6 +155,21 @@ func (s *Server) wireDecisions(since uint64, limit int, dst []wire.Decision) []w
 	return dst
 }
 
+// pageRecords copies up to limit merged decisions with Seq > since out of
+// the log, oldest first, as records under their service-wide seqs. Only
+// the copy holds the log's lock: GET /v1/decisions encodes the page after
+// the lock is released, so encoding never holds up a round.
+func (s *Server) pageRecords(since uint64, limit int) []mergedRecord {
+	var page []mergedRecord
+	s.readPage(since, limit, func(n int, recs iter.Seq2[uint64, *decRecord]) {
+		page = make([]mergedRecord, 0, n)
+		for seq, d := range recs {
+			page = append(page, mergedRecord{seq: seq, d: *d})
+		}
+	})
+	return page
+}
+
 // regionIndex is id's position in the shard's partition, or -1.
 func (s *shard) regionIndex(id region.ID) int {
 	for i, r := range s.regions {

@@ -24,8 +24,17 @@ func isJSONArray(body []byte) bool {
 }
 
 // decodeJobSpecs decodes a POST /v1/jobs body: a single JobSpec object or
-// an array of them.
-func decodeJobSpecs(body []byte) ([]JobSpec, error) {
+// an array of them. Bodies in scanJobSpecs' subset skip encoding/json's
+// reflection; it decodes the rest, and defines every error.
+func decodeJobSpecs(body []byte, names map[string]string) ([]JobSpec, error) {
+	if specs, ok := scanJobSpecs(body, names); ok {
+		return specs, nil
+	}
+	return unmarshalJobSpecs(body)
+}
+
+// unmarshalJobSpecs is decodeJobSpecs through encoding/json alone.
+func unmarshalJobSpecs(body []byte) ([]JobSpec, error) {
 	if isJSONArray(body) {
 		var specs []JobSpec
 		if err := json.Unmarshal(body, &specs); err != nil {
@@ -100,6 +109,11 @@ func (s *Server) serveDecisions(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, SubmitResponse{Error: err.Error()})
 		return
 	}
+	page := s.pageRecords(since, limit)
+	if body, ok := appendDecisionsJSON(make([]byte, 0, 32+len(page)*decisionJSONSize), s.parts, since, page); ok {
+		writeRawJSON(w, http.StatusOK, body)
+		return
+	}
 	resp := DecisionsResponse{Decisions: s.Decisions(since, limit), Next: since}
 	if n := len(resp.Decisions); n > 0 {
 		resp.Next = resp.Decisions[n-1].Seq
@@ -136,6 +150,14 @@ func writeJSON(w http.ResponseWriter, code int, v interface{}) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
+// writeRawJSON writes body, already JSON, as a response with the given
+// status code.
+func writeRawJSON(w http.ResponseWriter, code int, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	_, _ = w.Write(body)
+}
+
 // parseDecisionsQuery parses GET /v1/decisions' since/limit parameters.
 func parseDecisionsQuery(q url.Values) (since uint64, limit int, err error) {
 	if v := q.Get("since"); v != "" {
@@ -153,7 +175,7 @@ func parseDecisionsQuery(q url.Values) (since uint64, limit int, err error) {
 	return since, limit, nil
 }
 
-// serveJobs is POST /v1/jobs: 16 MiB body cap, single-or-array decode,
+// serveJobs is POST /v1/jobs: maxJobsBody cap, single-or-array decode,
 // one batch admission with an accepted-prefix reply, typed status
 // mapping. Admission stops at the first rejection: Accepted lists the ids
 // admitted before it, nothing after it is admitted, and the status is the
@@ -166,12 +188,12 @@ func (s *Server) serveJobs(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer func(t0 time.Time) { s.ingest.Record(time.Since(t0).Seconds()) }(time.Now())
-	body, err := io.ReadAll(io.LimitReader(r.Body, 16<<20))
+	body, err := readJobsBody(r)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, SubmitResponse{Error: fmt.Sprintf("reading body: %v", err)})
 		return
 	}
-	specs, err := decodeJobSpecs(body)
+	specs, err := decodeJobSpecs(body, s.names)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, SubmitResponse{Error: err.Error()})
 		return
@@ -186,7 +208,37 @@ func (s *Server) serveJobs(w http.ResponseWriter, r *http.Request) {
 		}
 		ids = append(ids, a.ID)
 	}
-	writeJSON(w, http.StatusAccepted, SubmitResponse{Accepted: ids})
+	writeRawJSON(w, http.StatusAccepted, appendAcceptedJSON(make([]byte, 0, 16+8*len(ids)), ids))
+}
+
+// maxJobsBody caps a POST /v1/jobs body: reading stops there, as if the
+// body ended.
+const maxJobsBody = 16 << 20
+
+// readJobsBody is io.ReadAll(io.LimitReader(r.Body, maxJobsBody)) into a
+// buffer sized from Content-Length, one byte over so that the final EOF
+// lands without a regrow. Without the header it starts at io.ReadAll's
+// 512 bytes, and either way it grows as io.ReadAll does.
+func readJobsBody(r *http.Request) ([]byte, error) {
+	body := io.LimitReader(r.Body, maxJobsBody)
+	size := int64(512)
+	if r.ContentLength >= 0 {
+		size = min(r.ContentLength, maxJobsBody) + 1
+	}
+	b := make([]byte, 0, size)
+	for {
+		n, err := body.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return b, err
+		}
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+	}
 }
 
 // submitErrorStatus maps a Submit rejection to its HTTP status. The typed

@@ -15,7 +15,7 @@ import (
 	"waterwise/internal/wire"
 )
 
-var update = flag.Bool("update", false, "rewrite the committed WAL fuzz seed corpora")
+var update = flag.Bool("update", false, "rewrite the committed fuzz seed corpora")
 
 // goldenPayload reads one of the golden WAL fixtures under testdata.
 func goldenPayload(tb testing.TB, name string) []byte {
@@ -70,27 +70,33 @@ func walFuzzSeeds(tb testing.TB) [][]byte {
 // the committed inputs.
 func TestWALFuzzCorpusCommitted(t *testing.T) {
 	for _, target := range []string{"FuzzWALRecord", "FuzzSnapshot"} {
-		dir := filepath.Join("testdata", "fuzz", target)
 		for i, seed := range walFuzzSeeds(t) {
-			name := fmt.Sprintf("seed_%02d", i)
-			body := fmt.Sprintf("go test fuzz v1\n[]byte(%s)\n", strconv.Quote(string(seed)))
-			path := filepath.Join(dir, name)
-			if *update {
-				if err := os.MkdirAll(dir, 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
-			got, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("missing fuzz seed (run with -update): %v", err)
-			}
-			if string(got) != body {
-				t.Fatalf("fuzz seed %s/%s out of date (run with -update)", target, name)
-			}
+			checkCorpusFile(t, target, fmt.Sprintf("seed_%02d", i), fmt.Sprintf("[]byte(%s)\n", strconv.Quote(string(seed))))
 		}
+	}
+}
+
+// checkCorpusFile checks that testdata/fuzz/<target>/<name> is the go-fuzz
+// v1 file whose values are args, one line each; -update writes it.
+func checkCorpusFile(t *testing.T, target, name, args string) {
+	t.Helper()
+	dir := filepath.Join("testdata", "fuzz", target)
+	body := "go test fuzz v1\n" + args
+	path := filepath.Join(dir, name)
+	if *update {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing fuzz seed (run with -update): %v", err)
+	}
+	if string(got) != body {
+		t.Fatalf("fuzz seed %s/%s out of date (run with -update)", target, name)
 	}
 }
 

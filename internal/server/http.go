@@ -26,8 +26,8 @@ func isJSONArray(body []byte) bool {
 // decodeJobSpecs decodes a POST /v1/jobs body: a single JobSpec object or
 // an array of them. Bodies in scanJobSpecs' subset skip encoding/json's
 // reflection; it decodes the rest, and defines every error.
-func decodeJobSpecs(body []byte, names map[string]string) ([]JobSpec, error) {
-	if specs, ok := scanJobSpecs(body, names); ok {
+func decodeJobSpecs(body []byte) ([]JobSpec, error) {
+	if specs, ok := scanJobSpecs(body); ok {
 		return specs, nil
 	}
 	return unmarshalJobSpecs(body)
@@ -114,9 +114,11 @@ func (s *Server) serveDecisions(w http.ResponseWriter, r *http.Request) {
 		writeRawJSON(w, http.StatusOK, body)
 		return
 	}
-	resp := DecisionsResponse{Decisions: s.Decisions(since, limit), Next: since}
-	if n := len(resp.Decisions); n > 0 {
-		resp.Next = resp.Decisions[n-1].Seq
+	// The page the appender declined, through encoding/json.
+	resp := DecisionsResponse{Decisions: make([]MergedDecision, 0, len(page)), Next: since}
+	for i := range page {
+		resp.Decisions = append(resp.Decisions, s.decision(page[i].seq, &page[i].d))
+		resp.Next = page[i].seq
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -188,12 +190,12 @@ func (s *Server) serveJobs(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer func(t0 time.Time) { s.ingest.Record(time.Since(t0).Seconds()) }(time.Now())
-	body, err := readJobsBody(r)
+	body, err := io.ReadAll(io.LimitReader(r.Body, maxJobsBody))
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, SubmitResponse{Error: fmt.Sprintf("reading body: %v", err)})
 		return
 	}
-	specs, err := decodeJobSpecs(body, s.names)
+	specs, err := decodeJobSpecs(body)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, SubmitResponse{Error: err.Error()})
 		return
@@ -214,32 +216,6 @@ func (s *Server) serveJobs(w http.ResponseWriter, r *http.Request) {
 // maxJobsBody caps a POST /v1/jobs body: reading stops there, as if the
 // body ended.
 const maxJobsBody = 16 << 20
-
-// readJobsBody is io.ReadAll(io.LimitReader(r.Body, maxJobsBody)) into a
-// buffer sized from Content-Length, one byte over so that the final EOF
-// lands without a regrow. Without the header it starts at io.ReadAll's
-// 512 bytes, and either way it grows as io.ReadAll does.
-func readJobsBody(r *http.Request) ([]byte, error) {
-	body := io.LimitReader(r.Body, maxJobsBody)
-	size := int64(512)
-	if r.ContentLength >= 0 {
-		size = min(r.ContentLength, maxJobsBody) + 1
-	}
-	b := make([]byte, 0, size)
-	for {
-		n, err := body.Read(b[len(b):cap(b)])
-		b = b[:len(b)+n]
-		if err == io.EOF {
-			return b, nil
-		}
-		if err != nil {
-			return b, err
-		}
-		if len(b) == cap(b) {
-			b = append(b, 0)[:len(b)]
-		}
-	}
-}
 
 // submitErrorStatus maps a Submit rejection to its HTTP status. The typed
 // ingest errors get distinct codes — 429 backpressure, 503 stopped or

@@ -30,10 +30,8 @@ const decisionJSONSize = 340
 // valid JSON or holds anything outside the scanner's subset: escapes,
 // non-ASCII bytes, null, an unknown, case-folded or repeated key, a
 // non-integer or out-of-range id, an out-of-range float, or trailing bytes.
-// A benchmark or home name found in names is returned as names' string, so
-// the common names cost no allocation.
-func scanJobSpecs(body []byte, names map[string]string) ([]JobSpec, bool) {
-	d := specScanner{b: body, names: names}
+func scanJobSpecs(body []byte) ([]JobSpec, bool) {
+	d := specScanner{b: body}
 	d.space()
 	if !d.next('[') {
 		specs := make([]JobSpec, 1)
@@ -65,12 +63,8 @@ func scanJobSpecs(body []byte, names map[string]string) ([]JobSpec, bool) {
 
 // specScanner is scanJobSpecs' cursor over the body.
 type specScanner struct {
-	b     []byte
-	i     int
-	names map[string]string
-	// ids is the block the next decoded ids point into: one allocation
-	// per 64 specs rather than one per spec.
-	ids []int
+	b []byte
+	i int
 }
 
 // space skips JSON whitespace.
@@ -149,18 +143,14 @@ func (d *specScanner) field(sp *JobSpec, key []byte) (uint8, bool) {
 		if err != nil {
 			return 0, false
 		}
-		if len(d.ids) == 0 {
-			d.ids = make([]int, 64)
-		}
-		d.ids[0] = n
-		sp.ID, d.ids = &d.ids[0], d.ids[1:]
+		sp.ID = &n
 		return 1 << 0, true
 	case "benchmark":
-		name, ok := d.name()
-		sp.Benchmark = name
+		name, ok := d.str()
+		sp.Benchmark = string(name)
 		return 1 << 1, ok
 	case "home":
-		name, ok := d.name()
+		name, ok := d.str()
 		sp.Home = region.ID(name)
 		return 1 << 2, ok
 	case "submit":
@@ -198,18 +188,6 @@ func (d *specScanner) str() ([]byte, bool) {
 		}
 	}
 	return nil, false
-}
-
-// name consumes a string, interned through names.
-func (d *specScanner) name() (string, bool) {
-	b, ok := d.str()
-	if !ok {
-		return "", false
-	}
-	if s, hit := d.names[string(b)]; hit {
-		return s, true
-	}
-	return string(b), true
 }
 
 // number consumes a JSON number and returns its literal, nil if there is

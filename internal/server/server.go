@@ -66,7 +66,6 @@ import (
 	"waterwise/internal/transfer"
 	"waterwise/internal/tsdb"
 	"waterwise/internal/wire"
-	"waterwise/internal/workload"
 )
 
 // Config parameterizes the scheduling service.
@@ -358,9 +357,6 @@ type Server struct {
 	cfg   Config
 	parts [][]region.ID
 	owner map[region.ID]int
-	// names holds every region and benchmark name, each as its own key:
-	// the strings POST /v1/jobs bodies decode to. Immutable after New.
-	names map[string]string
 
 	// ingest records POST /v1/jobs wall time; recorder is the flight
 	// recorder (nil unless Record.Enable). Both are immutable after New.
@@ -487,7 +483,6 @@ func New(cfg Config) (*Server, error) {
 		cfg:      cfg,
 		parts:    parts,
 		owner:    make(map[region.ID]int, len(cfg.Env.Regions)),
-		names:    make(map[string]string),
 		shards:   make([]*shard, cfg.Shards),
 		failover: newFailover(cfg),
 		cursors:  make([]uint64, cfg.Shards),
@@ -495,13 +490,9 @@ func New(cfg Config) (*Server, error) {
 		merged:   NewRing[mergedRecord](cfg.DecisionLogCap),
 	}
 	s.up = sync.NewCond(&s.mu)
-	for _, name := range workload.Names() {
-		s.names[name] = name
-	}
 	for i, p := range parts {
 		for _, id := range p {
 			s.owner[id] = i
-			s.names[string(id)] = string(id)
 		}
 		sh, err := s.buildShard(i, cfg)
 		if err != nil {

@@ -149,7 +149,7 @@ func exposition() ([]byte, error) {
 		NewScheduler: func(int, []region.ID) (cluster.Scheduler, error) {
 			return core.New(core.DefaultConfig())
 		},
-		Record: server.RecordConfig{Enable: true, SLOs: docObjectives},
+		Record: &tsdb.Config{SLOs: docObjectives},
 	})
 	if err != nil {
 		return nil, err

@@ -57,7 +57,7 @@
 //	-debug-addr    serve net/http/pprof on this address
 //	               (default: off)
 //	-record-metrics keep a bounded in-process time-series
-//	               history of /metrics, scraped once per round;
+//	               history of /metrics, scraped on the round clock;
 //	               query it with GET /v1/query (default: off)
 //	-record-budget-mb memory budget for recorded history; the
 //	               oldest window is evicted past it (default 8)
@@ -280,7 +280,7 @@ func run() error {
 			mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 			mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 			log.Info("pprof listening", "addr", *debugAddr)
-			if err := http.ListenAndServe(*debugAddr, mux); err != nil {
+			if err := newHTTPServer(*debugAddr, mux).ListenAndServe(); err != nil {
 				log.Error("pprof server failed", "addr", *debugAddr, "err", err)
 			}
 		}()
@@ -314,19 +314,22 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	srv, err := waterwise.NewServer(env, waterwise.ServerConfig{
-		Tolerance: *tolerance, Round: *round, TimeScale: *timescale,
-		QueueCap: *queueCap, DecisionLogCap: *decisionLog,
-		DataDir: *dataDir, SnapshotEvery: *snapEvery,
-		Record: waterwise.RecordConfig{
-			Enable:            *recordTS || len(slos) > 0,
+	var rec *waterwise.RecordConfig
+	if *recordTS || len(slos) > 0 {
+		rec = &waterwise.RecordConfig{
 			MemoryBudgetBytes: *recordMB << 20,
 			MinInterval:       *recordIv,
 			SLOs:              slos,
 			Logf: func(format string, args ...any) {
 				slog.Info(fmt.Sprintf(format, args...))
 			},
-		},
+		}
+	}
+	srv, err := waterwise.NewServer(env, waterwise.ServerConfig{
+		Tolerance: *tolerance, Round: *round, TimeScale: *timescale,
+		QueueCap: *queueCap, DecisionLogCap: *decisionLog,
+		DataDir: *dataDir, SnapshotEvery: *snapEvery,
+		Record: rec,
 		Shards: *shards, ShardMap: shardMap,
 		Scheduler: waterwise.SchedulerConfig{
 			LambdaCarbon:        *lambdaC,
@@ -432,10 +435,39 @@ func startStream(log *slog.Logger, addr string, srv *waterwise.Server) (func(), 
 	return func() { sl.Close() }, nil
 }
 
+// Connection bounds of both HTTP listeners. Without them a client that
+// opens connections and trickles a request, or never sends one, holds each
+// connection and its goroutine for as long as it likes.
+const (
+	// readHeaderTimeout bounds the request line and headers, a few hundred
+	// bytes that any live client sends at once.
+	readHeaderTimeout = 10 * time.Second
+	// readTimeout bounds the whole request, body included: a 16 MiB
+	// POST /v1/jobs batch (the body cap) reads in well under a second on
+	// any link that can feed the service, so a minute is generous.
+	// There is no write timeout: a pprof profile or trace streams for as
+	// many seconds as it was asked for.
+	readTimeout = time.Minute
+	// idleTimeout bounds a kept-alive connection between requests; a
+	// poller that asks every few seconds keeps its connection.
+	idleTimeout = 2 * time.Minute
+)
+
+// newHTTPServer builds the http.Server of both listeners, the service
+// address and -debug-addr, with the connection bounds above.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr: addr, Handler: h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 // serve runs the HTTP server until SIGINT/SIGTERM or a listen error, then
 // stops the scheduling service and returns the listen error, if any.
 func serve(log *slog.Logger, addr string, h http.Handler, stop func()) error {
-	httpSrv := &http.Server{Addr: addr, Handler: h}
+	httpSrv := newHTTPServer(addr, h)
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.ListenAndServe() }()
 	sig := make(chan os.Signal, 1)

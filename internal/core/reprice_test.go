@@ -2,10 +2,12 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 
 	"waterwise/internal/cluster"
+	"waterwise/internal/milp"
 	"waterwise/internal/trace"
 )
 
@@ -23,16 +25,17 @@ type mirrorSched struct {
 func (m *mirrorSched) Name() string { return "mirror" }
 
 func (m *mirrorSched) Schedule(ctx *cluster.Context) ([]cluster.Decision, error) {
+	warmBefore, coldBefore := m.warm.SolverStats(), m.cold.SolverStats()
 	warmDec, err := m.warm.Schedule(ctx)
 	if err != nil {
 		return nil, err
 	}
+	warmObj, warmOK := m.warm.LastRoundObjective(ctx, warmDec, warmBefore)
 	coldDec, err := m.cold.Schedule(ctx)
 	if err != nil {
 		return nil, err
 	}
-	warmObj, warmOK := m.warm.LastRoundObjective()
-	coldObj, coldOK := m.cold.LastRoundObjective()
+	coldObj, coldOK := m.cold.LastRoundObjective(ctx, coldDec, coldBefore)
 	if warmOK != coldOK {
 		m.t.Errorf("round %v: warm solved=%v, cold solved=%v", ctx.Now, warmOK, coldOK)
 	}
@@ -94,8 +97,31 @@ func TestCrossRoundWarmStartDifferential(t *testing.T) {
 		100*(1-float64(ws.SimplexIters)/float64(cs.SimplexIters)))
 }
 
-// LastRoundObjective reports the MILP objective of the most recent
-// scheduling round, and whether that round was decided by the optimizer
-// (false when the round fell back to the greedy controller or decided
-// nothing).
-func (s *Scheduler) LastRoundObjective() (float64, bool) { return s.lastObj, s.lastObjSet }
+// LastRoundObjective evaluates the most recent round's MILP objective at
+// the placements dec it returned for ctx: the sum of the cached round
+// model's objective coefficients at the chosen (job, region) pairs. An
+// optimizer-decided round places every job of its M-job batch, in batch
+// order, so dec indexes the M×N model directly. ok is false when no MILP
+// ran this round (before is SolverStats() taken ahead of Schedule) or dec
+// fits no model; a greedy fallback that places the whole batch is
+// evaluated like a solve, at the same coefficients.
+func (s *Scheduler) LastRoundObjective(ctx *cluster.Context, dec []cluster.Decision, before milp.Stats) (float64, bool) {
+	after := s.SolverStats()
+	if after.WarmStarts+after.ColdStarts == before.WarmStarts+before.ColdStarts || len(dec) == 0 {
+		return 0, false
+	}
+	ids := ctx.Env.IDs()
+	rm, ok := s.models[modelKey{len(dec), len(ids)}]
+	if !ok {
+		return 0, false
+	}
+	obj := 0.0
+	for m, d := range dec {
+		n := slices.Index(ids, d.Region)
+		if n < 0 {
+			return 0, false
+		}
+		obj += rm.obj[m*len(ids)+n]
+	}
+	return obj, true
+}

@@ -113,12 +113,6 @@ type Scheduler struct {
 	// solverStats aggregates branch-and-bound instrumentation across
 	// rounds for the Fig. 13 decision-overhead accounting.
 	solverStats milp.Stats
-	// lastObj is the MILP objective of the most recent round's solve (set
-	// when the round was decided by the optimizer, not the greedy fallback).
-	// The cross-round warm-start differential tests compare it between a
-	// repricing and a cold-solving controller fed identical rounds.
-	lastObj    float64
-	lastObjSet bool
 	// Per-round scratch, reused across Schedule calls (a Scheduler is
 	// single-threaded by the cluster.Scheduler contract, so pooling here is
 	// safe): candidate rows and backing array, capacity counts, the slack
@@ -297,7 +291,6 @@ type candidate struct {
 // Schedule implements cluster.Scheduler: Algorithm 1 of the paper.
 func (s *Scheduler) Schedule(ctx *cluster.Context) ([]cluster.Decision, error) {
 	s.rounds++
-	s.lastObjSet = false
 	ids := ctx.Env.IDs()
 	if len(ids) == 0 || len(ctx.Jobs) == 0 {
 		return nil, nil
@@ -547,7 +540,6 @@ func (s *Scheduler) solve(ctx *cluster.Context, ids []region.ID, caps []int, job
 	if sol.Status != milp.Optimal && sol.Status != milp.Feasible {
 		return nil, false, nil
 	}
-	s.lastObj, s.lastObjSet = sol.Objective, true
 	dec := make([]cluster.Decision, 0, M)
 	for m := 0; m < M; m++ {
 		for n := 0; n < N; n++ {

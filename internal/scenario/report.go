@@ -170,8 +170,8 @@ func (r *run) evaluate() (*Report, error) {
 			rep.FsyncP99Ms, slo.MinFsyncP99Ms, "fsync stall p99 never reached the injected level")
 	}
 	if rec := r.srv.Recorder(); rec != nil {
-		rep.RecordedRounds = rec.LastRound()
-		rep.Alerts = rec.Alerts()
+		rep.RecordedRounds = rec.Store().LastRound()
+		rep.Alerts, _ = rec.Alerts()
 		for _, w := range slo.Windows {
 			r.checkWindow(rec, w, check)
 		}
@@ -192,14 +192,15 @@ func (r *run) checkWindow(rec *tsdb.Recorder, w WindowAssertion, check func(name
 		// Windows with no observations are skipped (a drained run's last
 		// rounds may place nothing), but at least one must have data or the
 		// assertion never measured anything.
-		last := rec.LastRound()
+		st := rec.Store()
+		last := st.LastRound()
 		first := w.FromRound
 		if first < w.Window {
 			first = w.Window
 		}
 		worst, measured := 0.0, false
 		for end := first; end <= last; end++ {
-			q, ok := rec.Quantile(w.Series, w.Q, w.Window, end)
+			q, ok := st.QuantileOver(w.Series, w.Q, w.Window, end)
 			if !ok {
 				continue
 			}
@@ -216,7 +217,8 @@ func (r *run) checkWindow(rec *tsdb.Recorder, w WindowAssertion, check func(name
 	case WindowAlert:
 		obj, rule, _ := splitAlertRef(w.Alert)
 		var alert *tsdb.Alert
-		for _, a := range rec.Alerts() {
+		alerts, _ := rec.Alerts()
+		for _, a := range alerts {
 			if a.Objective == obj && a.Rule == rule {
 				alert = &a
 				break
@@ -226,7 +228,7 @@ func (r *run) checkWindow(rec *tsdb.Recorder, w WindowAssertion, check func(name
 			check(w.String(), false, 0, 0, fmt.Sprintf("recorder tracks no alert %q", w.Alert))
 			return
 		}
-		lo, hi := uint64(0), rec.LastRound()
+		lo, hi := uint64(0), rec.Store().LastRound()
 		if len(w.FiresBetween) == 2 {
 			lo, hi = w.FiresBetween[0], w.FiresBetween[1]
 		}

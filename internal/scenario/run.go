@@ -17,6 +17,7 @@ import (
 	"waterwise/internal/region"
 	"waterwise/internal/server"
 	"waterwise/internal/trace"
+	"waterwise/internal/tsdb"
 )
 
 // Epoch is the fixed simulated-time anchor every scenario runs at: the
@@ -170,19 +171,15 @@ func runFull(s Spec, opt RunOptions) (*Report, []server.MergedDecision, error) {
 		OnRound:      r.onRound,
 	}
 	if len(s.Objectives) > 0 || len(s.SLOs.Windows) > 0 {
-		// Sync mode, deliberately: the scrape runs inline on the round
-		// thread, so every round lands in the store and windowed
-		// assertions see a round-exact history — async coalescing under
-		// CPU pressure can collapse a whole run into one scrape, leaving
-		// every asserted window empty. A scrape stretching a round changes
-		// no decision (TestRecorderEquivalence): submission follows the
-		// round clock, not the wall.
-		cfg.Record = server.RecordConfig{
-			Enable: true,
-			Sync:   true,
-			SLOs:   s.Objectives,
-			Logf:   opt.Logf,
-		}
+		// No interval floor, deliberately: every round is scraped inline
+		// on its round loop, in order, so windowed assertions see a
+		// round-exact history — a wall-clock floor would coalesce rounds
+		// by machine speed, and under CPU pressure could collapse a whole
+		// run into one scrape, leaving every asserted window empty. A
+		// scrape stretching a round changes no decision
+		// (TestRecorderEquivalence): submission follows the round clock,
+		// not the wall.
+		cfg.Record = &tsdb.Config{SLOs: s.Objectives, Logf: opt.Logf}
 	}
 	if r.srv, err = server.New(cfg); err != nil {
 		return nil, nil, fmt.Errorf("scenario %s: %w", s.Name, err)

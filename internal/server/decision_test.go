@@ -115,7 +115,7 @@ func TestSnapshotRejectsDecisionOutsidePartition(t *testing.T) {
 
 // drained builds a service over cfg, submits jobs, and runs it until every
 // job is decided.
-func drained(t *testing.T, cfg Config, jobs []*trace.Job) *Server {
+func drained(t testing.TB, cfg Config, jobs []*trace.Job) *Server {
 	t.Helper()
 	srv, err := New(cfg)
 	if err != nil {

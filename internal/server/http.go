@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -60,7 +61,7 @@ const (
 	PathRounds = "/v1/rounds/slowest"
 	// PathQuery and PathAlerts serve the metrics flight recorder: windowed
 	// queries over recorded series and burn-rate SLO alert states. 404
-	// unless recording is enabled (RecordConfig / -record-metrics).
+	// unless recording is enabled (Config.Record / -record-metrics).
 	PathQuery  = "/v1/query"
 	PathAlerts = "/v1/alerts"
 )
@@ -145,11 +146,18 @@ func getOnly(h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// writeJSON writes v as a JSON response with the given status code.
+// writeJSON writes v as a JSON response with the given status code. v is
+// encoded before the header goes out, so a value encoding/json refuses (a
+// NaN footprint) answers 500 with a JSON error body rather than the
+// status it was meant for and nothing.
 func writeJSON(w http.ResponseWriter, code int, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(v); err != nil {
+		buf.Reset()
+		_ = json.NewEncoder(&buf).Encode(SubmitResponse{Error: "encoding response: " + err.Error()})
+		code = http.StatusInternalServerError
+	}
+	writeRawJSON(w, code, buf.Bytes())
 }
 
 // writeRawJSON writes body, already JSON, as a response with the given

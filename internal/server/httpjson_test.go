@@ -375,6 +375,28 @@ func TestDecisionsFallbackMatchesEncodingJSON(t *testing.T) {
 	}
 }
 
+// TestNaNPageAnswersError: a decisions page holding a value encoding/json
+// refuses — a NaN footprint — is declined by the appender and answered
+// with a non-200 status and a JSON error body, not 200 and nothing.
+func TestNaNPageAnswersError(t *testing.T) {
+	parts, page := benchDecisionPage()
+	page[3].d.carbonG = math.NaN()
+	if _, ok := appendDecisionsJSON(nil, parts, 0, page); ok {
+		t.Fatal("the appender took a page with a NaN footprint")
+	}
+	var d MergedDecision
+	d.CarbonG = math.NaN()
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, DecisionsResponse{Decisions: []MergedDecision{d}})
+	var body SubmitResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); rec.Code == http.StatusOK || err != nil || body.Error == "" {
+		t.Fatalf("NaN page: status %d, body %q (decode err %v), want a non-200 status and a JSON error", rec.Code, rec.Body, err)
+	}
+	if rec.Code != http.StatusInternalServerError || rec.Header().Get("Content-Type") != "application/json" {
+		t.Errorf("NaN page: status %d, content type %q", rec.Code, rec.Header().Get("Content-Type"))
+	}
+}
+
 // newTestServer is New(cfg), stopped when the test ends.
 func newTestServer(t *testing.T, cfg Config) *Server {
 	t.Helper()

@@ -4,7 +4,6 @@ import (
 	"net/http"
 	"runtime"
 	"strconv"
-	"time"
 
 	"waterwise/internal/obs"
 	"waterwise/internal/tsdb"
@@ -13,38 +12,6 @@ import (
 // Version identifies the build in waterwise_build_info; override at link
 // time with -ldflags "-X waterwise/internal/server.Version=v1.2.3".
 var Version = "dev"
-
-// RecordConfig configures the metrics flight recorder: when enabled the
-// service scrapes its own /metrics exposition at the end of each
-// scheduling round into an in-process time-series store (internal/tsdb),
-// making windowed rate/increase/quantile queries and burn-rate SLO alerts
-// available over recorded history via /v1/query and /v1/alerts.
-//
-// Like the observability layer it is measurement only: recording never
-// feeds back into scheduling (TestRecorderEquivalence pins this).
-type RecordConfig struct {
-	// Enable turns the recorder on.
-	Enable bool
-	// MemoryBudgetBytes bounds the compressed store (default 8 MiB);
-	// oldest windows are evicted beyond it, counted in
-	// waterwise_tsdb_evicted_chunks_total.
-	MemoryBudgetBytes int
-	// MinInterval floors the wall-clock spacing of async scrapes (see
-	// tsdb.Config.MinInterval): an accelerated run's rounds can outpace
-	// any scraper, and the floor keeps recording at a few Hz instead of
-	// per-round. Zero means no floor; ignored in Sync mode.
-	MinInterval time.Duration
-	// Sync scrapes inline on the round loop's goroutine, making recorded
-	// history deterministic round for round — what scenarios and tests
-	// want. The default async mode hands rounds to a scraper goroutine
-	// that coalesces under pressure, keeping the round loop's added cost
-	// to an atomic store.
-	Sync bool
-	// SLOs arms the burn-rate alert engine (see tsdb.Objective).
-	SLOs []tsdb.Objective
-	// Logf receives alert transitions and scrape failures; nil disables.
-	Logf func(format string, args ...any)
-}
 
 // appendBuildInfo renders the waterwise_build_info gauge: constant 1 with
 // the build identity as labels, the standard Prometheus idiom for joining
@@ -97,11 +64,11 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusMethodNotAllowed, QueryResponse{Error: "GET only"})
 		return
 	}
-	rr := s.recorder
-	if rr == nil {
+	if s.recorder == nil {
 		writeJSON(w, http.StatusNotFound, QueryResponse{Error: "recording disabled (enable with -record-metrics)"})
 		return
 	}
+	st := s.recorder.Store()
 	q := r.URL.Query()
 	resp := QueryResponse{Series: q.Get("series"), Fn: q.Get("fn")}
 	if resp.Series == "" {
@@ -144,12 +111,12 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request) {
 		if !ok {
 			return
 		}
-		resp.Samples = rr.Query(resp.Series, from, to)
+		resp.Samples = st.Query(resp.Series, from, to)
 		resp.Ok = len(resp.Samples) > 0
 	case "rate":
-		resp.Value, resp.Ok = rr.Rate(resp.Series, resp.Window, resp.End)
+		resp.Value, resp.Ok = st.Rate(resp.Series, resp.Window, resp.End)
 	case "increase":
-		resp.Value, resp.Ok = rr.Increase(resp.Series, resp.Window, resp.End)
+		resp.Value, resp.Ok = st.Increase(resp.Series, resp.Window, resp.End)
 	case "quantile":
 		quant := 0.99
 		if v := q.Get("q"); v != "" {
@@ -160,7 +127,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request) {
 			}
 			quant = f
 		}
-		resp.Value, resp.Ok = rr.Quantile(resp.Series, quant, resp.Window, resp.End)
+		resp.Value, resp.Ok = st.QuantileOver(resp.Series, quant, resp.Window, resp.End)
 	default:
 		writeJSON(w, http.StatusBadRequest, QueryResponse{Error: "fn must be raw, rate, increase, or quantile"})
 		return
@@ -175,12 +142,6 @@ func (s *Server) serveAlerts(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusNotFound, SubmitResponse{Error: "recording disabled (enable with -record-metrics)"})
 		return
 	}
-	alerts := rr.Alerts()
-	firing := 0
-	for _, a := range alerts {
-		if a.Firing {
-			firing++
-		}
-	}
-	writeJSON(w, http.StatusOK, AlertsResponse{Round: rr.LastRound(), Firing: firing, Alerts: alerts})
+	alerts, firing := rr.Alerts()
+	writeJSON(w, http.StatusOK, AlertsResponse{Round: rr.Store().LastRound(), Firing: firing, Alerts: alerts})
 }

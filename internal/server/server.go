@@ -131,10 +131,14 @@ type Config struct {
 	// latency hook (wal.Options.SyncDelay): the scenario harness injects
 	// slow-disk stalls through it. Nil — the default — is exactly free.
 	WALSyncDelay func() time.Duration
-	// Record configures the metrics flight recorder (see RecordConfig):
-	// round-clock self-scrapes of /metrics into an in-process TSDB with
-	// windowed queries and burn-rate SLO alerts. Measurement only.
-	Record RecordConfig
+	// Record, when set, turns on the metrics flight recorder: the service
+	// scrapes its own /metrics exposition at the end of scheduling rounds
+	// into an in-process time-series store (internal/tsdb), serving
+	// windowed rate/increase/quantile queries and burn-rate SLO alerts
+	// over recorded history on /v1/query and /v1/alerts. Nil — the
+	// default — records nothing. Measurement only: recording never feeds
+	// back into scheduling (TestRecorderEquivalence pins this).
+	Record *tsdb.Config
 	// OnRound, when set, runs after every round of every shard is
 	// published, with the shard's index and completed-round count, on the
 	// shard's round-loop goroutine with its lock released; the next round
@@ -359,7 +363,7 @@ type Server struct {
 	owner map[region.ID]int
 
 	// ingest records POST /v1/jobs wall time; recorder is the flight
-	// recorder (nil unless Record.Enable). Both are immutable after New.
+	// recorder (nil unless Record is set). Both are immutable after New.
 	ingest   obs.Histogram
 	recorder *tsdb.Recorder
 
@@ -510,15 +514,8 @@ func New(cfg Config) (*Server, error) {
 			s.seq += oldest - 1
 		}
 	}
-	if cfg.Record.Enable {
-		if s.recorder, err = tsdb.New(tsdb.Config{
-			Gather:            s.MetricsText,
-			MemoryBudgetBytes: cfg.Record.MemoryBudgetBytes,
-			MinInterval:       cfg.Record.MinInterval,
-			Sync:              cfg.Record.Sync,
-			Objectives:        cfg.Record.SLOs,
-			Logf:              cfg.Record.Logf,
-		}); err != nil {
+	if cfg.Record != nil {
+		if s.recorder, err = tsdb.New(s.MetricsText, *cfg.Record); err != nil {
 			return nil, fmt.Errorf("server: %w", err)
 		}
 	}
@@ -720,8 +717,9 @@ func (s *Server) Stop() {
 	s.DecisionsPage(math.MaxUint64, 0)
 	s.published.publish()
 	if s.recorder != nil {
-		// Every round loop is down, so no more rounds arrive; Close drains
-		// the async scraper. The store stays queryable after Stop.
+		// Every round loop is down, so no more rounds arrive; Close records
+		// the newest round the floor held back. The store stays queryable
+		// after Stop.
 		s.recorder.Close()
 	}
 }

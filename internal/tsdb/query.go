@@ -1,10 +1,12 @@
 // Windowed queries over the store: increase/rate for counters and
 // histogram quantiles reconstructed from recorded bucket series.
 //
-// A series reference is either a canonical key (name{k="v",...}, labels
-// sorted) naming one series exactly, or a bare family name, which sums
-// the increase across every label set of that family — the natural
-// reading for per-provider or per-shard counters.
+// A series reference is a family name, optionally narrowed by labels
+// (name{k="v",...}, in any order): it selects every series of the family
+// whose labels include the named ones, and windowed queries sum over the
+// selection — a bare name sums every label set, the natural reading for
+// per-provider or per-shard counters, and a full label set names one
+// series.
 package tsdb
 
 import (
@@ -17,7 +19,7 @@ import (
 
 // Increase returns the growth of a counter reference over the window of
 // `window` rounds ending at round `end` (end == 0 means the latest
-// recorded round). A bare family name sums across its label sets.
+// recorded round), summed over the series the reference selects.
 // ok is false when nothing was recorded for the reference at all.
 func (st *Store) Increase(ref string, window, end uint64) (float64, bool) {
 	end = st.resolveEnd(end)
@@ -94,19 +96,25 @@ func (st *Store) resolveEnd(end uint64) uint64 {
 	return end
 }
 
-// refKeys expands a series reference: an exact key (possibly with labels)
-// if that series exists, else every series of the bare family name.
+// refKeys expands a series reference to the keys of its family whose
+// labels include every label the reference names: a bare name selects the
+// whole family, a full label set one series.
 func (st *Store) refKeys(ref string) ([]string, error) {
-	if _, _, err := SplitKey(ref); err != nil {
+	name, want, err := splitRef(ref)
+	if err != nil {
 		return nil, err
 	}
-	st.mu.Lock()
-	_, exact := st.series[ref]
-	st.mu.Unlock()
-	if exact {
-		return []string{ref}, nil
+	keys := st.KeysOf(name)
+	if len(want) == 0 {
+		return keys, nil
 	}
-	return st.KeysOf(nameOf(ref)), nil
+	out := keys[:0]
+	for _, k := range keys {
+		if _, labels, err := SplitKey(k); err == nil && hasLabels(labels, want) {
+			out = append(out, k)
+		}
+	}
+	return out, nil
 }
 
 // QuantileOver reconstructs a histogram family's distribution over the
@@ -120,7 +128,7 @@ func (st *Store) refKeys(ref string) ([]string, error) {
 // ok is false when the window holds no observations.
 func (st *Store) QuantileOver(ref string, q float64, window, end uint64) (float64, bool) {
 	end = st.resolveEnd(end)
-	name, want, err := SplitKey(ref)
+	name, want, err := splitRef(ref)
 	if err != nil {
 		return 0, false
 	}
@@ -179,22 +187,15 @@ func (st *Store) histAt(name string, want map[string]string, T uint64, baseline 
 	groups := make(map[string][]edge)
 	leSet := make(map[float64]bool)
 	for _, k := range keys {
-		_, labels, err := SplitKey(k)
+		// Stored keys are Key's output, which splitRef reads exactly;
+		// SplitKey's canonical check would render each one again, on
+		// every scrape of a latency objective.
+		_, labels, err := splitRef(k)
 		if err != nil {
 			continue
 		}
 		leStr, has := labels["le"]
-		if !has {
-			continue
-		}
-		match := true
-		for wk, wv := range want {
-			if labels[wk] != wv {
-				match = false
-				break
-			}
-		}
-		if !match {
+		if !has || !hasLabels(labels, want) {
 			continue
 		}
 		le, err := parseLEValue(leStr)
@@ -255,7 +256,7 @@ func (st *Store) histAt(name string, want map[string]string, T uint64, baseline 
 // the window holds no observations.
 func (st *Store) FracAtMost(ref string, threshold float64, window, end uint64) (float64, bool) {
 	end = st.resolveEnd(end)
-	name, want, err := SplitKey(ref)
+	name, want, err := splitRef(ref)
 	if err != nil {
 		return 0, false
 	}

@@ -1,46 +1,39 @@
-// The recorder ties the store to a metrics exposition: on every scheduler
-// round it gathers the Prometheus text the server already serves, parses
-// it with the strict in-repo parser, appends every sample at the round
-// index, and re-evaluates the SLO engine. Scraping its own exposition —
-// rather than reaching into internals — means anything rendered on
-// /metrics is automatically queryable over time, including series added
-// by future PRs.
+// The recorder ties the store to a metrics exposition: on the scheduler
+// round clock it gathers the Prometheus text the server already serves,
+// parses it with the strict in-repo parser, appends every sample at the
+// round index, and re-evaluates the SLO engine. Scraping its own
+// exposition — rather than reaching into internals — means anything
+// rendered on /metrics is automatically queryable over time, including
+// series added by future PRs.
 package tsdb
 
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"waterwise/internal/obs"
 )
 
-// Config configures a Recorder.
+// Config configures a Recorder. The zero value records every round under
+// the default budget with no objectives.
 type Config struct {
-	// Gather renders the exposition to scrape. Required. It is invoked
-	// outside any scheduler lock (the round hooks guarantee this) but may
-	// itself take status locks.
-	Gather func() []byte
 	// MemoryBudgetBytes bounds the compressed store; <= 0 means 8 MiB.
+	// Oldest windows are evicted beyond it, counted in
+	// waterwise_tsdb_evicted_chunks_total.
 	MemoryBudgetBytes int
-	// Sync scrapes inline on the round-clock callers' goroutine, making
-	// recorded history deterministic — what scenarios and tests want. The
-	// default (async) hands rounds to a scraper goroutine that coalesces
-	// to the newest round under pressure, bounding the cost added to the
-	// scheduling loop to an atomic store and a channel poke.
-	Sync bool
-	// MinInterval floors the wall-clock spacing of async scrapes: at most
-	// one scrape per interval, always recording the newest pending round
-	// (skips count as coalesced). An accelerated daemon can run hundreds
-	// of rounds per second, and a full gather+parse per round would eat
-	// the machine; a flight recorder at a few Hz loses nothing an
-	// operator asks about. Zero means no floor. Ignored in Sync mode,
-	// where determinism is the point, and by the Close drain, so the
-	// final round is always recorded.
+	// MinInterval floors the wall-clock spacing of scrapes. Zero scrapes
+	// every round, in order — a round-exact history, what scenarios and
+	// tests want. An accelerated daemon can run hundreds of rounds per
+	// second, and a full gather+parse per round would eat the machine; a
+	// flight recorder at a few Hz loses nothing an operator asks about.
+	// Rounds inside the floor are not scraped; one timer records the
+	// newest of them once the floor is up, so a burst followed by
+	// idleness still lands within MinInterval, and Close records it at
+	// once.
 	MinInterval time.Duration
-	// Objectives arms the SLO engine.
-	Objectives []Objective
+	// SLOs arms the burn-rate alert engine.
+	SLOs []Objective
 	// Logf receives alert transition and scrape-failure lines
 	// (slog-compatible free-form); nil disables.
 	Logf func(format string, args ...any)
@@ -51,9 +44,9 @@ type RecorderStats struct {
 	StoreStats
 	// Scrapes counts completed scrapes.
 	Scrapes uint64 `json:"scrapes"`
-	// CoalescedRounds counts rounds the async scraper skipped because a
-	// newer round was already pending — bounded-overhead by design, and
-	// visible rather than silent.
+	// CoalescedRounds counts rounds never scraped because a newer round
+	// was scraped first — the MinInterval floor at work, visible rather
+	// than silent.
 	CoalescedRounds uint64 `json:"coalesced_rounds"`
 	// ParseErrors counts scrapes dropped because the exposition failed
 	// the strict parser.
@@ -67,112 +60,104 @@ type RecorderStats struct {
 // Recorder is the flight recorder. Create with New, feed rounds with
 // Observe, query via Store()/Alerts(), stop with Close.
 type Recorder struct {
-	cfg   Config
-	store *Store
+	gather func() []byte
+	cfg    Config
+	store  *Store
 
-	obMu     sync.Mutex // serializes Observe callers (fleet shards race)
-	lastSeen uint64     // newest round handed to Observe
+	// obMu serializes scrapes and their scheduling: round loops (fleet
+	// shards race), the floor timer, and Close.
+	obMu     sync.Mutex
+	lastSeen uint64      // newest round handed to Observe
+	lastAt   time.Time   // wall time of the last scrape
+	timer    *time.Timer // the floor timer; nil until first needed
+	armed    bool        // timer pending
+	closed   bool
 
-	mu          sync.Mutex // guards scrape state + engine
+	mu          sync.Mutex // guards scrape results + engine for readers
 	lastScraped uint64
 	scrapes     uint64
 	coalesced   uint64
 	parseErrors uint64
 	engine      *sloEngine
-
-	pending atomic.Uint64
-	wake    chan struct{}
-	done    chan struct{}
-	closed  atomic.Bool
 }
 
-// New builds a Recorder. The SLO objectives are validated here so a bad
-// config fails at boot, not at first alert.
-func New(cfg Config) (*Recorder, error) {
-	if cfg.Gather == nil {
-		return nil, fmt.Errorf("tsdb: Config.Gather is required")
+// New builds a Recorder over gather, which renders the exposition to
+// scrape. gather runs on the round loop that completes a due round (or
+// on the floor timer, or in Close), outside any scheduler lock, but may
+// itself take status locks. The SLO objectives are validated here so a
+// bad config fails at boot, not at first alert.
+func New(gather func() []byte, cfg Config) (*Recorder, error) {
+	if gather == nil {
+		return nil, fmt.Errorf("tsdb: gather is required")
 	}
-	engine, err := newSLOEngine(cfg.Objectives, cfg.Logf)
+	engine, err := newSLOEngine(cfg.SLOs, cfg.Logf)
 	if err != nil {
 		return nil, err
 	}
-	r := &Recorder{
+	return &Recorder{
+		gather: gather,
 		cfg:    cfg,
 		store:  NewStore(cfg.MemoryBudgetBytes),
 		engine: engine,
-		wake:   make(chan struct{}, 1),
-		done:   make(chan struct{}),
-	}
-	if !cfg.Sync {
-		go r.loop()
-	} else {
-		close(r.done)
-	}
-	return r, nil
+	}, nil
 }
 
 // Observe notes that round `round` completed. Non-increasing rounds are
 // ignored, so fleet shards can all report their own counts and the
-// recorder tracks the maximum — the fleet's progress clock.
+// recorder tracks the maximum — the fleet's progress clock. A new round
+// is scraped inline, on the caller's goroutine, when MinInterval has
+// passed since the last scrape.
 func (r *Recorder) Observe(round uint64) {
 	r.obMu.Lock()
 	defer r.obMu.Unlock()
-	if round <= r.lastSeen || r.closed.Load() {
+	if round <= r.lastSeen || r.closed {
 		return
 	}
 	r.lastSeen = round
-	if r.cfg.Sync {
-		// Inline under obMu: concurrent round threads (fleet shards)
-		// serialize here, so every due round is scraped exactly once and
-		// in order — the determinism scenarios rely on.
-		r.scrape(round)
+	r.scheduleLocked()
+}
+
+// scheduleLocked scrapes the newest round if the floor is up, and
+// otherwise arms the floor timer for the rest of it. Called with obMu
+// held.
+func (r *Recorder) scheduleLocked() {
+	if r.cfg.MinInterval <= 0 || time.Since(r.lastAt) >= r.cfg.MinInterval {
+		r.scrapeLocked(r.lastSeen)
 		return
 	}
-	r.pending.Store(round)
-	select {
-	case r.wake <- struct{}{}:
-	default:
+	if r.armed {
+		return
+	}
+	r.armed = true
+	wait := r.cfg.MinInterval - time.Since(r.lastAt)
+	if r.timer == nil {
+		r.timer = time.AfterFunc(wait, r.fire)
+	} else {
+		r.timer.Reset(wait)
 	}
 }
 
-func (r *Recorder) lastScrapedSnapshot() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.lastScraped
-}
-
-// loop is the async scraper: each wake-up scrapes the newest pending
-// round, counting the rounds it skipped past. With MinInterval set it
-// sleeps out the remainder of the floor first — and scrapes whatever
-// round is newest by then, so a burst of fast rounds costs one scrape.
-func (r *Recorder) loop() {
-	defer close(r.done)
-	var lastAt time.Time
-	for range r.wake {
-		if r.cfg.MinInterval > 0 && !lastAt.IsZero() && !r.closed.Load() {
-			if wait := r.cfg.MinInterval - time.Since(lastAt); wait > 0 {
-				time.Sleep(wait)
-			}
-		}
-		round := r.pending.Load()
-		last := r.lastScrapedSnapshot()
-		if round <= last {
-			continue
-		}
-		if skipped := round - last; skipped > 1 {
-			r.mu.Lock()
-			r.coalesced += skipped - 1
-			r.mu.Unlock()
-		}
-		r.scrape(round)
-		lastAt = time.Now()
+// fire is the floor timer's callback: it records the newest round, or
+// re-arms if an inline scrape moved the floor while it waited for obMu.
+func (r *Recorder) fire() {
+	r.obMu.Lock()
+	defer r.obMu.Unlock()
+	r.armed = false
+	if !r.closed && r.lastSeen > r.lastScraped {
+		r.scheduleLocked()
 	}
 }
 
-// scrape gathers, parses, appends, and re-evaluates alerts at `round`.
-func (r *Recorder) scrape(round uint64) {
-	data := r.cfg.Gather()
-	fams, err := obs.ParseProm(data)
+// scrapeLocked gathers, parses, appends, and re-evaluates alerts at
+// `round`, counting the rounds it skipped past. A round already scraped
+// is a no-op. Called with obMu held.
+func (r *Recorder) scrapeLocked(round uint64) {
+	last := r.lastScraped // written only under obMu
+	if round <= last {
+		return
+	}
+	r.lastAt = time.Now()
+	fams, err := obs.ParseProm(r.gather())
 	if err != nil {
 		r.mu.Lock()
 		r.parseErrors++
@@ -188,27 +173,29 @@ func (r *Recorder) scrape(round uint64) {
 		}
 	}
 	r.mu.Lock()
-	if round > r.lastScraped {
-		r.lastScraped = round
+	if last > 0 {
+		r.coalesced += round - last - 1
 	}
+	r.lastScraped = round
 	r.scrapes++
 	r.engine.evaluate(r.store, round)
 	r.mu.Unlock()
 }
 
-// Close stops the async scraper and waits for it to drain. The store
-// stays queryable after Close.
+// Close stops the floor timer and records the newest round if it was not
+// scraped yet, so the tail of a run is never lost. Later rounds are
+// ignored; the store stays queryable after Close.
 func (r *Recorder) Close() {
 	r.obMu.Lock()
-	if r.closed.Swap(true) {
-		r.obMu.Unlock()
+	defer r.obMu.Unlock()
+	if r.closed {
 		return
 	}
-	if !r.cfg.Sync {
-		close(r.wake)
+	r.closed = true
+	if r.timer != nil {
+		r.timer.Stop()
 	}
-	r.obMu.Unlock()
-	<-r.done
+	r.scrapeLocked(r.lastSeen)
 }
 
 // Store exposes the underlying store for queries.
@@ -229,36 +216,13 @@ func (r *Recorder) Stats() RecorderStats {
 	return s
 }
 
-// Alerts snapshots the SLO alert states, sorted.
-func (r *Recorder) Alerts() []Alert {
+// Alerts snapshots the SLO alert states, sorted, and how many of them
+// are firing.
+func (r *Recorder) Alerts() (alerts []Alert, firing int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.engine.snapshot()
+	return r.engine.snapshot(), r.engine.firing()
 }
-
-// Query returns raw samples of one series reference over [from, to].
-func (r *Recorder) Query(ref string, from, to uint64) []Sample {
-	return r.store.Query(ref, from, to)
-}
-
-// Increase delegates to the store's windowed counter growth (query.go).
-func (r *Recorder) Increase(ref string, window, end uint64) (float64, bool) {
-	return r.store.Increase(ref, window, end)
-}
-
-// Rate delegates to the store's per-round rate (query.go).
-func (r *Recorder) Rate(ref string, window, end uint64) (float64, bool) {
-	return r.store.Rate(ref, window, end)
-}
-
-// Quantile delegates to the store's windowed histogram quantile
-// reconstruction (query.go).
-func (r *Recorder) Quantile(ref string, q float64, window, end uint64) (float64, bool) {
-	return r.store.QuantileOver(ref, q, window, end)
-}
-
-// LastRound is the newest recorded round.
-func (r *Recorder) LastRound() uint64 { return r.store.LastRound() }
 
 // AppendMetrics renders the recorder's own exposition block (tsdb
 // accounting plus the alerts-firing gauge) with the given metric name
@@ -276,7 +240,7 @@ func (r *Recorder) AppendMetrics(b []byte, prefix string) []byte {
 	row("counter", "tsdb_evicted_chunks_total", "Oldest-window chunks evicted to stay under budget.", float64(st.EvictedChunks))
 	row("counter", "tsdb_evicted_samples_total", "Samples lost to chunk eviction.", float64(st.EvictedSamples))
 	row("counter", "tsdb_scrapes_total", "Completed round-clock scrapes.", float64(st.Scrapes))
-	row("counter", "tsdb_coalesced_rounds_total", "Rounds skipped by the async scraper because a newer round was pending.", float64(st.CoalescedRounds))
+	row("counter", "tsdb_coalesced_rounds_total", "Rounds never scraped because the scrape interval floor passed them over for a newer round.", float64(st.CoalescedRounds))
 	row("counter", "tsdb_parse_errors_total", "Scrapes dropped by the strict exposition parser.", float64(st.ParseErrors))
 	row("gauge", "alerts_firing", "Burn-rate SLO alerts currently firing.", float64(st.AlertsFiring))
 	return b

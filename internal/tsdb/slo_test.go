@@ -3,8 +3,10 @@ package tsdb
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"waterwise/internal/obs"
 )
@@ -72,10 +74,8 @@ func TestSLOEngineRejectsDuplicateNames(t *testing.T) {
 func TestBurnRateFireAndClear(t *testing.T) {
 	var good, bad atomic.Uint64
 	var logs []string
-	rec, err := New(Config{
-		Gather: func() []byte { return fakeExposition(good.Load(), bad.Load()) },
-		Sync:   true,
-		Objectives: []Objective{{
+	rec, err := New(func() []byte { return fakeExposition(good.Load(), bad.Load()) }, Config{
+		SLOs: []Objective{{
 			Name:   "availability",
 			Target: 0.9, // 10% budget: errFrac 0.5 = burn 5
 			Bad:    "req_bad_total",
@@ -102,7 +102,7 @@ func TestBurnRateFireAndClear(t *testing.T) {
 	}
 	// One bad blip: short window burns but the long window holds it back.
 	step(40, 60)
-	if a := rec.Alerts(); a[0].Firing {
+	if a, _ := rec.Alerts(); a[0].Firing {
 		t.Fatalf("alert fired on a single-round blip: %+v", a[0])
 	}
 	step(100, 0) // recover
@@ -110,13 +110,13 @@ func TestBurnRateFireAndClear(t *testing.T) {
 	var stormStart uint64
 	for i := 0; i < 6; i++ {
 		step(0, 100)
-		if a := rec.Alerts(); a[0].Firing && stormStart == 0 {
+		if a, _ := rec.Alerts(); a[0].Firing && stormStart == 0 {
 			stormStart = round
 		}
 	}
-	alerts := rec.Alerts()
-	if len(alerts) != 1 || !alerts[0].Firing {
-		t.Fatalf("alert not firing after sustained storm: %+v", alerts)
+	alerts, firing := rec.Alerts()
+	if len(alerts) != 1 || !alerts[0].Firing || firing != 1 {
+		t.Fatalf("alert not firing after sustained storm: %+v (firing count %d)", alerts, firing)
 	}
 	if stormStart == 0 || alerts[0].FiredAtRound != stormStart {
 		t.Errorf("fired_at=%d, first observed firing at %d", alerts[0].FiredAtRound, stormStart)
@@ -125,8 +125,8 @@ func TestBurnRateFireAndClear(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		step(100, 0)
 	}
-	alerts = rec.Alerts()
-	if alerts[0].Firing {
+	alerts, firing = rec.Alerts()
+	if alerts[0].Firing || firing != 0 {
 		t.Fatalf("alert still firing after recovery: %+v", alerts[0])
 	}
 	if alerts[0].ClearedAtRound <= alerts[0].FiredAtRound || alerts[0].Fires != 1 {
@@ -143,10 +143,8 @@ func TestBurnRateFireAndClear(t *testing.T) {
 // instead of clearing on silence.
 func TestNoDataHoldsState(t *testing.T) {
 	var good, bad atomic.Uint64
-	rec, err := New(Config{
-		Gather: func() []byte { return fakeExposition(good.Load(), bad.Load()) },
-		Sync:   true,
-		Objectives: []Objective{{
+	rec, err := New(func() []byte { return fakeExposition(good.Load(), bad.Load()) }, Config{
+		SLOs: []Objective{{
 			Name: "avail", Target: 0.9,
 			Bad: "req_bad_total", Good: "req_good_total",
 			Rules: []BurnRule{{Name: "fast", Long: 2, Short: 1, Factor: 2}},
@@ -166,19 +164,19 @@ func TestNoDataHoldsState(t *testing.T) {
 	step(10, 0)
 	step(0, 10)
 	step(0, 10)
-	if a := rec.Alerts(); !a[0].Firing {
+	if a, _ := rec.Alerts(); !a[0].Firing {
 		t.Fatalf("alert should fire: %+v", a[0])
 	}
 	// Silence: no events at all for many rounds. State must hold.
 	for i := 0; i < 5; i++ {
 		step(0, 0)
 	}
-	if a := rec.Alerts(); !a[0].Firing {
+	if a, _ := rec.Alerts(); !a[0].Firing {
 		t.Errorf("alert cleared on no-data silence: %+v", a[0])
 	}
 	// Real recovery clears it.
 	step(50, 0)
-	if a := rec.Alerts(); a[0].Firing {
+	if a, _ := rec.Alerts(); a[0].Firing {
 		t.Errorf("alert held after real recovery: %+v", a[0])
 	}
 }
@@ -191,10 +189,8 @@ func TestLatencyObjective(t *testing.T) {
 		snap := h.Snapshot()
 		return snap.AppendProm(nil, "lat_seconds", "Latency.", "", true)
 	}
-	rec, err := New(Config{
-		Gather: gather,
-		Sync:   true,
-		Objectives: []Objective{{
+	rec, err := New(gather, Config{
+		SLOs: []Objective{{
 			Name: "latency", Target: 0.9,
 			Family: "lat_seconds", ThresholdMs: 100,
 			Rules: []BurnRule{{Name: "fast", Long: 3, Short: 1, Factor: 3}},
@@ -215,57 +211,132 @@ func TestLatencyObjective(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		step(0.001, 50)
 	}
-	if a := rec.Alerts(); a[0].Firing {
+	if a, _ := rec.Alerts(); a[0].Firing {
 		t.Fatalf("latency alert fired while fast: %+v", a[0])
 	}
 	for i := 0; i < 4; i++ {
 		step(5.0, 50) // every observation blows the 100ms threshold
 	}
-	if a := rec.Alerts(); !a[0].Firing {
+	if a, _ := rec.Alerts(); !a[0].Firing {
 		t.Fatalf("latency alert did not fire while slow: %+v", a[0])
 	}
 	for i := 0; i < 2; i++ {
 		step(0.001, 50)
 	}
-	if a := rec.Alerts(); a[0].Firing {
+	if a, _ := rec.Alerts(); a[0].Firing {
 		t.Errorf("latency alert did not clear after recovery: %+v", a[0])
 	}
 }
 
-// TestRecorderAsyncCoalesce floods an async recorder and checks it
-// coalesces under pressure (bounded overhead) while still recording the
-// newest round after a drain.
-func TestRecorderAsyncCoalesce(t *testing.T) {
-	var good atomic.Uint64
-	rec, err := New(Config{
-		Gather: func() []byte { return fakeExposition(good.Load(), 0) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r := uint64(1); r <= 500; r++ {
+// burst feeds rounds 1..n to rec, bumping the good counter before each.
+func burst(rec *Recorder, good *atomic.Uint64, n uint64) {
+	for r := uint64(1); r <= n; r++ {
 		good.Add(1)
 		rec.Observe(r)
 	}
-	rec.Close() // drains the scraper
+}
+
+// TestRecorderNoFloorScrapesEveryRound pins the zero floor: every round is
+// scraped inline, in order, before Observe returns.
+func TestRecorderNoFloorScrapesEveryRound(t *testing.T) {
+	var good atomic.Uint64
+	rec, err := New(func() []byte { return fakeExposition(good.Load(), 0) }, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.Close()
+	for r := uint64(1); r <= 100; r++ {
+		good.Add(1)
+		rec.Observe(r)
+		if st := rec.Stats(); st.LastRound != r || st.Scrapes != r {
+			t.Fatalf("after Observe(%d): last=%d scrapes=%d", r, st.LastRound, st.Scrapes)
+		}
+	}
+	if st := rec.Stats(); st.CoalescedRounds != 0 {
+		t.Errorf("coalesced %d rounds with no floor", st.CoalescedRounds)
+	}
+	samples := rec.Store().Query("req_good_total", 0, 0)
+	if len(samples) != 100 || samples[99].Round != 100 || samples[99].Value != 100 {
+		t.Errorf("recorded %d samples, last %+v; want every round 1..100", len(samples), samples[len(samples)-1])
+	}
+}
+
+// TestRecorderFloorCoalescesBurst checks that a floor longer than the run
+// scrapes the first round inline, passes over the rest of the burst, and
+// leaves the newest round for Close to record.
+func TestRecorderFloorCoalescesBurst(t *testing.T) {
+	var good atomic.Uint64
+	rec, err := New(func() []byte { return fakeExposition(good.Load(), 0) }, Config{MinInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	burst(rec, &good, 500)
+	if st := rec.Stats(); st.Scrapes != 1 || st.LastRound != 1 {
+		t.Fatalf("inside the floor: scrapes=%d last=%d, want round 1 only", st.Scrapes, st.LastRound)
+	}
+	rec.Close()
 	st := rec.Stats()
-	if st.Scrapes == 0 {
-		t.Fatal("async recorder never scraped")
+	if st.Scrapes != 2 || st.LastRound != 500 || st.CoalescedRounds != 498 {
+		t.Errorf("after Close: scrapes=%d last=%d coalesced=%d, want 2, 500, 498", st.Scrapes, st.LastRound, st.CoalescedRounds)
 	}
-	if st.LastRound != 500 && st.CoalescedRounds == 0 {
-		// Either the drain caught round 500 or some rounds were coalesced;
-		// both being false means Observe lost rounds silently.
-		t.Errorf("last=%d coalesced=%d scrapes=%d", st.LastRound, st.CoalescedRounds, st.Scrapes)
+	if v, ok := rec.Store().Increase("req_good_total", 1000, 0); !ok || v != 499 {
+		t.Errorf("increase over the run = %g (ok=%v), want 499 (round 1 to round 500)", v, ok)
 	}
-	if _, ok := rec.Increase("req_good_total", 10, 0); !ok {
-		t.Error("no recorded data after async run")
+	rec.Observe(501) // after Close: ignored
+	if st := rec.Stats(); st.LastRound != 500 {
+		t.Errorf("round observed after Close was recorded: last=%d", st.LastRound)
+	}
+}
+
+// TestRecorderFloorTimerRecordsIdleTail checks that the newest round of a
+// burst followed by idleness is recorded once the floor is up, without
+// waiting for Close: the floor timer does it.
+func TestRecorderFloorTimerRecordsIdleTail(t *testing.T) {
+	var good atomic.Uint64
+	rec, err := New(func() []byte { return fakeExposition(good.Load(), 0) }, Config{MinInterval: 20 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.Close()
+	burst(rec, &good, 50)
+	deadline := time.Now().Add(time.Second)
+	for rec.Stats().LastRound != 50 {
+		if time.Now().After(deadline) {
+			t.Fatalf("newest round not recorded 1s after the burst: %+v", rec.Stats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestRecorderConcurrentObservers races several round loops, the floor
+// timer and readers; the newest round must be recorded by Close.
+func TestRecorderConcurrentObservers(t *testing.T) {
+	var good atomic.Uint64
+	rec, err := New(func() []byte { return fakeExposition(good.Load(), 0) }, Config{MinInterval: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			burst(rec, &good, 300)
+			rec.Stats()
+			rec.Alerts()
+		}()
+	}
+	wg.Wait()
+	rec.Close()
+	if st := rec.Stats(); st.LastRound != 300 {
+		t.Errorf("last recorded round %d, want 300", st.LastRound)
 	}
 }
 
 // TestRecorderMetricsBlock checks the recorder's own exposition block
 // parses and lints cleanly with the production prefix.
 func TestRecorderMetricsBlock(t *testing.T) {
-	rec, err := New(Config{Gather: func() []byte { return fakeExposition(1, 0) }, Sync: true})
+	rec, err := New(func() []byte { return fakeExposition(1, 0) }, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,6 +25,7 @@ import (
 	"math"
 	"math/bits"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 )
@@ -174,49 +175,87 @@ func NewStore(budgetBytes int) *Store {
 }
 
 // Key canonicalizes a series identity: the bare name, or name{k="v",...}
-// with label names sorted — the grammar Query and the /v1/query endpoint
-// parse back.
+// with label values Go-quoted and the k="v" pairs sorted — the grammar
+// SplitKey parses back.
 func Key(name string, labels map[string]string) string {
 	if len(labels) == 0 {
 		return name
 	}
 	parts := make([]string, 0, len(labels))
 	for k, v := range labels {
-		parts = append(parts, fmt.Sprintf("%s=%q", k, v))
+		parts = append(parts, k+"="+strconv.Quote(v))
 	}
 	sort.Strings(parts)
 	return name + "{" + strings.Join(parts, ",") + "}"
 }
 
-// SplitKey parses a canonical key (or a user-supplied series reference)
-// back into name and labels.
+// SplitKey parses a canonical key back into name and labels. It inverts
+// Key exactly: it accepts only what Key renders, so Key(SplitKey(k)) == k
+// for every k it accepts.
 func SplitKey(key string) (name string, labels map[string]string, err error) {
-	i := strings.IndexByte(key, '{')
+	name, labels, err = splitRef(key)
+	if err == nil && Key(name, labels) != key {
+		return "", nil, fmt.Errorf("tsdb: %q is not a canonical series key", key)
+	}
+	return name, labels, err
+}
+
+// splitRef parses a series reference — a family name, or name{k="v",...}
+// with Go-quoted values in any order — into name and labels.
+func splitRef(ref string) (name string, labels map[string]string, err error) {
+	i := strings.IndexByte(ref, '{')
 	if i < 0 {
-		return key, nil, nil
+		return ref, nil, nil
 	}
-	if !strings.HasSuffix(key, "}") {
-		return "", nil, fmt.Errorf("tsdb: unterminated label set in %q", key)
+	if !strings.HasSuffix(ref, "}") {
+		return "", nil, fmt.Errorf("tsdb: unterminated label set in %q", ref)
 	}
-	name = key[:i]
+	name = ref[:i]
 	labels = make(map[string]string)
-	body := key[i+1 : len(key)-1]
+	body := ref[i+1 : len(ref)-1]
 	for len(body) > 0 {
 		eq := strings.IndexByte(body, '=')
 		if eq <= 0 || eq+1 >= len(body) || body[eq+1] != '"' {
-			return "", nil, fmt.Errorf("tsdb: malformed label pair in %q", key)
+			return "", nil, fmt.Errorf("tsdb: malformed label pair in %q", ref)
 		}
-		lname := body[:eq]
-		rest := body[eq+2:]
-		end := strings.IndexByte(rest, '"')
-		if end < 0 {
-			return "", nil, fmt.Errorf("tsdb: unterminated label value in %q", key)
+		lname, rest := body[:eq], body[eq+1:]
+		end := 1 // the closing quote: the first '"' not escaped
+		for end < len(rest) && rest[end] != '"' {
+			if rest[end] == '\\' {
+				end++
+			}
+			end++
 		}
-		labels[lname] = rest[:end]
+		if end >= len(rest) {
+			return "", nil, fmt.Errorf("tsdb: unterminated label value in %q", ref)
+		}
+		v, err := strconv.Unquote(rest[:end+1])
+		if err != nil {
+			return "", nil, fmt.Errorf("tsdb: bad label value in %q: %w", ref, err)
+		}
+		if _, dup := labels[lname]; dup {
+			return "", nil, fmt.Errorf("tsdb: duplicate label %q in %q", lname, ref)
+		}
+		labels[lname] = v
 		body = rest[end+1:]
-		body = strings.TrimPrefix(body, ",")
+		if len(body) > 0 {
+			if body[0] != ',' {
+				return "", nil, fmt.Errorf("tsdb: malformed label pair in %q", ref)
+			}
+			body = body[1:]
+		}
 	}
 	return name, labels, nil
+}
+
+// hasLabels reports whether labels include every pair of want.
+func hasLabels(labels, want map[string]string) bool {
+	for k, v := range want {
+		if got, ok := labels[k]; !ok || got != v {
+			return false
+		}
+	}
+	return true
 }
 
 // nameOf returns the bare metric name of a canonical key.

@@ -2,6 +2,7 @@ package tsdb
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"testing"
@@ -68,6 +69,8 @@ func TestKeyRoundTrip(t *testing.T) {
 		{"plain_total", nil},
 		{"labeled_total", map[string]string{"shard": "3", "region": "us-east"}},
 		{"bucket", map[string]string{"le": "+Inf", "shard": "0"}},
+		{"escaped", map[string]string{"a": "x\"y\\z", "b": "tab\there,{}=", "c": "é\x00"}},
+		{"digits", map[string]string{"a": "1", "a1": "2"}}, // a1="…" sorts before a="…"
 	}
 	for _, c := range cases {
 		key := Key(c.name, c.labels)
@@ -78,18 +81,50 @@ func TestKeyRoundTrip(t *testing.T) {
 		if name != c.name {
 			t.Errorf("SplitKey(%q) name = %q", key, name)
 		}
-		if len(labels) != len(c.labels) {
+		if !maps.Equal(labels, c.labels) {
 			t.Errorf("SplitKey(%q) labels = %v, want %v", key, labels, c.labels)
 		}
-		for k, v := range c.labels {
-			if labels[k] != v {
-				t.Errorf("SplitKey(%q)[%s] = %q, want %q", key, k, labels[k], v)
-			}
+	}
+	for _, bad := range []string{
+		"x{", "x{a=b}", `x{a="b}`, `x{a="b"`, `x{a="b"c="d"}`, `x{="b"}`,
+		// Parseable references that Key never renders.
+		`x{}`, `x{b="1",a="2"}`, `x{a="1",}`, `x{a="1",a="2"}`, `x{a="\x41"}`, `x{a="\u00e9"}`,
+	} {
+		if _, _, err := SplitKey(bad); err == nil {
+			t.Errorf("SplitKey(%q) accepted a key Key does not render", bad)
 		}
 	}
-	for _, bad := range []string{"x{", "x{a=b}", `x{a="b}`, `x{a="b"`} {
-		if _, _, err := SplitKey(bad); err == nil {
-			t.Errorf("SplitKey(%q) accepted malformed key", bad)
+}
+
+// TestIncreaseHonoursRefLabels pins series references as label subsets:
+// labels in any order select the series that carry them, and a label set
+// no series carries selects nothing.
+func TestIncreaseHonoursRefLabels(t *testing.T) {
+	st := NewStore(0)
+	for r := uint64(1); r <= 10; r++ {
+		st.Append(Key("c_total", map[string]string{"kind": "a", "shard": "0"}), r, float64(r))
+		st.Append(Key("c_total", map[string]string{"kind": "a", "shard": "1"}), r, float64(10*r))
+	}
+	for _, c := range []struct {
+		ref  string
+		want float64
+		ok   bool
+	}{
+		{`c_total`, 55, true},
+		{`c_total{kind="a"}`, 55, true},
+		{`c_total{kind="a",shard="0"}`, 5, true},
+		{`c_total{shard="0",kind="a"}`, 5, true},
+		{`c_total{shard="1"}`, 50, true},
+		{`c_total{shard="7"}`, 0, false},
+		{`c_total{kind="b",shard="0"}`, 0, false},
+		{`c_total{shard=0}`, 0, false},
+		{`other_total`, 0, false},
+	} {
+		if v, ok := st.Increase(c.ref, 5, 0); v != c.want || ok != c.ok {
+			t.Errorf("Increase(%s) = %g,%v want %g,%v", c.ref, v, ok, c.want, c.ok)
+		}
+		if v, ok := st.Rate(c.ref, 5, 0); v != c.want/5 || ok != c.ok {
+			t.Errorf("Rate(%s) = %g,%v want %g,%v", c.ref, v, ok, c.want/5, c.ok)
 		}
 	}
 }

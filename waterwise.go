@@ -474,7 +474,7 @@ type (
 	// RecordConfig configures the metrics flight recorder: round-clock
 	// self-scrapes of the exposition into a bounded in-process TSDB with
 	// windowed queries (/v1/query) and burn-rate SLO alerts (/v1/alerts).
-	RecordConfig = server.RecordConfig
+	RecordConfig = tsdb.Config
 	// SLOObjective is one declarative service-level objective evaluated
 	// by the recorder's burn-rate engine (RecordConfig.SLOs).
 	SLOObjective = tsdb.Objective
@@ -526,9 +526,10 @@ type ServerConfig struct {
 	// SnapshotEvery is the snapshot cadence in scheduling rounds
 	// (0 = default 256). Only meaningful with DataDir.
 	SnapshotEvery int
-	// Record enables the metrics flight recorder (off by default; see
-	// RecordConfig). Measurement only: never affects decisions.
-	Record RecordConfig
+	// Record, when set, turns on the metrics flight recorder (see
+	// RecordConfig); nil, the default, records nothing. Measurement only:
+	// never affects decisions.
+	Record *RecordConfig
 	// Shards is the scheduler shard count (default 1, at most the region
 	// count); each shard schedules a disjoint partition of the regions.
 	Shards int

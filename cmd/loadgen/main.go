@@ -114,9 +114,7 @@ type report struct {
 	// Unmatched counts observed decisions that match no job of this run:
 	// another client's work, or an earlier run's when the start cursor
 	// is wrong.
-	Unmatched    int     `json:"unmatched_decisions"`
-	SolverIters  int     `json:"solver_simplex_iters"`
-	SolverWarmPc float64 `json:"solver_warm_start_pct"`
+	Unmatched int `json:"unmatched_decisions"`
 	// Server-side decision latency, scraped from the service's /metrics
 	// histogram (the shard-merged waterwise_fleet_decision_latency_seconds)
 	// at end of run. The server measures Submit acceptance to round
@@ -460,10 +458,6 @@ func run(args []string, stdout io.Writer) error {
 	rep.OfferedRate = float64(rep.Offered) / sendWindow.Seconds()
 	rep.DecisionsSec = float64(rep.Decided) / window.Seconds()
 	rep.RoundsSec = float64(end.Rounds-start.Rounds) / window.Seconds()
-	if end.Solver != nil {
-		rep.SolverIters = end.Solver.SimplexIters
-		rep.SolverWarmPc = 100 * end.Solver.WarmStartHitRate()
-	}
 	sort.Float64s(lats)
 	rep.LatencyP50Ms = percentile(lats, 0.50)
 	rep.LatencyP90Ms = percentile(lats, 0.90)
@@ -502,9 +496,6 @@ func run(args []string, stdout io.Writer) error {
 			co = fmt.Sprintf("  — ABOVE the %.0fms threshold: the client queue hid latency the server never saw", *coGapMs)
 		}
 		fmt.Fprintf(stdout, "  coordinated-omission gap (client p99 - server p99): %.1fms%s\n", rep.CoordOmissionGapMs, co)
-	}
-	if rep.SolverIters > 0 {
-		fmt.Fprintf(stdout, "  solver: %d simplex iters, %.0f%% warm-served\n", rep.SolverIters, rep.SolverWarmPc)
 	}
 	return nil
 }

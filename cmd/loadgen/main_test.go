@@ -29,7 +29,6 @@ func TestLoadgenSmoke(t *testing.T) {
 			}
 			srv, err := waterwise.NewServer(env, waterwise.ServerConfig{
 				Tolerance: 0.5, Shards: 2,
-				Scheduler: waterwise.SchedulerConfig{CrossRoundWarmStart: true},
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -332,9 +332,8 @@ func run() error {
 		Record: rec,
 		Shards: *shards, ShardMap: shardMap,
 		Scheduler: waterwise.SchedulerConfig{
-			LambdaCarbon:        *lambdaC,
-			LambdaWater:         1 - *lambdaC,
-			CrossRoundWarmStart: true,
+			LambdaCarbon: *lambdaC,
+			LambdaWater:  1 - *lambdaC,
 		},
 	})
 	if err != nil {
@@ -364,8 +363,7 @@ func run() error {
 		"merged", st.Merged, "lost", st.Lost, "accepted", st.Accepted,
 		"rejected", st.Rejected, "unscheduled", st.Unscheduled)
 	if st.Solver != nil {
-		log.Info("solver totals", "nodes", st.Solver.Nodes, "simplex_iters", st.Solver.SimplexIters,
-			"warm_hit_rate", st.Solver.WarmStartHitRate(), "wall", st.Solver.Wall.Round(time.Millisecond).String())
+		log.Info("solver totals", "wall", st.Solver.Wall.Round(time.Millisecond).String())
 	}
 	log.Info("latency", "decision_p50_ms", st.Obs.DecisionP50Ms,
 		"decision_p99_ms", st.Obs.DecisionP99Ms, "solve_p99_ms", st.Obs.SolveP99Ms)

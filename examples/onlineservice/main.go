@@ -31,12 +31,10 @@ func main() {
 	// 2. The online service: 1-minute scheduling rounds, accelerated time
 	//    (rounds run back to back; TimeScale: 1 would pace them against the
 	//    wall clock as cmd/waterwised does by default), and the WaterWise
-	//    scheduler with the cross-round warm start, which keeps the round
-	//    MILP's simplex basis alive between scheduling rounds.
+	//    scheduler with its default parameters.
 	srv, err := waterwise.NewServer(env, waterwise.ServerConfig{
 		Tolerance: 0.5,
 		Round:     time.Minute,
-		Scheduler: waterwise.SchedulerConfig{CrossRoundWarmStart: true},
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -93,8 +91,7 @@ func main() {
 	fmt.Printf("service ran %d rounds, decided %d jobs (sim clock at %v)\n",
 		status.Rounds, status.Decisions, status.SimNow.Format(time.RFC3339))
 	if status.Solver != nil {
-		fmt.Printf("solver: %d simplex iters, %.0f%% of rounds warm-served\n",
-			status.Solver.SimplexIters, 100*status.Solver.WarmStartHitRate())
+		fmt.Printf("solver: %v solving %d rounds\n", status.Solver.Wall.Round(time.Microsecond), status.Rounds)
 	}
 
 	perRegion := map[waterwise.RegionID]int{}

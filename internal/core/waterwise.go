@@ -2,7 +2,7 @@
 // contribution: a carbon- and water-footprint co-optimizing job scheduler
 // for geographically distributed data centers (Section 4).
 //
-// Each scheduling round, the Optimization Decision Controller builds the
+// Each scheduling round, the Optimization Decision Controller solves the
 // MILP of Eq. 8:
 //
 //	min Σ_m Σ_n x_mn · [ λ_CO2·CO2(m,n)/CO2max_m + λ_H2O·H2O(m,n)/H2Omax_m
@@ -13,7 +13,8 @@
 // Σ_n x_mn·L_mn/t_mn ≤ TOL%). When the hard problem is infeasible — or when
 // demand exceeds total capacity and the slack manager has pre-selected the
 // most urgent jobs (Algorithm 1) — the controller softens Eq. 11 with
-// penalty variables (Eq. 12–13).
+// penalty variables (Eq. 12–13). The round is a transportation problem,
+// and the controller solves it as one (see solve and internal/transport).
 //
 // The history learner feeds each region's recent normalized carbon/water
 // intensity back into the objective (the CO2ref/H2Oref terms) so the
@@ -28,10 +29,9 @@ import (
 	"time"
 
 	"waterwise/internal/cluster"
-	"waterwise/internal/lp"
-	"waterwise/internal/milp"
 	"waterwise/internal/region"
 	"waterwise/internal/trace"
+	"waterwise/internal/transport"
 	"waterwise/internal/workload"
 )
 
@@ -51,12 +51,10 @@ type Config struct {
 	// PenaltySigma (σ) prices delay-tolerance violations in the softened
 	// problem (Eq. 12).
 	PenaltySigma float64
-	// MaxBatch caps the number of jobs put into a single MILP; overflow
-	// jobs wait for the next round (most urgent first). Keeps the solver's
-	// decision overhead low under Alibaba-level arrival bursts.
+	// MaxBatch caps the number of jobs placed in a single round; overflow
+	// jobs wait for the next round (most urgent first). It bounds a round's
+	// decision overhead under Alibaba-level arrival bursts.
 	MaxBatch int
-	// Solver bounds the branch-and-bound search.
-	Solver milp.Options
 
 	// PerfWeight (λ_perf) optionally adds performance as a third objective
 	// (paper §7 "Performance Considerations"): each pair's normalized
@@ -88,7 +86,6 @@ func DefaultConfig() Config {
 		HistoryWindow: 10,
 		PenaltySigma:  10,
 		MaxBatch:      64,
-		Solver:        milp.Options{MaxNodes: 500, RelGap: 1e-4, TimeLimit: 250 * time.Millisecond},
 	}
 }
 
@@ -104,15 +101,15 @@ type Scheduler struct {
 	// (exported for tests and the overhead study via Stats).
 	softened int
 	rounds   int
-	// models caches the round MILP skeleton per batch shape: the
-	// constraint structure (Eq. 9 assignment rows + Eq. 10 capacity rows)
-	// is identical between rounds with the same job count, so only the
-	// objective coefficients, variable bounds, and capacity RHS values are
-	// rewritten each round instead of rebuilding the whole problem.
-	models map[modelKey]*roundModel
-	// solverStats aggregates branch-and-bound instrumentation across
-	// rounds for the Fig. 13 decision-overhead accounting.
-	solverStats milp.Stats
+	// solverStats aggregates the round solves' wall time for the Fig. 13
+	// decision-overhead accounting.
+	solverStats transport.Stats
+	// tp solves each round's transportation problem; its scratch grows
+	// with the largest batch solved.
+	tp transport.Solver
+	// checkRound, when set, sees every round solve: its cost table,
+	// capacities, status and placement (tests compare it with an oracle).
+	checkRound func(cost []float64, caps []int, st transport.Status, assign []int)
 	// Per-round scratch, reused across Schedule calls (a Scheduler is
 	// single-threaded by the cluster.Scheduler contract, so pooling here is
 	// safe): candidate rows and backing array, capacity counts, the slack
@@ -125,6 +122,15 @@ type Scheduler struct {
 	urgBuf   []urgentJob
 	leftBuf  []int
 	readBuf  []reading
+	// The round's transportation problem: the M×N cost table and the
+	// placement the solver writes.
+	costBuf   []float64
+	assignBuf []int
+	// The round's transfer round trips, resolved once per distinct home:
+	// rttRows[h*N+n] is the RTT from rttHomes[h] to region n, or -1 for
+	// the home region itself (no transfer).
+	rttHomes []region.ID
+	rttRows  []time.Duration
 	// The objective's round invariants (see roundTerms): each job row's
 	// normalizers and each region's history-learner term.
 	rowMax  []rowMax
@@ -136,62 +142,6 @@ type Scheduler struct {
 // §7 extensions, the largest finite ratio and the largest cost.
 type rowMax struct {
 	carbon, water, ratio, usd float64
-}
-
-type modelKey struct{ m, n int }
-
-// roundModel is a cached MILP skeleton for an M-jobs x N-regions round.
-type roundModel struct {
-	prob    *milp.Problem
-	capRows []int     // constraint indices of the Eq. 10 capacity rows
-	obj     []float64 // reusable objective buffer (len M*N)
-}
-
-// model returns the cached MILP skeleton for an MxN round, building it on
-// first use.
-func (s *Scheduler) model(M, N int) (*roundModel, error) {
-	key := modelKey{M, N}
-	if rm, ok := s.models[key]; ok {
-		return rm, nil
-	}
-	prob := milp.New(M * N)
-	for v := 0; v < M*N; v++ {
-		// Eq. 9 (Σ_n x_mn = 1, x >= 0) implies x_mn <= 1, so the binaries
-		// need no explicit upper-bound rows.
-		if err := prob.SetImpliedBinary(v); err != nil {
-			return nil, err
-		}
-	}
-	// Eq. 9: each job assigned to exactly one region.
-	for m := 0; m < M; m++ {
-		terms := make([]lp.Term, N)
-		for n := 0; n < N; n++ {
-			terms[n] = lp.Term{Var: m*N + n, Coef: 1}
-		}
-		if _, err := prob.AddConstraint(terms, lp.EQ, 1); err != nil {
-			return nil, err
-		}
-	}
-	// Eq. 10: regional capacity (RHS rewritten every round).
-	capRows := make([]int, N)
-	for n := 0; n < N; n++ {
-		terms := make([]lp.Term, M)
-		for m := 0; m < M; m++ {
-			terms[m] = lp.Term{Var: m*N + n, Coef: 1}
-		}
-		row, err := prob.AddConstraint(terms, lp.LE, 0)
-		if err != nil {
-			return nil, err
-		}
-		capRows[n] = row
-	}
-	// Compile the skeleton's sparse matrix once: every round with this batch
-	// shape shares the same immutable CSC arrays instead of re-deriving them
-	// per solve.
-	prob.Compile()
-	rm := &roundModel{prob: prob, capRows: capRows, obj: make([]float64, M*N)}
-	s.models[key] = rm
-	return rm, nil
 }
 
 // New returns a WaterWise scheduler, validating and defaulting cfg.
@@ -218,14 +168,10 @@ func New(cfg Config) (*Scheduler, error) {
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = def.MaxBatch
 	}
-	if cfg.Solver.MaxNodes == 0 && cfg.Solver.TimeLimit == 0 {
-		cfg.Solver = def.Solver
-	}
 	return &Scheduler{
 		cfg:        cfg,
 		histCarbon: make(map[region.ID][]float64),
 		histWater:  make(map[region.ID][]float64),
-		models:     make(map[modelKey]*roundModel),
 	}, nil
 }
 
@@ -236,10 +182,12 @@ func (s *Scheduler) Name() string { return "waterwise" }
 // softened controller.
 func (s *Scheduler) Stats() (rounds, softened int) { return s.rounds, s.softened }
 
-// SolverStats reports the branch-and-bound instrumentation accumulated
-// across all scheduling rounds: nodes, simplex iterations, warm-start hit
-// rate, and solver wall time (the decision-overhead breakdown of Fig. 13).
-func (s *Scheduler) SolverStats() milp.Stats { return s.solverStats }
+// SolverStats reports the solver accounting accumulated across all
+// scheduling rounds (the decision-overhead breakdown of Fig. 13): the
+// rounds' solve wall time. The transportation solver runs no branch and
+// bound and no simplex, so nodes, simplex iterations and warm starts read
+// 0. The result type is milp.Stats, which aliases transport.Stats.
+func (s *Scheduler) SolverStats() transport.Stats { return s.solverStats }
 
 // urgentJob pairs a pending job with its Eq. 14 urgency score and its
 // position in the round's queue, the tie-break of the selection order.
@@ -353,8 +301,8 @@ func (s *Scheduler) Schedule(ctx *cluster.Context) ([]cluster.Decision, error) {
 		return nil, err
 	}
 	if !feasible {
-		// Last resort: greedy keeps the cluster moving even if the solver
-		// hit its limits.
+		// Last resort: greedy keeps the cluster moving when forbidden
+		// pairs leave no placement of the whole batch.
 		return s.greedyAssign(ctx, ids, caps, jobs, cands), nil
 	}
 	return dec, nil
@@ -373,12 +321,17 @@ func (s *Scheduler) buildCandidates(ctx *cluster.Context, ids []region.ID, jobs 
 		s.candBuf = make([]candidate, need)
 	}
 	cands := s.candRows[:len(jobs)]
+	s.rttHomes, s.rttRows = s.rttHomes[:0], s.rttRows[:0]
 	for m, pj := range jobs {
 		job := pj.Job
 		pkg := workload.PackageMB(job.Benchmark)
 		row := s.candBuf[m*len(ids) : (m+1)*len(ids)]
+		rtt := s.rttRow(ctx, ids, job.Home)
 		for n, id := range ids {
-			lat := ctx.Net.Latency(job.Home, id, pkg)
+			lat := time.Duration(0)
+			if rtt[n] >= 0 {
+				lat = ctx.Net.LatencyAt(rtt[n], pkg)
+			}
 			start := ctx.Now.Add(lat)
 			snap, ok := ctx.Env.Snapshot(id, start)
 			if !ok {
@@ -388,7 +341,7 @@ func (s *Scheduler) buildCandidates(ctx *cluster.Context, ids []region.ID, jobs 
 			fp := ctx.FP.ForJob(snap, job.EstEnergy, job.EstDuration)
 			carbon := float64(fp.Carbon())
 			water := float64(fp.Water())
-			if id != job.Home {
+			if rtt[n] >= 0 {
 				commFP := ctx.FP.ForJob(snap, ctx.Net.Energy(job.Home, id, pkg), 0)
 				carbon += float64(commFP.Carbon())
 				water += float64(commFP.Water())
@@ -406,6 +359,27 @@ func (s *Scheduler) buildCandidates(ctx *cluster.Context, ids []region.ID, jobs 
 		cands[m] = row
 	}
 	return cands
+}
+
+// rttRow returns the round trips from home to each region of ids, resolved
+// on the round's first job from home: -1 marks home itself, and
+// ctx.Net.LatencyAt of any other entry equals ctx.Net.Latency of that pair.
+func (s *Scheduler) rttRow(ctx *cluster.Context, ids []region.ID, home region.ID) []time.Duration {
+	N := len(ids)
+	for h, id := range s.rttHomes {
+		if id == home {
+			return s.rttRows[h*N : (h+1)*N]
+		}
+	}
+	s.rttHomes = append(s.rttHomes, home)
+	for _, id := range ids {
+		rtt := time.Duration(-1)
+		if id != home {
+			rtt = ctx.Net.RTT(home, id)
+		}
+		s.rttRows = append(s.rttRows, rtt)
+	}
+	return s.rttRows[len(s.rttRows)-N:]
 }
 
 // roundTerms computes what the Eq. 8 objective shares across a round:
@@ -469,85 +443,62 @@ func (s *Scheduler) objective(cands [][]candidate, m, n int) float64 {
 	return cost
 }
 
-// solve builds and solves the round's MILP (Eq. 8-13).
+// solve fills the round's M×N cost table and solves it as a
+// transportation problem (Eq. 8-13).
 //
 // The delay-tolerance constraint is encoded in its exact pair-wise
 // equivalent: because Eq. 9 forces exactly one x_mn to 1 per job, the row
 // Σ_n x_mn·L_mn/t_mn <= TOL holds iff the chosen pair's ratio is within the
 // job's remaining tolerance. So in hard mode, pairs with ratio > remaining
-// tolerance are forbidden (x_mn fixed to 0); in soft mode, the optimal
-// penalty variable of Eq. 12-13 evaluates to P_m = max(0, ratio - TOL) for
-// the chosen pair, so σ·max(0, ratio - TOL) folds into the pair's objective
-// coefficient. Both encodings are mathematically identical to the paper's
-// formulation and keep the relaxation a pure assignment polytope, which is
-// integral — branch and bound terminates at the root LP (milp's
-// TestRoundModelsCloseAtRoot checks this), keeping the decision overhead
-// of Fig. 13 low. It returns the decisions, whether a usable solution was
-// found, and any solver error.
+// tolerance are forbidden (cost +Inf); in soft mode, the optimal penalty
+// variable of Eq. 12-13 evaluates to P_m = max(0, ratio - TOL) for the
+// chosen pair, so σ·max(0, ratio - TOL) folds into the pair's cost. Both
+// encodings are mathematically identical to the paper's formulation and
+// leave Eq. 9 and Eq. 10 alone as constraints: a bipartite transportation
+// problem, whose matrix is totally unimodular, so the network optimum is
+// the MILP's. It returns the decisions, whether every job was placed, and
+// any solver error.
 func (s *Scheduler) solve(ctx *cluster.Context, ids []region.ID, caps []int, jobs []*cluster.PendingJob, cands [][]candidate, soft bool) ([]cluster.Decision, bool, error) {
 	M, N := len(jobs), len(ids)
-	rm, err := s.model(M, N)
-	if err != nil {
-		return nil, false, err
+	if cap(s.costBuf) < M*N {
+		s.costBuf = make([]float64, M*N)
 	}
-	prob, obj := rm.prob, rm.obj
-	// Clear the previous round's pair-forbidding fixes before installing
-	// this round's.
-	if err := prob.ResetVarBounds(0, math.Inf(1)); err != nil {
-		return nil, false, err
+	if cap(s.assignBuf) < M {
+		s.assignBuf = make([]int, M)
 	}
+	cost, assign := s.costBuf[:M*N], s.assignBuf[:M]
 	for m := 0; m < M; m++ {
 		rhs := remainingTolerance(ctx, jobs[m].Job)
 		for n := 0; n < N; n++ {
-			v := m*N + n
-			cost := s.objective(cands, m, n)
+			c := s.objective(cands, m, n)
 			ratio := cands[m][n].ratio
 			switch {
-			case math.IsInf(cost, 1) || math.IsInf(ratio, 1):
-				// Unusable pair: forbid by fixing the binary to zero.
-				cost = 0
-				if err := prob.SetBounds(v, 0, 0); err != nil {
-					return nil, false, err
-				}
+			case math.IsInf(c, 1) || math.IsInf(ratio, 1):
+				c = math.Inf(1) // unusable pair
 			case ratio > rhs && !soft:
-				// Eq. 11 violated for this pair: forbidden in hard mode.
-				cost = 0
-				if err := prob.SetBounds(v, 0, 0); err != nil {
-					return nil, false, err
-				}
+				c = math.Inf(1) // Eq. 11 violated: forbidden in hard mode
 			case ratio > rhs && soft:
 				// Eq. 12-13: violation priced at σ per unit of excess.
-				cost += s.cfg.PenaltySigma * (ratio - rhs)
+				c += s.cfg.PenaltySigma * (ratio - rhs)
 			}
-			obj[v] = cost
+			cost[m*N+n] = c
 		}
 	}
-	if err := prob.SetObjective(obj, lp.Minimize); err != nil {
-		return nil, false, err
-	}
-	// Eq. 10 RHS: this round's regional capacities.
-	for n := 0; n < N; n++ {
-		if err := prob.SetRHS(rm.capRows[n], float64(caps[n])); err != nil {
-			return nil, false, err
-		}
-	}
-
-	sol, err := prob.Solve(s.cfg.Solver)
+	start := time.Now()
+	st, err := s.tp.Solve(cost, caps, assign)
+	s.solverStats.Wall += time.Since(start)
 	if err != nil {
-		return nil, false, err
+		return nil, false, fmt.Errorf("core: round of %d jobs: %w", M, err)
 	}
-	s.solverStats.Add(sol.Stats)
-	if sol.Status != milp.Optimal && sol.Status != milp.Feasible {
+	if s.checkRound != nil {
+		s.checkRound(cost, caps, st, assign)
+	}
+	if st != transport.Optimal {
 		return nil, false, nil
 	}
-	dec := make([]cluster.Decision, 0, M)
-	for m := 0; m < M; m++ {
-		for n := 0; n < N; n++ {
-			if sol.X[m*N+n] > 0.5 {
-				dec = append(dec, cluster.Decision{Job: jobs[m].Job, Region: ids[n]})
-				break
-			}
-		}
+	dec := make([]cluster.Decision, M)
+	for m, n := range assign {
+		dec[m] = cluster.Decision{Job: jobs[m].Job, Region: ids[n]}
 	}
 	return dec, true, nil
 }

@@ -212,13 +212,13 @@ func (p *Problem) structCSC() *csc {
 }
 
 // Compile eagerly builds the problem's compressed sparse column matrix (it is
-// otherwise built lazily on the first solve). The scheduler's round-model
-// cache calls this once per batch shape so every round — and the clone branch
-// and bound solves its nodes on — reuses the same immutable CSC arrays.
+// otherwise built lazily on the first solve). A model reused across rounds
+// calls this once so every round — and the clone branch and bound solves its
+// nodes on — reuses the same immutable CSC arrays.
 func (p *Problem) Compile() { p.structCSC() }
 
 // SetRHS changes the right-hand side of constraint i in place. Round-to-round
-// model reuse (the WaterWise scheduler's capacity rows) updates RHS values
+// model reuse (a round-shaped model's capacity rows) updates RHS values
 // instead of rebuilding the whole problem.
 func (p *Problem) SetRHS(i int, rhs float64) error {
 	if i < 0 || i >= len(p.rows) {
@@ -323,8 +323,8 @@ func (p *Problem) SolveWarm(b *Basis) (*Solution, error) {
 // one FTRAN — EQ-row RHS changes revive like any other, which the old dense
 // tableau could not do), the new objective is installed, and — provided the
 // revived vertex is still primal feasible — the primal simplex walks it to
-// the new optimum. This is the cross-round warm start of the scheduler's
-// reused round model: between rounds the model keeps its shape but every
+// the new optimum. This is the cross-round warm start of a reused
+// round-shaped model: between rounds the model keeps its shape but every
 // cost, capacity RHS, and pair-forbidding bound changes. Shape changes,
 // nonbasic columns stranded at infinite bounds, singular stored bases, and
 // revived vertices knocked primal-infeasible by the new bounds/RHS all fall

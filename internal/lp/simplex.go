@@ -105,7 +105,7 @@ func inf() float64 { return math.Inf(1) }
 // coefficients), none for EQ rows. Rows whose slack cannot serve as the
 // initial basic variable get a structural column via the triangular crash, or
 // failing that an artificial column. recycled may carry a same-shape engine
-// whose allocations are reused (the scheduler's round-to-round path:
+// whose allocations are reused (a reused model's round-to-round path:
 // objective and RHS change, so the basis is useless, but the arrays are not).
 func newSimplex(p *Problem, recycled *simplex) *simplex {
 	m := len(p.rows)

@@ -13,7 +13,7 @@ import (
 // exact per-round mutation internal/core performs on its cached skeleton.
 func installRound(tb testing.TB, prob *Problem, capRows []int, M, N int, r *rand.Rand, obj []float64) {
 	tb.Helper()
-	if err := prob.ResetVarBounds(0, math.Inf(1)); err != nil {
+	if err := resetVarBounds(prob); err != nil {
 		tb.Fatal(err)
 	}
 	for v := range obj {
@@ -49,6 +49,18 @@ func installRound(tb testing.TB, prob *Problem, capRows []int, M, N int, r *rand
 			tb.Fatal(err)
 		}
 	}
+}
+
+// resetVarBounds clears every variable's bounds to [0, +Inf): the previous
+// round's pair-forbidding fixes, before a reused model takes the next
+// round's.
+func resetVarBounds(prob *Problem) error {
+	for v := 0; v < prob.NumVars(); v++ {
+		if err := prob.SetBounds(v, 0, math.Inf(1)); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func freshObjective(r *rand.Rand, M, N int) []float64 {

@@ -8,7 +8,9 @@
 // continuous), node/gap/time limits, and returns the best incumbent found
 // with a bound-based optimality certificate when search completes.
 //
-// The scheduler's round MILP is an assignment problem whose relaxation is
+// The scheduler's round MILP is a transportation problem, which the
+// scheduler solves with internal/transport; this package is that solver's
+// test oracle and the benchmark's solver probe. The round's relaxation is
 // integral, so its solves close at the root relaxation
 // (TestRoundModelsCloseAtRoot pins this); the tree below the root exists
 // for general models and is searched serially:
@@ -31,6 +33,7 @@ import (
 	"time"
 
 	"waterwise/internal/lp"
+	"waterwise/internal/transport"
 )
 
 // Status reports the outcome of a MILP solve.
@@ -81,7 +84,7 @@ type Options struct {
 	Workers int
 	// RepriceWarmStart carries the root LP basis *across* Solve calls on a
 	// reused Problem: when only the objective, RHS, and variable bounds
-	// changed since the previous Solve (the scheduler's cached round model),
+	// changed since the previous Solve (a reused round-shaped model),
 	// the root relaxation is revived by re-pricing (lp.SolveReprice) instead
 	// of solving cold. Answers never change — any doubt falls back to a cold
 	// solve — only the root simplex iteration count does.
@@ -105,39 +108,10 @@ func (o Options) withDefaults() Options {
 }
 
 // Stats instruments one Solve call: the decision-overhead accounting of the
-// paper's Fig. 13 reports these alongside wall time.
-type Stats struct {
-	// Nodes is the number of branch-and-bound nodes whose LP relaxation
-	// was solved.
-	Nodes int
-	// SimplexIters is the total simplex pivot count across all LP solves.
-	SimplexIters int
-	// WarmStarts counts LP solves served by a dual-simplex warm start.
-	WarmStarts int
-	// ColdStarts counts LP solves that ran the two-phase method from
-	// scratch (the root, plus any warm-start fallbacks).
-	ColdStarts int
-	// Wall is the wall-clock solve time.
-	Wall time.Duration
-}
-
-// WarmStartHitRate is the fraction of LP solves served by a warm start.
-func (s Stats) WarmStartHitRate() float64 {
-	total := s.WarmStarts + s.ColdStarts
-	if total == 0 {
-		return 0
-	}
-	return float64(s.WarmStarts) / float64(total)
-}
-
-// Add accumulates other into s (for cross-round aggregation).
-func (s *Stats) Add(other Stats) {
-	s.Nodes += other.Nodes
-	s.SimplexIters += other.SimplexIters
-	s.WarmStarts += other.WarmStarts
-	s.ColdStarts += other.ColdStarts
-	s.Wall += other.Wall
-}
+// paper's Fig. 13 reports these alongside wall time. It is the type the
+// scheduler reports across rounds, so branch and bound and the
+// transportation solver share one accounting.
+type Stats = transport.Stats
 
 // Solution is the result of a MILP solve.
 type Solution struct {
@@ -156,7 +130,7 @@ type Problem struct {
 	lo, hi []float64 // mirror of the base bounds, needed when branching
 	sense  lp.Sense
 	// rootBasis persists across Solve calls. When only coefficients/RHS
-	// change between solves (the scheduler's reused round model), the basis
+	// change between solves (a reused round-shaped model), the basis
 	// itself is stale — lp.SolveWarm detects that — but its allocations
 	// back the next cold solve, keeping the hot path off the allocator.
 	// Solve is therefore not safe for concurrent use on one Problem.
@@ -196,16 +170,6 @@ func (p *Problem) SetBounds(i int, lo, hi float64) error {
 	return nil
 }
 
-// ResetVarBounds sets every variable's bounds to [lo, hi]. Round-to-round
-// model reuse uses it to clear the previous round's pair-forbidding fixes in
-// one pass before installing the new ones.
-func (p *Problem) ResetVarBounds(lo, hi float64) error {
-	for i := range p.lo {
-		p.lo[i], p.hi[i] = lo, hi
-	}
-	return p.base.ResetBounds(p.lo, p.hi)
-}
-
 // SetImpliedBinary marks variable i as integer WITHOUT installing the
 // explicit [0,1] bound. Use it when the constraint matrix already implies
 // x_i <= 1 (e.g. an assignment row Σ_j x_ij = 1 with x >= 0). The caller is
@@ -224,13 +188,13 @@ func (p *Problem) AddConstraint(terms []lp.Term, op lp.Op, rhs float64) (int, er
 }
 
 // Compile eagerly builds the relaxation's compressed sparse column matrix
-// (otherwise built lazily on the first solve). The scheduler's round-model
-// cache calls this once per batch shape; the immutable CSC arrays are then
-// shared by every round, warm-start basis, and branch-and-bound node.
+// (otherwise built lazily on the first solve). A model reused across rounds
+// calls this once; the immutable CSC arrays are then shared by every
+// round, warm-start basis, and branch-and-bound node.
 func (p *Problem) Compile() { p.base.Compile() }
 
 // SetRHS changes the right-hand side of constraint i (round-to-round
-// capacity updates in the scheduler's reused model).
+// capacity updates in a reused round-shaped model).
 func (p *Problem) SetRHS(i int, rhs float64) error {
 	return p.base.SetRHS(i, rhs)
 }

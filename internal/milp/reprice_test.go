@@ -90,7 +90,7 @@ func TestRepriceWarmStartDifferential(t *testing.T) {
 			if i == 1 {
 				rows = coldCaps
 			}
-			if err := p.ResetVarBounds(0, math.Inf(1)); err != nil {
+			if err := resetVarBounds(p); err != nil {
 				t.Fatal(err)
 			}
 			for v := 0; v < M*N; v++ {

@@ -14,11 +14,12 @@ import (
 // heavy pair forbidding (up to all regions but one per job), exactly tied
 // costs, and soft-mode penalty costs (σ·excess added to some pairs, as
 // core folds Eq. 12–13 into the objective). Equal seeds install equal
-// rounds, so a cold and a chained problem can be given the same one.
-func installRoundVariant(tb testing.TB, prob *Problem, capRows []int, M, N int, seed int64, variant int) {
+// rounds, so a cold and a chained problem can be given the same one. It
+// returns the objective and the capacities it installed.
+func installRoundVariant(tb testing.TB, prob *Problem, capRows []int, M, N int, seed int64, variant int) (obj []float64, caps []int) {
 	tb.Helper()
 	r := rand.New(rand.NewSource(seed))
-	obj := freshObjective(r, M, N)
+	obj = freshObjective(r, M, N)
 	installRound(tb, prob, capRows, M, N, r, obj)
 
 	capRegime, forbidHeavy, tied, soft := variant%3, variant/3%2 == 1, variant/6%2 == 1, variant/12%2 == 1
@@ -53,7 +54,7 @@ func installRoundVariant(tb testing.TB, prob *Problem, capRows []int, M, N int, 
 		tb.Fatal(err)
 	}
 	total := M + []int{-1 - r.Intn(M), 0, 1 + r.Intn(M)}[capRegime]
-	caps := make([]int, N)
+	caps = make([]int, N)
 	for k := 0; k < total; k++ {
 		caps[r.Intn(N)]++
 	}
@@ -62,6 +63,7 @@ func installRoundVariant(tb testing.TB, prob *Problem, capRows []int, M, N int, 
 			tb.Fatal(err)
 		}
 	}
+	return obj, caps
 }
 
 // TestRoundModelsCloseAtRoot is the premise the serial solver rests on: the

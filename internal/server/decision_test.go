@@ -92,7 +92,7 @@ func TestDecisionRecordRoundTrip(t *testing.T) {
 // indexed out of range.
 func TestSnapshotRejectsDecisionOutsidePartition(t *testing.T) {
 	env := testEnv(t)
-	src := testShard(t, Config{Env: env, Scheduler: newScheduler(t, false), Tolerance: 0.5, Round: time.Minute})
+	src := testShard(t, Config{Env: env, Scheduler: newScheduler(t), Tolerance: 0.5, Round: time.Minute})
 	src.decisions.Append(decRecord{seq: 1, jobID: 5, region: 2, round: testStart.UnixNano(),
 		start: testStart.UnixNano(), finish: testStart.UnixNano(), decidedWall: wire.TimeNone})
 	src.decSeq = 1
@@ -103,11 +103,11 @@ func TestSnapshotRejectsDecisionOutsidePartition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dst := testShard(t, Config{Env: part, Scheduler: newScheduler(t, false), Tolerance: 0.5, Round: time.Minute})
+	dst := testShard(t, Config{Env: part, Scheduler: newScheduler(t), Tolerance: 0.5, Round: time.Minute})
 	if err := dst.restoreSnapshot(snap); err == nil {
 		t.Fatalf("restored a ring decision in %s into a shard over %v", ids[2], dst.regions)
 	}
-	whole := testShard(t, Config{Env: env, Scheduler: newScheduler(t, false), Tolerance: 0.5, Round: time.Minute})
+	whole := testShard(t, Config{Env: env, Scheduler: newScheduler(t), Tolerance: 0.5, Round: time.Minute})
 	if err := whole.restoreSnapshot(snap); err != nil {
 		t.Fatalf("restoring into the whole environment: %v", err)
 	}
@@ -196,7 +196,7 @@ func TestLiveDecisionInstantsRenderUTC(t *testing.T) {
 	}
 	dir := t.TempDir()
 	cfg := func() Config {
-		return Config{Env: newEnv(), Scheduler: newScheduler(t, false), Tolerance: 0.5, Round: time.Minute, DataDir: dir}
+		return Config{Env: newEnv(), Scheduler: newScheduler(t), Tolerance: 0.5, Round: time.Minute, DataDir: dir}
 	}
 	srv := drained(t, cfg(), genTrace(t, newEnv(), 500, 2))
 	live := srv.Decisions(0, 0)

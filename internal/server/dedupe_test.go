@@ -15,7 +15,7 @@ import (
 // job accepted under its id, through a snapshot and an abandonment.
 func TestDedupeIndex(t *testing.T) {
 	cfg := func() Config {
-		return Config{Env: testEnv(t), Scheduler: newScheduler(t, false), Tolerance: 0.5, Round: time.Minute}
+		return Config{Env: testEnv(t), Scheduler: newScheduler(t), Tolerance: 0.5, Round: time.Minute}
 	}
 	sh := testShard(t, cfg())
 	const id, a, b = 42, 0xa, 0xb
@@ -91,7 +91,7 @@ func TestDedupeIndex(t *testing.T) {
 // snapshot restores the same index.
 func TestDedupeEvictsAtCap(t *testing.T) {
 	cfg := func() Config {
-		return Config{Env: testEnv(t), Scheduler: newScheduler(t, false), Tolerance: 0.5, Round: time.Minute}
+		return Config{Env: testEnv(t), Scheduler: newScheduler(t), Tolerance: 0.5, Round: time.Minute}
 	}
 	sh := testShard(t, cfg())
 	const extra = 3

@@ -76,7 +76,7 @@ func encodeDecisions(k int64, seqAfter uint64, ds []Decision) []byte {
 func durableConfig(t *testing.T, dir string) Config {
 	t.Helper()
 	return Config{
-		Env: testEnv(t), Scheduler: newScheduler(t, false), Tolerance: 0.5,
+		Env: testEnv(t), Scheduler: newScheduler(t), Tolerance: 0.5,
 		Round: time.Minute, DataDir: dir, SnapshotEvery: 100,
 	}
 }
@@ -105,7 +105,7 @@ func TestCrashRestartEquivalence(t *testing.T) {
 	jobs := genTrace(t, env, 2000, 24)
 
 	// Uninterrupted reference run (no durability).
-	ref, err := New(Config{Env: testEnv(t), Scheduler: newScheduler(t, false), Tolerance: 0.5, Round: time.Minute})
+	ref, err := New(Config{Env: testEnv(t), Scheduler: newScheduler(t), Tolerance: 0.5, Round: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -597,7 +597,7 @@ func TestGoldenWALBytes(t *testing.T) {
 		return b
 	}
 	fresh := func() *shard {
-		return testShard(t, Config{Env: testEnv(t), Scheduler: newScheduler(t, false), Tolerance: 0.5,
+		return testShard(t, Config{Env: testEnv(t), Scheduler: newScheduler(t), Tolerance: 0.5,
 			Round: time.Minute, DecisionLogCap: 8})
 	}
 	same := func(what string, got, want []byte) {
@@ -655,7 +655,7 @@ func TestPacedRecoveryResumesClock(t *testing.T) {
 	dir := t.TempDir()
 	cfg := func() Config {
 		return Config{
-			Env: testEnv(t), Scheduler: newScheduler(t, false), Tolerance: 0.5,
+			Env: testEnv(t), Scheduler: newScheduler(t), Tolerance: 0.5,
 			Round: time.Minute, TimeScale: 600, DataDir: dir, // 100ms wall per round
 		}
 	}
@@ -713,7 +713,7 @@ func BenchmarkWALRecovery(b *testing.B) {
 	dir := b.TempDir()
 	mk := func() Config {
 		return Config{
-			Env: testEnv(b), Scheduler: newScheduler(b, false), Tolerance: 0.5,
+			Env: testEnv(b), Scheduler: newScheduler(b), Tolerance: 0.5,
 			Round: time.Minute, DataDir: dir, SnapshotEvery: 1 << 30,
 		}
 	}

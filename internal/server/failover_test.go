@@ -24,7 +24,7 @@ import (
 
 // coreFactory builds every shard a WaterWise scheduler of its own.
 func coreFactory(t testing.TB) func(int, []region.ID) (cluster.Scheduler, error) {
-	return func(int, []region.ID) (cluster.Scheduler, error) { return newScheduler(t, false), nil }
+	return func(int, []region.ID) (cluster.Scheduler, error) { return newScheduler(t), nil }
 }
 
 // throttledFactory is coreFactory with every round delayed by delay: a
@@ -32,7 +32,7 @@ func coreFactory(t testing.TB) func(int, []region.ID) (cluster.Scheduler, error)
 // a reliable window to land in on any machine.
 func throttledFactory(t testing.TB, delay time.Duration) func(int, []region.ID) (cluster.Scheduler, error) {
 	return func(int, []region.ID) (cluster.Scheduler, error) {
-		return throttledSched{Scheduler: newScheduler(t, false), delay: delay}, nil
+		return throttledSched{Scheduler: newScheduler(t), delay: delay}, nil
 	}
 }
 
@@ -184,7 +184,7 @@ func TestDeadShardRefusesSubmits(t *testing.T) {
 			if builds[shard].Add(1) > 1 {
 				<-gate // a restart waits for the test
 			}
-			return newScheduler(t, false), nil
+			return newScheduler(t), nil
 		},
 	})
 	if err != nil {
@@ -372,9 +372,9 @@ func TestRoundLoopFailureRestarts(t *testing.T) {
 		DataDir: t.TempDir(), SnapshotEvery: 16,
 		NewScheduler: func(shard int, _ []region.ID) (cluster.Scheduler, error) {
 			if shard == 0 && builds.Add(1) == 1 {
-				return &failingSched{Scheduler: newScheduler(t, false), failAt: 40}, nil
+				return &failingSched{Scheduler: newScheduler(t), failAt: 40}, nil
 			}
-			return newScheduler(t, false), nil
+			return newScheduler(t), nil
 		},
 	})
 	if err != nil {
@@ -419,9 +419,9 @@ func TestRoundLoopFailureKeepsAcknowledgedJobs(t *testing.T) {
 		SyncInterval: time.Hour, SnapshotEvery: 1 << 30,
 		NewScheduler: func(int, []region.ID) (cluster.Scheduler, error) {
 			if builds.Add(1) == 1 {
-				return &failingSched{Scheduler: newScheduler(t, false), failAt: 3}, nil
+				return &failingSched{Scheduler: newScheduler(t), failAt: 3}, nil
 			}
-			return newScheduler(t, false), nil
+			return newScheduler(t), nil
 		},
 	})
 	if err != nil {
@@ -484,7 +484,7 @@ func TestFailedRestartBacksOff(t *testing.T) {
 					return nil, errors.New("injected build failure")
 				}
 			}
-			return newScheduler(t, false), nil
+			return newScheduler(t), nil
 		},
 	})
 	if err != nil {

@@ -412,7 +412,7 @@ func newTestServer(t *testing.T, cfg Config) *Server {
 // that declares the largest body and sends none allocates for what
 // arrives, not for what it declared.
 func TestJobsBodyDeclaredLengthReservesNothing(t *testing.T) {
-	srv := newTestServer(t, Config{Env: testEnv(t), Scheduler: newScheduler(t, false), Tolerance: 0.5})
+	srv := newTestServer(t, Config{Env: testEnv(t), Scheduler: newScheduler(t), Tolerance: 0.5})
 	h := srv.Handler()
 	r := httptest.NewRequest(http.MethodPost, PathJobs, strings.NewReader(""))
 	r.ContentLength = maxJobsBody

@@ -6,9 +6,9 @@ import (
 	"strconv"
 
 	"waterwise/internal/feed"
-	"waterwise/internal/milp"
 	"waterwise/internal/obs"
 	"waterwise/internal/region"
+	"waterwise/internal/transport"
 )
 
 // family is one metric family: its exposition identity (name, TYPE, HELP)
@@ -60,7 +60,7 @@ func scalar(v func(*ShardStatus) float64) func(*ShardStatus, func(string, float6
 	return func(st *ShardStatus, emit func(string, float64)) { emit("", v(st)) }
 }
 
-func solverStat(v func(*milp.Stats) float64) func(*ShardStatus, func(string, float64)) {
+func solverStat(v func(*transport.Stats) float64) func(*ShardStatus, func(string, float64)) {
 	return func(st *ShardStatus, emit func(string, float64)) {
 		if st.Solver != nil {
 			emit("", v(st.Solver))
@@ -109,16 +109,16 @@ var statusFamilies = []family[ShardStatus]{
 			}
 		}},
 
-	{"waterwise_solver_nodes_total", "counter", "Branch-and-bound nodes across all rounds.",
-		solverStat(func(s *milp.Stats) float64 { return float64(s.Nodes) })},
-	{"waterwise_solver_simplex_iters_total", "counter", "Simplex pivots across all rounds.",
-		solverStat(func(s *milp.Stats) float64 { return float64(s.SimplexIters) })},
-	{"waterwise_solver_warm_starts_total", "counter", "LP solves served by a warm start.",
-		solverStat(func(s *milp.Stats) float64 { return float64(s.WarmStarts) })},
-	{"waterwise_solver_cold_starts_total", "counter", "LP solves run from scratch.",
-		solverStat(func(s *milp.Stats) float64 { return float64(s.ColdStarts) })},
-	{"waterwise_solver_wall_seconds_total", "counter", "Aggregate solver wall time.",
-		solverStat(func(s *milp.Stats) float64 { return s.Wall.Seconds() })},
+	{"waterwise_solver_nodes_total", "counter", "Branch-and-bound nodes across all rounds (0: rounds are solved as transportation problems).",
+		solverStat(func(s *transport.Stats) float64 { return float64(s.Nodes) })},
+	{"waterwise_solver_simplex_iters_total", "counter", "Simplex pivots across all rounds (0: rounds are solved as transportation problems).",
+		solverStat(func(s *transport.Stats) float64 { return float64(s.SimplexIters) })},
+	{"waterwise_solver_warm_starts_total", "counter", "LP solves served by a warm start (0: rounds are solved as transportation problems).",
+		solverStat(func(s *transport.Stats) float64 { return float64(s.WarmStarts) })},
+	{"waterwise_solver_cold_starts_total", "counter", "LP solves run from scratch (0: rounds are solved as transportation problems).",
+		solverStat(func(s *transport.Stats) float64 { return float64(s.ColdStarts) })},
+	{"waterwise_solver_wall_seconds_total", "counter", "Aggregate round solve wall time.",
+		solverStat(func(s *transport.Stats) float64 { return s.Wall.Seconds() })},
 
 	{"waterwise_jobs_deduped_total", "counter", "Idempotent re-submits served from the dedupe index.",
 		walStat(func(w *WALStatus) float64 { return float64(w.Deduped) })},

@@ -9,8 +9,8 @@ import (
 	"strings"
 	"time"
 
-	"waterwise/internal/milp"
 	"waterwise/internal/obs"
+	"waterwise/internal/transport"
 )
 
 // shardObs bundles one shard's observability recorders (internal/obs):
@@ -26,7 +26,7 @@ type shardObs struct {
 	jobs     *obs.JobTracer
 	// lastSolver is the previous round's cumulative solver stats, diffed
 	// for per-round trace attribution.
-	lastSolver milp.Stats
+	lastSolver transport.Stats
 }
 
 func newShardObs() *shardObs {

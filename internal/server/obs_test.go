@@ -50,7 +50,7 @@ func TestMetricsLintAndObsEndpoints(t *testing.T) {
 	env := testEnv(t)
 	jobs := genTrace(t, env, 3000, 6)
 	srv, err := New(Config{
-		Env: env, Scheduler: newScheduler(t, false), Tolerance: 0.5, Round: time.Minute,
+		Env: env, Scheduler: newScheduler(t), Tolerance: 0.5, Round: time.Minute,
 		DataDir: t.TempDir(),
 	})
 	if err != nil {
@@ -135,7 +135,7 @@ func TestMetricsLintAndObsEndpoints(t *testing.T) {
 		absent  []string // name prefixes that must not be served
 		omitted int
 	}{
-		{"in-memory", newScheduler(t, false), "", []string{"waterwise_wal_", "waterwise_jobs_deduped_"}, 12},
+		{"in-memory", newScheduler(t), "", []string{"waterwise_wal_", "waterwise_jobs_deduped_"}, 12},
 		{"baseline scheduler", sched.NewBaseline(), t.TempDir(), []string{"waterwise_solver_"}, 5},
 	} {
 		other, err := New(Config{Env: env, Scheduler: tc.sched, Tolerance: 0.5, Round: time.Minute, DataDir: tc.dataDir})

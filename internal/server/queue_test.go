@@ -117,7 +117,7 @@ func TestIngestQueueReleasesDrainedArray(t *testing.T) {
 // TestSnapshotKeepsQueueOrder: a snapshot writes the queue in (Submit, ID)
 // order, and a restored shard pops the same jobs in the same order.
 func TestSnapshotKeepsQueueOrder(t *testing.T) {
-	cfg := Config{Env: testEnv(t), Scheduler: newScheduler(t, false), Tolerance: 0.5, Round: time.Minute}
+	cfg := Config{Env: testEnv(t), Scheduler: newScheduler(t), Tolerance: 0.5, Round: time.Minute}
 	src := testShard(t, cfg)
 	for i, j := range queueArrivals(3, 500, 0.2, 0.2) {
 		src.admitLocked(j, uint64(i), time.Time{})
@@ -125,7 +125,7 @@ func TestSnapshotKeepsQueueOrder(t *testing.T) {
 	for range 50 {
 		src.future.pop()
 	}
-	restored := testShard(t, Config{Env: testEnv(t), Scheduler: newScheduler(t, false), Tolerance: 0.5, Round: time.Minute})
+	restored := testShard(t, Config{Env: testEnv(t), Scheduler: newScheduler(t), Tolerance: 0.5, Round: time.Minute})
 	if err := restored.restoreSnapshot(src.marshalSnapshotLocked()); err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func BenchmarkIngestBacklog(b *testing.B) {
 	arrivals := queueArrivals(7, n, 0.01, 0.05)
 	for b.Loop() {
 		b.StopTimer()
-		sh := testShard(b, Config{Env: env, Scheduler: newScheduler(b, false), Tolerance: 0.5,
+		sh := testShard(b, Config{Env: env, Scheduler: newScheduler(b), Tolerance: 0.5,
 			Round: time.Minute, QueueCap: n + 1, DecisionLogCap: 1})
 		jobs := make([]*trace.Job, n)
 		for i, j := range arrivals {

@@ -52,7 +52,8 @@ type AlertsResponse struct {
 
 // serveQuery is GET /v1/query over the flight recorder. Parameters:
 //
-//	series  — series reference: a family name or name{label="v",...}
+//	series  — series reference: a family name or name{label="v",...},
+//	          labels in any order; fn=raw needs it to select one series
 //	fn      — raw (default) | rate | increase | quantile
 //	window  — window length in rounds (required for non-raw fns)
 //	q       — quantile in [0,1] (fn=quantile)
@@ -111,8 +112,13 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request) {
 		if !ok {
 			return
 		}
-		resp.Samples = st.Query(resp.Series, from, to)
-		resp.Ok = len(resp.Samples) > 0
+		samples, err := st.QueryRef(resp.Series, from, to)
+		if err != nil {
+			writeJSON(w, http.StatusBadRequest, QueryResponse{Error: err.Error()})
+			return
+		}
+		resp.Samples = samples
+		resp.Ok = len(samples) > 0
 	case "rate":
 		resp.Value, resp.Ok = st.Rate(resp.Series, resp.Window, resp.End)
 	case "increase":

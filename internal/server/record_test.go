@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strings"
 	"testing"
 	"time"
 
@@ -23,7 +24,7 @@ func TestRecorderEquivalence(t *testing.T) {
 		env := testEnv(t)
 		jobs := genTrace(t, env, 3000, 6)
 		cfg := Config{
-			Env: env, Scheduler: newScheduler(t, false), Tolerance: 0.5, Round: time.Minute,
+			Env: env, Scheduler: newScheduler(t), Tolerance: 0.5, Round: time.Minute,
 		}
 		if record {
 			cfg.Record = &tsdb.Config{
@@ -76,7 +77,7 @@ func TestRecorderEndpoints(t *testing.T) {
 	env := testEnv(t)
 	jobs := genTrace(t, env, 3000, 6)
 	srv, err := New(Config{
-		Env: env, Scheduler: newScheduler(t, false), Tolerance: 0.5, Round: time.Minute,
+		Env: env, Scheduler: newScheduler(t), Tolerance: 0.5, Round: time.Minute,
 		Record: &tsdb.Config{
 			SLOs: []tsdb.Objective{{Name: "availability", Target: 0.999,
 				Bad: "waterwise_jobs_rejected_total", Good: "waterwise_jobs_accepted_total"}}},
@@ -197,7 +198,7 @@ func TestRecorderEndpoints(t *testing.T) {
 // is off.
 func TestQueryEndpointsWithoutRecorder(t *testing.T) {
 	env := testEnv(t)
-	srv, err := New(Config{Env: env, Scheduler: newScheduler(t, false), Tolerance: 0.5, Round: time.Minute})
+	srv, err := New(Config{Env: env, Scheduler: newScheduler(t), Tolerance: 0.5, Round: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,6 +238,69 @@ func BenchmarkRecorderScrape(b *testing.B) {
 			}
 			if st := rec.Stats(); st.LastRound != round || st.ParseErrors != 0 {
 				b.Fatalf("recorder stats after the loop: %+v", st)
+			}
+		})
+	}
+}
+
+// TestQueryRawResolvesReferences checks that fn=raw reads a series
+// reference the way the windowed functions do: labels in any order, a
+// partial label set that selects one series, 400 naming the matches for a
+// reference that selects several, and ok=false for one that selects none.
+func TestQueryRawResolvesReferences(t *testing.T) {
+	srv, err := New(Config{
+		Env: testEnv(t), Scheduler: newScheduler(t), Tolerance: 0.5, Round: time.Minute,
+		Record: &tsdb.Config{},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Stop()
+	st := srv.Recorder().Store()
+	for round := uint64(1); round <= 3; round++ {
+		st.Append(`c_total{kind="a",shard="0"}`, round, float64(round))
+		st.Append(`c_total{kind="b",shard="0"}`, round, 10*float64(round))
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	for _, c := range []struct {
+		name, series string
+		code         int
+		first        float64 // the first sample's value when code is 200 and samples are expected
+		ok           bool
+		errHas       []string
+	}{
+		{"canonical", `c_total{kind="a",shard="0"}`, http.StatusOK, 1, true, nil},
+		{"reordered", `c_total{shard="0",kind="a"}`, http.StatusOK, 1, true, nil},
+		{"partial", `c_total{kind="b"}`, http.StatusOK, 10, true, nil},
+		{"ambiguous", `c_total{shard="0"}`, http.StatusBadRequest, 0, false,
+			[]string{`c_total{kind="a",shard="0"}`, `c_total{kind="b",shard="0"}`}},
+		{"bare ambiguous", `c_total`, http.StatusBadRequest, 0, false, []string{"2 series"}},
+		{"absent label", `c_total{kind="z"}`, http.StatusOK, 0, false, nil},
+		{"absent family", `nope_total`, http.StatusOK, 0, false, nil},
+		{"malformed", `c_total{kind=`, http.StatusBadRequest, 0, false, nil},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			resp, err := http.Get(ts.URL + PathQuery + "?fn=raw&series=" + url.QueryEscape(c.series))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			var q QueryResponse
+			if err := json.NewDecoder(resp.Body).Decode(&q); err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != c.code || q.Ok != c.ok {
+				t.Fatalf("status %d ok=%v (%+v), want %d ok=%v", resp.StatusCode, q.Ok, q, c.code, c.ok)
+			}
+			if c.ok && (len(q.Samples) != 3 || q.Samples[0].Value != c.first) {
+				t.Errorf("samples %+v, want 3 starting at %g", q.Samples, c.first)
+			}
+			for _, want := range c.errHas {
+				if !strings.Contains(q.Error, want) {
+					t.Errorf("error %q does not name %s", q.Error, want)
+				}
 			}
 		})
 	}

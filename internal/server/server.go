@@ -59,11 +59,11 @@ import (
 	"waterwise/internal/cluster"
 	"waterwise/internal/feed"
 	"waterwise/internal/footprint"
-	"waterwise/internal/milp"
 	"waterwise/internal/obs"
 	"waterwise/internal/region"
 	"waterwise/internal/trace"
 	"waterwise/internal/transfer"
+	"waterwise/internal/transport"
 	"waterwise/internal/tsdb"
 	"waterwise/internal/wire"
 )
@@ -290,9 +290,9 @@ type ShardStatus struct {
 	Free map[region.ID]int `json:"free"`
 	// Obs digests the shard's latency histograms.
 	Obs *ObsSummary `json:"obs,omitempty"`
-	// Solver carries branch-and-bound instrumentation when the scheduler
-	// exposes it (the WaterWise controller does).
-	Solver *milp.Stats `json:"solver,omitempty"`
+	// Solver carries the round solver's accounting when the scheduler
+	// exposes it (the WaterWise controller does: solve wall time).
+	Solver *transport.Stats `json:"solver,omitempty"`
 	// WAL reports the durability layer — log size, fsync accounting, and
 	// what the last restart recovered — when DataDir is configured.
 	WAL *WALStatus `json:"wal,omitempty"`
@@ -341,7 +341,7 @@ type Status struct {
 	// latency and round timings merged, plus the ingest handler's.
 	Obs *ObsSummary `json:"obs,omitempty"`
 	// Solver sums the shards' solver instrumentation.
-	Solver *milp.Stats `json:"solver,omitempty"`
+	Solver *transport.Stats `json:"solver,omitempty"`
 	// Feed reports the one environment feed every shard reads: which
 	// provider, how stale its readings are, and its fetch/cache accounting.
 	Feed *feed.Health `json:"feed,omitempty"`
@@ -901,7 +901,7 @@ func (s *Server) Status() Status {
 		}
 		if ss.Solver != nil {
 			if st.Solver == nil {
-				st.Solver = &milp.Stats{}
+				st.Solver = &transport.Stats{}
 			}
 			st.Solver.Add(*ss.Solver)
 		}

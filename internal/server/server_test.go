@@ -31,11 +31,9 @@ func testEnv(t testing.TB) *region.Environment {
 	return env
 }
 
-func newScheduler(t testing.TB, reprice bool) *core.Scheduler {
+func newScheduler(t testing.TB) *core.Scheduler {
 	t.Helper()
-	cfg := core.DefaultConfig()
-	cfg.Solver.RepriceWarmStart = reprice
-	ww, err := core.New(cfg)
+	ww, err := core.New(core.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,13 +102,13 @@ func TestAcceleratedReplayMatchesOfflineRun(t *testing.T) {
 	jobs := genTrace(t, env, 6000, 24)
 
 	offEnv := testEnv(t)
-	want, err := cluster.Run(cluster.Config{Env: offEnv, Tolerance: 0.5, Tick: round}, newScheduler(t, false), jobs)
+	want, err := cluster.Run(cluster.Config{Env: offEnv, Tolerance: 0.5, Tick: round}, newScheduler(t), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	srv, err := New(Config{
-		Env: env, Scheduler: newScheduler(t, false), Tolerance: 0.5, Round: round,
+		Env: env, Scheduler: newScheduler(t), Tolerance: 0.5, Round: round,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -198,11 +196,11 @@ func TestAcceleratedReplayMatchesOfflineRun(t *testing.T) {
 func TestOneShardResultKeepsDecisionOrder(t *testing.T) {
 	env := testEnv(t)
 	jobs := genTrace(t, env, 2000, 12)
-	want, err := cluster.Run(cluster.Config{Env: testEnv(t), Tolerance: 0.5, Tick: time.Minute}, newScheduler(t, false), jobs)
+	want, err := cluster.Run(cluster.Config{Env: testEnv(t), Tolerance: 0.5, Tick: time.Minute}, newScheduler(t), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(Config{Env: env, Scheduler: newScheduler(t, false), Tolerance: 0.5, Round: time.Minute})
+	srv, err := New(Config{Env: env, Scheduler: newScheduler(t), Tolerance: 0.5, Round: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,46 +234,10 @@ func TestOneShardResultKeepsDecisionOrder(t *testing.T) {
 	}
 }
 
-// TestReplayWithRepriceWarmStart replays the same trace with the cross-round
-// warm start enabled and asserts the service still drains every job while
-// serving most rounds from a revived basis (correctness of the repriced
-// answers is covered by the core/milp/lp differential suites).
-func TestReplayWithRepriceWarmStart(t *testing.T) {
-	const round = time.Minute
-	env := testEnv(t)
-	jobs := genTrace(t, env, 6000, 24)
-	ww := newScheduler(t, true)
-	srv, err := New(Config{Env: env, Scheduler: ww, Tolerance: 0.5, Round: round})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Stop()
-	for _, j := range jobs {
-		if _, err := srv.Submit(specFor(j)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	srv.Start()
-	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
-	defer cancel()
-	if err := srv.Drain(ctx); err != nil {
-		t.Fatal(err)
-	}
-	res := srv.Result()
-	if len(res.Outcomes) != len(jobs) {
-		t.Fatalf("scheduled %d of %d jobs", len(res.Outcomes), len(jobs))
-	}
-	stats := ww.SolverStats()
-	if stats.WarmStarts == 0 {
-		t.Error("no round was served by the cross-round warm start")
-	}
-	t.Logf("rounds=%d warm=%d cold=%d iters=%d", stats.Nodes, stats.WarmStarts, stats.ColdStarts, stats.SimplexIters)
-}
-
 func TestBackpressure(t *testing.T) {
 	env := testEnv(t)
 	srv, err := New(Config{
-		Env: env, Scheduler: newScheduler(t, false), Tolerance: 0.5,
+		Env: env, Scheduler: newScheduler(t), Tolerance: 0.5,
 		Round: time.Minute, QueueCap: 3,
 	})
 	if err != nil {
@@ -312,7 +274,7 @@ func TestBackpressure(t *testing.T) {
 
 func TestSubmitValidation(t *testing.T) {
 	env := testEnv(t)
-	srv, err := New(Config{Env: env, Scheduler: newScheduler(t, false), Tolerance: 0.5})
+	srv, err := New(Config{Env: env, Scheduler: newScheduler(t), Tolerance: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +324,7 @@ func TestRegionPartitionShard(t *testing.T) {
 	env := testEnv(t)
 	srv, err := New(Config{
 		Env:          env,
-		NewScheduler: func(int, []region.ID) (cluster.Scheduler, error) { return newScheduler(t, false), nil },
+		NewScheduler: func(int, []region.ID) (cluster.Scheduler, error) { return newScheduler(t), nil },
 		Shards:       2, ShardMap: map[region.ID]int{region.Zurich: 0, region.Milan: 0, region.Madrid: 1, region.Oregon: 1, region.Mumbai: 1},
 		Tolerance: 0.5, Round: time.Minute,
 	})
@@ -411,7 +373,7 @@ func shardPage(sh *shard, since uint64, limit int) ([]Decision, Cursor) {
 func TestDecisionsPageCursor(t *testing.T) {
 	env := testEnv(t)
 	srv, err := New(Config{
-		Env: env, Scheduler: newScheduler(t, false), Tolerance: 0.5,
+		Env: env, Scheduler: newScheduler(t), Tolerance: 0.5,
 		Round: time.Minute, DecisionLogCap: 4,
 	})
 	if err != nil {
@@ -462,7 +424,7 @@ func TestDecisionsPageCursor(t *testing.T) {
 
 func TestDecisionsPagingAndStatusAndMetrics(t *testing.T) {
 	env := testEnv(t)
-	srv, err := New(Config{Env: env, Scheduler: newScheduler(t, false), Tolerance: 0.5, Round: time.Minute})
+	srv, err := New(Config{Env: env, Scheduler: newScheduler(t), Tolerance: 0.5, Round: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -561,7 +523,7 @@ func TestDecisionsPagingAndStatusAndMetrics(t *testing.T) {
 func TestPacedLiveMode(t *testing.T) {
 	env := testEnv(t)
 	srv, err := New(Config{
-		Env: env, Scheduler: newScheduler(t, false), Tolerance: 0.5,
+		Env: env, Scheduler: newScheduler(t), Tolerance: 0.5,
 		Round: time.Minute, TimeScale: 1200, // 20 simulated minutes per wall second
 	})
 	if err != nil {
@@ -604,7 +566,7 @@ func TestHorizonAbandon(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(Config{Env: env, Scheduler: newScheduler(t, false), Tolerance: 0.5, Round: time.Minute})
+	srv, err := New(Config{Env: env, Scheduler: newScheduler(t), Tolerance: 0.5, Round: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -639,7 +601,7 @@ func TestHorizonAbandon(t *testing.T) {
 // Unscheduled and later submissions are refused.
 func TestStopAbandonsQueue(t *testing.T) {
 	env := testEnv(t)
-	srv, err := New(Config{Env: env, Scheduler: newScheduler(t, false), Tolerance: 0.5})
+	srv, err := New(Config{Env: env, Scheduler: newScheduler(t), Tolerance: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -736,7 +698,7 @@ func BenchmarkSubmitBatch(b *testing.B) {
 			}
 			b.Run(fmt.Sprintf("frame=%d/%s", frame, mode), func(b *testing.B) {
 				fresh := func() *Server {
-					cfg := Config{Env: env, Scheduler: newScheduler(b, false), Tolerance: 0.5, QueueCap: 1 << 17}
+					cfg := Config{Env: env, Scheduler: newScheduler(b), Tolerance: 0.5, QueueCap: 1 << 17}
 					if durable {
 						cfg.DataDir = b.TempDir()
 					}

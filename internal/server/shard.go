@@ -8,19 +8,19 @@ import (
 	"time"
 
 	"waterwise/internal/cluster"
-	"waterwise/internal/milp"
 	"waterwise/internal/obs"
 	"waterwise/internal/region"
 	"waterwise/internal/trace"
+	"waterwise/internal/transport"
 	"waterwise/internal/units"
 	"waterwise/internal/wal"
 	"waterwise/internal/wire"
 	"waterwise/internal/workload"
 )
 
-// solverStatser is implemented by schedulers that expose branch-and-bound
-// instrumentation (core.Scheduler).
-type solverStatser interface{ SolverStats() milp.Stats }
+// solverStatser is implemented by schedulers that expose their round
+// solver's accounting (core.Scheduler).
+type solverStatser interface{ SolverStats() transport.Stats }
 
 // shard is one scheduling engine: the state machine behind a partition of
 // the service's regions. It owns an ingest queue, a cluster.Sim and its

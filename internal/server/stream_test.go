@@ -176,7 +176,7 @@ func TestStreamEquivalence(t *testing.T) {
 	envHTTP, envStream := testEnv(t), testEnv(t)
 	jobs := genTrace(t, envHTTP, 6000, 24)
 
-	httpSrv, err := New(Config{Env: envHTTP, Scheduler: newScheduler(t, false), Tolerance: 0.5, Round: round})
+	httpSrv, err := New(Config{Env: envHTTP, Scheduler: newScheduler(t), Tolerance: 0.5, Round: round})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestStreamEquivalence(t *testing.T) {
 	defer httpSrv.Stop()
 
 	streamSrv, sl := streamTestServer(t, Config{
-		Env: envStream, Scheduler: newScheduler(t, false), Tolerance: 0.5, Round: round,
+		Env: envStream, Scheduler: newScheduler(t), Tolerance: 0.5, Round: round,
 	})
 
 	// Ingest the whole trace into both servers pre-Start: HTTP/JSON
@@ -303,7 +303,7 @@ func TestStreamReconnectResume(t *testing.T) {
 	env := testEnv(t)
 	jobs := genTrace(t, env, 2000, 12)
 	srv, sl := streamTestServer(t, Config{
-		Env: env, Scheduler: newScheduler(t, false), Tolerance: 0.5, Round: time.Minute,
+		Env: env, Scheduler: newScheduler(t), Tolerance: 0.5, Round: time.Minute,
 	})
 	ingest := dialStream(t, sl.Addr().String(), 0, false)
 	defer ingest.close()
@@ -344,7 +344,7 @@ func TestStreamReconnectResume(t *testing.T) {
 func TestStreamDisconnectCleanup(t *testing.T) {
 	env := testEnv(t)
 	srv, sl := streamTestServer(t, Config{
-		Env: env, Scheduler: newScheduler(t, false), Tolerance: 0.5, Round: time.Minute,
+		Env: env, Scheduler: newScheduler(t), Tolerance: 0.5, Round: time.Minute,
 	})
 	waitConns := func(want int) {
 		deadline := time.Now().Add(10 * time.Second)
@@ -410,7 +410,7 @@ func TestStreamDisconnectCleanup(t *testing.T) {
 func TestStreamDedupeResubmit(t *testing.T) {
 	env := testEnv(t)
 	_, sl := streamTestServer(t, Config{
-		Env: env, Scheduler: newScheduler(t, false), Tolerance: 0.5, Round: time.Minute,
+		Env: env, Scheduler: newScheduler(t), Tolerance: 0.5, Round: time.Minute,
 	})
 	c := dialStream(t, sl.Addr().String(), 0, false)
 	defer c.close()
@@ -437,7 +437,7 @@ func TestStreamDedupeResubmit(t *testing.T) {
 func TestStreamHandshakeErrors(t *testing.T) {
 	env := testEnv(t)
 	_, sl := streamTestServer(t, Config{
-		Env: env, Scheduler: newScheduler(t, false), Tolerance: 0.5, Round: time.Minute,
+		Env: env, Scheduler: newScheduler(t), Tolerance: 0.5, Round: time.Minute,
 	})
 
 	// First frame is not Hello.

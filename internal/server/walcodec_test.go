@@ -114,7 +114,7 @@ func allocatedBy(fn func()) uint64 {
 // it. Trusting them, the hostile snapshot allocates ~6.6 GB and the
 // hostile round record ~576 MB before failing.
 func TestWALDecodeBoundsCounts(t *testing.T) {
-	srv := testShard(t, Config{Env: testEnv(t), Scheduler: newScheduler(t, false), Tolerance: 0.5,
+	srv := testShard(t, Config{Env: testEnv(t), Scheduler: newScheduler(t), Tolerance: 0.5,
 		Round: time.Minute, DecisionLogCap: 8})
 	for _, tc := range []struct {
 		name  string
@@ -176,7 +176,7 @@ func FuzzSnapshot(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Add(ringOutsidePartition(f))
-	env, sched := testEnv(f), newScheduler(f, false)
+	env, sched := testEnv(f), newScheduler(f)
 	restore := func(t *testing.T, data []byte) (*shard, error) {
 		srv := testShard(t, Config{Env: env, Scheduler: sched, Tolerance: 0.5, Round: time.Minute, DecisionLogCap: 8})
 		return srv, srv.restoreSnapshot(data)
@@ -205,7 +205,7 @@ func FuzzSnapshot(f *testing.F) {
 // it fails.
 func ringOutsidePartition(tb testing.TB) []byte {
 	snap := goldenPayload(tb, "snapshot_v1")
-	srv := testShard(tb, Config{Env: testEnv(tb), Scheduler: newScheduler(tb, false), Tolerance: 0.5, Round: time.Minute, DecisionLogCap: 8})
+	srv := testShard(tb, Config{Env: testEnv(tb), Scheduler: newScheduler(tb), Tolerance: 0.5, Round: time.Minute, DecisionLogCap: 8})
 	if err := srv.restoreSnapshot(snap); err != nil {
 		tb.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func ringOutsidePartition(tb testing.TB) []byte {
 		name := []byte(id)
 		out = append(out[:at:at], bytes.ReplaceAll(out[at:], name, bytes.Repeat([]byte("?"), len(name)))...)
 	}
-	if err := testShard(tb, Config{Env: testEnv(tb), Scheduler: newScheduler(tb, false), Tolerance: 0.5, Round: time.Minute}).restoreSnapshot(out); err == nil {
+	if err := testShard(tb, Config{Env: testEnv(tb), Scheduler: newScheduler(tb), Tolerance: 0.5, Round: time.Minute}).restoreSnapshot(out); err == nil {
 		tb.Fatal("restored a ring decision outside the partition")
 	}
 	return out

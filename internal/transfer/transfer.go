@@ -88,7 +88,13 @@ func (m *Model) Latency(home, dst region.ID, packageMB float64) time.Duration {
 	if home == dst {
 		return 0
 	}
-	rtt := m.RTT(home, dst)
+	return m.LatencyAt(m.RTT(home, dst), packageMB)
+}
+
+// LatencyAt is Latency between two distinct regions whose round-trip time
+// is rtt: a caller that resolved RTT once for many packages gets the same
+// durations, bit for bit, without the table lookups.
+func (m *Model) LatencyAt(rtt time.Duration, packageMB float64) time.Duration {
 	// Long fat networks lose effective single-stream throughput; degrade
 	// linearly up to 40% at 250ms RTT.
 	degrade := 1 - 0.4*float64(rtt)/float64(250*time.Millisecond)

@@ -10,9 +10,11 @@
 package tsdb
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"strconv"
+	"strings"
 
 	"waterwise/internal/obs"
 )
@@ -115,6 +117,23 @@ func (st *Store) refKeys(ref string) ([]string, error) {
 		}
 	}
 	return out, nil
+}
+
+// QueryRef is Query for a series reference: it returns the samples of the
+// one series the reference selects, and none when it selects nothing. A
+// malformed reference, or one that selects several series, is an error
+// that names them.
+func (st *Store) QueryRef(ref string, from, to uint64) ([]Sample, error) {
+	keys, err := st.refKeys(ref)
+	switch {
+	case err != nil:
+		return nil, err
+	case len(keys) == 0:
+		return nil, nil
+	case len(keys) > 1:
+		return nil, fmt.Errorf("tsdb: %q matches %d series: %s", ref, len(keys), strings.Join(keys, ", "))
+	}
+	return st.Query(keys[0], from, to), nil
 }
 
 // QuantileOver reconstructs a histogram family's distribution over the

@@ -364,22 +364,20 @@ type SchedulerConfig struct {
 	// CostWeight optionally adds electricity cost as an objective — the
 	// paper's §7 extension. 0 disables.
 	CostWeight float64
-	// MaxBatch caps the number of jobs put into a single scheduling-round
-	// MILP; overflow jobs wait for the next round, most urgent first
-	// (default 64). The sparse revised simplex solves thousand-job rounds
-	// well inside the round budget, so large deployments can raise this to
+	// MaxBatch caps the number of jobs placed in a single scheduling round;
+	// overflow jobs wait for the next round, most urgent first (default
+	// 64). The round is solved as a transportation problem, whose cost grows
+	// about linearly with the batch, so large deployments can raise this to
 	// batch whole bursts into one optimal assignment.
 	MaxBatch int
 	// SolverWorkers is kept for source compatibility.
 	//
-	// Deprecated: ignored; the search is serial.
+	// Deprecated: ignored; the round solver is serial.
 	SolverWorkers int
-	// CrossRoundWarmStart carries the round MILP's simplex basis across
-	// scheduling rounds: the cached round model re-prices the previous
-	// round's basis in place (new objective, capacity RHS, and forbidden
-	// pairs) instead of solving cold, falling back to a cold solve whenever
-	// the basis cannot be revived. Per-round objectives never change, only
-	// solve effort. Benefits both the online service and offline replays.
+	// CrossRoundWarmStart is kept for source compatibility.
+	//
+	// Deprecated: ignored; the round is solved as a transportation problem,
+	// which keeps no simplex basis to carry across rounds.
 	CrossRoundWarmStart bool
 }
 
@@ -404,7 +402,6 @@ func NewScheduler(cfg SchedulerConfig) (Scheduler, error) {
 	}
 	c.PerfWeight = cfg.PerfWeight
 	c.CostWeight = cfg.CostWeight
-	c.Solver.RepriceWarmStart = cfg.CrossRoundWarmStart
 	return core.New(c)
 }
 

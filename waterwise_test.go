@@ -233,7 +233,6 @@ func TestOnlineServiceEndToEnd(t *testing.T) {
 	}
 	srv, err := NewServer(env, ServerConfig{
 		Tolerance: 0.5, Round: time.Minute,
-		Scheduler: SchedulerConfig{CrossRoundWarmStart: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -267,8 +266,10 @@ func TestOnlineServiceEndToEnd(t *testing.T) {
 	if st.Decisions != uint64(len(jobs)) {
 		t.Fatalf("decided %d of %d jobs", st.Decisions, len(jobs))
 	}
-	if st.Solver == nil || st.Solver.WarmStarts == 0 {
-		t.Error("cross-round warm start produced no warm-served rounds")
+	// Rounds are solved as transportation problems: solve wall time
+	// accrues, and no simplex runs.
+	if st.Solver == nil || st.Solver.Wall <= 0 || st.Solver.SimplexIters != 0 {
+		t.Errorf("solver accounting %+v: want solve wall time and no simplex iterations", st.Solver)
 	}
 	decisions := srv.Decisions(0, 0)
 	if len(decisions) != len(jobs) {
@@ -291,7 +292,6 @@ func TestFleetEndToEnd(t *testing.T) {
 	}
 	fl, err := NewServer(env, ServerConfig{
 		Tolerance: 0.5, Round: time.Minute, Shards: 2,
-		Scheduler: SchedulerConfig{CrossRoundWarmStart: true},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -82,14 +82,6 @@ type Options struct {
 	//
 	// Deprecated: ignored; the search is serial.
 	Workers int
-	// RepriceWarmStart carries the root LP basis *across* Solve calls on a
-	// reused Problem: when only the objective, RHS, and variable bounds
-	// changed since the previous Solve (a reused round-shaped model),
-	// the root relaxation is revived by re-pricing (lp.SolveReprice) instead
-	// of solving cold. Answers never change — any doubt falls back to a cold
-	// solve — only the root simplex iteration count does.
-	RepriceWarmStart bool
-
 	// disableWarmStart solves every node relaxation from scratch instead
 	// of warm starting from the parent basis: the ablation the package's
 	// differential tests run.
@@ -436,15 +428,7 @@ func (p *Problem) Solve(opts Options) (*Solution, error) {
 	if opts.disableWarmStart {
 		rootBasis = nil
 	}
-	var rootSol *lp.Solution
-	var err error
-	if opts.RepriceWarmStart {
-		// Cross-round warm start: revive the previous Solve's root basis by
-		// re-pricing the changed objective/RHS in place.
-		rootSol, err = p.base.SolveReprice(rootBasis)
-	} else {
-		rootSol, err = p.base.SolveWarm(rootBasis)
-	}
+	rootSol, err := p.base.SolveWarm(rootBasis)
 	if err != nil {
 		return nil, err
 	}

@@ -4,14 +4,16 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 )
 
-var update = flag.Bool("update", false, "rewrite the committed FuzzParseProm seed corpus")
+var update = flag.Bool("update", false, "rewrite the committed fuzz seed corpora")
 
 // The live expositions under testdata/live are /metrics scraped from a
 // running waterwised after a loadgen run: server.prom from a single
@@ -154,6 +156,91 @@ func FuzzParseProm(f *testing.F) {
 		}
 		if lines := bytes.Count(data, []byte("\n")) + 1; samples > lines {
 			t.Fatalf("%d samples from %d lines", samples, lines)
+		}
+	})
+}
+
+// seriesFuzzSeeds are series identities of every shape the flight
+// recorder stores and /v1/query receives: identities as the service
+// renders them, escaped quotes and backslashes, label names that sort
+// before their prefix, and inputs the grammar rejects or reads loosely
+// (Go-only escapes, unsorted, empty, trailing comma, duplicated,
+// unquoted, unterminated).
+var seriesFuzzSeeds = []string{
+	`waterwise_decisions_total`,
+	`waterwise_decisions_total{shard="0"}`,
+	`waterwise_decision_latency_seconds_bucket{le="+Inf",shard="1"}`,
+	`waterwise_build_info{gomaxprocs="2",goversion="go1.24",version="dev"}`,
+	`m{a="x\"y\\z"}`,
+	`m{a1="2",a="1",b="é\x00\t,{}="}`,
+	`m{b="1",a="2"}`,
+	`m{}`,
+	`m{a="1",}`,
+	`m{a="1",a="2"}`,
+	`m{a="\x41"}`,
+	`m{a=1}`,
+	`m{a="1"`,
+	`m{a="\q"}`,
+}
+
+// TestSeriesFuzzCorpusCommitted keeps testdata/fuzz/FuzzParseSeries in
+// step with seriesFuzzSeeds; regenerate with -update.
+func TestSeriesFuzzCorpusCommitted(t *testing.T) {
+	dir := filepath.Join("testdata", "fuzz", "FuzzParseSeries")
+	for i, seed := range seriesFuzzSeeds {
+		body := "go test fuzz v1\nstring(" + strconv.Quote(seed) + ")\n"
+		path := filepath.Join(dir, fmt.Sprintf("seed-%02d", i))
+		if *update {
+			if err := os.MkdirAll(dir, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("missing fuzz seed (run with -update): %v", err)
+		}
+		if string(got) != body {
+			t.Fatalf("fuzz seed %s out of date (run with -update)", path)
+		}
+	}
+}
+
+// renderSeries writes a series identity the way an exposition spells it:
+// labels in sorted order, values with \\, \" and \n escaped.
+func renderSeries(name string, labels map[string]string) string {
+	if len(labels) == 0 {
+		return name
+	}
+	esc := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+	pairs := make([]string, 0, len(labels))
+	for _, k := range slices.Sorted(maps.Keys(labels)) {
+		pairs = append(pairs, k+`="`+esc.Replace(labels[k])+`"`)
+	}
+	return name + "{" + strings.Join(pairs, ",") + "}"
+}
+
+// FuzzParseSeries checks the one series grammar: ParseSeries never
+// panics, and whatever it accepts, rendered back in exposition form,
+// parses to the same name and labels.
+func FuzzParseSeries(f *testing.F) {
+	for _, seed := range seriesFuzzSeeds {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		name, labels, err := ParseSeries(s)
+		if err != nil {
+			return
+		}
+		out := renderSeries(name, labels)
+		name2, labels2, err := ParseSeries(out)
+		if err != nil {
+			t.Fatalf("ParseSeries(%q) accepted, but its rendering %q does not parse: %v", s, out, err)
+		}
+		if name2 != name || !maps.Equal(labels2, labels) {
+			t.Fatalf("ParseSeries(%q) = %q %v, its rendering %q parses to %q %v", s, name, labels, out, name2, labels2)
 		}
 	})
 }

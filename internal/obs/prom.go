@@ -1,7 +1,7 @@
 package obs
 
 import (
-	"fmt"
+	"math"
 	"strconv"
 )
 
@@ -48,22 +48,20 @@ func (s *Snapshot) AppendProm(b []byte, name, help, labels string, withHeader bo
 	if withHeader {
 		b = AppendHeader(b, name, "histogram", help)
 	}
-	series := func(suffix, extraLabel string, v string) []byte {
-		b := append([]byte(nil), name...)
-		b = append(b, suffix...)
-		if labels != "" || extraLabel != "" {
-			b = append(b, '{')
+	bucket := func(le float64, n uint64) {
+		b = append(b, name...)
+		b = append(b, "_bucket{"...)
+		if labels != "" {
 			b = append(b, labels...)
-			if labels != "" && extraLabel != "" {
-				b = append(b, ',')
-			}
-			b = append(b, extraLabel...)
-			b = append(b, '}')
+			b = append(b, ',')
 		}
-		b = append(b, ' ')
-		b = append(b, v...)
+		// Shortest float form, as Prometheus clients write edges: stable
+		// across renders, so every scrape names identical series.
+		b = append(b, `le="`...)
+		b = strconv.AppendFloat(b, le, 'g', -1, 64)
+		b = append(b, `"} `...)
+		b = strconv.AppendUint(b, n, 10)
 		b = append(b, '\n')
-		return b
 	}
 	var cum uint64
 	prevEmitted := false
@@ -75,22 +73,25 @@ func (s *Snapshot) AppendProm(b []byte, name, help, labels string, withHeader bo
 		if !prevEmitted && i > 0 && cum > 0 {
 			// Re-anchor after an elided run so the scraper sees the
 			// cumulative floor just below this occupied bucket.
-			b = append(b, series("_bucket", fmt.Sprintf("le=%q", formatLE(boundaries[i-1])), strconv.FormatUint(cum, 10))...)
+			bucket(boundaries[i-1], cum)
 		}
 		cum += c
-		b = append(b, series("_bucket", fmt.Sprintf("le=%q", formatLE(boundaries[i])), strconv.FormatUint(cum, 10))...)
+		bucket(boundaries[i], cum)
 		prevEmitted = true
 	}
-	b = append(b, series("_bucket", `le="+Inf"`, strconv.FormatUint(s.Count, 10))...)
-	b = append(b, series("_sum", "", strconv.FormatFloat(s.Sum, 'g', -1, 64))...)
-	b = append(b, series("_count", "", strconv.FormatUint(s.Count, 10))...)
-	return b
+	bucket(math.Inf(1), s.Count)
+	b = AppendSample(b, name+"_sum", labels, s.Sum)
+	b = append(b, name...)
+	b = append(b, "_count"...)
+	if labels != "" {
+		b = append(b, '{')
+		b = append(b, labels...)
+		b = append(b, '}')
+	}
+	b = append(b, ' ')
+	b = strconv.AppendUint(b, s.Count, 10)
+	return append(b, '\n')
 }
-
-// formatLE formats a bucket edge the way Prometheus clients do: shortest
-// float form, stable across renders so every scrape names identical
-// series.
-func formatLE(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
 // QuantileFromBuckets estimates the q-quantile from parsed cumulative
 // histogram buckets — the scrape-side counterpart of Snapshot.Quantile,

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"maps"
 	"math"
 	"math/rand"
 	"strings"
@@ -144,10 +145,55 @@ func TestParsePromStrict(t *testing.T) {
 			t.Errorf("%s: ParseProm accepted invalid exposition:\n%s", c.name, c.in)
 		}
 	}
-	// A well-formed doc passes.
-	good := "# HELP foo_total Docs.\n# TYPE foo_total counter\nfoo_total 3\n"
-	if _, err := ParseProm([]byte(good)); err != nil {
-		t.Errorf("ParseProm rejected valid exposition: %v", err)
+	for _, good := range []string{
+		"# HELP foo_total Docs.\n# TYPE foo_total counter\nfoo_total 3\n",
+		// Two series whose labels differ only in where a comma sits: a
+		// value holding `,b=y` is not a second label.
+		"# HELP m_total Docs.\n# TYPE m_total counter\nm_total{a=\"x,b=y\"} 1\nm_total{a=\"x\",b=\"y\"} 2\n",
+	} {
+		if _, err := ParseProm([]byte(good)); err != nil {
+			t.Errorf("ParseProm rejected valid exposition: %v\n%s", err, good)
+		}
+	}
+	// The same series twice, labels reordered, is a duplicate.
+	dup := "# HELP m_total Docs.\n# TYPE m_total counter\nm_total{a=\"x\",b=\"y\"} 1\nm_total{b=\"y\",a=\"x\"} 2\n"
+	if _, err := ParseProm([]byte(dup)); err == nil || !strings.Contains(err.Error(), "duplicate series") {
+		t.Errorf("ParseProm on a reordered duplicate: %v", err)
+	}
+}
+
+// TestParseSeriesRoundTrip pins the series grammar on identities of every
+// shape the service renders, and on what it must reject.
+func TestParseSeriesRoundTrip(t *testing.T) {
+	for _, c := range []struct {
+		id     string
+		name   string
+		labels map[string]string
+	}{
+		{`plain_total`, "plain_total", nil},
+		{`labeled_total{shard="3",region="us-east"}`, "labeled_total", map[string]string{"shard": "3", "region": "us-east"}},
+		{`bucket{shard="0",le="+Inf"}`, "bucket", map[string]string{"le": "+Inf", "shard": "0"}},
+		{`escaped{a="x\"y\\z",b="sp ace,{}= ",c="é\n"}`, "escaped", map[string]string{"a": "x\"y\\z", "b": "sp ace,{}= ", "c": "é\n"}},
+		{`digits{a1="2",a="1"}`, "digits", map[string]string{"a": "1", "a1": "2"}},
+	} {
+		name, labels, err := ParseSeries(c.id)
+		if err != nil {
+			t.Fatalf("ParseSeries(%q): %v", c.id, err)
+		}
+		if name != c.name || !maps.Equal(labels, c.labels) {
+			t.Errorf("ParseSeries(%q) = %q %v, want %q %v", c.id, name, labels, c.name, c.labels)
+		}
+		if n2, l2, err := ParseSeries(renderSeries(name, labels)); err != nil || n2 != name || !maps.Equal(l2, labels) {
+			t.Errorf("rendering of %q parses to %q %v (%v)", c.id, n2, l2, err)
+		}
+	}
+	for _, bad := range []string{
+		"", "x{", "x{a=b}", `x{a="b}`, `x{a="b"`, `x{a="b"c="d"}`, `x{="b"}`,
+		`x{a="1",a="2"}`, `x{a="\x41"}`, `x{a="b"} `, `x{a="b"}}`, `1x`, `x y`,
+	} {
+		if _, _, err := ParseSeries(bad); err == nil {
+			t.Errorf("ParseSeries(%q) accepted", bad)
+		}
 	}
 }
 

@@ -148,15 +148,7 @@ func lintHistogram(fam *PromFamily) error {
 	}
 	groups := make(map[string]*group)
 	groupOf := func(s PromSample) *group {
-		parts := make([]string, 0, len(s.Labels))
-		for k, v := range s.Labels {
-			if k == "le" {
-				continue
-			}
-			parts = append(parts, k+"="+v)
-		}
-		sort.Strings(parts)
-		key := strings.Join(parts, ",")
+		key := labelKey(s.Labels, "le")
 		g := groups[key]
 		if g == nil {
 			g = &group{}
@@ -171,7 +163,7 @@ func lintHistogram(fam *PromFamily) error {
 			if !ok {
 				return fmt.Errorf("family %s: bucket without le label", fam.Name)
 			}
-			edge, err := parseLE(le)
+			edge, err := strconv.ParseFloat(le, 64)
 			if err != nil {
 				return fmt.Errorf("family %s: bad le %q", fam.Name, le)
 			}
@@ -235,7 +227,7 @@ func HistogramBuckets(fam *PromFamily, want map[string]string) (les []float64, c
 		if !match || len(s.Labels)-1 != len(want) {
 			continue
 		}
-		edge, err := parseLE(s.Labels["le"])
+		edge, err := strconv.ParseFloat(s.Labels["le"], 64)
 		if err != nil {
 			continue
 		}
@@ -264,14 +256,6 @@ func (b *bucketSort) Swap(i, j int) {
 	b.cums[i], b.cums[j] = b.cums[j], b.cums[i]
 }
 
-// parseLE parses a bucket edge, accepting +Inf.
-func parseLE(s string) (float64, error) {
-	if s == "+Inf" {
-		return math.Inf(1), nil
-	}
-	return strconv.ParseFloat(s, 64)
-}
-
 // parseComment parses a "# HELP name text" / "# TYPE name type" line.
 func parseComment(line string) (kind, name, rest string, err error) {
 	body, ok := strings.CutPrefix(line, "# ")
@@ -289,62 +273,74 @@ func parseComment(line string) (kind, name, rest string, err error) {
 	return kind, name, rest, nil
 }
 
-// parseSample parses one "name{labels} value" sample line.
+// parseSample parses one "name{labels} value" sample line: the series
+// identity up to the label set's closing brace (or the first space), then
+// the value.
 func parseSample(line string) (PromSample, error) {
 	s := PromSample{}
 	i := strings.IndexAny(line, "{ ")
 	if i < 0 {
 		return s, fmt.Errorf("malformed sample %q", line)
 	}
-	s.Name = line[:i]
-	if !validMetricName(s.Name) {
-		return s, fmt.Errorf("invalid metric name %q", s.Name)
-	}
-	rest := line[i:]
-	if rest[0] == '{' {
+	if line[i] == '{' {
 		end := -1
 		inQuote := false
-		for j := 1; j < len(rest); j++ {
+		for j := i + 1; j < len(line) && end < 0; j++ {
 			switch {
-			case inQuote && rest[j] == '\\':
+			case inQuote && line[j] == '\\':
 				j++
-			case rest[j] == '"':
+			case line[j] == '"':
 				inQuote = !inQuote
-			case !inQuote && rest[j] == '}':
+			case !inQuote && line[j] == '}':
 				end = j
-			}
-			if end >= 0 {
-				break
 			}
 		}
 		if end < 0 {
 			return s, fmt.Errorf("unterminated label set in %q", line)
 		}
-		labels, err := parseLabels(rest[1:end])
-		if err != nil {
-			return s, fmt.Errorf("%w in %q", err, line)
-		}
-		s.Labels = labels
-		rest = rest[end+1:]
+		i = end + 1
 	}
-	rest = strings.TrimSpace(rest)
+	var err error
+	if s.Name, s.Labels, err = ParseSeries(line[:i]); err != nil {
+		return s, fmt.Errorf("%w in %q", err, line)
+	}
+	rest := strings.TrimSpace(line[i:])
 	// A trailing timestamp would be a second field; this exporter never
 	// writes one, and the strict form rejects it.
 	if strings.ContainsAny(rest, " \t") {
 		return s, fmt.Errorf("unexpected trailing fields in %q", line)
 	}
-	v, err := strconv.ParseFloat(rest, 64)
-	if err != nil {
-		if rest == "+Inf" {
-			v = math.Inf(1)
-		} else if rest == "-Inf" {
-			v = math.Inf(-1)
-		} else {
-			return s, fmt.Errorf("bad value %q", rest)
-		}
+	if s.Value, err = strconv.ParseFloat(rest, 64); err != nil {
+		return s, fmt.Errorf("bad value %q", rest)
 	}
-	s.Value = v
 	return s, nil
+}
+
+// ParseSeries parses a series identity — a metric name, optionally
+// followed by a {k="v",...} label set — exactly as an exposition line
+// spells it before the value, and nothing else: the whole string must be
+// the identity. It is the one label grammar in the repo: ParseProm reads
+// every sample line's identity with it, and the flight recorder reads
+// its stored identities and query references with it.
+func ParseSeries(id string) (name string, labels map[string]string, err error) {
+	i := strings.IndexByte(id, '{')
+	if i < 0 {
+		i = len(id)
+	}
+	name = id[:i]
+	if !validMetricName(name) {
+		return "", nil, fmt.Errorf("invalid metric name %q", name)
+	}
+	if i == len(id) {
+		return name, nil, nil
+	}
+	if id[len(id)-1] != '}' {
+		return "", nil, fmt.Errorf("unterminated label set in %q", id)
+	}
+	if labels, err = parseLabels(id[i+1 : len(id)-1]); err != nil {
+		return "", nil, err
+	}
+	return name, labels, nil
 }
 
 // parseLabels parses `k="v",k2="v2"`.
@@ -423,14 +419,24 @@ func familyOf(name string, families map[string]*PromFamily) string {
 	return name
 }
 
-// seriesKey is the dedupe identity: name plus sorted labels.
+// seriesKey is the dedupe identity: name plus labelKey.
 func seriesKey(s PromSample) string {
-	parts := make([]string, 0, len(s.Labels))
-	for k, v := range s.Labels {
-		parts = append(parts, k+"="+v)
+	return s.Name + "{" + labelKey(s.Labels, "") + "}"
+}
+
+// labelKey renders a label set, minus the label named skip, as sorted
+// k="v" pairs with Go-quoted values: the same key whatever order the
+// pairs were written in, and a comma or quote inside a value cannot pass
+// for a pair boundary.
+func labelKey(labels map[string]string, skip string) string {
+	parts := make([]string, 0, len(labels))
+	for k, v := range labels {
+		if k != skip {
+			parts = append(parts, k+"="+strconv.Quote(v))
+		}
 	}
 	sort.Strings(parts)
-	return s.Name + "{" + strings.Join(parts, ",") + "}"
+	return strings.Join(parts, ",")
 }
 
 // validMetricName reports whether name matches [a-zA-Z_:][a-zA-Z0-9_:]*.

@@ -46,7 +46,7 @@ func (st Stage) String() string {
 }
 
 // RoundTrace is the record of one scheduling round: when it ran, how
-// long each stage took, and what the solver did — enough to answer
+// long each stage took, and how many jobs it placed — enough to answer
 // "which stage made this round slow" after the fact.
 type RoundTrace struct {
 	// Index is the round index k (rounds fire at Env.Start + k*Round).
@@ -63,13 +63,6 @@ type RoundTrace struct {
 	// round's solve.
 	Batch   int `json:"batch"`
 	Decided int `json:"decided"`
-	// Nodes and SimplexIters are the round's branch-and-bound node and
-	// simplex pivot deltas; WarmStarts/ColdStarts its LP solve mix.
-	// All zero when the scheduler exposes no solver stats.
-	Nodes        int `json:"nodes"`
-	SimplexIters int `json:"simplex_iters"`
-	WarmStarts   int `json:"warm_starts"`
-	ColdStarts   int `json:"cold_starts"`
 }
 
 // RoundRing retains the most recent rounds' traces in a bounded ring

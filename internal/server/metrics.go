@@ -109,14 +109,6 @@ var statusFamilies = []family[ShardStatus]{
 			}
 		}},
 
-	{"waterwise_solver_nodes_total", "counter", "Branch-and-bound nodes across all rounds (0: rounds are solved as transportation problems).",
-		solverStat(func(s *transport.Stats) float64 { return float64(s.Nodes) })},
-	{"waterwise_solver_simplex_iters_total", "counter", "Simplex pivots across all rounds (0: rounds are solved as transportation problems).",
-		solverStat(func(s *transport.Stats) float64 { return float64(s.SimplexIters) })},
-	{"waterwise_solver_warm_starts_total", "counter", "LP solves served by a warm start (0: rounds are solved as transportation problems).",
-		solverStat(func(s *transport.Stats) float64 { return float64(s.WarmStarts) })},
-	{"waterwise_solver_cold_starts_total", "counter", "LP solves run from scratch (0: rounds are solved as transportation problems).",
-		solverStat(func(s *transport.Stats) float64 { return float64(s.ColdStarts) })},
 	{"waterwise_solver_wall_seconds_total", "counter", "Aggregate round solve wall time.",
 		solverStat(func(s *transport.Stats) float64 { return s.Wall.Seconds() })},
 

@@ -10,23 +10,18 @@ import (
 	"time"
 
 	"waterwise/internal/obs"
-	"waterwise/internal/transport"
 )
 
 // shardObs bundles one shard's observability recorders (internal/obs):
 // latency histograms, the per-round trace ring, and job lifecycle traces
-// sampled one in 64. It is always on and measurement only. lastSolver is
-// guarded by the shard mutex; the histograms, ring, and tracer have their
-// own synchronization.
+// sampled one in 64. It is always on and measurement only; the
+// histograms, ring, and tracer have their own synchronization.
 type shardObs struct {
 	decision *obs.Histogram // Submit acceptance -> round commit, wall seconds
 	round    *obs.Histogram // total scheduling-round wall seconds
 	stages   [obs.NumStages]*obs.Histogram
 	ring     *obs.RoundRing
 	jobs     *obs.JobTracer
-	// lastSolver is the previous round's cumulative solver stats, diffed
-	// for per-round trace attribution.
-	lastSolver transport.Stats
 }
 
 func newShardObs() *shardObs {
@@ -197,18 +192,14 @@ func (s *Server) jobTrace(id int) (JobTraceResponse, bool) {
 // /v1/rounds/slowest: durations in milliseconds, stages keyed by name,
 // and the owning shard.
 type RoundTraceWire struct {
-	Shard        int                `json:"shard"`
-	Index        int64              `json:"index"`
-	Sim          time.Time          `json:"sim"`
-	Wall         time.Time          `json:"wall"`
-	TotalMs      float64            `json:"total_ms"`
-	StagesMs     map[string]float64 `json:"stages_ms"`
-	Batch        int                `json:"batch"`
-	Decided      int                `json:"decided"`
-	Nodes        int                `json:"nodes"`
-	SimplexIters int                `json:"simplex_iters"`
-	WarmStarts   int                `json:"warm_starts"`
-	ColdStarts   int                `json:"cold_starts"`
+	Shard    int                `json:"shard"`
+	Index    int64              `json:"index"`
+	Sim      time.Time          `json:"sim"`
+	Wall     time.Time          `json:"wall"`
+	TotalMs  float64            `json:"total_ms"`
+	StagesMs map[string]float64 `json:"stages_ms"`
+	Batch    int                `json:"batch"`
+	Decided  int                `json:"decided"`
 }
 
 // wireRoundTraces converts one shard's traces to their wire form.
@@ -229,8 +220,6 @@ func wireRoundTraces(rts []obs.RoundTrace, shard int) []RoundTraceWire {
 			TotalMs:  float64(rt.Total) / float64(time.Millisecond),
 			StagesMs: stages,
 			Batch:    rt.Batch, Decided: rt.Decided,
-			Nodes: rt.Nodes, SimplexIters: rt.SimplexIters,
-			WarmStarts: rt.WarmStarts, ColdStarts: rt.ColdStarts,
 		}
 	}
 	return out

@@ -136,7 +136,7 @@ func TestMetricsLintAndObsEndpoints(t *testing.T) {
 		omitted int
 	}{
 		{"in-memory", newScheduler(t), "", []string{"waterwise_wal_", "waterwise_jobs_deduped_"}, 12},
-		{"baseline scheduler", sched.NewBaseline(), t.TempDir(), []string{"waterwise_solver_"}, 5},
+		{"baseline scheduler", sched.NewBaseline(), t.TempDir(), []string{"waterwise_solver_"}, 1},
 	} {
 		other, err := New(Config{Env: env, Scheduler: tc.sched, Tolerance: 0.5, Round: time.Minute, DataDir: tc.dataDir})
 		if err != nil {

@@ -3,10 +3,12 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -67,6 +69,101 @@ func TestRecorderEquivalence(t *testing.T) {
 				i, a.Job.ID, a.Region, a.Start, a.Finish, b.Job.ID, b.Region, b.Start, b.Finish)
 		}
 	}
+}
+
+// TestRecorderReadingMatchesParseProm holds the recorder's line reader to
+// the strict parser. A 2-shard replay runs with the recorder armed and
+// both kinds of SLO objective; after every round the exposition is read
+// both ways — tsdb.ReadExposition, the reader the recorder appends from,
+// and obs.ParseProm — and the two readings must agree sample for sample:
+// each identity parses to the name, labels and value ParseProm read, and
+// no sample is dropped or read twice.
+func TestRecorderReadingMatchesParseProm(t *testing.T) {
+	env := testEnv(t)
+	var (
+		mu       sync.Mutex
+		firstErr error
+		checked  int
+	)
+	var srv *Server
+	srv, err := New(Config{
+		Env: env, NewScheduler: coreFactory(t), Shards: 2, Tolerance: 0.5, Round: time.Minute,
+		Record: &tsdb.Config{
+			SLOs: []tsdb.Objective{
+				{Name: "availability", Target: 0.999,
+					Bad: "waterwise_jobs_rejected_total", Good: "waterwise_jobs_accepted_total"},
+				{Name: "latency", Target: 0.99,
+					Family: "waterwise_decision_latency_seconds", ThresholdMs: 250},
+			},
+		},
+		OnRound: func(int, uint64) {
+			err := compareReadings(srv.MetricsText())
+			mu.Lock()
+			defer mu.Unlock()
+			checked++
+			if firstErr == nil {
+				firstErr = err
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Stop()
+	for _, j := range genTrace(t, env, 3000, 6) {
+		if _, err := srv.Submit(specFor(j)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	drainServer(t, srv)
+	srv.Stop()
+	mu.Lock()
+	defer mu.Unlock()
+	if firstErr != nil {
+		t.Fatal(firstErr)
+	}
+	if st := srv.Recorder().Stats(); checked == 0 || st.Scrapes == 0 || st.ParseErrors != 0 {
+		t.Fatalf("%d rounds checked, recorder %+v", checked, st)
+	}
+}
+
+// compareReadings reads one exposition with tsdb.ReadExposition and with
+// obs.ParseProm and reports the first sample where they differ.
+func compareReadings(text []byte) error {
+	fams, err := obs.ParseProm(text)
+	if err != nil {
+		return err
+	}
+	identity := func(name string, labels map[string]string) string { return fmt.Sprintf("%s %q", name, labels) }
+	want := make(map[string]float64)
+	for _, fam := range fams {
+		for _, s := range fam.Samples {
+			want[identity(s.Name, s.Labels)] = s.Value
+		}
+	}
+	err = tsdb.ReadExposition(text, func(id []byte, v float64) error {
+		name, labels, err := obs.ParseSeries(string(id))
+		if err != nil {
+			return err
+		}
+		k := identity(name, labels)
+		w, ok := want[k]
+		switch {
+		case !ok:
+			return fmt.Errorf("%s is not a sample ParseProm read, or was read twice", id)
+		case w != v && !(math.IsNaN(w) && math.IsNaN(v)):
+			return fmt.Errorf("%s = %g, ParseProm read %g", id, v, w)
+		}
+		delete(want, k)
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	for k := range want {
+		return fmt.Errorf("%d samples ParseProm read were not read, e.g. %s", len(want), k)
+	}
+	return nil
 }
 
 // TestRecorderEndpoints replays a trace with recording on and exercises

@@ -504,7 +504,7 @@ func TestDecisionsPagingAndStatusAndMetrics(t *testing.T) {
 		"waterwise_jobs_accepted_total{shard=\"0\"} 10",
 		"waterwise_decisions_total{shard=\"0\"} 10",
 		"waterwise_rounds_total",
-		"waterwise_solver_simplex_iters_total",
+		"waterwise_solver_wall_seconds_total",
 		"waterwise_region_free_servers{region=\"oregon\",shard=\"0\"}",
 		"# TYPE waterwise_feed_staleness_seconds gauge",
 		"waterwise_feed_staleness_seconds{provider=\"synthetic\"} 0",

@@ -700,18 +700,7 @@ func (s *shard) roundLocked() {
 		s.walRoundLocked(k, &rt)
 	}
 	rt.Total = time.Since(rt.Wall)
-	ob := s.obs
-	if ss, ok := s.cfg.Scheduler.(solverStatser); ok {
-		// Per-round solver deltas: the cumulative stats minus the
-		// previous round's, so a slow round shows its own node count.
-		stats := ss.SolverStats()
-		rt.Nodes = stats.Nodes - ob.lastSolver.Nodes
-		rt.SimplexIters = stats.SimplexIters - ob.lastSolver.SimplexIters
-		rt.WarmStarts = stats.WarmStarts - ob.lastSolver.WarmStarts
-		rt.ColdStarts = stats.ColdStarts - ob.lastSolver.ColdStarts
-		ob.lastSolver = stats
-	}
-	ob.recordRound(rt)
+	s.obs.recordRound(rt)
 }
 
 // ingestDueLocked is the first half of a round, live or replayed: move

@@ -2,18 +2,18 @@
 // histogram quantiles reconstructed from recorded bucket series.
 //
 // A series reference is a family name, optionally narrowed by labels
-// (name{k="v",...}, in any order): it selects every series of the family
-// whose labels include the named ones, and windowed queries sum over the
-// selection — a bare name sums every label set, the natural reading for
-// per-provider or per-shard counters, and a full label set names one
-// series.
+// (name{k="v",...}, in any order, read by obs.ParseSeries like every
+// stored identity): it selects every series of the family whose labels
+// include the named ones, and windowed queries sum over the selection — a
+// bare name sums every label set, the natural reading for per-provider or
+// per-shard counters, and a full label set names one series.
 package tsdb
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
-	"strconv"
+	"slices"
 	"strings"
 
 	"waterwise/internal/obs"
@@ -24,17 +24,17 @@ import (
 // recorded round), summed over the series the reference selects.
 // ok is false when nothing was recorded for the reference at all.
 func (st *Store) Increase(ref string, window, end uint64) (float64, bool) {
-	end = st.resolveEnd(end)
-	keys, err := st.refKeys(ref)
-	if err != nil || len(keys) == 0 {
-		return 0, false
-	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	sel, err := st.selectLocked(ref)
+	if err != nil {
+		return 0, false
+	}
+	end = st.resolveEndLocked(end)
 	total := 0.0
 	any := false
-	for _, k := range keys {
-		v, ok := st.increaseLocked(k, window, end)
+	for _, sr := range sel {
+		v, ok := sr.increase(window, end)
 		if ok {
 			total += v
 			any = true
@@ -52,23 +52,19 @@ func (st *Store) Rate(ref string, window, end uint64) (float64, bool) {
 	return v / float64(window), ok
 }
 
-// increaseLocked computes one series' growth over (end-window, end]. The
+// increase computes one series' growth over (end-window, end]. The
 // baseline is the newest sample at or before end-window; when the series
 // starts inside the window the earliest surviving sample stands in, so a
 // recorder attached mid-run doesn't report the counter's whole lifetime
 // as one window's increase.
-func (st *Store) increaseLocked(key string, window, end uint64) (float64, bool) {
-	cur, ok := st.valueAtLocked(key, end)
+func (sr *series) increase(window, end uint64) (float64, bool) {
+	cur, ok := sr.valueAt(end)
 	if !ok {
 		return 0, false
 	}
-	var start uint64
-	if window < end {
-		start = end - window
-	}
-	base, ok := st.valueAtLocked(key, start)
+	base, ok := sr.valueAt(windowStart(window, end))
 	if !ok {
-		first, okF := st.earliestLocked(key)
+		first, okF := sr.earliest()
 		if !okF || first.Round > end {
 			return 0, false
 		}
@@ -83,13 +79,20 @@ func (st *Store) increaseLocked(key string, window, end uint64) (float64, bool) 
 	return d, true
 }
 
-// resolveEnd maps end==0 to the newest round recorded anywhere.
-func (st *Store) resolveEnd(end uint64) uint64 {
+// windowStart is the round before a window's first: end-window, floored
+// at 0.
+func windowStart(window, end uint64) uint64 {
+	if window < end {
+		return end - window
+	}
+	return 0
+}
+
+// resolveEndLocked maps end==0 to the newest round recorded anywhere.
+func (st *Store) resolveEndLocked(end uint64) uint64 {
 	if end != 0 {
 		return end
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	for _, sr := range st.series {
 		if n := len(sr.chunks); n > 0 && sr.chunks[n-1].maxT > end {
 			end = sr.chunks[n-1].maxT
@@ -98,25 +101,31 @@ func (st *Store) resolveEnd(end uint64) uint64 {
 	return end
 }
 
-// refKeys expands a series reference to the keys of its family whose
-// labels include every label the reference names: a bare name selects the
-// whole family, a full label set one series.
-func (st *Store) refKeys(ref string) ([]string, error) {
-	name, want, err := splitRef(ref)
+// selectLocked returns the series of a reference's family whose labels
+// include every label the reference names: a bare name selects the whole
+// family, a full label set one series.
+func (st *Store) selectLocked(ref string) ([]*series, error) {
+	name, want, err := obs.ParseSeries(ref)
 	if err != nil {
 		return nil, err
 	}
-	keys := st.KeysOf(name)
-	if len(want) == 0 {
-		return keys, nil
-	}
-	out := keys[:0]
-	for _, k := range keys {
-		if _, labels, err := SplitKey(k); err == nil && hasLabels(labels, want) {
-			out = append(out, k)
+	var out []*series
+	for _, sr := range st.byName[name] {
+		if hasLabels(sr.labels, want) {
+			out = append(out, sr)
 		}
 	}
 	return out, nil
+}
+
+// hasLabels reports whether labels include every pair of want.
+func hasLabels(labels, want map[string]string) bool {
+	for k, v := range want {
+		if got, ok := labels[k]; !ok || got != v {
+			return false
+		}
+	}
+	return true
 }
 
 // QueryRef is Query for a series reference: it returns the samples of the
@@ -124,16 +133,23 @@ func (st *Store) refKeys(ref string) ([]string, error) {
 // malformed reference, or one that selects several series, is an error
 // that names them.
 func (st *Store) QueryRef(ref string, from, to uint64) ([]Sample, error) {
-	keys, err := st.refKeys(ref)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	sel, err := st.selectLocked(ref)
 	switch {
 	case err != nil:
-		return nil, err
-	case len(keys) == 0:
+		return nil, fmt.Errorf("tsdb: series %q: %w", ref, err)
+	case len(sel) == 0:
 		return nil, nil
-	case len(keys) > 1:
+	case len(sel) > 1:
+		keys := make([]string, len(sel))
+		for i, sr := range sel {
+			keys[i] = sr.key
+		}
+		slices.Sort(keys)
 		return nil, fmt.Errorf("tsdb: %q matches %d series: %s", ref, len(keys), strings.Join(keys, ", "))
 	}
-	return st.Query(keys[0], from, to), nil
+	return sel[0].samples(from, to), nil
 }
 
 // QuantileOver reconstructs a histogram family's distribution over the
@@ -146,111 +162,124 @@ func (st *Store) QueryRef(ref string, from, to uint64) ([]Sample, error) {
 //
 // ok is false when the window holds no observations.
 func (st *Store) QuantileOver(ref string, q float64, window, end uint64) (float64, bool) {
-	end = st.resolveEnd(end)
-	name, want, err := splitRef(ref)
-	if err != nil {
+	les, counts, ok := st.windowBuckets(ref, window, end)
+	if !ok {
 		return 0, false
 	}
-	var start uint64
-	if window < end {
-		start = end - window
-	}
-	les, startCums, okS := st.histAt(name, want, start, true)
-	_, endCums, okE := st.histAt(name, want, end, false)
-	if !okE {
-		return 0, false
-	}
-	cums := make([]uint64, len(les))
-	var run float64
-	for i := range les {
-		d := endCums[i]
-		if okS && i < len(startCums) {
-			d -= startCums[i]
-		}
-		if d < 0 {
-			d = 0
-		}
-		// Enforce cumulative monotonicity: carry-down reconstruction can
-		// momentarily invert adjacent edges when a bucket series first
-		// appears mid-window.
-		if d < run {
-			d = run
-		}
-		run = d
-		cums[i] = uint64(math.Round(d))
-	}
-	if len(cums) == 0 || cums[len(cums)-1] == 0 {
-		return 0, false
+	cums := make([]uint64, len(counts))
+	for i, c := range counts {
+		cums[i] = uint64(math.Round(c))
 	}
 	return obs.QuantileFromBuckets(les, cums, q), true
 }
 
-// histAt reconstructs the cumulative-in-le histogram of one family at
-// round T: for every label group matching `want` (le excluded), walk its
-// bucket edges in ascending le carrying the last observed cumulative
-// value downward — correct because the exposition elides a bucket line
-// only while its own count is zero — and sum groups edge-by-edge over the
-// union of all edges ever recorded. baseline=true applies the same
-// earliest-sample fallback as increaseLocked for series born after T.
-func (st *Store) histAt(name string, want map[string]string, T uint64, baseline bool) (les []float64, cums []float64, ok bool) {
-	bucket := name + "_bucket"
-	keys := st.KeysOf(bucket)
-	st.mu.Lock()
-	defer st.mu.Unlock()
+// FracAtMost returns the fraction of a histogram family's windowed
+// observations at or below threshold (same unit as the bucket edges),
+// linearly interpolating inside the straddling bucket. ok is false when
+// the window holds no observations.
+func (st *Store) FracAtMost(ref string, threshold float64, window, end uint64) (float64, bool) {
+	les, counts, ok := st.windowBuckets(ref, window, end)
+	if !ok {
+		return 0, false
+	}
+	total := counts[len(counts)-1]
+	var below float64
+	for i, le := range les {
+		if le <= threshold {
+			below = counts[i]
+			continue
+		}
+		prev := 0.0
+		prevLE := 0.0
+		if i > 0 {
+			prev = counts[i-1]
+			prevLE = les[i-1]
+		}
+		if math.IsInf(le, 1) || le <= prevLE {
+			below = prev
+		} else {
+			frac := (threshold - prevLE) / (le - prevLE)
+			if frac < 0 {
+				frac = 0
+			}
+			below = prev + (counts[i]-prev)*frac
+		}
+		break
+	}
+	if below > total {
+		below = total
+	}
+	return below / total, true
+}
 
-	// Group keys by their label identity minus le.
-	type edge struct {
-		le  float64
-		key string
-	}
-	groups := make(map[string][]edge)
-	leSet := make(map[float64]bool)
-	for _, k := range keys {
-		// Stored keys are Key's output, which splitRef reads exactly;
-		// SplitKey's canonical check would render each one again, on
-		// every scrape of a latency objective.
-		_, labels, err := splitRef(k)
-		if err != nil {
-			continue
-		}
-		leStr, has := labels["le"]
-		if !has || !hasLabels(labels, want) {
-			continue
-		}
-		le, err := parseLEValue(leStr)
-		if err != nil {
-			continue
-		}
-		delete(labels, "le")
-		gk := Key(bucket, labels)
-		groups[gk] = append(groups[gk], edge{le: le, key: k})
-		leSet[le] = true
-	}
-	if len(leSet) == 0 {
+// windowBuckets returns a histogram reference's windowed distribution:
+// ascending bucket edges and, per edge, the cumulative count of
+// observations in (end-window, end] at or below it — the histogram at end
+// minus the histogram at the window's start, held non-decreasing in le
+// (carry-down reconstruction can momentarily invert adjacent edges when a
+// bucket series first appears mid-window). ok is false when the
+// reference does not parse or the window holds no observations.
+func (st *Store) windowBuckets(ref string, window, end uint64) (les, counts []float64, ok bool) {
+	name, want, err := obs.ParseSeries(ref)
+	if err != nil {
 		return nil, nil, false
 	}
-	les = make([]float64, 0, len(leSet))
-	for le := range leSet {
-		les = append(les, le)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	end = st.resolveEndLocked(end)
+	les, startCums, okS := st.histAtLocked(name, want, windowStart(window, end), true)
+	_, counts, okE := st.histAtLocked(name, want, end, false)
+	if !okE {
+		return nil, nil, false
 	}
-	sort.Float64s(les)
-	cums = make([]float64, len(les))
+	run := 0.0
+	for i := range counts {
+		if okS {
+			counts[i] -= startCums[i]
+		}
+		run = max(run, counts[i])
+		counts[i] = run
+	}
+	return les, counts, run > 0
+}
 
-	gks := make([]string, 0, len(groups))
-	for gk := range groups {
-		gks = append(gks, gk)
+// histAtLocked reconstructs the cumulative-in-le histogram of one family
+// at round T: for every label group matching `want` (its bucket series'
+// labels minus le), walk its bucket edges in ascending le carrying the
+// last observed cumulative value downward — correct because the
+// exposition elides a bucket line only while its own count is zero — and
+// sum groups edge-by-edge over the union of all edges ever recorded.
+// baseline=true applies the same earliest-sample fallback as increase
+// for series born after T.
+func (st *Store) histAtLocked(name string, want map[string]string, T uint64, baseline bool) (les []float64, cums []float64, ok bool) {
+	var groups [][]*series
+	for _, sr := range st.byName[name+"_bucket"] {
+		if math.IsNaN(sr.le) || !hasLabels(sr.labels, want) {
+			continue
+		}
+		g := slices.IndexFunc(groups, func(g []*series) bool { return sameGroup(g[0].labels, sr.labels) })
+		if g < 0 {
+			groups = append(groups, nil)
+			g = len(groups) - 1
+		}
+		groups[g] = append(groups[g], sr)
+		les = append(les, sr.le)
 	}
-	sort.Strings(gks)
-	for _, gk := range gks {
-		edges := groups[gk]
-		sort.Slice(edges, func(i, j int) bool { return edges[i].le < edges[j].le })
+	if len(les) == 0 {
+		return nil, nil, false
+	}
+	slices.Sort(les)
+	les = slices.Compact(les)
+	cums = make([]float64, len(les))
+	for _, edges := range groups {
+		slices.SortFunc(edges, func(a, b *series) int { return cmp.Compare(a.le, b.le) })
 		run := 0.0
 		ei := 0
 		for i, le := range les {
 			for ei < len(edges) && edges[ei].le <= le {
-				v, okV := st.valueAtLocked(edges[ei].key, T)
+				v, okV := edges[ei].valueAt(T)
 				if !okV && baseline {
-					if first, okF := st.earliestLocked(edges[ei].key); okF {
+					if first, okF := edges[ei].earliest(); okF {
 						// Born after T: its pre-window count is zero only if
 						// the series is genuinely new; the earliest sample is
 						// the tightest baseline we have.
@@ -269,82 +298,24 @@ func (st *Store) histAt(name string, want map[string]string, T uint64, baseline 
 	return les, cums, ok
 }
 
-// FracAtMost returns the fraction of a histogram family's windowed
-// observations at or below threshold (same unit as the bucket edges),
-// linearly interpolating inside the straddling bucket. ok is false when
-// the window holds no observations.
-func (st *Store) FracAtMost(ref string, threshold float64, window, end uint64) (float64, bool) {
-	end = st.resolveEnd(end)
-	name, want, err := splitRef(ref)
-	if err != nil {
-		return 0, false
+// sameGroup reports whether two bucket series' label sets differ at most
+// in le: they are one histogram's edges.
+func sameGroup(a, b map[string]string) bool {
+	if len(a) != len(b) {
+		return false
 	}
-	var start uint64
-	if window < end {
-		start = end - window
-	}
-	les, startCums, okS := st.histAt(name, want, start, true)
-	_, endCums, okE := st.histAt(name, want, end, false)
-	if !okE {
-		return 0, false
-	}
-	deltas := make([]float64, len(les))
-	run := 0.0
-	for i := range les {
-		d := endCums[i]
-		if okS && i < len(startCums) {
-			d -= startCums[i]
+	for k, v := range a {
+		if w, ok := b[k]; k != "le" && (!ok || w != v) {
+			return false
 		}
-		if d < run {
-			d = run
-		}
-		run = d
-		deltas[i] = d
 	}
-	if len(deltas) == 0 {
-		return 0, false
-	}
-	total := deltas[len(deltas)-1]
-	if total <= 0 {
-		return 0, false
-	}
-	var below float64
-	for i, le := range les {
-		if le <= threshold {
-			below = deltas[i]
-			continue
-		}
-		prev := 0.0
-		prevLE := 0.0
-		if i > 0 {
-			prev = deltas[i-1]
-			prevLE = les[i-1]
-		}
-		if math.IsInf(le, 1) || le <= prevLE {
-			below = prev
-		} else {
-			frac := (threshold - prevLE) / (le - prevLE)
-			if frac < 0 {
-				frac = 0
-			}
-			below = prev + (deltas[i]-prev)*frac
-		}
-		break
-	}
-	if below > total {
-		below = total
-	}
-	return below / total, true
-}
-
-// parseLEValue parses a bucket edge, accepting +Inf.
-func parseLEValue(s string) (float64, error) {
-	if s == "+Inf" {
-		return math.Inf(1), nil
-	}
-	return strconv.ParseFloat(s, 64)
+	return true
 }
 
 // LastRound returns the newest round recorded anywhere in the store
 // (0 when empty).
-func (st *Store) LastRound() uint64 { return st.resolveEnd(0) }
+func (st *Store) LastRound() uint64 {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.resolveEndLocked(0)
+}

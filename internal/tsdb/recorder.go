@@ -1,10 +1,13 @@
 // The recorder ties the store to a metrics exposition: on the scheduler
 // round clock it gathers the Prometheus text the server already serves,
-// parses it with the strict in-repo parser, appends every sample at the
-// round index, and re-evaluates the SLO engine. Scraping its own
+// reads every sample line once (appendText: the identity before the
+// line's last space keys the series, the rest is the value), appends it
+// at the round index, and re-evaluates the SLO engine. Scraping its own
 // exposition — rather than reaching into internals — means anything
 // rendered on /metrics is automatically queryable over time, including
-// series added by future PRs.
+// series added by future PRs. The exposition is the process's own, so
+// the recorder does not re-check its # HELP / # TYPE structure; the
+// strict obs.ParseProm remains for bytes the process did not write.
 package tsdb
 
 import (
@@ -48,8 +51,8 @@ type RecorderStats struct {
 	// was scraped first — the MinInterval floor at work, visible rather
 	// than silent.
 	CoalescedRounds uint64 `json:"coalesced_rounds"`
-	// ParseErrors counts scrapes dropped because the exposition failed
-	// the strict parser.
+	// ParseErrors counts scrapes dropped because a line of the exposition
+	// could not be read (see appendText).
 	ParseErrors uint64 `json:"parse_errors"`
 	// LastRound is the newest recorded round.
 	LastRound uint64 `json:"last_round"`
@@ -148,7 +151,7 @@ func (r *Recorder) fire() {
 	}
 }
 
-// scrapeLocked gathers, parses, appends, and re-evaluates alerts at
+// scrapeLocked gathers, reads, appends, and re-evaluates alerts at
 // `round`, counting the rounds it skipped past. A round already scraped
 // is a no-op. Called with obMu held.
 func (r *Recorder) scrapeLocked(round uint64) {
@@ -157,8 +160,7 @@ func (r *Recorder) scrapeLocked(round uint64) {
 		return
 	}
 	r.lastAt = time.Now()
-	fams, err := obs.ParseProm(r.gather())
-	if err != nil {
+	if err := r.store.appendText(r.gather(), round); err != nil {
 		r.mu.Lock()
 		r.parseErrors++
 		r.mu.Unlock()
@@ -166,11 +168,6 @@ func (r *Recorder) scrapeLocked(round uint64) {
 			r.cfg.Logf("tsdb scrape parse error round=%d err=%v", round, err)
 		}
 		return
-	}
-	for _, fam := range fams {
-		for _, s := range fam.Samples {
-			r.store.Append(Key(s.Name, s.Labels), round, s.Value)
-		}
 	}
 	r.mu.Lock()
 	if last > 0 {
@@ -241,7 +238,7 @@ func (r *Recorder) AppendMetrics(b []byte, prefix string) []byte {
 	row("counter", "tsdb_evicted_samples_total", "Samples lost to chunk eviction.", float64(st.EvictedSamples))
 	row("counter", "tsdb_scrapes_total", "Completed round-clock scrapes.", float64(st.Scrapes))
 	row("counter", "tsdb_coalesced_rounds_total", "Rounds never scraped because the scrape interval floor passed them over for a newer round.", float64(st.CoalescedRounds))
-	row("counter", "tsdb_parse_errors_total", "Scrapes dropped by the strict exposition parser.", float64(st.ParseErrors))
+	row("counter", "tsdb_parse_errors_total", "Scrapes dropped because a line of the exposition could not be read.", float64(st.ParseErrors))
 	row("gauge", "alerts_firing", "Burn-rate SLO alerts currently firing.", float64(st.AlertsFiring))
 	return b
 }

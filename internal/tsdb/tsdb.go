@@ -20,14 +20,16 @@
 package tsdb
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
+	"slices"
 	"strconv"
-	"strings"
 	"sync"
+
+	"waterwise/internal/obs"
 )
 
 // Sample is one recorded point: the round it was scraped at and the value.
@@ -107,10 +109,31 @@ func (c *chunk) decode(dst []Sample) []Sample {
 func (c *chunk) bytes() int { return len(c.buf) + chunkOverhead }
 
 // series is one metric series: a list of chunks, oldest first; the last
-// chunk is the open head.
+// chunk is the open head. key is its identity exactly as the exposition
+// renders it (name{k="v",...}, labels in the renderer's order); name and
+// labels are that identity parsed once, when the series is created, and
+// le is the parsed "le" label of a histogram bucket (NaN for other series).
 type series struct {
 	key    string
+	name   string
+	labels map[string]string
+	le     float64
 	chunks []*chunk
+}
+
+// newSeries parses an identity into an empty series.
+func newSeries(key string) (*series, error) {
+	name, labels, err := obs.ParseSeries(key)
+	if err != nil {
+		return nil, err
+	}
+	sr := &series{key: key, name: name, labels: labels, le: math.NaN()}
+	if le, ok := labels["le"]; ok {
+		if v, err := strconv.ParseFloat(le, 64); err == nil {
+			sr.le = v
+		}
+	}
+	return sr, nil
 }
 
 // appendSample adds one sample, sealing the head at chunkSamples. Returns
@@ -154,10 +177,19 @@ type Store struct {
 	mu     sync.Mutex
 	budget int
 	series map[string]*series
-	// byName indexes series keys by bare metric name, for family queries
-	// (histogram buckets, label-summed counters).
-	byName map[string][]string
-	stats  StoreStats
+	// byName indexes series by bare metric name, in creation order, for
+	// family queries (histogram buckets, label-summed counters).
+	byName map[string][]*series
+	// scraped is appendText's reusable batch.
+	scraped []scrapedSample
+	stats   StoreStats
+}
+
+// scrapedSample is one read exposition line awaiting its append.
+type scrapedSample struct {
+	sr  *series
+	v   float64
+	new bool // sr is not in the store yet
 }
 
 // NewStore builds a store bounded to budgetBytes of encoded history
@@ -169,121 +201,118 @@ func NewStore(budgetBytes int) *Store {
 	return &Store{
 		budget: budgetBytes,
 		series: make(map[string]*series),
-		byName: make(map[string][]string),
+		byName: make(map[string][]*series),
 		stats:  StoreStats{BudgetBytes: budgetBytes},
 	}
 }
 
-// Key canonicalizes a series identity: the bare name, or name{k="v",...}
-// with label values Go-quoted and the k="v" pairs sorted — the grammar
-// SplitKey parses back.
-func Key(name string, labels map[string]string) string {
-	if len(labels) == 0 {
-		return name
-	}
-	parts := make([]string, 0, len(labels))
-	for k, v := range labels {
-		parts = append(parts, k+"="+strconv.Quote(v))
-	}
-	sort.Strings(parts)
-	return name + "{" + strings.Join(parts, ",") + "}"
-}
-
-// SplitKey parses a canonical key back into name and labels. It inverts
-// Key exactly: it accepts only what Key renders, so Key(SplitKey(k)) == k
-// for every k it accepts.
-func SplitKey(key string) (name string, labels map[string]string, err error) {
-	name, labels, err = splitRef(key)
-	if err == nil && Key(name, labels) != key {
-		return "", nil, fmt.Errorf("tsdb: %q is not a canonical series key", key)
-	}
-	return name, labels, err
-}
-
-// splitRef parses a series reference — a family name, or name{k="v",...}
-// with Go-quoted values in any order — into name and labels.
-func splitRef(ref string) (name string, labels map[string]string, err error) {
-	i := strings.IndexByte(ref, '{')
-	if i < 0 {
-		return ref, nil, nil
-	}
-	if !strings.HasSuffix(ref, "}") {
-		return "", nil, fmt.Errorf("tsdb: unterminated label set in %q", ref)
-	}
-	name = ref[:i]
-	labels = make(map[string]string)
-	body := ref[i+1 : len(ref)-1]
-	for len(body) > 0 {
-		eq := strings.IndexByte(body, '=')
-		if eq <= 0 || eq+1 >= len(body) || body[eq+1] != '"' {
-			return "", nil, fmt.Errorf("tsdb: malformed label pair in %q", ref)
+// ReadExposition calls fn for every sample line of a Prometheus text
+// exposition: id is the line up to its last space — the series identity
+// exactly as rendered — and v the value after it, parsed by
+// strconv.ParseFloat. # lines and blank lines are skipped. It stops with
+// an error at the first line that has no space or whose value does not
+// parse, and at the first error fn returns.
+func ReadExposition(text []byte, fn func(id []byte, v float64) error) error {
+	for lineNo := 1; len(text) > 0; lineNo++ {
+		var line []byte
+		line, text, _ = bytes.Cut(text, []byte{'\n'})
+		if len(line) == 0 || line[0] == '#' {
+			continue
 		}
-		lname, rest := body[:eq], body[eq+1:]
-		end := 1 // the closing quote: the first '"' not escaped
-		for end < len(rest) && rest[end] != '"' {
-			if rest[end] == '\\' {
-				end++
-			}
-			end++
+		sp := bytes.LastIndexByte(line, ' ')
+		if sp < 0 {
+			return fmt.Errorf("tsdb: line %d: no value in %q", lineNo, line)
 		}
-		if end >= len(rest) {
-			return "", nil, fmt.Errorf("tsdb: unterminated label value in %q", ref)
-		}
-		v, err := strconv.Unquote(rest[:end+1])
+		v, err := strconv.ParseFloat(string(line[sp+1:]), 64)
 		if err != nil {
-			return "", nil, fmt.Errorf("tsdb: bad label value in %q: %w", ref, err)
+			return fmt.Errorf("tsdb: line %d: bad value in %q", lineNo, line)
 		}
-		if _, dup := labels[lname]; dup {
-			return "", nil, fmt.Errorf("tsdb: duplicate label %q in %q", lname, ref)
+		if err := fn(line[:sp], v); err != nil {
+			return fmt.Errorf("tsdb: line %d: %w", lineNo, err)
 		}
-		labels[lname] = v
-		body = rest[end+1:]
-		if len(body) > 0 {
-			if body[0] != ',' {
-				return "", nil, fmt.Errorf("tsdb: malformed label pair in %q", ref)
+	}
+	return nil
+}
+
+// appendText records every sample of one exposition at round, keyed by
+// its identity. A series is parsed once, when its identity is first
+// seen. The whole text is read before anything is appended: a line
+// ReadExposition cannot read, or a new identity obs.ParseSeries rejects,
+// drops the scrape and returns the error.
+func (st *Store) appendText(text []byte, round uint64) error {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	batch := st.scraped[:0]
+	err := ReadExposition(text, func(id []byte, v float64) error {
+		if sr := st.series[string(id)]; sr != nil {
+			batch = append(batch, scrapedSample{sr: sr, v: v})
+			return nil
+		}
+		sr, err := newSeries(string(id))
+		if err != nil {
+			return err
+		}
+		batch = append(batch, scrapedSample{sr: sr, v: v, new: true})
+		return nil
+	})
+	if err == nil {
+		for _, s := range batch {
+			sr := s.sr
+			if s.new {
+				sr = st.addLocked(sr)
 			}
-			body = body[1:]
+			st.appendLocked(sr, round, s.v)
 		}
+		st.evictLocked()
 	}
-	return name, labels, nil
+	clear(batch)
+	st.scraped = batch[:0]
+	return err
 }
 
-// hasLabels reports whether labels include every pair of want.
-func hasLabels(labels, want map[string]string) bool {
-	for k, v := range want {
-		if got, ok := labels[k]; !ok || got != v {
-			return false
-		}
-	}
-	return true
-}
-
-// nameOf returns the bare metric name of a canonical key.
-func nameOf(key string) string {
-	if i := strings.IndexByte(key, '{'); i >= 0 {
-		return key[:i]
-	}
-	return key
-}
-
-// Append records one sample. Rounds must be strictly increasing per
-// series; stale or duplicate rounds are dropped.
-func (st *Store) Append(key string, round uint64, v float64) {
+// Append records one sample of the series with identity key. Rounds must
+// be strictly increasing per series; stale or duplicate rounds are
+// dropped. A key obs.ParseSeries rejects is an error.
+func (st *Store) Append(key string, round uint64, v float64) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	sr := st.series[key]
 	if sr == nil {
-		sr = &series{key: key}
-		st.series[key] = sr
-		name := nameOf(key)
-		st.byName[name] = append(st.byName[name], key)
-		st.stats.Series++
+		var err error
+		if sr, err = newSeries(key); err != nil {
+			return err
+		}
+		st.addLocked(sr)
 	}
+	st.appendLocked(sr, round, v)
+	st.evictLocked()
+	return nil
+}
+
+// addLocked registers a new series, or returns the one already
+// registered under its key (an identity repeated within one scrape).
+func (st *Store) addLocked(sr *series) *series {
+	if cur := st.series[sr.key]; cur != nil {
+		return cur
+	}
+	st.series[sr.key] = sr
+	st.byName[sr.name] = append(st.byName[sr.name], sr)
+	st.stats.Series++
+	return sr
+}
+
+// appendLocked adds one sample to a registered series, dropping stale
+// and duplicate rounds.
+func (st *Store) appendLocked(sr *series, round uint64, v float64) {
 	if n := len(sr.chunks); n > 0 && round <= sr.chunks[n-1].maxT {
 		return
 	}
 	st.stats.Bytes += sr.appendSample(round, v)
 	st.stats.Samples++
+}
+
+// evictLocked evicts oldest chunks until the store is under budget.
+func (st *Store) evictLocked() {
 	for st.stats.Bytes > st.budget {
 		if !st.evictOldestLocked() {
 			break
@@ -320,16 +349,11 @@ func (st *Store) evictOldestLocked() bool {
 	st.stats.EvictedSamples += uint64(c.n)
 	if len(victim.chunks) == 0 {
 		delete(st.series, victim.key)
-		name := nameOf(victim.key)
-		keys := st.byName[name]
-		for i, k := range keys {
-			if k == victim.key {
-				st.byName[name] = append(keys[:i], keys[i+1:]...)
-				break
-			}
-		}
-		if len(st.byName[name]) == 0 {
-			delete(st.byName, name)
+		fam := slices.DeleteFunc(st.byName[victim.name], func(sr *series) bool { return sr == victim })
+		if len(fam) == 0 {
+			delete(st.byName, victim.name)
+		} else {
+			st.byName[victim.name] = fam
 		}
 		st.stats.Series--
 	}
@@ -345,6 +369,12 @@ func (st *Store) Query(key string, from, to uint64) []Sample {
 	if sr == nil {
 		return nil
 	}
+	return sr.samples(from, to)
+}
+
+// samples returns the series' samples with from <= Round <= to (to == 0
+// means "to the end").
+func (sr *series) samples(from, to uint64) []Sample {
 	if to == 0 {
 		to = math.MaxUint64
 	}
@@ -364,11 +394,8 @@ func (st *Store) Query(key string, from, to uint64) []Sample {
 	return out
 }
 
-func (st *Store) valueAtLocked(key string, round uint64) (Sample, bool) {
-	sr := st.series[key]
-	if sr == nil {
-		return Sample{}, false
-	}
+// valueAt returns the series' newest sample at or before round.
+func (sr *series) valueAt(round uint64) (Sample, bool) {
 	// Latest chunk whose first sample is not past round.
 	idx := -1
 	for i, c := range sr.chunks {
@@ -392,10 +419,9 @@ func (st *Store) valueAtLocked(key string, round uint64) (Sample, bool) {
 	return best, found
 }
 
-// earliestLocked returns the series' oldest surviving sample.
-func (st *Store) earliestLocked(key string) (Sample, bool) {
-	sr := st.series[key]
-	if sr == nil || len(sr.chunks) == 0 {
+// earliest returns the series' oldest surviving sample.
+func (sr *series) earliest() (Sample, bool) {
+	if len(sr.chunks) == 0 {
 		return Sample{}, false
 	}
 	scratch := sr.chunks[0].decode(nil)
@@ -403,15 +429,6 @@ func (st *Store) earliestLocked(key string) (Sample, bool) {
 		return Sample{}, false
 	}
 	return scratch[0], true
-}
-
-// KeysOf returns the live series keys of one bare metric name, sorted.
-func (st *Store) KeysOf(name string) []string {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	out := append([]string(nil), st.byName[name]...)
-	sort.Strings(out)
-	return out
 }
 
 // Stats returns the store's self-accounting.

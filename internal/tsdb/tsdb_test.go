@@ -2,7 +2,6 @@ package tsdb
 
 import (
 	"fmt"
-	"maps"
 	"math"
 	"math/rand"
 	"testing"
@@ -61,49 +60,14 @@ func TestCompressionRatio(t *testing.T) {
 	}
 }
 
-func TestKeyRoundTrip(t *testing.T) {
-	cases := []struct {
-		name   string
-		labels map[string]string
-	}{
-		{"plain_total", nil},
-		{"labeled_total", map[string]string{"shard": "3", "region": "us-east"}},
-		{"bucket", map[string]string{"le": "+Inf", "shard": "0"}},
-		{"escaped", map[string]string{"a": "x\"y\\z", "b": "tab\there,{}=", "c": "é\x00"}},
-		{"digits", map[string]string{"a": "1", "a1": "2"}}, // a1="…" sorts before a="…"
-	}
-	for _, c := range cases {
-		key := Key(c.name, c.labels)
-		name, labels, err := SplitKey(key)
-		if err != nil {
-			t.Fatalf("SplitKey(%q): %v", key, err)
-		}
-		if name != c.name {
-			t.Errorf("SplitKey(%q) name = %q", key, name)
-		}
-		if !maps.Equal(labels, c.labels) {
-			t.Errorf("SplitKey(%q) labels = %v, want %v", key, labels, c.labels)
-		}
-	}
-	for _, bad := range []string{
-		"x{", "x{a=b}", `x{a="b}`, `x{a="b"`, `x{a="b"c="d"}`, `x{="b"}`,
-		// Parseable references that Key never renders.
-		`x{}`, `x{b="1",a="2"}`, `x{a="1",}`, `x{a="1",a="2"}`, `x{a="\x41"}`, `x{a="\u00e9"}`,
-	} {
-		if _, _, err := SplitKey(bad); err == nil {
-			t.Errorf("SplitKey(%q) accepted a key Key does not render", bad)
-		}
-	}
-}
-
 // TestIncreaseHonoursRefLabels pins series references as label subsets:
 // labels in any order select the series that carry them, and a label set
 // no series carries selects nothing.
 func TestIncreaseHonoursRefLabels(t *testing.T) {
 	st := NewStore(0)
 	for r := uint64(1); r <= 10; r++ {
-		st.Append(Key("c_total", map[string]string{"kind": "a", "shard": "0"}), r, float64(r))
-		st.Append(Key("c_total", map[string]string{"kind": "a", "shard": "1"}), r, float64(10*r))
+		st.Append(`c_total{kind="a",shard="0"}`, r, float64(r))
+		st.Append(`c_total{shard="1",kind="a"}`, r, float64(10*r))
 	}
 	for _, c := range []struct {
 		ref  string
@@ -216,15 +180,8 @@ func TestIncreaseSumsFamily(t *testing.T) {
 func scrapeHist(t *testing.T, st *Store, h *obs.Histogram, name string, round uint64) {
 	t.Helper()
 	snap := h.Snapshot()
-	b := snap.AppendProm(nil, name, "Test histogram.", "", true)
-	fams, err := obs.ParseProm(b)
-	if err != nil {
-		t.Fatalf("ParseProm: %v", err)
-	}
-	for _, fam := range fams {
-		for _, s := range fam.Samples {
-			st.Append(Key(s.Name, s.Labels), round, s.Value)
-		}
+	if err := st.appendText(snap.AppendProm(nil, name, "Test histogram.", "", true), round); err != nil {
+		t.Fatalf("appendText: %v", err)
 	}
 }
 
@@ -278,14 +235,8 @@ func TestQuantileSumsShards(t *testing.T) {
 		}{{&h0, "0"}, {&h1, "1"}} {
 			snap := sh.h.Snapshot()
 			b := snap.AppendProm(nil, "lat_seconds", "Test histogram.", fmt.Sprintf("shard=%q", sh.shard), true)
-			fams, err := obs.ParseProm(b)
-			if err != nil {
+			if err := st.appendText(b, r); err != nil {
 				t.Fatal(err)
-			}
-			for _, fam := range fams {
-				for _, s := range fam.Samples {
-					st.Append(Key(s.Name, s.Labels), r, s.Value)
-				}
 			}
 		}
 	}
@@ -318,5 +269,51 @@ func TestFracAtMost(t *testing.T) {
 	}
 	if _, ok := st.FracAtMost("nope_seconds", 0.1, 5, 10); ok {
 		t.Error("unknown family FracAtMost reported ok")
+	}
+}
+
+// TestAppendTextAllOrNothing pins the scrape contract: every sample line
+// is keyed by its identity as written, and a line that cannot be read —
+// no value, a bad value, or a new identity the series grammar rejects —
+// drops the whole scrape, the lines before it included.
+func TestAppendTextAllOrNothing(t *testing.T) {
+	st := NewStore(0)
+	good := "# HELP a_total Docs.\n# TYPE a_total counter\na_total 1\n\nb{k=\"v w\",le=\"+Inf\"} 2\n"
+	if err := st.appendText([]byte(good), 1); err != nil {
+		t.Fatal(err)
+	}
+	if got := st.Query(`b{k="v w",le="+Inf"}`, 0, 0); len(got) != 1 || got[0].Value != 2 {
+		t.Fatalf("identity with a space in a label value: %v", got)
+	}
+	before := st.Stats()
+	for _, bad := range []string{
+		"a_total 2\nnovalue\n",
+		"a_total 2\nb_total x\n",
+		"a_total 2\nc{k=v} 1\n",
+		"a_total 2\n 1\n",
+	} {
+		if err := st.appendText([]byte(bad), 2); err == nil {
+			t.Errorf("appendText accepted %q", bad)
+		}
+		if st.Stats() != before {
+			t.Fatalf("rejected scrape %q changed the store: %+v -> %+v", bad, before, st.Stats())
+		}
+	}
+	if err := st.Append(`c{k=v}`, 1, 1); err == nil {
+		t.Error("Append accepted an identity the series grammar rejects")
+	}
+}
+
+// TestRecorderCountsUnreadableScrapes checks a dropped scrape is counted
+// and records nothing.
+func TestRecorderCountsUnreadableScrapes(t *testing.T) {
+	rec, err := New(func() []byte { return []byte("a_total 1\nb_total one\n") }, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.Close()
+	rec.Observe(1)
+	if st := rec.Stats(); st.ParseErrors != 1 || st.Scrapes != 0 || st.Samples != 0 {
+		t.Errorf("stats after an unreadable scrape: %+v", st)
 	}
 }

@@ -381,7 +381,9 @@ type SchedulerConfig struct {
 	CrossRoundWarmStart bool
 }
 
-// NewScheduler builds the WaterWise MILP scheduler.
+// NewScheduler builds the WaterWise scheduler: each round is the paper's
+// assignment MILP, solved exactly as a transportation problem (a min-cost
+// capacitated assignment of the batch to regions).
 func NewScheduler(cfg SchedulerConfig) (Scheduler, error) {
 	c := core.DefaultConfig()
 	if cfg.LambdaCarbon != 0 || cfg.LambdaWater != 0 {

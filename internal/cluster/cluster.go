@@ -30,14 +30,24 @@ type PendingJob struct {
 	Job *trace.Job
 	// FirstSeen is when the controller first saw this job.
 	FirstSeen time.Time
-	// Deferrals counts how many scheduling rounds have passed it over.
+	// Deferrals counts how many scheduling rounds have passed the job over,
+	// in PendingSnapshot's copies and in RestorePending's input. A queued
+	// job's own field reads 0: a round touches only the jobs it decides, so
+	// the Sim keeps the count as the round the job was admitted in.
 	Deferrals int
 	// Slack is the slack manager's memo of the job's wait-free urgency
 	// term. The Sim never reads it: RestorePending clears it, and a
 	// PendingSnapshot's consumer does not persist it.
 	Slack SlackMemo
-	// decided marks a job placed by the round being committed, between
-	// apply and the compaction that drops it from the queue.
+	// seq is the job's admission number in its Sim, strictly increasing
+	// along the queue: compaction finds a decided job by binary search on
+	// it.
+	seq uint64
+	// admitted is the Sim's round count less the job's deferrals when it
+	// was queued, so its deferrals are Sim.rounds − admitted.
+	admitted int
+	// decided marks a job placed by the round being committed, so a second
+	// decision for it in the same round is rejected.
 	decided bool
 }
 
@@ -72,11 +82,21 @@ type Decision struct {
 // other than the explicitly-labelled oracle ones must only read the
 // environment at Now (no future peeking).
 //
-// The Context (including its Free/Busy maps and Jobs slice) is pooled by the
-// simulator and rewritten every round: it is only valid for the duration of
-// the Schedule call. Schedulers that need round-over-round state must copy
-// what they keep. The one exception is a job's PendingJob.Slack, which a
-// scheduler may fill and read back for as long as the job is queued.
+// The Context's fields (the Free/Busy maps and the Jobs slice included) are
+// rewritten every round and are only valid for the duration of the
+// Schedule call. What a scheduler may keep across rounds of one Sim:
+//   - the *Context itself: a Sim hands every round the same one, and no
+//     other Sim hands out that pointer;
+//   - the *PendingJob of a queued job, which stays the same while the job is
+//     queued. Jobs keep their order in ctx.Jobs: a round removes the jobs it
+//     decided and appends arrivals at the tail, and nothing else moves, so a
+//     scheduler that remembers the queue's length and last job after a
+//     round can find that round's arrivals as the suffix after them;
+//   - a job's PendingJob.Slack, which it may fill and read back.
+//
+// Sim.RestorePending and Sim.Abandon replace every *PendingJob (none of the
+// old pointers is queued again, so a remembered last job no longer
+// matches). A job's Deferrals field is not kept current in the queue.
 type Context struct {
 	Now  time.Time
 	Jobs []*PendingJob
@@ -403,6 +423,13 @@ type Sim struct {
 	// RestorePending, left when the job is decided, emptied by Abandon.
 	pending []*PendingJob
 	byID    map[int]*PendingJob
+	// nextSeq numbers the next queued job; rounds counts the rounds whose
+	// decisions were committed, the clock a queued job's deferrals are read
+	// from; gone collects the seqs of the jobs the round being committed
+	// decided.
+	nextSeq uint64
+	rounds  int
+	gone    []uint64
 	res     *Result
 	// outcomes is every outcome so far, in decision order; Result hands
 	// out res.Outcomes as the log's entries sorted by job ID. round holds
@@ -451,10 +478,13 @@ func NewSim(cfg Config, sched Scheduler) (*Sim, error) {
 // Submit queues a job for placement; at is the controller-side arrival
 // instant (PendingJob.FirstSeen, the T_start of the Eq. 14 urgency score).
 func (s *Sim) Submit(job *trace.Job, at time.Time) {
-	s.enqueue(&PendingJob{Job: job, FirstSeen: at})
+	s.enqueue(&PendingJob{Job: job, FirstSeen: at}, 0)
 }
 
-func (s *Sim) enqueue(pj *PendingJob) {
+// enqueue appends pj to the queue, already passed over deferrals times.
+func (s *Sim) enqueue(pj *PendingJob, deferrals int) {
+	pj.seq, pj.admitted, pj.Deferrals = s.nextSeq, s.rounds-deferrals, 0
+	s.nextSeq++
 	s.pending = append(s.pending, pj)
 	s.byID[pj.Job.ID] = pj
 }
@@ -501,7 +531,7 @@ func (s *Sim) Step(now time.Time) ([]JobOutcome, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cluster: scheduler %s at %v: %w", s.sched.Name(), now, err)
 	}
-	s.round = s.round[:0]
+	s.round, s.gone = s.round[:0], s.gone[:0]
 	err = s.apply(now, decisions)
 	for i := range s.round {
 		s.outcomes.Append(s.round[i])
@@ -511,7 +541,8 @@ func (s *Sim) Step(now time.Time) ([]JobOutcome, error) {
 		return nil, err
 	}
 	s.res.Ticks = append(s.res.Ticks, TickStat{At: now, Batch: len(s.pending), Decided: len(decisions), Overhead: overhead})
-	s.pending = survivors(s.pending)
+	s.compact()
+	s.rounds++
 	return s.round, nil
 }
 
@@ -574,7 +605,7 @@ func (s *Sim) RestoreBusy(busy map[region.ID][]time.Time) error {
 
 // PendingSnapshot copies the jobs awaiting placement, with FirstSeen — the
 // T_start the slack manager's urgency score (Eq. 14) depends on — and the
-// Deferrals counter, which no score reads: it is bookkeeping a durable
+// Deferrals count, which no score reads: it is bookkeeping a durable
 // checkpoint carries so a restored queue equals the one snapshotted. The
 // copies also carry each job's Slack memo, which is not state:
 // RestorePending drops it, and the durable checkpoint does not write it.
@@ -582,6 +613,7 @@ func (s *Sim) PendingSnapshot() []PendingJob {
 	out := make([]PendingJob, len(s.pending))
 	for i, pj := range s.pending {
 		out[i] = *pj
+		out[i].Deferrals = s.rounds - pj.admitted
 	}
 	return out
 }
@@ -595,8 +627,8 @@ func (s *Sim) RestorePending(jobs []PendingJob) {
 	clear(s.byID)
 	for i := range jobs {
 		pj := jobs[i]
-		pj.Slack = SlackMemo{}
-		s.enqueue(&pj)
+		pj.Slack, pj.decided = SlackMemo{}, false
+		s.enqueue(&pj, pj.Deferrals)
 	}
 }
 
@@ -662,7 +694,7 @@ func Run(cfg Config, sched Scheduler, jobs []*trace.Job) (*Result, error) {
 
 // apply commits decisions: reserves capacity, computes footprints, appends
 // outcomes to s.round, and takes each decided job out of the pending index,
-// marked for survivors to drop from the queue. O(decisions).
+// its seq noted for compact to drop it from the queue. O(decisions).
 func (s *Sim) apply(now time.Time, decisions []Decision) error {
 	cfg, states := s.cfg, s.states
 	for _, d := range decisions {
@@ -724,6 +756,7 @@ func (s *Sim) apply(now time.Time, decisions []Decision) error {
 		}
 		s.round = append(s.round, out)
 		pj.decided = true
+		s.gone = append(s.gone, pj.seq)
 	}
 	for _, d := range decisions {
 		delete(s.byID, d.Job.ID)
@@ -731,15 +764,30 @@ func (s *Sim) apply(now time.Time, decisions []Decision) error {
 	return nil
 }
 
-// survivors compacts the queue in place to the jobs apply did not mark
-// decided, with their deferral counters bumped.
-func survivors(pending []*PendingJob) []*PendingJob {
-	out := pending[:0]
-	for _, pj := range pending {
-		if !pj.decided {
-			pj.Deferrals++
-			out = append(out, pj)
-		}
+// compact drops the jobs apply decided from the queue, keeping the rest in
+// order. The queue is sorted by seq, so each decided job is found by binary
+// search, and one pass of copies closes the gaps from the first of them on:
+// O(decided · log pending) reads, and no surviving job is loaded.
+func (s *Sim) compact() {
+	q := s.pending
+	switch len(s.gone) {
+	case 0:
+		return
+	case len(q): // the round decided every job it was offered
+		clear(q)
+		s.pending = q[:0]
+		return
 	}
-	return out
+	slices.Sort(s.gone)
+	bySeq := func(pj *PendingJob, seq uint64) int { return cmp.Compare(pj.seq, seq) }
+	w, _ := slices.BinarySearchFunc(q, s.gone[0], bySeq)
+	r := w + 1
+	for _, seq := range s.gone[1:] {
+		p, _ := slices.BinarySearchFunc(q[r:], seq, bySeq)
+		w += copy(q[w:], q[r:r+p])
+		r += p + 1
+	}
+	w += copy(q[w:], q[r:])
+	clear(q[w:]) // the decided jobs' pointers
+	s.pending = q[:w]
 }

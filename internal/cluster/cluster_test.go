@@ -54,16 +54,26 @@ func (homeScheduler) Schedule(ctx *Context) ([]Decision, error) {
 	return out, nil
 }
 
-// deferringScheduler defers every job a fixed number of rounds.
-type deferringScheduler struct{ rounds int }
+// deferringScheduler defers every job a fixed number of rounds, counting
+// each job's offers itself (a queued job's Deferrals field is not kept).
+type deferringScheduler struct {
+	rounds int
+	passed map[*PendingJob]int
+}
 
 func (d *deferringScheduler) Name() string { return "test-defer" }
 func (d *deferringScheduler) Schedule(ctx *Context) ([]Decision, error) {
+	if d.passed == nil {
+		d.passed = make(map[*PendingJob]int)
+	}
 	var out []Decision
 	for _, pj := range ctx.Jobs {
-		if pj.Deferrals >= d.rounds {
+		if d.passed[pj] >= d.rounds {
 			out = append(out, Decision{Job: pj.Job, Region: pj.Job.Home})
+			delete(d.passed, pj)
+			continue
 		}
+		d.passed[pj]++
 	}
 	return out, nil
 }

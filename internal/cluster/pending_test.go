@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
@@ -109,6 +110,82 @@ func TestPendingIndexFollowsSnapshotRestoreAndAbandon(t *testing.T) {
 	}
 	again.Submit(jobs[2], testStart)
 	wantStepError(t, again, "job 3 which is not pending") // abandoned, never re-submitted
+}
+
+// Compaction against a plain model of the queue: rounds decide random
+// subsets (the head, the tail, scattered jobs, none, everything), arrivals
+// join between rounds, and the queue is now and then carried through
+// PendingSnapshot and RestorePending. Every round the scheduler sees the
+// model's queue in the model's order, a snapshot carries each job's
+// deferrals as the model counted them, and a queued job's own Deferrals
+// field reads 0.
+func TestCompactionKeepsOrderAndDeferrals(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	type modelJob struct{ id, deferrals int }
+	var model []modelJob
+	sim, err := NewSim(Config{Env: testEnv(t)}, schedulerFunc(func(ctx *Context) ([]Decision, error) {
+		if len(ctx.Jobs) != len(model) {
+			t.Fatalf("queue of %d jobs, model %d", len(ctx.Jobs), len(model))
+		}
+		for i, pj := range ctx.Jobs {
+			if pj.Job.ID != model[i].id || pj.Deferrals != 0 {
+				t.Fatalf("queue position %d holds job %d (Deferrals field %d), model job %d", i, pj.Job.ID, pj.Deferrals, model[i].id)
+			}
+		}
+		var dec []Decision
+		keep := model[:0]
+		for i, m := range model {
+			var decide bool
+			switch rng.Intn(4) {
+			case 0:
+				decide = rng.Intn(3) == 0
+			case 1:
+				decide = i < 3
+			case 2:
+				decide = i >= len(model)-3
+			case 3:
+				decide = rng.Intn(20) == 0
+			}
+			if decide {
+				dec = append(dec, Decision{Job: ctx.Jobs[i].Job, Region: region.Oregon})
+				continue
+			}
+			keep = append(keep, modelJob{m.id, m.deferrals + 1})
+		}
+		// Decisions need not come in queue order.
+		rng.Shuffle(len(dec), func(i, j int) { dec[i], dec[j] = dec[j], dec[i] })
+		model = keep
+		return dec, nil
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := 0
+	for round := range 300 {
+		for range rng.Intn(8) {
+			sim.Submit(&trace.Job{ID: id, Home: region.Oregon, Benchmark: "dedup", Duration: time.Microsecond, Energy: 0.01}, testStart)
+			model = append(model, modelJob{id: id})
+			id++
+		}
+		if _, err := sim.Step(testStart); err != nil {
+			t.Fatal(err)
+		}
+		if round%7 == 0 {
+			snap := sim.PendingSnapshot()
+			for i, pj := range snap {
+				if pj.Job.ID != model[i].id || pj.Deferrals != model[i].deferrals {
+					t.Fatalf("round %d: snapshot position %d holds job %d deferred %d times, model job %d deferred %d",
+						round, i, pj.Job.ID, pj.Deferrals, model[i].id, model[i].deferrals)
+				}
+			}
+			if round%3 == 0 {
+				sim.RestorePending(snap)
+			}
+		}
+	}
+	if id < 500 {
+		t.Fatalf("only %d jobs submitted", id)
+	}
 }
 
 // RestoreBusy takes a snapshot of exactly the Sim's regions and server

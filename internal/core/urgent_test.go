@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -14,10 +16,10 @@ import (
 	"waterwise/internal/workload"
 )
 
-// referenceMostUrgent is the slack manager as it was before the bounded
-// selection: score every job afresh, stable-sort the whole backlog by score,
-// truncate. It is the oracle the selection and the memoized L̄_m must match
-// pick for pick.
+// referenceMostUrgent is the slack manager as it was before any selection
+// was bounded or kept across rounds: score every job afresh, stable-sort
+// the whole backlog by score, truncate. It is the oracle the urgency index
+// and the memoized L̄_m must match pick for pick.
 func referenceMostUrgent(ctx *cluster.Context, jobs []*cluster.PendingJob, limit int) []*cluster.PendingJob {
 	ids := ctx.Env.IDs()
 	scoredJobs := make([]urgentJob, len(jobs))
@@ -34,6 +36,27 @@ func referenceMostUrgent(ctx *cluster.Context, jobs []*cluster.PendingJob, limit
 		out = append(out, scoredJobs[i].pj)
 	}
 	return out
+}
+
+// rank is one round of the urgency index that decides nothing: the limit
+// picks from ctx.Jobs (a copy), every popped job pushed back.
+func rank(s *Scheduler, ctx *cluster.Context, limit int) []*cluster.PendingJob {
+	picked := slices.Clone(s.urg.pick(ctx, ctx.Env.IDs(), limit))
+	s.urg.settle(ctx, nil, nil)
+	return picked
+}
+
+// samePicks fails the test unless got is want, pick for pick.
+func samePicks(t *testing.T, label string, got, want []*cluster.PendingJob) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: picked %d jobs, reference %d", label, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: pick %d is job %d, reference job %d", label, i, got[i].Job.ID, want[i].Job.ID)
+		}
+	}
 }
 
 // randomBacklog draws n pending jobs over every home and the given
@@ -64,83 +87,150 @@ func randomBacklog(rng *rand.Rand, n int, ids []region.ID, benchmarks []string, 
 
 func TestMostUrgentMatchesReference(t *testing.T) {
 	env := testEnv(t)
-	s, err := New(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustNew(t)
 	ctx := testCtx(t, env, nil, 0.5, nil)
 	rng := rand.New(rand.NewSource(14))
 	// One benchmark outside Table 1 takes the 500 MB default package.
 	benchmarks := append(workload.Names(), "not-in-table-1")
-	sizes := []int{1, 2, 3, 17, 63, 64, 65, 500, 5000, 20000}
+	sizes := []int{2, 3, 17, 63, 64, 65, 500, 5000, 20000}
 	if testing.Short() {
 		sizes = sizes[:len(sizes)-2]
 	}
 	for _, n := range sizes {
 		for _, tieFlood := range []bool{false, true} {
-			jobs := randomBacklog(rng, n, env.IDs(), benchmarks, tieFlood)
-			for _, limit := range []int{1, 64, n - 1, n, n + 7} {
-				want := referenceMostUrgent(ctx, jobs, limit)
-				got := s.mostUrgent(ctx, jobs, limit)
-				if len(got) != len(want) {
-					t.Fatalf("n=%d ties=%v limit=%d: picked %d jobs, reference %d", n, tieFlood, limit, len(got), len(want))
+			// A fresh Context per backlog: each first round builds the index.
+			round := *ctx
+			round.Jobs = randomBacklog(rng, n, env.IDs(), benchmarks, tieFlood)
+			for _, limit := range []int{1, 64, n - 1} {
+				if limit >= n {
+					continue
 				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("n=%d ties=%v limit=%d: pick %d is job %d, reference job %d",
-							n, tieFlood, limit, i, got[i].Job.ID, want[i].Job.ID)
-					}
-				}
+				label := fmt.Sprintf("n=%d ties=%v limit=%d", n, tieFlood, limit)
+				samePicks(t, label, rank(s, &round, limit), referenceMostUrgent(&round, round.Jobs, limit))
 			}
 		}
 	}
 
-	// The memo's lifetime: the first ranking of a backlog fills each job's
-	// memo and the next two, with the clock moved on, only read it; jobs
-	// appended after that arrive without one and are ranked beside the
-	// memoized ones.
-	matches := func(ctx *cluster.Context, jobs []*cluster.PendingJob, label string) {
-		t.Helper()
-		for _, limit := range []int{1, 64, len(jobs) / 2} {
-			want := referenceMostUrgent(ctx, jobs, limit)
-			got := s.mostUrgent(ctx, jobs, limit)
-			if len(got) != len(want) {
-				t.Fatalf("%s limit=%d: picked %d jobs, reference %d", label, limit, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%s limit=%d: pick %d is job %d, reference job %d",
-						label, limit, i, got[i].Job.ID, want[i].Job.ID)
-				}
+	// The index's lifetime on one Context: the first round fills each job's
+	// memo and builds the index, the next ones, with the clock moved on,
+	// reuse it; jobs appended after that arrive without a memo and are
+	// pushed beside the indexed ones.
+	for _, tieFlood := range []bool{false, true} {
+		later := *ctx
+		later.Jobs = randomBacklog(rng, 3000, env.IDs(), benchmarks, tieFlood)
+		builds := s.urg.builds
+		matches := func(label string) {
+			t.Helper()
+			for _, limit := range []int{1, 64, len(later.Jobs) / 2} {
+				samePicks(t, fmt.Sprintf("%s limit=%d", label, limit), rank(s, &later, limit), referenceMostUrgent(&later, later.Jobs, limit))
 			}
 		}
-	}
-	for _, tieFlood := range []bool{false, true} {
-		jobs := randomBacklog(rng, 3000, env.IDs(), benchmarks, tieFlood)
-		later := *ctx
 		for _, wait := range []time.Duration{0, 7 * time.Minute, 95 * time.Minute} {
 			later.Now = testStart.Add(wait)
-			matches(&later, jobs, fmt.Sprintf("ties=%v now=+%v", tieFlood, wait))
+			matches(fmt.Sprintf("ties=%v now=+%v", tieFlood, wait))
 		}
 		fresh := randomBacklog(rng, 1000, env.IDs(), benchmarks, tieFlood)
 		for i, pj := range fresh {
-			pj.Job.ID = len(jobs) + i
+			pj.Job.ID = len(later.Jobs) + i
 			pj.FirstSeen = pj.FirstSeen.Add(95 * time.Minute)
 		}
-		jobs = append(jobs, fresh...)
+		later.Jobs = append(later.Jobs, fresh...)
 		later.Now = testStart.Add(2 * time.Hour)
-		matches(&later, jobs, fmt.Sprintf("ties=%v with fresh jobs", tieFlood))
+		matches(fmt.Sprintf("ties=%v with fresh jobs", tieFlood))
+		if got := s.urg.builds - builds; got != 1 {
+			t.Errorf("ties=%v: %d index builds over 12 rounds of one queue, want 1", tieFlood, got)
+		}
 	}
 }
 
-// rankProbe is a scheduler that places nothing and, every round, checks the
-// slack manager's picks from the simulator's own queue against the
-// reference. With alt set it also records whether the reference would pick
-// differently under tolerance alt.
+// scanByMemo ranks ctx.Jobs by the scores their Slack memos give, the way
+// every round scored jobs before the index: score all, stable-sort,
+// truncate.
+func scanByMemo(ctx *cluster.Context, limit int) []*cluster.PendingJob {
+	scored := make([]urgentJob, len(ctx.Jobs))
+	now := ctx.Now.UnixNano()
+	for i, pj := range ctx.Jobs {
+		scored[i] = urgentJob{pj: pj, u: pj.Slack.Base - float64(now-pj.FirstSeen.UnixNano())}
+	}
+	sort.SliceStable(scored, func(i, j int) bool { return scored[i].u < scored[j].u })
+	out := make([]*cluster.PendingJob, limit)
+	for i := range out {
+		out[i] = scored[i].pj
+	}
+	return out
+}
+
+// The heap orders jobs by key, the score rounds differently: a queue built
+// of pairs whose exact keys differ by less than one ulp of the score, so
+// that each pair's keys are ordered while its scores tie (and the tie goes
+// to the pair's first job, which has the larger key). The index must pick
+// what the full scan picks at every cut, although the key order alone does
+// not.
+func TestUrgencyIndexNearTies(t *testing.T) {
+	env := testEnv(t)
+	s := mustNew(t)
+	ctx := testCtx(t, env, nil, 0.5, nil)
+	later := testStart.Add(3 * time.Hour) // scores near 1e13 ns: an ulp of 2e-3
+	rng := rand.New(rand.NewSource(3))
+	pairs := 0
+	for pairs < 300 {
+		base := float64(1+rng.Intn(2000)) * 1e9 * rng.Float64()
+		seen := testStart.Add(-time.Duration(rng.Intn(1000)) * time.Second)
+		below := math.Nextafter(base, math.Inf(-1))
+		f := float64(seen.UnixNano() - testStart.UnixNano())
+		w := float64(later.UnixNano() - seen.UnixNano())
+		if !(below+f < base+f && base-w == below-w) {
+			continue
+		}
+		for _, b := range []float64{base, below} {
+			ctx.Jobs = append(ctx.Jobs, &cluster.PendingJob{
+				Job:       &trace.Job{ID: len(ctx.Jobs), Home: region.Milan, Benchmark: "canneal"},
+				FirstSeen: seen, Slack: cluster.SlackMemo{Base: b, Set: true},
+			})
+		}
+		pairs++
+	}
+	rank(s, ctx, 1) // builds the index, measuring keys from testStart
+	ctx.Now = later
+	byKeyDiffers := false
+	for limit := 1; limit < 2*pairs; limit += 2 {
+		want := scanByMemo(ctx, limit)
+		samePicks(t, fmt.Sprintf("limit=%d", limit), rank(s, ctx, limit), want)
+		byKey := slices.Clone(ctx.Jobs)
+		slices.SortStableFunc(byKey, func(a, b *cluster.PendingJob) int {
+			ka := a.Slack.Base + float64(a.FirstSeen.UnixNano()-testStart.UnixNano())
+			kb := b.Slack.Base + float64(b.FirstSeen.UnixNano()-testStart.UnixNano())
+			return cmpFloat(ka, kb)
+		})
+		byKeyDiffers = byKeyDiffers || !slices.Equal(byKey[:limit], want)
+	}
+	if s.urg.builds != 1 {
+		t.Errorf("%d index builds, want 1: the near ties must meet the incremental path", s.urg.builds)
+	}
+	if !byKeyDiffers {
+		t.Fatal("the key order picks what the scores pick at every cut: the queue has no near ties")
+	}
+}
+
+func cmpFloat(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	}
+	return 0
+}
+
+// rankProbe is a scheduler that, every round, checks the urgency index's
+// picks from the simulator's own queue against the reference, and places
+// the first decide of them at home. With alt set it also records whether
+// the reference would pick differently under tolerance alt.
 type rankProbe struct {
 	t          *testing.T
 	s          *Scheduler
 	alt        float64
+	decide     int
 	rounds     int
 	altDiffers bool
 }
@@ -150,12 +240,16 @@ func (p *rankProbe) Name() string { return "rank-probe" }
 func (p *rankProbe) Schedule(ctx *cluster.Context) ([]cluster.Decision, error) {
 	const limit = 64
 	want := referenceMostUrgent(ctx, ctx.Jobs, limit)
-	got := p.s.mostUrgent(ctx, ctx.Jobs, limit)
-	for i := range want {
-		if got[i] != want[i] {
-			p.t.Fatalf("round %d at tolerance %g: pick %d is job %d, reference job %d",
-				p.rounds, ctx.Tolerance, i, got[i].Job.ID, want[i].Job.ID)
+	var dec []cluster.Decision
+	if len(ctx.Jobs) <= limit {
+		p.s.urg.drop()
+	} else {
+		got := p.s.urg.pick(ctx, ctx.Env.IDs(), limit)
+		samePicks(p.t, fmt.Sprintf("round %d at tolerance %g", p.rounds, ctx.Tolerance), got, want)
+		for _, pj := range got[:min(p.decide, limit)] {
+			dec = append(dec, cluster.Decision{Job: pj.Job, Region: pj.Job.Home})
 		}
+		p.s.urg.settle(ctx, dec, nil)
 	}
 	if p.alt != 0 {
 		alt := *ctx
@@ -166,7 +260,7 @@ func (p *rankProbe) Schedule(ctx *cluster.Context) ([]cluster.Decision, error) {
 		}
 	}
 	p.rounds++
-	return nil, nil
+	return dec, nil
 }
 
 // A queue carried through PendingSnapshot and RestorePending into a Sim
@@ -209,7 +303,7 @@ func TestSlackMemoClearedOnRestore(t *testing.T) {
 	}
 }
 
-func mustNew(t *testing.T) *Scheduler {
+func mustNew(t testing.TB) *Scheduler {
 	t.Helper()
 	s, err := New(DefaultConfig())
 	if err != nil {
@@ -218,22 +312,27 @@ func mustNew(t *testing.T) *Scheduler {
 	return s
 }
 
-// The selection's scratch is sized to limit and pooled: after the first
-// call only the region list and the returned slice are allocated, whatever
-// the backlog.
+// A round on a standing index allocates nothing, and its scratch is sized
+// by the picks, not the backlog.
 func TestMostUrgentAllocatesPerLimitNotBacklog(t *testing.T) {
 	env := testEnv(t)
-	s, err := New(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustNew(t)
 	ctx := testCtx(t, env, nil, 0.5, nil)
-	jobs := randomBacklog(rand.New(rand.NewSource(1)), 15000, env.IDs(), workload.Names(), false)
-	if allocs := testing.AllocsPerRun(10, func() { s.mostUrgent(ctx, jobs, 64) }); allocs > 2 {
-		t.Errorf("mostUrgent(15000 jobs, limit 64) = %v allocations per call, want 2 (region list, result)", allocs)
+	ctx.Jobs = randomBacklog(rand.New(rand.NewSource(1)), 15000, env.IDs(), workload.Names(), false)
+	ids := env.IDs()
+	round := func() {
+		s.urg.pick(ctx, ids, 64)
+		s.urg.settle(ctx, nil, nil)
 	}
-	if c := cap(s.urgBuf); c != 64 {
-		t.Errorf("selection scratch holds %d entries after limit-64 calls, want 64", c)
+	round()
+	if allocs := testing.AllocsPerRun(10, round); allocs != 0 {
+		t.Errorf("a round over 15000 indexed jobs, limit 64 = %v allocations, want 0", allocs)
+	}
+	if s.urg.builds != 1 {
+		t.Errorf("%d index builds, want 1", s.urg.builds)
+	}
+	if c := cap(s.urg.popped); c > 128 {
+		t.Errorf("pick scratch holds %d entries after limit-64 rounds, want at most 128", c)
 	}
 }
 
@@ -345,41 +444,382 @@ func TestFlashCrowdRunMatchesReferenceSelection(t *testing.T) {
 	}
 }
 
-var sinkPicked []*cluster.PendingJob
+// fullScanCheck runs the real controller and checks, every round that
+// ranks, that the batch it solved is what the reference full scan picks.
+type fullScanCheck struct {
+	t                      *testing.T
+	s                      *Scheduler
+	ranked, zeroCap, fifos int
+}
 
-// BenchmarkMostUrgent ranks a backlog whose jobs the slack manager has
-// already ranked once (every memo set, as in each overloaded round after a
-// job's first), and, under cold/, one whose memos are all empty (every job
-// new to the slack manager).
-func BenchmarkMostUrgent(b *testing.B) {
-	env := testEnv(b)
-	ctx := testCtx(b, env, nil, 0.5, nil)
-	for _, cold := range []bool{false, true} {
-		for _, n := range []int{1000, 15000, 100000} {
-			name := fmt.Sprintf("backlog=%dk/limit=64", n/1000)
-			if cold {
-				name = "cold/" + name
+func (c *fullScanCheck) Name() string { return c.s.Name() }
+
+func (c *fullScanCheck) Schedule(ctx *cluster.Context) ([]cluster.Decision, error) {
+	total := 0
+	for _, id := range ctx.Env.IDs() {
+		total += ctx.Free[id]
+	}
+	if total == 0 {
+		c.zeroCap++
+	}
+	limit := min(total, c.s.cfg.MaxBatch)
+	ranks := total > 0 && len(ctx.Jobs) > limit
+	var want []*cluster.PendingJob
+	if ranks && !c.s.cfg.DisableSlackManager {
+		want = referenceMostUrgent(ctx, ctx.Jobs, limit)
+	}
+	head := ctx.Jobs[:min(limit, len(ctx.Jobs))]
+	dec, err := c.s.Schedule(ctx)
+	switch {
+	case ranks && c.s.cfg.DisableSlackManager:
+		c.fifos++
+		for _, d := range dec {
+			if !slices.ContainsFunc(head, func(pj *cluster.PendingJob) bool { return pj.Job == d.Job }) {
+				c.t.Fatalf("FIFO round decided job %d, not among the %d at the head of the queue", d.Job.ID, limit)
 			}
-			b.Run(name, func(b *testing.B) {
-				s, err := New(DefaultConfig())
+		}
+	case ranks:
+		c.ranked++
+		samePicks(c.t, fmt.Sprintf("round at %v", ctx.Now), c.s.urg.picked, want)
+	}
+	return dec, err
+}
+
+// flashRun replays a flash crowd well above capacity through check.
+func flashRun(t *testing.T, tol float64, check *fullScanCheck) {
+	t.Helper()
+	regions := region.Defaults()
+	for i := range regions {
+		regions[i].Servers = 8
+	}
+	env, err := region.NewEnvironment(regions, energy.Table, testStart, 24*4, 77)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs, err := trace.GenerateFlashCrowd(trace.FlashConfig{
+		Config: trace.Config{
+			Start: testStart, Duration: 8 * time.Hour, JobsPerDay: 5000,
+			Regions: env.IDs(), DurationScale: 0.3, Seed: 9,
+		},
+		FlashAt: 2 * time.Hour, FlashDuration: time.Hour, FlashMult: 10,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := cluster.Run(cluster.Config{Env: env, Tolerance: tol}, check, jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Outcomes) != len(jobs) {
+		t.Fatalf("%d jobs, %d outcomes", len(jobs), len(res.Outcomes))
+	}
+}
+
+// Whole replays, round by round: a flash crowd at three tolerances and the
+// paper's regime pick exactly what the full scan picks in every ranked
+// round, and almost every ranked round reuses the index.
+func TestUrgencyIndexMatchesFullScanOverReplays(t *testing.T) {
+	if testing.Short() {
+		t.Skip("integration test")
+	}
+	check := func(t *testing.T, c *fullScanCheck, minRanked int) {
+		t.Logf("%d ranked rounds, %d index builds", c.ranked, c.s.urg.builds)
+		if c.ranked < minRanked || c.s.urg.builds*4 > c.ranked {
+			t.Fatalf("%d ranked rounds with %d index builds: want at least %d rounds, a quarter of them builds at most",
+				c.ranked, c.s.urg.builds, minRanked)
+		}
+	}
+	for _, tol := range []float64{0.1, 0.25, 0.5} {
+		t.Run(fmt.Sprintf("flash/tol=%g", tol), func(t *testing.T) {
+			c := &fullScanCheck{t: t, s: mustNew(t)}
+			flashRun(t, tol, c)
+			check(t, c, 50)
+		})
+	}
+	// The paper's fleet and arrival rate with jobs long enough to fill it:
+	// the paper's own regime (paperRun) never ranks a backlog.
+	busy := paperRun
+	busy.durScale = 0.9
+	t.Run("paper", func(t *testing.T) {
+		c := &fullScanCheck{t: t, s: busy.waterwise(t)}
+		busy.run(t, c)
+		check(t, c, 5)
+	})
+}
+
+// handOverSim returns a Sim over env at tolerance 0.5 driven by sched, with
+// jobs submitted at their FirstSeen.
+func handOverSim(t *testing.T, env *region.Environment, sched cluster.Scheduler, jobs []*cluster.PendingJob) *cluster.Sim {
+	t.Helper()
+	sim, err := cluster.NewSim(cluster.Config{Env: env, Tolerance: 0.5}, sched)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pj := range jobs {
+		sim.Submit(pj.Job, pj.FirstSeen)
+	}
+	return sim
+}
+
+func step(t *testing.T, sim *cluster.Sim, round int) {
+	t.Helper()
+	if _, err := sim.Step(testStart.Add(time.Duration(round) * time.Minute)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Every way the queue changes hands under the index is caught by its O(1)
+// check and answered by one rebuild; the rounds between reuse the index.
+func TestUrgencyIndexHandOver(t *testing.T) {
+	env := testEnv(t)
+	backlog := func(seed int64) []*cluster.PendingJob {
+		return randomBacklog(rand.New(rand.NewSource(seed)), 600, env.IDs(), workload.Names(), false)
+	}
+	t.Run("restore", func(t *testing.T) {
+		p := &rankProbe{t: t, s: mustNew(t), decide: 10}
+		sim := handOverSim(t, env, p, backlog(1))
+		for r := range 3 {
+			step(t, sim, r)
+		}
+		sim.RestorePending(sim.PendingSnapshot())
+		for r := 3; r < 6; r++ {
+			step(t, sim, r)
+		}
+		if p.rounds != 6 || p.s.urg.builds != 2 {
+			t.Fatalf("%d rounds, %d index builds; want 6 rounds, 2 builds", p.rounds, p.s.urg.builds)
+		}
+	})
+	t.Run("abandon and resubmit", func(t *testing.T) {
+		p := &rankProbe{t: t, s: mustNew(t), decide: 10}
+		sim := handOverSim(t, env, p, backlog(2))
+		for r := range 3 {
+			step(t, sim, r)
+		}
+		for _, j := range sim.Abandon() {
+			sim.Submit(j, testStart)
+		}
+		for r := 3; r < 6; r++ {
+			step(t, sim, r)
+		}
+		if p.rounds != 6 || p.s.urg.builds != 2 {
+			t.Fatalf("%d rounds, %d index builds; want 6 rounds, 2 builds", p.rounds, p.s.urg.builds)
+		}
+	})
+	t.Run("two sims", func(t *testing.T) {
+		s := mustNew(t)
+		a := handOverSim(t, env, &rankProbe{t: t, s: s, decide: 10}, backlog(3))
+		b := handOverSim(t, env, &rankProbe{t: t, s: s, decide: 5}, backlog(4))
+		for r := range 6 {
+			step(t, a, r)
+			step(t, b, r)
+		}
+		if s.urg.builds != 12 {
+			t.Fatalf("%d index builds over 12 rounds alternating two Sims, want 12", s.urg.builds)
+		}
+	})
+	t.Run("slack manager disabled", func(t *testing.T) {
+		cfg := DefaultConfig()
+		cfg.DisableSlackManager = true
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := &fullScanCheck{t: t, s: s}
+		sim := handOverSim(t, env, c, backlog(5))
+		for r := range 4 {
+			step(t, sim, r)
+		}
+		if c.fifos != 4 || s.urg.builds != 0 || s.urg.ctx != nil {
+			t.Fatalf("%d FIFO rounds, %d index builds, index held %v; want 4 rounds and no index", c.fifos, s.urg.builds, s.urg.ctx != nil)
+		}
+	})
+	t.Run("no capacity", func(t *testing.T) {
+		regions := region.Defaults()
+		for i := range regions {
+			regions[i].Servers = 1
+		}
+		small, err := region.NewEnvironment(regions, energy.Table, testStart, 24*5, 21)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var jobs []*cluster.PendingJob
+		for _, pj := range randomBacklog(rand.New(rand.NewSource(6)), 60, small.IDs(), workload.Names(), false) {
+			pj.Job.Duration, pj.Job.Energy, pj.Job.EstEnergy = 5*time.Minute, 0.05, 0.05
+			jobs = append(jobs, pj)
+		}
+		c := &fullScanCheck{t: t, s: mustNew(t)}
+		sim := handOverSim(t, small, c, jobs)
+		for r := 0; sim.Pending() > 0; r++ {
+			step(t, sim, r)
+		}
+		if c.zeroCap == 0 || c.ranked < 5 || c.s.urg.builds != 1 {
+			t.Fatalf("%d rounds without capacity, %d ranked, %d index builds; want some, at least 5, and 1",
+				c.zeroCap, c.ranked, c.s.urg.builds)
+		}
+	})
+}
+
+// FuzzUrgencyIndex drives a Sim through random sequences of submissions,
+// rounds that decide some of their picks, clock moves, restores, abandons,
+// Sim switches, failed rounds and rounds that decide a job they did not
+// pick, and checks every ranked round's picks against the reference.
+func FuzzUrgencyIndex(f *testing.F) {
+	f.Add([]byte{0, 40, 1, 1, 2, 9, 1, 0, 7, 1, 3, 1})
+	f.Add([]byte{6, 3, 0, 200, 1, 2, 0, 1, 4, 1, 5, 8, 1, 7, 1, 8, 1, 1})
+	f.Add([]byte{0, 255, 6, 64, 1, 1, 1, 2, 77, 1, 0, 12, 1, 3, 1, 2, 200, 1})
+	env := testEnv(f)
+	ids := env.IDs()
+	names := workload.Names()
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		h := &fuzzHarness{t: t, s: mustNew(t), limit: 16, decide: 4}
+		now := testStart
+		sim := h.newSim(env, 0.5)
+		next := func() byte {
+			if len(ops) == 0 {
+				return 0
+			}
+			b := ops[0]
+			ops = ops[1:]
+			return b
+		}
+		id := 0
+		for len(ops) > 0 {
+			switch next() % 9 {
+			case 0: // submit
+				for range 1 + int(next())%64 {
+					b := next()
+					sim.Submit(&trace.Job{
+						ID: id, Home: ids[int(b)%len(ids)], Benchmark: names[int(b/8)%len(names)],
+						Duration: time.Minute, Energy: 0.05, EstEnergy: 0.05,
+						EstDuration: time.Duration(1+int(next())) * 7919 * time.Millisecond,
+					}, now.Add(-time.Duration(next())*1_000_003))
+					id++
+				}
+			case 1: // round
+				if _, err := sim.Step(now); err != nil && !h.failed {
+					t.Fatal(err)
+				}
+				h.failed, h.stray = false, false
+			case 2: // clock
+				if now.Before(testStart.Add(72 * time.Hour)) {
+					now = now.Add(time.Duration(1+int(next())) * 13_000_000_007)
+				}
+			case 3:
+				sim.RestorePending(sim.PendingSnapshot())
+			case 4:
+				for _, j := range sim.Abandon() {
+					sim.Submit(j, now)
+				}
+			case 5: // another Sim, another tolerance
+				snap := sim.PendingSnapshot()
+				sim = h.newSim(env, []float64{0.1, 0.25, 0.5, 1, 2}[next()%5])
+				sim.RestorePending(snap)
+			case 6:
+				h.limit = 1 + int(next())%80
+				h.decide = int(next()) % (h.limit + 1)
+			case 7:
+				h.failed = true
+			case 8:
+				h.stray = true
+			}
+		}
+	})
+}
+
+// fuzzHarness is FuzzUrgencyIndex's scheduler: a round offers the whole
+// queue below limit, else ranks with the index and checks the reference;
+// it decides the first decide jobs it offers, plus the queue's last job
+// when stray is set, or fails the round when failed is set.
+type fuzzHarness struct {
+	t             *testing.T
+	s             *Scheduler
+	limit, decide int
+	failed, stray bool
+}
+
+var errFuzzRound = fmt.Errorf("failed round")
+
+func (h *fuzzHarness) newSim(env *region.Environment, tol float64) *cluster.Sim {
+	sim, err := cluster.NewSim(cluster.Config{Env: env, Tolerance: tol}, h)
+	if err != nil {
+		h.t.Fatal(err)
+	}
+	return sim
+}
+
+func (h *fuzzHarness) Name() string { return "fuzz-urgency" }
+
+func (h *fuzzHarness) Schedule(ctx *cluster.Context) ([]cluster.Decision, error) {
+	offered := ctx.Jobs
+	ranked := len(ctx.Jobs) > h.limit
+	if ranked {
+		offered = h.s.urg.pick(ctx, ctx.Env.IDs(), h.limit)
+		samePicks(h.t, fmt.Sprintf("limit %d at %v", h.limit, ctx.Now), offered, referenceMostUrgent(ctx, ctx.Jobs, h.limit))
+	} else {
+		h.s.urg.drop()
+	}
+	var dec []cluster.Decision
+	for _, pj := range offered[:min(h.decide, len(offered))] {
+		dec = append(dec, cluster.Decision{Job: pj.Job, Region: pj.Job.Home})
+	}
+	if last := ctx.Jobs[len(ctx.Jobs)-1]; h.stray && !slices.ContainsFunc(dec, func(d cluster.Decision) bool { return d.Job == last.Job }) {
+		dec = append(dec, cluster.Decision{Job: last.Job, Region: last.Job.Home})
+	}
+	var err error
+	if h.failed {
+		dec, err = nil, errFuzzRound
+	}
+	if ranked {
+		h.s.urg.settle(ctx, dec, err)
+	}
+	return dec, err
+}
+
+var sinkDecisions []cluster.Decision
+
+// BenchmarkScheduleBacklog times one overloaded round of the controller
+// over a standing backlog, round after round on one Context the way a Sim
+// keeps it: the round's decided jobs leave the queue, as many arrivals
+// join its tail, and the clock moves on a second. All servers are free
+// every round, so each round places 64 jobs (MaxBatch). The queue upkeep
+// runs outside the timer, and so does a first round, which ranks every job
+// once: the steady state of an overloaded run.
+func BenchmarkScheduleBacklog(b *testing.B) {
+	env := testEnv(b)
+	for _, n := range []int{1000, 15000, 100000} {
+		b.Run(fmt.Sprintf("backlog=%dk", n/1000), func(b *testing.B) {
+			s := mustNew(b)
+			rng := rand.New(rand.NewSource(1))
+			ctx := testCtx(b, env, nil, 0.5, nil)
+			ctx.Jobs = randomBacklog(rng, n, env.IDs(), workload.Names(), false)
+			id := n
+			decided := make(map[*trace.Job]bool)
+			round := func() {
+				dec, err := s.Schedule(ctx)
 				if err != nil {
 					b.Fatal(err)
 				}
-				jobs := randomBacklog(rand.New(rand.NewSource(1)), n, env.IDs(), workload.Names(), false)
-				sinkPicked = s.mostUrgent(ctx, jobs, 64) // fills every memo
-				b.ReportAllocs()
-				b.ResetTimer()
-				for range b.N {
-					if cold {
-						b.StopTimer()
-						for _, pj := range jobs {
-							pj.Slack = cluster.SlackMemo{}
-						}
-						b.StartTimer()
-					}
-					sinkPicked = s.mostUrgent(ctx, jobs, 64)
+				b.StopTimer()
+				sinkDecisions = dec
+				clear(decided)
+				for _, d := range dec {
+					decided[d.Job] = true
 				}
-			})
-		}
+				ctx.Jobs = slices.DeleteFunc(ctx.Jobs, func(pj *cluster.PendingJob) bool { return decided[pj.Job] })
+				ctx.Now = ctx.Now.Add(time.Second)
+				for _, pj := range randomBacklog(rng, len(dec), env.IDs(), workload.Names(), false) {
+					pj.Job.ID, pj.FirstSeen = id, ctx.Now
+					id++
+					ctx.Jobs = append(ctx.Jobs, pj)
+				}
+				b.StartTimer()
+			}
+			round() // the first round ranks every job once
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				round()
+			}
+		})
 	}
 }

@@ -25,7 +25,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"slices"
 	"time"
 
 	"waterwise/internal/cluster"
@@ -110,16 +109,17 @@ type Scheduler struct {
 	// checkRound, when set, sees every round solve: its cost table,
 	// capacities, status and placement (tests compare it with an oracle).
 	checkRound func(cost []float64, caps []int, st transport.Status, assign []int)
+	// urg is the slack manager's ranking of the queue, kept across
+	// overloaded rounds (see urgencyIndex).
+	urg urgencyIndex
 	// Per-round scratch, reused across Schedule calls (a Scheduler is
 	// single-threaded by the cluster.Scheduler contract, so pooling here is
-	// safe): candidate rows and backing array, capacity counts, the slack
-	// manager's kept-set heap, greedy capacity leftovers, and the history
-	// learner's per-region readings. Keeps the serving hot path off the
-	// allocator.
+	// safe): candidate rows and backing array, capacity counts, greedy
+	// capacity leftovers, and the history learner's per-region readings.
+	// Keeps the serving hot path off the allocator.
 	candRows [][]candidate
 	candBuf  []candidate
 	capsBuf  []int
-	urgBuf   []urgentJob
 	leftBuf  []int
 	readBuf  []reading
 	// The round's transportation problem: the M×N cost table and the
@@ -189,44 +189,6 @@ func (s *Scheduler) Stats() (rounds, softened int) { return s.rounds, s.softened
 // 0. The result type is milp.Stats, which aliases transport.Stats.
 func (s *Scheduler) SolverStats() transport.Stats { return s.solverStats }
 
-// urgentJob pairs a pending job with its Eq. 14 urgency score and its
-// position in the round's queue, the tie-break of the selection order.
-type urgentJob struct {
-	pj  *cluster.PendingJob
-	u   float64
-	pos int
-}
-
-// cmpUrgent is the slack manager's total order: ascending urgency score,
-// ties by queue position — what a stable sort by score alone yields.
-func cmpUrgent(a, b urgentJob) int {
-	switch {
-	case a.u < b.u:
-		return -1
-	case a.u > b.u:
-		return 1
-	}
-	return a.pos - b.pos
-}
-
-// siftDown restores the max-heap property (under cmpUrgent) below h[i].
-func siftDown(h []urgentJob, i int) {
-	for {
-		c := 2*i + 1
-		if c >= len(h) {
-			return
-		}
-		if c+1 < len(h) && cmpUrgent(h[c+1], h[c]) > 0 {
-			c++
-		}
-		if cmpUrgent(h[c], h[i]) <= 0 {
-			return
-		}
-		h[i], h[c] = h[c], h[i]
-		i = c
-	}
-}
-
 // candidate carries the per-(job, region) scoring inputs for one round.
 type candidate struct {
 	carbon  float64 // absolute carbon estimate incl. transfer (g)
@@ -265,18 +227,23 @@ func (s *Scheduler) Schedule(ctx *cluster.Context) ([]cluster.Decision, error) {
 	// batch is also capped to bound decision overhead.
 	jobs := ctx.Jobs
 	overloaded := len(jobs) > totalCap
-	limit := totalCap
-	if s.cfg.MaxBatch < limit {
-		limit = s.cfg.MaxBatch
+	limit := min(totalCap, s.cfg.MaxBatch)
+	switch {
+	case len(jobs) <= limit:
+		s.urg.drop() // the whole queue is offered
+	case s.cfg.DisableSlackManager:
+		jobs = jobs[:limit] // FIFO truncation (ablation)
+	default:
+		jobs = s.urg.pick(ctx, ids, limit)
+		dec, err := s.place(ctx, ids, caps, jobs, overloaded)
+		s.urg.settle(ctx, dec, err)
+		return dec, err
 	}
-	if len(jobs) > limit {
-		if s.cfg.DisableSlackManager {
-			jobs = jobs[:limit] // FIFO truncation (ablation)
-		} else {
-			jobs = s.mostUrgent(ctx, jobs, limit)
-		}
-	}
+	return s.place(ctx, ids, caps, jobs, overloaded)
+}
 
+// place decides the round's batch: Algorithm 1, lines 8-11.
+func (s *Scheduler) place(ctx *cluster.Context, ids []region.ID, caps []int, jobs []*cluster.PendingJob, overloaded bool) ([]cluster.Decision, error) {
 	cands := s.buildCandidates(ctx, ids, jobs)
 	s.roundTerms(ids, cands)
 
@@ -562,68 +529,6 @@ func (s *Scheduler) greedyAssign(ctx *cluster.Context, ids []region.ID, caps []i
 		left[best]--
 		out = append(out, cluster.Decision{Job: pj.Job, Region: ids[best]})
 	}
-	return out
-}
-
-// mostUrgent returns the limit jobs with the least remaining slack, per the
-// urgency score of Eq. 14:
-//
-//	Urgency_m = TOL%·t_m − L̄_m − (T_now − T_start_m)
-//
-// i.e. allowed extra service time, minus typical migration cost, minus time
-// already spent waiting. Ascending order = most urgent first, ties in queue
-// order. One pass over the backlog keeps the limit smallest in a max-heap
-// (the root is the least urgent kept job, so a job enters only by beating
-// it), then only the kept jobs are sorted: O(backlog + limit·log limit).
-//
-// The first two terms do not change while the job waits, so the first call
-// that ranks a job keeps TOL%·t_m − L̄_m in its PendingJob.Slack (see
-// cluster.SlackMemo for when that stays valid), and every call scores it as
-// that base minus the wait: the same float operations, in the same order,
-// as evaluating Eq. 14 afresh. The region list is fetched only for a job
-// without a memo.
-func (s *Scheduler) mostUrgent(ctx *cluster.Context, jobs []*cluster.PendingJob, limit int) []*cluster.PendingJob {
-	k := min(limit, len(jobs))
-	if k <= 0 {
-		return nil
-	}
-	if cap(s.urgBuf) < k {
-		s.urgBuf = make([]urgentJob, 0, k)
-	}
-	kept := s.urgBuf[:0]
-	var ids []region.ID
-	now := ctx.Now.UnixNano()
-	for pos, pj := range jobs {
-		if !pj.Slack.Set {
-			if ids == nil {
-				ids = ctx.Env.IDs()
-			}
-			job := pj.Job
-			avgLat := ctx.Net.AvgLatency(job.Home, ids, workload.PackageMB(job.Benchmark))
-			pj.Slack = cluster.SlackMemo{Base: ctx.Tolerance*float64(job.EstDuration) - float64(avgLat), Set: true}
-		}
-		u := pj.Slack.Base - float64(now-pj.FirstSeen.UnixNano())
-		switch {
-		case len(kept) < k:
-			kept = append(kept, urgentJob{pj: pj, u: u, pos: pos})
-			if len(kept) == k {
-				for i := k/2 - 1; i >= 0; i-- {
-					siftDown(kept, i)
-				}
-			}
-		case u < kept[0].u: // an equal score loses: its position is later
-			kept[0] = urgentJob{pj: pj, u: u, pos: pos}
-			siftDown(kept, 0)
-		}
-	}
-	slices.SortFunc(kept, cmpUrgent)
-	out := make([]*cluster.PendingJob, len(kept))
-	for i := range kept {
-		out[i] = kept[i].pj
-	}
-	// Drop the pooled buffer's job pointers: a long-running server must not
-	// pin a past burst's jobs via scratch.
-	clear(kept)
 	return out
 }
 

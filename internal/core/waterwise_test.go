@@ -221,7 +221,7 @@ func TestUrgencyOrdering(t *testing.T) {
 	}
 	ctx := testCtx(t, env, nil, 0.5, nil)
 	ctx.Jobs = pending
-	picked := s.mostUrgent(ctx, pending, 2)
+	picked := rank(s, ctx, 2)
 	if len(picked) != 2 {
 		t.Fatalf("picked %d, want 2", len(picked))
 	}

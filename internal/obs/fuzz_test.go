@@ -214,10 +214,9 @@ func renderSeries(name string, labels map[string]string) string {
 	if len(labels) == 0 {
 		return name
 	}
-	esc := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
 	pairs := make([]string, 0, len(labels))
 	for _, k := range slices.Sorted(maps.Keys(labels)) {
-		pairs = append(pairs, k+`="`+esc.Replace(labels[k])+`"`)
+		pairs = append(pairs, k+"="+QuoteLabel(labels[k]))
 	}
 	return name + "{" + strings.Join(pairs, ",") + "}"
 }

@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"math"
-	"strconv"
-)
+import "strconv"
 
 // AppendHeader appends a family's # HELP and # TYPE lines. Every family
 // in an exposition gets exactly one, before its first sample.
@@ -17,6 +14,27 @@ func AppendHeader(b []byte, name, typ, help string) []byte {
 	b = append(b, ' ')
 	b = append(b, typ...)
 	return append(b, '\n')
+}
+
+// QuoteLabel quotes v as an exposition label value. The text format has
+// exactly three escapes, \\, \" and \n; every other byte, a tab, a NUL or
+// UTF-8 included, is written as is, so ParseSeries reads v back.
+func QuoteLabel(v string) string {
+	b := make([]byte, 0, len(v)+2)
+	b = append(b, '"')
+	for i := 0; i < len(v); i++ {
+		switch c := v[i]; c {
+		case '\\':
+			b = append(b, `\\`...)
+		case '"':
+			b = append(b, `\"`...)
+		case '\n':
+			b = append(b, `\n`...)
+		default:
+			b = append(b, c)
+		}
+	}
+	return string(append(b, '"'))
 }
 
 // AppendSample appends one counter or gauge sample line. labels is empty
@@ -33,6 +51,16 @@ func AppendSample(b []byte, name, labels string, v float64) []byte {
 	return append(b, '\n')
 }
 
+// leLabels holds each bucket edge as its le label spells it, formatted
+// once: the shortest float form, as Prometheus clients write edges, so
+// every scrape names identical series.
+var leLabels = func() (out [numBuckets]string) {
+	for i, v := range boundaries {
+		out[i] = strconv.FormatFloat(v, 'g', -1, 64)
+	}
+	return out
+}()
+
 // AppendProm renders the snapshot as a Prometheus histogram family —
 // cumulative `name_bucket{le="..."}` series, `name_sum`, and
 // `name_count` — appended to b. labels is either empty or a
@@ -48,17 +76,15 @@ func (s *Snapshot) AppendProm(b []byte, name, help, labels string, withHeader bo
 	if withHeader {
 		b = AppendHeader(b, name, "histogram", help)
 	}
-	bucket := func(le float64, n uint64) {
+	bucket := func(le string, n uint64) {
 		b = append(b, name...)
 		b = append(b, "_bucket{"...)
 		if labels != "" {
 			b = append(b, labels...)
 			b = append(b, ',')
 		}
-		// Shortest float form, as Prometheus clients write edges: stable
-		// across renders, so every scrape names identical series.
 		b = append(b, `le="`...)
-		b = strconv.AppendFloat(b, le, 'g', -1, 64)
+		b = append(b, le...)
 		b = append(b, `"} `...)
 		b = strconv.AppendUint(b, n, 10)
 		b = append(b, '\n')
@@ -73,13 +99,13 @@ func (s *Snapshot) AppendProm(b []byte, name, help, labels string, withHeader bo
 		if !prevEmitted && i > 0 && cum > 0 {
 			// Re-anchor after an elided run so the scraper sees the
 			// cumulative floor just below this occupied bucket.
-			bucket(boundaries[i-1], cum)
+			bucket(leLabels[i-1], cum)
 		}
 		cum += c
-		bucket(boundaries[i], cum)
+		bucket(leLabels[i], cum)
 		prevEmitted = true
 	}
-	bucket(math.Inf(1), s.Count)
+	bucket("+Inf", s.Count)
 	b = AppendSample(b, name+"_sum", labels, s.Sum)
 	b = append(b, name...)
 	b = append(b, "_count"...)

@@ -3,7 +3,6 @@ package server
 import (
 	"fmt"
 	"sort"
-	"strconv"
 
 	"waterwise/internal/feed"
 	"waterwise/internal/obs"
@@ -105,7 +104,7 @@ var statusFamilies = []family[ShardStatus]{
 			}
 			sort.Strings(ids)
 			for _, id := range ids {
-				emit("region="+strconv.Quote(id), float64(st.Free[region.ID(id)]))
+				emit("region="+obs.QuoteLabel(id), float64(st.Free[region.ID(id)]))
 			}
 		}},
 
@@ -171,7 +170,9 @@ func shardLabel(shard int) string { return fmt.Sprintf("shard=\"%d\"", shard) }
 // PromQL aggregation away.
 func (s *Server) MetricsText() []byte {
 	st := s.Status()
-	b := appendBuildInfo(nil)
+	// Sized from the last render, so the exposition is not grown from
+	// empty every time: it changes size only as series come and go.
+	b := appendBuildInfo(make([]byte, 0, s.metricsLen.Load()+512))
 	b = appendFamilies(b, serviceFamilies, []source[Status]{{status: &st}})
 	shards := make([]source[ShardStatus], len(st.ShardStatus))
 	for i := range st.ShardStatus {
@@ -193,6 +194,7 @@ func (s *Server) MetricsText() []byte {
 	if s.recorder != nil {
 		b = s.recorder.AppendMetrics(b, "waterwise_")
 	}
+	s.metricsLen.Store(int64(len(b)))
 	return b
 }
 
@@ -203,7 +205,7 @@ func appendFeedMetrics(b []byte, h *feed.Health) []byte {
 	if h == nil {
 		return b
 	}
-	provider := "provider=" + strconv.Quote(h.Provider)
+	provider := "provider=" + obs.QuoteLabel(h.Provider)
 	row := func(name, help, typ string, v float64) {
 		b = obs.AppendHeader(b, name, typ, help)
 		b = obs.AppendSample(b, name, provider, v)

@@ -13,7 +13,10 @@ import (
 	"time"
 
 	"waterwise/internal/cluster"
+	"waterwise/internal/energy"
+	"waterwise/internal/feed"
 	"waterwise/internal/obs"
+	"waterwise/internal/region"
 	"waterwise/internal/sched"
 )
 
@@ -244,5 +247,73 @@ func TestMetricsLintAndObsEndpoints(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown job trace: status %d, want 404", resp.StatusCode)
+	}
+}
+
+// namedProvider is a feed provider under another name.
+type namedProvider struct {
+	feed.Provider
+	name string
+}
+
+func (p namedProvider) Name() string { return p.name }
+
+// Label values are quoted with the exposition's own three escapes only: a
+// region, feed provider and build version holding a tab, a NUL and a
+// non-ASCII rune render into a /metrics that lints and reads them back.
+func TestMetricsLabelValuesEscaped(t *testing.T) {
+	const odd = "a\tb\x00cé\"d\\e\nf"
+	regions := region.Defaults()
+	regions[0].ID = region.ID("zone " + odd)
+	specs := make([]feed.SyntheticRegion, len(regions))
+	for i, r := range regions {
+		specs[i] = feed.SyntheticRegion{Key: string(r.ID), Grid: r.Grid, Climate: r.Climate}
+	}
+	synth, err := feed.NewSynthetic(specs, testStart, 24, 21)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, err := region.NewEnvironmentWithProvider(regions, energy.Table, testStart, 24, namedProvider{synth, "feed " + odd})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func(v string) { Version = v }(Version)
+	Version = "v1 " + odd
+	srv, err := New(Config{Env: env, Scheduler: newScheduler(t), Tolerance: 0.5, Round: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Stop()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	resp, err := http.Get(ts.URL + PathMetrics)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err := obs.LintProm(body); err != nil {
+		t.Fatalf("/metrics fails the lint: %v", err)
+	}
+	fams, err := obs.ParseProm(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ family, label, want string }{
+		{"waterwise_region_free_servers", "region", string(regions[0].ID)},
+		{"waterwise_feed_staleness_seconds", "provider", "feed " + odd},
+		{"waterwise_build_info", "version", Version},
+	} {
+		fam := fams[c.family]
+		if fam == nil {
+			t.Fatalf("/metrics has no %s", c.family)
+		}
+		found := false
+		for _, s := range fam.Samples {
+			found = found || s.Labels[c.label] == c.want
+		}
+		if !found {
+			t.Errorf("no %s sample reads %s=%q back", c.family, c.label, c.want)
+		}
 	}
 }

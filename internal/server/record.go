@@ -19,9 +19,9 @@ var Version = "dev"
 func appendBuildInfo(b []byte) []byte {
 	const name = "waterwise_build_info"
 	b = obs.AppendHeader(b, name, "gauge", "Build identity (constant 1; the labels carry the information).")
-	labels := "version=" + strconv.Quote(Version) +
-		",goversion=" + strconv.Quote(runtime.Version()) +
-		",gomaxprocs=" + strconv.Quote(strconv.Itoa(runtime.GOMAXPROCS(0)))
+	labels := "version=" + obs.QuoteLabel(Version) +
+		",goversion=" + obs.QuoteLabel(runtime.Version()) +
+		",gomaxprocs=" + obs.QuoteLabel(strconv.Itoa(runtime.GOMAXPROCS(0)))
 	return obs.AppendSample(b, name, labels, 1)
 }
 

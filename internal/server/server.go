@@ -54,6 +54,7 @@ import (
 	"path/filepath"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"waterwise/internal/cluster"
@@ -366,6 +367,9 @@ type Server struct {
 	// recorder (nil unless Record is set). Both are immutable after New.
 	ingest   obs.Histogram
 	recorder *tsdb.Recorder
+	// metricsLen is the length of the last MetricsText, its next buffer's
+	// size.
+	metricsLen atomic.Int64
 
 	// mu guards routing: the shard slice (a restart swaps an entry), the
 	// id counter, and the failover state (see failover.go). It is never

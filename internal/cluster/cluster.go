@@ -30,11 +30,6 @@ type PendingJob struct {
 	Job *trace.Job
 	// FirstSeen is when the controller first saw this job.
 	FirstSeen time.Time
-	// Deferrals counts how many scheduling rounds have passed the job over,
-	// in PendingSnapshot's copies and in RestorePending's input. A queued
-	// job's own field reads 0: a round touches only the jobs it decides, so
-	// the Sim keeps the count as the round the job was admitted in.
-	Deferrals int
 	// Slack is the slack manager's memo of the job's wait-free urgency
 	// term. The Sim never reads it: RestorePending clears it, and a
 	// PendingSnapshot's consumer does not persist it.
@@ -43,12 +38,26 @@ type PendingJob struct {
 	// along the queue: compaction finds a decided job by binary search on
 	// it.
 	seq uint64
-	// admitted is the Sim's round count less the job's deferrals when it
-	// was queued, so its deferrals are Sim.rounds − admitted.
+	// admitted is the Sim's round count less the rounds that had passed
+	// the job over when it was queued, so the rounds that have passed it
+	// over are Sim.rounds − admitted. A round touches only the jobs it
+	// decides, so no count is kept on the job itself.
 	admitted int
 	// decided marks a job placed by the round being committed, so a second
 	// decision for it in the same round is rejected.
 	decided bool
+}
+
+// QueuedJob is a copy of one queued job, as PendingSnapshot hands it out
+// and RestorePending takes it back.
+type QueuedJob struct {
+	Job       *trace.Job
+	FirstSeen time.Time
+	// Deferrals counts how many scheduling rounds have passed the job over.
+	Deferrals int
+	// Slack is the job's memo when the snapshot was taken; RestorePending
+	// drops it.
+	Slack SlackMemo
 }
 
 // SlackMemo holds Eq. 14's per-job term TOL·t̂_m − L̄_m, in nanoseconds,
@@ -96,7 +105,7 @@ type Decision struct {
 //
 // Sim.RestorePending and Sim.Abandon replace every *PendingJob (none of the
 // old pointers is queued again, so a remembered last job no longer
-// matches). A job's Deferrals field is not kept current in the queue.
+// matches).
 type Context struct {
 	Now  time.Time
 	Jobs []*PendingJob
@@ -483,7 +492,7 @@ func (s *Sim) Submit(job *trace.Job, at time.Time) {
 
 // enqueue appends pj to the queue, already passed over deferrals times.
 func (s *Sim) enqueue(pj *PendingJob, deferrals int) {
-	pj.seq, pj.admitted, pj.Deferrals = s.nextSeq, s.rounds-deferrals, 0
+	pj.seq, pj.admitted = s.nextSeq, s.rounds-deferrals
 	s.nextSeq++
 	s.pending = append(s.pending, pj)
 	s.byID[pj.Job.ID] = pj
@@ -609,11 +618,10 @@ func (s *Sim) RestoreBusy(busy map[region.ID][]time.Time) error {
 // checkpoint carries so a restored queue equals the one snapshotted. The
 // copies also carry each job's Slack memo, which is not state:
 // RestorePending drops it, and the durable checkpoint does not write it.
-func (s *Sim) PendingSnapshot() []PendingJob {
-	out := make([]PendingJob, len(s.pending))
+func (s *Sim) PendingSnapshot() []QueuedJob {
+	out := make([]QueuedJob, len(s.pending))
 	for i, pj := range s.pending {
-		out[i] = *pj
-		out[i].Deferrals = s.rounds - pj.admitted
+		out[i] = QueuedJob{Job: pj.Job, FirstSeen: pj.FirstSeen, Deferrals: s.rounds - pj.admitted, Slack: pj.Slack}
 	}
 	return out
 }
@@ -622,13 +630,11 @@ func (s *Sim) PendingSnapshot() []PendingJob {
 // preserving order (schedulers see jobs in submission order). Each job's
 // Slack memo is cleared: the snapshot may come from a Sim with another
 // tolerance, transfer model or region set.
-func (s *Sim) RestorePending(jobs []PendingJob) {
+func (s *Sim) RestorePending(jobs []QueuedJob) {
 	s.pending = s.pending[:0]
 	clear(s.byID)
-	for i := range jobs {
-		pj := jobs[i]
-		pj.Slack, pj.decided = SlackMemo{}, false
-		s.enqueue(&pj, pj.Deferrals)
+	for _, q := range jobs {
+		s.enqueue(&PendingJob{Job: q.Job, FirstSeen: q.FirstSeen}, q.Deferrals)
 	}
 }
 

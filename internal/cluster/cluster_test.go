@@ -55,7 +55,7 @@ func (homeScheduler) Schedule(ctx *Context) ([]Decision, error) {
 }
 
 // deferringScheduler defers every job a fixed number of rounds, counting
-// each job's offers itself (a queued job's Deferrals field is not kept).
+// each job's offers itself (a queued job carries no deferral count).
 type deferringScheduler struct {
 	rounds int
 	passed map[*PendingJob]int

@@ -1,9 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math"
 	"slices"
-	"time"
 
 	"waterwise/internal/cluster"
 	"waterwise/internal/region"
@@ -28,17 +28,23 @@ import (
 // leave, arrivals join at the tail. So the ranking persists across them as
 // urgencyIndex, a min-heap keyed by Base + (T_start − epoch), which differs
 // from the score only by the round's T_now − epoch — the same for every job
-// — and so orders the jobs as the score does, up to rounding. A round costs
-// O((arrivals + picked) · log backlog), not O(backlog).
+// — and so orders the jobs as the score does, up to rounding. Jobs with the
+// same Base and T_start (one home and benchmark, admitted at one instant)
+// score alike in every round, so they share one heap node, a tie class,
+// with its jobs in queue order behind it. A round costs
+// O((arrivals + picked) · log backlog), not O(backlog), however large the
+// classes.
 
-// urgentJob is one queued job in the urgency index: its heap key, its
-// Eq. 14 score this round (set when popped), and its ordinal, which
-// increases along the queue and breaks ties in queue order.
+// urgentJob is one queued job as a round ranks it: its Eq. 14 score this
+// round and its ordinal, which increases along the queue and breaks ties in
+// queue order. m and c locate it in the index: its slot in members and its
+// class in popped.
 type urgentJob struct {
 	pj  *cluster.PendingJob
-	key float64
 	u   float64
 	pos int
+	m   int32
+	c   int32
 }
 
 // cmpUrgent is the slack manager's total order: ascending urgency score,
@@ -53,9 +59,34 @@ func cmpUrgent(a, b urgentJob) int {
 	return a.pos - b.pos
 }
 
-// lessKey is the heap order: ascending key, ties by queue position.
-func lessKey(a, b *urgentJob) bool {
-	return a.key < b.key || a.key == b.key && a.pos < b.pos
+// member is one indexed job: next links its tie class in queue order (−1
+// after the last).
+type member struct {
+	pj   *cluster.PendingJob
+	pos  int
+	next int32
+}
+
+// tieClass is one heap node: the jobs of one exact (Base, T_start), which
+// share key, head first. gone counts the members a round decided, while
+// the class is popped.
+type tieClass struct {
+	key           float64
+	head, n, gone int32
+}
+
+// freshJob is an arrival being grouped into tie classes.
+type freshJob struct {
+	pj    *cluster.PendingJob
+	base  float64
+	start int64
+	pos   int
+}
+
+// lessKey is the heap order: ascending key. Classes whose keys tie are
+// all popped in the same round, so their order is immaterial.
+func lessKey(a, b *tieClass) bool {
+	return a.key < b.key
 }
 
 // avgKey names one L̄_m: the mean transfer latency depends only on the
@@ -76,8 +107,12 @@ type avgKey struct {
 // queue drops the index.
 type urgencyIndex struct {
 	ctx  *cluster.Context // nil: no index
-	heap []urgentJob
-	seen int
+	heap []tieClass
+	// members holds every indexed job, in slots its classes link; free
+	// lists the slots decided jobs left.
+	members []member
+	free    []int32
+	seen    int
 	// last is ctx.Jobs[seen-1] as settle left it; nil while a round's picks
 	// are out of the heap, so a pick without a settle rebuilds.
 	last *cluster.PendingJob
@@ -87,12 +122,15 @@ type urgencyIndex struct {
 	next       int
 	epoch      int64
 	bMax, fMax float64
-	avgLat     map[avgKey]time.Duration
-	// popped holds this round's popped jobs, the picks first; gone is
-	// settle's scratch.
-	popped []urgentJob
-	gone   []urgentJob
-	picked []*cluster.PendingJob
+	avgLat     map[avgKey]float64
+	// fresh is the scratch that groups arrivals into classes. classes holds
+	// this round's popped classes; popped their jobs that can be picked,
+	// sorted, the picks first; gone is settle's scratch.
+	fresh   []freshJob
+	classes []tieClass
+	popped  []urgentJob
+	gone    []urgentJob
+	picked  []*cluster.PendingJob
 	// builds counts rebuilds, so tests can tell the incremental path ran.
 	builds int
 }
@@ -103,27 +141,35 @@ type urgencyIndex struct {
 // the next pick; settle must follow once the round's decisions are known.
 func (x *urgencyIndex) pick(ctx *cluster.Context, ids []region.ID, limit int) []*cluster.PendingJob {
 	if x.ctx == ctx && x.last != nil && len(ctx.Jobs) >= x.seen && ctx.Jobs[x.seen-1] == x.last {
-		for _, pj := range ctx.Jobs[x.seen:] {
-			x.push(x.entry(ctx, ids, pj))
-		}
+		x.add(ctx, ids, ctx.Jobs[x.seen:], false)
 	} else {
 		x.rebuild(ctx, ids)
 	}
 	x.seen, x.last = len(ctx.Jobs), nil
 
-	// The top limit by key, then every job whose key is within eps of the
-	// limit-th: no job left in the heap can outrank those limit by score.
+	// The top classes by key until they hold limit jobs, then every class
+	// whose key is within eps of the last of them: no job left in the heap
+	// can outrank those limit by score.
 	now := ctx.Now.UnixNano()
-	for range limit {
-		x.popped = append(x.popped, x.pop())
+	for n := 0; n < limit; {
+		c := x.pop()
+		n += int(c.n)
+		x.classes = append(x.classes, c)
 	}
-	bound := x.popped[limit-1].key + x.eps(now)
+	bound := x.classes[len(x.classes)-1].key + x.eps(now)
 	for len(x.heap) > 0 && x.heap[0].key <= bound {
-		x.popped = append(x.popped, x.pop())
+		x.classes = append(x.classes, x.pop())
 	}
-	for i := range x.popped {
-		p := &x.popped[i]
-		p.u = p.pj.Slack.Base - float64(now-p.pj.FirstSeen.UnixNano())
+	// A class's jobs score alike and keep queue order, so only its first
+	// limit can be picked.
+	for ci, c := range x.classes {
+		pj := x.members[c.head].pj
+		u := pj.Slack.Base - float64(now-pj.FirstSeen.UnixNano())
+		for k, m := 0, c.head; k < limit && m >= 0; k++ {
+			mb := &x.members[m]
+			x.popped = append(x.popped, urgentJob{pj: mb.pj, u: u, pos: mb.pos, m: m, c: int32(ci)})
+			m = mb.next
+		}
 	}
 	slices.SortFunc(x.popped, cmpUrgent)
 	x.picked = x.picked[:0]
@@ -154,12 +200,15 @@ func (x *urgencyIndex) settle(ctx *cluster.Context, dec []cluster.Decision, err 
 	x.gone = x.gone[:0]
 	d := 0
 	for i, p := range x.popped {
-		if i < limit && d < len(dec) && dec[d].Job == p.pj.Job {
-			x.gone = append(x.gone, p)
-			d++
-			continue
+		if i == limit || d == len(dec) {
+			break
 		}
-		x.push(p)
+		if dec[d].Job == p.pj.Job {
+			x.gone = append(x.gone, p)
+			x.members[p.m].pj = nil
+			x.classes[p.c].gone++
+			d++
+		}
 	}
 	clear(x.popped)
 	x.popped = x.popped[:0]
@@ -167,6 +216,16 @@ func (x *urgencyIndex) settle(ctx *cluster.Context, dec []cluster.Decision, err 
 		x.drop()
 		return
 	}
+	for i := range x.classes {
+		c := &x.classes[i]
+		if c.gone > 0 {
+			x.unlinkGone(c)
+		}
+		if c.n > 0 {
+			x.push(*c)
+		}
+	}
+	x.classes = x.classes[:0]
 	// The decided jobs at the queue's tail are the decided jobs with the
 	// largest ordinals, in order: walk both back to the last survivor.
 	slices.SortFunc(x.gone, func(a, b urgentJob) int { return b.pos - a.pos })
@@ -181,11 +240,35 @@ func (x *urgencyIndex) settle(ctx *cluster.Context, dec []cluster.Decision, err 
 	clear(x.gone)
 }
 
+// unlinkGone frees the members of c that settle marked decided (pj nil).
+// Picks from a class are a prefix of it, so the walk stops within limit.
+func (x *urgencyIndex) unlinkGone(c *tieClass) {
+	prev := int32(-1)
+	for m := c.head; c.gone > 0; {
+		next := x.members[m].next
+		if x.members[m].pj == nil {
+			if prev < 0 {
+				c.head = next
+			} else {
+				x.members[prev].next = next
+			}
+			x.free = append(x.free, m)
+			c.gone--
+			c.n--
+		} else {
+			prev = m
+		}
+		m = next
+	}
+}
+
 // drop discards the index and every job pointer it holds.
 func (x *urgencyIndex) drop() {
 	x.ctx, x.last = nil, nil
-	clear(x.heap)
 	x.heap = x.heap[:0]
+	clear(x.members)
+	x.members, x.free = x.members[:0], x.free[:0]
+	x.classes = x.classes[:0]
 	clear(x.popped)
 	x.popped = x.popped[:0]
 	clear(x.picked)
@@ -198,38 +281,80 @@ func (x *urgencyIndex) rebuild(ctx *cluster.Context, ids []region.ID) {
 	x.builds++
 	x.ctx, x.epoch, x.next, x.bMax, x.fMax = ctx, ctx.Now.UnixNano(), 0, 0, 0
 	if x.avgLat == nil {
-		x.avgLat = make(map[avgKey]time.Duration)
+		x.avgLat = make(map[avgKey]float64)
 	}
-	x.heap = slices.Grow(x.heap, len(ctx.Jobs))
-	for _, pj := range ctx.Jobs {
-		x.heap = append(x.heap, x.entry(ctx, ids, pj))
-	}
+	x.members = slices.Grow(x.members, len(ctx.Jobs))
+	x.add(ctx, ids, ctx.Jobs, true)
 	for i := len(x.heap)/2 - 1; i >= 0; i-- {
 		x.down(i)
 	}
 }
 
-// entry keys pj for the heap, filling its Slack memo first if empty.
-func (x *urgencyIndex) entry(ctx *cluster.Context, ids []region.ID, pj *cluster.PendingJob) urgentJob {
-	if !pj.Slack.Set {
-		job := pj.Job
-		k := avgKey{job.Home, job.Benchmark}
-		avgLat, ok := x.avgLat[k]
-		if !ok {
-			avgLat = ctx.Net.AvgLatency(job.Home, ids, workload.PackageMB(job.Benchmark))
-			x.avgLat[k] = avgLat
+// add indexes jobs, each given the next ordinal and a member slot, as tie
+// classes: pushed on the heap, or appended to it unordered when heapify
+// follows. A job's Slack memo is filled first if empty.
+func (x *urgencyIndex) add(ctx *cluster.Context, ids []region.ID, jobs []*cluster.PendingJob, heapify bool) {
+	f := x.fresh[:0]
+	for _, pj := range jobs {
+		if !pj.Slack.Set {
+			job := pj.Job
+			k := avgKey{job.Home, job.Benchmark}
+			avgLat, ok := x.avgLat[k]
+			if !ok {
+				avgLat = float64(ctx.Net.AvgLatency(job.Home, ids, workload.PackageMB(job.Benchmark)))
+				x.avgLat[k] = avgLat
+			}
+			pj.Slack = cluster.SlackMemo{Base: ctx.Tolerance*float64(job.EstDuration) - avgLat, Set: true}
 		}
-		pj.Slack = cluster.SlackMemo{Base: ctx.Tolerance*float64(job.EstDuration) - float64(avgLat), Set: true}
+		f = append(f, freshJob{pj: pj, base: pj.Slack.Base, start: pj.FirstSeen.UnixNano(), pos: x.next})
+		x.next++
 	}
-	f := float64(pj.FirstSeen.UnixNano() - x.epoch)
-	x.bMax, x.fMax = max(x.bMax, math.Abs(pj.Slack.Base)), max(x.fMax, math.Abs(f))
-	e := urgentJob{pj: pj, key: pj.Slack.Base + f, pos: x.next}
-	x.next++
-	return e
+	if len(f) > 1 {
+		slices.SortFunc(f, func(a, b freshJob) int {
+			if c := cmp.Compare(a.base, b.base); c != 0 {
+				return c
+			}
+			if c := cmp.Compare(a.start, b.start); c != 0 {
+				return c
+			}
+			return a.pos - b.pos
+		})
+	}
+	for i := 0; i < len(f); {
+		j := f[i]
+		since := float64(j.start - x.epoch)
+		x.bMax, x.fMax = max(x.bMax, math.Abs(j.base)), max(x.fMax, math.Abs(since))
+		c := tieClass{key: j.base + since, head: x.slot(member{pj: j.pj, pos: j.pos, next: -1}), n: 1}
+		tail := c.head
+		for i++; i < len(f) && f[i].base == j.base && f[i].start == j.start; i++ {
+			m := x.slot(member{pj: f[i].pj, pos: f[i].pos, next: -1})
+			x.members[tail].next, tail = m, m
+			c.n++
+		}
+		if heapify {
+			x.heap = append(x.heap, c)
+		} else {
+			x.push(c)
+		}
+	}
+	clear(f)
+	x.fresh = f[:0]
 }
 
-func (x *urgencyIndex) push(e urgentJob) {
-	x.heap = append(x.heap, e)
+// slot stores mb in a free member slot and returns its index.
+func (x *urgencyIndex) slot(mb member) int32 {
+	if n := len(x.free); n > 0 {
+		m := x.free[n-1]
+		x.free = x.free[:n-1]
+		x.members[m] = mb
+		return m
+	}
+	x.members = append(x.members, mb)
+	return int32(len(x.members) - 1)
+}
+
+func (x *urgencyIndex) push(c tieClass) {
+	x.heap = append(x.heap, c)
 	h := x.heap
 	for i := len(h) - 1; i > 0; {
 		p := (i - 1) / 2
@@ -241,12 +366,11 @@ func (x *urgencyIndex) push(e urgentJob) {
 	}
 }
 
-func (x *urgencyIndex) pop() urgentJob {
+func (x *urgencyIndex) pop() tieClass {
 	h := x.heap
 	top := h[0]
 	n := len(h) - 1
 	h[0] = h[n]
-	h[n] = urgentJob{}
 	x.heap = h[:n]
 	x.down(0)
 	return top

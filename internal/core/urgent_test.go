@@ -659,6 +659,53 @@ func TestUrgencyIndexHandOver(t *testing.T) {
 	})
 }
 
+// A backlog mostly of one tie class (randomBacklog's tie flood: one home
+// and benchmark admitted at one instant) ranks as the reference does while
+// rounds decide scattered picks, so classes lose members from inside their
+// picked prefix, and each round's arrivals, 70% of them one class again,
+// join at the tail. A class is one heap node, and a round handles O(limit)
+// jobs however large its classes are.
+func TestUrgencyIndexTieClasses(t *testing.T) {
+	env := testEnv(t)
+	ids := env.IDs()
+	s := mustNew(t)
+	ctx := testCtx(t, env, nil, 0.5, nil)
+	rng := rand.New(rand.NewSource(31))
+	ctx.Jobs = randomBacklog(rng, 5000, ids, workload.Names(), true)
+	id := len(ctx.Jobs)
+	const limit = 64
+	decided := make(map[*cluster.PendingJob]bool)
+	for round := range 60 {
+		got := slices.Clone(s.urg.pick(ctx, ids, limit))
+		samePicks(t, fmt.Sprintf("round %d", round), got, referenceMostUrgent(ctx, ctx.Jobs, limit))
+		if n := len(s.urg.popped); n > 3*limit {
+			t.Fatalf("round %d ranked %d jobs exactly for %d picks", round, n, limit)
+		}
+		var dec []cluster.Decision
+		clear(decided)
+		for i, pj := range got {
+			if i%3 != 1 {
+				dec = append(dec, cluster.Decision{Job: pj.Job, Region: pj.Job.Home})
+				decided[pj] = true
+			}
+		}
+		s.urg.settle(ctx, dec, nil)
+		ctx.Jobs = slices.DeleteFunc(ctx.Jobs, func(pj *cluster.PendingJob) bool { return decided[pj] })
+		ctx.Now = ctx.Now.Add(time.Second)
+		for _, pj := range randomBacklog(rng, 40, ids, workload.Names(), true) {
+			pj.Job.ID, pj.FirstSeen = id, ctx.Now
+			id++
+			ctx.Jobs = append(ctx.Jobs, pj)
+		}
+	}
+	if s.urg.builds != 1 {
+		t.Errorf("%d index builds, want 1", s.urg.builds)
+	}
+	if n := len(s.urg.heap); n*5 > len(ctx.Jobs) {
+		t.Errorf("%d heap nodes for %d queued jobs: the tie classes were not grouped", n, len(ctx.Jobs))
+	}
+}
+
 // FuzzUrgencyIndex drives a Sim through random sequences of submissions,
 // rounds that decide some of their picks, clock moves, restores, abandons,
 // Sim switches, failed rounds and rounds that decide a job they did not
@@ -671,7 +718,7 @@ func FuzzUrgencyIndex(f *testing.F) {
 	ids := env.IDs()
 	names := workload.Names()
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		h := &fuzzHarness{t: t, s: mustNew(t), limit: 16, decide: 4}
+		h := &fuzzHarness{t: t, s: mustNew(t), limit: 16, decide: 4, stride: 1}
 		now := testStart
 		sim := h.newSim(env, 0.5)
 		next := func() byte {
@@ -717,6 +764,7 @@ func FuzzUrgencyIndex(f *testing.F) {
 			case 6:
 				h.limit = 1 + int(next())%80
 				h.decide = int(next()) % (h.limit + 1)
+				h.stride = 1 + int(next())%3
 			case 7:
 				h.failed = true
 			case 8:
@@ -728,13 +776,14 @@ func FuzzUrgencyIndex(f *testing.F) {
 
 // fuzzHarness is FuzzUrgencyIndex's scheduler: a round offers the whole
 // queue below limit, else ranks with the index and checks the reference;
-// it decides the first decide jobs it offers, plus the queue's last job
-// when stray is set, or fails the round when failed is set.
+// it decides every stride-th job it offers, up to decide of them, plus the
+// queue's last job when stray is set, or fails the round when failed is
+// set.
 type fuzzHarness struct {
-	t             *testing.T
-	s             *Scheduler
-	limit, decide int
-	failed, stray bool
+	t                     *testing.T
+	s                     *Scheduler
+	limit, decide, stride int
+	failed, stray         bool
 }
 
 var errFuzzRound = fmt.Errorf("failed round")
@@ -759,8 +808,8 @@ func (h *fuzzHarness) Schedule(ctx *cluster.Context) ([]cluster.Decision, error)
 		h.s.urg.drop()
 	}
 	var dec []cluster.Decision
-	for _, pj := range offered[:min(h.decide, len(offered))] {
-		dec = append(dec, cluster.Decision{Job: pj.Job, Region: pj.Job.Home})
+	for i := 0; i < len(offered) && len(dec) < h.decide; i += h.stride {
+		dec = append(dec, cluster.Decision{Job: offered[i].Job, Region: offered[i].Job.Home})
 	}
 	if last := ctx.Jobs[len(ctx.Jobs)-1]; h.stray && !slices.ContainsFunc(dec, func(d cluster.Decision) bool { return d.Job == last.Job }) {
 		dec = append(dec, cluster.Decision{Job: last.Job, Region: last.Job.Home})
@@ -783,42 +832,89 @@ var sinkDecisions []cluster.Decision
 // join its tail, and the clock moves on a second. All servers are free
 // every round, so each round places 64 jobs (MaxBatch). The queue upkeep
 // runs outside the timer, and so does a first round, which ranks every job
-// once: the steady state of an overloaded run.
+// once: the steady state of an overloaded run. In the ties case 70% of the
+// backlog is one home and benchmark admitted at one instant
+// (randomBacklog's tie flood), moved an hour back so that it is the most
+// urgent class and sits at the cut every round; when fewer than a tenth of
+// the backlog is left in it, a fresh backlog replaces the queue, outside
+// the timer with its first round.
 func BenchmarkScheduleBacklog(b *testing.B) {
 	env := testEnv(b)
-	for _, n := range []int{1000, 15000, 100000} {
-		b.Run(fmt.Sprintf("backlog=%dk", n/1000), func(b *testing.B) {
+	ids, names := env.IDs(), workload.Names()
+	for _, c := range []struct {
+		n    int
+		ties bool
+	}{{1000, false}, {15000, false}, {100000, false}, {15000, true}} {
+		name := fmt.Sprintf("backlog=%dk", c.n/1000)
+		if c.ties {
+			name += "/ties"
+		}
+		b.Run(name, func(b *testing.B) {
+			n := c.n
 			s := mustNew(b)
 			rng := rand.New(rand.NewSource(1))
 			ctx := testCtx(b, env, nil, 0.5, nil)
-			ctx.Jobs = randomBacklog(rng, n, env.IDs(), workload.Names(), false)
-			id := n
-			decided := make(map[*trace.Job]bool)
-			round := func() {
+			flood := testStart.Add(-time.Hour)
+			id, left := 0, 0
+			fill := func() {
+				ctx.Jobs, left = randomBacklog(rng, n, ids, names, c.ties), 0
+				for _, pj := range ctx.Jobs {
+					pj.Job.ID = id
+					id++
+					if j := pj.Job; c.ties && pj.FirstSeen.Equal(testStart) && j.Home == ids[0] && j.Benchmark == names[0] && j.EstDuration == 10*time.Minute {
+						pj.FirstSeen = flood
+						left++
+					}
+				}
+			}
+			schedule := func() []cluster.Decision {
 				dec, err := s.Schedule(ctx)
 				if err != nil {
 					b.Fatal(err)
 				}
-				b.StopTimer()
+				return dec
+			}
+			decided := make(map[*trace.Job]bool)
+			upkeep := func(dec []cluster.Decision) {
 				sinkDecisions = dec
 				clear(decided)
 				for _, d := range dec {
 					decided[d.Job] = true
 				}
-				ctx.Jobs = slices.DeleteFunc(ctx.Jobs, func(pj *cluster.PendingJob) bool { return decided[pj.Job] })
+				ctx.Jobs = slices.DeleteFunc(ctx.Jobs, func(pj *cluster.PendingJob) bool {
+					if decided[pj.Job] && pj.FirstSeen.Equal(flood) {
+						left--
+					}
+					return decided[pj.Job]
+				})
 				ctx.Now = ctx.Now.Add(time.Second)
-				for _, pj := range randomBacklog(rng, len(dec), env.IDs(), workload.Names(), false) {
+				for _, pj := range randomBacklog(rng, len(dec), ids, names, c.ties) {
 					pj.Job.ID, pj.FirstSeen = id, ctx.Now
 					id++
 					ctx.Jobs = append(ctx.Jobs, pj)
 				}
-				b.StartTimer()
 			}
-			round() // the first round ranks every job once
+			fills := 0
+			start := func() { // a fresh backlog and its first round, which ranks every job once
+				fill()
+				fills++
+				upkeep(schedule())
+			}
+			start()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for range b.N {
-				round()
+				dec := schedule()
+				b.StopTimer()
+				upkeep(dec)
+				if c.ties && left < n/10 {
+					start()
+				}
+				b.StartTimer()
+			}
+			b.StopTimer()
+			if s.urg.builds != fills {
+				b.Fatalf("%d index builds for %d backlogs: a timed round rebuilt the index", s.urg.builds, fills)
 			}
 		})
 	}

@@ -514,9 +514,9 @@ func (s *shard) restoreSnapshot(payload []byte) error {
 	}
 	s.readDedupe(&r)
 	np := r.Count(pendingSize, "pending job")
-	pending := make([]cluster.PendingJob, 0, np)
+	pending := make([]cluster.QueuedJob, 0, np)
 	for i := 0; i < np && r.OK(); i++ {
-		pending = append(pending, cluster.PendingJob{Job: readJob(&r), FirstSeen: r.Time(), Deferrals: int(r.U32())})
+		pending = append(pending, cluster.QueuedJob{Job: readJob(&r), FirstSeen: r.Time(), Deferrals: int(r.U32())})
 	}
 	nb := r.Count(busySize, "busy region")
 	busy := make(map[region.ID][]time.Time, nb)

@@ -108,10 +108,10 @@ func BenchmarkAblations(b *testing.B) { benchExperiment(b, "ablate") }
 // extensions.
 func BenchmarkExtensions(b *testing.B) { benchExperiment(b, "ext") }
 
-// BenchmarkSchedulingRound isolates the cost of one WaterWise Optimization
-// Decision Controller invocation (the quantity behind Fig. 13), excluding
-// trace replay: one environment, a 60-job batch, one MILP solve per
-// iteration.
+// BenchmarkSchedulingRound times the WaterWise Optimization Decision
+// Controller (the quantity behind Fig. 13) on a small batch: each
+// iteration is one env.Run of 60 jobs all submitted at the environment's
+// start, whose rounds are solved as transportation problems.
 func BenchmarkSchedulingRound(b *testing.B) {
 	env, err := NewEnvironment(EnvironmentConfig{Seed: 5})
 	if err != nil {

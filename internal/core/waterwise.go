@@ -109,19 +109,40 @@ type Scheduler struct {
 	// checkRound, when set, sees every round solve: its cost table,
 	// capacities, status and placement (tests compare it with an oracle).
 	checkRound func(cost []float64, caps []int, st transport.Status, assign []int)
+	// checkBatch, when set, sees every round's batch before it is scored
+	// (tests rebuild the round's cost table from it).
+	checkBatch func(ctx *cluster.Context, ids []region.ID, jobs []*cluster.PendingJob)
 	// urg is the slack manager's ranking of the queue, kept across
 	// overloaded rounds (see urgencyIndex).
 	urg urgencyIndex
 	// Per-round scratch, reused across Schedule calls (a Scheduler is
 	// single-threaded by the cluster.Scheduler contract, so pooling here is
-	// safe): candidate rows and backing array, capacity counts, greedy
-	// capacity leftovers, and the history learner's per-region readings.
-	// Keeps the serving hot path off the allocator.
-	candRows [][]candidate
-	candBuf  []candidate
-	capsBuf  []int
-	leftBuf  []int
-	readBuf  []reading
+	// safe): capacity counts, greedy capacity leftovers, the history
+	// learner's per-region readings and each region's description. Keeps
+	// the serving hot path off the allocator.
+	capsBuf []int
+	leftBuf []int
+	readBuf []reading
+	regBuf  []*region.Region
+	// The round's scoring classes (see scoreClasses): classOf maps a key to
+	// its class, classFirst[k] is class k's first job and jobClass[m] is
+	// job m's class. Class k's rows are N wide: candBuf[k*N:(k+1)*N] holds
+	// its candidates and baseBuf[k*N:(k+1)*N] its Eq. 8 objective before
+	// the Eq. 11 test (see roundTerms).
+	classOf    map[classKey]int32
+	classFirst []int32
+	classPath  []int32
+	jobClass   []int32
+	candBuf    []candidate
+	baseBuf    []float64
+	// The round's transfer paths: pathOf maps a (home, benchmark) to its
+	// path, pathFirst[p] is path p's first job, and pathBuf[p*N:(p+1)*N]
+	// holds its cells. classPath[k] is class k's path.
+	pathOf    map[pathKey]int32
+	pathFirst []int32
+	pathBuf   []pathCell
+	// refTerm[n] is region n's history-learner term (see roundTerms).
+	refTerm []float64
 	// The round's transportation problem: the M×N cost table and the
 	// placement the solver writes.
 	costBuf   []float64
@@ -131,13 +152,45 @@ type Scheduler struct {
 	// the home region itself (no transfer).
 	rttHomes []region.ID
 	rttRows  []time.Duration
-	// The objective's round invariants (see roundTerms): each job row's
-	// normalizers and each region's history-learner term.
-	rowMax  []rowMax
-	refTerm []float64
 }
 
-// rowMax holds one job's Eq. 8 normalizers over its candidate row: the
+// sharedRows is the largest batch that scoreClasses scores one job at a
+// time, each job its own class and path: at the paper's scale (rounds of
+// ~15 jobs, 1.19 jobs per class) looking classes up cost more than the
+// rows they share (paper-replay read 2% fewer jobs a second).
+const sharedRows = 64
+
+// pathKey is what the transfer side of a job's candidate row depends on:
+// its home (the transfer paths) and its benchmark (the package size).
+type pathKey struct {
+	home      region.ID
+	benchmark string
+}
+
+// classKey is everything a job's candidate row depends on besides the
+// round: its path and the two estimates the footprint and the Eq. 11
+// ratio are priced from. The trace generators set both estimates to the
+// profile mean, but a served client may send its own, so they are part of
+// the key. EstEnergy is keyed by its bits, so that +0 and -0, which score
+// to rows of different bits, stay apart.
+type classKey struct {
+	pathKey
+	energy   uint64 // math.Float64bits(EstEnergy)
+	duration time.Duration
+}
+
+// pathCell is one region's transfer side of a path's rows: the transfer
+// latency (0 at home), the region's reading at the job's arrival there
+// (ok is false when it has none), and, away from home, the footprint of
+// the transfer itself.
+type pathCell struct {
+	snap                  region.Snapshot
+	lat                   time.Duration
+	ok, away              bool
+	commCarbon, commWater float64
+}
+
+// rowMax holds one class's Eq. 8 normalizers over its candidate row: the
 // largest finite carbon and water (1 when none is positive) and, for the
 // §7 extensions, the largest finite ratio and the largest cost.
 type rowMax struct {
@@ -186,7 +239,8 @@ func (s *Scheduler) Stats() (rounds, softened int) { return s.rounds, s.softened
 // scheduling rounds (the decision-overhead breakdown of Fig. 13): the
 // rounds' solve wall time. The transportation solver runs no branch and
 // bound and no simplex, so nodes, simplex iterations and warm starts read
-// 0. The result type is milp.Stats, which aliases transport.Stats.
+// 0. milp.Stats is an alias of transport.Stats, so callers may hold the
+// result as either.
 func (s *Scheduler) SolverStats() transport.Stats { return s.solverStats }
 
 // candidate carries the per-(job, region) scoring inputs for one round.
@@ -244,17 +298,20 @@ func (s *Scheduler) Schedule(ctx *cluster.Context) ([]cluster.Decision, error) {
 
 // place decides the round's batch: Algorithm 1, lines 8-11.
 func (s *Scheduler) place(ctx *cluster.Context, ids []region.ID, caps []int, jobs []*cluster.PendingJob, overloaded bool) ([]cluster.Decision, error) {
-	cands := s.buildCandidates(ctx, ids, jobs)
-	s.roundTerms(ids, cands)
+	if s.checkBatch != nil {
+		s.checkBatch(ctx, ids, jobs)
+	}
+	s.scoreClasses(ctx, ids, jobs)
+	s.roundTerms(ids)
 
 	if s.cfg.GreedyController {
-		return s.greedyAssign(ctx, ids, caps, jobs, cands), nil
+		return s.greedyAssign(ctx, ids, caps, jobs), nil
 	}
 
 	// Hard controller first (Algorithm 1, lines 8-9); soften on demand
 	// overload or infeasibility (lines 5-7 and 10-11).
 	if !overloaded {
-		dec, feasible, err := s.solve(ctx, ids, caps, jobs, cands, false)
+		dec, feasible, err := s.solve(ctx, ids, caps, jobs, false)
 		if err != nil {
 			return nil, err
 		}
@@ -263,73 +320,139 @@ func (s *Scheduler) place(ctx *cluster.Context, ids []region.ID, caps []int, job
 		}
 	}
 	s.softened++
-	dec, feasible, err := s.solve(ctx, ids, caps, jobs, cands, true)
+	dec, feasible, err := s.solve(ctx, ids, caps, jobs, true)
 	if err != nil {
 		return nil, err
 	}
 	if !feasible {
 		// Last resort: greedy keeps the cluster moving when forbidden
 		// pairs leave no placement of the whole batch.
-		return s.greedyAssign(ctx, ids, caps, jobs, cands), nil
+		return s.greedyAssign(ctx, ids, caps, jobs), nil
 	}
 	return dec, nil
 }
 
-// buildCandidates scores every (job, region) pair at the current instant,
-// using the controller's estimates (EstDuration/EstEnergy) — never the
-// ground-truth actuals.
-func (s *Scheduler) buildCandidates(ctx *cluster.Context, ids []region.ID, jobs []*cluster.PendingJob) [][]candidate {
-	// Pooled: the row headers and the backing entry array persist across
-	// rounds; the returned slices are only valid until the next Schedule.
-	if cap(s.candRows) < len(jobs) {
-		s.candRows = make([][]candidate, len(jobs))
+// scoreClasses groups the round's batch into scoring classes, the jobs of
+// equal classKey, and scores each class's (job, region) pairs once at the
+// current instant, using the controller's estimates (EstDuration/EstEnergy)
+// — never the ground-truth actuals. All jobs of a class have the same
+// row, so a class is scored from its first job. The transfer side of a
+// row — each region's latency, its reading at the job's arrival there and
+// the transfer's footprint — depends on the home and benchmark alone, so
+// it is worked out once per (home, benchmark) path and shared by the
+// path's classes, which differ only in their estimates.
+func (s *Scheduler) scoreClasses(ctx *cluster.Context, ids []region.ID, jobs []*cluster.PendingJob) {
+	if cap(s.jobClass) < len(jobs) {
+		s.jobClass = make([]int32, len(jobs))
 	}
-	if need := len(jobs) * len(ids); cap(s.candBuf) < need {
-		s.candBuf = make([]candidate, need)
+	s.jobClass = s.jobClass[:len(jobs)]
+	s.classFirst, s.classPath, s.pathFirst = s.classFirst[:0], s.classPath[:0], s.pathFirst[:0]
+	if len(jobs) <= sharedRows {
+		for m := range jobs {
+			s.jobClass[m] = int32(m)
+			s.classFirst = append(s.classFirst, int32(m))
+			s.classPath = append(s.classPath, int32(m))
+			s.pathFirst = append(s.pathFirst, int32(m))
+		}
+	} else {
+		s.classify(jobs)
 	}
-	cands := s.candRows[:len(jobs)]
+
+	N := len(ids)
+	if need := len(s.pathFirst) * N; cap(s.pathBuf) < need {
+		s.pathBuf = make([]pathCell, need)
+	}
 	s.rttHomes, s.rttRows = s.rttHomes[:0], s.rttRows[:0]
-	for m, pj := range jobs {
-		job := pj.Job
+	for p, m := range s.pathFirst {
+		job := jobs[m].Job
 		pkg := workload.PackageMB(job.Benchmark)
-		row := s.candBuf[m*len(ids) : (m+1)*len(ids)]
+		cells := s.pathBuf[p*N : (p+1)*N]
 		rtt := s.rttRow(ctx, ids, job.Home)
 		for n, id := range ids {
-			lat := time.Duration(0)
-			if rtt[n] >= 0 {
-				lat = ctx.Net.LatencyAt(rtt[n], pkg)
+			cell := pathCell{away: rtt[n] >= 0}
+			if cell.away {
+				cell.lat = ctx.Net.LatencyAt(rtt[n], pkg)
 			}
-			start := ctx.Now.Add(lat)
-			snap, ok := ctx.Env.Snapshot(id, start)
-			if !ok {
+			cell.snap, cell.ok = ctx.Env.Snapshot(id, ctx.Now.Add(cell.lat))
+			if cell.ok && cell.away {
+				commFP := ctx.FP.ForJob(cell.snap, ctx.Net.Energy(job.Home, id, pkg), 0)
+				cell.commCarbon, cell.commWater = float64(commFP.Carbon()), float64(commFP.Water())
+			}
+			cells[n] = cell
+		}
+	}
+
+	if cap(s.regBuf) < N {
+		s.regBuf = make([]*region.Region, N)
+	}
+	regs := s.regBuf[:N]
+	for n, id := range ids {
+		regs[n] = ctx.Env.Region(id)
+	}
+	if need := len(s.classFirst) * N; cap(s.candBuf) < need {
+		s.candBuf = make([]candidate, need)
+		s.baseBuf = make([]float64, need)
+	}
+	for k, m := range s.classFirst {
+		job := jobs[m].Job
+		p := int(s.classPath[k])
+		cells, row := s.pathBuf[p*N:(p+1)*N], s.candBuf[k*N:(k+1)*N]
+		for n := range cells {
+			cell := &cells[n]
+			if !cell.ok {
 				row[n] = candidate{carbon: math.Inf(1), water: math.Inf(1), ratio: math.Inf(1)}
 				continue
 			}
-			fp := ctx.FP.ForJob(snap, job.EstEnergy, job.EstDuration)
+			fp := ctx.FP.ForJob(cell.snap, job.EstEnergy, job.EstDuration)
 			carbon := float64(fp.Carbon())
 			water := float64(fp.Water())
-			if rtt[n] >= 0 {
-				commFP := ctx.FP.ForJob(snap, ctx.Net.Energy(job.Home, id, pkg), 0)
-				carbon += float64(commFP.Carbon())
-				water += float64(commFP.Water())
+			if cell.away {
+				carbon += cell.commCarbon
+				water += cell.commWater
 			}
 			ratio := 0.0
 			if job.EstDuration > 0 {
-				ratio = float64(lat) / float64(job.EstDuration)
+				ratio = float64(cell.lat) / float64(job.EstDuration)
 			}
 			usd := 0.0
-			if r := ctx.Env.Region(id); r != nil {
-				usd = r.EnergyPriceUSD * float64(job.EstEnergy) * snap.PUE
+			if r := regs[n]; r != nil {
+				usd = r.EnergyPriceUSD * float64(job.EstEnergy) * cell.snap.PUE
 			}
-			row[n] = candidate{carbon: carbon, water: water, ratio: ratio, cost: usd, latency: lat}
+			row[n] = candidate{carbon: carbon, water: water, ratio: ratio, cost: usd, latency: cell.lat}
 		}
-		cands[m] = row
 	}
-	return cands
+}
+
+// classify groups jobs into scoring classes and their classes into paths.
+func (s *Scheduler) classify(jobs []*cluster.PendingJob) {
+	if s.classOf == nil {
+		s.classOf, s.pathOf = make(map[classKey]int32), make(map[pathKey]int32)
+	}
+	clear(s.classOf)
+	clear(s.pathOf)
+	for m, pj := range jobs {
+		job := pj.Job
+		key := classKey{pathKey: pathKey{home: job.Home, benchmark: job.Benchmark},
+			energy: math.Float64bits(float64(job.EstEnergy)), duration: job.EstDuration}
+		k, ok := s.classOf[key]
+		if !ok {
+			p, ok := s.pathOf[key.pathKey]
+			if !ok {
+				p = int32(len(s.pathFirst))
+				s.pathOf[key.pathKey] = p
+				s.pathFirst = append(s.pathFirst, int32(m))
+			}
+			k = int32(len(s.classFirst))
+			s.classOf[key] = k
+			s.classFirst = append(s.classFirst, int32(m))
+			s.classPath = append(s.classPath, p)
+		}
+		s.jobClass[m] = k
+	}
 }
 
 // rttRow returns the round trips from home to each region of ids, resolved
-// on the round's first job from home: -1 marks home itself, and
+// on the round's first path from home: -1 marks home itself, and
 // ctx.Net.LatencyAt of any other entry equals ctx.Net.Latency of that pair.
 func (s *Scheduler) rttRow(ctx *cluster.Context, ids []region.ID, home region.ID) []time.Duration {
 	N := len(ids)
@@ -350,15 +473,21 @@ func (s *Scheduler) rttRow(ctx *cluster.Context, ids []region.ID, home region.ID
 }
 
 // roundTerms computes what the Eq. 8 objective shares across a round:
-// each candidate row's maxima and each region's history-learner term
-// λ_ref·(λ_CO2·CO2ref_n + λ_H2O·H2Oref_n). It runs once per round, after
-// buildCandidates, so objective is O(1) per pair.
-func (s *Scheduler) roundTerms(ids []region.ID, cands [][]candidate) {
-	if cap(s.rowMax) < len(cands) {
-		s.rowMax = make([]rowMax, len(cands))
+// each region's history-learner term λ_ref·(λ_CO2·CO2ref_n + λ_H2O·H2Oref_n)
+// and, from each class's candidate row and its maxima, the class's base
+// objective row, +Inf on unusable pairs. It runs once per round, after
+// scoreClasses, so that only the Eq. 11 test is left per job.
+func (s *Scheduler) roundTerms(ids []region.ID) {
+	N := len(ids)
+	if cap(s.refTerm) < N {
+		s.refTerm = make([]float64, N)
 	}
-	s.rowMax = s.rowMax[:len(cands)]
-	for m, row := range cands {
+	s.refTerm = s.refTerm[:N]
+	for n, id := range ids {
+		s.refTerm[n] = s.cfg.LambdaRef * (s.cfg.LambdaCarbon*s.refCarbon(id) + s.cfg.LambdaWater*s.refWater(id))
+	}
+	for k := range s.classFirst {
+		row, base := s.candBuf[k*N:(k+1)*N], s.baseBuf[k*N:(k+1)*N]
 		mx := rowMax{}
 		for _, c := range row {
 			if !math.IsInf(c.carbon, 1) && c.carbon > mx.carbon {
@@ -380,21 +509,19 @@ func (s *Scheduler) roundTerms(ids []region.ID, cands [][]candidate) {
 		if mx.water == 0 {
 			mx.water = 1
 		}
-		s.rowMax[m] = mx
-	}
-	if cap(s.refTerm) < len(ids) {
-		s.refTerm = make([]float64, len(ids))
-	}
-	s.refTerm = s.refTerm[:len(ids)]
-	for n, id := range ids {
-		s.refTerm[n] = s.cfg.LambdaRef * (s.cfg.LambdaCarbon*s.refCarbon(id) + s.cfg.LambdaWater*s.refWater(id))
+		for n, c := range row {
+			b := s.objective(mx, c, n)
+			if math.IsInf(b, 1) || math.IsInf(c.ratio, 1) {
+				b = math.Inf(1) // unusable pair
+			}
+			base[n] = b
+		}
 	}
 }
 
-// objective computes the Eq. 8 cost coefficient of placing job m in region
-// index n, from the round terms roundTerms stored.
-func (s *Scheduler) objective(cands [][]candidate, m, n int) float64 {
-	mx, c := s.rowMax[m], cands[m][n]
+// objective computes the Eq. 8 cost coefficient of candidate c, in region
+// index n, under its row's maxima mx.
+func (s *Scheduler) objective(mx rowMax, c candidate, n int) float64 {
 	cost := s.cfg.LambdaCarbon*c.carbon/mx.carbon + s.cfg.LambdaWater*c.water/mx.water
 	if !s.cfg.DisableHistory {
 		cost += s.refTerm[n]
@@ -410,6 +537,13 @@ func (s *Scheduler) objective(cands [][]candidate, m, n int) float64 {
 	return cost
 }
 
+// classRows returns job m's class rows: its candidates and its base
+// objective.
+func (s *Scheduler) classRows(m, N int) ([]candidate, []float64) {
+	k := int(s.jobClass[m])
+	return s.candBuf[k*N : (k+1)*N], s.baseBuf[k*N : (k+1)*N]
+}
+
 // solve fills the round's M×N cost table and solves it as a
 // transportation problem (Eq. 8-13).
 //
@@ -423,9 +557,10 @@ func (s *Scheduler) objective(cands [][]candidate, m, n int) float64 {
 // encodings are mathematically identical to the paper's formulation and
 // leave Eq. 9 and Eq. 10 alone as constraints: a bipartite transportation
 // problem, whose matrix is totally unimodular, so the network optimum is
-// the MILP's. It returns the decisions, whether every job was placed, and
-// any solver error.
-func (s *Scheduler) solve(ctx *cluster.Context, ids []region.ID, caps []int, jobs []*cluster.PendingJob, cands [][]candidate, soft bool) ([]cluster.Decision, bool, error) {
+// the MILP's. Each job's row is its class's base row with that test
+// applied against the job's own remaining tolerance. It returns the
+// decisions, whether every job was placed, and any solver error.
+func (s *Scheduler) solve(ctx *cluster.Context, ids []region.ID, caps []int, jobs []*cluster.PendingJob, soft bool) ([]cluster.Decision, bool, error) {
 	M, N := len(jobs), len(ids)
 	if cap(s.costBuf) < M*N {
 		s.costBuf = make([]float64, M*N)
@@ -435,20 +570,19 @@ func (s *Scheduler) solve(ctx *cluster.Context, ids []region.ID, caps []int, job
 	}
 	cost, assign := s.costBuf[:M*N], s.assignBuf[:M]
 	for m := 0; m < M; m++ {
+		row, base := s.classRows(m, N)
 		rhs := remainingTolerance(ctx, jobs[m].Job)
-		for n := 0; n < N; n++ {
-			c := s.objective(cands, m, n)
-			ratio := cands[m][n].ratio
-			switch {
-			case math.IsInf(c, 1) || math.IsInf(ratio, 1):
-				c = math.Inf(1) // unusable pair
-			case ratio > rhs && !soft:
-				c = math.Inf(1) // Eq. 11 violated: forbidden in hard mode
-			case ratio > rhs && soft:
-				// Eq. 12-13: violation priced at σ per unit of excess.
-				c += s.cfg.PenaltySigma * (ratio - rhs)
+		out := cost[m*N : (m+1)*N]
+		for n, c := range base {
+			if ratio := row[n].ratio; ratio > rhs {
+				if soft {
+					// Eq. 12-13: violation priced at σ per unit of excess.
+					c += s.cfg.PenaltySigma * (ratio - rhs)
+				} else {
+					c = math.Inf(1) // Eq. 11 violated: forbidden in hard mode
+				}
 			}
-			cost[m*N+n] = c
+			out[n] = c
 		}
 	}
 	start := time.Now()
@@ -487,24 +621,26 @@ func remainingTolerance(ctx *cluster.Context, job *trace.Job) float64 {
 // greedyAssign is the ablation controller (and last-resort fallback): each
 // job takes its cheapest feasible region, respecting capacity counts, under
 // the same remaining tolerance as solve.
-func (s *Scheduler) greedyAssign(ctx *cluster.Context, ids []region.ID, caps []int, jobs []*cluster.PendingJob, cands [][]candidate) []cluster.Decision {
+func (s *Scheduler) greedyAssign(ctx *cluster.Context, ids []region.ID, caps []int, jobs []*cluster.PendingJob) []cluster.Decision {
 	if cap(s.leftBuf) < len(caps) {
 		s.leftBuf = make([]int, len(caps))
 	}
 	left := s.leftBuf[:len(caps)]
 	copy(left, caps)
+	N := len(ids)
 	out := make([]cluster.Decision, 0, len(jobs))
 	for m, pj := range jobs {
+		row, base := s.classRows(m, N)
 		rhs := remainingTolerance(ctx, pj.Job)
 		best, bestCost := -1, math.Inf(1)
 		for n := range ids {
 			if left[n] <= 0 {
 				continue
 			}
-			if cands[m][n].ratio > rhs {
+			if row[n].ratio > rhs {
 				continue
 			}
-			if c := s.objective(cands, m, n); c < bestCost {
+			if c := base[n]; c < bestCost {
 				bestCost = c
 				best = n
 			}
@@ -516,7 +652,7 @@ func (s *Scheduler) greedyAssign(ctx *cluster.Context, ids []region.ID, caps []i
 				if left[n] <= 0 {
 					continue
 				}
-				c := s.objective(cands, m, n) + s.cfg.PenaltySigma*math.Max(0, cands[m][n].ratio-rhs)
+				c := base[n] + s.cfg.PenaltySigma*math.Max(0, row[n].ratio-rhs)
 				if c < bestCost {
 					bestCost = c
 					best = n

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -16,6 +17,7 @@ import (
 	"time"
 
 	"waterwise/internal/cluster"
+	"waterwise/internal/energy"
 	"waterwise/internal/region"
 	"waterwise/internal/wal"
 )
@@ -706,53 +708,67 @@ func TestPacedRecoveryResumesClock(t *testing.T) {
 
 // BenchmarkWALRecovery measures the cold restart path: recover a server
 // from a log holding a full trace of decisions and no snapshot (the
-// worst case — every record replays through the simulator). The trace
-// mirrors BenchmarkFleetReplay's (~29k jobs over 24h); the repo's
-// benchmark times recovery end to end in durable-replay (bench/README.md).
+// worst case — every record replays through the simulator, and every
+// round through the scheduler). Each sub-benchmark's trace runs at
+// BenchmarkFleetReplay's rate (~30k jobs a day) for 1, 3 or 7 days, so
+// the three show how recovery grows with the log; the repo's benchmark
+// times recovery end to end in durable-replay (bench/README.md).
 func BenchmarkWALRecovery(b *testing.B) {
-	dir := b.TempDir()
-	mk := func() Config {
-		return Config{
-			Env: testEnv(b), Scheduler: newScheduler(b), Tolerance: 0.5,
-			Round: time.Minute, DataDir: dir, SnapshotEvery: 1 << 30,
-		}
-	}
-	jobs := genTrace(b, testEnv(b), 30000, 24)
-	srv, err := New(mk())
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, j := range jobs {
-		if _, err := srv.Submit(specFor(j)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	srv.Start()
-	// Settle without Drain: Drain would snapshot and erase the replay work
-	// this benchmark exists to measure.
-	for {
-		st := srv.Status()
-		if st.Pending+st.Future == 0 {
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	// Serve the stream once: the read-path group commit seals the whole
-	// log, so every decision counted below survives the Crash.
-	srv.Decisions(0, 0)
-	decided := srv.Status().Decisions
-	srv.Crash()
+	for _, days := range []int{1, 3, 7} {
+		b.Run(fmt.Sprintf("days=%d", days), func(b *testing.B) {
+			dir := b.TempDir()
+			env := func() *region.Environment {
+				env, err := region.NewEnvironment(region.Defaults(), energy.Table, testStart, 24*(days+2), 21)
+				if err != nil {
+					b.Fatal(err)
+				}
+				return env
+			}
+			mk := func() Config {
+				return Config{
+					Env: env(), Scheduler: newScheduler(b), Tolerance: 0.5,
+					Round: time.Minute, DataDir: dir, SnapshotEvery: 1 << 30,
+					QueueCap: 1 << 20, // the whole trace is queued before Start
+				}
+			}
+			jobs := genTrace(b, env(), 30000, 24*days)
+			srv, err := New(mk())
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, j := range jobs {
+				if _, err := srv.Submit(specFor(j)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			srv.Start()
+			// Settle without Drain: Drain would snapshot and erase the
+			// replay work this benchmark exists to measure.
+			for {
+				st := srv.Status()
+				if st.Pending+st.Future == 0 {
+					break
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+			// Serve the stream once: the read-path group commit seals the
+			// whole log, so every decision counted below survives the Crash.
+			srv.Decisions(0, 0)
+			decided := srv.Status().Decisions
+			srv.Crash()
 
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rec, err := New(mk())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if got := rec.Status().Decisions; got != decided {
-			b.Fatalf("recovered %d decisions, want %d", got, decided)
-		}
-		b.ReportMetric(float64(rec.Status().WAL.RecoveryMs), "recovery_ms")
-		rec.Crash() // leave the log intact for the next iteration
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rec, err := New(mk())
+				if err != nil {
+					b.Fatal(err)
+				}
+				if got := rec.Status().Decisions; got != decided {
+					b.Fatalf("recovered %d decisions, want %d", got, decided)
+				}
+				b.ReportMetric(float64(rec.Status().WAL.RecoveryMs), "recovery_ms")
+				rec.Crash() // leave the log intact for the next iteration
+			}
+		})
 	}
 }

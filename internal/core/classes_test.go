@@ -331,8 +331,7 @@ func borgJobs(hours int, perDay, durScale float64, edit func(*rand.Rand, *trace.
 // TestClassScoringMatchesPerJob replays whole runs and rebuilds every
 // round solve's cost table the per-job way: the class-scored table must be
 // bit-identical and placed identically, on the paper, large and flash
-// replays (the paper and flash rounds are at most sharedRows jobs, so they
-// check rows scored one job at a time), on a trace whose jobs carry their own estimates, on jobs of an
+// replays, on a trace whose jobs carry their own estimates, on jobs of an
 // unknown benchmark (the default package), under the greedy controller,
 // and through a partition view of the environment that some jobs' homes
 // lie outside.
@@ -342,10 +341,10 @@ func TestClassScoringMatchesPerJob(t *testing.T) {
 	}
 	zurich, madrid, oregon, mumbai := region.Zurich, region.Madrid, region.Oregon, region.Mumbai
 	cases := []classReplay{
-		{name: "paper", env: replayEnv(35, 24+72), jobs: borgJobs(24, 23000, 0.3, nil), tol: 0.5, minRate: 1},
+		{name: "paper", env: replayEnv(35, 24+72), jobs: borgJobs(24, 23000, 0.3, nil), tol: 0.5, minRate: 1.1},
 		{name: "large", cfg: func(c *Config) { c.MaxBatch = 1000 }, env: replayEnv(400, 1+72),
 			jobs: borgJobs(1, 1e6, 0.15, nil), tol: 0.5, minRate: 3},
-		{name: "flash", env: replayEnv(8, 24*4), tol: 0.25, minRate: 1, jobs: func(t *testing.T, ids []region.ID) []*trace.Job {
+		{name: "flash", env: replayEnv(8, 24*4), tol: 0.25, minRate: 1.1, jobs: func(t *testing.T, ids []region.ID) []*trace.Job {
 			jobs, err := trace.GenerateFlashCrowd(trace.FlashConfig{
 				Config: trace.Config{
 					Start: testStart, Duration: 8 * time.Hour, JobsPerDay: 5000,
@@ -414,15 +413,41 @@ func TestClassScoringMatchesPerJob(t *testing.T) {
 	}
 }
 
+// TestKeyIndexCollisions holds keyIndex to its contract when every key
+// hashes alike, and when hashes differ in their high bits only: each key
+// gets its own entry, and a second lookup finds it.
+func TestKeyIndexCollisions(t *testing.T) {
+	for _, hash := range []func(key int) uint64{
+		func(int) uint64 { return 7 },
+		func(key int) uint64 { return uint64(key) << 40 },
+	} {
+		var x keyIndex
+		x.reset(40)
+		for round := range 2 {
+			for key := range 40 {
+				e, added := x.find(hash(key), int32(key), func(e int32) bool { return int(e) == key })
+				if e != int32(key) || added != (round == 0) {
+					t.Fatalf("round %d: key %d found entry %d (added %v)", round, key, e, added)
+				}
+			}
+		}
+		x.reset(1)
+		if _, added := x.find(hash(3), 0, func(int32) bool { return true }); !added {
+			t.Fatal("a reset index found an entry of the round before")
+		}
+	}
+}
+
 // scheduleRoundCtx returns a standing batch shaped like a large-replay
-// round: 1000 jobs cycling through the 10 profiles and the 5 homes, every
-// region with 400 free servers. With distinct set, every job's energy
-// estimate is its own, so every job is its own class.
-func scheduleRoundCtx(b *testing.B, distinct bool) *cluster.Context {
+// round: n jobs cycling through the 10 profiles and the 5 homes, every
+// region with 400 free servers. The first 50 jobs are 50 classes, and
+// later jobs repeat them. With distinct set, every job's energy estimate
+// is its own, so every job is its own class.
+func scheduleRoundCtx(b *testing.B, n int, distinct bool) *cluster.Context {
 	env := testEnv(b)
 	ids := env.IDs()
 	profiles := workload.All()
-	jobs := make([]*trace.Job, 1000)
+	jobs := make([]*trace.Job, n)
 	for i := range jobs {
 		p := profiles[i%len(profiles)]
 		est := p.MeanEnergy()
@@ -442,17 +467,23 @@ func scheduleRoundCtx(b *testing.B, distinct bool) *cluster.Context {
 }
 
 // BenchmarkScheduleRound times one hard-mode Schedule of a large-replay
-// round (see scheduleRoundCtx) with MaxBatch 1000: in classes every job
-// carries its profile's mean estimates (50 classes), in distinct no two
-// jobs share a class, the worst case a served client can send.
+// round (see scheduleRoundCtx) with MaxBatch 1000: in classes every one
+// of 1000 jobs carries its profile's mean estimates (50 classes), in
+// distinct no two jobs share a class, the worst case a served client can
+// send. The jobs=n rounds are shorter batches of the classes shape, down
+// to the paper's scale: up to 50 jobs every job is its own class.
 func BenchmarkScheduleRound(b *testing.B) {
-	for _, distinct := range []bool{false, true} {
-		name := "classes"
-		if distinct {
-			name = "distinct"
-		}
-		b.Run(name, func(b *testing.B) {
-			ctx := scheduleRoundCtx(b, distinct)
+	cases := []struct {
+		name     string
+		n        int
+		distinct bool
+	}{
+		{"classes", 1000, false}, {"distinct", 1000, true},
+		{"jobs=16", 16, false}, {"jobs=32", 32, false}, {"jobs=64", 64, false}, {"jobs=128", 128, false},
+	}
+	for _, bc := range cases {
+		b.Run(bc.name, func(b *testing.B) {
+			ctx := scheduleRoundCtx(b, bc.n, bc.distinct)
 			cfg := DefaultConfig()
 			cfg.MaxBatch = 1000
 			s, err := New(cfg)
@@ -470,9 +501,9 @@ func BenchmarkScheduleRound(b *testing.B) {
 			if _, soft := s.Stats(); soft != 0 {
 				b.Fatalf("%d softened rounds, want hard-mode rounds only", soft)
 			}
-			want := 50
-			if distinct {
-				want = len(ctx.Jobs)
+			want := min(bc.n, 50)
+			if bc.distinct {
+				want = bc.n
 			}
 			if got := len(s.classFirst); got != want {
 				b.Fatalf("%d classes, want %d", got, want)

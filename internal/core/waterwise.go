@@ -24,7 +24,9 @@ package core
 
 import (
 	"fmt"
+	"hash/maphash"
 	"math"
+	"math/bits"
 	"time"
 
 	"waterwise/internal/cluster"
@@ -124,23 +126,16 @@ type Scheduler struct {
 	leftBuf []int
 	readBuf []reading
 	regBuf  []*region.Region
-	// The round's scoring classes (see scoreClasses): classOf maps a key to
-	// its class, classFirst[k] is class k's first job and jobClass[m] is
-	// job m's class. Class k's rows are N wide: candBuf[k*N:(k+1)*N] holds
-	// its candidates and baseBuf[k*N:(k+1)*N] its Eq. 8 objective before
-	// the Eq. 11 test (see roundTerms).
-	classOf    map[classKey]int32
+	// The round's scoring classes (see scoreClasses): classIdx finds a
+	// class by its key, classFirst[k] is class k's first job and
+	// jobClass[m] is job m's class. Class k's rows are N wide:
+	// candBuf[k*N:(k+1)*N] holds its candidates and baseBuf[k*N:(k+1)*N]
+	// its Eq. 8 objective before the Eq. 11 test (see roundTerms).
+	classIdx   keyIndex
 	classFirst []int32
-	classPath  []int32
 	jobClass   []int32
 	candBuf    []candidate
 	baseBuf    []float64
-	// The round's transfer paths: pathOf maps a (home, benchmark) to its
-	// path, pathFirst[p] is path p's first job, and pathBuf[p*N:(p+1)*N]
-	// holds its cells. classPath[k] is class k's path.
-	pathOf    map[pathKey]int32
-	pathFirst []int32
-	pathBuf   []pathCell
 	// refTerm[n] is region n's history-learner term (see roundTerms).
 	refTerm []float64
 	// The round's transportation problem: the M×N cost table and the
@@ -154,41 +149,57 @@ type Scheduler struct {
 	rttRows  []time.Duration
 }
 
-// sharedRows is the largest batch that scoreClasses scores one job at a
-// time, each job its own class and path: at the paper's scale (rounds of
-// ~15 jobs, 1.19 jobs per class) looking classes up cost more than the
-// rows they share (paper-replay read 2% fewer jobs a second).
-const sharedRows = 64
-
-// pathKey is what the transfer side of a job's candidate row depends on:
-// its home (the transfer paths) and its benchmark (the package size).
-type pathKey struct {
-	home      region.ID
-	benchmark string
+// keyIndex finds a round's scoring classes by the hash of their key, by
+// open addressing: slots[i] holds an entry's index + 1, 0 when empty,
+// and hash[e] is entry e's hash. It is cleared every round, so it holds
+// only that round's entries, at most half of its slots full.
+type keyIndex struct {
+	slots []int32
+	hash  []uint64
 }
 
-// classKey is everything a job's candidate row depends on besides the
-// round: its path and the two estimates the footprint and the Eq. 11
-// ratio are priced from. The trace generators set both estimates to the
-// profile mean, but a served client may send its own, so they are part of
-// the key. EstEnergy is keyed by its bits, so that +0 and -0, which score
-// to rows of different bits, stay apart.
-type classKey struct {
-	pathKey
-	energy   uint64 // math.Float64bits(EstEnergy)
-	duration time.Duration
+// reset empties the index and sizes it for up to n entries.
+func (x *keyIndex) reset(n int) {
+	size := 16
+	for size < 2*n {
+		size <<= 1
+	}
+	if cap(x.slots) < size {
+		x.slots, x.hash = make([]int32, size), make([]uint64, 0, size/2)
+	}
+	x.slots = x.slots[:size]
+	clear(x.slots)
+	x.hash = x.hash[:0]
 }
 
-// pathCell is one region's transfer side of a path's rows: the transfer
-// latency (0 at home), the region's reading at the job's arrival there
-// (ok is false when it has none), and, away from home, the footprint of
-// the transfer itself.
-type pathCell struct {
-	snap                  region.Snapshot
-	lat                   time.Duration
-	ok, away              bool
-	commCarbon, commWater float64
+// find returns the entry of hash h for which same holds. When there is
+// none it adds entry next, of hash h, and returns it with added set.
+func (x *keyIndex) find(h uint64, next int32, same func(e int32) bool) (e int32, added bool) {
+	mask := uint64(len(x.slots) - 1)
+	i := h & mask
+	for ; x.slots[i] != 0; i = (i + 1) & mask {
+		if e := x.slots[i] - 1; x.hash[e] == h && same(e) {
+			return e, false
+		}
+	}
+	x.slots[i] = next + 1
+	x.hash = append(x.hash, h)
+	return next, true
 }
+
+// mixHash is the splitmix64 finalizer: it spreads x's bits over the word,
+// so that keys differing in a few low bits land in distant slots.
+func mixHash(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	return x ^ x>>31
+}
+
+// hashSeed seeds the string hashes of class keys. Only the cost of a
+// lookup depends on it: a class's index is its first job's order.
+var hashSeed = maphash.MakeSeed()
 
 // rowMax holds one class's Eq. 8 normalizers over its candidate row: the
 // largest finite carbon and water (1 when none is positive) and, for the
@@ -332,56 +343,14 @@ func (s *Scheduler) place(ctx *cluster.Context, ids []region.ID, caps []int, job
 	return dec, nil
 }
 
-// scoreClasses groups the round's batch into scoring classes, the jobs of
-// equal classKey, and scores each class's (job, region) pairs once at the
+// scoreClasses groups the round's batch into scoring classes (see
+// classify), and scores each class's (job, region) pairs once at the
 // current instant, using the controller's estimates (EstDuration/EstEnergy)
 // — never the ground-truth actuals. All jobs of a class have the same
-// row, so a class is scored from its first job. The transfer side of a
-// row — each region's latency, its reading at the job's arrival there and
-// the transfer's footprint — depends on the home and benchmark alone, so
-// it is worked out once per (home, benchmark) path and shared by the
-// path's classes, which differ only in their estimates.
+// row, so a class is scored from its first job.
 func (s *Scheduler) scoreClasses(ctx *cluster.Context, ids []region.ID, jobs []*cluster.PendingJob) {
-	if cap(s.jobClass) < len(jobs) {
-		s.jobClass = make([]int32, len(jobs))
-	}
-	s.jobClass = s.jobClass[:len(jobs)]
-	s.classFirst, s.classPath, s.pathFirst = s.classFirst[:0], s.classPath[:0], s.pathFirst[:0]
-	if len(jobs) <= sharedRows {
-		for m := range jobs {
-			s.jobClass[m] = int32(m)
-			s.classFirst = append(s.classFirst, int32(m))
-			s.classPath = append(s.classPath, int32(m))
-			s.pathFirst = append(s.pathFirst, int32(m))
-		}
-	} else {
-		s.classify(jobs)
-	}
-
+	s.classify(jobs)
 	N := len(ids)
-	if need := len(s.pathFirst) * N; cap(s.pathBuf) < need {
-		s.pathBuf = make([]pathCell, need)
-	}
-	s.rttHomes, s.rttRows = s.rttHomes[:0], s.rttRows[:0]
-	for p, m := range s.pathFirst {
-		job := jobs[m].Job
-		pkg := workload.PackageMB(job.Benchmark)
-		cells := s.pathBuf[p*N : (p+1)*N]
-		rtt := s.rttRow(ctx, ids, job.Home)
-		for n, id := range ids {
-			cell := pathCell{away: rtt[n] >= 0}
-			if cell.away {
-				cell.lat = ctx.Net.LatencyAt(rtt[n], pkg)
-			}
-			cell.snap, cell.ok = ctx.Env.Snapshot(id, ctx.Now.Add(cell.lat))
-			if cell.ok && cell.away {
-				commFP := ctx.FP.ForJob(cell.snap, ctx.Net.Energy(job.Home, id, pkg), 0)
-				cell.commCarbon, cell.commWater = float64(commFP.Carbon()), float64(commFP.Water())
-			}
-			cells[n] = cell
-		}
-	}
-
 	if cap(s.regBuf) < N {
 		s.regBuf = make([]*region.Region, N)
 	}
@@ -393,66 +362,76 @@ func (s *Scheduler) scoreClasses(ctx *cluster.Context, ids []region.ID, jobs []*
 		s.candBuf = make([]candidate, need)
 		s.baseBuf = make([]float64, need)
 	}
+	s.rttHomes, s.rttRows = s.rttHomes[:0], s.rttRows[:0]
 	for k, m := range s.classFirst {
 		job := jobs[m].Job
-		p := int(s.classPath[k])
-		cells, row := s.pathBuf[p*N:(p+1)*N], s.candBuf[k*N:(k+1)*N]
-		for n := range cells {
-			cell := &cells[n]
-			if !cell.ok {
+		pkg := workload.PackageMB(job.Benchmark)
+		row := s.candBuf[k*N : (k+1)*N]
+		rtt := s.rttRow(ctx, ids, job.Home)
+		for n, id := range ids {
+			lat := time.Duration(0)
+			if rtt[n] >= 0 {
+				lat = ctx.Net.LatencyAt(rtt[n], pkg)
+			}
+			snap, ok := ctx.Env.Snapshot(id, ctx.Now.Add(lat))
+			if !ok {
 				row[n] = candidate{carbon: math.Inf(1), water: math.Inf(1), ratio: math.Inf(1)}
 				continue
 			}
-			fp := ctx.FP.ForJob(cell.snap, job.EstEnergy, job.EstDuration)
+			fp := ctx.FP.ForJob(snap, job.EstEnergy, job.EstDuration)
 			carbon := float64(fp.Carbon())
 			water := float64(fp.Water())
-			if cell.away {
-				carbon += cell.commCarbon
-				water += cell.commWater
+			if rtt[n] >= 0 {
+				commFP := ctx.FP.ForJob(snap, ctx.Net.Energy(job.Home, id, pkg), 0)
+				carbon += float64(commFP.Carbon())
+				water += float64(commFP.Water())
 			}
 			ratio := 0.0
 			if job.EstDuration > 0 {
-				ratio = float64(cell.lat) / float64(job.EstDuration)
+				ratio = float64(lat) / float64(job.EstDuration)
 			}
 			usd := 0.0
 			if r := regs[n]; r != nil {
-				usd = r.EnergyPriceUSD * float64(job.EstEnergy) * cell.snap.PUE
+				usd = r.EnergyPriceUSD * float64(job.EstEnergy) * snap.PUE
 			}
-			row[n] = candidate{carbon: carbon, water: water, ratio: ratio, cost: usd, latency: cell.lat}
+			row[n] = candidate{carbon: carbon, water: water, ratio: ratio, cost: usd, latency: lat}
 		}
 	}
 }
 
-// classify groups jobs into scoring classes and their classes into paths.
+// classify groups jobs into scoring classes. A class's key is (Home,
+// Benchmark, EstEnergy, EstDuration): the home sets the transfer paths,
+// the benchmark the package size, and the two estimates price the
+// footprint and the Eq. 11 ratio. The trace generators set both estimates
+// to the profile mean, but a served client may send its own, so they are
+// part of the key. EstEnergy is compared by its bits, so that +0 and -0,
+// which score to rows of different bits, stay apart.
 func (s *Scheduler) classify(jobs []*cluster.PendingJob) {
-	if s.classOf == nil {
-		s.classOf, s.pathOf = make(map[classKey]int32), make(map[pathKey]int32)
+	if cap(s.jobClass) < len(jobs) {
+		s.jobClass, s.classFirst = make([]int32, len(jobs)), make([]int32, 0, len(jobs))
 	}
-	clear(s.classOf)
-	clear(s.pathOf)
+	s.jobClass = s.jobClass[:len(jobs)]
+	s.classFirst = s.classFirst[:0]
+	s.classIdx.reset(len(jobs))
 	for m, pj := range jobs {
 		job := pj.Job
-		key := classKey{pathKey: pathKey{home: job.Home, benchmark: job.Benchmark},
-			energy: math.Float64bits(float64(job.EstEnergy)), duration: job.EstDuration}
-		k, ok := s.classOf[key]
-		if !ok {
-			p, ok := s.pathOf[key.pathKey]
-			if !ok {
-				p = int32(len(s.pathFirst))
-				s.pathOf[key.pathKey] = p
-				s.pathFirst = append(s.pathFirst, int32(m))
-			}
-			k = int32(len(s.classFirst))
-			s.classOf[key] = k
+		energy := math.Float64bits(float64(job.EstEnergy))
+		h := maphash.String(hashSeed, string(job.Home)) ^ bits.RotateLeft64(maphash.String(hashSeed, job.Benchmark), 32)
+		h = mixHash(h ^ mixHash(energy^uint64(job.EstDuration)))
+		k, added := s.classIdx.find(h, int32(len(s.classFirst)), func(k int32) bool {
+			first := jobs[s.classFirst[k]].Job
+			return math.Float64bits(float64(first.EstEnergy)) == energy && first.EstDuration == job.EstDuration &&
+				first.Home == job.Home && first.Benchmark == job.Benchmark
+		})
+		if added {
 			s.classFirst = append(s.classFirst, int32(m))
-			s.classPath = append(s.classPath, p)
 		}
 		s.jobClass[m] = k
 	}
 }
 
 // rttRow returns the round trips from home to each region of ids, resolved
-// on the round's first path from home: -1 marks home itself, and
+// on the round's first class from home: -1 marks home itself, and
 // ctx.Net.LatencyAt of any other entry equals ctx.Net.Latency of that pair.
 func (s *Scheduler) rttRow(ctx *cluster.Context, ids []region.ID, home region.ID) []time.Duration {
 	N := len(ids)
